@@ -80,7 +80,6 @@ from .scenarios import (
     build_scenario,
     infer_secret,
     prepare,
-    reports_to_csv,
     run_single,
     run_trials,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "prepare",
     "print_program",
     "rep_expansion_count",
-    "reports_to_csv",
     "run",
     "run_experiment",
     "run_single",

@@ -234,26 +234,30 @@ def analyze_paths(
     maxs: list[int] = []
     variable = False
 
-    def walk(node: int, acc_min: int, acc_max: int, on_path: frozenset[int]) -> None:
-        nonlocal variable
+    # depth-first over every path, first successor first; a pending node
+    # carries its (min, max) so far and the nodes already on its path, a
+    # set shared with its siblings
+    start = frozenset({branch})
+    stack = [(s, 0, 0, start) for s in reversed(successors(program, branch))]
+    while stack:
+        node, acc_min, acc_max, on_path = stack.pop()
         if node == reconv or node >= n:
             mins.append(acc_min)
             maxs.append(acc_max)
-            return
+            continue
         if node in on_path:
             variable = True
             mins.append(acc_min)
             maxs.append(cap)
-            return
-        instr = program.instructions[node]
-        w_min, w_max, w_var = _uop_weight(instr, cap)
+            continue
+        w_min, w_max, w_var = _uop_weight(program.instructions[node], cap)
         if w_var:
             variable = True
-        for s in successors(program, node):
-            walk(s, acc_min + w_min, min(acc_max + w_max, cap), on_path | {node})
-
-    for s in successors(program, branch):
-        walk(s, 0, 0, frozenset({branch}))
+        path = on_path | {node}
+        acc_min, acc_max = acc_min + w_min, min(acc_max + w_max, cap)
+        stack.extend(
+            (s, acc_min, acc_max, path) for s in reversed(successors(program, node))
+        )
     lo, hi = min(mins), max(maxs)
     if variable:
         hi = cap
@@ -425,9 +429,13 @@ def load_analysis(text: str) -> tuple[dict[int, SafeSet], dict[int, PathProfile]
             continue
         parts = line.split()
         if parts[0] == "ss":
-            instr = int(parts[1])
-            members = frozenset(int(m) for m in parts[2:])
-            safe_sets[instr] = SafeSet(instr, members)
+            try:
+                instr, *members = (int(word) for word in parts[1:])
+            except ValueError:  # no id, or a word that is not an integer
+                raise AnalysisError(f"sidecar line {line_no}: malformed ss") from None
+            if instr in safe_sets:
+                raise AnalysisError(f"sidecar line {line_no}: duplicate ss {instr}")
+            safe_sets[instr] = SafeSet(instr, frozenset(members))
         elif parts[0] == "profile":
             if len(parts) != 6:
                 raise AnalysisError(f"sidecar line {line_no}: malformed profile")

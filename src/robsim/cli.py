@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .analysis import (
     AnalysisError,
+    SafeSet,
     analyze_all_branches,
     compute_safe_sets,
     dump_analysis,
@@ -33,11 +34,11 @@ from .experiment import (
     config_from_mapping,
     load_config_file,
     mitigation_label,
+    occupancy_csv,
     parse_mitigation_set,
     run_experiment,
 )
-from .isa import ParseError, parse_program
-from .scenarios import ScenarioError
+from .isa import parse_program
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,6 +135,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
+def _check_sidecar(safe_sets: dict[int, SafeSet], n: int) -> None:
+    """Refuse safe sets that cannot belong to an n-instruction program: a
+    sidecar from another program would lift loads it does not describe."""
+    if sorted(safe_sets) != list(range(n)):
+        raise AnalysisError(
+            f"sidecar has ss records for {len(safe_sets)} instruction ids, "
+            f"not exactly 0..{n - 1} of the program; rerun robsim analyze"
+        )
+    for ss in safe_sets.values():
+        bad = [m for m in ss.members if not 0 <= m < n]
+        if bad:
+            raise AnalysisError(
+                f"sidecar ss {ss.instr} names instruction {min(bad)} outside "
+                f"the {n}-instruction program; rerun robsim analyze"
+            )
+
+
 def _cmd_sim(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     mode = DefenseMode(args.defense)
@@ -146,6 +164,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             safe_sets, _ = load_analysis(Path(args.safe_sets).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read sidecar: {exc}") from None
+        _check_sidecar(safe_sets, len(program))
     if mode is DefenseMode.DOM_PLUS_INVARSPEC and safe_sets is None:
         safe_sets = compute_safe_sets(program)
     policy = DefensePolicy(mode=mode, mitigations=mitigations, safe_sets=safe_sets)
@@ -159,7 +178,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     if args.trace:
         Path(args.trace).write_text(trace.to_csv())
     if args.occupancy:
-        Path(args.occupancy).write_text(trace.occupancy_csv())
+        Path(args.occupancy).write_text(occupancy_csv(trace.occupancy))
     committed = sum(1 for r in trace.records if r.commit_cycle is not None)
     print(
         f"{len(trace.occupancy)} cycles, {committed} uops committed, "
@@ -189,13 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sim":
             return _cmd_sim(args)
         return _cmd_analyze(args)
-    except _UsageError as exc:
-        print(f"robsim: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, ScenarioError, AnalysisError, ParseError) as exc:
-        print(f"robsim: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:  # config, scenario, analysis and parse errors
         print(f"robsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SimulationLimitError as exc:

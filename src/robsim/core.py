@@ -37,16 +37,10 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .cache import AccessOutcome, CacheConfig, CacheState
-from .defenses import (
-    DefensePolicy,
-    DomDecision,
-    FillDecision,
-    dom_gate,
-    esp_check,
-    gate_rob_fill,
-)
+from .defenses import DefensePolicy, dom_gate, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
+    KIND_BY_OPCODE,
     Imm,
     MacroInstruction,
     Mem,
@@ -235,7 +229,7 @@ class RepExpansion:
     opcode: Opcode
     predicted: bool
     requested: int | None  # true 2n / 5n+12 count; set at verification if predicted
-    target: int | None  # micro-ops this instance will emit (None: until gate blocks)
+    target: int  # micro-ops this instance emits (predicted: rep_predicted_count)
     capped: bool = False
     emitted: int = 0
     verified: bool | None = None
@@ -338,14 +332,6 @@ class Trace:
             )
         return out.getvalue()
 
-    def occupancy_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["cycle", "occupancy"])
-        for i, occ in enumerate(self.occupancy, start=1):
-            writer.writerow([i, occ])
-        return out.getvalue()
-
 
 def _cell(value: int | None) -> int | str:
     return value if value is not None else ""
@@ -361,16 +347,6 @@ class SimulationLimitError(RuntimeError):
         self.cycle = cycle
         self.occupancy = occupancy
         self.snapshot = snapshot
-
-
-class _GateView:
-    """Adapter handing gate_rob_fill the (seq, opcode) it keys on."""
-
-    __slots__ = ("seq", "opcode")
-
-    def __init__(self, seq: int, opcode: Opcode):
-        self.seq = seq
-        self.opcode = opcode
 
 
 class Simulator:
@@ -538,7 +514,7 @@ class Simulator:
                     i += 1  # shadowed stores always wait for the shadow
                     continue
                 if not self._lifted(entry):
-                    if dom_gate(entry, self.cache) is DomDecision.DELAY:
+                    if not dom_gate(entry, self.cache):
                         i += 1
                         continue
                     self._execute_deferred_hit(entry)
@@ -602,9 +578,8 @@ class Simulator:
             return False
         if entry.esp_cycle is not None:
             return True
-        tag = esp_check(entry, self.policy.safe_sets, self.rob, self.cycle)
-        if tag.esp_reached:
-            entry.esp_cycle = tag.cycle_reached
+        if esp_check(entry, self.policy.safe_sets, self.rob):
+            entry.esp_cycle = self.cycle
             return True
         return False
 
@@ -681,7 +656,7 @@ class Simulator:
         for rep in self._live_reps:
             if rep.squashed or rep.verified is not None:
                 continue
-            if rep.emitted < self.policy.rep_predicted_count:
+            if rep.emitted < rep.target:
                 continue  # prediction still streaming into the queue
             first = rep.first_entry
             if first is None or first.status is EntryStatus.QUEUED:
@@ -826,8 +801,7 @@ class Simulator:
         slots = self.config.decode_width
         while slots > 0 and len(self._queue) < self.config.queue_size:
             if self._expansion is not None:
-                if not self._emit_rep_uop(self._expansion):
-                    break
+                self._emit_rep_uop(self._expansion)
                 slots -= 1
                 continue
             if self.pc >= len(self.program):
@@ -850,16 +824,7 @@ class Simulator:
             slots -= 1
 
     def _decode_simple(self, macro: MacroInstruction) -> None:
-        kind = {
-            Opcode.LOAD: UopKind.MEM_READ,
-            Opcode.STORE: UopKind.MEM_WRITE,
-            Opcode.ALU: UopKind.ALU,
-            Opcode.SETSHIFT: UopKind.ALU,
-            Opcode.BRANCH: UopKind.BRANCH_RESOLVE,
-            Opcode.JUMP: UopKind.NOP,
-            Opcode.NOP: UopKind.NOP,
-        }[macro.opcode]
-        entry = self._push_uop(macro, 0, kind)
+        entry = self._push_uop(macro, 0, KIND_BY_OPCODE[macro.opcode])
         if macro.opcode is Opcode.BRANCH:
             predicted = self.predictor.predict(macro.id)
             entry.predicted_taken = predicted
@@ -924,7 +889,7 @@ class Simulator:
                 opcode=macro.opcode,
                 predicted=True,
                 requested=None,
-                target=None,
+                target=self.policy.rep_predicted_count,
                 counter_reg=counter_reg,
                 counter_producer=producer,
                 checkpoint=dict(self._prod_map),
@@ -967,31 +932,17 @@ class Simulator:
         self._expansion = rep
         return True
 
-    def _emit_rep_uop(self, rep: RepExpansion) -> bool:
-        """Emit the next micro-op of the active expansion; False stops decode."""
+    def _emit_rep_uop(self, rep: RepExpansion) -> None:
+        """Emit the next micro-op of the active expansion, ending it at target."""
         macro = self.program.instructions[rep.instr]
-        seq = rep.emitted
-        if rep.predicted:
-            decision = gate_rob_fill(
-                _GateView(seq, macro.opcode), True, self.policy
-            )
-            if decision is FillDecision.BLOCK:
-                self._expansion = None
-                return False
-        elif rep.target is not None and seq >= rep.target:
-            self._expansion = None
-            return False
-        entry = self._push_uop(macro, seq, UopKind.NOP, predicted=rep.predicted)
+        entry = self._push_uop(macro, rep.emitted, UopKind.NOP, predicted=rep.predicted)
         rep.emitted += 1
         if rep.predicted:
             rep.entries.append(entry)
             if rep.first_entry is None:
                 rep.first_entry = entry
-        if rep.predicted and rep.emitted >= self.policy.rep_predicted_count:
+        if rep.emitted >= rep.target:
             self._expansion = None
-        elif not rep.predicted and rep.target is not None and rep.emitted >= rep.target:
-            self._expansion = None
-        return True
 
 
 def run(

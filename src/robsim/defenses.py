@@ -27,7 +27,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
 
 from .analysis import BalanceError, SafeSet, analyze_all_branches
-from .isa import REP_OPCODES, Opcode, Program
+from .isa import Program
 
 if TYPE_CHECKING:
     from .cache import CacheState
@@ -43,17 +43,6 @@ class Mitigation(Enum):
     CONSERVATIVE_INVARIANCE = "conservative_invariance"
     PATH_BALANCING = "path_balancing"
     OPERAND_INDEPENDENT_FILL = "operand_independent_fill"
-
-
-class DomDecision(Enum):
-    EXECUTE_HIT_DEFERRED = "execute_hit_deferred"
-    DELAY = "delay"
-
-
-class FillDecision(Enum):
-    DISPATCH = "dispatch"
-    DISPATCH_PREDICTED = "dispatch_predicted"
-    BLOCK = "block"
 
 
 @dataclass(frozen=True)
@@ -116,12 +105,6 @@ class DefensePolicy:
     def predicted_fill(self) -> bool:
         return Mitigation.OPERAND_INDEPENDENT_FILL in self.mitigations
 
-    def members(self, instr: int) -> frozenset[int]:
-        if self.safe_sets is None:
-            return frozenset()
-        ss = self.safe_sets.get(instr)
-        return ss.members if ss is not None else frozenset()
-
 
 class RobEntryView(Protocol):
     """What the gates need to know about an in-flight entry.
@@ -139,19 +122,11 @@ class RobEntryView(Protocol):
     producers: tuple["RobEntryView", ...]
 
 
-@dataclass
-class InvarianceTag:
-    instr: int
-    esp_reached: bool
-    cycle_reached: int | None
-
-
-def dom_gate(entry: RobEntryView, cache: "CacheState") -> DomDecision:
-    """Delay-on-miss decision for a shadowed load: hit runs with deferred
-    effects, miss waits for the shadow to clear."""
-    if entry.address is not None and cache.resident(entry.address):
-        return DomDecision.EXECUTE_HIT_DEFERRED
-    return DomDecision.DELAY
+def dom_gate(entry: RobEntryView, cache: "CacheState") -> bool:
+    """Delay-on-miss decision for a shadowed load: True on a hit, which runs
+    with deferred effects; False on a miss, which waits for the shadow to
+    clear."""
+    return entry.address is not None and cache.resident(entry.address)
 
 
 def osp_reached(
@@ -162,10 +137,9 @@ def osp_reached(
     """True once the entry's result exists and can no longer change.
 
     complete and unshadowed is the base case. A shadowed complete entry
-    qualifies when every older in-flight instance of its safe-set members
-    and every value producer has itself reached OSP; a member with no
-    in-flight instance is settled (committed or off-path). The flag is
-    sticky: squash removes the entry outright, so it never reverts.
+    qualifies once it has reached ESP itself (`esp_check`) and every value
+    producer has reached OSP. The flag is sticky: squash removes the entry
+    outright, so it never reverts.
     """
     if entry.osp:
         return True
@@ -174,17 +148,8 @@ def osp_reached(
     if entry.shadow is None:
         entry.osp = True
         return True
-    members = frozenset()
-    if safe_sets is not None:
-        ss = safe_sets.get(entry.instr)
-        if ss is not None:
-            members = ss.members
-    if members:
-        for other in rob:
-            if other.rob_seq >= entry.rob_seq:
-                break
-            if other.instr in members and not osp_reached(other, rob, safe_sets):
-                return False
+    if not esp_check(entry, safe_sets, rob):
+        return False
     for producer in entry.producers:
         if not osp_reached(producer, rob, safe_sets):
             return False
@@ -196,65 +161,34 @@ def esp_check(
     entry: RobEntryView,
     safe_sets: Mapping[int, SafeSet] | None,
     rob: Iterable[RobEntryView],
-    cycle: int,
-) -> InvarianceTag:
-    """Execution-safe point: every safe-set member instance at OSP.
+) -> bool:
+    """Execution-safe point: every older in-flight instance of a safe-set
+    member at OSP; a member with no in-flight instance is settled
+    (committed or off-path).
 
     An empty safe set reaches ESP immediately; the gate bypass this
     enables for bound-to-commit instructions is the lever the whole
     contention channel rests on.
     """
-    members = frozenset()
-    if safe_sets is not None:
-        ss = safe_sets.get(entry.instr)
-        if ss is not None:
-            members = ss.members
-    if not members:
-        return InvarianceTag(entry.instr, True, cycle)
+    ss = None if safe_sets is None else safe_sets.get(entry.instr)
+    if ss is None or not ss.members:
+        return True
+    members = ss.members
     for other in rob:
         if other.rob_seq >= entry.rob_seq:
             break
         if other.instr in members and not osp_reached(other, rob, safe_sets):
-            return InvarianceTag(entry.instr, False, None)
-    return InvarianceTag(entry.instr, True, cycle)
-
-
-class UopView(Protocol):
-    """Decode-time view of a candidate micro-op: position and owner opcode."""
-
-    seq: int
-    opcode: Opcode
-
-
-def gate_rob_fill(
-    uop: UopView, secret_tainted: bool, policy: DefensePolicy
-) -> FillDecision:
-    """Decode-side gate for REP expansion under operand_independent_fill.
-
-    A tainted REP (counter producer still in flight) emits exactly
-    rep_predicted_count predicted micro-ops; the rest are blocked until
-    verification. Everything else dispatches normally.
-    """
-    if uop.opcode not in REP_OPCODES or not secret_tainted:
-        return FillDecision.DISPATCH
-    if not policy.predicted_fill:
-        return FillDecision.DISPATCH
-    if uop.seq < policy.rep_predicted_count:
-        return FillDecision.DISPATCH_PREDICTED
-    return FillDecision.BLOCK
+            return False
+    return True
 
 
 __all__ = [
     "BalanceCertificate",
     "DefenseMode",
     "DefensePolicy",
-    "DomDecision",
-    "FillDecision",
-    "InvarianceTag",
     "Mitigation",
     "certify_balanced",
     "dom_gate",
     "esp_check",
-    "gate_rob_fill",
     "osp_reached",
 ]

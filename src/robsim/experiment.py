@@ -416,17 +416,19 @@ def summary_csv(cells: list[CellResult]) -> str:
 
 
 def reports_csv(cells: list[CellResult]) -> str:
+    """One row per trial of every cell (schema: docs/csv_schemas.md)."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(REPORT_FIELDS)
     for cell in cells:
+        label = mitigation_label(cell.mitigations)
         for r in cell.reports:
             writer.writerow(
                 [
                     r.trial,
                     r.scenario,
                     r.defense,
-                    "+".join(r.mitigations) or "none",
+                    label,
                     format_observation(r.observation),
                     r.inferred_secret,
                     r.ground_truth,
@@ -481,8 +483,10 @@ __all__ = [
     "config_from_mapping",
     "load_config_file",
     "mitigation_label",
+    "occupancy_csv",
     "parse_defense",
     "parse_mitigation_set",
+    "reports_csv",
     "run_cell",
     "run_experiment",
     "summarize",

@@ -1,16 +1,17 @@
-"""Toy macro-instruction set: parsing, printing, and micro-op expansion.
+"""Toy macro-instruction set: parsing, printing, and micro-op shapes.
 
 A program is a flat list of macro instructions plus a label table and an
 initial-memory map. Macro instructions decode into micro-ops; every opcode
-expands to exactly one micro-op except the string-repeat opcodes, whose
-expansion count is a function of the runtime counter value:
+expands to exactly one micro-op of kind `KIND_BY_OPCODE[opcode]` except the
+string-repeat opcodes, whose expansion count is a function of the runtime
+counter value:
 
     rep_movs  -> 2*n micro-ops
     rep_lods  -> 5*n + 12 micro-ops
 
-Expansion happens at decode time in the core, so the counter value may be a
-speculative (bypassed) one. This module only supplies the mechanics; timing
-lives in robsim.core.
+Expansion happens at decode time in robsim.core, so the counter value may
+be a speculative (bypassed) one. This module only supplies the tables and
+the count formula; timing lives in the core.
 """
 
 from __future__ import annotations
@@ -43,13 +44,16 @@ class UopKind(enum.Enum):
     NOP = "nop"
 
 
-#: symbolic latency class per micro-op kind; the core config maps these to cycles
-LATENCY_CLASS = {
-    UopKind.MEM_READ: "mem",
-    UopKind.MEM_WRITE: "mem",
-    UopKind.ALU: "alu",
-    UopKind.BRANCH_RESOLVE: "alu",
-    UopKind.NOP: "nop",
+#: micro-op kind of every single-uop opcode; rep opcodes expand to NOPs
+KIND_BY_OPCODE = {
+    Opcode.LOAD: UopKind.MEM_READ,
+    Opcode.STORE: UopKind.MEM_WRITE,
+    Opcode.ALU: UopKind.ALU,
+    Opcode.SETSHIFT: UopKind.ALU,
+    Opcode.BRANCH: UopKind.BRANCH_RESOLVE,
+    Opcode.JUMP: UopKind.NOP,
+    Opcode.FENCE: UopKind.NOP,
+    Opcode.NOP: UopKind.NOP,
 }
 
 REP_OPCODES = (Opcode.REP_MOVS, Opcode.REP_LODS)
@@ -160,10 +164,6 @@ class MicroOp:
     seq: int  # position within the expansion
     kind: UopKind
 
-    @property
-    def latency_class(self) -> str:
-        return LATENCY_CLASS[self.kind]
-
 
 @dataclass
 class Program:
@@ -190,16 +190,17 @@ class Program:
                 raise ValueError(f"data address {addr:#x} outside address space")
 
 
-_ARITY = {
-    Opcode.LOAD: 2,
-    Opcode.STORE: 2,
-    Opcode.SETSHIFT: 3,
-    Opcode.BRANCH: 2,
-    Opcode.JUMP: 1,
-    Opcode.REP_MOVS: 1,
-    Opcode.REP_LODS: 1,
-    Opcode.FENCE: 0,
-    Opcode.NOP: 0,
+#: operand types of every fixed-arity opcode (alu takes 2 or 3, checked apart)
+_OPERAND_SHAPES: dict[Opcode, tuple[type, ...]] = {
+    Opcode.LOAD: (Reg, Mem),
+    Opcode.STORE: (Reg, Mem),
+    Opcode.SETSHIFT: (Reg, Reg, Imm),
+    Opcode.BRANCH: (Reg, Label),
+    Opcode.JUMP: (Label,),
+    Opcode.REP_MOVS: (Reg,),
+    Opcode.REP_LODS: (Reg,),
+    Opcode.FENCE: (),
+    Opcode.NOP: (),
 }
 
 
@@ -251,20 +252,10 @@ def _check_operands(op: Opcode, operands: tuple[Operand, ...], line_no: int) -> 
             if not isinstance(src, (Reg, Imm)):
                 raise ParseError(line_no, "alu sources must be registers or immediates")
         return
-    if len(operands) != _ARITY[op]:
-        raise ParseError(line_no, f"{op.value} takes {_ARITY[op]} operand(s)")
-    shapes: dict[Opcode, tuple[type, ...]] = {
-        Opcode.LOAD: (Reg, Mem),
-        Opcode.STORE: (Reg, Mem),
-        Opcode.SETSHIFT: (Reg, Reg, Imm),
-        Opcode.BRANCH: (Reg, Label),
-        Opcode.JUMP: (Label,),
-        Opcode.REP_MOVS: (Reg,),
-        Opcode.REP_LODS: (Reg,),
-        Opcode.FENCE: (),
-        Opcode.NOP: (),
-    }
-    for got, want in zip(operands, shapes[op]):
+    shape = _OPERAND_SHAPES[op]
+    if len(operands) != len(shape):
+        raise ParseError(line_no, f"{op.value} takes {len(shape)} operand(s)")
+    for got, want in zip(operands, shape):
         if not isinstance(got, want):
             raise ParseError(line_no, f"bad operand {got} for {op.value}")
 
@@ -365,35 +356,3 @@ def rep_expansion_count(opcode: Opcode, counter_value: int) -> int:
     if opcode == Opcode.REP_LODS:
         return 5 * n + 12
     raise ExpansionError(f"{opcode.value} is not a rep opcode")
-
-
-_KIND_BY_OPCODE = {
-    Opcode.LOAD: UopKind.MEM_READ,
-    Opcode.STORE: UopKind.MEM_WRITE,
-    Opcode.ALU: UopKind.ALU,
-    Opcode.SETSHIFT: UopKind.ALU,
-    Opcode.BRANCH: UopKind.BRANCH_RESOLVE,
-    Opcode.JUMP: UopKind.NOP,
-    Opcode.FENCE: UopKind.NOP,
-    Opcode.NOP: UopKind.NOP,
-}
-
-
-def expand_macro(
-    instr: MacroInstruction,
-    counter_value: int | None = None,
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> list[MicroOp]:
-    """Decode one macro instruction into its micro-ops.
-
-    Rep opcodes require the runtime counter value; the emitted count is capped
-    at `cap` (callers surface a trace warning when the cap bites). Every other
-    opcode yields exactly one micro-op.
-    """
-    if instr.opcode in REP_OPCODES:
-        if counter_value is None:
-            raise ExpansionError(f"instruction {instr.id}: rep expansion needs a counter value")
-        requested = rep_expansion_count(instr.opcode, counter_value)
-        emitted = min(requested, cap)
-        return [MicroOp(instr.id, i, UopKind.NOP) for i in range(emitted)]
-    return [MicroOp(instr.id, 0, _KIND_BY_OPCODE[instr.opcode])]

@@ -27,8 +27,6 @@ and the receiver configuration, never the ground truth.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -472,19 +470,7 @@ def replace_program(scenario: Scenario, program: Program) -> Scenario:
             )
     if scenario.probe_label is not None and scenario.probe_label not in program.labels:
         raise ScenarioError(f"rewrite dropped label {scenario.probe_label!r}")
-    return Scenario(
-        name=scenario.name,
-        program=program,
-        machine=scenario.machine,
-        receiver=scenario.receiver,
-        observation=scenario.observation,
-        ground_truth_secret=scenario.ground_truth_secret,
-        forced_predictions=scenario.forced_predictions,
-        warm_addresses=scenario.warm_addresses,
-        flush_addresses=scenario.flush_addresses,
-        probe_label=scenario.probe_label,
-        balance_branch=scenario.balance_branch,
-    )
+    return replace(scenario, program=program)
 
 
 def run_single(
@@ -568,26 +554,6 @@ def format_observation(observation) -> str:
     return str(observation)
 
 
-def reports_to_csv(reports: list[ScenarioReport]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(REPORT_FIELDS)
-    for r in reports:
-        writer.writerow(
-            [
-                r.trial,
-                r.scenario,
-                r.defense,
-                "+".join(r.mitigations),
-                format_observation(r.observation),
-                r.inferred_secret,
-                r.ground_truth,
-                r.occupancy_peak,
-            ]
-        )
-    return out.getvalue()
-
-
 __all__ = [
     "ObservationKind",
     "Receiver",
@@ -603,7 +569,6 @@ __all__ = [
     "build_scenario",
     "infer_secret",
     "prepare",
-    "reports_to_csv",
     "run_single",
     "run_trials",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from robsim.analysis import SafeSet, compute_safe_sets
 from robsim.cache import CacheConfig
 from robsim.core import (
     BranchPredictor,
@@ -16,7 +17,7 @@ from robsim.core import (
     run,
 )
 from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
-from robsim.isa import Opcode, parse_program
+from robsim.isa import REP_OPCODES, Opcode, UopKind, parse_program
 
 
 def make_sim(
@@ -54,6 +55,36 @@ def simulate(text, **kwargs):
 def only(entries):
     assert len(entries) == 1
     return entries[0]
+
+
+def test_single_uop_opcodes_decode_to_their_kind():
+    text = """
+    .data 8 0
+    load r1, [8]
+    store r1, [12]
+    alu r2, r1, 3
+    setshift r3, r2, 4
+    branch r1, next
+    next: jump end
+    end: fence
+    nop
+    """
+    kinds = {
+        Opcode.LOAD: UopKind.MEM_READ,
+        Opcode.STORE: UopKind.MEM_WRITE,
+        Opcode.ALU: UopKind.ALU,
+        Opcode.SETSHIFT: UopKind.ALU,
+        Opcode.BRANCH: UopKind.BRANCH_RESOLVE,
+        Opcode.JUMP: UopKind.NOP,
+        Opcode.FENCE: UopKind.NOP,
+        Opcode.NOP: UopKind.NOP,
+    }
+    assert set(kinds) == set(Opcode) - set(REP_OPCODES)
+    trace = simulate(text)
+    assert {e.opcode for e in trace.records} == set(kinds)
+    for e in trace.records:
+        assert e.uop.kind is kinds[e.opcode]
+        assert (e.uop.parent, e.uop.seq) == (e.instr, 0)
 
 
 def test_single_alu_timing():
@@ -312,6 +343,35 @@ def test_delay_policy_holds_shadowed_cold_load():
     assert held_load.outcome == "miss"
 
 
+SHADOWED_COLD_LOAD = """
+.data 16 0
+load r1, [16]
+branch r1, done
+load r2, [40]
+alu r3, r3, 1
+done: nop
+"""
+
+
+def test_invariant_load_lifts_at_dispatch_and_stamps_the_cycle():
+    program = parse_program(SHADOWED_COLD_LOAD)
+    analyzed = compute_safe_sets(program)
+    assert analyzed[2].members  # the load is control dependent on branch 1
+
+    policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=analyzed)
+    held = simulate(SHADOWED_COLD_LOAD, forced={1: False}, policy=policy)
+    load = only([e for e in held.records if e.instr == 2])
+    assert load.esp_cycle is None and load.exec_start_cycle is None
+
+    empty = {i: SafeSet(i, frozenset()) for i in range(len(program))}
+    policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=empty)
+    lifted = simulate(SHADOWED_COLD_LOAD, forced={1: False}, policy=policy)
+    load = only([e for e in lifted.records if e.instr == 2])
+    branch = only([e for e in lifted.records if e.instr == 1])
+    assert load.esp_cycle == load.dispatch_cycle < branch.complete_cycle
+    assert load.outcome == "miss" and load.exec_start_cycle < branch.complete_cycle
+
+
 def test_shadowed_hit_defers_replacement_update_to_commit():
     text = """
     .data 8 1
@@ -392,6 +452,7 @@ def test_rep_movs_expands_to_twice_the_counter():
     assert not rep.capped
     uops = [e for e in trace.records if e.instr == 1]
     assert [u.seq for u in uops] == [0, 1, 2, 3]
+    assert all(u.uop.kind is UopKind.NOP and u.uop.parent == 1 for u in uops)
     assert trace.stats.committed_uops == 5
 
 

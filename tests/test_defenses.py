@@ -9,16 +9,13 @@ from robsim.cache import CacheConfig, CacheState
 from robsim.defenses import (
     DefenseMode,
     DefensePolicy,
-    DomDecision,
-    FillDecision,
     Mitigation,
     certify_balanced,
     dom_gate,
     esp_check,
-    gate_rob_fill,
     osp_reached,
 )
-from robsim.isa import Opcode, parse_program
+from robsim.isa import parse_program
 
 
 @dataclass
@@ -70,13 +67,13 @@ def test_dom_gate_resident_line_executes_deferred():
     cache = CacheState(CacheConfig())
     cache.warm(40)
     entry = Entry(instr=0, rob_seq=0, shadow=5, address=40)
-    assert dom_gate(entry, cache) is DomDecision.EXECUTE_HIT_DEFERRED
+    assert dom_gate(entry, cache) is True
 
 
 def test_dom_gate_absent_line_delays():
     cache = CacheState(CacheConfig())
     entry = Entry(instr=0, rob_seq=0, shadow=5, address=40)
-    assert dom_gate(entry, cache) is DomDecision.DELAY
+    assert dom_gate(entry, cache) is False
 
 
 def test_osp_base_case_unshadowed_complete():
@@ -118,69 +115,22 @@ def test_osp_member_without_instance_is_settled():
 
 def test_esp_empty_safe_set_reached_at_dispatch():
     e = Entry(instr=7, rob_seq=3, shadow=1, complete=False)
-    tag = esp_check(e, sets_of((7, frozenset())), [e], cycle=12)
-    assert tag.esp_reached and tag.cycle_reached == 12 and tag.instr == 7
+    assert esp_check(e, sets_of((7, frozenset())), [e]) is True
+    assert esp_check(e, None, [e]) is True  # no analysis: nothing to wait for
 
 
 def test_esp_waits_for_member_osp():
     branch = Entry(instr=2, rob_seq=2, shadow=None, complete=False)
     target = Entry(instr=5, rob_seq=5, shadow=2, complete=False)
     ss = sets_of((5, frozenset({2})))
-    tag = esp_check(target, ss, [branch, target], cycle=20)
-    assert not tag.esp_reached and tag.cycle_reached is None
+    assert esp_check(target, ss, [branch, target]) is False
     branch.complete = True  # resolution
-    tag = esp_check(target, ss, [branch, target], cycle=21)
-    assert tag.esp_reached and tag.cycle_reached == 21
+    assert esp_check(target, ss, [branch, target]) is True
 
 
 def test_esp_absent_member_is_settled():
     target = Entry(instr=5, rob_seq=5, shadow=2, complete=False)
-    tag = esp_check(target, sets_of((5, frozenset({1}))), [target], cycle=9)
-    assert tag.esp_reached
-
-
-@dataclass
-class Uop:
-    seq: int
-    opcode: Opcode
-
-
-def rep_uop(seq: int) -> Uop:
-    return Uop(seq, Opcode.REP_MOVS)
-
-
-def alu_uop() -> Uop:
-    return Uop(0, Opcode.ALU)
-
-
-def test_gate_rob_fill_ignores_non_rep_and_untainted():
-    policy = DefensePolicy(
-        mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL})
-    )
-    assert gate_rob_fill(alu_uop(), True, policy) is FillDecision.DISPATCH
-    assert gate_rob_fill(rep_uop(3), False, policy) is FillDecision.DISPATCH
-
-
-def test_gate_rob_fill_inactive_without_mitigation():
-    assert gate_rob_fill(rep_uop(3), True, DefensePolicy()) is FillDecision.DISPATCH
-
-
-def test_gate_rob_fill_predicts_fixed_count():
-    policy = DefensePolicy(
-        mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL})
-    )
-    decisions = [gate_rob_fill(rep_uop(i), True, policy) for i in range(10)]
-    assert decisions[:8] == [FillDecision.DISPATCH_PREDICTED] * 8
-    assert decisions[8:] == [FillDecision.BLOCK] * 2
-
-
-def test_gate_rob_fill_honors_custom_count():
-    policy = DefensePolicy(
-        mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}),
-        rep_predicted_count=2,
-    )
-    assert gate_rob_fill(rep_uop(1), True, policy) is FillDecision.DISPATCH_PREDICTED
-    assert gate_rob_fill(rep_uop(2), True, policy) is FillDecision.BLOCK
+    assert esp_check(target, sets_of((5, frozenset({1}))), [target]) is True
 
 
 BALANCED = """

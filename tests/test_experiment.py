@@ -437,6 +437,62 @@ def test_cli_analyze_round_trip(tmp_path, capsys):
     ) == 0
 
 
+SHADOWED_LOAD_PROGRAM = """\
+.data 16 0
+load r1, [16]
+branch r1, done
+load r2, [40]
+alu r3, r3, 1
+done: nop
+"""
+
+
+def test_cli_sim_rejects_sidecar_of_another_program(tmp_path, capsys):
+    # a 2-nop program's sidecar leaves the shadowed load at instruction 2
+    # without a safe set, so it would lift at dispatch
+    other = tmp_path / "nops.asm"
+    other.write_text("nop\nnop\n")
+    sidecar = tmp_path / "nops.txt"
+    assert run_cli("analyze", str(other), "--out", str(sidecar)) == 0
+    assert sidecar.read_text().splitlines()[1:] == ["ss 0", "ss 1"]
+    program = tmp_path / "p.asm"
+    program.write_text(SHADOWED_LOAD_PROGRAM)
+    trace = tmp_path / "trace.csv"
+    args = ("sim", str(program), "--defense", "dom_plus_invarspec", "--trace", str(trace))
+    assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
+    assert "not exactly 0..4" in capsys.readouterr().err
+    assert not trace.exists()
+
+    sidecar.write_text("ss 0\nss 1\nss 2 0 1\nss 3 0 1\nss 4 9\n")
+    assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
+    assert "ss 4 names instruction 9" in capsys.readouterr().err
+
+    own = tmp_path / "own.txt"
+    assert run_cli("analyze", str(program), "--out", str(own)) == 0
+    assert run_cli(*args, "--safe-sets", str(own)) == 0
+
+
+@pytest.mark.parametrize(
+    "lines, error",
+    [
+        ("ss", "line 2: malformed ss"),
+        ("ss x", "line 2: malformed ss"),
+        ("ss 0 y", "line 2: malformed ss"),
+        ("ss 0\nss 0", "line 3: duplicate ss 0"),
+    ],
+)
+def test_cli_sim_rejects_malformed_ss_line(tmp_path, capsys, lines, error):
+    program = tmp_path / "p.asm"
+    program.write_text("nop\n")
+    sidecar = tmp_path / "bad.txt"
+    sidecar.write_text(f"# robsim analysis v1\n{lines}\n")
+    code = run_cli(
+        "sim", str(program), "--defense", "dom_plus_invarspec", "--safe-sets", str(sidecar)
+    )
+    assert code == 1
+    assert f"sidecar {error}" in capsys.readouterr().err
+
+
 def test_cli_analyze_stdout(tmp_path, capsys):
     program = tmp_path / "p.asm"
     program.write_text("alu r1, r1, 1\n")

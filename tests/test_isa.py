@@ -5,16 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robsim.isa import (
-    DEFAULT_EXPANSION_CAP,
     Imm,
-    Label,
-    MacroInstruction,
     Mem,
     Opcode,
     ParseError,
     Reg,
-    UopKind,
-    expand_macro,
     parse_program,
     print_program,
     rep_expansion_count,
@@ -101,34 +96,6 @@ def test_rep_lods_expansion_formula():
 def test_expansion_formulas_fixed_points(n):
     assert rep_expansion_count(Opcode.REP_MOVS, n) == 2 * n
     assert rep_expansion_count(Opcode.REP_LODS, n) == 5 * n + 12
-
-
-def test_expand_macro_rep_cap_and_kinds():
-    rep = MacroInstruction(0, Opcode.REP_MOVS, (Reg(1),))
-    uops = expand_macro(rep, counter_value=1024)
-    assert len(uops) == 2048
-    assert all(u.kind == UopKind.NOP and u.parent == 0 for u in uops)
-    assert [u.seq for u in uops[:3]] == [0, 1, 2]
-    capped = expand_macro(rep, counter_value=5000)
-    assert len(capped) == DEFAULT_EXPANSION_CAP
-
-
-def test_expand_macro_single_uop_kinds():
-    cases = {
-        Opcode.LOAD: (UopKind.MEM_READ, (Reg(1), Mem(None, 4))),
-        Opcode.STORE: (UopKind.MEM_WRITE, (Reg(1), Mem(None, 4))),
-        Opcode.ALU: (UopKind.ALU, (Reg(1), Imm(3))),
-        Opcode.SETSHIFT: (UopKind.ALU, (Reg(1), Reg(2), Imm(4))),
-        Opcode.BRANCH: (UopKind.BRANCH_RESOLVE, (Reg(1), Label("x"))),
-        Opcode.JUMP: (UopKind.NOP, (Label("x"),)),
-        Opcode.FENCE: (UopKind.NOP, ()),
-        Opcode.NOP: (UopKind.NOP, ()),
-    }
-    for opcode, (kind, operands) in cases.items():
-        uops = expand_macro(MacroInstruction(7, opcode, operands))
-        assert len(uops) == 1
-        assert uops[0].kind == kind
-        assert uops[0].parent == 7
 
 
 @st.composite

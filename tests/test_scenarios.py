@@ -8,11 +8,13 @@ from robsim.analysis import BalanceError
 from robsim.cache import CacheConfig
 from robsim.core import CoreConfig, MachineConfig
 from robsim.defenses import DefenseMode, Mitigation
+from robsim.experiment import CellResult, reports_csv
 from robsim.isa import Opcode
 from robsim.scenarios import (
     REPORT_FIELDS,
     SCENARIO_NAMES,
     SECRET_ADDR,
+    WINDOW_CHAIN,
     ObservationKind,
     Receiver,
     ReceiverKind,
@@ -24,7 +26,6 @@ from robsim.scenarios import (
     build_scenario,
     infer_secret,
     prepare,
-    reports_to_csv,
     run_single,
     run_trials,
 )
@@ -242,6 +243,18 @@ def test_conservative_filter_closes_every_scenario():
         assert obs[0] == obs[1], name
 
 
+def test_conservative_filter_prepares_a_1024_entry_rob():
+    # fsi_v2_order grows to 1066 instructions; the path walk must not
+    # recurse once per instruction on the gadget
+    machine = MachineConfig(core=CoreConfig(rob_size=1024))
+    scenario = build_scenario("fsi_v2_order", 0, machine)
+    assert len(scenario.program) == 1066
+    _, policy = prepare(scenario, INVAR, {Mitigation.CONSERVATIVE_INVARIANCE})
+    probe = scenario.probe_instr
+    assert set(policy.safe_sets) == set(range(1066))
+    assert WINDOW_CHAIN + 3 in policy.safe_sets[probe].members  # the secret gate
+
+
 def test_conservative_filter_grows_probe_safe_set():
     scenario, policy = prepare(
         build_scenario("fsi_v1_loop", 0), INVAR, {Mitigation.CONSERVATIVE_INVARIANCE}
@@ -370,18 +383,28 @@ def test_report_inference_matches_blind_decoder():
 
 
 def test_reports_serialize_to_csv():
-    scenario, policy = prepare(
-        build_scenario("fsi_v2_order", 1), INVAR, {Mitigation.CONSERVATIVE_INVARIANCE}
-    )
-    text = reports_to_csv(run_trials(scenario, policy, 2))
-    lines = text.strip().splitlines()
+    cells = []
+    for mitigations in ({Mitigation.CONSERVATIVE_INVARIANCE}, set()):
+        scenario, policy = prepare(build_scenario("fsi_v2_order", 1), INVAR, mitigations)
+        cells.append(
+            CellResult(
+                "fsi_v2_order",
+                INVAR,
+                frozenset(mitigations),
+                "ok",
+                reports=run_trials(scenario, policy, 2),
+            )
+        )
+    lines = reports_csv(cells).strip().splitlines()
     assert lines[0] == ",".join(REPORT_FIELDS)
-    assert len(lines) == 3
+    assert len(lines) == 5
     first = lines[1].split(",")
     assert first[1] == "fsi_v2_order"
     assert first[2] == "dom_plus_invarspec"
     assert first[3] == "conservative_invariance"
     assert first[4] == "76"
+    unmitigated = lines[3].split(",")
+    assert unmitigated[3] == "none"
 
 
 def test_set_snapshots_join_with_pipes():
