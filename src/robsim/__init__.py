@@ -20,7 +20,6 @@ from .analysis import (
     AnalysisError,
     BalanceError,
     PathProfile,
-    SafeSet,
     analyze_all_branches,
     balance_paths,
     compute_safe_sets,
@@ -118,7 +117,6 @@ __all__ = [
     "ReceiverKind",
     "RobEntry",
     "SCENARIO_NAMES",
-    "SafeSet",
     "Scenario",
     "ScenarioError",
     "ScenarioReport",

@@ -29,10 +29,10 @@ from .isa import (
     DEFAULT_EXPANSION_CAP,
     Label,
     MacroInstruction,
-    Mem,
     Opcode,
     Program,
     REP_OPCODES,
+    rep_expansion_count,
 )
 
 
@@ -45,14 +45,7 @@ class BalanceError(AnalysisError):
 
 
 @dataclass(frozen=True)
-class SafeSet:
-    instr: int
-    members: frozenset[int]
-
-
-@dataclass(frozen=True)
 class PathProfile:
-    branch: int
     reconv: int | None  # len(program) = joins only at exit; None = back edge
     min_uops: int
     max_uops: int
@@ -190,13 +183,14 @@ def build_dependence_graph(program: Program) -> DependenceGraph:
     return graph
 
 
-def compute_safe_sets(program: Program, graph: DependenceGraph | None = None) -> dict[int, SafeSet]:
-    """Safe set of each instruction: transitive dependence sources."""
+def compute_safe_sets(
+    program: Program, graph: DependenceGraph | None = None
+) -> dict[int, frozenset[int]]:
+    """Safe set of each instruction id: its transitive dependence sources."""
     if graph is None:
         graph = build_dependence_graph(program)
-    n = len(program)
     closure: dict[int, frozenset[int]] = {}
-    for i in range(n):
+    for i in range(len(program)):
         seen: set[int] = set()
         stack = list(graph.sources(i))
         while stack:
@@ -206,15 +200,13 @@ def compute_safe_sets(program: Program, graph: DependenceGraph | None = None) ->
             seen.add(s)
             stack.extend(graph.sources(s))
         closure[i] = frozenset(seen)
-    return {i: SafeSet(i, closure[i]) for i in range(n)}
+    return closure
 
 
 def _uop_weight(instr: MacroInstruction, cap: int) -> tuple[int, int, bool]:
     """(min, max, variable) micro-op contribution of one macro instruction."""
-    if instr.opcode == Opcode.REP_MOVS:
-        return 0, cap, True
-    if instr.opcode == Opcode.REP_LODS:
-        return 12, cap, True
+    if instr.opcode in REP_OPCODES:
+        return rep_expansion_count(instr.opcode, 0), cap, True
     return 1, 1, False
 
 
@@ -227,7 +219,7 @@ def analyze_paths(
     cycles (back edges), in which case max_uops saturates at the cap.
     """
     if is_back_edge_branch(program, branch):
-        return PathProfile(branch, None, 0, cap, True)
+        return PathProfile(None, 0, cap, True)
     reconv = find_reconvergence(program, branch)
     n = len(program)
     mins: list[int] = []
@@ -261,7 +253,7 @@ def analyze_paths(
     lo, hi = min(mins), max(maxs)
     if variable:
         hi = cap
-    return PathProfile(branch, reconv, lo, hi, variable)
+    return PathProfile(reconv, lo, hi, variable)
 
 
 def analyze_all_branches(program: Program, cap: int = DEFAULT_EXPANSION_CAP) -> dict[int, PathProfile]:
@@ -273,10 +265,10 @@ def analyze_all_branches(program: Program, cap: int = DEFAULT_EXPANSION_CAP) -> 
 
 
 def conservative_filter(
-    safe_sets: dict[int, SafeSet],
+    safe_sets: dict[int, frozenset[int]],
     profiles: dict[int, PathProfile],
     program_len: int,
-) -> dict[int, SafeSet]:
+) -> dict[int, frozenset[int]]:
     """Grow safe sets behind branches whose directions differ in length.
 
     For every branch with variable or unequal path micro-op counts, each
@@ -290,9 +282,8 @@ def conservative_filter(
             continue
         start = profile.reconv if profile.reconv is not None else branch + 1
         for i in range(start, program_len):
-            current = out[i]
-            if branch not in current.members:
-                out[i] = replace(current, members=current.members | {branch})
+            if branch not in out[i]:
+                out[i] = out[i] | {branch}
     return out
 
 
@@ -370,25 +361,21 @@ def balance_paths(program: Program, branch: int) -> Program:
         reconv_label = program.instructions[reconv].label
         if reconv_label is None:
             raise BalanceError(f"reconvergence point {reconv} carries no label")
+        if shorter == "fall":
+            raise BalanceError(
+                f"branch {branch}: empty fallthrough path layout is not supported"
+            )
         pad_label = f"__pad{branch}"
         while pad_label in program.labels:
             pad_label += "_"
-        long_side = sides["fall" if shorter == "target" else "target"]
         jump = MacroInstruction(0, Opcode.JUMP, (Label(reconv_label),))
         pads = [MacroInstruction(0, Opcode.NOP, (), pad_label if i == 0 else None)
                 for i in range(pad_count + 1)]
         instructions[reconv:reconv] = [jump] + pads
         br = instructions[branch]
-        if shorter == "target":
-            new_ops = (br.operands[0], Label(pad_label))
-            instructions[branch] = replace(br, operands=new_ops)
-            balanced = _rebuild(instructions, program.data_init)
-        else:
-            raise BalanceError(
-                f"branch {branch}: empty fallthrough path layout is not supported"
-            )
-        if long_side and long_side[-1] + 1 == reconv:
-            pass  # long side now falls into the inserted jump, which is correct
+        new_ops = (br.operands[0], Label(pad_label))
+        instructions[branch] = replace(br, operands=new_ops)
+        balanced = _rebuild(instructions, program.data_init)
 
     check = analyze_paths(balanced, branch)
     if check.min_uops != check.max_uops:
@@ -404,12 +391,12 @@ SIDECAR_HEADER = "# robsim analysis v1"
 
 
 def dump_analysis(
-    safe_sets: dict[int, SafeSet], profiles: dict[int, PathProfile]
+    safe_sets: dict[int, frozenset[int]], profiles: dict[int, PathProfile]
 ) -> str:
     """Text sidecar: one `ss` line per instruction, one `profile` per branch."""
     lines = [SIDECAR_HEADER]
     for i in sorted(safe_sets):
-        members = " ".join(str(m) for m in sorted(safe_sets[i].members))
+        members = " ".join(str(m) for m in sorted(safe_sets[i]))
         lines.append(f"ss {i} {members}".rstrip())
     for b in sorted(profiles):
         p = profiles[b]
@@ -420,8 +407,10 @@ def dump_analysis(
     return "\n".join(lines) + "\n"
 
 
-def load_analysis(text: str) -> tuple[dict[int, SafeSet], dict[int, PathProfile]]:
-    safe_sets: dict[int, SafeSet] = {}
+def load_analysis(
+    text: str,
+) -> tuple[dict[int, frozenset[int]], dict[int, PathProfile]]:
+    safe_sets: dict[int, frozenset[int]] = {}
     profiles: dict[int, PathProfile] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -435,15 +424,18 @@ def load_analysis(text: str) -> tuple[dict[int, SafeSet], dict[int, PathProfile]
                 raise AnalysisError(f"sidecar line {line_no}: malformed ss") from None
             if instr in safe_sets:
                 raise AnalysisError(f"sidecar line {line_no}: duplicate ss {instr}")
-            safe_sets[instr] = SafeSet(instr, frozenset(members))
+            safe_sets[instr] = frozenset(members)
         elif parts[0] == "profile":
-            if len(parts) != 6:
-                raise AnalysisError(f"sidecar line {line_no}: malformed profile")
-            branch = int(parts[1])
-            reconv = None if parts[2] == "-" else int(parts[2])
-            profiles[branch] = PathProfile(
-                branch, reconv, int(parts[3]), int(parts[4]), bool(int(parts[5]))
-            )
+            try:
+                if len(parts) != 6:
+                    raise ValueError
+                branch, lo, hi, variable = (int(parts[i]) for i in (1, 3, 4, 5))
+                reconv = None if parts[2] == "-" else int(parts[2])
+            except ValueError:  # wrong field count, or a word that is not an integer
+                raise AnalysisError(f"sidecar line {line_no}: malformed profile") from None
+            if branch in profiles:
+                raise AnalysisError(f"sidecar line {line_no}: duplicate profile {branch}")
+            profiles[branch] = PathProfile(reconv, lo, hi, bool(variable))
         else:
             raise AnalysisError(f"sidecar line {line_no}: unknown record {parts[0]!r}")
     return safe_sets, profiles

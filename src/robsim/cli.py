@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .analysis import (
     AnalysisError,
-    SafeSet,
     analyze_all_branches,
     compute_safe_sets,
     dump_analysis,
@@ -135,7 +134,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _check_sidecar(safe_sets: dict[int, SafeSet], n: int) -> None:
+def _check_sidecar(safe_sets: dict[int, frozenset[int]], n: int) -> None:
     """Refuse safe sets that cannot belong to an n-instruction program: a
     sidecar from another program would lift loads it does not describe."""
     if sorted(safe_sets) != list(range(n)):
@@ -143,11 +142,11 @@ def _check_sidecar(safe_sets: dict[int, SafeSet], n: int) -> None:
             f"sidecar has ss records for {len(safe_sets)} instruction ids, "
             f"not exactly 0..{n - 1} of the program; rerun robsim analyze"
         )
-    for ss in safe_sets.values():
-        bad = [m for m in ss.members if not 0 <= m < n]
+    for instr, members in safe_sets.items():
+        bad = [m for m in members if not 0 <= m < n]
         if bad:
             raise AnalysisError(
-                f"sidecar ss {ss.instr} names instruction {min(bad)} outside "
+                f"sidecar ss {instr} names instruction {min(bad)} outside "
                 f"the {n}-instruction program; rerun robsim analyze"
             )
 

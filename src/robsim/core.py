@@ -225,7 +225,6 @@ def compute_shadows(entries: Iterable[RobEntry]) -> list[int | None]:
 @dataclass
 class RepExpansion:
     instr: int
-    instance: int
     opcode: Opcode
     predicted: bool
     requested: int | None  # true 2n / 5n+12 count; set at verification if predicted
@@ -234,10 +233,10 @@ class RepExpansion:
     emitted: int = 0
     verified: bool | None = None
     squashed: bool = False
-    counter_reg: int = 0
+    # predicted only: the in-flight counter, the producer map to squash back
+    # to, and the emitted micro-ops
     counter_producer: RobEntry | None = None
     checkpoint: dict[int, RobEntry] | None = None
-    first_entry: RobEntry | None = None
     entries: list[RobEntry] = field(default_factory=list)
 
 
@@ -297,11 +296,6 @@ class Trace:
 
     def committed_for(self, instr: int) -> list[RobEntry]:
         return [e for e in self.committed() if e.instr == instr]
-
-    def visible_events(self) -> list[MemEvent]:
-        """Memory events with architectural effect: everything except
-        deferred replacement updates that never reached commit."""
-        return [e for e in self.mem_events if not e.deferred or e.applied]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -658,18 +652,14 @@ class Simulator:
                 continue
             if rep.emitted < rep.target:
                 continue  # prediction still streaming into the queue
-            first = rep.first_entry
-            if first is None or first.status is EntryStatus.QUEUED:
-                continue
-            if first.shadow is not None:
+            first = rep.entries[0]
+            if first.status is EntryStatus.QUEUED or first.shadow is not None:
                 continue
             producer = rep.counter_producer
-            if producer is not None and not producer.complete:
+            assert producer is not None  # predicted only for an in-flight counter
+            if not producer.complete:
                 continue
-            if producer is not None:
-                value = producer.result or 0
-            else:
-                value = self.regs.get(rep.counter_reg, 0)
+            value = producer.result or 0
             requested = rep_expansion_count(rep.opcode, value)
             true_target = min(requested, self.config.expansion_cap)
             rep.requested = requested
@@ -731,8 +721,7 @@ class Simulator:
             removed += 1
         self._unresolved = [s for s in self._unresolved if s <= boundary_seq]
         for rep in self._live_reps:
-            first = rep.first_entry
-            if first is None or first.squashed or first.status is EntryStatus.SQUASHED:
+            if not rep.entries or rep.entries[0].squashed:
                 rep.squashed = True
         self._prod_map = dict(checkpoint)
         self.pc = new_pc
@@ -881,55 +870,44 @@ class Simulator:
         if self._rep_override is not None and self._rep_override[0] == macro.id:
             override = self._rep_override[1]
             self._rep_override = None
-        tainted = producer is not None
-        if override is None and tainted and self.policy.predicted_fill:
+        if override is None and producer is not None and self.policy.predicted_fill:
             rep = RepExpansion(
                 instr=macro.id,
-                instance=self._next_instance,
                 opcode=macro.opcode,
                 predicted=True,
                 requested=None,
                 target=self.policy.rep_predicted_count,
-                counter_reg=counter_reg,
                 counter_producer=producer,
                 checkpoint=dict(self._prod_map),
             )
-            self._rep_log.append(rep)
             self._live_reps.append(rep)
-            self._expansion = rep
-            self.pc = macro.id + 1
-            return True
-        if override is not None:
-            value = override
-        elif tainted:
-            assert producer is not None
-            if not producer.complete:
-                return False  # counter not yet bypassable
-            value = producer.result or 0
         else:
-            value = self.regs.get(counter_reg, 0)
-        requested = rep_expansion_count(macro.opcode, value)
-        target = min(requested, self.config.expansion_cap)
-        rep = RepExpansion(
-            instr=macro.id,
-            instance=self._next_instance,
-            opcode=macro.opcode,
-            predicted=False,
-            requested=requested,
-            target=target,
-            capped=requested > target,
-            counter_reg=counter_reg,
-            counter_producer=producer,
-        )
-        if rep.capped:
-            self._warnings.append(
-                f"instr {macro.id}: rep expansion {requested} capped at {target}"
+            if override is not None:
+                value = override
+            elif producer is not None:
+                if not producer.complete:
+                    return False  # counter not yet bypassable
+                value = producer.result or 0
+            else:
+                value = self.regs.get(counter_reg, 0)
+            requested = rep_expansion_count(macro.opcode, value)
+            target = min(requested, self.config.expansion_cap)
+            rep = RepExpansion(
+                instr=macro.id,
+                opcode=macro.opcode,
+                predicted=False,
+                requested=requested,
+                target=target,
+                capped=requested > target,
             )
+            if rep.capped:
+                self._warnings.append(
+                    f"instr {macro.id}: rep expansion {requested} capped at {target}"
+                )
         self._rep_log.append(rep)
         self.pc = macro.id + 1
-        if target == 0:
-            return True
-        self._expansion = rep
+        if rep.target:
+            self._expansion = rep
         return True
 
     def _emit_rep_uop(self, rep: RepExpansion) -> None:
@@ -939,8 +917,6 @@ class Simulator:
         rep.emitted += 1
         if rep.predicted:
             rep.entries.append(entry)
-            if rep.first_entry is None:
-                rep.first_entry = entry
         if rep.emitted >= rep.target:
             self._expansion = None
 

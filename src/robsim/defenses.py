@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
 
-from .analysis import BalanceError, SafeSet, analyze_all_branches
+from .analysis import BalanceError, analyze_all_branches
 from .isa import Program
 
 if TYPE_CHECKING:
@@ -78,7 +78,7 @@ def certify_balanced(
 class DefensePolicy:
     mode: DefenseMode = DefenseMode.UNPROTECTED
     mitigations: frozenset[Mitigation] = frozenset()
-    safe_sets: Mapping[int, SafeSet] | None = None
+    safe_sets: Mapping[int, frozenset[int]] | None = None
     rep_predicted_count: int = 8
     balance_certificate: BalanceCertificate | None = None
 
@@ -132,7 +132,7 @@ def dom_gate(entry: RobEntryView, cache: "CacheState") -> bool:
 def osp_reached(
     entry: RobEntryView,
     rob: Iterable[RobEntryView],
-    safe_sets: Mapping[int, SafeSet] | None,
+    safe_sets: Mapping[int, frozenset[int]] | None,
 ) -> bool:
     """True once the entry's result exists and can no longer change.
 
@@ -159,7 +159,7 @@ def osp_reached(
 
 def esp_check(
     entry: RobEntryView,
-    safe_sets: Mapping[int, SafeSet] | None,
+    safe_sets: Mapping[int, frozenset[int]] | None,
     rob: Iterable[RobEntryView],
 ) -> bool:
     """Execution-safe point: every older in-flight instance of a safe-set
@@ -170,10 +170,9 @@ def esp_check(
     enables for bound-to-commit instructions is the lever the whole
     contention channel rests on.
     """
-    ss = None if safe_sets is None else safe_sets.get(entry.instr)
-    if ss is None or not ss.members:
+    members = None if safe_sets is None else safe_sets.get(entry.instr)
+    if not members:
         return True
-    members = ss.members
     for other in rob:
         if other.rob_seq >= entry.rob_seq:
             break

@@ -258,7 +258,6 @@ def run_cell(
 ) -> CellResult:
     cell = CellResult(name, defense, mitigations, "ok")
     cell.expected_clean = _expects_clean(defense, mitigations)
-    streams: list[list[object]] = []
     for secret in (0, 1):
         try:
             scenario, policy = prepare(
@@ -266,7 +265,6 @@ def run_cell(
             )
         except (ScenarioError, AnalysisError) as exc:
             return CellResult(name, defense, mitigations, "not_applicable", note=str(exc))
-        stream: list[object] = []
         for trial in range(config.n_trials):
             try:
                 trace, report = run_single(scenario, policy, trial)
@@ -282,9 +280,8 @@ def run_cell(
             if trial == 0:
                 cell.occupancy[secret] = trace.occupancy
             cell.reports.append(report)
-            stream.append(report.observation)
-        streams.append(stream)
-    cell.leak = streams[0] != streams[1]
+    s0, s1 = ([r.observation for r in cell.reports if r.ground_truth == s] for s in (0, 1))
+    cell.leak = s0 != s1
     return cell
 
 
@@ -315,9 +312,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class SecretSummary:
-    scenario: str
-    defense: str
-    mitigations: str
     secret: int
     trials: int
     mean: float | None
@@ -337,7 +331,8 @@ def _windowed_means(values: list[float], window: int) -> tuple[float, ...]:
 def summarize(
     reports: Iterable[ScenarioReport], window: int = SUMMARY_WINDOW
 ) -> list[SecretSummary]:
-    """Per-secret stats for each cell: mean/min/max, windowed means, accuracy.
+    """Per-secret stats of one cell's reports: mean/min/max, windowed means,
+    accuracy.
 
     Numeric stats cover timing observations; set-order snapshots only carry
     accuracy. Windowed means average consecutive runs of `window` trials.
@@ -347,12 +342,11 @@ def summarize(
         raise ValueError("summarize needs at least one report")
     if window < 1:
         raise ValueError("window must be positive")
-    groups: dict[tuple, list[ScenarioReport]] = {}
+    groups: dict[int, list[ScenarioReport]] = {}
     for r in reports:
-        key = (r.scenario, r.defense, "+".join(r.mitigations) or "none", r.ground_truth)
-        groups.setdefault(key, []).append(r)
+        groups.setdefault(r.ground_truth, []).append(r)
     out = []
-    for (scenario, defense, mitigations, secret), rows in groups.items():
+    for secret, rows in groups.items():
         numeric = [
             float(r.observation)
             for r in rows
@@ -362,9 +356,6 @@ def summarize(
         accuracy = sum(r.inferred_secret == r.ground_truth for r in rows) / len(rows)
         out.append(
             SecretSummary(
-                scenario=scenario,
-                defense=defense,
-                mitigations=mitigations,
                 secret=secret,
                 trials=len(rows),
                 mean=sum(numeric) / len(numeric) if have_numbers else None,
@@ -403,10 +394,9 @@ def summary_csv(cells: list[CellResult]) -> str:
             for k in ("mean", "min", "max", "windowed"):
                 row[f"{k}_s{s}"] = ""
         if cell.reports:
-            per_secret = summarize(cell.reports)
-            total = sum(s.trials for s in per_secret)
-            row["accuracy"] = f"{sum(s.accuracy * s.trials for s in per_secret) / total:.4f}"
-            for s in per_secret:
+            matches = sum(r.inferred_secret == r.ground_truth for r in cell.reports)
+            row["accuracy"] = f"{matches / len(cell.reports):.4f}"
+            for s in summarize(cell.reports):
                 row[f"mean_s{s.secret}"] = _num(s.mean)
                 row[f"min_s{s.secret}"] = _num(s.minimum)
                 row[f"max_s{s.secret}"] = _num(s.maximum)
@@ -426,8 +416,8 @@ def reports_csv(cells: list[CellResult]) -> str:
             writer.writerow(
                 [
                     r.trial,
-                    r.scenario,
-                    r.defense,
+                    cell.scenario,
+                    cell.defense.value,
                     label,
                     format_observation(r.observation),
                     r.inferred_secret,

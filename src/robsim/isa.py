@@ -269,6 +269,7 @@ def parse_program(text: str) -> Program:
     instruction.
     """
     instructions: list[MacroInstruction] = []
+    instr_lines: list[int] = []  # source line of each instruction
     labels: dict[str, int] = {}
     data_init: dict[int, int] = {}
     pending_label: str | None = None
@@ -321,15 +322,18 @@ def parse_program(text: str) -> Program:
         if label is not None:
             labels[label] = idx
         instructions.append(MacroInstruction(idx, opcode, operands, label))
+        instr_lines.append(line_no)
 
     if pending_label is not None:
         raise ParseError(pending_line, f"label {pending_label!r} has no instruction")
 
     program = Program(instructions, labels, data_init)
-    for instr in instructions:
+    for instr, line_no in zip(instructions, instr_lines):
         name = instr.target_label()
         if name is not None and name not in labels:
-            raise ParseError(0, f"unresolved label {name!r} in instruction {instr.id}")
+            raise ParseError(
+                line_no, f"unresolved label {name!r} in instruction {instr.id}"
+            )
     program.validate()
     return program
 

@@ -106,10 +106,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioReport:
+    """One trial's outcome; its cell (scenario, defense, mitigations) is
+    held by whoever collects the reports."""
+
     trial: int
-    scenario: str
-    defense: str
-    mitigations: tuple[str, ...]
     observation: object
     inferred_secret: int
     ground_truth: int
@@ -494,9 +494,6 @@ def run_single(
     observation = _observe(scenario, sim, trace)
     report = ScenarioReport(
         trial=trial,
-        scenario=scenario.name,
-        defense=policy.mode.value,
-        mitigations=tuple(sorted(m.value for m in policy.mitigations)),
         observation=observation,
         inferred_secret=infer_secret(observation, scenario.receiver),
         ground_truth=scenario.ground_truth_secret,

@@ -14,7 +14,6 @@ import pytest
 
 from robsim.analysis import (
     BalanceError,
-    SafeSet,
     balance_paths,
     build_dependence_graph,
     compute_safe_sets,
@@ -64,7 +63,7 @@ def test_criterion_1_loop_latency_dichotomy_and_recovery():
 
 def test_criterion_2_rep_breaks_lifted_defense():
     scenario, policy = prepare(build_scenario("fsi_v1_rep", 1), INVAR)
-    assert policy.safe_sets[scenario.probe_instr].members == frozenset()
+    assert policy.safe_sets[scenario.probe_instr] == frozenset()
     for secret, expected in ((0, HIT), (1, MISS)):
         reports = run_cell("fsi_v1_rep", secret, INVAR, trials=1000)
         assert {r.observation for r in reports} == {expected}
@@ -89,11 +88,7 @@ def test_criterion_4_dom_baseline_blocks_v1():
             branch = min(scenario.forced_predictions)
             policy = DefensePolicy(
                 mode=DOM,
-                safe_sets={
-                    scenario.probe_instr: SafeSet(
-                        scenario.probe_instr, frozenset({branch})
-                    )
-                },
+                safe_sets={scenario.probe_instr: frozenset({branch})},
             )
             streams.append(
                 [r.observation for r in run_trials(scenario, policy, 50)]
@@ -252,7 +247,7 @@ def test_criterion_9d_safe_sets_match_brute_force():
                     changed = True
         sets = compute_safe_sets(program, graph)
         for i in range(n):
-            assert sets[i].members == frozenset(reach[i])
+            assert sets[i] == frozenset(reach[i])
 
 
 def test_criterion_9e_expansion_formulas():

@@ -95,8 +95,8 @@ def test_guarded_load_dependences_and_safe_sets():
     # the join itself post-dominates the branch: no control edge
     assert graph.control[3] == set()
     sets = compute_safe_sets(prog, graph)
-    assert sets[3].members == frozenset({0, 2})
-    assert sets[4].members == frozenset()
+    assert sets[3] == frozenset({0, 2})
+    assert sets[4] == frozenset()
 
 
 def test_reaching_definitions_kill_and_merge():
@@ -184,7 +184,7 @@ def test_path_profile_three_vs_ten():
     prog = parse_program(DIAMOND_3_10)
     profile = analyze_paths(prog, 0)
     # fallthrough: 10 alus + 1 jump = 11; taken: 3 alus
-    assert profile == PathProfile(0, 15, 3, 11, False)
+    assert profile == PathProfile(15, 3, 11, False)
 
 
 def test_path_profile_rep_is_variable():
@@ -206,15 +206,15 @@ def test_conservative_filter_grows_and_is_idempotent():
     prog = parse_program(DIAMOND_3_10)
     sets = compute_safe_sets(prog)
     profiles = analyze_all_branches(prog)
-    assert sets[15].members == frozenset()
+    assert sets[15] == frozenset()
     filtered = conservative_filter(sets, profiles, len(prog))
-    assert filtered[15].members == frozenset({0})
+    assert filtered[15] == frozenset({0})
     # instructions before the reconvergence point keep their sets
-    assert filtered[1].members == sets[1].members
+    assert filtered[1] == sets[1]
     twice = conservative_filter(filtered, profiles, len(prog))
     assert twice == filtered
     for i in range(len(prog)):
-        assert sets[i].members <= filtered[i].members
+        assert sets[i] <= filtered[i]
 
 
 def test_conservative_filter_skips_balanced_branch():
@@ -323,6 +323,10 @@ def test_sidecar_roundtrip():
 def test_sidecar_rejects_garbage():
     with pytest.raises(AnalysisError, match="unknown record"):
         load_analysis("bogus 1 2 3\n")
+    with pytest.raises(AnalysisError, match="line 2: malformed profile"):
+        load_analysis("# robsim analysis v1\nprofile 0 4 x 2 0\n")
+    with pytest.raises(AnalysisError, match="line 3: duplicate profile 0"):
+        load_analysis("profile 0 4 2 2 0\n\nprofile 0 - 0 8 1\n")
 
 
 @st.composite
@@ -365,7 +369,7 @@ def test_safe_sets_match_brute_force_closure(prog):
     oracle = brute_force_closure(graph, len(prog))
     sets = compute_safe_sets(prog, graph)
     for i in range(len(prog)):
-        assert sets[i].members == frozenset(oracle[i])
+        assert sets[i] == frozenset(oracle[i])
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from robsim.analysis import SafeSet, compute_safe_sets
+from robsim.analysis import compute_safe_sets
 from robsim.cache import CacheConfig
 from robsim.core import (
     BranchPredictor,
@@ -356,14 +356,14 @@ done: nop
 def test_invariant_load_lifts_at_dispatch_and_stamps_the_cycle():
     program = parse_program(SHADOWED_COLD_LOAD)
     analyzed = compute_safe_sets(program)
-    assert analyzed[2].members  # the load is control dependent on branch 1
+    assert analyzed[2]  # the load is control dependent on branch 1
 
     policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=analyzed)
     held = simulate(SHADOWED_COLD_LOAD, forced={1: False}, policy=policy)
     load = only([e for e in held.records if e.instr == 2])
     assert load.esp_cycle is None and load.exec_start_cycle is None
 
-    empty = {i: SafeSet(i, frozenset()) for i in range(len(program))}
+    empty = {i: frozenset() for i in range(len(program))}
     policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=empty)
     lifted = simulate(SHADOWED_COLD_LOAD, forced={1: False}, policy=policy)
     load = only([e for e in lifted.records if e.instr == 2])

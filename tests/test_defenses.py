@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from robsim.analysis import BalanceError, SafeSet
+from robsim.analysis import BalanceError
 from robsim.cache import CacheConfig, CacheState
 from robsim.defenses import (
     DefenseMode,
@@ -29,8 +29,8 @@ class Entry:
     producers: tuple = field(default=())
 
 
-def sets_of(*pairs: tuple[int, frozenset[int]]) -> dict[int, SafeSet]:
-    return {i: SafeSet(i, members) for i, members in pairs}
+def sets_of(*pairs: tuple[int, frozenset[int]]) -> dict[int, frozenset[int]]:
+    return dict(pairs)
 
 
 def test_mode_and_mitigation_names_match_cli_vocabulary():

@@ -35,12 +35,9 @@ def make_config(tmp_path, **overrides):
     return config_from_mapping(mapping, tmp_path / "out")
 
 
-def report(scenario="fsi_v1_loop", obs=60, inferred=1, truth=1, trial=0):
+def report(obs=60, inferred=1, truth=1, trial=0):
     return ScenarioReport(
         trial=trial,
-        scenario=scenario,
-        defense="unprotected",
-        mitigations=(),
         observation=obs,
         inferred_secret=inferred,
         ground_truth=truth,

@@ -64,6 +64,7 @@ def test_parse_data_directive_and_operand_shapes():
     [
         ("frob r1", "unknown opcode"),
         ("branch r1, nowhere", "unresolved label"),
+        ("nop\nbranch r1, nowhere", "line 2: unresolved label"),
         ("x: nop\nx: nop", "duplicate label"),
         ("load r1", "2 operand"),
         ("alu 4, r1", "destination must be a register"),

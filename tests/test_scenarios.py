@@ -231,7 +231,7 @@ def test_invarspec_policy_covers_every_instruction():
 
 def test_probe_safe_set_is_empty_without_filtering():
     scenario, policy = prepare(build_scenario("fsi_v1_rep", 0), INVAR)
-    assert policy.safe_sets[scenario.probe_instr].members == frozenset()
+    assert policy.safe_sets[scenario.probe_instr] == frozenset()
 
 
 # --- mitigations ------------------------------------------------------------
@@ -252,14 +252,14 @@ def test_conservative_filter_prepares_a_1024_entry_rob():
     _, policy = prepare(scenario, INVAR, {Mitigation.CONSERVATIVE_INVARIANCE})
     probe = scenario.probe_instr
     assert set(policy.safe_sets) == set(range(1066))
-    assert WINDOW_CHAIN + 3 in policy.safe_sets[probe].members  # the secret gate
+    assert WINDOW_CHAIN + 3 in policy.safe_sets[probe]  # the secret gate
 
 
 def test_conservative_filter_grows_probe_safe_set():
     scenario, policy = prepare(
         build_scenario("fsi_v1_loop", 0), INVAR, {Mitigation.CONSERVATIVE_INVARIANCE}
     )
-    members = policy.safe_sets[scenario.probe_instr].members
+    members = policy.safe_sets[scenario.probe_instr]
     assert min(scenario.forced_predictions) in members
 
 
