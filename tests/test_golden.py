@@ -4,7 +4,10 @@ Pins the sha256 of every artifact that `run_experiment` writes for the
 reference grid (5 scenarios x 3 defenses, 10 trials per secret, jitter 0
 and jitter 2) and for the dom_plus_invarspec x mitigation grid (5 trials,
 jitter 2), plus trial 0's uop lifecycle CSV for both secrets of every
-applicable scenario x mode x mitigation cell.
+applicable scenario x mode x mitigation cell. The static analysis is
+pinned too, at a size the sweeps never reach: the safe-set and path-profile
+records of every scenario's program at ROB 64 and ROB 768, and their
+conservative_filter widening.
 
 A change that alters any of these bytes on purpose re-baselines here:
 `PYTHONPATH=src python tests/test_golden.py` prints the current digests
@@ -17,8 +20,15 @@ import hashlib
 import tempfile
 from pathlib import Path
 
-from robsim.analysis import AnalysisError
-from robsim.core import MachineConfig
+from robsim.analysis import (
+    AnalysisError,
+    analyze_all_branches,
+    balance_paths,
+    compute_safe_sets,
+    conservative_filter,
+    dump_analysis,
+)
+from robsim.core import CoreConfig, MachineConfig
 from robsim.defenses import DefenseMode
 from robsim.experiment import (
     config_from_mapping,
@@ -58,6 +68,8 @@ SWEEPS = {
 
 TRACE_JITTER = 2
 
+ANALYSIS_ROB_SIZES = (64, 768)
+
 
 def _sha(data: str | bytes) -> str:
     if isinstance(data, str):
@@ -96,6 +108,35 @@ def trace_digests() -> dict[str, str]:
                     trace, _ = run_single(scenario, policy, 0)
                     key = f"{name}/{mode.value}/{mitigation_label(mitigations)}/s{secret}"
                     out[key] = _sha(trace.to_csv())
+    return out
+
+
+def _records(text: str) -> str:
+    """The ss/profile records of a sidecar, without its header lines."""
+    return "\n".join(
+        line for line in text.splitlines() if line.split()[0] in ("ss", "profile")
+    )
+
+
+def analysis_digests() -> dict[str, str]:
+    """sha256 of the analysis records of each scenario's program (and of the
+    path-balanced fsi_v1_straight), keyed scenario/rob<size>/s<secret>, and
+    of its conservative_filter safe sets under the same key + /conservative."""
+    out = {}
+    for rob in ANALYSIS_ROB_SIZES:
+        machine = MachineConfig(core=CoreConfig(rob_size=rob))
+        for name in SCENARIO_NAMES + ("fsi_v1_straight/balanced",):
+            for secret in (0, 1):
+                scenario = build_scenario(name.split("/")[0], secret, machine)
+                program = scenario.program
+                if name.endswith("/balanced"):
+                    program = balance_paths(program, scenario.balance_branch)
+                sets = compute_safe_sets(program)
+                profiles = analyze_all_branches(program)
+                filtered = conservative_filter(sets, profiles, len(program))
+                key = f"{name}/rob{rob}/s{secret}"
+                out[key] = _sha(_records(dump_analysis(sets, profiles)))
+                out[f"{key}/conservative"] = _sha(_records(dump_analysis(filtered, {})))
     return out
 
 
@@ -254,6 +295,58 @@ EXPECTED_TRACES: dict[str, str] = {
 }
 
 
+EXPECTED_ANALYSIS: dict[str, str] = {
+    "fsi_v1_loop/rob64/s0": "a558ff9f63c94fce22ee347c4dedf1889f035463b67a85c759494ae40b75fd41",
+    "fsi_v1_loop/rob64/s0/conservative": "8204c8e716ff4b798f53d2851e8538f78900947316a2e415ef510d036a156800",
+    "fsi_v1_loop/rob64/s1": "a558ff9f63c94fce22ee347c4dedf1889f035463b67a85c759494ae40b75fd41",
+    "fsi_v1_loop/rob64/s1/conservative": "8204c8e716ff4b798f53d2851e8538f78900947316a2e415ef510d036a156800",
+    "fsi_v1_rep/rob64/s0": "fc350e4034c6787700d12bbf2d63a426698774abfd30db7e94c601db50d8aa0b",
+    "fsi_v1_rep/rob64/s0/conservative": "c26457d73151aa8da5e1fa8ddd371175b6423d09164a5e93e43ca7302c1b2dca",
+    "fsi_v1_rep/rob64/s1": "fc350e4034c6787700d12bbf2d63a426698774abfd30db7e94c601db50d8aa0b",
+    "fsi_v1_rep/rob64/s1/conservative": "c26457d73151aa8da5e1fa8ddd371175b6423d09164a5e93e43ca7302c1b2dca",
+    "fsi_v1_straight/rob64/s0": "a5a7cf42f9b51fce3705692c2e30bdb82045e0109f4f3f4643a4432ee09aa322",
+    "fsi_v1_straight/rob64/s0/conservative": "0d43d593c842139e172a3253a8c9d0a81bf8f44b7e60da3e7742a18cd7ac6dee",
+    "fsi_v1_straight/rob64/s1": "a5a7cf42f9b51fce3705692c2e30bdb82045e0109f4f3f4643a4432ee09aa322",
+    "fsi_v1_straight/rob64/s1/conservative": "0d43d593c842139e172a3253a8c9d0a81bf8f44b7e60da3e7742a18cd7ac6dee",
+    "fsi_v2_order/rob64/s0": "dfb2e5b709c27af74a02d7c5c5e6e08bbc28ad1b450fa8a4592e639947e8f27d",
+    "fsi_v2_order/rob64/s0/conservative": "bed13de06047cc56a71253b04e2aa5fc9a1596bd62c17f724826078a8c8c2c0b",
+    "fsi_v2_order/rob64/s1": "dfb2e5b709c27af74a02d7c5c5e6e08bbc28ad1b450fa8a4592e639947e8f27d",
+    "fsi_v2_order/rob64/s1/conservative": "bed13de06047cc56a71253b04e2aa5fc9a1596bd62c17f724826078a8c8c2c0b",
+    "bsi_mshr/rob64/s0": "23afe8712f58f6b49e8af4084d8b41b6278035d3737f827b0ce1a093a46cafec",
+    "bsi_mshr/rob64/s0/conservative": "c47574460c68e69db93d203d42eca5399a4c3da112f20bbbfbde1c7554764777",
+    "bsi_mshr/rob64/s1": "23afe8712f58f6b49e8af4084d8b41b6278035d3737f827b0ce1a093a46cafec",
+    "bsi_mshr/rob64/s1/conservative": "c47574460c68e69db93d203d42eca5399a4c3da112f20bbbfbde1c7554764777",
+    "fsi_v1_straight/balanced/rob64/s0": "1447d5744f450a673d15661c448664202c1a0ecb3edf40a03a51a42ae3db069c",
+    "fsi_v1_straight/balanced/rob64/s0/conservative": "cc003a0eac3e74c7596a9889c4927bf84847467cbe94a036064905fcf58c25a2",
+    "fsi_v1_straight/balanced/rob64/s1": "1447d5744f450a673d15661c448664202c1a0ecb3edf40a03a51a42ae3db069c",
+    "fsi_v1_straight/balanced/rob64/s1/conservative": "cc003a0eac3e74c7596a9889c4927bf84847467cbe94a036064905fcf58c25a2",
+    "fsi_v1_loop/rob768/s0": "a558ff9f63c94fce22ee347c4dedf1889f035463b67a85c759494ae40b75fd41",
+    "fsi_v1_loop/rob768/s0/conservative": "8204c8e716ff4b798f53d2851e8538f78900947316a2e415ef510d036a156800",
+    "fsi_v1_loop/rob768/s1": "a558ff9f63c94fce22ee347c4dedf1889f035463b67a85c759494ae40b75fd41",
+    "fsi_v1_loop/rob768/s1/conservative": "8204c8e716ff4b798f53d2851e8538f78900947316a2e415ef510d036a156800",
+    "fsi_v1_rep/rob768/s0": "fc350e4034c6787700d12bbf2d63a426698774abfd30db7e94c601db50d8aa0b",
+    "fsi_v1_rep/rob768/s0/conservative": "c26457d73151aa8da5e1fa8ddd371175b6423d09164a5e93e43ca7302c1b2dca",
+    "fsi_v1_rep/rob768/s1": "fc350e4034c6787700d12bbf2d63a426698774abfd30db7e94c601db50d8aa0b",
+    "fsi_v1_rep/rob768/s1/conservative": "c26457d73151aa8da5e1fa8ddd371175b6423d09164a5e93e43ca7302c1b2dca",
+    "fsi_v1_straight/rob768/s0": "a5a7cf42f9b51fce3705692c2e30bdb82045e0109f4f3f4643a4432ee09aa322",
+    "fsi_v1_straight/rob768/s0/conservative": "0d43d593c842139e172a3253a8c9d0a81bf8f44b7e60da3e7742a18cd7ac6dee",
+    "fsi_v1_straight/rob768/s1": "a5a7cf42f9b51fce3705692c2e30bdb82045e0109f4f3f4643a4432ee09aa322",
+    "fsi_v1_straight/rob768/s1/conservative": "0d43d593c842139e172a3253a8c9d0a81bf8f44b7e60da3e7742a18cd7ac6dee",
+    "fsi_v2_order/rob768/s0": "1b1f4b343855d0711969a600bccabd91a11e196bec3b18da133b9dd1026045c6",
+    "fsi_v2_order/rob768/s0/conservative": "a6453b6ee5d11106041bd585dbdd567649ff64fa84392f52105e3920404a5b46",
+    "fsi_v2_order/rob768/s1": "1b1f4b343855d0711969a600bccabd91a11e196bec3b18da133b9dd1026045c6",
+    "fsi_v2_order/rob768/s1/conservative": "a6453b6ee5d11106041bd585dbdd567649ff64fa84392f52105e3920404a5b46",
+    "bsi_mshr/rob768/s0": "23afe8712f58f6b49e8af4084d8b41b6278035d3737f827b0ce1a093a46cafec",
+    "bsi_mshr/rob768/s0/conservative": "c47574460c68e69db93d203d42eca5399a4c3da112f20bbbfbde1c7554764777",
+    "bsi_mshr/rob768/s1": "23afe8712f58f6b49e8af4084d8b41b6278035d3737f827b0ce1a093a46cafec",
+    "bsi_mshr/rob768/s1/conservative": "c47574460c68e69db93d203d42eca5399a4c3da112f20bbbfbde1c7554764777",
+    "fsi_v1_straight/balanced/rob768/s0": "1447d5744f450a673d15661c448664202c1a0ecb3edf40a03a51a42ae3db069c",
+    "fsi_v1_straight/balanced/rob768/s0/conservative": "cc003a0eac3e74c7596a9889c4927bf84847467cbe94a036064905fcf58c25a2",
+    "fsi_v1_straight/balanced/rob768/s1": "1447d5744f450a673d15661c448664202c1a0ecb3edf40a03a51a42ae3db069c",
+    "fsi_v1_straight/balanced/rob768/s1/conservative": "cc003a0eac3e74c7596a9889c4927bf84847467cbe94a036064905fcf58c25a2",
+}
+
+
 def _check(got: dict[str, str], want: dict[str, str]) -> None:
     assert sorted(got) == sorted(want), "artifact set changed"
     changed = sorted(name for name in want if got[name] != want[name])
@@ -279,6 +372,10 @@ def test_trial0_traces():
     _check(trace_digests(), EXPECTED_TRACES)
 
 
+def test_analysis_records():
+    _check(analysis_digests(), EXPECTED_ANALYSIS)
+
+
 if __name__ == "__main__":
     print("EXPECTED_ARTIFACTS: dict[str, dict[str, str]] = {")
     for sweep in SWEEPS:
@@ -290,5 +387,10 @@ if __name__ == "__main__":
     print()
     print("EXPECTED_TRACES: dict[str, str] = {")
     for key, digest in trace_digests().items():
+        print(f'    "{key}": "{digest}",')
+    print("}")
+    print()
+    print("EXPECTED_ANALYSIS: dict[str, str] = {")
+    for key, digest in analysis_digests().items():
         print(f'    "{key}": "{digest}",')
     print("}")
