@@ -2,19 +2,30 @@
 
 The runtime invariance machinery in robsim.defenses lifts protection from an
 instruction once everything in its *safe set* is outcome-final. This module
-computes those sets from program text alone:
+computes those sets from program text alone. With n instructions and e CFG
+edges (e <= 2n):
 
+  * post-dominator tree: Cooper, Harvey and Kennedy's iterative dominator
+    algorithm on the reverse CFG, rooted at the virtual exit; near-linear,
+    once per program. A program with an instruction that cannot reach the
+    exit is refused;
   * dependence graph: one data edge per register def-use (reaching
-    definitions over the CFG), memory dependences approximated by syntactic
-    address-expression equality, one control edge per guarding branch
-    (classic post-dominance-based control dependence);
-  * safe set of i: the transitive closure of i's dependence sources. An
-    empty safe set means i is invariant the moment it dispatches, which is
-    exactly the property the contention attacks exploit;
-  * reconvergence: immediate post-dominator of a branch;
+    definitions, a FIFO worklist to the fixed point), memory dependences
+    approximated by syntactic address-expression equality (one dict lookup
+    per load), one control edge per guarding branch (Ferrante, Ottenstein
+    and Warren: walk the post-dominator tree from each successor of a
+    branch up to the branch's immediate post-dominator);
+  * safe set of i: the transitive closure of i's dependence sources,
+    closed per strongly connected component (Tarjan) in reverse
+    topological order with one set union per component; linear in the
+    graph plus the size of the sets it builds. An empty safe set means i is
+    invariant the moment it dispatches, which is exactly the property the
+    contention attacks exploit;
+  * reconvergence: immediate post-dominator of a branch, read off the tree;
   * path profiles: per-direction micro-op counts between a branch and its
     reconvergence point, flagged variable when a rep opcode or a back edge
-    makes the count run-time dependent.
+    makes the count run-time dependent. Every path is enumerated, so the
+    cost is exponential in the number of sequential diamonds.
 
 Two hardening passes operate on these results: `conservative_filter` grows
 safe sets behind unbalanced branches, and `balance_paths` rewrites the
@@ -23,6 +34,7 @@ program so both directions of a branch carry the same micro-op count.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .isa import (
@@ -75,34 +87,65 @@ def successors(program: Program, idx: int) -> list[int]:
     return [idx + 1]
 
 
-def postdominators(program: Program) -> list[set[int]]:
-    """pdom[i] = nodes on every path from i to exit (including i).
+def immediate_postdominators(program: Program) -> list[int]:
+    """ipdom[i] for every node 0..n; the virtual exit n is the root, ipdom[n] = n.
 
-    Iterative fixed point over the reverse CFG; the virtual exit node
-    len(program) post-dominates everything and seeds the iteration.
+    Cooper, Harvey and Kennedy's iterative dominator algorithm ("A Simple,
+    Fast Dominance Algorithm", 2001) run on the reverse CFG from the exit.
+    An instruction that cannot reach the exit has no post-dominators, so
+    the program is refused naming the first such instruction.
     """
     n = len(program)
     succ = [successors(program, i) for i in range(n)]
-    everything = set(range(n + 1))
-    pdom: list[set[int]] = [set(everything) for _ in range(n)] + [{n}]
+    preds: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(n):
+        for s in succ[i]:
+            preds[s].append(i)
+
+    # postorder of the reverse CFG, depth first from the exit
+    order = [-1] * (n + 1)
+    postorder: list[int] = []
+    order[n] = 0  # marks the exit visited; renumbered below
+    stack = [(n, iter(preds[n]))]
+    while stack:
+        node, pending = stack[-1]
+        for p in pending:
+            if order[p] < 0:
+                order[p] = 0
+                stack.append((p, iter(preds[p])))
+                break
+        else:
+            stack.pop()
+            order[node] = len(postorder)
+            postorder.append(node)
+    if len(postorder) != n + 1:
+        first = next(i for i in range(n) if order[i] < 0)
+        raise AnalysisError(f"instruction {first} cannot reach the program exit")
+
+    ipdom = [-1] * (n + 1)
+    ipdom[n] = n
     changed = True
     while changed:
         changed = False
-        for i in range(n - 1, -1, -1):
-            meet = set(everything)
-            for s in succ[i]:
-                meet &= pdom[s]
-            new = meet | {i}
-            if new != pdom[i]:
-                pdom[i] = new
+        for node in reversed(postorder[:-1]):  # reverse postorder, exit skipped
+            new = -1
+            for s in succ[node]:
+                if ipdom[s] < 0:
+                    continue
+                if new < 0:
+                    new = s
+                    continue
+                a, b = s, new  # walk both fingers up to their common ancestor
+                while a != b:
+                    while order[a] < order[b]:
+                        a = ipdom[a]
+                    while order[b] < order[a]:
+                        b = ipdom[b]
+                new = a
+            if ipdom[node] != new:
+                ipdom[node] = new
                 changed = True
-    return pdom
-
-
-def immediate_postdominator(pdom: list[set[int]], idx: int) -> int:
-    """Deepest strict post-dominator; strict pdoms form a chain to the exit."""
-    strict = pdom[idx] - {idx}
-    return max(strict, key=lambda m: len(pdom[m]))
+    return ipdom
 
 
 def is_back_edge_branch(program: Program, branch: int) -> bool:
@@ -113,94 +156,159 @@ def is_back_edge_branch(program: Program, branch: int) -> bool:
     return target is not None and target <= branch
 
 
-def find_reconvergence(program: Program, branch: int) -> int:
+def find_reconvergence(
+    program: Program, branch: int, ipdom: list[int] | None = None
+) -> int:
     """Immediate post-dominator of a forward branch.
 
     Returns len(program) when the directions only rejoin at program exit.
     Back-edge branches have no finite reconvergence here and are refused.
+    `ipdom` is the program's `immediate_postdominators`, computed when absent.
     """
     if is_back_edge_branch(program, branch):
         raise AnalysisError(
             f"branch {branch} is a loop back edge: no finite reconvergence point"
         )
-    return immediate_postdominator(postdominators(program), branch)
+    if ipdom is None:
+        ipdom = immediate_postdominators(program)
+    return ipdom[branch]
 
 
 def build_dependence_graph(program: Program) -> DependenceGraph:
     n = len(program)
     graph = DependenceGraph({i: set() for i in range(n)}, {i: set() for i in range(n)})
-
-    # reaching register definitions over the CFG (worklist to fixed point)
-    def defs_of(instr: MacroInstruction) -> int | None:
-        reg = instr.dest_reg()
-        return None if reg is None else reg.index
-
-    reach_in: list[dict[int, set[int]]] = [dict() for _ in range(n)]
+    instructions = program.instructions
+    succ = [successors(program, i) for i in range(n)]
     preds: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(n):
-        for s in successors(program, i):
+        for s in succ[i]:
             preds[s].append(i)
-    worklist = list(range(n))
+    dest = [None if (reg := instr.dest_reg()) is None else reg.index for instr in instructions]
+
+    # reaching register definitions over the CFG: FIFO worklist to the fixed
+    # point, each node queued at most once at a time
+    reach_in: list[dict[int, set[int]]] = [dict() for _ in range(n)]
+    worklist = deque(range(n))
+    queued = [True] * n
     while worklist:
-        i = worklist.pop(0)
+        i = worklist.popleft()
+        queued[i] = False
         merged: dict[int, set[int]] = {}
         for p in preds[i]:
-            out = dict(reach_in[p])
-            d = defs_of(program.instructions[p])
+            d = dest[p]
+            for reg, ids in reach_in[p].items():
+                if reg != d:
+                    merged.setdefault(reg, set()).update(ids)
             if d is not None:
-                out[d] = {p}
-            for reg, ids in out.items():
-                merged.setdefault(reg, set()).update(ids)
+                merged.setdefault(d, set()).add(p)
         if merged != reach_in[i]:
             reach_in[i] = merged
-            for s in successors(program, i):
-                if s < n and s not in worklist:
+            for s in succ[i]:
+                if s < n and not queued[s]:
+                    queued[s] = True
                     worklist.append(s)
 
-    for i, instr in enumerate(program.instructions):
+    # memory dependence: a load depends on every earlier store whose address
+    # expression is syntactically equal
+    stores: dict[object, list[int]] = {}
+    for i, instr in enumerate(instructions):
         for reg in instr.source_regs():
             graph.data[i] |= reach_in[i].get(reg.index, set())
-        # memory dependence: syntactically equal address expressions
         if instr.opcode == Opcode.LOAD:
-            addr = instr.operands[1]
-            for j in range(i):
-                other = program.instructions[j]
-                if other.opcode == Opcode.STORE and other.operands[1] == addr:
-                    graph.data[i].add(j)
+            graph.data[i].update(stores.get(instr.operands[1], ()))
+        elif instr.opcode == Opcode.STORE:
+            stores.setdefault(instr.operands[1], []).append(i)
 
-    # control dependence: i depends on branch b iff i post-dominates one of
-    # b's successors but not b itself
-    pdom = postdominators(program)  # indices 0..n, exit included
-    for b, instr in enumerate(program.instructions):
+    # control dependence (Ferrante, Ottenstein and Warren): i depends on
+    # branch b iff i post-dominates a successor of b but not b itself, i.e.
+    # i lies on the post-dominator tree path from that successor up to, and
+    # excluding, ipdom(b)
+    ipdom = immediate_postdominators(program)
+    for b, instr in enumerate(instructions):
         if instr.opcode != Opcode.BRANCH:
             continue
-        succ_pdoms = [pdom[s] for s in successors(program, b)]
-        for i in range(n):
-            if i == b:
-                continue
-            if any(i in sp for sp in succ_pdoms) and i not in pdom[b]:
-                graph.control[i].add(b)
+        for node in succ[b]:
+            while node != ipdom[b]:
+                if node != b:
+                    graph.control[node].add(b)
+                node = ipdom[node]
     return graph
+
+
+def _components(edges: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components, each after every component it reaches.
+
+    Tarjan's algorithm with an explicit stack of (node, edge iterator).
+    """
+    n = len(edges)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(edges[root]))]
+        while work:
+            node, pending = work[-1]
+            for w in pending:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(edges[w])))
+                    break
+                if on_stack[w] and index[w] < low[node]:
+                    low[node] = index[w]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == node:
+                            break
+                    components.append(component)
+    return components
 
 
 def compute_safe_sets(
     program: Program, graph: DependenceGraph | None = None
 ) -> dict[int, frozenset[int]]:
-    """Safe set of each instruction id: its transitive dependence sources."""
+    """Safe set of each instruction id: its transitive dependence sources.
+
+    Closed one strongly connected component at a time, sources first: a
+    component's set is the union of its outside sources and their sets,
+    plus its own members when it is cyclic. Members share one frozenset.
+    """
     if graph is None:
         graph = build_dependence_graph(program)
-    closure: dict[int, frozenset[int]] = {}
-    for i in range(len(program)):
-        seen: set[int] = set()
-        stack = list(graph.sources(i))
-        while stack:
-            s = stack.pop()
-            if s in seen:
-                continue
-            seen.add(s)
-            stack.extend(graph.sources(s))
-        closure[i] = frozenset(seen)
-    return closure
+    n = len(program)
+    edges = [list(graph.sources(i)) for i in range(n)]
+    component_of = [-1] * n
+    closures: list[frozenset[int]] = []
+    for c, members in enumerate(_components(edges)):
+        for v in members:
+            component_of[v] = c
+        outside = {w for v in members for w in edges[v] if component_of[w] != c}
+        reached = frozenset().union(
+            outside, *(closures[k] for k in {component_of[w] for w in outside})
+        )
+        if len(members) > 1 or members[0] in edges[members[0]]:
+            reached |= frozenset(members)
+        closures.append(reached)
+    return {i: closures[component_of[i]] for i in range(n)}
 
 
 def _uop_weight(instr: MacroInstruction, cap: int) -> tuple[int, int, bool]:
@@ -211,16 +319,20 @@ def _uop_weight(instr: MacroInstruction, cap: int) -> tuple[int, int, bool]:
 
 
 def analyze_paths(
-    program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CAP
+    program: Program,
+    branch: int,
+    cap: int = DEFAULT_EXPANSION_CAP,
+    ipdom: list[int] | None = None,
 ) -> PathProfile:
     """Micro-op counts along each direction of `branch` to its reconvergence.
 
     variable=True when a rep opcode sits on either path or when control flow
     cycles (back edges), in which case max_uops saturates at the cap.
+    `ipdom` is the program's `immediate_postdominators`, computed when absent.
     """
     if is_back_edge_branch(program, branch):
         return PathProfile(None, 0, cap, True)
-    reconv = find_reconvergence(program, branch)
+    reconv = find_reconvergence(program, branch, ipdom)
     n = len(program)
     mins: list[int] = []
     maxs: list[int] = []
@@ -257,8 +369,9 @@ def analyze_paths(
 
 
 def analyze_all_branches(program: Program, cap: int = DEFAULT_EXPANSION_CAP) -> dict[int, PathProfile]:
+    ipdom = immediate_postdominators(program)
     return {
-        i: analyze_paths(program, i, cap)
+        i: analyze_paths(program, i, cap, ipdom)
         for i, instr in enumerate(program.instructions)
         if instr.opcode == Opcode.BRANCH
     }

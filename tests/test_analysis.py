@@ -16,9 +16,8 @@ from robsim.analysis import (
     conservative_filter,
     dump_analysis,
     find_reconvergence,
-    immediate_postdominator,
+    immediate_postdominators,
     load_analysis,
-    postdominators,
     successors,
 )
 from robsim.isa import DEFAULT_EXPANSION_CAP, Opcode, parse_program
@@ -66,6 +65,108 @@ def brute_force_postdominators(program):
         pdoms.append(common)
     pdoms.append({n})
     return pdoms
+
+
+def fixpoint_postdominators(program):
+    """Oracle: pdom[i] = nodes on every path from i to exit (including i).
+
+    Set-valued fixed point over the reverse CFG; the virtual exit node
+    len(program) post-dominates everything and seeds the iteration.
+    """
+    n = len(program)
+    succ = [successors(program, i) for i in range(n)]
+    everything = set(range(n + 1))
+    pdom = [set(everything) for _ in range(n)] + [{n}]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1, -1, -1):
+            meet = set(everything)
+            for s in succ[i]:
+                meet &= pdom[s]
+            new = meet | {i}
+            if new != pdom[i]:
+                pdom[i] = new
+                changed = True
+    return pdom
+
+
+def deepest_strict_postdominator(pdom, idx):
+    """Oracle ipdom: strict post-dominators form a chain to the exit."""
+    strict = pdom[idx] - {idx}
+    return max(strict, key=lambda m: len(pdom[m]))
+
+
+def postdominator_sets(ipdom):
+    """Expand a post-dominator tree into each node's set of post-dominators."""
+    out = []
+    for node in range(len(ipdom)):
+        chain = {node}
+        while ipdom[node] != node:
+            node = ipdom[node]
+            chain.add(node)
+        out.append(chain)
+    return out
+
+
+def oracle_dependence_graph(program):
+    """Oracle edges. Data: d reaches a use of its register at i along some
+    CFG path with no other definition of it in between; a load also depends
+    on every earlier store to the same address expression. Control: i
+    post-dominates a successor of branch b, but not b itself (fixpoint sets).
+    """
+    n = len(program)
+    instrs = program.instructions
+    data = {i: set() for i in range(n)}
+    control = {i: set() for i in range(n)}
+    for d, instr in enumerate(instrs):
+        reg = instr.dest_reg()
+        if reg is None:
+            continue
+        seen = set()
+        frontier = [s for s in successors(program, d) if s < n]
+        while frontier:
+            x = frontier.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            if reg in instrs[x].source_regs():
+                data[x].add(d)
+            if instrs[x].dest_reg() != reg:
+                frontier.extend(s for s in successors(program, x) if s < n)
+    for i, instr in enumerate(instrs):
+        if instr.opcode == Opcode.LOAD:
+            data[i] |= {
+                j for j in range(i)
+                if instrs[j].opcode == Opcode.STORE
+                and instrs[j].operands[1] == instr.operands[1]
+            }
+    pdom = fixpoint_postdominators(program)
+    for b, instr in enumerate(instrs):
+        if instr.opcode != Opcode.BRANCH:
+            continue
+        for i in range(n):
+            if i != b and i not in pdom[b] and any(
+                i in pdom[s] for s in successors(program, b)
+            ):
+                control[i].add(b)
+    return data, control
+
+
+def dfs_closure(graph, n):
+    """Oracle: one depth-first walk over dependence sources per instruction."""
+    closure = {}
+    for i in range(n):
+        seen = set()
+        stack = list(graph.sources(i))
+        while stack:
+            s = stack.pop()
+            if s in seen:
+                continue
+            seen.add(s)
+            stack.extend(graph.sources(s))
+        closure[i] = frozenset(seen)
+    return closure
 
 
 def brute_force_closure(graph, n):
@@ -355,11 +456,100 @@ def dag_programs(draw):
     return parse_program("\n".join(lines) + "\n")
 
 
+@st.composite
+def cyclic_programs(draw):
+    """Random programs whose branches may also target themselves or earlier
+    instructions, up to 32 instructions. Jumps stay forward and a branch
+    always falls through, so every instruction still reaches the exit."""
+    n = draw(st.integers(min_value=2, max_value=32))
+    lines = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["alu", "load", "store", "branch", "jump", "nop"]))
+        if i >= n - 1 and kind == "jump":
+            kind = "nop"
+        reg = f"r{draw(st.integers(min_value=0, max_value=5))}"
+        reg2 = f"r{draw(st.integers(min_value=0, max_value=5))}"
+        if kind == "branch":
+            body = f"branch {reg}, l{draw(st.integers(min_value=0, max_value=n - 1))}"
+        elif kind == "jump":
+            body = f"jump l{draw(st.integers(min_value=i + 1, max_value=n - 1))}"
+        elif kind == "alu":
+            body = f"alu {reg}, {reg2}, {draw(st.integers(min_value=0, max_value=9))}"
+        elif kind == "load":
+            body = f"load {reg}, [{reg2}+{draw(st.integers(min_value=0, max_value=15))}]"
+        elif kind == "store":
+            body = f"store {reg}, [{draw(st.integers(min_value=0, max_value=15))}]"
+        else:
+            body = "nop"
+        lines.append(f"l{i}: {body}")
+    return parse_program("\n".join(lines) + "\n")
+
+
+def check_against_oracles(prog):
+    n = len(prog)
+    pdom = fixpoint_postdominators(prog)
+    ipdom = immediate_postdominators(prog)
+    assert ipdom == [deepest_strict_postdominator(pdom, i) for i in range(n)] + [n]
+    assert postdominator_sets(ipdom) == pdom
+    graph = build_dependence_graph(prog)
+    assert (graph.data, graph.control) == oracle_dependence_graph(prog)
+    assert compute_safe_sets(prog, graph) == dfs_closure(graph, n)
+    assert analyze_all_branches(prog) == {
+        b: analyze_paths(prog, b, ipdom=ipdom)
+        for b, instr in enumerate(prog.instructions)
+        if instr.opcode == Opcode.BRANCH
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(dag_programs())
+def test_analysis_matches_oracles_on_forward_programs(prog):
+    check_against_oracles(prog)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclic_programs())
+def test_analysis_matches_oracles_on_cyclic_programs(prog):
+    check_against_oracles(prog)
+
+
+def test_cyclic_component_is_in_its_own_safe_set():
+    prog = parse_program(
+        """
+        top: alu r1, r1, 1
+        alu r2, r1, 0
+        branch r2, top
+        load r3, [r2]
+        """
+    )
+    sets = compute_safe_sets(prog)
+    # 0, 1 and 2 form one cycle through the back edge: each depends on all
+    assert sets[0] == sets[1] == sets[2] == frozenset({0, 1, 2})
+    assert sets[0] is sets[2]
+    assert sets[3] == frozenset({0, 1, 2})
+
+
+def test_instruction_that_cannot_reach_exit_is_refused():
+    prog = parse_program(
+        """
+        nop
+        branch r1, spin
+        jump done
+        spin: jump spin
+        done: nop
+        """
+    )
+    for analysis in (immediate_postdominators, build_dependence_graph, analyze_all_branches):
+        with pytest.raises(AnalysisError, match="instruction 3 cannot reach the program exit"):
+            analysis(prog)
+
+
 @settings(max_examples=60, deadline=None)
 @given(dag_programs())
 def test_postdominators_match_path_enumeration_oracle(prog):
     expected = brute_force_postdominators(prog)
-    assert postdominators(prog) == expected
+    assert fixpoint_postdominators(prog) == expected
+    assert postdominator_sets(immediate_postdominators(prog)) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -375,11 +565,12 @@ def test_safe_sets_match_brute_force_closure(prog):
 @settings(max_examples=40, deadline=None)
 @given(dag_programs())
 def test_ipdom_is_minimal_strict_postdominator(prog):
-    pdom = postdominators(prog)
+    pdom = fixpoint_postdominators(prog)
+    ipdom = immediate_postdominators(prog)
     for b, instr in enumerate(prog.instructions):
         if instr.opcode != Opcode.BRANCH:
             continue
-        ipd = immediate_postdominator(pdom, b)
+        ipd = ipdom[b]
         strict = pdom[b] - {b}
         assert ipd in strict
         # every other strict postdominator also postdominates the immediate one
