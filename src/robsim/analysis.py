@@ -34,6 +34,7 @@ program so both directions of a branch carry the same micro-op count.
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -44,6 +45,7 @@ from .isa import (
     Opcode,
     Program,
     REP_OPCODES,
+    print_program,
     rep_expansion_count,
 )
 
@@ -500,14 +502,23 @@ def balance_paths(program: Program, branch: int) -> Program:
 
 # --- sidecar analysis file -------------------------------------------------
 
-SIDECAR_HEADER = "# robsim analysis v1"
+SIDECAR_HEADER = "# robsim analysis v2"
+
+
+def _program_record(program: Program) -> str:
+    """`program <sha256 of print_program> <instruction count>`."""
+    digest = hashlib.sha256(print_program(program).encode()).hexdigest()
+    return f"program {digest} {len(program)}"
 
 
 def dump_analysis(
-    safe_sets: dict[int, frozenset[int]], profiles: dict[int, PathProfile]
+    safe_sets: dict[int, frozenset[int]],
+    profiles: dict[int, PathProfile],
+    program: Program,
 ) -> str:
-    """Text sidecar: one `ss` line per instruction, one `profile` per branch."""
-    lines = [SIDECAR_HEADER]
+    """Text sidecar for `program`: header, program fingerprint, one `ss`
+    line per instruction, one `profile` per branch."""
+    lines = [SIDECAR_HEADER, _program_record(program)]
     for i in sorted(safe_sets):
         members = " ".join(str(m) for m in sorted(safe_sets[i]))
         lines.append(f"ss {i} {members}".rstrip())
@@ -521,10 +532,17 @@ def dump_analysis(
 
 
 def load_analysis(
-    text: str,
+    text: str, program: Program
 ) -> tuple[dict[int, frozenset[int]], dict[int, PathProfile]]:
+    """Parse a sidecar and refuse it unless it describes `program`.
+
+    A sidecar of another program would lift loads it does not describe, so
+    the ss ids must be exactly 0..n-1 with every member below n, and the
+    sidecar must be v2 and carry this program's fingerprint line.
+    """
     safe_sets: dict[int, frozenset[int]] = {}
     profiles: dict[int, PathProfile] = {}
+    program_line: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -549,6 +567,34 @@ def load_analysis(
             if branch in profiles:
                 raise AnalysisError(f"sidecar line {line_no}: duplicate profile {branch}")
             profiles[branch] = PathProfile(reconv, lo, hi, bool(variable))
+        elif parts[0] == "program":
+            if program_line is not None:
+                raise AnalysisError(f"sidecar line {line_no}: duplicate program")
+            program_line = " ".join(parts)
         else:
             raise AnalysisError(f"sidecar line {line_no}: unknown record {parts[0]!r}")
+
+    n = len(program)
+    if sorted(safe_sets) != list(range(n)):
+        raise AnalysisError(
+            f"sidecar has ss records for {len(safe_sets)} instruction ids, "
+            f"not exactly 0..{n - 1} of the program; rerun robsim analyze"
+        )
+    for instr, members in safe_sets.items():
+        bad = [m for m in members if not 0 <= m < n]
+        if bad:
+            raise AnalysisError(
+                f"sidecar ss {instr} names instruction {min(bad)} outside "
+                f"the {n}-instruction program; rerun robsim analyze"
+            )
+    header = text.split("\n", 1)[0].strip()
+    if header != SIDECAR_HEADER:
+        raise AnalysisError(
+            f"sidecar header is {header!r}, not {SIDECAR_HEADER!r}; rerun robsim analyze"
+        )
+    if program_line != _program_record(program):
+        raise AnalysisError(
+            "sidecar was computed for another program (its program line does not "
+            "match this program's sha256 and length); rerun robsim analyze"
+        )
     return safe_sets, profiles

@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    AnalysisError,
     analyze_all_branches,
     compute_safe_sets,
     dump_analysis,
@@ -111,7 +110,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.defense:
         mapping["defenses"] = [args.defense]
     if args.mitigation is not None:
-        mapping["mitigations"] = ["+".join(args.mitigation) or "none"]
+        mapping["mitigations"] = [args.mitigation]
     if args.trials is not None:
         mapping["trials"] = args.trials
     if args.seed is not None:
@@ -134,23 +133,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _check_sidecar(safe_sets: dict[int, frozenset[int]], n: int) -> None:
-    """Refuse safe sets that cannot belong to an n-instruction program: a
-    sidecar from another program would lift loads it does not describe."""
-    if sorted(safe_sets) != list(range(n)):
-        raise AnalysisError(
-            f"sidecar has ss records for {len(safe_sets)} instruction ids, "
-            f"not exactly 0..{n - 1} of the program; rerun robsim analyze"
-        )
-    for instr, members in safe_sets.items():
-        bad = [m for m in members if not 0 <= m < n]
-        if bad:
-            raise AnalysisError(
-                f"sidecar ss {instr} names instruction {min(bad)} outside "
-                f"the {n}-instruction program; rerun robsim analyze"
-            )
-
-
 def _cmd_sim(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     mode = DefenseMode(args.defense)
@@ -160,10 +142,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     safe_sets = None
     if args.safe_sets:
         try:
-            safe_sets, _ = load_analysis(Path(args.safe_sets).read_text())
+            text = Path(args.safe_sets).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read sidecar: {exc}") from None
-        _check_sidecar(safe_sets, len(program))
+        safe_sets, _ = load_analysis(text, program)
     if mode is DefenseMode.DOM_PLUS_INVARSPEC and safe_sets is None:
         safe_sets = compute_safe_sets(program)
     policy = DefensePolicy(mode=mode, mitigations=mitigations, safe_sets=safe_sets)
@@ -190,7 +172,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     safe_sets = compute_safe_sets(program)
     profiles = analyze_all_branches(program)
-    text = dump_analysis(safe_sets, profiles)
+    text = dump_analysis(safe_sets, profiles, program)
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -414,20 +414,42 @@ def test_sidecar_roundtrip():
     prog = parse_program(DIAMOND_3_10)
     sets = compute_safe_sets(prog)
     profiles = analyze_all_branches(prog)
-    text = dump_analysis(sets, profiles)
-    loaded_sets, loaded_profiles = load_analysis(text)
+    text = dump_analysis(sets, profiles, prog)
+    loaded_sets, loaded_profiles = load_analysis(text, prog)
     assert loaded_sets == sets
     assert loaded_profiles == profiles
-    assert text.startswith("# robsim analysis v1")
+    assert text.startswith("# robsim analysis v2\nprogram ")
+    assert text.splitlines()[1].endswith(f" {len(prog)}")
 
 
 def test_sidecar_rejects_garbage():
+    prog = parse_program("nop\n")
     with pytest.raises(AnalysisError, match="unknown record"):
-        load_analysis("bogus 1 2 3\n")
+        load_analysis("bogus 1 2 3\n", prog)
     with pytest.raises(AnalysisError, match="line 2: malformed profile"):
-        load_analysis("# robsim analysis v1\nprofile 0 4 x 2 0\n")
+        load_analysis("# robsim analysis v1\nprofile 0 4 x 2 0\n", prog)
     with pytest.raises(AnalysisError, match="line 3: duplicate profile 0"):
-        load_analysis("profile 0 4 2 2 0\n\nprofile 0 - 0 8 1\n")
+        load_analysis("profile 0 4 2 2 0\n\nprofile 0 - 0 8 1\n", prog)
+
+
+def test_sidecar_is_bound_to_its_program():
+    prog = parse_program(GUARDED_LOAD)
+    text = dump_analysis(compute_safe_sets(prog), analyze_all_branches(prog), prog)
+    header, program_line, *records = text.splitlines()
+    # same length, one operand changed: the fingerprint no longer matches
+    edited = parse_program(GUARDED_LOAD.replace("[32]", "[40]"))
+    assert len(edited) == len(prog)
+    with pytest.raises(AnalysisError, match="another program.*rerun robsim analyze"):
+        load_analysis(text, edited)
+    v1 = "\n".join(["# robsim analysis v1", *records]) + "\n"
+    with pytest.raises(AnalysisError, match="not '# robsim analysis v2'; rerun"):
+        load_analysis(v1, prog)
+    no_program = "\n".join([header, *records]) + "\n"
+    with pytest.raises(AnalysisError, match="another program"):
+        load_analysis(no_program, prog)
+    twice = "\n".join([header, program_line, program_line, *records]) + "\n"
+    with pytest.raises(AnalysisError, match="line 3: duplicate program"):
+        load_analysis(twice, prog)
 
 
 @st.composite

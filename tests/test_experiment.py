@@ -428,7 +428,7 @@ def test_cli_analyze_round_trip(tmp_path, capsys):
     sidecar = tmp_path / "analysis.txt"
     assert run_cli("analyze", str(program), "--out", str(sidecar)) == 0
     text = sidecar.read_text()
-    assert text.startswith("# robsim analysis v1")
+    assert text.startswith("# robsim analysis v2")
     assert run_cli(
         "sim", str(program), "--defense", "dom_plus_invarspec", "--safe-sets", str(sidecar)
     ) == 0
@@ -451,7 +451,7 @@ def test_cli_sim_rejects_sidecar_of_another_program(tmp_path, capsys):
     other.write_text("nop\nnop\n")
     sidecar = tmp_path / "nops.txt"
     assert run_cli("analyze", str(other), "--out", str(sidecar)) == 0
-    assert sidecar.read_text().splitlines()[1:] == ["ss 0", "ss 1"]
+    assert sidecar.read_text().splitlines()[2:] == ["ss 0", "ss 1"]
     program = tmp_path / "p.asm"
     program.write_text(SHADOWED_LOAD_PROGRAM)
     trace = tmp_path / "trace.csv"
@@ -488,6 +488,56 @@ def test_cli_sim_rejects_malformed_ss_line(tmp_path, capsys, lines, error):
     )
     assert code == 1
     assert f"sidecar {error}" in capsys.readouterr().err
+
+
+def test_cli_sim_rejects_sidecar_of_edited_program(tmp_path, capsys):
+    program = tmp_path / "p.asm"
+    program.write_text(SHADOWED_LOAD_PROGRAM)
+    sidecar = tmp_path / "p.txt"
+    assert run_cli("analyze", str(program), "--out", str(sidecar)) == 0
+    # same five instructions, but the shadowed load now reads another line
+    program.write_text(SHADOWED_LOAD_PROGRAM.replace("[40]", "[48]"))
+    args = ("sim", str(program), "--defense", "dom_plus_invarspec")
+    assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
+    assert "another program" in capsys.readouterr().err
+
+    # a v1 sidecar of the very same program has no fingerprint to check
+    assert run_cli("analyze", str(program), "--out", str(sidecar)) == 0
+    lines = sidecar.read_text().splitlines()
+    sidecar.write_text("\n".join(["# robsim analysis v1", *lines[2:]]) + "\n")
+    assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
+    assert "rerun robsim analyze" in capsys.readouterr().err
+
+
+def test_cli_analyze_refuses_instruction_that_cannot_reach_exit(tmp_path, capsys):
+    program = tmp_path / "p.asm"
+    program.write_text("spin: jump spin\n")
+    assert run_cli("analyze", str(program)) == 1
+    assert "instruction 0 cannot reach the program exit" in capsys.readouterr().err
+
+
+def test_cli_run_combines_repeated_mitigations_into_one_cell(tmp_path, capsys):
+    code = run_cli(
+        "run",
+        "--scenario",
+        "fsi_v1_straight",
+        "--defense",
+        "dom_plus_invarspec",
+        "--mitigation",
+        "conservative_invariance",
+        "--mitigation",
+        "path_balancing",
+        "--trials",
+        "1",
+        "--out",
+        str(tmp_path / "out"),
+    )
+    assert code == EXIT_OK
+    cells = [line for line in capsys.readouterr().out.splitlines() if " x " in line]
+    assert cells == [
+        "fsi_v1_straight x dom_plus_invarspec x "
+        "conservative_invariance+path_balancing: clean"
+    ]
 
 
 def test_cli_analyze_stdout(tmp_path, capsys):

@@ -135,8 +135,10 @@ def analysis_digests() -> dict[str, str]:
                 profiles = analyze_all_branches(program)
                 filtered = conservative_filter(sets, profiles, len(program))
                 key = f"{name}/rob{rob}/s{secret}"
-                out[key] = _sha(_records(dump_analysis(sets, profiles)))
-                out[f"{key}/conservative"] = _sha(_records(dump_analysis(filtered, {})))
+                out[key] = _sha(_records(dump_analysis(sets, profiles, program)))
+                out[f"{key}/conservative"] = _sha(
+                    _records(dump_analysis(filtered, {}, program))
+                )
     return out
 
 
