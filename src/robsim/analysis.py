@@ -89,6 +89,17 @@ def successors(program: Program, idx: int) -> list[int]:
     return [idx + 1]
 
 
+def _cfg(program: Program) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor lists of 0..n-1 and predecessor lists of 0..n (n = exit)."""
+    n = len(program)
+    succ = [successors(program, i) for i in range(n)]
+    preds: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(n):
+        for s in succ[i]:
+            preds[s].append(i)
+    return succ, preds
+
+
 def immediate_postdominators(program: Program) -> list[int]:
     """ipdom[i] for every node 0..n; the virtual exit n is the root, ipdom[n] = n.
 
@@ -98,11 +109,7 @@ def immediate_postdominators(program: Program) -> list[int]:
     the program is refused naming the first such instruction.
     """
     n = len(program)
-    succ = [successors(program, i) for i in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(n):
-        for s in succ[i]:
-            preds[s].append(i)
+    succ, preds = _cfg(program)
 
     # postorder of the reverse CFG, depth first from the exit
     order = [-1] * (n + 1)
@@ -158,33 +165,24 @@ def is_back_edge_branch(program: Program, branch: int) -> bool:
     return target is not None and target <= branch
 
 
-def find_reconvergence(
-    program: Program, branch: int, ipdom: list[int] | None = None
-) -> int:
+def find_reconvergence(program: Program, branch: int) -> int:
     """Immediate post-dominator of a forward branch.
 
     Returns len(program) when the directions only rejoin at program exit.
     Back-edge branches have no finite reconvergence here and are refused.
-    `ipdom` is the program's `immediate_postdominators`, computed when absent.
     """
     if is_back_edge_branch(program, branch):
         raise AnalysisError(
             f"branch {branch} is a loop back edge: no finite reconvergence point"
         )
-    if ipdom is None:
-        ipdom = immediate_postdominators(program)
-    return ipdom[branch]
+    return immediate_postdominators(program)[branch]
 
 
 def build_dependence_graph(program: Program) -> DependenceGraph:
     n = len(program)
     graph = DependenceGraph({i: set() for i in range(n)}, {i: set() for i in range(n)})
     instructions = program.instructions
-    succ = [successors(program, i) for i in range(n)]
-    preds: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(n):
-        for s in succ[i]:
-            preds[s].append(i)
+    succ, preds = _cfg(program)
     dest = [None if (reg := instr.dest_reg()) is None else reg.index for instr in instructions]
 
     # reaching register definitions over the CFG: FIFO worklist to the fixed
@@ -334,7 +332,9 @@ def analyze_paths(
     """
     if is_back_edge_branch(program, branch):
         return PathProfile(None, 0, cap, True)
-    reconv = find_reconvergence(program, branch, ipdom)
+    if ipdom is None:
+        ipdom = immediate_postdominators(program)
+    reconv = ipdom[branch]
     n = len(program)
     mins: list[int] = []
     maxs: list[int] = []

@@ -452,6 +452,13 @@ def test_sidecar_is_bound_to_its_program():
         load_analysis(twice, prog)
 
 
+def addresses(reg):
+    """Absolute or register-based address expressions over a few offsets, so
+    that loads and stores often name the same one (a memory dependence)."""
+    offsets = st.integers(min_value=0, max_value=7)
+    return st.one_of(offsets.map(lambda o: f"[{o}]"), offsets.map(lambda o: f"[{reg}+{o}]"))
+
+
 @st.composite
 def dag_programs(draw):
     """Random forward-control-flow programs, up to 32 instructions."""
@@ -469,9 +476,9 @@ def dag_programs(draw):
         elif kind == "alu":
             body = f"alu {reg}, {reg2}, {draw(st.integers(min_value=0, max_value=9))}"
         elif kind == "load":
-            body = f"load {reg}, [{reg2}+{draw(st.integers(min_value=0, max_value=63))}]"
+            body = f"load {reg}, {draw(addresses(reg2))}"
         elif kind == "store":
-            body = f"store {reg}, [{draw(st.integers(min_value=0, max_value=63))}]"
+            body = f"store {reg}, {draw(addresses(reg2))}"
         else:
             body = "nop"
         lines.append(f"l{i}: {body}")
@@ -498,9 +505,9 @@ def cyclic_programs(draw):
         elif kind == "alu":
             body = f"alu {reg}, {reg2}, {draw(st.integers(min_value=0, max_value=9))}"
         elif kind == "load":
-            body = f"load {reg}, [{reg2}+{draw(st.integers(min_value=0, max_value=15))}]"
+            body = f"load {reg}, {draw(addresses(reg2))}"
         elif kind == "store":
-            body = f"store {reg}, [{draw(st.integers(min_value=0, max_value=15))}]"
+            body = f"store {reg}, {draw(addresses(reg2))}"
         else:
             body = "nop"
         lines.append(f"l{i}: {body}")
