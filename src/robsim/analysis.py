@@ -34,7 +34,6 @@ program so both directions of a branch carry the same micro-op count.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -507,6 +506,8 @@ SIDECAR_HEADER = "# robsim analysis v2"
 
 def _program_record(program: Program) -> str:
     """`program <sha256 of print_program> <instruction count>`."""
+    import hashlib  # loads OpenSSL: ~8 ms that only sidecar users should pay
+
     digest = hashlib.sha256(print_program(program).encode()).hexdigest()
     return f"program {digest} {len(program)}"
 
