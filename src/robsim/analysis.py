@@ -2,19 +2,21 @@
 
 The runtime invariance machinery in robsim.defenses lifts protection from an
 instruction once everything in its *safe set* is outcome-final. This module
-computes those sets from program text alone. With n instructions and e CFG
-edges (e <= 2n):
+computes those sets from program text alone, with these algorithms and
+costs for an n-instruction program:
 
   * post-dominator tree: Cooper, Harvey and Kennedy's iterative dominator
     algorithm on the reverse CFG, rooted at the virtual exit; near-linear,
     once per program. A program with an instruction that cannot reach the
     exit is refused;
   * dependence graph: one data edge per register def-use (reaching
-    definitions, a FIFO worklist to the fixed point), memory dependences
+    definitions, a FIFO worklist to the fixed point that revisits a node
+    only when a predecessor's output changed), memory dependences
     approximated by syntactic address-expression equality (one dict lookup
     per load), one control edge per guarding branch (Ferrante, Ottenstein
     and Warren: walk the post-dominator tree from each successor of a
-    branch up to the branch's immediate post-dominator);
+    branch up to the branch's immediate post-dominator, one step per edge
+    added);
   * safe set of i: the transitive closure of i's dependence sources,
     closed per strongly connected component (Tarjan) in reverse
     topological order with one set union per component; linear in the
