@@ -50,7 +50,6 @@ class AccessResult:
 class _Mshr:
     addr: int
     fill_cycle: int
-    seq: int
 
 
 @dataclass
@@ -62,7 +61,6 @@ class CacheState:
     misses: int = 0
     mshr_stalls: int = 0
     coalesced_misses: int = 0
-    _mshr_seq: int = 0
 
     def __post_init__(self) -> None:
         self.sets = [[] for _ in range(self.config.num_sets)]
@@ -119,8 +117,7 @@ class CacheState:
         self.misses += 1
         latency = max(self.config.miss_cycles + extra_latency, 1)
         fill_cycle = cycle + latency
-        self.mshrs.append(_Mshr(addr, fill_cycle, self._mshr_seq))
-        self._mshr_seq += 1
+        self.mshrs.append(_Mshr(addr, fill_cycle))
         return AccessResult(AccessOutcome.MISS, latency, fill_cycle)
 
     def process_fills(self, cycle: int) -> list[int]:
@@ -128,7 +125,7 @@ class CacheState:
         due = [m for m in self.mshrs if m.fill_cycle <= cycle]
         if not due:
             return []
-        due.sort(key=lambda m: (m.fill_cycle, m.seq))
+        due.sort(key=lambda m: m.fill_cycle)  # stable: ties fill in allocation order
         filled = []
         for entry in due:
             self.mshrs.remove(entry)

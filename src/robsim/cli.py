@@ -24,7 +24,7 @@ from .analysis import (
     load_analysis,
 )
 from .core import BranchPredictor, MachineConfig, SimulationLimitError, Simulator
-from .defenses import DefenseMode, DefensePolicy, Mitigation
+from .defenses import DefenseMode, Mitigation
 from .experiment import (
     EXIT_SIM_FAULT,
     EXIT_USAGE,
@@ -37,6 +37,7 @@ from .experiment import (
     run_experiment,
 )
 from .isa import parse_program
+from .scenarios import prepare_program
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,21 +140,26 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     mitigations = parse_mitigation_set(args.mitigation or [])
     if Mitigation.PATH_BALANCING in mitigations:
         raise ConfigError("sim runs programs as written; balance them via analyze/run")
-    safe_sets = None
+    analysis = None
     if args.safe_sets:
         try:
             text = Path(args.safe_sets).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read sidecar: {exc}") from None
-        safe_sets, _ = load_analysis(text, program)
-    if mode is DefenseMode.DOM_PLUS_INVARSPEC and safe_sets is None:
-        safe_sets = compute_safe_sets(program)
-    policy = DefensePolicy(mode=mode, mitigations=mitigations, safe_sets=safe_sets)
+        analysis = load_analysis(text, program)
     machine = MachineConfig()
     if args.max_cycles is not None:
         machine = dataclasses.replace(
             machine, core=dataclasses.replace(machine.core, max_cycles=args.max_cycles)
         )
+    _, policy = prepare_program(
+        program,
+        mode,
+        mitigations,
+        name=args.program,
+        cap=machine.core.expansion_cap,
+        analysis=analysis,
+    )
     sim = Simulator(program, machine, policy, BranchPredictor())
     trace = sim.run()
     if args.trace:

@@ -23,6 +23,9 @@ is known.
 Squash rolls back the producer map and fetch point but never the cache:
 fills, evictions, and MSHR state persist, which is precisely the
 observation surface the attack scenarios probe.
+
+An entry's stage is read off its cycle stamps (dispatch, exec_start,
+complete, then commit or squash), each written once; no status is kept.
 """
 
 from __future__ import annotations
@@ -30,13 +33,12 @@ from __future__ import annotations
 import csv
 import io
 import random
-from bisect import bisect_right, insort
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Mapping
 
-from .cache import AccessOutcome, CacheConfig, CacheState
+from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
 from .defenses import DefensePolicy, dom_gate, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
@@ -54,15 +56,6 @@ from .isa import (
 )
 
 
-class EntryStatus(Enum):
-    QUEUED = "queued"  # decoded, waiting for a ROB slot
-    DISPATCHED = "dispatched"
-    ISSUED = "issued"
-    COMPLETE = "complete"
-    COMMITTED = "committed"
-    SQUASHED = "squashed"
-
-
 @dataclass(frozen=True)
 class CoreConfig:
     rob_size: int = 64
@@ -71,7 +64,6 @@ class CoreConfig:
     load_ports: int = 1
     alu_ports: int = 1
     alu_latency: int = 1
-    decode_queue_size: int | None = None  # None: 2 * decode_width
     expansion_cap: int = DEFAULT_EXPANSION_CAP
     max_cycles: int = 200_000
 
@@ -88,14 +80,6 @@ class CoreConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.decode_queue_size is not None and self.decode_queue_size < 1:
-            raise ValueError("decode_queue_size must be positive")
-
-    @property
-    def queue_size(self) -> int:
-        if self.decode_queue_size is not None:
-            return self.decode_queue_size
-        return 2 * self.decode_width
 
 
 @dataclass(frozen=True)
@@ -150,7 +134,6 @@ class RobEntry:
     dest: int | None = None
     checkpoint: dict[int, "RobEntry"] | None = None
     rob_seq: int = -1
-    status: EntryStatus = EntryStatus.QUEUED
     dispatch_cycle: int | None = None
     ready_cycle: int | None = None
     exec_start_cycle: int | None = None
@@ -158,7 +141,6 @@ class RobEntry:
     commit_cycle: int | None = None
     squash_cycle: int | None = None
     shadow: int | None = None
-    squashed: bool = False
     predicted: bool = False  # unverified predicted-REP micro-op
     osp: bool = False
     esp_cycle: int | None = None
@@ -166,7 +148,6 @@ class RobEntry:
     result: int | None = None
     outcome: str | None = None
     latency: int | None = None
-    deferred_addr: int | None = None
     pending: int = 0
     dependents: list["RobEntry"] = field(default_factory=list)
     mem_event: MemEvent | None = None
@@ -185,7 +166,11 @@ class RobEntry:
 
     @property
     def complete(self) -> bool:
-        return self.status in (EntryStatus.COMPLETE, EntryStatus.COMMITTED)
+        return self.complete_cycle is not None
+
+    @property
+    def squashed(self) -> bool:
+        return self.squash_cycle is not None
 
     @property
     def producers(self) -> tuple["RobEntry", ...]:
@@ -292,7 +277,7 @@ class Trace:
     stats: SimStats
 
     def committed(self) -> list[RobEntry]:
-        return [e for e in self.records if e.status is EntryStatus.COMMITTED]
+        return [e for e in self.records if e.commit_cycle is not None]
 
     def committed_for(self, instr: int) -> list[RobEntry]:
         return [e for e in self.committed() if e.instr == instr]
@@ -332,7 +317,8 @@ def _cell(value: int | None) -> int | str:
 
 
 class SimulationLimitError(RuntimeError):
-    """Cycle budget exhausted; carries a snapshot of the stuck machine."""
+    """Cycle budget exhausted; `snapshot` holds (rob_seq, instr, opcode,
+    dispatch, exec_start, complete) of each entry still in the ROB."""
 
     def __init__(self, cycle: int, occupancy: int, snapshot: list[tuple]):
         super().__init__(
@@ -374,7 +360,6 @@ class Simulator:
         self._mem_queue: list[RobEntry] = []
         self._alu_queue: list[RobEntry] = []
         self._next_seq = 0
-        self._next_instance = 0
         self._redirect_stall = False
         self._expansion: RepExpansion | None = None
         self._rep_override: tuple[int, int] | None = None
@@ -418,7 +403,8 @@ class Simulator:
         while not self.halted:
             if self.cycle >= self.config.max_cycles:
                 snapshot = [
-                    (e.rob_seq, e.instr, e.opcode.value, e.status.value)
+                    (e.rob_seq, e.instr, e.opcode.value, e.dispatch_cycle,
+                     e.exec_start_cycle, e.complete_cycle)
                     for e in self.rob
                 ]
                 raise SimulationLimitError(self.cycle, len(self.rob), snapshot)
@@ -440,14 +426,11 @@ class Simulator:
         committed = 0
         while committed < self.config.commit_width and self.rob:
             entry = self.rob[0]
-            if entry.status is not EntryStatus.COMPLETE:
-                break
             if entry.complete_cycle is None or entry.complete_cycle >= self.cycle:
                 break
             if entry.predicted:
                 break  # predicted REP fill may still be squashed by verification
             assert entry.shadow is None
-            entry.status = EntryStatus.COMMITTED
             entry.commit_cycle = self.cycle
             if entry.dest is not None and entry.result is not None:
                 self.regs[entry.dest] = entry.result
@@ -455,10 +438,10 @@ class Simulator:
                     del self._prod_map[entry.dest]
             if entry.uop.kind is UopKind.MEM_WRITE and entry.address is not None:
                 self.mem_values[entry.address] = entry.result or 0
-            if entry.deferred_addr is not None:
-                self.cache.touch(entry.deferred_addr)
-                if entry.mem_event is not None:
-                    entry.mem_event.applied = True
+            if entry.outcome == "deferred_hit":
+                assert entry.address is not None and entry.mem_event is not None
+                self.cache.touch(entry.address)
+                entry.mem_event.applied = True
             self.rob.popleft()
             self.stats.committed_uops += 1
             committed += 1
@@ -483,7 +466,6 @@ class Simulator:
                 i += 1
                 continue
             queue.pop(i)
-            entry.status = EntryStatus.ISSUED
             entry.exec_start_cycle = self.cycle
             entry.result = self._alu_result(entry)
             self._schedule_completion(entry, self.cycle + self.config.alu_latency - 1)
@@ -503,65 +485,55 @@ class Simulator:
                 continue
             if entry.address is None:
                 entry.address = self._effective_address(entry)
+            deferred = False  # a gated load runs only on a hit, effects deferred
             if self.policy.gates_loads and entry.shadow is not None:
                 if entry.uop.kind is UopKind.MEM_WRITE:
                     i += 1  # shadowed stores always wait for the shadow
                     continue
-                if not self._lifted(entry):
-                    if not dom_gate(entry, self.cache):
-                        i += 1
-                        continue
-                    self._execute_deferred_hit(entry)
-                    queue.pop(i)
-                    issued += 1
+                deferred = not self._lifted(entry)
+                if deferred and not dom_gate(entry, self.cache):
+                    i += 1
                     continue
             extra = 0
-            if self.machine.jitter_amplitude:
+            if self.machine.jitter_amplitude and not deferred:
                 amp = self.machine.jitter_amplitude
                 extra = self._rng.randint(-amp, amp)
-            result = self.cache.access(entry.address, self.cycle, extra_latency=extra)
+            result = self.cache.access(
+                entry.address, self.cycle, deferred_effects=deferred, extra_latency=extra
+            )
             if result.outcome is AccessOutcome.MSHR_STALL:
                 self.stats.load_port_stalls += 1
                 issued += 1  # the rejected attempt still occupied the port
                 i += 1
                 continue
             queue.pop(i)
-            entry.status = EntryStatus.ISSUED
-            entry.exec_start_cycle = self.cycle
-            entry.latency = result.latency
-            entry.outcome = (
-                "coalesced" if result.coalesced else result.outcome.value
-            )
-            if entry.uop.kind is UopKind.MEM_READ:
-                entry.result = self.mem_values.get(entry.address, 0)
-            else:
-                entry.result = entry.value_of(entry.macro.operands[0].index, self.regs)
-            event = MemEvent(
-                self.cycle, entry.instr, entry.rob_seq, entry.address, entry.outcome
-            )
-            entry.mem_event = event
-            self._mem_events.append(event)
-            self._schedule_completion(entry, self.cycle + result.latency - 1)
+            self._start_access(entry, result, deferred)
             issued += 1
 
-    def _execute_deferred_hit(self, entry: RobEntry) -> None:
+    def _start_access(self, entry: RobEntry, result: AccessResult, deferred: bool) -> None:
+        """Stamp an accepted access, log its event and schedule completion;
+        a deferred hit's event stays unapplied until commit touches the line."""
         assert entry.address is not None
-        result = self.cache.access(entry.address, self.cycle, deferred_effects=True)
-        assert result.outcome is AccessOutcome.HIT
-        entry.status = EntryStatus.ISSUED
+        if deferred:
+            assert result.outcome is AccessOutcome.HIT
+            outcome = "deferred_hit"
+        else:
+            outcome = "coalesced" if result.coalesced else result.outcome.value
         entry.exec_start_cycle = self.cycle
         entry.latency = result.latency
-        entry.outcome = "deferred_hit"
-        entry.result = self.mem_values.get(entry.address, 0)
-        entry.deferred_addr = entry.address
+        entry.outcome = outcome
+        if entry.uop.kind is UopKind.MEM_READ:
+            entry.result = self.mem_values.get(entry.address, 0)
+        else:
+            entry.result = entry.value_of(entry.macro.operands[0].index, self.regs)
         event = MemEvent(
             self.cycle,
             entry.instr,
             entry.rob_seq,
             entry.address,
-            "deferred_hit",
-            deferred=True,
-            applied=False,
+            outcome,
+            deferred=deferred,
+            applied=not deferred,
         )
         entry.mem_event = event
         self._mem_events.append(event)
@@ -615,7 +587,6 @@ class Simulator:
         for entry in due:
             if entry.squashed:
                 continue
-            entry.status = EntryStatus.COMPLETE
             entry.complete_cycle = self.cycle
             self._wake_dependents(entry)
             if entry.uop.kind is UopKind.BRANCH_RESOLVE:
@@ -627,7 +598,7 @@ class Simulator:
             if dep.squashed:
                 continue
             dep.pending -= 1
-            if dep.pending == 0 and dep.status is EntryStatus.DISPATCHED:
+            if dep.pending == 0:
                 dep.ready_cycle = self.cycle + 1
                 self._enqueue_ready(dep)
 
@@ -653,7 +624,7 @@ class Simulator:
             if rep.emitted < rep.target:
                 continue  # prediction still streaming into the queue
             first = rep.entries[0]
-            if first.status is EntryStatus.QUEUED or first.shadow is not None:
+            if first.dispatch_cycle is None or first.shadow is not None:
                 continue
             producer = rep.counter_producer
             assert producer is not None  # predicted only for an in-flight counter
@@ -688,8 +659,9 @@ class Simulator:
             self._unresolved.remove(seq)
         except ValueError:
             return  # already released (resolved source later squashed)
-        idx = bisect_right(self._unresolved, seq)
-        nxt = self._unresolved[idx] if idx < len(self._unresolved) else None
+        # only the oldest source shadows anything, so its successor in
+        # the shadow is the next oldest
+        nxt = self._unresolved[0] if self._unresolved else None
         for entry in self.rob:
             if entry.shadow == seq:
                 if nxt is not None and nxt < entry.rob_seq:
@@ -707,16 +679,12 @@ class Simulator:
     ) -> None:
         removed = 0
         for queued in self._queue:
-            queued.squashed = True
-            queued.status = EntryStatus.SQUASHED
             queued.squash_cycle = self.cycle
             removed += 1
         self._queue.clear()
         self._expansion = None
         while self.rob and self.rob[-1].rob_seq > boundary_seq:
             entry = self.rob.pop()
-            entry.squashed = True
-            entry.status = EntryStatus.SQUASHED
             entry.squash_cycle = self.cycle
             removed += 1
         self._unresolved = [s for s in self._unresolved if s <= boundary_seq]
@@ -739,7 +707,6 @@ class Simulator:
             entry = self._queue.popleft()
             entry.rob_seq = self._next_seq
             self._next_seq += 1
-            entry.status = EntryStatus.DISPATCHED
             entry.dispatch_cycle = self.cycle
             entry.shadow = self._unresolved[0] if self._unresolved else None
             self.rob.append(entry)
@@ -777,7 +744,6 @@ class Simulator:
             entry.exec_start_cycle = start
             self._schedule_completion(entry, start + 1)
         else:  # NOP-class: jump, fence, pad, rep filler
-            entry.status = EntryStatus.COMPLETE
             entry.complete_cycle = entry.dispatch_cycle
 
     # ------------------------------------------------------------------
@@ -788,7 +754,7 @@ class Simulator:
             self._redirect_stall = False
             return
         slots = self.config.decode_width
-        while slots > 0 and len(self._queue) < self.config.queue_size:
+        while slots > 0 and len(self._queue) < 2 * self.config.decode_width:
             if self._expansion is not None:
                 self._emit_rep_uop(self._expansion)
                 slots -= 1
@@ -796,14 +762,9 @@ class Simulator:
             if self.pc >= len(self.program):
                 break
             macro = self.program.instructions[self.pc]
-            if macro.opcode is Opcode.FENCE:
-                if self.rob or self._queue:
-                    self.stats.decode_stalls += 1
-                    break
-                self._push_uop(macro, 0, UopKind.NOP)
-                self.pc += 1
-                slots -= 1
-                continue
+            if macro.opcode is Opcode.FENCE and (self.rob or self._queue):
+                self.stats.decode_stalls += 1  # a fence decodes once drained
+                break
             if macro.opcode in REP_OPCODES:
                 if not self._begin_rep(macro):
                     self.stats.decode_stalls += 1
@@ -850,12 +811,11 @@ class Simulator:
         entry = RobEntry(
             uop=MicroOp(macro.id, seq, kind),
             macro=macro,
-            instance=self._next_instance,
+            instance=len(self._records),
             src=tuple(src),
             dest=dest.index if dest is not None else None,
             predicted=predicted,
         )
-        self._next_instance += 1
         if dest is not None:
             self._prod_map[dest.index] = entry
         self._queue.append(entry)
@@ -934,7 +894,6 @@ def run(
 __all__ = [
     "BranchPredictor",
     "CoreConfig",
-    "EntryStatus",
     "MachineConfig",
     "MemEvent",
     "RepExpansion",

@@ -30,7 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .analysis import analyze_all_branches, balance_paths, compute_safe_sets, conservative_filter
+from .analysis import (
+    PathProfile,
+    analyze_all_branches,
+    balance_paths,
+    compute_safe_sets,
+    conservative_filter,
+)
 from .cache import CacheConfig
 from .core import BranchPredictor, MachineConfig, RobEntry, Simulator, Trace
 from .defenses import (
@@ -189,7 +195,6 @@ def _build_v1_loop(secret: int, machine: MachineConfig) -> Scenario:
     program = parse_program("\n".join(lines))
     window_branch = WINDOW_CHAIN + 2
     gate_branch = window_branch + 1
-    exit_branch = gate_branch + 3
     return Scenario(
         name="fsi_v1_loop",
         program=program,
@@ -410,15 +415,40 @@ def prepare(
     mode: DefenseMode,
     mitigations: frozenset[Mitigation] | set[Mitigation] = frozenset(),
 ) -> tuple[Scenario, DefensePolicy]:
-    """Derive the defense policy for a scenario, rewriting it if balancing.
+    """Derive the defense policy for a scenario, rewriting it if balancing."""
+    program, policy = prepare_program(
+        scenario.program,
+        mode,
+        mitigations,
+        name=scenario.name,
+        cap=scenario.machine.core.expansion_cap,
+        balance_branch=scenario.balance_branch,
+    )
+    if program is not scenario.program:
+        scenario = replace_program(scenario, program)
+    return scenario, policy
 
-    Safe sets come from the program itself; conservative_invariance widens
-    them behind unequal branches. path_balancing pads the secret-selected
-    branch and certifies the result, or refuses when no such branch exists
-    or its paths are variable-length.
+
+def prepare_program(
+    program: Program,
+    mode: DefenseMode,
+    mitigations: frozenset[Mitigation] | set[Mitigation],
+    *,
+    name: str,
+    cap: int,
+    balance_branch: int | None = None,
+    analysis: tuple[dict[int, frozenset[int]], dict[int, PathProfile]] | None = None,
+) -> tuple[Program, DefensePolicy]:
+    """Check that each mitigation applies to `program`, then derive its policy.
+
+    Safe sets come from the program itself, or from `analysis` (safe sets
+    and path profiles of the program as written) when given;
+    conservative_invariance widens them behind unequal branches.
+    path_balancing pads `balance_branch` and certifies the result, or
+    refuses when there is no such branch or its paths are variable-length.
+    Returns the program the policy describes, rewritten if balanced.
     """
     mitigations = frozenset(mitigations)
-    program = scenario.program
     if Mitigation.CONSERVATIVE_INVARIANCE in mitigations and mode is not DefenseMode.DOM_PLUS_INVARSPEC:
         raise ScenarioError(
             "conservative_invariance filters safe sets and applies only "
@@ -428,24 +458,24 @@ def prepare(
         i.opcode in REP_OPCODES for i in program.instructions
     ):
         raise ScenarioError(
-            f"{scenario.name}: operand_independent_fill does not apply; "
+            f"{name}: operand_independent_fill does not apply; "
             "the program contains no rep expansion"
         )
     certificate = None
     if Mitigation.PATH_BALANCING in mitigations:
-        if scenario.balance_branch is None:
+        assert analysis is None, "an analysis of the unbalanced program goes stale"
+        if balance_branch is None:
             raise ScenarioError(
-                f"{scenario.name}: path balancing does not apply; the secret "
+                f"{name}: path balancing does not apply; the secret "
                 "does not select between fixed-length paths"
             )
-        program = balance_paths(program, scenario.balance_branch)
-        certificate = certify_balanced(program, [scenario.balance_branch])
-        scenario = replace_program(scenario, program)
+        program = balance_paths(program, balance_branch)
+        certificate = certify_balanced(program, [balance_branch])
     safe_sets = None
     if mode is DefenseMode.DOM_PLUS_INVARSPEC:
-        safe_sets = compute_safe_sets(program)
+        safe_sets = compute_safe_sets(program) if analysis is None else analysis[0]
         if Mitigation.CONSERVATIVE_INVARIANCE in mitigations:
-            profiles = analyze_all_branches(program, scenario.machine.core.expansion_cap)
+            profiles = analyze_all_branches(program, cap) if analysis is None else analysis[1]
             safe_sets = conservative_filter(safe_sets, profiles, len(program))
     policy = DefensePolicy(
         mode=mode,
@@ -453,7 +483,7 @@ def prepare(
         safe_sets=safe_sets,
         balance_certificate=certificate,
     )
-    return scenario, policy
+    return program, policy
 
 
 def replace_program(scenario: Scenario, program: Program) -> Scenario:
@@ -566,6 +596,7 @@ __all__ = [
     "build_scenario",
     "infer_secret",
     "prepare",
+    "prepare_program",
     "run_single",
     "run_trials",
 ]

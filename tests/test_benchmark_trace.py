@@ -1,0 +1,38 @@
+"""The traced benchmark still finds every name and field it reads.
+
+``benchmarks/tracing.Tracer`` wraps package functions at the names the
+package calls them by and reads ``Trace``, ``MemEvent``, ``SimStats`` and
+``CacheState`` fields. A refactor that moves or drops one of those fails
+here, at one trial per secret of each benchmark workload, rather than only
+when the benchmark runs.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+from tracing import PER_LAYER_UNITS, Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+from robsim.experiment import run_experiment  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_workload_passes_its_checks(name, tmp_path):
+    workload = WORKLOADS[name]
+    with Tracer() as tracer:
+        result = run_experiment(workload.config(0, tmp_path / "out", trials=1))
+    tracer.require(workload.required_spans)
+    assert workload.cell_failures(result) == []
+    metrics = tracer.metrics()
+    assert set(metrics) <= set(PER_LAYER_UNITS)
+    assert all(math.isfinite(value) for value in metrics.values())
+    assert metrics["core.trial_samples"] == 2 * len(
+        [c for c in result.cells if c.status == "ok"]
+    )

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
-from robsim.analysis import compute_safe_sets
+from robsim.analysis import AnalysisError, compute_safe_sets
 from robsim.cache import CacheConfig
 from robsim.core import (
     BranchPredictor,
     CoreConfig,
-    EntryStatus,
     MachineConfig,
     SimulationLimitError,
     Simulator,
@@ -18,6 +19,7 @@ from robsim.core import (
 )
 from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
 from robsim.isa import REP_OPCODES, Opcode, UopKind, parse_program
+from robsim.scenarios import SCENARIO_NAMES, ScenarioError, build_scenario, prepare, run_single
 
 
 def make_sim(
@@ -234,10 +236,13 @@ def test_shadows_match_recomputation_every_cycle():
     text = """
     .data 8 1
     .data 16 1
+    .data 24 1
     load r1, [8]
     load r2, [16]
+    load r5, [24]
     branch r1, end
     branch r2, end
+    branch r5, end
     alu r3, r3, 1
     end: nop
     """
@@ -249,9 +254,34 @@ def test_shadows_match_recomputation_every_cycle():
         assert [e.shadow for e in live] == compute_shadows(live)
         if any(e.shadow is not None and e.shadow > live[0].rob_seq for e in live):
             saw_reassignment = True
-    # the older branch resolves first, so survivors fall to the younger shadow
+    # the oldest branch resolves first, so survivors fall to the next oldest
     assert saw_reassignment
     assert sim.stats.squashes == 0
+
+
+def _check_lifecycle(trace) -> collections.Counter:
+    """Assert the stamp invariants an entry's derived stage rests on;
+    count deferred hits by whether their replacement update was applied."""
+    deferred = collections.Counter()
+    for e in trace.records:
+        stamps = [
+            c
+            for c in (e.dispatch_cycle, e.exec_start_cycle, e.complete_cycle)
+            if c is not None
+        ]
+        assert stamps == sorted(stamps), e
+        assert (e.squash_cycle is None) == (e.commit_cycle is not None), e
+        if e.commit_cycle is not None:
+            assert e.complete_cycle is not None and e.complete_cycle < e.commit_cycle
+            assert e.shadow is None
+        if e.outcome == "deferred_hit":
+            event = e.mem_event
+            assert event is not None and event.kind == "deferred_hit" and event.deferred
+            assert event.applied == (e.commit_cycle is not None), e
+            deferred[event.applied] += 1
+    events = [ev for ev in trace.mem_events if ev.kind == "deferred_hit"]
+    assert len(events) == sum(deferred.values())
+    return deferred
 
 
 def test_squashed_entries_never_commit():
@@ -264,10 +294,33 @@ def test_squashed_entries_never_commit():
     out: nop
     """
     trace = simulate(text, forced={1: False})
-    for entry in trace.records:
-        if entry.squashed:
-            assert entry.status is EntryStatus.SQUASHED
-            assert entry.commit_cycle is None
+    assert any(e.squashed for e in trace.records)
+    _check_lifecycle(trace)
+    # a shadowed hit on the correct path: its deferred update lands at commit
+    committed_hit = """
+    .data 16 1
+    load r1, [16]
+    branch r1, done
+    load r2, [8]
+    done: nop
+    """
+    dom = DefensePolicy(mode=DefenseMode.DOM)
+    deferred = _check_lifecycle(simulate(committed_hit, policy=dom, warm=[8]))
+    # trial 0 of both secrets of every scenario x mode x mitigation that applies
+    machine = MachineConfig(jitter_amplitude=2)
+    for name in SCENARIO_NAMES:
+        for mode in DefenseMode:
+            for mitigations in [frozenset()] + [frozenset({m}) for m in Mitigation]:
+                for secret in (0, 1):
+                    try:
+                        scenario, policy = prepare(
+                            build_scenario(name, secret, machine), mode, mitigations
+                        )
+                    except (ScenarioError, AnalysisError):
+                        continue
+                    deferred += _check_lifecycle(run_single(scenario, policy, 0)[0])
+    # both fates of a deferred hit are covered: applied at commit, dropped by squash
+    assert deferred[True] and deferred[False]
 
 
 def test_squash_preserves_cache_fills():
@@ -577,6 +630,11 @@ def test_runaway_program_raises_limit_error():
     with pytest.raises(SimulationLimitError) as info:
         simulate("spin: jump spin", core=core)
     assert info.value.cycle == 50
+    # the 60-cycle miss at the head has issued but not completed
+    with pytest.raises(SimulationLimitError) as info:
+        simulate("load r1, [8]\nspin: jump spin", core=core)
+    # (rob_seq, instr, opcode, dispatch, exec_start, complete) per stuck entry
+    assert info.value.snapshot[0] == (0, 0, "load", 2, 3, None)
 
 
 def test_trace_is_deterministic_for_fixed_seed():

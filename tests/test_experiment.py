@@ -22,7 +22,8 @@ from robsim.experiment import (
     run_experiment,
     summarize,
 )
-from robsim.scenarios import ScenarioReport
+from robsim.isa import print_program
+from robsim.scenarios import ScenarioReport, build_scenario
 
 
 def make_config(tmp_path, **overrides):
@@ -507,6 +508,41 @@ def test_cli_sim_rejects_sidecar_of_edited_program(tmp_path, capsys):
     sidecar.write_text("\n".join(["# robsim analysis v1", *lines[2:]]) + "\n")
     assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
     assert "rerun robsim analyze" in capsys.readouterr().err
+
+
+def _sim_cycles(capsys, *argv) -> int:
+    assert run_cli("sim", *argv) == 0
+    return int(capsys.readouterr().out.split()[0])
+
+
+def test_cli_sim_conservative_invariance_filters_safe_sets(tmp_path, capsys):
+    # fsi_v1_loop's program as written: the filtered safe sets keep the probe
+    # gated until the window branch resolves, so both secrets take as long
+    invar = ("--defense", "dom_plus_invarspec")
+    conservative = ("--mitigation", "conservative_invariance")
+    for secret, unfiltered in ((0, 132), (1, 147)):
+        program = tmp_path / f"loop{secret}.asm"
+        program.write_text(print_program(build_scenario("fsi_v1_loop", secret).program))
+        sidecar = tmp_path / f"loop{secret}.txt"
+        assert run_cli("analyze", str(program), "--out", str(sidecar)) == 0
+        assert _sim_cycles(capsys, str(program), *invar) == unfiltered
+        assert _sim_cycles(capsys, str(program), *invar, *conservative) == 147
+        with_sidecar = (*invar, *conservative, "--safe-sets", str(sidecar))
+        assert _sim_cycles(capsys, str(program), *with_sidecar) == 147
+
+
+def test_cli_sim_refuses_mitigations_that_do_not_apply(tmp_path, capsys):
+    program = tmp_path / "p.asm"
+    program.write_text(SHADOWED_LOAD_PROGRAM)
+    for defense in ("unprotected", "dom"):
+        code = run_cli(
+            "sim", str(program), "--defense", defense,
+            "--mitigation", "conservative_invariance",
+        )
+        assert code == 1
+        assert "applies only under dom_plus_invarspec" in capsys.readouterr().err
+    assert run_cli("sim", str(program), "--mitigation", "operand_independent_fill") == 1
+    assert "contains no rep expansion" in capsys.readouterr().err
 
 
 def test_cli_analyze_refuses_instruction_that_cannot_reach_exit(tmp_path, capsys):
