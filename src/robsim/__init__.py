@@ -81,6 +81,7 @@ from .scenarios import (
     prepare,
     run_single,
     run_trials,
+    with_secret,
 )
 
 __version__ = "0.1.0"
@@ -142,5 +143,6 @@ __all__ = [
     "run_single",
     "run_trials",
     "summarize",
+    "with_secret",
     "write_artifacts",
 ]

@@ -37,7 +37,7 @@ from .experiment import (
     run_experiment,
 )
 from .isa import parse_program
-from .scenarios import prepare_program
+from .scenarios import ProgramAnalysis, prepare_program
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,17 +140,19 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     mitigations = parse_mitigation_set(args.mitigation or [])
     if Mitigation.PATH_BALANCING in mitigations:
         raise ConfigError("sim runs programs as written; balance them via analyze/run")
+    machine = MachineConfig()
+    if args.max_cycles is not None:
+        machine = dataclasses.replace(
+            machine, core=dataclasses.replace(machine.core, max_cycles=args.max_cycles)
+        )
     analysis = None
     if args.safe_sets:
         try:
             text = Path(args.safe_sets).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read sidecar: {exc}") from None
-        analysis = load_analysis(text, program)
-    machine = MachineConfig()
-    if args.max_cycles is not None:
-        machine = dataclasses.replace(
-            machine, core=dataclasses.replace(machine.core, max_cycles=args.max_cycles)
+        analysis = ProgramAnalysis(
+            program, machine.core.expansion_cap, *load_analysis(text, program)
         )
     _, policy = prepare_program(
         program,

@@ -217,7 +217,6 @@ class RepExpansion:
     capped: bool = False
     emitted: int = 0
     verified: bool | None = None
-    squashed: bool = False
     # predicted only: the in-flight counter, the producer map to squash back
     # to, and the emitted micro-ops
     counter_producer: RobEntry | None = None
@@ -619,8 +618,6 @@ class Simulator:
 
     def _verify_predicted_reps(self) -> None:
         for rep in self._live_reps:
-            if rep.squashed or rep.verified is not None:
-                continue
             if rep.emitted < rep.target:
                 continue  # prediction still streaming into the queue
             first = rep.entries[0]
@@ -650,9 +647,8 @@ class Simulator:
                     "rep_verify",
                     rep.instr,
                 )
-        self._live_reps = [
-            r for r in self._live_reps if not r.squashed and r.verified is None
-        ]
+                break  # every later expansion is younger, so squashed with it
+        self._live_reps = [r for r in self._live_reps if r.verified is None]
 
     def _release_shadow(self, seq: int) -> None:
         try:
@@ -688,9 +684,11 @@ class Simulator:
             entry.squash_cycle = self.cycle
             removed += 1
         self._unresolved = [s for s in self._unresolved if s <= boundary_seq]
-        for rep in self._live_reps:
-            if not rep.entries or rep.entries[0].squashed:
-                rep.squashed = True
+        # the squash ends the expansion being decoded: one that emitted
+        # nothing never will
+        self._live_reps = [
+            r for r in self._live_reps if r.entries and not r.entries[0].squashed
+        ]
         self._prod_map = dict(checkpoint)
         self.pc = new_pc
         self._redirect_stall = True

@@ -1,10 +1,12 @@
 """Batch experiment driver: config, sweeps, CSV artifacts, exit status.
 
-A run is a sweep over (scenario, defense, mitigation-set) cells. Every cell
-executes both secret values for n trials, the blind receiver recovers the
-bit, and the cell is judged against its security promise: dom mode and any
-applicable active mitigation promise secret-independent observations, and a
-broken promise is reported as a distinct exit status so CI can gate on it.
+A run is a sweep over (scenario, defense, mitigation-set) cells. Each
+scenario is built, and its program analyzed, once per sweep; each cell
+prepares it once and executes both secret values for n trials, the blind
+receiver recovers the bit, and the cell is judged against its security
+promise: dom mode and any applicable active mitigation promise
+secret-independent observations, and a broken promise is reported as a
+distinct exit status so CI can gate on it.
 
 Artifacts are deterministic byte-for-byte given the same config: a raw
 report CSV, a per-cell summary CSV, and one occupancy time series per
@@ -28,12 +30,15 @@ from .defenses import DefenseMode, Mitigation
 from .scenarios import (
     REPORT_FIELDS,
     SCENARIO_NAMES,
+    ProgramAnalysis,
+    Scenario,
     ScenarioError,
     ScenarioReport,
     build_scenario,
     format_observation,
     prepare,
     run_single,
+    with_secret,
 )
 
 EXIT_OK = 0
@@ -251,23 +256,29 @@ def _expects_clean(defense: DefenseMode, mitigations: frozenset[Mitigation]) -> 
 
 
 def run_cell(
-    name: str,
+    scenario: Scenario,
+    analysis: ProgramAnalysis,
     defense: DefenseMode,
     mitigations: frozenset[Mitigation],
-    config: ExperimentConfig,
+    n_trials: int,
 ) -> CellResult:
+    """Prepare `scenario` once for the cell, then run both secrets on it.
+
+    `analysis` is of `scenario.program` and shared with the scenario's
+    other cells.
+    """
+    name = scenario.name
+    try:
+        scenario, policy = prepare(scenario, defense, mitigations, analysis)
+    except (ScenarioError, AnalysisError) as exc:
+        return CellResult(name, defense, mitigations, "not_applicable", note=str(exc))
     cell = CellResult(name, defense, mitigations, "ok")
     cell.expected_clean = _expects_clean(defense, mitigations)
     for secret in (0, 1):
-        try:
-            scenario, policy = prepare(
-                build_scenario(name, secret, config.machine), defense, mitigations
-            )
-        except (ScenarioError, AnalysisError) as exc:
-            return CellResult(name, defense, mitigations, "not_applicable", note=str(exc))
-        for trial in range(config.n_trials):
+        run = with_secret(scenario, secret)
+        for trial in range(n_trials):
             try:
-                trace, report = run_single(scenario, policy, trial)
+                trace, report = run_single(run, policy, trial)
             except SimulationLimitError as exc:
                 return CellResult(
                     name,
@@ -275,6 +286,7 @@ def run_cell(
                     mitigations,
                     "fault",
                     reports=cell.reports,
+                    expected_clean=cell.expected_clean,
                     note=f"cycle limit: {exc}",
                 )
             if trial == 0:
@@ -286,12 +298,18 @@ def run_cell(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    cells = [
-        run_cell(name, defense, mitigations, config)
-        for name in config.scenarios
-        for defense in config.defenses
-        for mitigations in config.mitigation_sets
-    ]
+    machine = config.machine
+    grid = [(d, m) for d in config.defenses for m in config.mitigation_sets]
+    cells = []
+    for name in config.scenarios:
+        try:
+            # the cells overlay each secret on the prepared scenario
+            scenario = build_scenario(name, 0, machine)
+        except ScenarioError as exc:
+            cells += [CellResult(name, d, m, "not_applicable", note=str(exc)) for d, m in grid]
+            continue
+        analysis = ProgramAnalysis(scenario.program, machine.core.expansion_cap)
+        cells += [run_cell(scenario, analysis, d, m, config.n_trials) for d, m in grid]
     if all(c.status == "not_applicable" for c in cells):
         raise ConfigError(
             "no runnable cells: " + "; ".join(c.note for c in cells if c.note)

@@ -21,6 +21,13 @@ timing or cache footprint a blind receiver converts back into the bit.
                   the miss-handling table and stall an older bound-to-
                   commit load. Kept as a comparison baseline.
 
+The secret is an input of a run, not of the program. Both secrets run the
+same instructions: a builder makes the program once per (name, machine)
+without it, and ``with_secret`` overlays the bit as the initial value at
+``SECRET_ADDR`` (and, for ``fsi_v1_straight``, as the trained gate's
+prediction) without parsing again. So one ``prepare``, and one static
+analysis of the program, serves both secrets of every cell.
+
 Receivers are deliberately blind: ``infer_secret`` sees the observation
 and the receiver configuration, never the ground truth.
 """
@@ -96,12 +103,13 @@ class Scenario:
     machine: MachineConfig
     receiver: Receiver
     observation: ObservationKind
-    ground_truth_secret: int
     forced_predictions: dict[int, bool]
     warm_addresses: tuple[int, ...] = ()
     flush_addresses: tuple[int, ...] = ()
     probe_label: str | None = "target"
     balance_branch: int | None = None  # secret-selected branch, if its paths pad
+    trained_gate: int | None = None  # predicted in its real direction: taken iff secret == 0
+    ground_truth_secret: int | None = None  # set by with_secret; None until then
 
     @property
     def probe_instr(self) -> int | None:
@@ -134,10 +142,9 @@ REPORT_FIELDS = [
 ]
 
 
-def _check_secret(secret: int) -> int:
+def _check_secret(secret: int) -> None:
     if secret not in (0, 1):
         raise ScenarioError(f"secret must be 0 or 1, got {secret!r}")
-    return secret
 
 
 def _check_v1_config(machine: MachineConfig) -> None:
@@ -157,19 +164,16 @@ def _window_prologue() -> list[str]:
     return lines
 
 
-def build_fsi_v1(
-    variant: str, secret: int, machine: MachineConfig | None = None
-) -> Scenario:
+def build_fsi_v1(variant: str, machine: MachineConfig | None = None) -> Scenario:
     """Forward-interference attack: v1 timing receiver, three gadget shapes."""
     machine = machine or MachineConfig()
-    _check_secret(secret)
     _check_v1_config(machine)
     if variant == "loop":
-        return _build_v1_loop(secret, machine)
+        return _build_v1_loop(machine)
     if variant == "rep":
-        return _build_v1_rep(secret, machine)
+        return _build_v1_rep(machine)
     if variant == "straight":
-        return _build_v1_straight(secret, machine)
+        return _build_v1_straight(machine)
     raise ScenarioError(f"unknown fsi_v1 variant {variant!r}")
 
 
@@ -178,11 +182,10 @@ def _timing_receiver(cache: CacheConfig) -> Receiver:
     return Receiver(ReceiverKind.TIMING_THRESHOLD, threshold=threshold)
 
 
-def _build_v1_loop(secret: int, machine: MachineConfig) -> Scenario:
+def _build_v1_loop(machine: MachineConfig) -> Scenario:
     trips = machine.core.rob_size
     lines = _window_prologue()
     lines += [
-        f".data {SECRET_ADDR} {secret}",
         "branch r2, target",  # window branch: forced not-taken, actually taken
         "branch r1, target",  # secret gate: taken skips the jam
         f"alu r7, r7, {trips}",
@@ -201,7 +204,6 @@ def _build_v1_loop(secret: int, machine: MachineConfig) -> Scenario:
         machine=machine,
         receiver=_timing_receiver(machine.cache),
         observation=ObservationKind.PROBE_LATENCY,
-        ground_truth_secret=secret,
         forced_predictions={window_branch: False, gate_branch: False},
         warm_addresses=(SECRET_ADDR,),
         flush_addresses=(PROBE_ADDR, WINDOW_ADDR),
@@ -209,10 +211,9 @@ def _build_v1_loop(secret: int, machine: MachineConfig) -> Scenario:
     )
 
 
-def _build_v1_rep(secret: int, machine: MachineConfig) -> Scenario:
+def _build_v1_rep(machine: MachineConfig) -> Scenario:
     lines = _window_prologue()
     lines += [
-        f".data {SECRET_ADDR} {secret}",
         "branch r2, target",
         "setshift r1, r1, 10",  # repetition factor: secret << 10
         "rep_movs r1",
@@ -226,7 +227,6 @@ def _build_v1_rep(secret: int, machine: MachineConfig) -> Scenario:
         machine=machine,
         receiver=_timing_receiver(machine.cache),
         observation=ObservationKind.PROBE_LATENCY,
-        ground_truth_secret=secret,
         forced_predictions={window_branch: False},
         warm_addresses=(SECRET_ADDR,),
         flush_addresses=(PROBE_ADDR, WINDOW_ADDR),
@@ -238,7 +238,7 @@ STRAIGHT_LONG_UOPS = 10
 STRAIGHT_SHORT_UOPS = 3
 
 
-def _build_v1_straight(secret: int, machine: MachineConfig) -> Scenario:
+def _build_v1_straight(machine: MachineConfig) -> Scenario:
     lines = [
         f".data {WINDOW_ADDR} 1",  # nonzero: the window branch is correctly
         f"load r2, [{WINDOW_ADDR}]",  # not taken, so the probe commits in place
@@ -246,7 +246,6 @@ def _build_v1_straight(secret: int, machine: MachineConfig) -> Scenario:
     lines += ["alu r2, r2, 0"] * WINDOW_CHAIN
     lines += [
         f"load r1, [{SECRET_ADDR}]",
-        f".data {SECRET_ADDR} {secret}",
         "branch r2, target",
         "branch r1, short",
     ]
@@ -279,26 +278,21 @@ def _build_v1_straight(secret: int, machine: MachineConfig) -> Scenario:
         machine=machine,
         receiver=receiver,
         observation=ObservationKind.COMPLETION_CYCLE,
-        ground_truth_secret=secret,
-        forced_predictions={
-            window_branch: False,  # correct: the window value is nonzero
-            gate_branch: secret == 0,  # trained gate predicts its real direction
-        },
+        forced_predictions={window_branch: False},  # correct: the window value is nonzero
         warm_addresses=(SECRET_ADDR,),
         flush_addresses=(PROBE_ADDR, WINDOW_ADDR),
         balance_branch=gate_branch,
+        trained_gate=gate_branch,
     )
 
 
 def build_fsi_v2(
-    secret: int,
     machine: MachineConfig | None = None,
     addr_a: int = CONFLICT_ADDR_A,
     addr_b: int = CONFLICT_ADDR_B,
 ) -> Scenario:
     """Replacement-state receiver: fill order of a conflicting pair."""
     machine = machine or MachineConfig()
-    _check_secret(secret)
     cache = machine.cache
     if cache.ways != 1:
         raise ScenarioError("fsi_v2_order needs a direct-mapped cache (ways=1)")
@@ -311,7 +305,6 @@ def build_fsi_v2(
     gadget = machine.core.rob_size + 16
     lines = _window_prologue()
     lines += [
-        f".data {SECRET_ADDR} {secret}",
         "branch r2, normal",  # forced not-taken, actually taken
         "branch r1, target",  # secret gate
     ]
@@ -333,7 +326,6 @@ def build_fsi_v2(
             signal_tag=addr_b,
         ),
         observation=ObservationKind.SET_ORDER,
-        ground_truth_secret=secret,
         forced_predictions={window_branch: False, gate_branch: False},
         warm_addresses=(SECRET_ADDR,),
         flush_addresses=(addr_a, addr_b, WINDOW_ADDR),
@@ -343,10 +335,9 @@ def build_fsi_v2(
     )
 
 
-def build_bsi_mshr(secret: int, machine: MachineConfig | None = None) -> Scenario:
+def build_bsi_mshr(machine: MachineConfig | None = None) -> Scenario:
     """Backward interference: speculative misses stall an older load."""
     machine = machine or MachineConfig()
-    _check_secret(secret)
     entries = machine.cache.mshr_entries
     if entries is not None and entries < 2:
         raise ScenarioError("bsi_mshr needs at least two miss-table entries")
@@ -357,7 +348,6 @@ def build_bsi_mshr(secret: int, machine: MachineConfig | None = None) -> Scenari
         raise ScenarioError("gadget shift must preserve set mapping")
     lines = [
         f".data {WINDOW_ADDR} 0",
-        f".data {SECRET_ADDR} {secret}",
         f"load r2, [{WINDOW_ADDR}]",
         f"load r1, [{SECRET_ADDR}]",
         f"setshift r5, r1, {shift}",  # secret=1 retargets the gadget to cold tags
@@ -380,7 +370,6 @@ def build_bsi_mshr(secret: int, machine: MachineConfig | None = None) -> Scenari
             threshold=float(machine.cache.miss_cycles),
         ),
         observation=ObservationKind.COMPLETION_DELAY,
-        ground_truth_secret=secret,
         forced_predictions={branch: False},
         warm_addresses=warm,
         flush_addresses=(WINDOW_ADDR,),
@@ -390,9 +379,9 @@ def build_bsi_mshr(secret: int, machine: MachineConfig | None = None) -> Scenari
 
 
 _BUILDERS = {
-    "fsi_v1_loop": lambda s, m: build_fsi_v1("loop", s, m),
-    "fsi_v1_rep": lambda s, m: build_fsi_v1("rep", s, m),
-    "fsi_v1_straight": lambda s, m: build_fsi_v1("straight", s, m),
+    "fsi_v1_loop": lambda m: build_fsi_v1("loop", m),
+    "fsi_v1_rep": lambda m: build_fsi_v1("rep", m),
+    "fsi_v1_straight": lambda m: build_fsi_v1("straight", m),
     "fsi_v2_order": build_fsi_v2,
     "bsi_mshr": build_bsi_mshr,
 }
@@ -407,15 +396,62 @@ def build_scenario(
         raise ScenarioError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         ) from None
-    return builder(secret, machine)
+    return with_secret(builder(machine), secret)
+
+
+def with_secret(scenario: Scenario, secret: int) -> Scenario:
+    """The scenario run with `secret`. Its program shares every instruction
+    and label; only the initial value at SECRET_ADDR and the trained gate's
+    prediction, if the scenario has one, follow the secret."""
+    _check_secret(secret)
+    program = replace(
+        scenario.program, data_init={**scenario.program.data_init, SECRET_ADDR: secret}
+    )
+    forced = scenario.forced_predictions
+    if scenario.trained_gate is not None:
+        forced = {**forced, scenario.trained_gate: secret == 0}
+    return replace(
+        scenario, program=program, forced_predictions=forced, ground_truth_secret=secret
+    )
+
+
+@dataclass(eq=False)
+class ProgramAnalysis:
+    """Safe sets and path profiles of one program as written.
+
+    Each is computed on first use and then kept, so every cell of a sweep
+    that runs the program shares one analysis; a sidecar supplies both.
+    """
+
+    program: Program
+    cap: int
+    _safe_sets: dict[int, frozenset[int]] | None = None
+    _profiles: dict[int, PathProfile] | None = None
+
+    @property
+    def safe_sets(self) -> dict[int, frozenset[int]]:
+        if self._safe_sets is None:
+            self._safe_sets = compute_safe_sets(self.program)
+        return self._safe_sets
+
+    @property
+    def profiles(self) -> dict[int, PathProfile]:
+        if self._profiles is None:
+            self._profiles = analyze_all_branches(self.program, self.cap)
+        return self._profiles
 
 
 def prepare(
     scenario: Scenario,
     mode: DefenseMode,
     mitigations: frozenset[Mitigation] | set[Mitigation] = frozenset(),
+    analysis: ProgramAnalysis | None = None,
 ) -> tuple[Scenario, DefensePolicy]:
-    """Derive the defense policy for a scenario, rewriting it if balancing."""
+    """Derive the defense policy for a scenario, rewriting it if balancing.
+
+    `analysis`, when given, is of `scenario.program` and is shared with
+    other cells; without it the program is analyzed afresh.
+    """
     program, policy = prepare_program(
         scenario.program,
         mode,
@@ -423,6 +459,7 @@ def prepare(
         name=scenario.name,
         cap=scenario.machine.core.expansion_cap,
         balance_branch=scenario.balance_branch,
+        analysis=analysis,
     )
     if program is not scenario.program:
         scenario = replace_program(scenario, program)
@@ -437,15 +474,15 @@ def prepare_program(
     name: str,
     cap: int,
     balance_branch: int | None = None,
-    analysis: tuple[dict[int, frozenset[int]], dict[int, PathProfile]] | None = None,
+    analysis: ProgramAnalysis | None = None,
 ) -> tuple[Program, DefensePolicy]:
     """Check that each mitigation applies to `program`, then derive its policy.
 
-    Safe sets come from the program itself, or from `analysis` (safe sets
-    and path profiles of the program as written) when given;
-    conservative_invariance widens them behind unequal branches.
-    path_balancing pads `balance_branch` and certifies the result, or
-    refuses when there is no such branch or its paths are variable-length.
+    Safe sets come from `analysis` (of the program as written) when given,
+    else from the program itself; conservative_invariance widens them
+    behind unequal branches. path_balancing pads `balance_branch` and
+    certifies the result, or refuses when there is no such branch or its
+    paths are variable-length; the rewritten program is analyzed afresh.
     Returns the program the policy describes, rewritten if balanced.
     """
     mitigations = frozenset(mitigations)
@@ -463,7 +500,6 @@ def prepare_program(
         )
     certificate = None
     if Mitigation.PATH_BALANCING in mitigations:
-        assert analysis is None, "an analysis of the unbalanced program goes stale"
         if balance_branch is None:
             raise ScenarioError(
                 f"{name}: path balancing does not apply; the secret "
@@ -471,12 +507,15 @@ def prepare_program(
             )
         program = balance_paths(program, balance_branch)
         certificate = certify_balanced(program, [balance_branch])
+        analysis = None  # it describes the program as written
+    if analysis is None:
+        analysis = ProgramAnalysis(program, cap)
+    assert analysis.program is program and analysis.cap == cap
     safe_sets = None
     if mode is DefenseMode.DOM_PLUS_INVARSPEC:
-        safe_sets = compute_safe_sets(program) if analysis is None else analysis[0]
+        safe_sets = analysis.safe_sets
         if Mitigation.CONSERVATIVE_INVARIANCE in mitigations:
-            profiles = analyze_all_branches(program, cap) if analysis is None else analysis[1]
-            safe_sets = conservative_filter(safe_sets, profiles, len(program))
+            safe_sets = conservative_filter(safe_sets, analysis.profiles, len(program))
     policy = DefensePolicy(
         mode=mode,
         mitigations=mitigations,
@@ -493,7 +532,10 @@ def replace_program(scenario: Scenario, program: Program) -> Scenario:
     scenario references (forced branches, the balanced branch itself) is
     stable; the probe relocates but is tracked by label. Verified here.
     """
-    for branch in scenario.forced_predictions:
+    branches = [*scenario.forced_predictions]
+    if scenario.trained_gate is not None:
+        branches.append(scenario.trained_gate)
+    for branch in branches:
         if program.instructions[branch].opcode is not Opcode.BRANCH:
             raise ScenarioError(
                 f"rewrite moved branch {branch}; scenario ids no longer hold"
@@ -507,6 +549,8 @@ def run_single(
     scenario: Scenario, policy: DefensePolicy, trial: int = 0
 ) -> tuple[Trace, ScenarioReport]:
     """One independent run: fresh core and cache, then the blind receiver."""
+    if scenario.ground_truth_secret is None:
+        raise ScenarioError(f"{scenario.name}: no secret to run with; apply with_secret")
     machine = scenario.machine
     if machine.jitter_amplitude:
         machine = replace(machine, jitter_seed=machine.jitter_seed + trial)
@@ -583,6 +627,7 @@ def format_observation(observation) -> str:
 
 __all__ = [
     "ObservationKind",
+    "ProgramAnalysis",
     "Receiver",
     "ReceiverKind",
     "REPORT_FIELDS",
@@ -599,4 +644,5 @@ __all__ = [
     "prepare_program",
     "run_single",
     "run_trials",
+    "with_secret",
 ]

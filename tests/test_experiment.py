@@ -191,13 +191,22 @@ def test_cycle_limit_becomes_fault_exit(tmp_path):
     assert result.cells[0].status == "fault"
     assert "cycle limit" in result.cells[0].note
     assert result.exit_code == EXIT_SIM_FAULT
+    # a fault cell keeps the promise its defense makes
+    config = make_config(tmp_path / "dom", defenses=["dom"], core={"max_cycles": 30})
+    result = run_experiment(config)
+    (cell,) = result.cells
+    assert cell.status == "fault"
+    assert cell.expected_clean
+    with open(result.config.out_dir / "summary.csv", newline="") as f:
+        row = next(csv.DictReader(f))
+    assert (row["status"], row["expected_clean"]) == ("fault", "1")
 
 
 def test_broken_promise_exits_security(tmp_path, monkeypatch):
     real = experiment.run_cell
 
-    def sabotaged(name, defense, mitigations, config):
-        cell = real(name, defense, mitigations, config)
+    def sabotaged(scenario, analysis, defense, mitigations, n_trials):
+        cell = real(scenario, analysis, defense, mitigations, n_trials)
         cell.leak = True
         return cell
 

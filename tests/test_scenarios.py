@@ -28,6 +28,7 @@ from robsim.scenarios import (
     prepare,
     run_single,
     run_trials,
+    with_secret,
 )
 
 UNPROT = DefenseMode.UNPROTECTED
@@ -63,7 +64,7 @@ def test_unknown_scenario_rejected():
 
 def test_unknown_v1_variant_rejected():
     with pytest.raises(ScenarioError, match="variant"):
-        build_fsi_v1("spiral", 0)
+        build_fsi_v1("spiral")
 
 
 def test_secret_must_be_a_bit():
@@ -77,6 +78,47 @@ def test_secret_lives_in_initial_memory():
             scenario = build_scenario(name, secret)
             assert scenario.program.data_init[SECRET_ADDR] == secret
             assert SECRET_ADDR in scenario.warm_addresses
+
+
+def _differing_keys(a: dict, b: dict) -> set:
+    return {k for k in a.keys() | b.keys() if a.get(k) != b.get(k)}
+
+
+@pytest.mark.parametrize("rob", [64, 768])
+def test_secret_overlay_changes_only_the_secret(rob):
+    machine = MachineConfig(core=CoreConfig(rob_size=rob))
+    for name in SCENARIO_NAMES:
+        base = build_scenario(name, 0, machine)
+        s0, s1 = (with_secret(base, s) for s in (0, 1))
+        assert s0.program.instructions is s1.program.instructions is base.program.instructions
+        assert s0.program.labels is s1.program.labels is base.program.labels
+        assert _differing_keys(s0.program.data_init, s1.program.data_init) == {SECRET_ADDR}
+        gates = _differing_keys(s0.forced_predictions, s1.forced_predictions)
+        if name == "fsi_v1_straight":
+            gate = WINDOW_CHAIN + 3  # branch r1, short
+            assert gates == {gate}
+            assert s0.program.instructions[gate].opcode is Opcode.BRANCH
+            assert (s0.forced_predictions[gate], s1.forced_predictions[gate]) == (True, False)
+        else:
+            assert gates == set()
+        assert (s0.ground_truth_secret, s1.ground_truth_secret) == (0, 1)
+        # the overlay gives what building with the secret gives
+        built = build_scenario(name, 1, machine)
+        assert built.program.instructions == s1.program.instructions
+        assert built.program.data_init == s1.program.data_init
+        assert built.forced_predictions == s1.forced_predictions
+        for bad in (-1, 2):
+            with pytest.raises(ScenarioError, match="secret"):
+                with_secret(base, bad)
+
+
+def test_run_needs_a_secret():
+    scenario = build_fsi_v1("loop")
+    assert scenario.ground_truth_secret is None
+    assert SECRET_ADDR not in scenario.program.data_init
+    _, policy = prepare(scenario, UNPROT)
+    with pytest.raises(ScenarioError, match="no secret"):
+        run_single(scenario, policy)
 
 
 def test_probe_resolves_through_label():
@@ -96,29 +138,29 @@ def test_forced_branches_exist():
 def test_v1_rejects_rob_larger_than_expansion_cap():
     machine = MachineConfig(core=CoreConfig(rob_size=128, expansion_cap=100))
     with pytest.raises(ScenarioError, match="expansion cap"):
-        build_fsi_v1("rep", 1, machine)
+        build_fsi_v1("rep", machine)
 
 
 def test_v2_requires_direct_mapped_cache():
     machine = MachineConfig(cache=CacheConfig(ways=2))
     with pytest.raises(ScenarioError, match="direct-mapped"):
-        build_fsi_v2(0, machine)
+        build_fsi_v2(machine)
 
 
 def test_v2_rejects_degenerate_pair():
     with pytest.raises(ScenarioError, match="degenerate"):
-        build_fsi_v2(0, addr_a=12, addr_b=12)
+        build_fsi_v2(addr_a=12, addr_b=12)
 
 
 def test_v2_rejects_non_conflicting_pair():
     with pytest.raises(ScenarioError, match="same set"):
-        build_fsi_v2(0, addr_a=12, addr_b=13)
+        build_fsi_v2(addr_a=12, addr_b=13)
 
 
 def test_bsi_needs_two_mshr_entries():
     machine = MachineConfig(cache=CacheConfig(mshr_entries=1))
     with pytest.raises(ScenarioError, match="miss-table"):
-        build_bsi_mshr(0, machine)
+        build_bsi_mshr(machine)
 
 
 # --- unprotected dichotomies ------------------------------------------------
