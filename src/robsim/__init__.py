@@ -25,7 +25,6 @@ from .analysis import (
     compute_safe_sets,
     conservative_filter,
     dump_analysis,
-    load_analysis,
 )
 from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
 from .core import (
@@ -132,7 +131,6 @@ __all__ = [
     "conservative_filter",
     "dump_analysis",
     "infer_secret",
-    "load_analysis",
     "load_config_file",
     "parse_program",
     "prepare",

@@ -32,6 +32,8 @@ costs for an n-instruction program:
 Two hardening passes operate on these results: `conservative_filter` grows
 safe sets behind unbalanced branches, and `balance_paths` rewrites the
 program so both directions of a branch carry the same micro-op count.
+`dump_analysis` renders safe sets and profiles as the text report that
+`robsim analyze` prints.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .isa import (
     Opcode,
     Program,
     REP_OPCODES,
-    print_program,
     rep_expansion_count,
 )
 
@@ -164,19 +165,6 @@ def is_back_edge_branch(program: Program, branch: int) -> bool:
         raise AnalysisError(f"instruction {branch} is not a branch")
     target = program.target_of(instr)
     return target is not None and target <= branch
-
-
-def find_reconvergence(program: Program, branch: int) -> int:
-    """Immediate post-dominator of a forward branch.
-
-    Returns len(program) when the directions only rejoin at program exit.
-    Back-edge branches have no finite reconvergence here and are refused.
-    """
-    if is_back_edge_branch(program, branch):
-        raise AnalysisError(
-            f"branch {branch} is a loop back edge: no finite reconvergence point"
-        )
-    return immediate_postdominators(program)[branch]
 
 
 def build_dependence_graph(program: Program) -> DependenceGraph:
@@ -501,27 +489,15 @@ def balance_paths(program: Program, branch: int) -> Program:
     return balanced
 
 
-# --- sidecar analysis file -------------------------------------------------
-
-SIDECAR_HEADER = "# robsim analysis v2"
-
-
-def _program_record(program: Program) -> str:
-    """`program <sha256 of print_program> <instruction count>`."""
-    import hashlib  # loads OpenSSL: ~8 ms that only sidecar users should pay
-
-    digest = hashlib.sha256(print_program(program).encode()).hexdigest()
-    return f"program {digest} {len(program)}"
+# --- analysis report -------------------------------------------------------
 
 
 def dump_analysis(
-    safe_sets: dict[int, frozenset[int]],
-    profiles: dict[int, PathProfile],
-    program: Program,
+    safe_sets: dict[int, frozenset[int]], profiles: dict[int, PathProfile]
 ) -> str:
-    """Text sidecar for `program`: header, program fingerprint, one `ss`
-    line per instruction, one `profile` per branch."""
-    lines = [SIDECAR_HEADER, _program_record(program)]
+    """Text report: header, one `ss` line per instruction, one `profile`
+    per branch."""
+    lines = ["# robsim analysis v3"]
     for i in sorted(safe_sets):
         members = " ".join(str(m) for m in sorted(safe_sets[i]))
         lines.append(f"ss {i} {members}".rstrip())
@@ -532,72 +508,3 @@ def dump_analysis(
             f"profile {b} {reconv} {p.min_uops} {p.max_uops} {int(p.variable)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def load_analysis(
-    text: str, program: Program
-) -> tuple[dict[int, frozenset[int]], dict[int, PathProfile]]:
-    """Parse a sidecar and refuse it unless it describes `program`.
-
-    A sidecar of another program would lift loads it does not describe, so
-    the ss ids must be exactly 0..n-1 with every member below n, and the
-    sidecar must be v2 and carry this program's fingerprint line.
-    """
-    safe_sets: dict[int, frozenset[int]] = {}
-    profiles: dict[int, PathProfile] = {}
-    program_line: str | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "ss":
-            try:
-                instr, *members = (int(word) for word in parts[1:])
-            except ValueError:  # no id, or a word that is not an integer
-                raise AnalysisError(f"sidecar line {line_no}: malformed ss") from None
-            if instr in safe_sets:
-                raise AnalysisError(f"sidecar line {line_no}: duplicate ss {instr}")
-            safe_sets[instr] = frozenset(members)
-        elif parts[0] == "profile":
-            try:
-                if len(parts) != 6:
-                    raise ValueError
-                branch, lo, hi, variable = (int(parts[i]) for i in (1, 3, 4, 5))
-                reconv = None if parts[2] == "-" else int(parts[2])
-            except ValueError:  # wrong field count, or a word that is not an integer
-                raise AnalysisError(f"sidecar line {line_no}: malformed profile") from None
-            if branch in profiles:
-                raise AnalysisError(f"sidecar line {line_no}: duplicate profile {branch}")
-            profiles[branch] = PathProfile(reconv, lo, hi, bool(variable))
-        elif parts[0] == "program":
-            if program_line is not None:
-                raise AnalysisError(f"sidecar line {line_no}: duplicate program")
-            program_line = " ".join(parts)
-        else:
-            raise AnalysisError(f"sidecar line {line_no}: unknown record {parts[0]!r}")
-
-    n = len(program)
-    if sorted(safe_sets) != list(range(n)):
-        raise AnalysisError(
-            f"sidecar has ss records for {len(safe_sets)} instruction ids, "
-            f"not exactly 0..{n - 1} of the program; rerun robsim analyze"
-        )
-    for instr, members in safe_sets.items():
-        bad = [m for m in members if not 0 <= m < n]
-        if bad:
-            raise AnalysisError(
-                f"sidecar ss {instr} names instruction {min(bad)} outside "
-                f"the {n}-instruction program; rerun robsim analyze"
-            )
-    header = text.split("\n", 1)[0].strip()
-    if header != SIDECAR_HEADER:
-        raise AnalysisError(
-            f"sidecar header is {header!r}, not {SIDECAR_HEADER!r}; rerun robsim analyze"
-        )
-    if program_line != _program_record(program):
-        raise AnalysisError(
-            "sidecar was computed for another program (its program line does not "
-            "match this program's sha256 and length); rerun robsim analyze"
-        )
-    return safe_sets, profiles

@@ -2,8 +2,8 @@
 
 Three subcommands: `run` sweeps attack scenarios against defense modes and
 writes CSV artifacts, `sim` executes one assembly program and dumps its
-trace, `analyze` emits the static analysis sidecar (safe sets and path
-profiles) for a program.
+trace, `analyze` prints the static analysis (safe sets and path profiles)
+of a program.
 
 Exit codes: 0 ok, 1 usage or config error, 2 simulation fault (cycle
 limit), 3 security-property violation (a cell that promised
@@ -17,12 +17,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .analysis import (
-    analyze_all_branches,
-    compute_safe_sets,
-    dump_analysis,
-    load_analysis,
-)
+from .analysis import analyze_all_branches, compute_safe_sets, dump_analysis
 from .core import BranchPredictor, MachineConfig, SimulationLimitError, Simulator
 from .defenses import DefenseMode, Mitigation
 from .experiment import (
@@ -37,7 +32,7 @@ from .experiment import (
     run_experiment,
 )
 from .isa import parse_program
-from .scenarios import ProgramAnalysis, prepare_program
+from .scenarios import prepare_program
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,19 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--mitigation", action="append", default=None, help="mitigation (repeatable)"
     )
-    sim.add_argument(
-        "--safe-sets",
-        help="analysis sidecar file; dom_plus_invarspec computes one when absent",
-    )
     sim.add_argument("--trace", help="write the uop lifecycle CSV here")
     sim.add_argument("--occupancy", help="write the per-cycle occupancy CSV here")
     sim.add_argument("--max-cycles", type=int, help="abort after this many cycles")
 
     analyze = sub.add_parser(
-        "analyze", help="emit the safe-set / path-profile sidecar for a program"
+        "analyze", help="print the safe sets and path profiles of a program"
     )
     analyze.add_argument("program", help="assembly file")
-    analyze.add_argument("--out", help="sidecar path (default stdout)")
+    analyze.add_argument("--out", help="report path (default stdout)")
     return parser
 
 
@@ -139,20 +130,14 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     mode = DefenseMode(args.defense)
     mitigations = parse_mitigation_set(args.mitigation or [])
     if Mitigation.PATH_BALANCING in mitigations:
-        raise ConfigError("sim runs programs as written; balance them via analyze/run")
+        raise ConfigError(
+            "sim runs programs as written; balance one with robsim.balance_paths "
+            "or study balanced scenarios through run"
+        )
     machine = MachineConfig()
     if args.max_cycles is not None:
         machine = dataclasses.replace(
             machine, core=dataclasses.replace(machine.core, max_cycles=args.max_cycles)
-        )
-    analysis = None
-    if args.safe_sets:
-        try:
-            text = Path(args.safe_sets).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read sidecar: {exc}") from None
-        analysis = ProgramAnalysis(
-            program, machine.core.expansion_cap, *load_analysis(text, program)
         )
     _, policy = prepare_program(
         program,
@@ -160,7 +145,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         mitigations,
         name=args.program,
         cap=machine.core.expansion_cap,
-        analysis=analysis,
     )
     sim = Simulator(program, machine, policy, BranchPredictor())
     trace = sim.run()
@@ -168,10 +152,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         Path(args.trace).write_text(trace.to_csv())
     if args.occupancy:
         Path(args.occupancy).write_text(occupancy_csv(trace.occupancy))
-    committed = sum(1 for r in trace.records if r.commit_cycle is not None)
+    stats = trace.stats
     print(
-        f"{len(trace.occupancy)} cycles, {committed} uops committed, "
-        f"peak occupancy {trace.stats.peak_occupancy}"
+        f"{len(trace.occupancy)} cycles, {stats.committed_uops} uops committed, "
+        f"peak occupancy {stats.peak_occupancy}"
     )
     return 0
 
@@ -180,7 +164,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
     safe_sets = compute_safe_sets(program)
     profiles = analyze_all_branches(program)
-    text = dump_analysis(safe_sets, profiles, program)
+    text = dump_analysis(safe_sets, profiles)
     if args.out:
         Path(args.out).write_text(text)
     else:

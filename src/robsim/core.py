@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
-from .defenses import DefensePolicy, dom_gate, esp_check
+from .defenses import REP_PREDICTED_COUNT, DefensePolicy, dom_gate, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
     KIND_BY_OPCODE,
@@ -213,7 +213,7 @@ class RepExpansion:
     opcode: Opcode
     predicted: bool
     requested: int | None  # true 2n / 5n+12 count; set at verification if predicted
-    target: int  # micro-ops this instance emits (predicted: rep_predicted_count)
+    target: int  # micro-ops this instance emits (predicted: REP_PREDICTED_COUNT)
     capped: bool = False
     emitted: int = 0
     verified: bool | None = None
@@ -834,7 +834,7 @@ class Simulator:
                 opcode=macro.opcode,
                 predicted=True,
                 requested=None,
-                target=self.policy.rep_predicted_count,
+                target=REP_PREDICTED_COUNT,
                 counter_producer=producer,
                 checkpoint=dict(self._prod_map),
             )

@@ -33,6 +33,9 @@ if TYPE_CHECKING:
     from .cache import CacheState
 
 
+REP_PREDICTED_COUNT = 8  # micro-ops an operand_independent_fill REP emits
+
+
 class DefenseMode(Enum):
     UNPROTECTED = "unprotected"
     DOM = "dom"
@@ -47,31 +50,23 @@ class Mitigation(Enum):
 
 @dataclass(frozen=True)
 class BalanceCertificate:
-    """Witness that every branch in a program has equal-length directions."""
+    """Witness that one branch has equal fixed-length directions."""
 
-    path_lengths: tuple[tuple[int, int], ...]  # (branch id, uops per side)
+    branch: int
+    uops: int  # micro-ops on each side
 
 
-def certify_balanced(
-    program: Program, branches: Iterable[int] | None = None
-) -> BalanceCertificate:
-    """Check branches for equal fixed-length paths; raise otherwise.
-
-    With `branches` given, only those are certified (the usual case: the
-    secret-selected branch after a balance_paths rewrite). Default is all.
-    """
-    wanted = None if branches is None else set(branches)
-    lengths: list[tuple[int, int]] = []
-    for branch, profile in sorted(analyze_all_branches(program).items()):
-        if wanted is not None and branch not in wanted:
-            continue
-        if profile.variable or profile.min_uops != profile.max_uops:
-            raise BalanceError(
-                f"branch {branch}: paths are {profile.min_uops}/{profile.max_uops} uops"
-                f"{' (variable)' if profile.variable else ''}; run balance_paths first"
-            )
-        lengths.append((branch, profile.min_uops))
-    return BalanceCertificate(tuple(lengths))
+def certify_balanced(program: Program, branch: int) -> BalanceCertificate:
+    """Certify that both directions of `branch` carry the same fixed
+    micro-op count (the secret-selected branch after a balance_paths
+    rewrite); raise otherwise."""
+    profile = analyze_all_branches(program)[branch]
+    if profile.variable or profile.min_uops != profile.max_uops:
+        raise BalanceError(
+            f"branch {branch}: paths are {profile.min_uops}/{profile.max_uops} uops"
+            f"{' (variable)' if profile.variable else ''}; run balance_paths first"
+        )
+    return BalanceCertificate(branch, profile.min_uops)
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,6 @@ class DefensePolicy:
     mode: DefenseMode = DefenseMode.UNPROTECTED
     mitigations: frozenset[Mitigation] = frozenset()
     safe_sets: Mapping[int, frozenset[int]] | None = None
-    rep_predicted_count: int = 8
     balance_certificate: BalanceCertificate | None = None
 
     def __post_init__(self) -> None:
@@ -90,8 +84,6 @@ class DefensePolicy:
             and self.balance_certificate is None
         ):
             raise ValueError("path_balancing requires a balance certificate")
-        if self.rep_predicted_count < 1:
-            raise ValueError("rep_predicted_count must be positive")
 
     @property
     def gates_loads(self) -> bool:
@@ -186,6 +178,7 @@ __all__ = [
     "DefenseMode",
     "DefensePolicy",
     "Mitigation",
+    "REP_PREDICTED_COUNT",
     "certify_balanced",
     "dom_gate",
     "esp_check",

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .analysis import (
     PathProfile,
@@ -286,21 +287,16 @@ def _build_v1_straight(machine: MachineConfig) -> Scenario:
     )
 
 
-def build_fsi_v2(
-    machine: MachineConfig | None = None,
-    addr_a: int = CONFLICT_ADDR_A,
-    addr_b: int = CONFLICT_ADDR_B,
-) -> Scenario:
+def build_fsi_v2(machine: MachineConfig | None = None) -> Scenario:
     """Replacement-state receiver: fill order of a conflicting pair."""
     machine = machine or MachineConfig()
     cache = machine.cache
     if cache.ways != 1:
         raise ScenarioError("fsi_v2_order needs a direct-mapped cache (ways=1)")
-    if addr_a == addr_b:
-        raise ScenarioError("conflict pair is degenerate: A == B")
-    if addr_a % cache.num_sets != addr_b % cache.num_sets:
+    if CONFLICT_ADDR_A % cache.num_sets != CONFLICT_ADDR_B % cache.num_sets:
         raise ScenarioError(
-            f"addresses {addr_a} and {addr_b} do not map to the same set"
+            f"addresses {CONFLICT_ADDR_A} and {CONFLICT_ADDR_B} do not map to "
+            f"the same set of a {cache.num_sets}-set cache"
         )
     gadget = machine.core.rob_size + 16
     lines = _window_prologue()
@@ -310,8 +306,8 @@ def build_fsi_v2(
     ]
     lines += ["alu r3, r3, 1"] * gadget
     lines += [
-        f"normal: load r5, [{addr_a}]",
-        f"target: load r4, [{addr_b}]",
+        f"normal: load r5, [{CONFLICT_ADDR_A}]",
+        f"target: load r4, [{CONFLICT_ADDR_B}]",
     ]
     program = parse_program("\n".join(lines))
     window_branch = WINDOW_CHAIN + 2
@@ -322,13 +318,13 @@ def build_fsi_v2(
         machine=machine,
         receiver=Receiver(
             ReceiverKind.SET_ORDER,
-            set_index=addr_a % cache.num_sets,
-            signal_tag=addr_b,
+            set_index=CONFLICT_ADDR_A % cache.num_sets,
+            signal_tag=CONFLICT_ADDR_B,
         ),
         observation=ObservationKind.SET_ORDER,
         forced_predictions={window_branch: False, gate_branch: False},
         warm_addresses=(SECRET_ADDR,),
-        flush_addresses=(addr_a, addr_b, WINDOW_ADDR),
+        flush_addresses=(CONFLICT_ADDR_A, CONFLICT_ADDR_B, WINDOW_ADDR),
         # padding equalizes timing, but this receiver reads replacement
         # state; the channel survives any pad count, so balancing is out
         balance_branch=None,
@@ -420,25 +416,19 @@ class ProgramAnalysis:
     """Safe sets and path profiles of one program as written.
 
     Each is computed on first use and then kept, so every cell of a sweep
-    that runs the program shares one analysis; a sidecar supplies both.
+    that runs the program shares one analysis.
     """
 
     program: Program
     cap: int
-    _safe_sets: dict[int, frozenset[int]] | None = None
-    _profiles: dict[int, PathProfile] | None = None
 
-    @property
+    @cached_property
     def safe_sets(self) -> dict[int, frozenset[int]]:
-        if self._safe_sets is None:
-            self._safe_sets = compute_safe_sets(self.program)
-        return self._safe_sets
+        return compute_safe_sets(self.program)
 
-    @property
+    @cached_property
     def profiles(self) -> dict[int, PathProfile]:
-        if self._profiles is None:
-            self._profiles = analyze_all_branches(self.program, self.cap)
-        return self._profiles
+        return analyze_all_branches(self.program, self.cap)
 
 
 def prepare(
@@ -506,7 +496,7 @@ def prepare_program(
                 "does not select between fixed-length paths"
             )
         program = balance_paths(program, balance_branch)
-        certificate = certify_balanced(program, [balance_branch])
+        certificate = certify_balanced(program, balance_branch)
         analysis = None  # it describes the program as written
     if analysis is None:
         analysis = ProgramAnalysis(program, cap)

@@ -14,10 +14,7 @@ from robsim.analysis import (
     build_dependence_graph,
     compute_safe_sets,
     conservative_filter,
-    dump_analysis,
-    find_reconvergence,
     immediate_postdominators,
-    load_analysis,
     successors,
 )
 from robsim.isa import DEFAULT_EXPANSION_CAP, Opcode, parse_program
@@ -225,12 +222,13 @@ def test_reconvergence_if_without_else():
         join: load r3, [8]
         """
     )
-    assert find_reconvergence(prog, 0) == 3
+    assert immediate_postdominators(prog)[0] == 3
 
 
 def test_reconvergence_diamond_and_exit_join():
     prog = parse_program(DIAMOND_3_10)
-    assert find_reconvergence(prog, 0) == 15
+    assert immediate_postdominators(prog)[0] == 15
+    assert analyze_paths(prog, 0).reconv == 15
     tails = parse_program(
         """
         branch r1, other
@@ -240,7 +238,7 @@ def test_reconvergence_diamond_and_exit_join():
         done: nop
         """
     )
-    assert find_reconvergence(tails, 0) == 4
+    assert immediate_postdominators(tails)[0] == 4
     never_joins = parse_program(
         """
         branch r1, right
@@ -250,9 +248,8 @@ def test_reconvergence_diamond_and_exit_join():
         out: nop
         """
     )
-    # both paths share only the exit when the taken side falls into 'out' too;
-    # this one joins at 'out' (id 4), so build a真 exit-join shape instead
-    assert find_reconvergence(never_joins, 0) == 4
+    # both directions rejoin at 'out' (id 4)
+    assert analyze_paths(never_joins, 0).reconv == 4
 
 
 def test_back_edge_branch_refused_with_diagnostic():
@@ -272,13 +269,14 @@ def test_back_edge_branch_refused_with_diagnostic():
         nop
         """
     )
-    with pytest.raises(AnalysisError, match="back edge"):
-        find_reconvergence(loop, 1)
+    # no finite reconvergence, so no pad count can balance it
     profile = analyze_paths(loop, 1)
     assert profile.variable
     assert profile.reconv is None
     assert profile.max_uops == DEFAULT_EXPANSION_CAP
-    assert find_reconvergence(prog, 1) == 3
+    with pytest.raises(BalanceError, match="variable-length"):
+        balance_paths(loop, 1)
+    assert analyze_paths(prog, 1).reconv == 3
 
 
 def test_path_profile_three_vs_ten():
@@ -408,48 +406,6 @@ def test_balanced_program_returned_unchanged_when_equal():
         """
     )
     assert balance_paths(prog, 0) is prog
-
-
-def test_sidecar_roundtrip():
-    prog = parse_program(DIAMOND_3_10)
-    sets = compute_safe_sets(prog)
-    profiles = analyze_all_branches(prog)
-    text = dump_analysis(sets, profiles, prog)
-    loaded_sets, loaded_profiles = load_analysis(text, prog)
-    assert loaded_sets == sets
-    assert loaded_profiles == profiles
-    assert text.startswith("# robsim analysis v2\nprogram ")
-    assert text.splitlines()[1].endswith(f" {len(prog)}")
-
-
-def test_sidecar_rejects_garbage():
-    prog = parse_program("nop\n")
-    with pytest.raises(AnalysisError, match="unknown record"):
-        load_analysis("bogus 1 2 3\n", prog)
-    with pytest.raises(AnalysisError, match="line 2: malformed profile"):
-        load_analysis("# robsim analysis v1\nprofile 0 4 x 2 0\n", prog)
-    with pytest.raises(AnalysisError, match="line 3: duplicate profile 0"):
-        load_analysis("profile 0 4 2 2 0\n\nprofile 0 - 0 8 1\n", prog)
-
-
-def test_sidecar_is_bound_to_its_program():
-    prog = parse_program(GUARDED_LOAD)
-    text = dump_analysis(compute_safe_sets(prog), analyze_all_branches(prog), prog)
-    header, program_line, *records = text.splitlines()
-    # same length, one operand changed: the fingerprint no longer matches
-    edited = parse_program(GUARDED_LOAD.replace("[32]", "[40]"))
-    assert len(edited) == len(prog)
-    with pytest.raises(AnalysisError, match="another program.*rerun robsim analyze"):
-        load_analysis(text, edited)
-    v1 = "\n".join(["# robsim analysis v1", *records]) + "\n"
-    with pytest.raises(AnalysisError, match="not '# robsim analysis v2'; rerun"):
-        load_analysis(v1, prog)
-    no_program = "\n".join([header, *records]) + "\n"
-    with pytest.raises(AnalysisError, match="another program"):
-        load_analysis(no_program, prog)
-    twice = "\n".join([header, program_line, program_line, *records]) + "\n"
-    with pytest.raises(AnalysisError, match="line 3: duplicate program"):
-        load_analysis(twice, prog)
 
 
 def addresses(reg):

@@ -597,22 +597,6 @@ def test_predicted_rep_mismatch_squashes_and_reexpands():
     assert all(not e.predicted for e in trace.committed_for(1))
 
 
-def test_predicted_rep_count_is_policy_controlled():
-    policy = DefensePolicy(
-        mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}),
-        rep_predicted_count=2,
-    )
-    text = """
-    alu r1, r1, 1
-    rep_movs r1
-    """
-    trace = simulate(text, policy=policy)
-    rep = trace.rep_expansions[0]
-    assert rep.predicted
-    assert rep.emitted == 2
-    assert rep.verified is True
-
-
 def test_untainted_rep_ignores_fill_prediction():
     policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
     text = """

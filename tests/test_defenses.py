@@ -58,11 +58,6 @@ def test_policy_requires_balance_certificate():
         DefensePolicy(mitigations=frozenset({Mitigation.PATH_BALANCING}))
 
 
-def test_policy_rejects_nonpositive_predicted_count():
-    with pytest.raises(ValueError, match="positive"):
-        DefensePolicy(rep_predicted_count=0)
-
-
 def test_dom_gate_resident_line_executes_deferred():
     cache = CacheState(CacheConfig())
     cache.warm(40)
@@ -160,8 +155,8 @@ nop
 
 
 def test_certify_balanced_issues_certificate():
-    cert = certify_balanced(parse_program(BALANCED))
-    assert cert.path_lengths == ((0, 3),)
+    cert = certify_balanced(parse_program(BALANCED), 0)
+    assert (cert.branch, cert.uops) == (0, 3)
     policy = DefensePolicy(
         mitigations=frozenset({Mitigation.PATH_BALANCING}),
         balance_certificate=cert,
@@ -171,10 +166,10 @@ def test_certify_balanced_issues_certificate():
 
 def test_certify_balanced_rejects_unequal_paths():
     with pytest.raises(BalanceError, match="2/3"):
-        certify_balanced(parse_program(LOPSIDED))
+        certify_balanced(parse_program(LOPSIDED), 0)
 
 
 def test_certify_balanced_rejects_variable_paths():
     text = LOPSIDED.replace("alu r2, r2, 1", "rep_movs r2")
     with pytest.raises(BalanceError, match="variable"):
-        certify_balanced(parse_program(text))
+        certify_balanced(parse_program(text), 0)

@@ -435,13 +435,19 @@ def test_cli_analyze_round_trip(tmp_path, capsys):
     program.write_text(
         ".data 8 1\nload r1, [8]\nbranch r1, done\nalu r2, r2, 1\ndone: load r3, [40]\n"
     )
-    sidecar = tmp_path / "analysis.txt"
-    assert run_cli("analyze", str(program), "--out", str(sidecar)) == 0
-    text = sidecar.read_text()
-    assert text.startswith("# robsim analysis v2")
-    assert run_cli(
-        "sim", str(program), "--defense", "dom_plus_invarspec", "--safe-sets", str(sidecar)
-    ) == 0
+    report = tmp_path / "analysis.txt"
+    assert run_cli("analyze", str(program), "--out", str(report)) == 0
+    assert run_cli("analyze", str(program)) == 0
+    assert capsys.readouterr().out == report.read_text()
+    assert report.read_text().splitlines() == [
+        "# robsim analysis v3",
+        "ss 0",
+        "ss 1 0",
+        "ss 2 0 1",
+        "ss 3",
+        "profile 1 3 0 1 0",
+    ]
+    assert run_cli("sim", str(program), "--defense", "dom_plus_invarspec") == 0
 
 
 SHADOWED_LOAD_PROGRAM = """\
@@ -454,69 +460,26 @@ done: nop
 """
 
 
-def test_cli_sim_rejects_sidecar_of_another_program(tmp_path, capsys):
-    # a 2-nop program's sidecar leaves the shadowed load at instruction 2
-    # without a safe set, so it would lift at dispatch
-    other = tmp_path / "nops.asm"
-    other.write_text("nop\nnop\n")
-    sidecar = tmp_path / "nops.txt"
-    assert run_cli("analyze", str(other), "--out", str(sidecar)) == 0
-    assert sidecar.read_text().splitlines()[2:] == ["ss 0", "ss 1"]
+def test_cli_sim_analyzes_the_program_it_runs(tmp_path, capsys):
+    # a report whose ss 2 line is emptied would lift the wrong-path load at
+    # instruction 2 the moment it dispatches; sim takes no such file
     program = tmp_path / "p.asm"
     program.write_text(SHADOWED_LOAD_PROGRAM)
+    report = tmp_path / "p.txt"
+    assert run_cli("analyze", str(program), "--out", str(report)) == 0
+    text = report.read_text()
+    assert "\nss 2 0 1\n" in text
+    report.write_text(text.replace("\nss 2 0 1\n", "\nss 2\n"))
     trace = tmp_path / "trace.csv"
     args = ("sim", str(program), "--defense", "dom_plus_invarspec", "--trace", str(trace))
-    assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
-    assert "not exactly 0..4" in capsys.readouterr().err
+    assert run_cli(*args, "--safe-sets", str(report)) == 1
+    assert "unrecognized arguments: --safe-sets" in capsys.readouterr().err
     assert not trace.exists()
 
-    sidecar.write_text("ss 0\nss 1\nss 2 0 1\nss 3 0 1\nss 4 9\n")
-    assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
-    assert "ss 4 names instruction 9" in capsys.readouterr().err
-
-    own = tmp_path / "own.txt"
-    assert run_cli("analyze", str(program), "--out", str(own)) == 0
-    assert run_cli(*args, "--safe-sets", str(own)) == 0
-
-
-@pytest.mark.parametrize(
-    "lines, error",
-    [
-        ("ss", "line 2: malformed ss"),
-        ("ss x", "line 2: malformed ss"),
-        ("ss 0 y", "line 2: malformed ss"),
-        ("ss 0\nss 0", "line 3: duplicate ss 0"),
-    ],
-)
-def test_cli_sim_rejects_malformed_ss_line(tmp_path, capsys, lines, error):
-    program = tmp_path / "p.asm"
-    program.write_text("nop\n")
-    sidecar = tmp_path / "bad.txt"
-    sidecar.write_text(f"# robsim analysis v1\n{lines}\n")
-    code = run_cli(
-        "sim", str(program), "--defense", "dom_plus_invarspec", "--safe-sets", str(sidecar)
-    )
-    assert code == 1
-    assert f"sidecar {error}" in capsys.readouterr().err
-
-
-def test_cli_sim_rejects_sidecar_of_edited_program(tmp_path, capsys):
-    program = tmp_path / "p.asm"
-    program.write_text(SHADOWED_LOAD_PROGRAM)
-    sidecar = tmp_path / "p.txt"
-    assert run_cli("analyze", str(program), "--out", str(sidecar)) == 0
-    # same five instructions, but the shadowed load now reads another line
-    program.write_text(SHADOWED_LOAD_PROGRAM.replace("[40]", "[48]"))
-    args = ("sim", str(program), "--defense", "dom_plus_invarspec")
-    assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
-    assert "another program" in capsys.readouterr().err
-
-    # a v1 sidecar of the very same program has no fingerprint to check
-    assert run_cli("analyze", str(program), "--out", str(sidecar)) == 0
-    lines = sidecar.read_text().splitlines()
-    sidecar.write_text("\n".join(["# robsim analysis v1", *lines[2:]]) + "\n")
-    assert run_cli(*args, "--safe-sets", str(sidecar)) == 1
-    assert "rerun robsim analyze" in capsys.readouterr().err
+    assert run_cli(*args) == 0
+    rows = csv.DictReader(trace.read_text().splitlines())
+    load = [r for r in rows if r["instr"] == "2"]
+    assert load and all(r["esp_cycle"] == "" and r["outcome"] != "miss" for r in load)
 
 
 def _sim_cycles(capsys, *argv) -> int:
@@ -532,12 +495,8 @@ def test_cli_sim_conservative_invariance_filters_safe_sets(tmp_path, capsys):
     for secret, unfiltered in ((0, 132), (1, 147)):
         program = tmp_path / f"loop{secret}.asm"
         program.write_text(print_program(build_scenario("fsi_v1_loop", secret).program))
-        sidecar = tmp_path / f"loop{secret}.txt"
-        assert run_cli("analyze", str(program), "--out", str(sidecar)) == 0
         assert _sim_cycles(capsys, str(program), *invar) == unfiltered
         assert _sim_cycles(capsys, str(program), *invar, *conservative) == 147
-        with_sidecar = (*invar, *conservative, "--safe-sets", str(sidecar))
-        assert _sim_cycles(capsys, str(program), *with_sidecar) == 147
 
 
 def test_cli_sim_refuses_mitigations_that_do_not_apply(tmp_path, capsys):
@@ -552,6 +511,11 @@ def test_cli_sim_refuses_mitigations_that_do_not_apply(tmp_path, capsys):
         assert "applies only under dom_plus_invarspec" in capsys.readouterr().err
     assert run_cli("sim", str(program), "--mitigation", "operand_independent_fill") == 1
     assert "contains no rep expansion" in capsys.readouterr().err
+    assert run_cli("sim", str(program), "--mitigation", "path_balancing") == 1
+    assert capsys.readouterr().err == (
+        "robsim: error: sim runs programs as written; balance one with "
+        "robsim.balance_paths or study balanced scenarios through run\n"
+    )
 
 
 def test_cli_analyze_refuses_instruction_that_cannot_reach_exit(tmp_path, capsys):

@@ -112,7 +112,7 @@ def trace_digests() -> dict[str, str]:
 
 
 def _records(text: str) -> str:
-    """The ss/profile records of a sidecar, without its header lines."""
+    """The ss/profile records of an analysis report, without its header."""
     return "\n".join(
         line for line in text.splitlines() if line.split()[0] in ("ss", "profile")
     )
@@ -135,9 +135,9 @@ def analysis_digests() -> dict[str, str]:
                 profiles = analyze_all_branches(program)
                 filtered = conservative_filter(sets, profiles, len(program))
                 key = f"{name}/rob{rob}/s{secret}"
-                out[key] = _sha(_records(dump_analysis(sets, profiles, program)))
+                out[key] = _sha(_records(dump_analysis(sets, profiles)))
                 out[f"{key}/conservative"] = _sha(
-                    _records(dump_analysis(filtered, {}, program))
+                    _records(dump_analysis(filtered, {}))
                 )
     return out
 

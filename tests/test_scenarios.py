@@ -7,7 +7,7 @@ import pytest
 from robsim.analysis import BalanceError
 from robsim.cache import CacheConfig
 from robsim.core import CoreConfig, MachineConfig
-from robsim.defenses import DefenseMode, Mitigation
+from robsim.defenses import REP_PREDICTED_COUNT, DefenseMode, Mitigation
 from robsim.experiment import CellResult, reports_csv
 from robsim.isa import Opcode
 from robsim.scenarios import (
@@ -147,14 +147,11 @@ def test_v2_requires_direct_mapped_cache():
         build_fsi_v2(machine)
 
 
-def test_v2_rejects_degenerate_pair():
-    with pytest.raises(ScenarioError, match="degenerate"):
-        build_fsi_v2(addr_a=12, addr_b=12)
-
-
 def test_v2_rejects_non_conflicting_pair():
-    with pytest.raises(ScenarioError, match="same set"):
-        build_fsi_v2(addr_a=12, addr_b=13)
+    # the pair 12/76 shares a set of 64, not of 128 (`cache: {num_sets: 128}`)
+    machine = MachineConfig(cache=CacheConfig(num_sets=128))
+    with pytest.raises(ScenarioError, match="same set of a 128-set cache"):
+        build_fsi_v2(machine)
 
 
 def test_bsi_needs_two_mshr_entries():
@@ -371,7 +368,7 @@ def test_predicted_fill_emits_fixed_count():
     trace, _ = run_single(scenario, policy)
     expansion = trace.rep_expansions[0]
     assert expansion.predicted
-    assert expansion.emitted == policy.rep_predicted_count
+    assert expansion.emitted == REP_PREDICTED_COUNT
 
 
 # --- trials and receivers ---------------------------------------------------
