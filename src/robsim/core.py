@@ -26,6 +26,22 @@ observation surface the attack scenarios probe.
 
 An entry's stage is read off its cycle stamps (dispatch, exec_start,
 complete, then commit or squash), each written once; no status is kept.
+
+`Simulator.step()` advances exactly one cycle and is the oracle the
+event-skipping `run()` is tested against. After each step, `run()` jumps
+over the cycles in which no phase can act. A cycle c+1 is idle when there
+is no redirect stall, the ROB is non-empty and its head cannot commit (not
+complete, or an unverified predicted micro-op), no queued entry can
+dispatch, no completion or fill is due at c+1, no ALU entry is ready by
+c+1, every ready memory entry stays gated (a shadowed store, or a shadowed
+load neither lifted by ESP nor hitting), no predicted REP can be verified,
+and fetch is blocked (full decode queue, end of program, a FENCE waiting
+for the drain, or a REP waiting for its in-flight counter). Any ungated
+ready access ends the skip, even one a full MSHR table will reject, since
+it draws jitter. The jump lands just before the next event: the earliest
+completion, fill or future ready cycle, capped at max_cycles. Each
+skipped cycle appends the unchanged occupancy and counts the dispatch and
+decode stalls the stepper would have counted, so traces are identical.
 """
 
 from __future__ import annotations
@@ -36,13 +52,13 @@ import random
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, dom_gate, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
-    KIND_BY_OPCODE,
     Imm,
     MacroInstruction,
     Mem,
@@ -124,7 +140,7 @@ class MemEvent:
     applied: bool = True  # deferred effects flip this at commit
 
 
-@dataclass
+@dataclass(slots=True)
 class RobEntry:
     uop: MicroOp
     macro: MacroInstruction
@@ -338,11 +354,15 @@ class Simulator:
         policy: DefensePolicy | None = None,
         predictor: BranchPredictor | None = None,
     ):
-        program.validate()
         self.program = program
+        self._targets = program.targets  # validates the program on first use
+        self._n_instr = len(program)
         self.machine = machine or MachineConfig()
         self.config = self.machine.core
         self.policy = policy or DefensePolicy()
+        self._gates_loads = self.policy.gates_loads
+        self._lifts = self.policy.lifts_invariant
+        self._predicted_fill = self.policy.predicted_fill
         self.predictor = predictor or BranchPredictor()
         self.cache = CacheState(self.machine.cache)
         self.regs: dict[int, int] = {}
@@ -376,21 +396,28 @@ class Simulator:
     @property
     def halted(self) -> bool:
         return (
-            self.pc >= len(self.program)
+            self.pc >= self._n_instr
             and self._expansion is None
             and not self._queue
             and not self.rob
         )
 
     def step(self) -> None:
-        """Advance one cycle through the five phases."""
+        """Advance one cycle through the five phases; a phase with nothing
+        queued is not entered."""
         self.cycle += 1
-        for addr in self.cache.process_fills(self.cycle):
-            self._mem_events.append(MemEvent(self.cycle, None, None, addr, "fill"))
-        self._commit()
-        self._issue()
+        if self.cache.mshrs:
+            for addr in self.cache.process_fills(self.cycle):
+                self._mem_events.append(MemEvent(self.cycle, None, None, addr, "fill"))
+        if self.rob:
+            self._commit()
+        if self._alu_queue:
+            self._issue_alu()
+        if self._mem_queue:
+            self._issue_mem()
         self._complete()
-        self._dispatch()
+        if self._queue:
+            self._dispatch()
         self._fetch_decode()
         occ = len(self.rob)
         self._occupancy.append(occ)
@@ -399,6 +426,7 @@ class Simulator:
         assert occ <= self.config.rob_size
 
     def run(self) -> Trace:
+        """Step to halt, jumping over idle cycles (see the module docstring)."""
         while not self.halted:
             if self.cycle >= self.config.max_cycles:
                 snapshot = [
@@ -408,6 +436,7 @@ class Simulator:
                 ]
                 raise SimulationLimitError(self.cycle, len(self.rob), snapshot)
             self.step()
+            self._skip_idle()
         self.stats.cycles = self.cycle
         return Trace(
             records=self._records,
@@ -417,6 +446,86 @@ class Simulator:
             warnings=self._warnings,
             stats=self.stats,
         )
+
+    # ------------------------------------------------------------------
+    # idle-cycle skipping
+
+    def _skip_idle(self) -> None:
+        """Advance `cycle` to just before the next cycle in which a phase can
+        act, accounting each skipped cycle as the stepper would: one
+        occupancy sample, plus a dispatch stall and a decode stall where
+        those phases are blocked. Never passes max_cycles."""
+        nxt = self.cycle + 1
+        rob = self.rob
+        if not rob or self._redirect_stall:
+            return  # an empty ROB that has not halted still decodes
+        head = rob[0]
+        if head.complete_cycle is not None and not head.predicted:
+            return
+        rob_full = len(rob) >= self.config.rob_size
+        if self._queue and not rob_full:
+            return
+        decode_stall = self._decode_stall()
+        if decode_stall is None:
+            return
+        # the next event: a completion, a fill or a queued entry turning ready
+        event = min(self._completions, default=self.config.max_cycles + 1)
+        for mshr in self.cache.mshrs:
+            event = min(event, mshr.fill_cycle)
+        for entry in self._alu_queue:
+            if entry.squash_cycle is None:
+                event = min(event, entry.ready_cycle)
+        if event <= nxt:
+            return
+        for entry in self._mem_queue:
+            if entry.squash_cycle is None:
+                if entry.ready_cycle > nxt:
+                    event = min(event, entry.ready_cycle)
+                elif not self._gate_holds(entry):
+                    return
+        if any(self._verifiable(rep) for rep in self._live_reps):
+            return
+        skipped = min(event - 1, self.config.max_cycles) - self.cycle
+        if skipped <= 0:
+            return
+        self.cycle += skipped
+        self._occupancy.extend(repeat(len(rob), skipped))
+        if self._queue and rob_full:
+            self.stats.dispatch_stalls += skipped
+        self.stats.decode_stalls += decode_stall * skipped
+
+    def _decode_stall(self) -> int | None:
+        """Decode stalls fetch adds per cycle while blocked, or None when it
+        can decode; call only with a non-empty ROB and no redirect stall."""
+        if len(self._queue) >= 2 * self.config.decode_width:
+            return 0
+        if self._expansion is not None:
+            return None
+        if self.pc >= self._n_instr:
+            return 0
+        macro = self.program.instructions[self.pc]
+        if macro.opcode is Opcode.FENCE:
+            return 1  # the ROB is not drained
+        if macro.opcode in REP_OPCODES and self._rep_waits(macro):
+            return 1
+        return None
+
+    def _gate_holds(self, entry: RobEntry) -> bool:
+        """True when a ready memory entry stays gated this cycle: a shadowed
+        store, or a shadowed load neither lifted nor hitting. Like the issue
+        phase it computes the address; unlike it, it stamps no ESP cycle."""
+        if entry.address is None:
+            entry.address = self._effective_address(entry)
+        if not self._gates_loads or entry.shadow is None:
+            return False
+        if entry.uop.kind is UopKind.MEM_WRITE:
+            return True
+        if self._lifts and (
+            entry.esp_cycle is not None
+            or esp_check(entry, self.policy.safe_sets, self.rob)
+        ):
+            return False
+        return not dom_gate(entry, self.cache)
 
     # ------------------------------------------------------------------
     # commit
@@ -447,10 +556,6 @@ class Simulator:
 
     # ------------------------------------------------------------------
     # issue
-
-    def _issue(self) -> None:
-        self._issue_alu()
-        self._issue_mem()
 
     def _issue_alu(self) -> None:
         issued = 0
@@ -485,7 +590,7 @@ class Simulator:
             if entry.address is None:
                 entry.address = self._effective_address(entry)
             deferred = False  # a gated load runs only on a hit, effects deferred
-            if self.policy.gates_loads and entry.shadow is not None:
+            if self._gates_loads and entry.shadow is not None:
                 if entry.uop.kind is UopKind.MEM_WRITE:
                     i += 1  # shadowed stores always wait for the shadow
                     continue
@@ -539,7 +644,7 @@ class Simulator:
         self._schedule_completion(entry, self.cycle + result.latency - 1)
 
     def _lifted(self, entry: RobEntry) -> bool:
-        if not self.policy.lifts_invariant:
+        if not self._lifts:
             return False
         if entry.esp_cycle is not None:
             return True
@@ -581,16 +686,18 @@ class Simulator:
         self._completions.setdefault(when, []).append(entry)
 
     def _complete(self) -> None:
-        due = self._completions.pop(self.cycle, [])
-        due.sort(key=lambda e: e.rob_seq)
-        for entry in due:
-            if entry.squashed:
-                continue
-            entry.complete_cycle = self.cycle
-            self._wake_dependents(entry)
-            if entry.uop.kind is UopKind.BRANCH_RESOLVE:
-                self._resolve_branch(entry)
-        self._verify_predicted_reps()
+        due = self._completions.pop(self.cycle, None)
+        if due is not None:
+            due.sort(key=lambda e: e.rob_seq)
+            for entry in due:
+                if entry.squashed:
+                    continue
+                entry.complete_cycle = self.cycle
+                self._wake_dependents(entry)
+                if entry.uop.kind is UopKind.BRANCH_RESOLVE:
+                    self._resolve_branch(entry)
+        if self._live_reps:
+            self._verify_predicted_reps()
 
     def _wake_dependents(self, producer: RobEntry) -> None:
         for dep in producer.dependents:
@@ -609,25 +716,29 @@ class Simulator:
         self._release_shadow(entry.rob_seq)
         if taken == entry.predicted_taken:
             return
-        target = (
-            self.program.target_of(entry.macro) if taken else entry.instr + 1
-        )
+        target = self._targets[entry.instr] if taken else entry.instr + 1
         assert target is not None
         assert entry.checkpoint is not None
         self._squash_after(entry.rob_seq, entry.checkpoint, target, "branch", entry.instr)
 
+    @staticmethod
+    def _verifiable(rep: RepExpansion) -> bool:
+        """A predicted expansion is checked once it has streamed in full, its
+        first micro-op is dispatched and unshadowed, and its counter exists."""
+        if rep.emitted < rep.target:
+            return False
+        first = rep.entries[0]
+        if first.dispatch_cycle is None or first.shadow is not None:
+            return False
+        assert rep.counter_producer is not None  # predicted only for an in-flight counter
+        return rep.counter_producer.complete_cycle is not None
+
     def _verify_predicted_reps(self) -> None:
         for rep in self._live_reps:
-            if rep.emitted < rep.target:
-                continue  # prediction still streaming into the queue
+            if not self._verifiable(rep):
+                continue
             first = rep.entries[0]
-            if first.dispatch_cycle is None or first.shadow is not None:
-                continue
-            producer = rep.counter_producer
-            assert producer is not None  # predicted only for an in-flight counter
-            if not producer.complete:
-                continue
-            value = producer.result or 0
+            value = rep.counter_producer.result or 0
             requested = rep_expansion_count(rep.opcode, value)
             true_target = min(requested, self.config.expansion_cap)
             rep.requested = requested
@@ -712,9 +823,10 @@ class Simulator:
                 self._unresolved.append(entry.rob_seq)
             pending = 0
             latest = entry.dispatch_cycle
-            for producer in entry.producers:
-                if producer.complete:
-                    assert producer.complete_cycle is not None
+            for _, producer in entry.src:
+                if producer is None:
+                    continue
+                if producer.complete_cycle is not None:
                     latest = max(latest, producer.complete_cycle + 1)
                 else:
                     producer.dependents.append(entry)
@@ -723,10 +835,7 @@ class Simulator:
             if pending == 0:
                 entry.ready_cycle = latest
                 self._enqueue_ready(entry)
-            if (
-                self.policy.lifts_invariant
-                and entry.uop.kind in (UopKind.MEM_READ, UopKind.MEM_WRITE)
-            ):
+            if self._lifts and entry.uop.kind in (UopKind.MEM_READ, UopKind.MEM_WRITE):
                 self._lifted(entry)  # stamps esp at dispatch for empty safe sets
         if self._queue and len(self.rob) >= self.config.rob_size:
             self.stats.dispatch_stalls += 1
@@ -757,7 +866,7 @@ class Simulator:
                 self._emit_rep_uop(self._expansion)
                 slots -= 1
                 continue
-            if self.pc >= len(self.program):
+            if self.pc >= self._n_instr:
                 break
             macro = self.program.instructions[self.pc]
             if macro.opcode is Opcode.FENCE and (self.rob or self._queue):
@@ -772,63 +881,60 @@ class Simulator:
             slots -= 1
 
     def _decode_simple(self, macro: MacroInstruction) -> None:
-        entry = self._push_uop(macro, 0, KIND_BY_OPCODE[macro.opcode])
+        entry = self._push_uop(macro, macro.decoded.uop)
+        target = self._targets[macro.id]
         if macro.opcode is Opcode.BRANCH:
             predicted = self.predictor.predict(macro.id)
             entry.predicted_taken = predicted
             entry.checkpoint = dict(self._prod_map)
-            if predicted:
-                target = self.program.target_of(macro)
-                assert target is not None
-                self.pc = target
-            else:
-                self.pc = macro.id + 1
+            self.pc = target if predicted else macro.id + 1
         elif macro.opcode is Opcode.JUMP:
-            target = self.program.target_of(macro)
-            assert target is not None
             self.pc = target
         else:
             self.pc = macro.id + 1
 
     def _push_uop(
-        self,
-        macro: MacroInstruction,
-        seq: int,
-        kind: UopKind,
-        predicted: bool = False,
+        self, macro: MacroInstruction, uop: MicroOp, predicted: bool = False
     ) -> RobEntry:
-        src: list[tuple[int, RobEntry | None]] = []
-        if seq == 0 and macro.opcode not in REP_OPCODES:
-            seen: set[int] = set()
-            for reg in macro.source_regs():
-                if reg.index in seen:
-                    continue
-                seen.add(reg.index)
-                src.append((reg.index, self._prod_map.get(reg.index)))
-        dest = macro.dest_reg()
+        _, src_regs, dest = macro.decoded
+        prod_map = self._prod_map
         entry = RobEntry(
-            uop=MicroOp(macro.id, seq, kind),
+            uop=uop,
             macro=macro,
             instance=len(self._records),
-            src=tuple(src),
-            dest=dest.index if dest is not None else None,
+            src=tuple([(r, prod_map.get(r)) for r in src_regs]) if src_regs else (),
+            dest=dest,
             predicted=predicted,
         )
         if dest is not None:
-            self._prod_map[dest.index] = entry
+            prod_map[dest] = entry
         self._queue.append(entry)
         self._records.append(entry)
         return entry
 
+    def _rep_waits(self, macro: MacroInstruction) -> bool:
+        """True while a REP's in-flight counter must be bypassed before it
+        expands: no re-expansion override and no predicted fill."""
+        if self._rep_override is not None and self._rep_override[0] == macro.id:
+            return False
+        producer = self._prod_map.get(macro.operands[0].index)
+        return (
+            producer is not None
+            and producer.complete_cycle is None
+            and not self._predicted_fill
+        )
+
     def _begin_rep(self, macro: MacroInstruction) -> bool:
         """Start expanding a REP macro. False means decode stalls."""
+        if self._rep_waits(macro):
+            return False  # counter not yet bypassable
         counter_reg = macro.operands[0].index
         producer = self._prod_map.get(counter_reg)
         override: int | None = None
         if self._rep_override is not None and self._rep_override[0] == macro.id:
             override = self._rep_override[1]
             self._rep_override = None
-        if override is None and producer is not None and self.policy.predicted_fill:
+        if override is None and producer is not None and self._predicted_fill:
             rep = RepExpansion(
                 instr=macro.id,
                 opcode=macro.opcode,
@@ -843,8 +949,6 @@ class Simulator:
             if override is not None:
                 value = override
             elif producer is not None:
-                if not producer.complete:
-                    return False  # counter not yet bypassable
                 value = producer.result or 0
             else:
                 value = self.regs.get(counter_reg, 0)
@@ -871,7 +975,8 @@ class Simulator:
     def _emit_rep_uop(self, rep: RepExpansion) -> None:
         """Emit the next micro-op of the active expansion, ending it at target."""
         macro = self.program.instructions[rep.instr]
-        entry = self._push_uop(macro, rep.emitted, UopKind.NOP, predicted=rep.predicted)
+        uop = MicroOp(rep.instr, rep.emitted, UopKind.NOP)
+        entry = self._push_uop(macro, uop, predicted=rep.predicted)
         rep.emitted += 1
         if rep.predicted:
             rep.entries.append(entry)

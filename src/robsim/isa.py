@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 ADDRESS_SPACE = 1 << 20  # valid data addresses are [0, ADDRESS_SPACE)
 DEFAULT_EXPANSION_CAP = 4096  # max micro-ops emitted per rep instruction
@@ -121,6 +123,24 @@ class MacroInstruction:
     operands: tuple[Operand, ...]
     label: str | None = None
 
+    @cached_property
+    def decoded(self) -> DecodedInstruction:
+        """What the core reads off this instruction at every decode, worked
+        out once per (immutable) instruction object.
+
+        Source registers are deduplicated in operand order. A rep opcode
+        lists none: its counter is read at decode, and its micro-ops wait
+        on nothing at dispatch.
+        """
+        dest = self.dest_reg()
+        return DecodedInstruction(
+            MicroOp(self.id, 0, KIND_BY_OPCODE.get(self.opcode, UopKind.NOP)),
+            ()
+            if self.opcode in REP_OPCODES
+            else tuple(dict.fromkeys(r.index for r in self.source_regs())),
+            None if dest is None else dest.index,
+        )
+
     def dest_reg(self) -> Reg | None:
         if self.opcode in (Opcode.LOAD, Opcode.ALU, Opcode.SETSHIFT):
             return self.operands[0]  # type: ignore[return-value]
@@ -165,6 +185,12 @@ class MicroOp:
     kind: UopKind
 
 
+class DecodedInstruction(NamedTuple):
+    uop: MicroOp  # its first micro-op; a rep opcode's are NOPs
+    src: tuple[int, ...]  # registers whose producers it waits on at dispatch
+    dest: int | None  # register it writes
+
+
 @dataclass
 class Program:
     instructions: list[MacroInstruction]
@@ -177,6 +203,15 @@ class Program:
     def target_of(self, instr: MacroInstruction) -> int | None:
         name = instr.target_label()
         return None if name is None else self.labels[name]
+
+    @cached_property
+    def targets(self) -> tuple[int | None, ...]:
+        """Resolved branch or jump target of each instruction id, None for
+        other opcodes. Resolved once per program object, after validate()
+        passes, so derive an edited program with dataclasses.replace, never
+        in place."""
+        self.validate()
+        return tuple(self.target_of(instr) for instr in self.instructions)
 
     def validate(self) -> None:
         for i, instr in enumerate(self.instructions):

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_analysis import cyclic_programs, dag_programs
 
 from robsim.analysis import AnalysisError, compute_safe_sets
 from robsim.cache import CacheConfig
@@ -18,8 +22,25 @@ from robsim.core import (
     run,
 )
 from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
-from robsim.isa import REP_OPCODES, Opcode, UopKind, parse_program
-from robsim.scenarios import SCENARIO_NAMES, ScenarioError, build_scenario, prepare, run_single
+from robsim.isa import (
+    ADDRESS_SPACE,
+    REP_OPCODES,
+    Label,
+    MacroInstruction,
+    Opcode,
+    Program,
+    UopKind,
+    parse_program,
+)
+from robsim.scenarios import (
+    SCENARIO_NAMES,
+    ProgramAnalysis,
+    ScenarioError,
+    build_scenario,
+    prepare,
+    run_single,
+    with_secret,
+)
 
 
 def make_sim(
@@ -659,3 +680,243 @@ def test_run_convenience_matches_simulator():
     program = parse_program("alu r1, r1, 1")
     trace = run(program)
     assert trace.stats.committed_uops == 1
+
+
+# ----------------------------------------------------------------------
+# idle-cycle skipping: run() against the one-cycle stepper
+
+
+def stepped_run(sim: Simulator):
+    """run() with one step() per cycle: the oracle for idle-cycle skipping."""
+    sim._skip_idle = lambda: None
+    return sim.run()
+
+
+def run_state(sim: Simulator, trace) -> dict:
+    """Everything a run leaves behind that a reader of its trace can see."""
+    cache = sim.cache
+    return {
+        "csv": trace.to_csv(),
+        "occupancy": trace.occupancy,
+        "mem_events": [dataclasses.asdict(e) for e in trace.mem_events],
+        "stats": dataclasses.asdict(trace.stats),
+        "reps": [
+            (r.instr, r.opcode, r.predicted, r.requested, r.target, r.capped,
+             r.emitted, r.verified, [e.instance for e in r.entries])
+            for r in trace.rep_expansions
+        ],
+        "warnings": trace.warnings,
+        "cache": (cache.sets, [(m.addr, m.fill_cycle) for m in cache.mshrs],
+                  cache.hits, cache.misses, cache.coalesced_misses, cache.mshr_stalls),
+    }
+
+
+def assert_skipping_matches_stepper(make):
+    """`make()` builds a fresh simulator; run it skipping and stepping."""
+    fast, slow = make(), make()
+    assert run_state(fast, fast.run()) == run_state(slow, stepped_run(slow))
+
+
+def counting_steps(monkeypatch) -> list[int]:
+    calls = [0]
+    step = Simulator.step
+
+    def counted(self):
+        calls[0] += 1
+        step(self)
+
+    monkeypatch.setattr(Simulator, "step", counted)
+    return calls
+
+
+def scenario_sim(scenario, policy) -> Simulator:
+    """Trial 0 of a prepared scenario, set up as run_single sets it up."""
+    sim = Simulator(
+        scenario.program, scenario.machine, policy,
+        BranchPredictor(scenario.forced_predictions),
+    )
+    for addr in scenario.warm_addresses:
+        sim.cache.warm(addr)
+    for addr in scenario.flush_addresses:
+        sim.cache.flush(addr)
+    return sim
+
+
+def prepared_cells(machine, mitigation_sets):
+    """(scenario, policy) of both secrets of every scenario x mode x
+    mitigation set that applies, built and analyzed as a sweep does."""
+    for name in SCENARIO_NAMES:
+        base = build_scenario(name, 0, machine)
+        analysis = ProgramAnalysis(base.program, machine.core.expansion_cap)
+        for mode in DefenseMode:
+            for mitigations in mitigation_sets:
+                try:
+                    scenario, policy = prepare(base, mode, mitigations, analysis)
+                except (ScenarioError, AnalysisError):
+                    continue
+                for secret in (0, 1):
+                    yield with_secret(scenario, secret), policy
+
+
+ALL_MITIGATION_SETS = [frozenset()] + [frozenset({m}) for m in Mitigation]
+
+
+@pytest.mark.parametrize("rob_size", [64, 768])
+@pytest.mark.parametrize("jitter", [0, 5])
+def test_skipping_matches_stepper_on_every_scenario_cell(rob_size, jitter):
+    machine = MachineConfig(core=CoreConfig(rob_size=rob_size), jitter_amplitude=jitter)
+    cells = 0
+    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
+        assert_skipping_matches_stepper(lambda: scenario_sim(scenario, policy))
+        cells += 1
+    assert cells == 52
+
+
+def test_reference_grid_steps_fewer_than_sixty_percent_of_cycles(monkeypatch):
+    steps = counting_steps(monkeypatch)
+    cycles = 0
+    for jitter in (0, 2):
+        for scenario, policy in prepared_cells(
+            MachineConfig(jitter_amplitude=jitter), [frozenset()]
+        ):
+            cycles += run_single(scenario, policy, 0)[0].stats.cycles
+    assert steps[0] < 0.6 * cycles
+
+
+def test_jammed_rob_stalls_dispatch_across_the_miss(monkeypatch):
+    text = "\n".join(["load r1, [8]"] + ["alu r2, r2, 1"] * 12)
+    make = lambda: make_sim(text, core=CoreConfig(rob_size=4))
+    assert_skipping_matches_stepper(make)
+    steps = counting_steps(monkeypatch)
+    trace = make().run()
+    assert trace.stats.dispatch_stalls >= 55  # a full ROB behind the 60-cycle miss
+    assert steps[0] < trace.stats.cycles - 50
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "load r1, [8]\nfence\nalu r2, r2, 1",
+        "load r1, [8]\nrep_movs r1\nalu r2, r2, 1",
+    ],
+    ids=["fence_drain", "rep_counter"],
+)
+def test_blocked_decode_counts_each_skipped_cycle(text, monkeypatch):
+    assert_skipping_matches_stepper(lambda: make_sim(text))
+    steps = counting_steps(monkeypatch)
+    trace = simulate(text)
+    assert trace.stats.decode_stalls >= 55
+    assert steps[0] < trace.stats.cycles - 50
+
+
+def test_mshr_retries_are_stepped_and_draw_jitter(monkeypatch):
+    text = "load r1, [8]\nload r2, [72]\nload r3, [136]"
+    make = lambda: make_sim(text, cache=CacheConfig(mshr_entries=1), jitter=5, seed=3)
+    assert_skipping_matches_stepper(make)
+    steps = counting_steps(monkeypatch)
+    trace = make().run()
+    retries = trace.stats.load_port_stalls
+    assert retries > 100  # each load waits out the fill before it
+    assert steps[0] > retries
+    latencies = [e.latency for e in trace.records]
+    assert len(set(latencies)) > 1 and all(55 <= lat <= 65 for lat in latencies)
+
+
+def test_predicted_rep_verifies_under_a_jammed_rob(monkeypatch):
+    # the expansion streams in full while a miss jams the ROB; its check is
+    # the only work left, one cycle later
+    text = "load r0, [8]\nalu r1, r1, 3\nrep_movs r1"
+    policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
+    make = lambda: make_sim(text, core=CoreConfig(rob_size=8), policy=policy)
+    assert_skipping_matches_stepper(make)
+    steps = counting_steps(monkeypatch)
+    trace = make().run()
+    rep = trace.rep_expansions[0]
+    assert rep.predicted and rep.verified is False
+    assert trace.stats.squash_log[0].cycle == 4
+    assert steps[0] < trace.stats.cycles - 50
+
+@pytest.mark.parametrize("max_cycles", [30, 61, 62, 63])
+def test_cycle_limit_inside_an_idle_stretch(max_cycles):
+    text = "load r1, [8]\nalu r2, r1, 1\nspin: jump spin"
+    core = CoreConfig(max_cycles=max_cycles)
+    errors = []
+    for go in (Simulator.run, stepped_run):
+        with pytest.raises(SimulationLimitError) as info:
+            go(make_sim(text, core=core))
+        errors.append((info.value.cycle, info.value.occupancy, info.value.snapshot))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == max_cycles
+
+
+@st.composite
+def machine_runs(draw):
+    """A random program with forced predictions, policy and machine."""
+    program = draw(st.one_of(dag_programs(), cyclic_programs()))
+    branches = [i.id for i in program.instructions if i.opcode is Opcode.BRANCH]
+    forced = draw(st.dictionaries(st.sampled_from(branches), st.booleans())) if branches else {}
+    mode = draw(st.sampled_from(list(DefenseMode)))
+    safe_sets = None
+    if mode is DefenseMode.DOM_PLUS_INVARSPEC:
+        safe_sets = draw(st.sampled_from([
+            compute_safe_sets(program),
+            {i: frozenset() for i in range(len(program))},
+        ]))
+    machine = MachineConfig(
+        core=CoreConfig(
+            rob_size=draw(st.sampled_from([4, 8, 64])),
+            max_cycles=draw(st.integers(min_value=20, max_value=400)),
+        ),
+        cache=CacheConfig(mshr_entries=draw(st.integers(min_value=1, max_value=2))),
+        jitter_amplitude=draw(st.sampled_from([0, 3])),
+        jitter_seed=draw(st.integers(min_value=0, max_value=3)),
+    )
+    warm = draw(st.sets(st.integers(min_value=0, max_value=15)))
+    return program, forced, DefensePolicy(mode=mode, safe_sets=safe_sets), machine, warm
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine_runs())
+def test_skipping_matches_stepper_on_random_programs(run_args):
+    program, forced, policy, machine, warm = run_args
+
+    def make():
+        sim = Simulator(program, machine, policy, BranchPredictor(forced))
+        for addr in warm:
+            sim.cache.warm(addr)
+        return sim
+
+    outcomes = []
+    for go in (Simulator.run, stepped_run):
+        sim = make()
+        try:
+            outcomes.append(run_state(sim, go(sim)))
+        except SimulationLimitError as exc:
+            outcomes.append((exc.cycle, exc.occupancy, exc.snapshot))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        (Program([MacroInstruction(1, Opcode.NOP, ())]), "not dense"),
+        (Program([MacroInstruction(0, Opcode.JUMP, (Label("nowhere"),))]), "unresolved label"),
+        (Program([MacroInstruction(0, Opcode.NOP, ())], data_init={ADDRESS_SPACE: 1}),
+         "outside address space"),
+    ],
+    ids=["non_dense_ids", "unresolved_label", "data_outside_address_space"],
+)
+def test_simulator_rejects_an_invalid_program(program, message):
+    with pytest.raises(ValueError, match=message):
+        Simulator(program)
+
+
+def test_program_is_validated_once_for_many_simulators(monkeypatch):
+    calls = []
+    validate = Program.validate
+    monkeypatch.setattr(Program, "validate", lambda self: calls.append(1) or validate(self))
+    program = Program([MacroInstruction(0, Opcode.NOP, ())])
+    for _ in range(3):
+        Simulator(program).run()
+    assert len(calls) == 1
+
