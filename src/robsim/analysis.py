@@ -17,17 +17,22 @@ costs for an n-instruction program:
     and Warren: walk the post-dominator tree from each successor of a
     branch up to the branch's immediate post-dominator, one step per edge
     added);
-  * safe set of i: the transitive closure of i's dependence sources,
-    closed per strongly connected component (Tarjan) in reverse
-    topological order with one set union per component; linear in the
-    graph plus the size of the sets it builds. An empty safe set means i is
-    invariant the moment it dispatches, which is exactly the property the
-    contention attacks exploit;
+  * safe set of i: the transitive closure of i's dependence sources, kept
+    as an int bitmask (bit m set when m is a member), closed per strongly
+    connected component (Tarjan) in reverse topological order with one
+    integer OR per dependence edge; O(E * n / w) for E edges and w-bit
+    machine words. An empty safe set (0) means i is invariant the moment
+    it dispatches, which is exactly the property the contention attacks
+    exploit;
   * reconvergence: immediate post-dominator of a branch, read off the tree;
   * path profiles: per-direction micro-op counts between a branch and its
-    reconvergence point, flagged variable when a rep opcode or a back edge
-    makes the count run-time dependent. Every path is enumerated, so the
-    cost is exponential in the number of sequential diamonds.
+    reconvergence point, flagged variable when a rep opcode or a cycle
+    makes the count run-time dependent. Over the region the branch reaches
+    before reconverging (R nodes, E edges): the shortest count by one
+    Dijkstra, O(E log R); the longest, when the region is acyclic, by one
+    sweep in topological order, O(R + E); in a cyclic region, one more
+    Dijkstra inside its component per node on a cycle, O(C * E log R) for
+    C such nodes.
 
 Two hardening passes operate on these results: `conservative_filter` grows
 safe sets behind unbalanced branches, and `balance_paths` rewrites the
@@ -40,6 +45,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
+from math import inf
 
 from .isa import (
     DEFAULT_EXPANSION_CAP,
@@ -110,8 +117,12 @@ def immediate_postdominators(program: Program) -> list[int]:
     An instruction that cannot reach the exit has no post-dominators, so
     the program is refused naming the first such instruction.
     """
-    n = len(program)
-    succ, preds = _cfg(program)
+    return _postdominator_tree(*_cfg(program))
+
+
+def _postdominator_tree(succ: list[list[int]], preds: list[list[int]]) -> list[int]:
+    """immediate_postdominators from the lists `_cfg` builds."""
+    n = len(succ)
 
     # postorder of the reverse CFG, depth first from the exit
     order = [-1] * (n + 1)
@@ -212,7 +223,7 @@ def build_dependence_graph(program: Program) -> DependenceGraph:
     # branch b iff i post-dominates a successor of b but not b itself, i.e.
     # i lies on the post-dominator tree path from that successor up to, and
     # excluding, ipdom(b)
-    ipdom = immediate_postdominators(program)
+    ipdom = _postdominator_tree(succ, preds)
     for b, instr in enumerate(instructions):
         if instr.opcode != Opcode.BRANCH:
             continue
@@ -274,37 +285,42 @@ def _components(edges: list[list[int]]) -> list[list[int]]:
 
 def compute_safe_sets(
     program: Program, graph: DependenceGraph | None = None
-) -> dict[int, frozenset[int]]:
-    """Safe set of each instruction id: its transitive dependence sources.
+) -> dict[int, int]:
+    """Safe set of each instruction id as a bitmask of its transitive
+    dependence sources: bit m is set when m is a member.
 
     Closed one strongly connected component at a time, sources first: a
-    component's set is the union of its outside sources and their sets,
-    plus its own members when it is cyclic. Members share one frozenset.
+    component's mask ORs each outside source's bit and mask, plus its own
+    members' bits when it is cyclic.
     """
     if graph is None:
         graph = build_dependence_graph(program)
     n = len(program)
     edges = [list(graph.sources(i)) for i in range(n)]
     component_of = [-1] * n
-    closures: list[frozenset[int]] = []
+    closures: list[int] = []
     for c, members in enumerate(_components(edges)):
         for v in members:
             component_of[v] = c
-        outside = {w for v in members for w in edges[v] if component_of[w] != c}
-        reached = frozenset().union(
-            outside, *(closures[k] for k in {component_of[w] for w in outside})
-        )
+        reached = 0
+        for v in members:
+            for w in edges[v]:
+                k = component_of[w]
+                if k != c:
+                    reached |= closures[k] | (1 << w)
         if len(members) > 1 or members[0] in edges[members[0]]:
-            reached |= frozenset(members)
+            for v in members:
+                reached |= 1 << v
         closures.append(reached)
     return {i: closures[component_of[i]] for i in range(n)}
 
 
-def _uop_weight(instr: MacroInstruction, cap: int) -> tuple[int, int, bool]:
-    """(min, max, variable) micro-op contribution of one macro instruction."""
+def _min_uops(instr: MacroInstruction) -> int:
+    """Fewest micro-ops one macro instruction contributes; a rep opcode's
+    count is run-time dependent, up to the expansion cap."""
     if instr.opcode in REP_OPCODES:
-        return rep_expansion_count(instr.opcode, 0), cap, True
-    return 1, 1, False
+        return rep_expansion_count(instr.opcode, 0)
+    return 1
 
 
 def analyze_paths(
@@ -319,75 +335,151 @@ def analyze_paths(
     cycles (back edges), in which case max_uops saturates at the cap.
     `ipdom` is the program's `immediate_postdominators`, computed when absent.
     """
+    succ, preds = _cfg(program)
+    if ipdom is None:
+        ipdom = _postdominator_tree(succ, preds)
+    return _profile(program, succ, ipdom, branch, cap)
+
+
+def _profile(
+    program: Program, succ: list[list[int]], ipdom: list[int], branch: int, cap: int
+) -> PathProfile:
+    """Path profile of `branch`, which has no finite reconvergence when it
+    is a back edge. Otherwise it covers the region the branch reaches
+    before its reconvergence point (the branch itself is in the region only
+    if a cycle returns to it). A path starts at a successor of the branch,
+    counts each node it enters and ends at the reconvergence point or on
+    reaching a node it already holds (the branch counts as held and weighs
+    nothing).
+
+    min_uops is the smaller of the shortest complete path and, over every
+    node x on a cycle, the shortest count reaching x plus the cheapest
+    cycle back to x without x's own weight. A cycle or a rep opcode makes
+    the profile variable with max_uops = cap; otherwise max_uops is the
+    longest path, saturating at `cap`, found by one sweep in topological
+    order.
+    """
     if is_back_edge_branch(program, branch):
         return PathProfile(None, 0, cap, True)
-    if ipdom is None:
-        ipdom = immediate_postdominators(program)
+    instructions = program.instructions
+    n = len(instructions)
     reconv = ipdom[branch]
-    n = len(program)
-    mins: list[int] = []
-    maxs: list[int] = []
-    variable = False
-
-    # depth-first over every path, first successor first; a pending node
-    # carries its (min, max) so far and the nodes already on its path, a
-    # set shared with its siblings
-    start = frozenset({branch})
-    stack = [(s, 0, 0, start) for s in reversed(successors(program, branch))]
+    local: dict[int, int] = {}
+    region: list[int] = []
+    stack = list(succ[branch])
     while stack:
-        node, acc_min, acc_max, on_path = stack.pop()
-        if node == reconv or node >= n:
-            mins.append(acc_min)
-            maxs.append(acc_max)
+        node = stack.pop()
+        if node != reconv and node < n and node not in local:
+            local[node] = len(region)
+            region.append(node)
+            stack.extend(succ[node])
+    edges = [[local[s] for s in succ[v] if s in local] for v in region]
+    exits = [len(edges[x]) < len(succ[v]) for x, v in enumerate(region)]
+    weights = [_min_uops(instructions[v]) for v in region]
+    starts = [local[s] for s in succ[branch] if s in local]
+    direct = len(starts) < len(succ[branch])  # an edge straight to reconv
+
+    # shortest count through each node, its own weight included (Dijkstra)
+    dist = [inf] * len(region)
+    if branch in local:
+        dist[local[branch]] = 0  # held from the start, never entered
+    shortest = 0 if direct else inf
+    heap = [(weights[x], x) for x in starts]
+    while heap:
+        d, x = heappop(heap)
+        if d >= dist[x]:
             continue
-        if node in on_path:
-            variable = True
-            mins.append(acc_min)
-            maxs.append(cap)
+        dist[x] = d
+        if exits[x]:
+            shortest = min(shortest, d)
+        for t in edges[x]:
+            if dist[t] == inf:
+                heappush(heap, (d + weights[t], t))
+
+    components = _components(edges)
+    cyclic = [c for c in components if len(c) > 1 or c[0] in edges[c[0]]]
+    if cyclic:
+        component_of = [0] * len(region)
+        for c, members in enumerate(components):
+            for x in members:
+                component_of[x] = c
+        for members in cyclic:
+            for x in members:
+                cycle = _cheapest_cycle(x, edges, weights, component_of)
+                shortest = min(shortest, dist[x] + cycle)
+    if cyclic or any(instructions[v].opcode in REP_OPCODES for v in region):
+        return PathProfile(reconv, shortest, cap, True)
+
+    # acyclic and one micro-op per node: longest count by one sweep in
+    # topological order, saturating at the cap
+    longest = [-1] * len(region)  # count on entering each node
+    for x in starts:
+        longest[x] = 0
+    best = 0 if direct else -1
+    for (x,) in reversed(components):
+        out = min(longest[x] + 1, cap)
+        for t in edges[x]:
+            longest[t] = max(longest[t], out)
+        if exits[x]:
+            best = max(best, out)
+    return PathProfile(reconv, shortest, best, False)
+
+
+def _cheapest_cycle(
+    x: int,
+    edges: list[list[int]],
+    weights: list[int],
+    component_of: list[int],
+) -> int:
+    """Least min-weight of a cycle from x back to x, x's own weight left
+    out (a self-loop costs 0); Dijkstra inside x's component, which holds
+    every such cycle."""
+    c = component_of[x]
+    heap = [(0 if t == x else weights[t], t) for t in edges[x] if component_of[t] == c]
+    heapify(heap)
+    done: set[int] = set()
+    while heap:
+        d, v = heappop(heap)
+        if v == x:
+            return d
+        if v in done:
             continue
-        w_min, w_max, w_var = _uop_weight(program.instructions[node], cap)
-        if w_var:
-            variable = True
-        path = on_path | {node}
-        acc_min, acc_max = acc_min + w_min, min(acc_max + w_max, cap)
-        stack.extend(
-            (s, acc_min, acc_max, path) for s in reversed(successors(program, node))
-        )
-    lo, hi = min(mins), max(maxs)
-    if variable:
-        hi = cap
-    return PathProfile(reconv, lo, hi, variable)
+        done.add(v)
+        for t in edges[v]:
+            if component_of[t] == c and t not in done:
+                heappush(heap, (d + (0 if t == x else weights[t]), t))
+    raise AssertionError(f"node {x} is on no cycle")
 
 
 def analyze_all_branches(program: Program, cap: int = DEFAULT_EXPANSION_CAP) -> dict[int, PathProfile]:
-    ipdom = immediate_postdominators(program)
+    succ, preds = _cfg(program)
+    ipdom = _postdominator_tree(succ, preds)
     return {
-        i: analyze_paths(program, i, cap, ipdom)
+        i: _profile(program, succ, ipdom, i, cap)
         for i, instr in enumerate(program.instructions)
         if instr.opcode == Opcode.BRANCH
     }
 
 
 def conservative_filter(
-    safe_sets: dict[int, frozenset[int]],
+    safe_sets: dict[int, int],
     profiles: dict[int, PathProfile],
     program_len: int,
-) -> dict[int, frozenset[int]]:
+) -> dict[int, int]:
     """Grow safe sets behind branches whose directions differ in length.
 
     For every branch with variable or unequal path micro-op counts, each
-    instruction at or after the reconvergence point gets the branch added to
-    its safe set, so invariance cannot be reached before the branch resolves.
-    Idempotent; sets only grow.
+    instruction at or after the reconvergence point gets the branch's bit
+    set in its safe set, so invariance cannot be reached before the branch
+    resolves. Idempotent; sets only grow.
     """
     out = dict(safe_sets)
-    for branch, profile in sorted(profiles.items()):
+    for branch, profile in profiles.items():
         if not (profile.variable or profile.min_uops != profile.max_uops):
             continue
         start = profile.reconv if profile.reconv is not None else branch + 1
         for i in range(start, program_len):
-            if branch not in out[i]:
-                out[i] = out[i] | {branch}
+            out[i] |= 1 << branch
     return out
 
 
@@ -424,18 +516,24 @@ def _rebuild(instructions: list[MacroInstruction], data_init: dict[int, int]) ->
     return prog
 
 
-def balance_paths(program: Program, branch: int) -> Program:
+def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CAP) -> Program:
     """Pad the shorter direction of `branch` with nops until both match.
 
     Refuses variable-length paths (rep expansion or loops) with a diagnostic:
-    no static pad count can equalize those. The returned program is re-id'd
-    and revalidated; callers must rerun analysis on it.
+    no static pad count can equalize those; so is a path whose count
+    reaches `cap`, where it saturates. The returned program is re-id'd and
+    revalidated; callers must rerun analysis on it.
     """
-    profile = analyze_paths(program, branch)
+    profile = analyze_paths(program, branch, cap)
     if profile.variable:
         raise BalanceError(
             f"branch {branch}: paths are variable-length (rep expansion or loop); "
             "padding cannot balance them"
+        )
+    if profile.max_uops >= cap:
+        raise BalanceError(
+            f"branch {branch}: a path reaches the expansion cap ({cap} uops); "
+            "its length is not known exactly"
         )
     assert profile.reconv is not None
     if profile.min_uops == profile.max_uops:
@@ -481,7 +579,7 @@ def balance_paths(program: Program, branch: int) -> Program:
         instructions[branch] = replace(br, operands=new_ops)
         balanced = _rebuild(instructions, program.data_init)
 
-    check = analyze_paths(balanced, branch)
+    check = analyze_paths(balanced, branch, cap)
     if check.min_uops != check.max_uops:
         raise BalanceError(
             f"branch {branch}: balancing failed ({check.min_uops} != {check.max_uops})"
@@ -492,14 +590,22 @@ def balance_paths(program: Program, branch: int) -> Program:
 # --- analysis report -------------------------------------------------------
 
 
-def dump_analysis(
-    safe_sets: dict[int, frozenset[int]], profiles: dict[int, PathProfile]
-) -> str:
-    """Text report: header, one `ss` line per instruction, one `profile`
-    per branch."""
+def _members(bits: int) -> list[int]:
+    """Positions of the set bits of `bits`, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def dump_analysis(safe_sets: dict[int, int], profiles: dict[int, PathProfile]) -> str:
+    """Text report: header, one `ss` line per instruction listing its safe
+    set's members in ascending order, one `profile` per branch."""
     lines = ["# robsim analysis v3"]
     for i in sorted(safe_sets):
-        members = " ".join(str(m) for m in sorted(safe_sets[i]))
+        members = " ".join(map(str, _members(safe_sets[i])))
         lines.append(f"ss {i} {members}".rstrip())
     for b in sorted(profiles):
         p = profiles[b]

@@ -32,16 +32,18 @@ event-skipping `run()` is tested against. After each step, `run()` jumps
 over the cycles in which no phase can act. A cycle c+1 is idle when there
 is no redirect stall, the ROB is non-empty and its head cannot commit (not
 complete, or an unverified predicted micro-op), no queued entry can
-dispatch, no completion or fill is due at c+1, no ALU entry is ready by
-c+1, every ready memory entry stays gated (a shadowed store, or a shadowed
-load neither lifted by ESP nor hitting), no predicted REP can be verified,
-and fetch is blocked (full decode queue, end of program, a FENCE waiting
-for the drain, or a REP waiting for its in-flight counter). Any ungated
-ready access ends the skip, even one a full MSHR table will reject, since
-it draws jitter. The jump lands just before the next event: the earliest
-completion, fill or future ready cycle, capped at max_cycles. Each
-skipped cycle appends the unchanged occupancy and counts the dispatch and
-decode stalls the stepper would have counted, so traces are identical.
+dispatch, no completion or fill is due at c+1, the ALU queue holds no
+live entry, every queued memory entry stays gated (a shadowed store, or a
+shadowed load neither lifted by ESP nor hitting), no predicted REP can be
+verified, and fetch is blocked (full decode queue, end of program, a FENCE
+waiting for the drain, or a REP waiting for its in-flight counter). An
+entry is queued ready by the next cycle at the latest, so a queued entry
+can issue at c+1 unless gated. Any ungated access ends the skip, even one
+a full MSHR table will reject, since it draws jitter. The jump lands just
+before the next event: the earliest completion or fill, capped at
+max_cycles. Each skipped cycle appends the unchanged occupancy and counts
+the dispatch and decode stalls the stepper would have counted, so traces
+are identical.
 """
 
 from __future__ import annotations
@@ -468,21 +470,18 @@ class Simulator:
         decode_stall = self._decode_stall()
         if decode_stall is None:
             return
-        # the next event: a completion, a fill or a queued entry turning ready
+        # a queued entry is ready by nxt: a live ALU entry issues then
+        if any(entry.squash_cycle is None for entry in self._alu_queue):
+            return
+        # the next event: a completion or a fill
         event = min(self._completions, default=self.config.max_cycles + 1)
         for mshr in self.cache.mshrs:
             event = min(event, mshr.fill_cycle)
-        for entry in self._alu_queue:
-            if entry.squash_cycle is None:
-                event = min(event, entry.ready_cycle)
         if event <= nxt:
             return
         for entry in self._mem_queue:
-            if entry.squash_cycle is None:
-                if entry.ready_cycle > nxt:
-                    event = min(event, entry.ready_cycle)
-                elif not self._gate_holds(entry):
-                    return
+            if entry.squash_cycle is None and not self._gate_holds(entry):
+                return
         if any(self._verifiable(rep) for rep in self._live_reps):
             return
         skipped = min(event - 1, self.config.max_cycles) - self.cycle
@@ -559,17 +558,11 @@ class Simulator:
 
     def _issue_alu(self) -> None:
         issued = 0
-        i = 0
         queue = self._alu_queue
-        while issued < self.config.alu_ports and i < len(queue):
-            entry = queue[i]
+        while issued < self.config.alu_ports and queue:
+            entry = queue.pop(0)
             if entry.squashed:
-                queue.pop(i)
                 continue
-            if entry.ready_cycle is None or entry.ready_cycle > self.cycle:
-                i += 1
-                continue
-            queue.pop(i)
             entry.exec_start_cycle = self.cycle
             entry.result = self._alu_result(entry)
             self._schedule_completion(entry, self.cycle + self.config.alu_latency - 1)
@@ -583,9 +576,6 @@ class Simulator:
             entry = queue[i]
             if entry.squashed:
                 queue.pop(i)
-                continue
-            if entry.ready_cycle is None or entry.ready_cycle > self.cycle:
-                i += 1
                 continue
             if entry.address is None:
                 entry.address = self._effective_address(entry)
@@ -841,6 +831,9 @@ class Simulator:
             self.stats.dispatch_stalls += 1
 
     def _enqueue_ready(self, entry: RobEntry) -> None:
+        """Queue an entry whose operands exist, ready this cycle or the next,
+        so it may issue in the next issue phase."""
+        assert entry.ready_cycle is not None and entry.ready_cycle <= self.cycle + 1
         kind = entry.uop.kind
         if kind in (UopKind.MEM_READ, UopKind.MEM_WRITE):
             insort(self._mem_queue, entry, key=lambda e: e.rob_seq)

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
 
 from .analysis import BalanceError, analyze_all_branches
-from .isa import Program
+from .isa import DEFAULT_EXPANSION_CAP, Program
 
 if TYPE_CHECKING:
     from .cache import CacheState
@@ -56,15 +56,18 @@ class BalanceCertificate:
     uops: int  # micro-ops on each side
 
 
-def certify_balanced(program: Program, branch: int) -> BalanceCertificate:
+def certify_balanced(
+    program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CAP
+) -> BalanceCertificate:
     """Certify that both directions of `branch` carry the same fixed
-    micro-op count (the secret-selected branch after a balance_paths
-    rewrite); raise otherwise."""
-    profile = analyze_all_branches(program)[branch]
-    if profile.variable or profile.min_uops != profile.max_uops:
+    micro-op count below the expansion cap `cap` (the secret-selected
+    branch after a balance_paths rewrite); raise otherwise."""
+    profile = analyze_all_branches(program, cap)[branch]
+    if profile.min_uops != profile.max_uops or profile.max_uops >= cap:
         raise BalanceError(
             f"branch {branch}: paths are {profile.min_uops}/{profile.max_uops} uops"
-            f"{' (variable)' if profile.variable else ''}; run balance_paths first"
+            f"{' (variable)' if profile.variable else ''} at expansion cap {cap}; "
+            "run balance_paths first"
         )
     return BalanceCertificate(branch, profile.min_uops)
 
@@ -73,12 +76,18 @@ def certify_balanced(program: Program, branch: int) -> BalanceCertificate:
 class DefensePolicy:
     mode: DefenseMode = DefenseMode.UNPROTECTED
     mitigations: frozenset[Mitigation] = frozenset()
-    safe_sets: Mapping[int, frozenset[int]] | None = None
+    safe_sets: Mapping[int, int] | None = None  # bit m of [i]: m in i's safe set
     balance_certificate: BalanceCertificate | None = None
 
     def __post_init__(self) -> None:
         if self.mode is DefenseMode.DOM_PLUS_INVARSPEC and self.safe_sets is None:
             raise ValueError("dom_plus_invarspec requires safe_sets")
+        for instr, members in (self.safe_sets or {}).items():
+            if type(members) is not int or members < 0:
+                got = members if type(members) is int else type(members).__name__
+                raise ValueError(
+                    f"safe_sets[{instr}] must be a non-negative int bitmask, got {got}"
+                )
         if (
             Mitigation.PATH_BALANCING in self.mitigations
             and self.balance_certificate is None
@@ -124,7 +133,7 @@ def dom_gate(entry: RobEntryView, cache: "CacheState") -> bool:
 def osp_reached(
     entry: RobEntryView,
     rob: Iterable[RobEntryView],
-    safe_sets: Mapping[int, frozenset[int]] | None,
+    safe_sets: Mapping[int, int] | None,
 ) -> bool:
     """True once the entry's result exists and can no longer change.
 
@@ -151,12 +160,13 @@ def osp_reached(
 
 def esp_check(
     entry: RobEntryView,
-    safe_sets: Mapping[int, frozenset[int]] | None,
+    safe_sets: Mapping[int, int] | None,
     rob: Iterable[RobEntryView],
 ) -> bool:
     """Execution-safe point: every older in-flight instance of a safe-set
     member at OSP; a member with no in-flight instance is settled
-    (committed or off-path).
+    (committed or off-path). `safe_sets` maps an instruction to its safe
+    set as a bitmask, bit m set when instruction m is a member.
 
     An empty safe set reaches ESP immediately; the gate bypass this
     enables for bound-to-commit instructions is the lever the whole
@@ -168,7 +178,7 @@ def esp_check(
     for other in rob:
         if other.rob_seq >= entry.rob_seq:
             break
-        if other.instr in members and not osp_reached(other, rob, safe_sets):
+        if members >> other.instr & 1 and not osp_reached(other, rob, safe_sets):
             return False
     return True
 

@@ -423,7 +423,7 @@ class ProgramAnalysis:
     cap: int
 
     @cached_property
-    def safe_sets(self) -> dict[int, frozenset[int]]:
+    def safe_sets(self) -> dict[int, int]:
         return compute_safe_sets(self.program)
 
     @cached_property
@@ -495,8 +495,8 @@ def prepare_program(
                 f"{name}: path balancing does not apply; the secret "
                 "does not select between fixed-length paths"
             )
-        program = balance_paths(program, balance_branch)
-        certificate = certify_balanced(program, balance_branch)
+        program = balance_paths(program, balance_branch, cap)
+        certificate = certify_balanced(program, balance_branch, cap)
         analysis = None  # it describes the program as written
     if analysis is None:
         analysis = ProgramAnalysis(program, cap)

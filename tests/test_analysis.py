@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +17,17 @@ from robsim.analysis import (
     compute_safe_sets,
     conservative_filter,
     immediate_postdominators,
+    is_back_edge_branch,
     successors,
 )
-from robsim.isa import DEFAULT_EXPANSION_CAP, Opcode, parse_program
+from robsim.cli import main
+from robsim.isa import (
+    DEFAULT_EXPANSION_CAP,
+    REP_OPCODES,
+    Opcode,
+    parse_program,
+    rep_expansion_count,
+)
 
 GUARDED_LOAD = """\
     branch r1, then
@@ -36,6 +46,54 @@ short: alu r3, r3, 1
     alu r3, r3, 3
 join: load r4, [40]
 """
+
+
+def members(bits):
+    """The safe set a bitmask encodes: the positions of its set bits."""
+    return frozenset(m for m in range(bits.bit_length()) if bits >> m & 1)
+
+
+def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
+    """Oracle: walk every path from `branch` to its reconvergence point.
+
+    Depth first, first successor first; a path ends at the reconvergence
+    point, at the exit, or on reaching a node it already holds (the branch
+    is held from the start), which makes the profile variable with that
+    path's maximum at the cap. A rep opcode adds its expansion at count 0
+    to the minimum and the cap to the maximum, and makes it variable.
+    Exponential in the number of sequential diamonds.
+    """
+    if is_back_edge_branch(program, branch):
+        return PathProfile(None, 0, cap, True)
+    reconv = immediate_postdominators(program)[branch]
+    n = len(program)
+    mins, maxs = [], []
+    variable = False
+    start = frozenset({branch})
+    stack = [(s, 0, 0, start) for s in reversed(successors(program, branch))]
+    while stack:
+        node, acc_min, acc_max, on_path = stack.pop()
+        if node == reconv or node >= n:
+            mins.append(acc_min)
+            maxs.append(acc_max)
+            continue
+        if node in on_path:
+            variable = True
+            mins.append(acc_min)
+            maxs.append(cap)
+            continue
+        instr = program.instructions[node]
+        if instr.opcode in REP_OPCODES:
+            variable = True
+            w_min, w_max = rep_expansion_count(instr.opcode, 0), cap
+        else:
+            w_min = w_max = 1
+        path = on_path | {node}
+        acc_min, acc_max = acc_min + w_min, min(acc_max + w_max, cap)
+        stack.extend(
+            (s, acc_min, acc_max, path) for s in reversed(successors(program, node))
+        )
+    return PathProfile(reconv, min(mins), cap if variable else max(maxs), variable)
 
 
 def brute_force_postdominators(program):
@@ -193,8 +251,8 @@ def test_guarded_load_dependences_and_safe_sets():
     # the join itself post-dominates the branch: no control edge
     assert graph.control[3] == set()
     sets = compute_safe_sets(prog, graph)
-    assert sets[3] == frozenset({0, 2})
-    assert sets[4] == frozenset()
+    assert members(sets[3]) == frozenset({0, 2})
+    assert members(sets[4]) == frozenset()
 
 
 def test_reaching_definitions_kill_and_merge():
@@ -284,6 +342,9 @@ def test_path_profile_three_vs_ten():
     profile = analyze_paths(prog, 0)
     # fallthrough: 10 alus + 1 jump = 11; taken: 3 alus
     assert profile == PathProfile(15, 3, 11, False)
+    # the longest count saturates at the cap
+    assert analyze_paths(prog, 0, cap=7) == PathProfile(15, 3, 7, False)
+    assert analyze_paths(prog, 0, cap=3) == PathProfile(15, 3, 3, False)
 
 
 def test_path_profile_rep_is_variable():
@@ -305,15 +366,15 @@ def test_conservative_filter_grows_and_is_idempotent():
     prog = parse_program(DIAMOND_3_10)
     sets = compute_safe_sets(prog)
     profiles = analyze_all_branches(prog)
-    assert sets[15] == frozenset()
+    assert members(sets[15]) == frozenset()
     filtered = conservative_filter(sets, profiles, len(prog))
-    assert filtered[15] == frozenset({0})
+    assert members(filtered[15]) == frozenset({0})
     # instructions before the reconvergence point keep their sets
-    assert filtered[1] == sets[1]
+    assert members(filtered[1]) == members(sets[1])
     twice = conservative_filter(filtered, profiles, len(prog))
     assert twice == filtered
     for i in range(len(prog)):
-        assert sets[i] <= filtered[i]
+        assert members(sets[i]) <= members(filtered[i])
 
 
 def test_conservative_filter_skips_balanced_branch():
@@ -343,6 +404,14 @@ def test_balance_paths_pads_shorter_side():
     # semantics preserved: non-pad opcodes in original order
     kept = [i.opcode for i in balanced.instructions if i.opcode != Opcode.NOP]
     assert kept == [i.opcode for i in prog.instructions]
+
+
+def test_balance_paths_refuses_a_path_at_the_cap():
+    prog = parse_program(DIAMOND_3_10)
+    assert analyze_paths(balance_paths(prog, 0, cap=12), 0, cap=12).min_uops == 11
+    # at cap 11 the longer side's count saturates: no exact pad count
+    with pytest.raises(BalanceError, match="reaches the expansion cap"):
+        balance_paths(prog, 0, cap=11)
 
 
 def test_balance_paths_empty_side_gets_pad_block():
@@ -415,13 +484,16 @@ def addresses(reg):
     return st.one_of(offsets.map(lambda o: f"[{o}]"), offsets.map(lambda o: f"[{reg}+{o}]"))
 
 
+KINDS = ["alu", "load", "store", "branch", "jump", "nop", "rep_movs", "rep_lods"]
+
+
 @st.composite
 def dag_programs(draw):
     """Random forward-control-flow programs, up to 32 instructions."""
     n = draw(st.integers(min_value=2, max_value=32))
     lines = []
     for i in range(n):
-        kind = draw(st.sampled_from(["alu", "load", "store", "branch", "jump", "nop"]))
+        kind = draw(st.sampled_from(KINDS))
         if i >= n - 1 and kind in ("branch", "jump"):
             kind = "nop"  # nothing ahead to target
         reg = f"r{draw(st.integers(min_value=0, max_value=5))}"
@@ -435,6 +507,8 @@ def dag_programs(draw):
             body = f"load {reg}, {draw(addresses(reg2))}"
         elif kind == "store":
             body = f"store {reg}, {draw(addresses(reg2))}"
+        elif kind in ("rep_movs", "rep_lods"):
+            body = f"{kind} {reg}"
         else:
             body = "nop"
         lines.append(f"l{i}: {body}")
@@ -449,7 +523,7 @@ def cyclic_programs(draw):
     n = draw(st.integers(min_value=2, max_value=32))
     lines = []
     for i in range(n):
-        kind = draw(st.sampled_from(["alu", "load", "store", "branch", "jump", "nop"]))
+        kind = draw(st.sampled_from(KINDS))
         if i >= n - 1 and kind == "jump":
             kind = "nop"
         reg = f"r{draw(st.integers(min_value=0, max_value=5))}"
@@ -464,6 +538,8 @@ def cyclic_programs(draw):
             body = f"load {reg}, {draw(addresses(reg2))}"
         elif kind == "store":
             body = f"store {reg}, {draw(addresses(reg2))}"
+        elif kind in ("rep_movs", "rep_lods"):
+            body = f"{kind} {reg}"
         else:
             body = "nop"
         lines.append(f"l{i}: {body}")
@@ -478,12 +554,13 @@ def check_against_oracles(prog):
     assert postdominator_sets(ipdom) == pdom
     graph = build_dependence_graph(prog)
     assert (graph.data, graph.control) == oracle_dependence_graph(prog)
-    assert compute_safe_sets(prog, graph) == dfs_closure(graph, n)
-    assert analyze_all_branches(prog) == {
-        b: analyze_paths(prog, b, ipdom=ipdom)
-        for b, instr in enumerate(prog.instructions)
-        if instr.opcode == Opcode.BRANCH
-    }
+    sets = compute_safe_sets(prog, graph)
+    assert {i: members(bits) for i, bits in sets.items()} == dfs_closure(graph, n)
+    branches = [b for b, instr in enumerate(prog.instructions) if instr.opcode == Opcode.BRANCH]
+    for cap in (DEFAULT_EXPANSION_CAP, 7, 3):
+        profiles = analyze_all_branches(prog, cap)
+        assert profiles == {b: enumerated_profile(prog, b, cap) for b in branches}
+        assert profiles == {b: analyze_paths(prog, b, cap, ipdom) for b in branches}
 
 
 @settings(max_examples=80, deadline=None)
@@ -509,9 +586,9 @@ def test_cyclic_component_is_in_its_own_safe_set():
     )
     sets = compute_safe_sets(prog)
     # 0, 1 and 2 form one cycle through the back edge: each depends on all
-    assert sets[0] == sets[1] == sets[2] == frozenset({0, 1, 2})
+    assert members(sets[0]) == members(sets[1]) == members(sets[2]) == frozenset({0, 1, 2})
     assert sets[0] is sets[2]
-    assert sets[3] == frozenset({0, 1, 2})
+    assert members(sets[3]) == frozenset({0, 1, 2})
 
 
 def test_instruction_that_cannot_reach_exit_is_refused():
@@ -544,7 +621,7 @@ def test_safe_sets_match_brute_force_closure(prog):
     oracle = brute_force_closure(graph, len(prog))
     sets = compute_safe_sets(prog, graph)
     for i in range(len(prog)):
-        assert sets[i] == frozenset(oracle[i])
+        assert members(sets[i]) == frozenset(oracle[i])
 
 
 @settings(max_examples=40, deadline=None)
@@ -561,3 +638,59 @@ def test_ipdom_is_minimal_strict_postdominator(prog):
         # every other strict postdominator also postdominates the immediate one
         for m in strict - {ipd}:
             assert m in pdom[ipd]
+
+
+def diamond_chain(k):
+    """A branch (id 0) whose two directions each cross k sequential
+    diamonds, 2^k paths apiece. A diamond is its branch, one side of 3 or 1
+    micro-ops and a join: 5 or 3. The fall side ends in a jump, so it runs
+    3k+1 to 5k+1 micro-ops and the taken side 3k to 5k."""
+    lines = ["    branch r9, taken"]
+    for side in ("f", "t"):
+        for i in range(k):
+            label = "taken: " if (side, i) == ("t", 0) else "    "
+            lines += [
+                f"{label}branch r{i % 8}, {side}{i}_short",
+                "    alu r1, r1, 1",
+                "    alu r1, r1, 2",
+                f"    jump {side}{i}_join",
+                f"{side}{i}_short: alu r2, r2, 1",
+                f"{side}{i}_join: nop",
+            ]
+        if side == "f":
+            lines.append("    jump end")
+    lines.append("end: nop")
+    return "\n".join(lines) + "\n"
+
+
+def diamond_profile(k):
+    end = 12 * k + 2  # the last instruction
+    return PathProfile(end, 3 * k, 5 * k + 1, False)
+
+
+def test_diamond_chain_profile_is_exact_and_fast():
+    small = parse_program(diamond_chain(4))
+    assert enumerated_profile(small, 0) == analyze_paths(small, 0) == diamond_profile(4)
+    prog = parse_program(diamond_chain(30))
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        profile = analyze_paths(prog, 0)
+        best = min(best, time.perf_counter() - start)
+    assert profile == diamond_profile(30)
+    assert best < 0.010
+
+
+def test_two_hundred_diamonds_profile_within_a_second():
+    prog = parse_program(diamond_chain(200))  # 2^200 paths per direction
+    start = time.perf_counter()
+    profiles = analyze_all_branches(prog)
+    assert time.perf_counter() - start < 1.0
+    assert profiles[0] == diamond_profile(200)
+
+
+def test_cli_analyze_profiles_a_diamond_chain(tmp_path, capsys):
+    program = tmp_path / "diamonds.asm"
+    program.write_text(diamond_chain(30))
+    assert main(["analyze", str(program)]) == 0
+    assert "\nprofile 0 362 90 151 0\n" in capsys.readouterr().out

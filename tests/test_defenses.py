@@ -29,8 +29,9 @@ class Entry:
     producers: tuple = field(default=())
 
 
-def sets_of(*pairs: tuple[int, frozenset[int]]) -> dict[int, frozenset[int]]:
-    return dict(pairs)
+def sets_of(*pairs: tuple[int, set[int]]) -> dict[int, int]:
+    """Safe sets as the bitmasks the gates read, from (instr, members) pairs."""
+    return {instr: sum(1 << m for m in members) for instr, members in pairs}
 
 
 def test_mode_and_mitigation_names_match_cli_vocabulary():
@@ -51,6 +52,23 @@ def test_policy_requires_safe_sets_for_lifting():
         DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC)
     ok = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=sets_of())
     assert ok.lifts_invariant and ok.gates_loads
+
+
+def test_policy_refuses_a_safe_set_that_is_a_bool():
+    message = r"safe_sets\[3\] must be a non-negative int bitmask, got bool"
+    with pytest.raises(ValueError, match=message):
+        DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets={3: True})
+
+
+def test_policy_refuses_a_safe_set_that_is_a_frozenset():
+    # a stale set-valued dict fails here, not deep inside esp_check
+    with pytest.raises(ValueError, match=r"safe_sets\[3\] .* got frozenset"):
+        DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets={3: frozenset({0})})
+
+
+def test_policy_refuses_a_negative_safe_set():
+    with pytest.raises(ValueError, match=r"safe_sets\[0\] .* got -1"):
+        DefensePolicy(mode=DefenseMode.DOM, safe_sets={0: -1})
 
 
 def test_policy_requires_balance_certificate():
@@ -167,6 +185,13 @@ def test_certify_balanced_issues_certificate():
 def test_certify_balanced_rejects_unequal_paths():
     with pytest.raises(BalanceError, match="2/3"):
         certify_balanced(parse_program(LOPSIDED), 0)
+
+
+def test_certify_balanced_refuses_counts_at_the_cap():
+    # 3 micro-ops a side: exact below a cap of 4, saturated at a cap of 3
+    assert certify_balanced(parse_program(BALANCED), 0, cap=4).uops == 3
+    with pytest.raises(BalanceError, match="3/3 uops at expansion cap 3;"):
+        certify_balanced(parse_program(BALANCED), 0, cap=3)
 
 
 def test_certify_balanced_rejects_variable_paths():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from test_analysis import members
 
+from robsim import analysis, defenses
 from robsim.analysis import BalanceError
 from robsim.cache import CacheConfig
 from robsim.core import CoreConfig, MachineConfig
@@ -270,7 +272,7 @@ def test_invarspec_policy_covers_every_instruction():
 
 def test_probe_safe_set_is_empty_without_filtering():
     scenario, policy = prepare(build_scenario("fsi_v1_rep", 0), INVAR)
-    assert policy.safe_sets[scenario.probe_instr] == frozenset()
+    assert members(policy.safe_sets[scenario.probe_instr]) == frozenset()
 
 
 # --- mitigations ------------------------------------------------------------
@@ -291,15 +293,14 @@ def test_conservative_filter_prepares_a_1024_entry_rob():
     _, policy = prepare(scenario, INVAR, {Mitigation.CONSERVATIVE_INVARIANCE})
     probe = scenario.probe_instr
     assert set(policy.safe_sets) == set(range(1066))
-    assert WINDOW_CHAIN + 3 in policy.safe_sets[probe]  # the secret gate
+    assert WINDOW_CHAIN + 3 in members(policy.safe_sets[probe])  # the secret gate
 
 
 def test_conservative_filter_grows_probe_safe_set():
     scenario, policy = prepare(
         build_scenario("fsi_v1_loop", 0), INVAR, {Mitigation.CONSERVATIVE_INVARIANCE}
     )
-    members = policy.safe_sets[scenario.probe_instr]
-    assert min(scenario.forced_predictions) in members
+    assert min(scenario.forced_predictions) in members(policy.safe_sets[scenario.probe_instr])
 
 
 def test_balancing_closes_straight_variant():
@@ -307,6 +308,19 @@ def test_balancing_closes_straight_variant():
         "fsi_v1_straight", mitigations={Mitigation.PATH_BALANCING}
     )
     assert obs[0] == obs[1]
+
+
+def test_path_balancing_profiles_at_the_machine_cap(monkeypatch):
+    # balance_paths profiles before and after padding, the certificate once
+    caps = {"balance": [], "certify": []}
+    profile, certify_profiles = analysis.analyze_paths, defenses.analyze_all_branches
+    monkeypatch.setattr(analysis, "analyze_paths", lambda program, branch, cap: (
+        caps["balance"].append(cap) or profile(program, branch, cap)))
+    monkeypatch.setattr(defenses, "analyze_all_branches", lambda program, cap: (
+        caps["certify"].append(cap) or certify_profiles(program, cap)))
+    machine = MachineConfig(core=CoreConfig(expansion_cap=512))
+    prepare(build_scenario("fsi_v1_straight", 0, machine), INVAR, {Mitigation.PATH_BALANCING})
+    assert caps == {"balance": [512, 512], "certify": [512]}
 
 
 def test_balancing_equalizes_probe_dispatch():
