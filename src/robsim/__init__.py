@@ -71,7 +71,6 @@ from .scenarios import (
     SCENARIO_NAMES,
     ObservationKind,
     Receiver,
-    ReceiverKind,
     Scenario,
     ScenarioError,
     ScenarioReport,
@@ -114,7 +113,6 @@ __all__ = [
     "PathProfile",
     "Program",
     "Receiver",
-    "ReceiverKind",
     "RobEntry",
     "SCENARIO_NAMES",
     "Scenario",

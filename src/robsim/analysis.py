@@ -504,14 +504,16 @@ def _straight_line_block(program: Program, start: int, stop: int) -> list[int]:
     return ids
 
 
-def _rebuild(instructions: list[MacroInstruction], data_init: dict[int, int]) -> Program:
+def _rebuild(program: Program, instructions: list[MacroInstruction]) -> Program:
+    """`program` with `instructions`, re-id'd, in place of its own; labels
+    follow their instructions, so its run setup carries over unchanged."""
     labels: dict[str, int] = {}
     renumbered: list[MacroInstruction] = []
     for i, instr in enumerate(instructions):
         if instr.label is not None:
             labels[instr.label] = i
         renumbered.append(replace(instr, id=i))
-    prog = Program(renumbered, labels, dict(data_init))
+    prog = replace(program, instructions=renumbered, labels=labels)
     prog.validate()
     return prog
 
@@ -551,7 +553,7 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
         insert_at = sides[shorter][-1] + 1
         pads = [MacroInstruction(0, Opcode.NOP, ()) for _ in range(pad_count)]
         instructions[insert_at:insert_at] = pads
-        balanced = _rebuild(instructions, program.data_init)
+        balanced = _rebuild(program, instructions)
     else:
         # empty side: materialize a pad block just before the reconvergence
         # point and steer the empty edge through it; the other side needs an
@@ -577,7 +579,7 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
         br = instructions[branch]
         new_ops = (br.operands[0], Label(pad_label))
         instructions[branch] = replace(br, operands=new_ops)
-        balanced = _rebuild(instructions, program.data_init)
+        balanced = _rebuild(program, instructions)
 
     check = analyze_paths(balanced, branch, cap)
     if check.min_uops != check.max_uops:

@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from .analysis import analyze_all_branches, compute_safe_sets, dump_analysis
-from .core import BranchPredictor, MachineConfig, SimulationLimitError, Simulator
-from .defenses import DefenseMode, Mitigation
+from .core import MachineConfig, SimulationLimitError, Simulator
+from .defenses import Mitigation
 from .experiment import (
     EXIT_SIM_FAULT,
     EXIT_USAGE,
@@ -28,6 +28,7 @@ from .experiment import (
     load_config_file,
     mitigation_label,
     occupancy_csv,
+    parse_defense,
     parse_mitigation_set,
     run_experiment,
 )
@@ -127,7 +128,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sim(args: argparse.Namespace) -> int:
     program = _load_program(args.program)
-    mode = DefenseMode(args.defense)
+    mode = parse_defense(args.defense)
     mitigations = parse_mitigation_set(args.mitigation or [])
     if Mitigation.PATH_BALANCING in mitigations:
         raise ConfigError(
@@ -146,7 +147,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         name=args.program,
         cap=machine.core.expansion_cap,
     )
-    sim = Simulator(program, machine, policy, BranchPredictor())
+    sim = Simulator(program, machine, policy)
     trace = sim.run()
     if args.trace:
         Path(args.trace).write_text(trace.to_csv())

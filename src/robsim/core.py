@@ -20,6 +20,10 @@ tainted counter instead yields a fixed predicted expansion that is
 verified, and on mismatch squashed and re-expanded, once the true count
 is known.
 
+A run is primed by its program alone: `Simulator.__init__` makes every
+`.warm` line resident, then evicts every `.flush` line, and fixes the
+direction of every `.predict` branch, so a program's text replays its run.
+
 Squash rolls back the producer map and fetch point but never the cache:
 fills, evictions, and MSHR state persist, which is precisely the
 observation surface the attack scenarios probe.
@@ -111,8 +115,9 @@ class MachineConfig:
 class BranchPredictor:
     """Forced-outcome table first, 2-bit counters for everything else.
 
-    Forced entries model a trained predictor deterministically; they are
-    never updated. Counters start weakly not-taken.
+    Forced entries (the program's `.predict` directives, by instruction id)
+    model a trained predictor deterministically; they are never updated.
+    Counters start weakly not-taken.
     """
 
     def __init__(self, forced: Mapping[int, bool] | None = None):
@@ -354,7 +359,6 @@ class Simulator:
         program: Program,
         machine: MachineConfig | None = None,
         policy: DefensePolicy | None = None,
-        predictor: BranchPredictor | None = None,
     ):
         self.program = program
         self._targets = program.targets  # validates the program on first use
@@ -365,8 +369,14 @@ class Simulator:
         self._gates_loads = self.policy.gates_loads
         self._lifts = self.policy.lifts_invariant
         self._predicted_fill = self.policy.predicted_fill
-        self.predictor = predictor or BranchPredictor()
+        self.predictor = BranchPredictor(
+            {program.labels[name]: taken for name, taken in program.predict.items()}
+        )
         self.cache = CacheState(self.machine.cache)
+        for addr in program.warm:
+            self.cache.warm(addr)
+        for addr in program.flush:
+            self.cache.flush(addr)
         self.regs: dict[int, int] = {}
         self.mem_values: dict[int, int] = dict(program.data_init)
         self.cycle = 0
@@ -981,10 +991,9 @@ def run(
     program: Program,
     machine: MachineConfig | None = None,
     policy: DefensePolicy | None = None,
-    predictor: BranchPredictor | None = None,
 ) -> Trace:
     """Run a program to halt and return its trace."""
-    return Simulator(program, machine, policy, predictor).run()
+    return Simulator(program, machine, policy).run()
 
 
 __all__ = [

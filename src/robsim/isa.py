@@ -1,10 +1,12 @@
 """Toy macro-instruction set: parsing, printing, and micro-op shapes.
 
-A program is a flat list of macro instructions plus a label table and an
-initial-memory map. Macro instructions decode into micro-ops; every opcode
-expands to exactly one micro-op of kind `KIND_BY_OPCODE[opcode]` except the
-string-repeat opcodes, whose expansion count is a function of the runtime
-counter value:
+A program is a flat list of macro instructions plus a label table, an
+initial-memory map and its run setup: the cache lines made resident
+(`.warm`) and then evicted (`.flush`) before cycle 0, and the branches
+whose direction is forced (`.predict`, keyed by label). Macro instructions
+decode into micro-ops; every opcode expands to exactly one micro-op of kind
+`KIND_BY_OPCODE[opcode]` except the string-repeat opcodes, whose expansion
+count is a function of the runtime counter value:
 
     rep_movs  -> 2*n micro-ops
     rep_lods  -> 5*n + 12 micro-ops
@@ -196,6 +198,9 @@ class Program:
     instructions: list[MacroInstruction]
     labels: dict[str, int] = field(default_factory=dict)
     data_init: dict[int, int] = field(default_factory=dict)
+    warm: tuple[int, ...] = ()  # lines made resident before cycle 0, in order
+    flush: tuple[int, ...] = ()  # lines evicted after every warm line
+    predict: dict[str, bool] = field(default_factory=dict)  # branch label -> taken
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -220,9 +225,23 @@ class Program:
             name = instr.target_label()
             if name is not None and name not in self.labels:
                 raise ValueError(f"unresolved label {name!r} in instruction {i}")
-        for addr in self.data_init:
-            if not 0 <= addr < ADDRESS_SPACE:
-                raise ValueError(f"data address {addr:#x} outside address space")
+        for kind, addrs in (("data", self.data_init), ("warm", self.warm), ("flush", self.flush)):
+            for addr in addrs:
+                if not 0 <= addr < ADDRESS_SPACE:
+                    raise ValueError(f"{kind} address {addr:#x} outside address space")
+        for name in self.predict:
+            if problem := self.predict_problem(name):
+                raise ValueError(problem)
+
+    def predict_problem(self, name: str) -> str | None:
+        """Why `.predict name` cannot apply to this program, or None."""
+        at = self.labels.get(name)
+        if at is None:
+            return f"unresolved label {name!r} in .predict"
+        opcode = self.instructions[at].opcode
+        if opcode is not Opcode.BRANCH:
+            return f".predict label {name!r} names a {opcode.value}, not a branch"
+        return None
 
 
 #: operand types of every fixed-arity opcode (alu takes 2 or 3, checked apart)
@@ -244,6 +263,13 @@ def _parse_int(text: str, line_no: int) -> int:
         return int(text, 0)
     except ValueError:
         raise ParseError(line_no, f"expected integer, got {text!r}") from None
+
+
+def _parse_address(text: str, line_no: int) -> int:
+    addr = _parse_int(text, line_no)
+    if not 0 <= addr < ADDRESS_SPACE:
+        raise ParseError(line_no, f"address {addr:#x} outside address space")
+    return addr
 
 
 def _parse_reg(text: str, line_no: int) -> Reg:
@@ -299,14 +325,19 @@ def parse_program(text: str) -> Program:
     """Parse assembly text into a Program.
 
     Grammar (see docs/program_format.md for the full EBNF): one statement per
-    line; `#` starts a comment; `.data ADDR VALUE` seeds initial memory;
-    `label:` may prefix an instruction or stand alone, attaching to the next
-    instruction.
+    line; `#` starts a comment; a line that starts with `.` and holds no `:`
+    is a directive (`.data ADDR VALUE`, `.warm ADDR`, `.flush ADDR`,
+    `.predict LABEL taken|not_taken`); `label:` may prefix an instruction or
+    stand alone, attaching to the next instruction.
     """
     instructions: list[MacroInstruction] = []
     instr_lines: list[int] = []  # source line of each instruction
     labels: dict[str, int] = {}
     data_init: dict[int, int] = {}
+    warm: list[int] = []
+    flush: list[int] = []
+    predict: dict[str, bool] = {}
+    predict_lines: dict[str, int] = {}  # source line of each .predict
     pending_label: str | None = None
     pending_line = 0
 
@@ -314,12 +345,25 @@ def parse_program(text: str) -> Program:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith(".data"):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(line_no, ".data takes an address and a value")
-            addr = _parse_int(parts[1], line_no)
-            data_init[addr] = _parse_int(parts[2], line_no)
+        if line.startswith(".") and ":" not in line:
+            directive, *args = line.split()
+            if directive == ".data":
+                if len(args) != 2:
+                    raise ParseError(line_no, ".data takes an address and a value")
+                data_init[_parse_address(args[0], line_no)] = _parse_int(args[1], line_no)
+            elif directive in (".warm", ".flush"):
+                if len(args) != 1:
+                    raise ParseError(line_no, f"{directive} takes an address")
+                (warm if directive == ".warm" else flush).append(_parse_address(args[0], line_no))
+            elif directive == ".predict":
+                if len(args) != 2 or args[1] not in ("taken", "not_taken"):
+                    raise ParseError(line_no, ".predict takes a label and taken or not_taken")
+                if args[0] in predict:
+                    raise ParseError(line_no, f"duplicate .predict for {args[0]!r}")
+                predict[args[0]] = args[1] == "taken"
+                predict_lines[args[0]] = line_no
+            else:
+                raise ParseError(line_no, f"unknown directive {directive!r}")
             continue
         label: str | None = None
         if ":" in line:
@@ -362,13 +406,16 @@ def parse_program(text: str) -> Program:
     if pending_label is not None:
         raise ParseError(pending_line, f"label {pending_label!r} has no instruction")
 
-    program = Program(instructions, labels, data_init)
+    program = Program(instructions, labels, data_init, tuple(warm), tuple(flush), predict)
     for instr, line_no in zip(instructions, instr_lines):
         name = instr.target_label()
         if name is not None and name not in labels:
             raise ParseError(
                 line_no, f"unresolved label {name!r} in instruction {instr.id}"
             )
+    for name, line_no in predict_lines.items():
+        if problem := program.predict_problem(name):
+            raise ParseError(line_no, problem)
     program.validate()
     return program
 
@@ -376,6 +423,12 @@ def parse_program(text: str) -> Program:
 def print_program(program: Program) -> str:
     """Canonical text form; parse_program(print_program(p)) reproduces p."""
     lines = [f".data {addr} {val}" for addr, val in sorted(program.data_init.items())]
+    lines += [f".warm {addr}" for addr in program.warm]
+    lines += [f".flush {addr}" for addr in program.flush]
+    lines += [
+        f".predict {name} {'taken' if taken else 'not_taken'}"
+        for name, taken in program.predict.items()
+    ]
     for instr in program.instructions:
         body = instr.opcode.value
         if instr.operands:

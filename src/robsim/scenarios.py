@@ -21,12 +21,17 @@ timing or cache footprint a blind receiver converts back into the bit.
                   the miss-handling table and stall an older bound-to-
                   commit load. Kept as a comparison baseline.
 
+The attacker's priming is part of each program: ``.warm`` the secret
+line, ``.flush`` the probe and window lines, ``.predict`` the branches
+labeled ``window:`` (and ``gate:``) not taken. ``Simulator`` applies it, so
+a prepared scenario's printed program replays its trial 0 under ``robsim sim``.
+
 The secret is an input of a run, not of the program. Both secrets run the
 same instructions: a builder makes the program once per (name, machine)
 without it, and ``with_secret`` overlays the bit as the initial value at
-``SECRET_ADDR`` (and, for ``fsi_v1_straight``, as the trained gate's
-prediction) without parsing again. So one ``prepare``, and one static
-analysis of the program, serves both secrets of every cell.
+``SECRET_ADDR`` (and, for ``fsi_v1_straight``, as the ``.predict``
+direction of its trained gate) without parsing again. So one ``prepare``,
+and one static analysis of the program, serves both secrets of every cell.
 
 Receivers are deliberately blind: ``infer_secret`` sees the observation
 and the receiver configuration, never the ground truth.
@@ -46,14 +51,14 @@ from .analysis import (
     conservative_filter,
 )
 from .cache import CacheConfig
-from .core import BranchPredictor, MachineConfig, RobEntry, Simulator, Trace
+from .core import MachineConfig, RobEntry, Simulator, Trace
 from .defenses import (
     DefenseMode,
     DefensePolicy,
     Mitigation,
     certify_balanced,
 )
-from .isa import Opcode, Program, REP_OPCODES, parse_program
+from .isa import Program, REP_OPCODES, parse_program
 
 SCENARIO_NAMES = (
     "fsi_v1_loop",
@@ -77,11 +82,6 @@ class ScenarioError(ValueError):
     pass
 
 
-class ReceiverKind(Enum):
-    TIMING_THRESHOLD = "timing_threshold"
-    SET_ORDER = "set_order"
-
-
 class ObservationKind(Enum):
     PROBE_LATENCY = "probe_latency"  # access latency of the committed probe
     COMPLETION_DELAY = "completion_delay"  # completion minus first-ready, inclusive
@@ -91,7 +91,10 @@ class ObservationKind(Enum):
 
 @dataclass(frozen=True)
 class Receiver:
-    kind: ReceiverKind
+    """What the receiver observes and how it decodes it: a SET_ORDER
+    snapshot by the tag at its head, every other kind by `threshold`."""
+
+    observation: ObservationKind
     threshold: float | None = None
     set_index: int | None = None
     signal_tag: int | None = None  # tag at the head means secret=1
@@ -103,19 +106,13 @@ class Scenario:
     program: Program
     machine: MachineConfig
     receiver: Receiver
-    observation: ObservationKind
-    forced_predictions: dict[int, bool]
-    warm_addresses: tuple[int, ...] = ()
-    flush_addresses: tuple[int, ...] = ()
-    probe_label: str | None = "target"
+    probe_label: str = "target"
     balance_branch: int | None = None  # secret-selected branch, if its paths pad
-    trained_gate: int | None = None  # predicted in its real direction: taken iff secret == 0
+    trained_gate: str | None = None  # label predicted in its real direction: taken iff secret == 0
     ground_truth_secret: int | None = None  # set by with_secret; None until then
 
     @property
-    def probe_instr(self) -> int | None:
-        if self.probe_label is None:
-            return None
+    def probe_instr(self) -> int:
         return self.program.labels[self.probe_label]
 
 
@@ -155,9 +152,16 @@ def _check_v1_config(machine: MachineConfig) -> None:
         )
 
 
-def _window_prologue() -> list[str]:
+def _setup(flush: tuple[int, ...], predict: tuple[str, ...], warm=(SECRET_ADDR,)) -> list[str]:
+    """Directives priming a run: `warm` lines resident, then `flush` lines
+    evicted, and each labeled branch in `predict` forced not taken."""
+    return [*(f".warm {a}" for a in warm), *(f".flush {a}" for a in flush),
+            *(f".predict {label} not_taken" for label in predict)]
+
+
+def _window_prologue(window_value: int = 0) -> list[str]:
     lines = [
-        f".data {WINDOW_ADDR} 0",
+        f".data {WINDOW_ADDR} {window_value}",
         f"load r2, [{WINDOW_ADDR}]",
     ]
     lines += ["alu r2, r2, 0"] * WINDOW_CHAIN
@@ -178,17 +182,17 @@ def build_fsi_v1(variant: str, machine: MachineConfig | None = None) -> Scenario
     raise ScenarioError(f"unknown fsi_v1 variant {variant!r}")
 
 
-def _timing_receiver(cache: CacheConfig) -> Receiver:
+def _latency_receiver(cache: CacheConfig) -> Receiver:
     threshold = (cache.hit_cycles + cache.miss_cycles) / 2
-    return Receiver(ReceiverKind.TIMING_THRESHOLD, threshold=threshold)
+    return Receiver(ObservationKind.PROBE_LATENCY, threshold=threshold)
 
 
 def _build_v1_loop(machine: MachineConfig) -> Scenario:
     trips = machine.core.rob_size
-    lines = _window_prologue()
+    lines = _setup((PROBE_ADDR, WINDOW_ADDR), ("window", "gate")) + _window_prologue()
     lines += [
-        "branch r2, target",  # window branch: forced not-taken, actually taken
-        "branch r1, target",  # secret gate: taken skips the jam
+        "window: branch r2, target",  # forced not-taken, actually taken
+        "gate: branch r1, target",  # secret gate: taken skips the jam
         f"alu r7, r7, {trips}",
         "loop: alu r3, r3, 1",
         "alu r7, r7, -1",
@@ -197,40 +201,28 @@ def _build_v1_loop(machine: MachineConfig) -> Scenario:
         f"target: load r4, [{PROBE_ADDR}]",
     ]
     program = parse_program("\n".join(lines))
-    window_branch = WINDOW_CHAIN + 2
-    gate_branch = window_branch + 1
     return Scenario(
         name="fsi_v1_loop",
         program=program,
         machine=machine,
-        receiver=_timing_receiver(machine.cache),
-        observation=ObservationKind.PROBE_LATENCY,
-        forced_predictions={window_branch: False, gate_branch: False},
-        warm_addresses=(SECRET_ADDR,),
-        flush_addresses=(PROBE_ADDR, WINDOW_ADDR),
-        balance_branch=gate_branch,
+        receiver=_latency_receiver(machine.cache),
+        balance_branch=program.labels["gate"],
     )
 
 
 def _build_v1_rep(machine: MachineConfig) -> Scenario:
-    lines = _window_prologue()
+    lines = _setup((PROBE_ADDR, WINDOW_ADDR), ("window",)) + _window_prologue()
     lines += [
-        "branch r2, target",
+        "window: branch r2, target",
         "setshift r1, r1, 10",  # repetition factor: secret << 10
         "rep_movs r1",
         f"target: load r4, [{PROBE_ADDR}]",
     ]
-    program = parse_program("\n".join(lines))
-    window_branch = WINDOW_CHAIN + 2
     return Scenario(
         name="fsi_v1_rep",
-        program=program,
+        program=parse_program("\n".join(lines)),
         machine=machine,
-        receiver=_timing_receiver(machine.cache),
-        observation=ObservationKind.PROBE_LATENCY,
-        forced_predictions={window_branch: False},
-        warm_addresses=(SECRET_ADDR,),
-        flush_addresses=(PROBE_ADDR, WINDOW_ADDR),
+        receiver=_latency_receiver(machine.cache),
         balance_branch=None,  # the length channel is the expansion, not a branch
     )
 
@@ -240,15 +232,12 @@ STRAIGHT_SHORT_UOPS = 3
 
 
 def _build_v1_straight(machine: MachineConfig) -> Scenario:
-    lines = [
-        f".data {WINDOW_ADDR} 1",  # nonzero: the window branch is correctly
-        f"load r2, [{WINDOW_ADDR}]",  # not taken, so the probe commits in place
-    ]
-    lines += ["alu r2, r2, 0"] * WINDOW_CHAIN
+    # the window value is nonzero: the window branch is correctly predicted
+    # not taken, so the probe commits in place; with_secret trains the gate
+    lines = _setup((PROBE_ADDR, WINDOW_ADDR), ("window",)) + _window_prologue(1)
     lines += [
-        f"load r1, [{SECRET_ADDR}]",
-        "branch r2, target",
-        "branch r1, short",
+        "window: branch r2, target",
+        "gate: branch r1, short",
     ]
     lines += ["alu r3, r3, 1"] * STRAIGHT_LONG_UOPS
     lines += [
@@ -259,8 +248,7 @@ def _build_v1_straight(machine: MachineConfig) -> Scenario:
         f"target: load r4, [{PROBE_ADDR}]",
     ]
     program = parse_program("\n".join(lines))
-    window_branch = WINDOW_CHAIN + 2
-    gate_branch = window_branch + 1
+    gate_branch = program.labels["gate"]
     # the probe is fetched 24+short or 24+long+1 uops into the stream; with no
     # decode stalls its completion cycle follows directly, and the receiver
     # thresholds at the midpoint of the two structural outcomes
@@ -270,20 +258,13 @@ def _build_v1_straight(machine: MachineConfig) -> Scenario:
     for path in (STRAIGHT_SHORT_UOPS, STRAIGHT_LONG_UOPS + 1):
         decode = 1 + (stream_base + path) // core.decode_width
         completions.append(decode + 2 + cache.miss_cycles - 1)
-    receiver = Receiver(
-        ReceiverKind.TIMING_THRESHOLD, threshold=sum(completions) / 2
-    )
     return Scenario(
         name="fsi_v1_straight",
         program=program,
         machine=machine,
-        receiver=receiver,
-        observation=ObservationKind.COMPLETION_CYCLE,
-        forced_predictions={window_branch: False},  # correct: the window value is nonzero
-        warm_addresses=(SECRET_ADDR,),
-        flush_addresses=(PROBE_ADDR, WINDOW_ADDR),
+        receiver=Receiver(ObservationKind.COMPLETION_CYCLE, threshold=sum(completions) / 2),
         balance_branch=gate_branch,
-        trained_gate=gate_branch,
+        trained_gate="gate",
     )
 
 
@@ -299,32 +280,26 @@ def build_fsi_v2(machine: MachineConfig | None = None) -> Scenario:
             f"the same set of a {cache.num_sets}-set cache"
         )
     gadget = machine.core.rob_size + 16
-    lines = _window_prologue()
+    flush = (CONFLICT_ADDR_A, CONFLICT_ADDR_B, WINDOW_ADDR)
+    lines = _setup(flush, ("window", "gate")) + _window_prologue()
     lines += [
-        "branch r2, normal",  # forced not-taken, actually taken
-        "branch r1, target",  # secret gate
+        "window: branch r2, normal",  # forced not-taken, actually taken
+        "gate: branch r1, target",  # secret gate
     ]
     lines += ["alu r3, r3, 1"] * gadget
     lines += [
         f"normal: load r5, [{CONFLICT_ADDR_A}]",
         f"target: load r4, [{CONFLICT_ADDR_B}]",
     ]
-    program = parse_program("\n".join(lines))
-    window_branch = WINDOW_CHAIN + 2
-    gate_branch = window_branch + 1
     return Scenario(
         name="fsi_v2_order",
-        program=program,
+        program=parse_program("\n".join(lines)),
         machine=machine,
         receiver=Receiver(
-            ReceiverKind.SET_ORDER,
+            ObservationKind.SET_ORDER,
             set_index=CONFLICT_ADDR_A % cache.num_sets,
             signal_tag=CONFLICT_ADDR_B,
         ),
-        observation=ObservationKind.SET_ORDER,
-        forced_predictions={window_branch: False, gate_branch: False},
-        warm_addresses=(SECRET_ADDR,),
-        flush_addresses=(CONFLICT_ADDR_A, CONFLICT_ADDR_B, WINDOW_ADDR),
         # padding equalizes timing, but this receiver reads replacement
         # state; the channel survives any pad count, so balancing is out
         balance_branch=None,
@@ -342,7 +317,8 @@ def build_bsi_mshr(machine: MachineConfig | None = None) -> Scenario:
     stride = machine.cache.num_sets
     if (1 << shift) % stride != 0:
         raise ScenarioError("gadget shift must preserve set mapping")
-    lines = [
+    warm = (SECRET_ADDR,) + tuple(BSI_GADGET_BASE + i for i in range(gadget))
+    lines = _setup((WINDOW_ADDR,), ("window",), warm) + [
         f".data {WINDOW_ADDR} 0",
         f"load r2, [{WINDOW_ADDR}]",
         f"load r1, [{SECRET_ADDR}]",
@@ -350,25 +326,18 @@ def build_bsi_mshr(machine: MachineConfig | None = None) -> Scenario:
         "alu r2, r2, 0",
         "alu r2, r2, 0",
         f"measure: load r9, [r2+{BSI_TARGET_OFFSET}]",
-        "branch r2, done",  # forced not-taken, actually taken
+        "window: branch r2, done",  # forced not-taken, actually taken
     ]
     lines += [f"load r6, [r5+{BSI_GADGET_BASE + i}]" for i in range(gadget)]
     lines.append("done: nop")
-    program = parse_program("\n".join(lines))
-    branch = 6
-    warm = (SECRET_ADDR,) + tuple(BSI_GADGET_BASE + i for i in range(gadget))
     return Scenario(
         name="bsi_mshr",
-        program=program,
+        program=parse_program("\n".join(lines)),
         machine=machine,
         receiver=Receiver(
-            ReceiverKind.TIMING_THRESHOLD,
+            ObservationKind.COMPLETION_DELAY,
             threshold=float(machine.cache.miss_cycles),
         ),
-        observation=ObservationKind.COMPLETION_DELAY,
-        forced_predictions={branch: False},
-        warm_addresses=warm,
-        flush_addresses=(WINDOW_ADDR,),
         probe_label="measure",
         balance_branch=None,  # the channel is address selection, not path length
     )
@@ -398,17 +367,16 @@ def build_scenario(
 def with_secret(scenario: Scenario, secret: int) -> Scenario:
     """The scenario run with `secret`. Its program shares every instruction
     and label; only the initial value at SECRET_ADDR and the trained gate's
-    prediction, if the scenario has one, follow the secret."""
+    `.predict` direction, if the scenario has one, follow the secret."""
     _check_secret(secret)
-    program = replace(
-        scenario.program, data_init={**scenario.program.data_init, SECRET_ADDR: secret}
-    )
-    forced = scenario.forced_predictions
+    program = scenario.program
+    predict = program.predict
     if scenario.trained_gate is not None:
-        forced = {**forced, scenario.trained_gate: secret == 0}
-    return replace(
-        scenario, program=program, forced_predictions=forced, ground_truth_secret=secret
+        predict = {**predict, scenario.trained_gate: secret == 0}
+    program = replace(
+        program, data_init={**program.data_init, SECRET_ADDR: secret}, predict=predict
     )
+    return replace(scenario, program=program, ground_truth_secret=secret)
 
 
 @dataclass(eq=False)
@@ -451,9 +419,7 @@ def prepare(
         balance_branch=scenario.balance_branch,
         analysis=analysis,
     )
-    if program is not scenario.program:
-        scenario = replace_program(scenario, program)
-    return scenario, policy
+    return replace(scenario, program=program), policy
 
 
 def prepare_program(
@@ -515,26 +481,6 @@ def prepare_program(
     return program, policy
 
 
-def replace_program(scenario: Scenario, program: Program) -> Scenario:
-    """Scenario with a rewritten program.
-
-    Balancing only inserts uops after the balanced branch, so every id the
-    scenario references (forced branches, the balanced branch itself) is
-    stable; the probe relocates but is tracked by label. Verified here.
-    """
-    branches = [*scenario.forced_predictions]
-    if scenario.trained_gate is not None:
-        branches.append(scenario.trained_gate)
-    for branch in branches:
-        if program.instructions[branch].opcode is not Opcode.BRANCH:
-            raise ScenarioError(
-                f"rewrite moved branch {branch}; scenario ids no longer hold"
-            )
-    if scenario.probe_label is not None and scenario.probe_label not in program.labels:
-        raise ScenarioError(f"rewrite dropped label {scenario.probe_label!r}")
-    return replace(scenario, program=program)
-
-
 def run_single(
     scenario: Scenario, policy: DefensePolicy, trial: int = 0
 ) -> tuple[Trace, ScenarioReport]:
@@ -544,16 +490,7 @@ def run_single(
     machine = scenario.machine
     if machine.jitter_amplitude:
         machine = replace(machine, jitter_seed=machine.jitter_seed + trial)
-    sim = Simulator(
-        scenario.program,
-        machine,
-        policy,
-        BranchPredictor(scenario.forced_predictions),
-    )
-    for addr in scenario.warm_addresses:
-        sim.cache.warm(addr)
-    for addr in scenario.flush_addresses:
-        sim.cache.flush(addr)
+    sim = Simulator(scenario.program, machine, policy)
     trace = sim.run()
     observation = _observe(scenario, sim, trace)
     report = ScenarioReport(
@@ -575,16 +512,14 @@ def run_trials(
 
 
 def _committed_probe(scenario: Scenario, trace: Trace) -> RobEntry:
-    instr = scenario.probe_instr
-    assert instr is not None
-    entries = trace.committed_for(instr)
+    entries = trace.committed_for(scenario.probe_instr)
     if not entries:
         raise ScenarioError(f"{scenario.name}: probe instruction never committed")
     return entries[-1]
 
 
 def _observe(scenario: Scenario, sim: Simulator, trace: Trace):
-    kind = scenario.observation
+    kind = scenario.receiver.observation
     if kind is ObservationKind.SET_ORDER:
         assert scenario.receiver.set_index is not None
         return tuple(sim.cache.snapshot_set(scenario.receiver.set_index))
@@ -601,12 +536,10 @@ def _observe(scenario: Scenario, sim: Simulator, trace: Trace):
 
 def infer_secret(observation, receiver: Receiver) -> int:
     """Blind decoder: observation plus receiver config, nothing else."""
-    if receiver.kind is ReceiverKind.TIMING_THRESHOLD:
-        assert receiver.threshold is not None
-        return 1 if observation > receiver.threshold else 0
-    if receiver.kind is ReceiverKind.SET_ORDER:
+    if receiver.observation is ObservationKind.SET_ORDER:
         return 1 if observation and observation[0] == receiver.signal_tag else 0
-    raise AssertionError(f"unhandled receiver kind {receiver.kind}")
+    assert receiver.threshold is not None
+    return 1 if observation > receiver.threshold else 0
 
 
 def format_observation(observation) -> str:
@@ -619,7 +552,6 @@ __all__ = [
     "ObservationKind",
     "ProgramAnalysis",
     "Receiver",
-    "ReceiverKind",
     "REPORT_FIELDS",
     "SCENARIO_NAMES",
     "Scenario",

@@ -86,7 +86,7 @@ def test_criterion_4_dom_baseline_blocks_v1():
         streams = []
         for secret in (0, 1):
             scenario, _ = prepare(build_scenario(name, secret), DOM)
-            branch = min(scenario.forced_predictions)
+            branch = scenario.program.labels["window"]
             policy = DefensePolicy(
                 mode=DOM,
                 safe_sets={scenario.probe_instr: 1 << branch},
@@ -144,7 +144,7 @@ def test_criterion_7_path_balancing_on_straight_variant():
     with pytest.raises(BalanceError, match="variable-length"):
         balance_paths(loop.program, loop.balance_branch)
     rep = build_scenario("fsi_v1_rep", 0)
-    rep_branch = min(rep.forced_predictions)
+    rep_branch = rep.program.labels["window"]
     with pytest.raises(BalanceError, match="variable-length"):
         balance_paths(rep.program, rep_branch)
 

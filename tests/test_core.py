@@ -13,7 +13,6 @@ from test_analysis import cyclic_programs, dag_programs, members
 from robsim.analysis import AnalysisError, compute_safe_sets
 from robsim.cache import CacheConfig
 from robsim.core import (
-    BranchPredictor,
     CoreConfig,
     MachineConfig,
     SimulationLimitError,
@@ -43,32 +42,14 @@ from robsim.scenarios import (
 )
 
 
-def make_sim(
-    text,
-    *,
-    core=None,
-    cache=None,
-    policy=None,
-    forced=None,
-    jitter=0,
-    seed=0,
-    warm=(),
-):
+def make_sim(text, *, core=None, cache=None, policy=None, jitter=0, seed=0):
     machine = MachineConfig(
         core=core or CoreConfig(),
         cache=cache or CacheConfig(),
         jitter_amplitude=jitter,
         jitter_seed=seed,
     )
-    sim = Simulator(
-        parse_program(text),
-        machine,
-        policy,
-        BranchPredictor(forced),
-    )
-    for addr in warm:
-        sim.cache.warm(addr)
-    return sim
+    return Simulator(parse_program(text), machine, policy)
 
 
 def simulate(text, **kwargs):
@@ -162,12 +143,13 @@ def test_commit_is_in_order_and_bounded():
 def test_mispredicted_branch_squashes_wrong_path():
     text = """
     .data 8 0
+    .predict br not_taken
     load r1, [8]
-    branch r1, skip
+    br: branch r1, skip
     alu r2, r2, 1
     skip: alu r3, r3, 1
     """
-    trace = simulate(text, forced={1: False})
+    trace = simulate(text)
     assert trace.stats.squashes == 1
     record = trace.stats.squash_log[0]
     assert record.kind == "branch"
@@ -184,12 +166,14 @@ def test_mispredicted_branch_squashes_wrong_path():
 def test_correctly_predicted_branch_does_not_squash():
     text = """
     .data 8 7
+    .warm 8
+    .predict br not_taken
     load r1, [8]
-    branch r1, skip
+    br: branch r1, skip
     alu r2, r2, 1
     skip: alu r3, r3, 1
     """
-    trace = simulate(text, forced={1: False}, warm=[8])
+    trace = simulate(text)
     assert trace.stats.squashes == 0
     assert len(trace.committed_for(2)) == 1
     assert len(trace.committed_for(3)) == 1
@@ -198,12 +182,14 @@ def test_correctly_predicted_branch_does_not_squash():
 def test_taken_branch_redirects_fetch_at_decode():
     text = """
     .data 8 0
+    .warm 8
+    .predict br taken
     load r1, [8]
-    branch r1, skip
+    br: branch r1, skip
     alu r2, r2, 1
     skip: alu r3, r3, 1
     """
-    trace = simulate(text, forced={1: True}, warm=[8])
+    trace = simulate(text)
     # predicted taken and actually taken: instruction 2 is never fetched
     assert trace.stats.squashes == 0
     assert [e.instr for e in trace.records] == [0, 1, 3]
@@ -212,27 +198,30 @@ def test_taken_branch_redirects_fetch_at_decode():
 def test_branch_counter_training():
     text = """
     .data 8 0
+    .warm 8
     load r1, [8]
     branch r1, skip
     alu r2, r2, 1
     skip: alu r3, r3, 1
     """
-    sim = make_sim(text, warm=[8])
+    sim = make_sim(text)
     sim.run()
     # counters start weakly not-taken (1); one taken outcome bumps to 2
     assert sim.predictor.counters[1] == 2
     assert sim.predictor.predict(1) is True
 
 
-def test_forced_predictions_never_train():
+def test_predicted_branch_never_trains():
     text = """
     .data 8 0
+    .warm 8
+    .predict br not_taken
     load r1, [8]
-    branch r1, skip
+    br: branch r1, skip
     alu r2, r2, 1
     skip: alu r3, r3, 1
     """
-    sim = make_sim(text, forced={1: False}, warm=[8])
+    sim = make_sim(text)
     sim.run()
     assert sim.predictor.predict(1) is False
     assert 1 not in sim.predictor.counters
@@ -308,25 +297,27 @@ def _check_lifecycle(trace) -> collections.Counter:
 def test_squashed_entries_never_commit():
     text = """
     .data 8 0
+    .predict br not_taken
     load r1, [8]
-    branch r1, out
+    br: branch r1, out
     alu r2, r2, 1
     alu r4, r4, 1
     out: nop
     """
-    trace = simulate(text, forced={1: False})
+    trace = simulate(text)
     assert any(e.squashed for e in trace.records)
     _check_lifecycle(trace)
     # a shadowed hit on the correct path: its deferred update lands at commit
     committed_hit = """
     .data 16 1
+    .warm 8
     load r1, [16]
     branch r1, done
     load r2, [8]
     done: nop
     """
     dom = DefensePolicy(mode=DefenseMode.DOM)
-    deferred = _check_lifecycle(simulate(committed_hit, policy=dom, warm=[8]))
+    deferred = _check_lifecycle(simulate(committed_hit, policy=dom))
     # trial 0 of both secrets of every scenario x mode x mitigation that applies
     machine = MachineConfig(jitter_amplitude=2)
     for name in SCENARIO_NAMES:
@@ -347,12 +338,13 @@ def test_squashed_entries_never_commit():
 def test_squash_preserves_cache_fills():
     text = """
     .data 8 0
+    .predict br not_taken
     load r1, [8]
-    branch r1, away
+    br: branch r1, away
     load r2, [64]
     away: nop
     """
-    sim = make_sim(text, forced={1: False})
+    sim = make_sim(text)
     trace = sim.run()
     wrong_path = only([e for e in trace.records if e.instr == 2])
     assert wrong_path.squashed
@@ -361,12 +353,30 @@ def test_squash_preserves_cache_fills():
     assert any(e.kind == "fill" and e.address == 64 for e in trace.mem_events)
 
 
+def test_run_setup_flushes_after_every_warm_line():
+    # wherever the directives sit, a line both warmed and flushed starts
+    # cold; a line only warmed hits
+    text = """
+    .flush 40
+    .warm 40
+    .warm 8
+    load r1, [40]
+    load r2, [8]
+    """
+    sim = make_sim(text)
+    assert not sim.cache.resident(40) and sim.cache.resident(8)
+    cold, warm = sim.run().records
+    assert (cold.outcome, warm.outcome) == ("miss", "hit")
+
+
 def test_load_port_serializes_independent_loads():
     text = """
+    .warm 8
+    .warm 72
     load r1, [8]
     load r2, [72]
     """
-    trace = simulate(text, warm=[8, 72])
+    trace = simulate(text)
     first, second = trace.records
     assert second.exec_start_cycle == first.exec_start_cycle + 1
 
@@ -399,18 +409,20 @@ def test_unbounded_mshr_table_never_stalls():
 def test_delay_policy_holds_shadowed_cold_load():
     text = """
     .data 8 1
+    .warm 8
+    .predict br not_taken
     load r1, [8]
-    branch r1, end
+    br: branch r1, end
     load r2, [64]
     end: nop
     """
-    baseline = simulate(text, forced={1: False}, warm=[8])
+    baseline = simulate(text)
     open_load = only([e for e in baseline.records if e.instr == 2])
     branch = only([e for e in baseline.records if e.instr == 1])
     assert open_load.exec_start_cycle < branch.complete_cycle
 
     policy = DefensePolicy(mode=DefenseMode.DOM)
-    guarded = simulate(text, forced={1: False}, warm=[8], policy=policy)
+    guarded = simulate(text, policy=policy)
     held_load = only([e for e in guarded.records if e.instr == 2])
     branch = only([e for e in guarded.records if e.instr == 1])
     assert held_load.exec_start_cycle > branch.complete_cycle
@@ -419,8 +431,9 @@ def test_delay_policy_holds_shadowed_cold_load():
 
 SHADOWED_COLD_LOAD = """
 .data 16 0
+.predict br not_taken
 load r1, [16]
-branch r1, done
+br: branch r1, done
 load r2, [40]
 alu r3, r3, 1
 done: nop
@@ -433,13 +446,13 @@ def test_invariant_load_lifts_at_dispatch_and_stamps_the_cycle():
     assert 1 in members(analyzed[2])  # the load is control dependent on branch 1
 
     policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=analyzed)
-    held = simulate(SHADOWED_COLD_LOAD, forced={1: False}, policy=policy)
+    held = simulate(SHADOWED_COLD_LOAD, policy=policy)
     load = only([e for e in held.records if e.instr == 2])
     assert load.esp_cycle is None and load.exec_start_cycle is None
 
     empty = {i: 0 for i in range(len(program))}
     policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=empty)
-    lifted = simulate(SHADOWED_COLD_LOAD, forced={1: False}, policy=policy)
+    lifted = simulate(SHADOWED_COLD_LOAD, policy=policy)
     load = only([e for e in lifted.records if e.instr == 2])
     branch = only([e for e in lifted.records if e.instr == 1])
     assert load.esp_cycle == load.dispatch_cycle < branch.complete_cycle
@@ -449,14 +462,17 @@ def test_invariant_load_lifts_at_dispatch_and_stamps_the_cycle():
 def test_shadowed_hit_defers_replacement_update_to_commit():
     text = """
     .data 8 1
+    .warm 12
+    .warm 8
+    .predict br not_taken
     load r1, [8]
-    branch r1, end
+    br: branch r1, end
     load r2, [12]
     end: nop
     """
     cache = CacheConfig(num_sets=4, ways=2)
     policy = DefensePolicy(mode=DefenseMode.DOM)
-    sim = make_sim(text, cache=cache, policy=policy, forced={1: False}, warm=[12, 8])
+    sim = make_sim(text, cache=cache, policy=policy)
     shadowed = None
     while not sim.halted:
         sim.step()
@@ -476,13 +492,16 @@ def test_shadowed_hit_defers_replacement_update_to_commit():
 def test_shadowed_store_waits_for_resolution():
     text = """
     .data 8 1
+    .warm 8
+    .warm 64
+    .predict br not_taken
     load r1, [8]
-    branch r1, end
+    br: branch r1, end
     store r2, [64]
     end: nop
     """
     policy = DefensePolicy(mode=DefenseMode.DOM)
-    trace = simulate(text, forced={1: False}, warm=[8, 64], policy=policy)
+    trace = simulate(text, policy=policy)
     store = only([e for e in trace.records if e.instr == 2])
     branch = only([e for e in trace.records if e.instr == 1])
     assert store.exec_start_cycle > branch.complete_cycle
@@ -490,12 +509,13 @@ def test_shadowed_store_waits_for_resolution():
 
 def test_store_writes_memory_at_commit():
     text = """
+    .warm 32
     alu r1, r1, 9
     store r1, [32]
     load r2, [32]
     fence
     """
-    sim = make_sim(text, warm=[32])
+    sim = make_sim(text)
     trace = sim.run()
     assert sim.mem_values[32] == 9
     assert trace.stats.squashes == 0
@@ -503,11 +523,12 @@ def test_store_writes_memory_at_commit():
 
 def test_fence_drains_before_younger_work():
     text = """
+    .warm 8
     load r1, [8]
     fence
     alu r2, r2, 1
     """
-    trace = simulate(text, warm=[8])
+    trace = simulate(text)
     load = only([e for e in trace.records if e.instr == 0])
     alu = only([e for e in trace.records if e.instr == 2])
     assert alu.dispatch_cycle > load.commit_cycle
@@ -645,13 +666,14 @@ def test_runaway_program_raises_limit_error():
 def test_trace_is_deterministic_for_fixed_seed():
     text = """
     .data 8 0
+    .predict br not_taken
     load r1, [8]
-    branch r1, skip
+    br: branch r1, skip
     load r2, [64]
     skip: alu r3, r3, 1
     """
-    a = simulate(text, forced={1: False}, jitter=3, seed=11)
-    b = simulate(text, forced={1: False}, jitter=3, seed=11)
+    a = simulate(text, jitter=3, seed=11)
+    b = simulate(text, jitter=3, seed=11)
     assert a.to_csv() == b.to_csv()
     assert a.occupancy == b.occupancy
 
@@ -730,16 +752,8 @@ def counting_steps(monkeypatch) -> list[int]:
 
 
 def scenario_sim(scenario, policy) -> Simulator:
-    """Trial 0 of a prepared scenario, set up as run_single sets it up."""
-    sim = Simulator(
-        scenario.program, scenario.machine, policy,
-        BranchPredictor(scenario.forced_predictions),
-    )
-    for addr in scenario.warm_addresses:
-        sim.cache.warm(addr)
-    for addr in scenario.flush_addresses:
-        sim.cache.flush(addr)
-    return sim
+    """Trial 0 of a prepared scenario; its program carries its setup."""
+    return Simulator(scenario.program, scenario.machine, policy)
 
 
 def prepared_cells(machine, mitigation_sets):
@@ -851,10 +865,11 @@ def test_cycle_limit_inside_an_idle_stretch(max_cycles):
 
 @st.composite
 def machine_runs(draw):
-    """A random program with forced predictions, policy and machine."""
+    """A random program with warm lines and forced predictions, a policy
+    and a machine."""
     program = draw(st.one_of(dag_programs(), cyclic_programs()))
-    branches = [i.id for i in program.instructions if i.opcode is Opcode.BRANCH]
-    forced = draw(st.dictionaries(st.sampled_from(branches), st.booleans())) if branches else {}
+    branches = [i.label for i in program.instructions if i.opcode is Opcode.BRANCH]
+    predict = draw(st.dictionaries(st.sampled_from(branches), st.booleans())) if branches else {}
     mode = draw(st.sampled_from(list(DefenseMode)))
     safe_sets = None
     if mode is DefenseMode.DOM_PLUS_INVARSPEC:
@@ -871,24 +886,18 @@ def machine_runs(draw):
         jitter_amplitude=draw(st.sampled_from([0, 3])),
         jitter_seed=draw(st.integers(min_value=0, max_value=3)),
     )
-    warm = draw(st.sets(st.integers(min_value=0, max_value=15)))
-    return program, forced, DefensePolicy(mode=mode, safe_sets=safe_sets), machine, warm
+    warm = tuple(draw(st.sets(st.integers(min_value=0, max_value=15))))
+    program = dataclasses.replace(program, warm=warm, predict=predict)
+    return program, DefensePolicy(mode=mode, safe_sets=safe_sets), machine
 
 
 @settings(max_examples=100, deadline=None)
 @given(machine_runs())
 def test_skipping_matches_stepper_on_random_programs(run_args):
-    program, forced, policy, machine, warm = run_args
-
-    def make():
-        sim = Simulator(program, machine, policy, BranchPredictor(forced))
-        for addr in warm:
-            sim.cache.warm(addr)
-        return sim
-
+    program, policy, machine = run_args
     outcomes = []
     for go in (Simulator.run, stepped_run):
-        sim = make()
+        sim = Simulator(program, machine, policy)
         try:
             outcomes.append(run_state(sim, go(sim)))
         except SimulationLimitError as exc:
@@ -902,9 +911,19 @@ def test_skipping_matches_stepper_on_random_programs(run_args):
         (Program([MacroInstruction(1, Opcode.NOP, ())]), "not dense"),
         (Program([MacroInstruction(0, Opcode.JUMP, (Label("nowhere"),))]), "unresolved label"),
         (Program([MacroInstruction(0, Opcode.NOP, ())], data_init={ADDRESS_SPACE: 1}),
-         "outside address space"),
+         "data address 0x100000 outside address space"),
+        (Program([MacroInstruction(0, Opcode.NOP, ())], warm=(ADDRESS_SPACE,)),
+         "warm address 0x100000 outside address space"),
+        (Program([MacroInstruction(0, Opcode.NOP, ())], flush=(-1,)),
+         "flush address -0x1 outside address space"),
+        (Program([MacroInstruction(0, Opcode.NOP, ())], predict={"nowhere": True}),
+         "unresolved label 'nowhere' in .predict"),
+        (Program([MacroInstruction(0, Opcode.NOP, (), "x")], {"x": 0}, predict={"x": False}),
+         "'x' names a nop, not a branch"),
     ],
-    ids=["non_dense_ids", "unresolved_label", "data_outside_address_space"],
+    ids=["non_dense_ids", "unresolved_label", "data_outside_address_space",
+         "warm_outside_address_space", "flush_outside_address_space",
+         "predict_unknown_label", "predict_non_branch"],
 )
 def test_simulator_rejects_an_invalid_program(program, message):
     with pytest.raises(ValueError, match=message):

@@ -23,7 +23,7 @@ from robsim.experiment import (
     summarize,
 )
 from robsim.isa import print_program
-from robsim.scenarios import ScenarioReport, build_scenario
+from robsim.scenarios import ScenarioReport, build_scenario, prepare, run_single
 
 
 def make_config(tmp_path, **overrides):
@@ -417,6 +417,30 @@ def test_cli_sim_writes_trace(tmp_path, capsys):
     assert occupancy.read_text().startswith("cycle,occupancy")
 
 
+def test_cli_sim_replays_a_printed_scenario(tmp_path):
+    # the printed program carries its warm, flush and predicted branches,
+    # so sim writes the trace of the sweep's trial 0
+    for defense in (DefenseMode.UNPROTECTED, DefenseMode.DOM_PLUS_INVARSPEC):
+        for secret in (0, 1):
+            scenario, policy = prepare(build_scenario("fsi_v1_loop", secret), defense)
+            program = tmp_path / f"loop{secret}.asm"
+            program.write_text(print_program(scenario.program))
+            trace = tmp_path / "trace.csv"
+            args = ("sim", str(program), "--defense", defense.value, "--trace", str(trace))
+            assert run_cli(*args) == 0
+            assert trace.read_bytes() == run_single(scenario, policy, 0)[0].to_csv().encode()
+
+
+def test_cli_sim_lists_valid_defenses(tmp_path, capsys):
+    program = tmp_path / "p.asm"
+    program.write_text("nop\n")
+    assert run_cli("sim", str(program), "--defense", "bogus") == 1
+    assert capsys.readouterr().err == (
+        "robsim: error: unknown defense 'bogus'; expected one of "
+        "unprotected, dom, dom_plus_invarspec\n"
+    )
+
+
 def test_cli_sim_parse_error(tmp_path, capsys):
     program = tmp_path / "p.asm"
     program.write_text("frob r1, r2\n")
@@ -488,11 +512,12 @@ def _sim_cycles(capsys, *argv) -> int:
 
 
 def test_cli_sim_conservative_invariance_filters_safe_sets(tmp_path, capsys):
-    # fsi_v1_loop's program as written: the filtered safe sets keep the probe
-    # gated until the window branch resolves, so both secrets take as long
+    # fsi_v1_loop's program as written, with its warm, flush and predicted
+    # branches: the filtered safe sets keep the probe gated until the window
+    # branch resolves, so both secrets take as long
     invar = ("--defense", "dom_plus_invarspec")
     conservative = ("--mitigation", "conservative_invariance")
-    for secret, unfiltered in ((0, 132), (1, 147)):
+    for secret, unfiltered in ((0, 90), (1, 147)):
         program = tmp_path / f"loop{secret}.asm"
         program.write_text(print_program(build_scenario("fsi_v1_loop", secret).program))
         assert _sim_cycles(capsys, str(program), *invar) == unfiltered

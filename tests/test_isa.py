@@ -40,6 +40,31 @@ def test_parse_guarded_load_program():
     assert prog.instructions[3].operands == (Reg(3), Mem(Reg(2), 0))
 
 
+def test_parse_run_setup_directives():
+    prog = parse_program(
+        """
+        .warm 8
+        .warm 0x48
+        .flush 40
+        .predict gate taken
+        .predict window not_taken
+        window: branch r1, out
+        gate: branch r2, out
+        out: nop
+        """
+    )
+    assert prog.warm == (8, 72)
+    assert prog.flush == (40,)
+    assert prog.predict == {"gate": True, "window": False}
+    assert print_program(prog).splitlines()[:5] == [
+        ".warm 8",
+        ".warm 72",
+        ".flush 40",
+        ".predict gate taken",
+        ".predict window not_taken",
+    ]
+
+
 def test_parse_data_directive_and_operand_shapes():
     prog = parse_program(
         """
@@ -70,6 +95,15 @@ def test_parse_data_directive_and_operand_shapes():
         ("alu 4, r1", "destination must be a register"),
         ("dangling:", "no instruction"),
         (".data 1", ".data takes"),
+        (".datafoo 8 1", "unknown directive '.datafoo'"),
+        ("nop\n.data 2000000 1", "line 2: address 0x1e8480 outside address space"),
+        (".warm 2000000", "outside address space"),
+        (".flush -1", "outside address space"),
+        (".warm", ".warm takes an address"),
+        (".predict b sideways\nb: branch r1, b", ".predict takes a label and taken or not_taken"),
+        ("nop\n.predict nowhere taken", "line 2: unresolved label 'nowhere' in .predict"),
+        ("x: nop\n.predict x taken", "line 2: .predict label 'x' names a nop, not a branch"),
+        (".predict b taken\n.predict b not_taken\nb: branch r1, b", "line 2: duplicate .predict"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -143,6 +177,13 @@ def random_programs(draw):
         lines[i] = f"l{i}: {body}"
     if draw(st.booleans()):
         lines.insert(0, f".data {draw(st.integers(min_value=0, max_value=99))} {imm}")
+    for directive in (".warm", ".flush"):
+        for addr in draw(st.lists(st.integers(min_value=0, max_value=99), max_size=3)):
+            lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), f"{directive} {addr}")
+    branches = [f"l{i}" for i, op in enumerate(opcodes) if op is Opcode.BRANCH]
+    for label in draw(st.sets(st.sampled_from(branches))) if branches else ():
+        direction = draw(st.sampled_from(["taken", "not_taken"]))
+        lines.append(f".predict {label} {direction}")
     return "\n".join(lines) + "\n"
 
 
@@ -155,4 +196,5 @@ def test_print_parse_roundtrip(text):
     assert reparsed.instructions == prog.instructions
     assert reparsed.labels == prog.labels
     assert reparsed.data_init == prog.data_init
+    assert reparsed == prog
     assert print_program(reparsed) == printed

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import pytest
 from test_analysis import members
+from test_core import ALL_MITIGATION_SETS, prepared_cells
 
 from robsim import analysis, defenses
 from robsim.analysis import BalanceError
 from robsim.cache import CacheConfig
-from robsim.core import CoreConfig, MachineConfig
+from robsim.core import CoreConfig, MachineConfig, Simulator
 from robsim.defenses import REP_PREDICTED_COUNT, DefenseMode, Mitigation
 from robsim.experiment import CellResult, reports_csv
-from robsim.isa import Opcode
+from robsim.isa import Opcode, parse_program, print_program
 from robsim.scenarios import (
     REPORT_FIELDS,
     SCENARIO_NAMES,
@@ -19,7 +20,6 @@ from robsim.scenarios import (
     WINDOW_CHAIN,
     ObservationKind,
     Receiver,
-    ReceiverKind,
     Scenario,
     ScenarioError,
     build_bsi_mshr,
@@ -79,7 +79,7 @@ def test_secret_lives_in_initial_memory():
         for secret in (0, 1):
             scenario = build_scenario(name, secret)
             assert scenario.program.data_init[SECRET_ADDR] == secret
-            assert SECRET_ADDR in scenario.warm_addresses
+            assert SECRET_ADDR in scenario.program.warm
 
 
 def _differing_keys(a: dict, b: dict) -> set:
@@ -95,20 +95,21 @@ def test_secret_overlay_changes_only_the_secret(rob):
         assert s0.program.instructions is s1.program.instructions is base.program.instructions
         assert s0.program.labels is s1.program.labels is base.program.labels
         assert _differing_keys(s0.program.data_init, s1.program.data_init) == {SECRET_ADDR}
-        gates = _differing_keys(s0.forced_predictions, s1.forced_predictions)
+        assert s0.program.warm == s1.program.warm == base.program.warm
+        assert s0.program.flush == s1.program.flush == base.program.flush
+        gates = _differing_keys(s0.program.predict, s1.program.predict)
         if name == "fsi_v1_straight":
-            gate = WINDOW_CHAIN + 3  # branch r1, short
-            assert gates == {gate}
+            assert gates == {"gate"}
+            gate = s0.program.labels["gate"]
+            assert gate == WINDOW_CHAIN + 3  # branch r1, short
             assert s0.program.instructions[gate].opcode is Opcode.BRANCH
-            assert (s0.forced_predictions[gate], s1.forced_predictions[gate]) == (True, False)
+            assert (s0.program.predict["gate"], s1.program.predict["gate"]) == (True, False)
         else:
             assert gates == set()
         assert (s0.ground_truth_secret, s1.ground_truth_secret) == (0, 1)
         # the overlay gives what building with the secret gives
         built = build_scenario(name, 1, machine)
-        assert built.program.instructions == s1.program.instructions
-        assert built.program.data_init == s1.program.data_init
-        assert built.forced_predictions == s1.forced_predictions
+        assert built.program == s1.program
         for bad in (-1, 2):
             with pytest.raises(ScenarioError, match="secret"):
                 with_secret(base, bad)
@@ -130,11 +131,30 @@ def test_probe_resolves_through_label():
     assert probe.label == "target"
 
 
-def test_forced_branches_exist():
+def test_predicted_labels_name_branches():
     for name in SCENARIO_NAMES:
-        scenario = build_scenario(name, 1)
-        for branch in scenario.forced_predictions:
-            assert scenario.program.instructions[branch].opcode is Opcode.BRANCH
+        for secret in (0, 1):
+            program = build_scenario(name, secret).program
+            assert "window" in program.predict
+            for label in program.predict:
+                assert program.instructions[program.labels[label]].opcode is Opcode.BRANCH
+
+
+@pytest.mark.parametrize("rob", [64, 768])
+def test_printed_program_replays_trial_zero(rob):
+    # every prepared cell's text round-trips, and the re-parsed program run
+    # on a fresh core traces exactly what run_single traces
+    machine = MachineConfig(core=CoreConfig(rob_size=rob))
+    cells = 0
+    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
+        printed = print_program(scenario.program)
+        reparsed = parse_program(printed)
+        assert reparsed == scenario.program
+        assert print_program(reparsed) == printed
+        replay = Simulator(reparsed, machine, policy).run()
+        assert replay.to_csv() == run_single(scenario, policy, 0)[0].to_csv()
+        cells += 1
+    assert cells == 52
 
 
 def test_v1_rejects_rob_larger_than_expansion_cap():
@@ -208,14 +228,14 @@ def test_jam_delays_probe_past_branch_resolution():
     trace, _ = observe("fsi_v1_loop", 1)
     scenario = build_scenario("fsi_v1_loop", 1)
     probe = trace.committed_for(scenario.probe_instr)[-1]
-    window = trace.committed_for(min(scenario.forced_predictions))[-1]
+    window = trace.committed_for(scenario.program.labels["window"])[-1]
     assert probe.dispatch_cycle > window.complete_cycle
 
 
 def test_idle_gate_lets_probe_run_ahead_of_resolution():
     trace, _ = observe("fsi_v1_loop", 0)
     scenario = build_scenario("fsi_v1_loop", 0)
-    window = trace.committed_for(min(scenario.forced_predictions))[-1]
+    window = trace.committed_for(scenario.program.labels["window"])[-1]
     speculative = [
         r
         for r in trace.records
@@ -300,7 +320,7 @@ def test_conservative_filter_grows_probe_safe_set():
     scenario, policy = prepare(
         build_scenario("fsi_v1_loop", 0), INVAR, {Mitigation.CONSERVATIVE_INVARIANCE}
     )
-    assert min(scenario.forced_predictions) in members(policy.safe_sets[scenario.probe_instr])
+    assert scenario.program.labels["window"] in members(policy.safe_sets[scenario.probe_instr])
 
 
 def test_balancing_closes_straight_variant():
@@ -340,7 +360,9 @@ def test_balancing_relocates_probe_but_keeps_branch_ids():
     base = build_scenario("fsi_v1_straight", 0)
     scenario, policy = prepare(base, UNPROT, {Mitigation.PATH_BALANCING})
     assert scenario.probe_instr > base.probe_instr
-    assert scenario.forced_predictions == base.forced_predictions
+    for label in ("window", "gate"):
+        assert scenario.program.labels[label] == base.program.labels[label]
+    assert scenario.program.predict == base.program.predict
     assert policy.balance_certificate is not None
 
 
@@ -412,7 +434,7 @@ def test_jitter_spreads_observations_across_trials():
 
 
 def test_infer_timing_threshold():
-    receiver = Receiver(ReceiverKind.TIMING_THRESHOLD, threshold=31.5)
+    receiver = Receiver(ObservationKind.PROBE_LATENCY, threshold=31.5)
     assert infer_secret(60, receiver) == 1
     assert infer_secret(3, receiver) == 0
     assert infer_secret(31, receiver) == 0
@@ -420,7 +442,7 @@ def test_infer_timing_threshold():
 
 
 def test_infer_set_order():
-    receiver = Receiver(ReceiverKind.SET_ORDER, signal_tag=76)
+    receiver = Receiver(ObservationKind.SET_ORDER, signal_tag=76)
     assert infer_secret((76,), receiver) == 1
     assert infer_secret((12,), receiver) == 0
     assert infer_secret((), receiver) == 0
