@@ -31,23 +31,14 @@ observation surface the attack scenarios probe.
 An entry's stage is read off its cycle stamps (dispatch, exec_start,
 complete, then commit or squash), each written once; no status is kept.
 
-`Simulator.step()` advances exactly one cycle and is the oracle the
-event-skipping `run()` is tested against. After each step, `run()` jumps
-over the cycles in which no phase can act. A cycle c+1 is idle when there
-is no redirect stall, the ROB is non-empty and its head cannot commit (not
-complete, or an unverified predicted micro-op), no queued entry can
-dispatch, no completion or fill is due at c+1, the ALU queue holds no
-live entry, every queued memory entry stays gated (a shadowed store, or a
-shadowed load neither lifted by ESP nor hitting), no predicted REP can be
-verified, and fetch is blocked (full decode queue, end of program, a FENCE
-waiting for the drain, or a REP waiting for its in-flight counter). An
-entry is queued ready by the next cycle at the latest, so a queued entry
-can issue at c+1 unless gated. Any ungated access ends the skip, even one
-a full MSHR table will reject, since it draws jitter. The jump lands just
-before the next event: the earliest completion or fill, capped at
-max_cycles. Each skipped cycle appends the unchanged occupancy and counts
-the dispatch and decode stalls the stepper would have counted, so traces
-are identical.
+`Simulator.step()` advances exactly one cycle and returns whether any
+phase acted; it is the oracle the event-skipping `run()` is tested against.
+A cycle in which no phase acted changes nothing a later cycle reads (fills
+land before the phases; a load's address is memoised and squashed entries
+leave the issue queues), so every later cycle repeats it until the next
+completion or fill. `run()` records those cycles in one go: the same
+occupancy and the same dispatch and decode stalls each, never past
+max_cycles.
 """
 
 from __future__ import annotations
@@ -263,7 +254,6 @@ class SimStats:
     squash_log: list[SquashRecord] = field(default_factory=list)
     dispatch_stalls: int = 0
     decode_stalls: int = 0
-    load_port_stalls: int = 0
     peak_occupancy: int = 0
 
 
@@ -414,31 +404,35 @@ class Simulator:
             and not self.rob
         )
 
-    def step(self) -> None:
+    def step(self) -> bool:
         """Advance one cycle through the five phases; a phase with nothing
-        queued is not entered."""
+        queued is not entered. True when any phase acted."""
         self.cycle += 1
         if self.cache.mshrs:
             for addr in self.cache.process_fills(self.cycle):
                 self._mem_events.append(MemEvent(self.cycle, None, None, addr, "fill"))
+        acted = False
         if self.rob:
-            self._commit()
+            acted |= self._commit()
         if self._alu_queue:
-            self._issue_alu()
+            acted |= self._issue_alu()
         if self._mem_queue:
-            self._issue_mem()
-        self._complete()
+            acted |= self._issue_mem()
+        acted |= self._complete()
         if self._queue:
-            self._dispatch()
-        self._fetch_decode()
+            acted |= self._dispatch()
+        acted |= self._fetch_decode()
         occ = len(self.rob)
         self._occupancy.append(occ)
         if occ > self.stats.peak_occupancy:
             self.stats.peak_occupancy = occ
         assert occ <= self.config.rob_size
+        return acted
 
     def run(self) -> Trace:
-        """Step to halt, jumping over idle cycles (see the module docstring)."""
+        """Step to halt, repeating idle cycles in one go (see the module
+        docstring)."""
+        stats = self.stats
         while not self.halted:
             if self.cycle >= self.config.max_cycles:
                 snapshot = [
@@ -447,99 +441,39 @@ class Simulator:
                     for e in self.rob
                 ]
                 raise SimulationLimitError(self.cycle, len(self.rob), snapshot)
-            self.step()
-            self._skip_idle()
-        self.stats.cycles = self.cycle
+            dispatch_stalls, decode_stalls = stats.dispatch_stalls, stats.decode_stalls
+            if not self.step():
+                self._repeat_idle(
+                    stats.dispatch_stalls - dispatch_stalls,
+                    stats.decode_stalls - decode_stalls,
+                )
+        stats.cycles = self.cycle
         return Trace(
             records=self._records,
             occupancy=self._occupancy,
             mem_events=self._mem_events,
             rep_expansions=self._rep_log,
             warnings=self._warnings,
-            stats=self.stats,
+            stats=stats,
         )
 
-    # ------------------------------------------------------------------
-    # idle-cycle skipping
-
-    def _skip_idle(self) -> None:
-        """Advance `cycle` to just before the next cycle in which a phase can
-        act, accounting each skipped cycle as the stepper would: one
-        occupancy sample, plus a dispatch stall and a decode stall where
-        those phases are blocked. Never passes max_cycles."""
-        nxt = self.cycle + 1
-        rob = self.rob
-        if not rob or self._redirect_stall:
-            return  # an empty ROB that has not halted still decodes
-        head = rob[0]
-        if head.complete_cycle is not None and not head.predicted:
-            return
-        rob_full = len(rob) >= self.config.rob_size
-        if self._queue and not rob_full:
-            return
-        decode_stall = self._decode_stall()
-        if decode_stall is None:
-            return
-        # a queued entry is ready by nxt: a live ALU entry issues then
-        if any(entry.squash_cycle is None for entry in self._alu_queue):
-            return
-        # the next event: a completion or a fill
+    def _repeat_idle(self, dispatch_stalls: int, decode_stalls: int) -> None:
+        """Repeat the idle cycle just stepped, with its dispatch and decode
+        stalls, up to just before the next completion or fill; never past
+        max_cycles."""
         event = min(self._completions, default=self.config.max_cycles + 1)
         for mshr in self.cache.mshrs:
             event = min(event, mshr.fill_cycle)
-        if event <= nxt:
-            return
-        for entry in self._mem_queue:
-            if entry.squash_cycle is None and not self._gate_holds(entry):
-                return
-        if any(self._verifiable(rep) for rep in self._live_reps):
-            return
-        skipped = min(event - 1, self.config.max_cycles) - self.cycle
-        if skipped <= 0:
-            return
-        self.cycle += skipped
-        self._occupancy.extend(repeat(len(rob), skipped))
-        if self._queue and rob_full:
-            self.stats.dispatch_stalls += skipped
-        self.stats.decode_stalls += decode_stall * skipped
-
-    def _decode_stall(self) -> int | None:
-        """Decode stalls fetch adds per cycle while blocked, or None when it
-        can decode; call only with a non-empty ROB and no redirect stall."""
-        if len(self._queue) >= 2 * self.config.decode_width:
-            return 0
-        if self._expansion is not None:
-            return None
-        if self.pc >= self._n_instr:
-            return 0
-        macro = self.program.instructions[self.pc]
-        if macro.opcode is Opcode.FENCE:
-            return 1  # the ROB is not drained
-        if macro.opcode in REP_OPCODES and self._rep_waits(macro):
-            return 1
-        return None
-
-    def _gate_holds(self, entry: RobEntry) -> bool:
-        """True when a ready memory entry stays gated this cycle: a shadowed
-        store, or a shadowed load neither lifted nor hitting. Like the issue
-        phase it computes the address; unlike it, it stamps no ESP cycle."""
-        if entry.address is None:
-            entry.address = self._effective_address(entry)
-        if not self._gates_loads or entry.shadow is None:
-            return False
-        if entry.uop.kind is UopKind.MEM_WRITE:
-            return True
-        if self._lifts and (
-            entry.esp_cycle is not None
-            or esp_check(entry, self.policy.safe_sets, self.rob)
-        ):
-            return False
-        return not dom_gate(entry, self.cache)
+        repeats = min(event - 1, self.config.max_cycles) - self.cycle
+        self.cycle += repeats
+        self._occupancy.extend(repeat(len(self.rob), repeats))
+        self.stats.dispatch_stalls += dispatch_stalls * repeats
+        self.stats.decode_stalls += decode_stalls * repeats
 
     # ------------------------------------------------------------------
     # commit
 
-    def _commit(self) -> None:
+    def _commit(self) -> bool:
         committed = 0
         while committed < self.config.commit_width and self.rob:
             entry = self.rob[0]
@@ -562,11 +496,12 @@ class Simulator:
             self.rob.popleft()
             self.stats.committed_uops += 1
             committed += 1
+        return committed > 0
 
     # ------------------------------------------------------------------
     # issue
 
-    def _issue_alu(self) -> None:
+    def _issue_alu(self) -> bool:
         issued = 0
         queue = self._alu_queue
         while issued < self.config.alu_ports and queue:
@@ -577,8 +512,9 @@ class Simulator:
             entry.result = self._alu_result(entry)
             self._schedule_completion(entry, self.cycle + self.config.alu_latency - 1)
             issued += 1
+        return issued > 0
 
-    def _issue_mem(self) -> None:
+    def _issue_mem(self) -> bool:
         issued = 0
         i = 0
         queue = self._mem_queue
@@ -606,13 +542,13 @@ class Simulator:
                 entry.address, self.cycle, deferred_effects=deferred, extra_latency=extra
             )
             if result.outcome is AccessOutcome.MSHR_STALL:
-                self.stats.load_port_stalls += 1
                 issued += 1  # the rejected attempt still occupied the port
                 i += 1
                 continue
             queue.pop(i)
             self._start_access(entry, result, deferred)
             issued += 1
+        return issued > 0
 
     def _start_access(self, entry: RobEntry, result: AccessResult, deferred: bool) -> None:
         """Stamp an accepted access, log its event and schedule completion;
@@ -681,11 +617,10 @@ class Simulator:
     # complete / resolve / verify
 
     def _schedule_completion(self, entry: RobEntry, when: int) -> None:
-        if when <= self.cycle:
-            when = self.cycle  # completes this cycle; processed in phase 3
+        assert when >= self.cycle  # due this cycle: the complete phase is still to run
         self._completions.setdefault(when, []).append(entry)
 
-    def _complete(self) -> None:
+    def _complete(self) -> bool:
         due = self._completions.pop(self.cycle, None)
         if due is not None:
             due.sort(key=lambda e: e.rob_seq)
@@ -696,8 +631,10 @@ class Simulator:
                 self._wake_dependents(entry)
                 if entry.uop.kind is UopKind.BRANCH_RESOLVE:
                     self._resolve_branch(entry)
+        acted = due is not None
         if self._live_reps:
-            self._verify_predicted_reps()
+            acted |= self._verify_predicted_reps()
+        return acted
 
     def _wake_dependents(self, producer: RobEntry) -> None:
         for dep in producer.dependents:
@@ -733,10 +670,12 @@ class Simulator:
         assert rep.counter_producer is not None  # predicted only for an in-flight counter
         return rep.counter_producer.complete_cycle is not None
 
-    def _verify_predicted_reps(self) -> None:
+    def _verify_predicted_reps(self) -> bool:
+        checked = False
         for rep in self._live_reps:
             if not self._verifiable(rep):
                 continue
+            checked = True
             first = rep.entries[0]
             value = rep.counter_producer.result or 0
             requested = rep_expansion_count(rep.opcode, value)
@@ -760,6 +699,7 @@ class Simulator:
                 )
                 break  # every later expansion is younger, so squashed with it
         self._live_reps = [r for r in self._live_reps if r.verified is None]
+        return checked
 
     def _release_shadow(self, seq: int) -> None:
         try:
@@ -811,7 +751,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # dispatch
 
-    def _dispatch(self) -> None:
+    def _dispatch(self) -> bool:
+        first = self._next_seq
         while self._queue and len(self.rob) < self.config.rob_size:
             entry = self._queue.popleft()
             entry.rob_seq = self._next_seq
@@ -839,30 +780,32 @@ class Simulator:
                 self._lifted(entry)  # stamps esp at dispatch for empty safe sets
         if self._queue and len(self.rob) >= self.config.rob_size:
             self.stats.dispatch_stalls += 1
+        return self._next_seq > first
 
     def _enqueue_ready(self, entry: RobEntry) -> None:
         """Queue an entry whose operands exist, ready this cycle or the next,
         so it may issue in the next issue phase."""
-        assert entry.ready_cycle is not None and entry.ready_cycle <= self.cycle + 1
+        ready = entry.ready_cycle
+        assert ready is not None and entry.dispatch_cycle <= ready <= self.cycle + 1
         kind = entry.uop.kind
         if kind in (UopKind.MEM_READ, UopKind.MEM_WRITE):
             insort(self._mem_queue, entry, key=lambda e: e.rob_seq)
         elif kind is UopKind.ALU:
             insort(self._alu_queue, entry, key=lambda e: e.rob_seq)
         elif kind is UopKind.BRANCH_RESOLVE:
-            start = max(entry.ready_cycle or 0, entry.dispatch_cycle or 0)
-            entry.exec_start_cycle = start
-            self._schedule_completion(entry, start + 1)
+            entry.exec_start_cycle = ready
+            self._schedule_completion(entry, ready + 1)
         else:  # NOP-class: jump, fence, pad, rep filler
             entry.complete_cycle = entry.dispatch_cycle
 
     # ------------------------------------------------------------------
     # fetch / decode
 
-    def _fetch_decode(self) -> None:
+    def _fetch_decode(self) -> bool:
         if self._redirect_stall:
             self._redirect_stall = False
-            return
+            return True
+        pc = self.pc
         slots = self.config.decode_width
         while slots > 0 and len(self._queue) < 2 * self.config.decode_width:
             if self._expansion is not None:
@@ -882,6 +825,7 @@ class Simulator:
                 continue  # zero-count expansion advances pc without a slot
             self._decode_simple(macro)
             slots -= 1
+        return slots < self.config.decode_width or self.pc != pc
 
     def _decode_simple(self, macro: MacroInstruction) -> None:
         entry = self._push_uop(macro, macro.decoded.uop)
@@ -915,28 +859,18 @@ class Simulator:
         self._records.append(entry)
         return entry
 
-    def _rep_waits(self, macro: MacroInstruction) -> bool:
-        """True while a REP's in-flight counter must be bypassed before it
-        expands: no re-expansion override and no predicted fill."""
-        if self._rep_override is not None and self._rep_override[0] == macro.id:
-            return False
-        producer = self._prod_map.get(macro.operands[0].index)
-        return (
-            producer is not None
-            and producer.complete_cycle is None
-            and not self._predicted_fill
-        )
-
     def _begin_rep(self, macro: MacroInstruction) -> bool:
-        """Start expanding a REP macro. False means decode stalls."""
-        if self._rep_waits(macro):
-            return False  # counter not yet bypassable
+        """Start expanding a REP macro. False means decode stalls: its
+        in-flight counter must be bypassed first (no re-expansion override,
+        no predicted fill)."""
         counter_reg = macro.operands[0].index
         producer = self._prod_map.get(counter_reg)
         override: int | None = None
         if self._rep_override is not None and self._rep_override[0] == macro.id:
             override = self._rep_override[1]
             self._rep_override = None
+        elif not self._predicted_fill and producer is not None and not producer.complete:
+            return False
         if override is None and producer is not None and self._predicted_fill:
             rep = RepExpansion(
                 instr=macro.id,

@@ -336,7 +336,6 @@ class SecretSummary:
     minimum: float | None
     maximum: float | None
     windowed: tuple[float, ...]
-    accuracy: float
 
 
 def _windowed_means(values: list[float], window: int) -> tuple[float, ...]:
@@ -349,11 +348,11 @@ def _windowed_means(values: list[float], window: int) -> tuple[float, ...]:
 def summarize(
     reports: Iterable[ScenarioReport], window: int = SUMMARY_WINDOW
 ) -> list[SecretSummary]:
-    """Per-secret stats of one cell's reports: mean/min/max, windowed means,
-    accuracy.
+    """Per-secret stats of one cell's reports: mean/min/max and windowed
+    means.
 
-    Numeric stats cover timing observations; set-order snapshots only carry
-    accuracy. Windowed means average consecutive runs of `window` trials.
+    Numeric stats cover timing observations; set-order snapshots carry none.
+    Windowed means average consecutive runs of `window` trials.
     """
     reports = list(reports)
     if not reports:
@@ -371,7 +370,6 @@ def summarize(
             if isinstance(r.observation, (int, float)) and not isinstance(r.observation, bool)
         ]
         have_numbers = len(numeric) == len(rows)
-        accuracy = sum(r.inferred_secret == r.ground_truth for r in rows) / len(rows)
         out.append(
             SecretSummary(
                 secret=secret,
@@ -380,7 +378,6 @@ def summarize(
                 minimum=min(numeric) if have_numbers else None,
                 maximum=max(numeric) if have_numbers else None,
                 windowed=_windowed_means(numeric, window) if have_numbers else (),
-                accuracy=accuracy,
             )
         )
     return out

@@ -387,11 +387,11 @@ def test_full_mshr_table_stalls_and_retries():
     load r1, [8]
     load r2, [72]
     """
-    trace = simulate(text, cache=cache)
-    first, second = trace.records
+    sim = make_sim(text, cache=cache)
+    first, second = sim.run().records
     # the second miss retries until the first fill frees its table entry
     assert second.exec_start_cycle == first.exec_start_cycle + 60
-    assert trace.stats.load_port_stalls > 0
+    assert sim.cache.mshr_stalls > 0
 
 
 def test_unbounded_mshr_table_never_stalls():
@@ -400,10 +400,10 @@ def test_unbounded_mshr_table_never_stalls():
     load r1, [8]
     load r2, [72]
     """
-    trace = simulate(text, cache=cache)
-    first, second = trace.records
+    sim = make_sim(text, cache=cache)
+    first, second = sim.run().records
     assert second.exec_start_cycle == first.exec_start_cycle + 1
-    assert trace.stats.load_port_stalls == 0
+    assert sim.cache.mshr_stalls == 0
 
 
 def test_delay_policy_holds_shadowed_cold_load():
@@ -710,7 +710,7 @@ def test_run_convenience_matches_simulator():
 
 def stepped_run(sim: Simulator):
     """run() with one step() per cycle: the oracle for idle-cycle skipping."""
-    sim._skip_idle = lambda: None
+    sim._repeat_idle = lambda dispatch_stalls, decode_stalls: None
     return sim.run()
 
 
@@ -745,7 +745,7 @@ def counting_steps(monkeypatch) -> list[int]:
 
     def counted(self):
         calls[0] += 1
-        step(self)
+        return step(self)
 
     monkeypatch.setattr(Simulator, "step", counted)
     return calls
@@ -828,8 +828,9 @@ def test_mshr_retries_are_stepped_and_draw_jitter(monkeypatch):
     make = lambda: make_sim(text, cache=CacheConfig(mshr_entries=1), jitter=5, seed=3)
     assert_skipping_matches_stepper(make)
     steps = counting_steps(monkeypatch)
-    trace = make().run()
-    retries = trace.stats.load_port_stalls
+    sim = make()
+    trace = sim.run()
+    retries = sim.cache.mshr_stalls
     assert retries > 100  # each load waits out the fill before it
     assert steps[0] > retries
     latencies = [e.latency for e in trace.records]
@@ -849,6 +850,31 @@ def test_predicted_rep_verifies_under_a_jammed_rob(monkeypatch):
     assert rep.predicted and rep.verified is False
     assert trace.stats.squash_log[0].cycle == 4
     assert steps[0] < trace.stats.cycles - 50
+
+
+def test_clean_rep_verification_alone_in_its_cycle_is_stepped():
+    # a full ROB holds the first predicted micro-op back until the miss
+    # commits; its clean check, a cycle later, is then all that happens, and
+    # the expansion commits the cycle after
+    text = "load r0, [8]\nalu r1, r1, 4\nnop\nnop\nrep_movs r1"
+    policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
+    make = lambda: make_sim(text, core=CoreConfig(rob_size=4), policy=policy)
+    assert_skipping_matches_stepper(make)
+    trace = make().run()
+    assert trace.rep_expansions[0].verified is True
+    first = trace.records[4]
+    assert first.commit_cycle == first.dispatch_cycle + 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_alus_woken_together_issue_one_per_cycle(k):
+    # at ALU latency 4 each issue after the first is all that happens in its cycle
+    text = "\n".join(["load r1, [8]"] + [f"alu r{i + 2}, r1, {i}" for i in range(k)])
+    make = lambda: make_sim(text, core=CoreConfig(alu_latency=4))
+    assert_skipping_matches_stepper(make)
+    starts = [e.exec_start_cycle for e in make().run().records[1:]]
+    assert starts == list(range(starts[0], starts[0] + k))
+
 
 @pytest.mark.parametrize("max_cycles", [30, 61, 62, 63])
 def test_cycle_limit_inside_an_idle_stretch(max_cycles):
@@ -871,6 +897,9 @@ def machine_runs(draw):
     branches = [i.label for i in program.instructions if i.opcode is Opcode.BRANCH]
     predict = draw(st.dictionaries(st.sampled_from(branches), st.booleans())) if branches else {}
     mode = draw(st.sampled_from(list(DefenseMode)))
+    mitigations = frozenset()
+    if any(i.opcode in REP_OPCODES for i in program.instructions) and draw(st.booleans()):
+        mitigations = frozenset({Mitigation.OPERAND_INDEPENDENT_FILL})
     safe_sets = None
     if mode is DefenseMode.DOM_PLUS_INVARSPEC:
         safe_sets = draw(st.sampled_from([
@@ -880,6 +909,11 @@ def machine_runs(draw):
     machine = MachineConfig(
         core=CoreConfig(
             rob_size=draw(st.sampled_from([4, 8, 64])),
+            decode_width=draw(st.sampled_from([1, 4])),
+            commit_width=draw(st.sampled_from([1, 4])),
+            load_ports=draw(st.sampled_from([1, 2])),
+            alu_ports=draw(st.sampled_from([1, 2])),
+            alu_latency=draw(st.sampled_from([1, 4])),
             max_cycles=draw(st.integers(min_value=20, max_value=400)),
         ),
         cache=CacheConfig(mshr_entries=draw(st.integers(min_value=1, max_value=2))),
@@ -888,7 +922,8 @@ def machine_runs(draw):
     )
     warm = tuple(draw(st.sets(st.integers(min_value=0, max_value=15))))
     program = dataclasses.replace(program, warm=warm, predict=predict)
-    return program, DefensePolicy(mode=mode, safe_sets=safe_sets), machine
+    policy = DefensePolicy(mode=mode, mitigations=mitigations, safe_sets=safe_sets)
+    return program, policy, machine
 
 
 @settings(max_examples=100, deadline=None)

@@ -303,7 +303,6 @@ def test_summarize_identical_reports():
     assert len(rows) == 1
     row = rows[0]
     assert row.mean == row.minimum == row.maximum == 60
-    assert row.accuracy == 1.0
 
 
 def test_summarize_windowed_means():
@@ -323,7 +322,6 @@ def test_summarize_set_order_reports():
     rows = summarize([report(obs=(76,), inferred=1, truth=1)])
     assert rows[0].mean is None
     assert rows[0].windowed == ()
-    assert rows[0].accuracy == 1.0
 
 
 def test_cell_violation_property():
