@@ -327,18 +327,14 @@ def analyze_paths(
     program: Program,
     branch: int,
     cap: int = DEFAULT_EXPANSION_CAP,
-    ipdom: list[int] | None = None,
 ) -> PathProfile:
     """Micro-op counts along each direction of `branch` to its reconvergence.
 
     variable=True when a rep opcode sits on either path or when control flow
     cycles (back edges), in which case max_uops saturates at the cap.
-    `ipdom` is the program's `immediate_postdominators`, computed when absent.
     """
     succ, preds = _cfg(program)
-    if ipdom is None:
-        ipdom = _postdominator_tree(succ, preds)
-    return _profile(program, succ, ipdom, branch, cap)
+    return _profile(program, succ, _postdominator_tree(succ, preds), branch, cap)
 
 
 def _profile(

@@ -30,6 +30,10 @@ observation surface the attack scenarios probe.
 
 An entry's stage is read off its cycle stamps (dispatch, exec_start,
 complete, then commit or squash), each written once; no status is kept.
+Whether an entry is shadowed is read off `_unresolved`, the rob_seqs of
+the unresolved speculation sources in age order: it is, exactly when the
+oldest of them is older than the entry. The `shadow` column records that
+source for a squashed entry, stamped once at the squash.
 
 `Simulator.step()` advances exactly one cycle and returns whether any
 phase acted; it is the oracle the event-skipping `run()` is tested against.
@@ -53,7 +57,7 @@ from itertools import repeat
 from typing import Iterable, Mapping
 
 from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
-from .defenses import REP_PREDICTED_COUNT, DefensePolicy, dom_gate, esp_check
+from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
     Imm,
@@ -154,7 +158,7 @@ class RobEntry:
     complete_cycle: int | None = None
     commit_cycle: int | None = None
     squash_cycle: int | None = None
-    shadow: int | None = None
+    shadow: int | None = None  # set at squash: oldest unresolved source ahead of it
     predicted: bool = False  # unverified predicted-REP micro-op
     osp: bool = False
     esp_cycle: int | None = None
@@ -209,8 +213,8 @@ def _is_speculation_source(entry: RobEntry) -> bool:
 def compute_shadows(entries: Iterable[RobEntry]) -> list[int | None]:
     """Shadow of each entry: rob_seq of the oldest unresolved speculation
     source ahead of it (unresolved branch or unverified predicted REP),
-    or None. Pure; the simulator maintains the same assignment
-    incrementally and tests compare the two.
+    or None. Pure; the simulator reads the same answer off its oldest
+    unresolved source and tests compare the two.
     """
     shadows: list[int | None] = []
     oldest: int | None = None
@@ -285,8 +289,8 @@ class Trace:
     occupancy: list[int]
     mem_events: list[MemEvent]
     rep_expansions: list[RepExpansion]
-    warnings: list[str]
     stats: SimStats
+    cache: CacheState  # the run's final cache
 
     def committed(self) -> list[RobEntry]:
         return [e for e in self.records if e.commit_cycle is not None]
@@ -389,7 +393,6 @@ class Simulator:
         self._occupancy: list[int] = []
         self._mem_events: list[MemEvent] = []
         self._rep_log: list[RepExpansion] = []
-        self._warnings: list[str] = []
         self._rng = random.Random(self.machine.jitter_seed)
 
     # ------------------------------------------------------------------
@@ -453,8 +456,8 @@ class Simulator:
             occupancy=self._occupancy,
             mem_events=self._mem_events,
             rep_expansions=self._rep_log,
-            warnings=self._warnings,
             stats=stats,
+            cache=self.cache,
         )
 
     def _repeat_idle(self, dispatch_stalls: int, decode_stalls: int) -> None:
@@ -481,7 +484,7 @@ class Simulator:
                 break
             if entry.predicted:
                 break  # predicted REP fill may still be squashed by verification
-            assert entry.shadow is None
+            assert not self._unresolved or self._unresolved[0] >= entry.rob_seq
             entry.commit_cycle = self.cycle
             if entry.dest is not None and entry.result is not None:
                 self.regs[entry.dest] = entry.result
@@ -518,6 +521,7 @@ class Simulator:
         issued = 0
         i = 0
         queue = self._mem_queue
+        oldest = self._unresolved[0] if self._unresolved else None
         while issued < self.config.load_ports and i < len(queue):
             entry = queue[i]
             if entry.squashed:
@@ -526,12 +530,12 @@ class Simulator:
             if entry.address is None:
                 entry.address = self._effective_address(entry)
             deferred = False  # a gated load runs only on a hit, effects deferred
-            if self._gates_loads and entry.shadow is not None:
+            if self._gates_loads and oldest is not None and oldest < entry.rob_seq:
                 if entry.uop.kind is UopKind.MEM_WRITE:
                     i += 1  # shadowed stores always wait for the shadow
                     continue
-                deferred = not self._lifted(entry)
-                if deferred and not dom_gate(entry, self.cache):
+                deferred = not self._lifted(entry, oldest)
+                if deferred and not self.cache.resident(entry.address):
                     i += 1
                     continue
             extra = 0
@@ -579,12 +583,12 @@ class Simulator:
         self._mem_events.append(event)
         self._schedule_completion(entry, self.cycle + result.latency - 1)
 
-    def _lifted(self, entry: RobEntry) -> bool:
+    def _lifted(self, entry: RobEntry, oldest: int | None) -> bool:
         if not self._lifts:
             return False
         if entry.esp_cycle is not None:
             return True
-        if esp_check(entry, self.policy.safe_sets, self.rob):
+        if esp_check(entry, self.policy.safe_sets, self.rob, oldest):
             entry.esp_cycle = self.cycle
             return True
         return False
@@ -650,7 +654,7 @@ class Simulator:
         taken = cond == 0  # branch-if-zero
         entry.result = int(taken)
         self.predictor.update(entry.instr, taken)
-        self._release_shadow(entry.rob_seq)
+        self._unresolved.remove(entry.rob_seq)
         if taken == entry.predicted_taken:
             return
         target = self._targets[entry.instr] if taken else entry.instr + 1
@@ -658,14 +662,14 @@ class Simulator:
         assert entry.checkpoint is not None
         self._squash_after(entry.rob_seq, entry.checkpoint, target, "branch", entry.instr)
 
-    @staticmethod
-    def _verifiable(rep: RepExpansion) -> bool:
+    def _verifiable(self, rep: RepExpansion) -> bool:
         """A predicted expansion is checked once it has streamed in full, its
         first micro-op is dispatched and unshadowed, and its counter exists."""
         if rep.emitted < rep.target:
             return False
         first = rep.entries[0]
-        if first.dispatch_cycle is None or first.shadow is not None:
+        # a dispatched first micro-op is itself unresolved, so the list is not empty
+        if first.dispatch_cycle is None or self._unresolved[0] < first.rob_seq:
             return False
         assert rep.counter_producer is not None  # predicted only for an in-flight counter
         return rep.counter_producer.complete_cycle is not None
@@ -685,7 +689,7 @@ class Simulator:
                 rep.verified = True
                 for entry in rep.entries:
                     entry.predicted = False
-                self._release_shadow(first.rob_seq)
+                self._unresolved.remove(first.rob_seq)
             else:
                 rep.verified = False
                 assert rep.checkpoint is not None
@@ -701,21 +705,6 @@ class Simulator:
         self._live_reps = [r for r in self._live_reps if r.verified is None]
         return checked
 
-    def _release_shadow(self, seq: int) -> None:
-        try:
-            self._unresolved.remove(seq)
-        except ValueError:
-            return  # already released (resolved source later squashed)
-        # only the oldest source shadows anything, so its successor in
-        # the shadow is the next oldest
-        nxt = self._unresolved[0] if self._unresolved else None
-        for entry in self.rob:
-            if entry.shadow == seq:
-                if nxt is not None and nxt < entry.rob_seq:
-                    entry.shadow = nxt
-                else:
-                    entry.shadow = None
-
     def _squash_after(
         self,
         boundary_seq: int,
@@ -730,9 +719,12 @@ class Simulator:
             removed += 1
         self._queue.clear()
         self._expansion = None
+        oldest = self._unresolved[0] if self._unresolved else None
         while self.rob and self.rob[-1].rob_seq > boundary_seq:
             entry = self.rob.pop()
             entry.squash_cycle = self.cycle
+            if oldest is not None and oldest < entry.rob_seq:
+                entry.shadow = oldest
             removed += 1
         self._unresolved = [s for s in self._unresolved if s <= boundary_seq]
         # the squash ends the expansion being decoded: one that emitted
@@ -758,7 +750,6 @@ class Simulator:
             entry.rob_seq = self._next_seq
             self._next_seq += 1
             entry.dispatch_cycle = self.cycle
-            entry.shadow = self._unresolved[0] if self._unresolved else None
             self.rob.append(entry)
             if _is_speculation_source(entry):
                 self._unresolved.append(entry.rob_seq)
@@ -777,7 +768,8 @@ class Simulator:
                 entry.ready_cycle = latest
                 self._enqueue_ready(entry)
             if self._lifts and entry.uop.kind in (UopKind.MEM_READ, UopKind.MEM_WRITE):
-                self._lifted(entry)  # stamps esp at dispatch for empty safe sets
+                # stamps esp at dispatch for empty safe sets
+                self._lifted(entry, self._unresolved[0] if self._unresolved else None)
         if self._queue and len(self.rob) >= self.config.rob_size:
             self.stats.dispatch_stalls += 1
         return self._next_seq > first
@@ -899,10 +891,6 @@ class Simulator:
                 target=target,
                 capped=requested > target,
             )
-            if rep.capped:
-                self._warnings.append(
-                    f"instr {macro.id}: rep expansion {requested} capped at {target}"
-                )
         self._rep_log.append(rep)
         self.pc = macro.id + 1
         if rep.target:

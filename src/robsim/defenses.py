@@ -24,13 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
+from typing import Iterable, Mapping, Protocol
 
 from .analysis import BalanceError, analyze_all_branches
 from .isa import DEFAULT_EXPANSION_CAP, Program
-
-if TYPE_CHECKING:
-    from .cache import CacheState
 
 
 REP_PREDICTED_COUNT = 8  # micro-ops an operand_independent_fill REP emits
@@ -116,43 +113,37 @@ class RobEntryView(Protocol):
 
     instr: int
     rob_seq: int
-    shadow: int | None
     complete: bool
     osp: bool
-    address: int | None
     producers: tuple["RobEntryView", ...]
-
-
-def dom_gate(entry: RobEntryView, cache: "CacheState") -> bool:
-    """Delay-on-miss decision for a shadowed load: True on a hit, which runs
-    with deferred effects; False on a miss, which waits for the shadow to
-    clear."""
-    return entry.address is not None and cache.resident(entry.address)
 
 
 def osp_reached(
     entry: RobEntryView,
     rob: Iterable[RobEntryView],
     safe_sets: Mapping[int, int] | None,
+    oldest: int | None,
 ) -> bool:
     """True once the entry's result exists and can no longer change.
 
-    complete and unshadowed is the base case. A shadowed complete entry
-    qualifies once it has reached ESP itself (`esp_check`) and every value
-    producer has reached OSP. The flag is sticky: squash removes the entry
-    outright, so it never reverts.
+    `oldest` is the rob_seq of the oldest unresolved speculation source, or
+    None; an entry is shadowed when that source is older than it. Complete
+    and unshadowed is the base case. A shadowed complete entry qualifies
+    once it has reached ESP itself (`esp_check`) and every value producer
+    has reached OSP. The flag is sticky: squash removes the entry outright,
+    so it never reverts.
     """
     if entry.osp:
         return True
     if not entry.complete:
         return False
-    if entry.shadow is None:
+    if oldest is None or entry.rob_seq <= oldest:
         entry.osp = True
         return True
-    if not esp_check(entry, safe_sets, rob):
+    if not esp_check(entry, safe_sets, rob, oldest):
         return False
     for producer in entry.producers:
-        if not osp_reached(producer, rob, safe_sets):
+        if not osp_reached(producer, rob, safe_sets, oldest):
             return False
     entry.osp = True
     return True
@@ -162,11 +153,14 @@ def esp_check(
     entry: RobEntryView,
     safe_sets: Mapping[int, int] | None,
     rob: Iterable[RobEntryView],
+    oldest: int | None,
 ) -> bool:
     """Execution-safe point: every older in-flight instance of a safe-set
     member at OSP; a member with no in-flight instance is settled
     (committed or off-path). `safe_sets` maps an instruction to its safe
-    set as a bitmask, bit m set when instruction m is a member.
+    set as a bitmask, bit m set when instruction m is a member. `oldest`
+    is the rob_seq of the oldest unresolved speculation source, or None,
+    which decides whether each member is shadowed (`osp_reached`).
 
     An empty safe set reaches ESP immediately; the gate bypass this
     enables for bound-to-commit instructions is the lever the whole
@@ -178,7 +172,7 @@ def esp_check(
     for other in rob:
         if other.rob_seq >= entry.rob_seq:
             break
-        if members >> other.instr & 1 and not osp_reached(other, rob, safe_sets):
+        if members >> other.instr & 1 and not osp_reached(other, rob, safe_sets, oldest):
             return False
     return True
 
@@ -190,7 +184,6 @@ __all__ = [
     "Mitigation",
     "REP_PREDICTED_COUNT",
     "certify_balanced",
-    "dom_gate",
     "esp_check",
     "osp_reached",
 ]

@@ -490,9 +490,8 @@ def run_single(
     machine = scenario.machine
     if machine.jitter_amplitude:
         machine = replace(machine, jitter_seed=machine.jitter_seed + trial)
-    sim = Simulator(scenario.program, machine, policy)
-    trace = sim.run()
-    observation = _observe(scenario, sim, trace)
+    trace = Simulator(scenario.program, machine, policy).run()
+    observation = _observe(scenario, trace)
     report = ScenarioReport(
         trial=trial,
         observation=observation,
@@ -518,11 +517,11 @@ def _committed_probe(scenario: Scenario, trace: Trace) -> RobEntry:
     return entries[-1]
 
 
-def _observe(scenario: Scenario, sim: Simulator, trace: Trace):
+def _observe(scenario: Scenario, trace: Trace):
     kind = scenario.receiver.observation
     if kind is ObservationKind.SET_ORDER:
         assert scenario.receiver.set_index is not None
-        return tuple(sim.cache.snapshot_set(scenario.receiver.set_index))
+        return tuple(trace.cache.snapshot_set(scenario.receiver.set_index))
     probe = _committed_probe(scenario, trace)
     if kind is ObservationKind.PROBE_LATENCY:
         return probe.latency

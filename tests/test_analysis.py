@@ -560,7 +560,7 @@ def check_against_oracles(prog):
     for cap in (DEFAULT_EXPANSION_CAP, 7, 3):
         profiles = analyze_all_branches(prog, cap)
         assert profiles == {b: enumerated_profile(prog, b, cap) for b in branches}
-        assert profiles == {b: analyze_paths(prog, b, cap, ipdom) for b in branches}
+        assert profiles == {b: analyze_paths(prog, b, cap) for b in branches}
 
 
 @settings(max_examples=80, deadline=None)

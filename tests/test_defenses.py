@@ -5,13 +5,11 @@ from dataclasses import dataclass, field
 import pytest
 
 from robsim.analysis import BalanceError
-from robsim.cache import CacheConfig, CacheState
 from robsim.defenses import (
     DefenseMode,
     DefensePolicy,
     Mitigation,
     certify_balanced,
-    dom_gate,
     esp_check,
     osp_reached,
 )
@@ -22,10 +20,8 @@ from robsim.isa import parse_program
 class Entry:
     instr: int
     rob_seq: int
-    shadow: int | None = None
     complete: bool = False
     osp: bool = False
-    address: int | None = None
     producers: tuple = field(default=())
 
 
@@ -76,74 +72,67 @@ def test_policy_requires_balance_certificate():
         DefensePolicy(mitigations=frozenset({Mitigation.PATH_BALANCING}))
 
 
-def test_dom_gate_resident_line_executes_deferred():
-    cache = CacheState(CacheConfig())
-    cache.warm(40)
-    entry = Entry(instr=0, rob_seq=0, shadow=5, address=40)
-    assert dom_gate(entry, cache) is True
-
-
-def test_dom_gate_absent_line_delays():
-    cache = CacheState(CacheConfig())
-    entry = Entry(instr=0, rob_seq=0, shadow=5, address=40)
-    assert dom_gate(entry, cache) is False
-
-
 def test_osp_base_case_unshadowed_complete():
-    e = Entry(instr=0, rob_seq=0, shadow=None, complete=True)
-    assert osp_reached(e, [e], None)
+    e = Entry(instr=0, rob_seq=0, complete=True)
+    assert osp_reached(e, [e], None, None)
     assert e.osp  # sticky
 
 
 def test_osp_requires_a_produced_result():
     # Operands may be fully determined; until the value exists the entry
     # is only OSP-eligible. A branch is never OSP before resolving.
-    e = Entry(instr=0, rob_seq=0, shadow=None, complete=False)
-    assert not osp_reached(e, [e], None)
+    e = Entry(instr=0, rob_seq=0, complete=False)
+    assert not osp_reached(e, [e], None, None)
+
+
+def test_osp_base_case_covers_the_oldest_source_itself():
+    # a complete predicted-REP micro-op that is the oldest unresolved source
+    # is not in its own shadow, so its in-flight counter does not hold it
+    counter = Entry(instr=0, rob_seq=2, complete=False)
+    source = Entry(instr=1, rob_seq=3, complete=True, producers=(counter,))
+    assert osp_reached(source, [counter, source], sets_of(), 3)
 
 
 def test_osp_blocked_by_incomplete_producer():
-    producer = Entry(instr=0, rob_seq=0, shadow=3, complete=False)
-    consumer = Entry(
-        instr=1, rob_seq=1, shadow=3, complete=True, producers=(producer,)
-    )
-    assert not osp_reached(consumer, [producer, consumer], sets_of())
+    # the unresolved source at rob_seq 0 shadows both
+    producer = Entry(instr=0, rob_seq=1, complete=False)
+    consumer = Entry(instr=1, rob_seq=2, complete=True, producers=(producer,))
+    assert not osp_reached(consumer, [producer, consumer], sets_of(), 0)
 
 
 def test_osp_shadowed_complete_with_settled_sources():
-    producer = Entry(instr=0, rob_seq=0, shadow=None, complete=True)
-    consumer = Entry(
-        instr=1, rob_seq=1, shadow=3, complete=True, producers=(producer,)
-    )
+    # the producer is older than the unresolved source at rob_seq 1
+    producer = Entry(instr=0, rob_seq=0, complete=True)
+    consumer = Entry(instr=1, rob_seq=2, complete=True, producers=(producer,))
     ss = sets_of((1, frozenset({0})))
-    assert osp_reached(consumer, [producer, consumer], ss)
+    assert osp_reached(consumer, [producer, consumer], ss, 1)
     assert consumer.osp and producer.osp
 
 
 def test_osp_member_without_instance_is_settled():
-    consumer = Entry(instr=4, rob_seq=9, shadow=2, complete=True)
+    consumer = Entry(instr=4, rob_seq=9, complete=True)
     ss = sets_of((4, frozenset({1})))  # instr 1 already committed and gone
-    assert osp_reached(consumer, [consumer], ss)
+    assert osp_reached(consumer, [consumer], ss, 2)
 
 
 def test_esp_empty_safe_set_reached_at_dispatch():
-    e = Entry(instr=7, rob_seq=3, shadow=1, complete=False)
-    assert esp_check(e, sets_of((7, frozenset())), [e]) is True
-    assert esp_check(e, None, [e]) is True  # no analysis: nothing to wait for
+    e = Entry(instr=7, rob_seq=3, complete=False)
+    assert esp_check(e, sets_of((7, frozenset())), [e], 1) is True
+    assert esp_check(e, None, [e], 1) is True  # no analysis: nothing to wait for
 
 
 def test_esp_waits_for_member_osp():
-    branch = Entry(instr=2, rob_seq=2, shadow=None, complete=False)
-    target = Entry(instr=5, rob_seq=5, shadow=2, complete=False)
+    branch = Entry(instr=2, rob_seq=2, complete=False)
+    target = Entry(instr=5, rob_seq=5, complete=False)
     ss = sets_of((5, frozenset({2})))
-    assert esp_check(target, ss, [branch, target]) is False
-    branch.complete = True  # resolution
-    assert esp_check(target, ss, [branch, target]) is True
+    assert esp_check(target, ss, [branch, target], 2) is False
+    branch.complete = True  # resolution: no source is left unresolved
+    assert esp_check(target, ss, [branch, target], None) is True
 
 
 def test_esp_absent_member_is_settled():
-    target = Entry(instr=5, rob_seq=5, shadow=2, complete=False)
-    assert esp_check(target, sets_of((5, frozenset({1}))), [target]) is True
+    target = Entry(instr=5, rob_seq=5, complete=False)
+    assert esp_check(target, sets_of((5, frozenset({1}))), [target], 2) is True
 
 
 BALANCED = """
