@@ -24,9 +24,10 @@ A run is primed by its program alone: `Simulator.__init__` makes every
 `.warm` line resident, then evicts every `.flush` line, and fixes the
 direction of every `.predict` branch, so a program's text replays its run.
 
-Squash rolls back the producer map and fetch point but never the cache:
-fills, evictions, and MSHR state persist, which is precisely the
-observation surface the attack scenarios probe.
+A squash recomputes the producer map from the surviving ROB and
+redirects fetch, but never rolls back the cache: fills, evictions, and
+MSHR state persist, which is precisely the observation surface the attack
+scenarios probe.
 
 An entry's stage is read off its cycle stamps (dispatch, exec_start,
 complete, then commit or squash), each written once; no status is kept.
@@ -106,6 +107,10 @@ class MachineConfig:
     jitter_amplitude: int = 0  # +/- cycles added to fresh miss latency
     jitter_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.jitter_amplitude < 0:
+            raise ValueError("jitter amplitude cannot be negative")
+
 
 class BranchPredictor:
     """Forced-outcome table first, 2-bit counters for everything else.
@@ -150,7 +155,6 @@ class RobEntry:
     predicted_taken: bool | None = None
     src: tuple[tuple[int, "RobEntry | None"], ...] = ()
     dest: int | None = None
-    checkpoint: dict[int, "RobEntry"] | None = None
     rob_seq: int = -1
     dispatch_cycle: int | None = None
     ready_cycle: int | None = None
@@ -235,10 +239,8 @@ class RepExpansion:
     capped: bool = False
     emitted: int = 0
     verified: bool | None = None
-    # predicted only: the in-flight counter, the producer map to squash back
-    # to, and the emitted micro-ops
+    # predicted only: the in-flight counter and the emitted micro-ops
     counter_producer: RobEntry | None = None
-    checkpoint: dict[int, RobEntry] | None = None
     entries: list[RobEntry] = field(default_factory=list)
 
 
@@ -659,8 +661,7 @@ class Simulator:
             return
         target = self._targets[entry.instr] if taken else entry.instr + 1
         assert target is not None
-        assert entry.checkpoint is not None
-        self._squash_after(entry.rob_seq, entry.checkpoint, target, "branch", entry.instr)
+        self._squash_after(entry.rob_seq, target, "branch", entry.instr)
 
     def _verifiable(self, rep: RepExpansion) -> bool:
         """A predicted expansion is checked once it has streamed in full, its
@@ -692,26 +693,14 @@ class Simulator:
                 self._unresolved.remove(first.rob_seq)
             else:
                 rep.verified = False
-                assert rep.checkpoint is not None
                 self._rep_override = (rep.instr, value)
-                self._squash_after(
-                    first.rob_seq - 1,
-                    rep.checkpoint,
-                    rep.instr,
-                    "rep_verify",
-                    rep.instr,
-                )
+                self._squash_after(first.rob_seq - 1, rep.instr, "rep_verify", rep.instr)
                 break  # every later expansion is younger, so squashed with it
         self._live_reps = [r for r in self._live_reps if r.verified is None]
         return checked
 
     def _squash_after(
-        self,
-        boundary_seq: int,
-        checkpoint: dict[int, RobEntry],
-        new_pc: int,
-        kind: str,
-        source_instr: int,
+        self, boundary_seq: int, new_pc: int, kind: str, source_instr: int
     ) -> None:
         removed = 0
         for queued in self._queue:
@@ -732,7 +721,8 @@ class Simulator:
         self._live_reps = [
             r for r in self._live_reps if r.entries and not r.entries[0].squashed
         ]
-        self._prod_map = dict(checkpoint)
+        # every survivor has dispatched; the youngest writer of each register wins
+        self._prod_map = {e.dest: e for e in self.rob if e.dest is not None}
         self.pc = new_pc
         self._redirect_stall = True
         self.stats.squashes += 1
@@ -825,7 +815,6 @@ class Simulator:
         if macro.opcode is Opcode.BRANCH:
             predicted = self.predictor.predict(macro.id)
             entry.predicted_taken = predicted
-            entry.checkpoint = dict(self._prod_map)
             self.pc = target if predicted else macro.id + 1
         elif macro.opcode is Opcode.JUMP:
             self.pc = target
@@ -871,7 +860,6 @@ class Simulator:
                 requested=None,
                 target=REP_PREDICTED_COUNT,
                 counter_producer=producer,
-                checkpoint=dict(self._prod_map),
             )
             self._live_reps.append(rep)
         else:

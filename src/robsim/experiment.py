@@ -81,10 +81,7 @@ class ExperimentConfig:
     defenses: tuple[DefenseMode, ...] = tuple(DefenseMode)
     mitigation_sets: tuple[frozenset[Mitigation], ...] = (frozenset(),)
     n_trials: int = 100
-    seed: int = 0
-    jitter: int = 0
-    core: CoreConfig = field(default_factory=CoreConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
+    machine: MachineConfig = field(default_factory=MachineConfig)
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -98,17 +95,6 @@ class ExperimentConfig:
             raise ConfigError("defense list is empty")
         if self.n_trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.n_trials}")
-        if self.jitter < 0:
-            raise ConfigError("jitter amplitude cannot be negative")
-
-    @property
-    def machine(self) -> MachineConfig:
-        return MachineConfig(
-            core=self.core,
-            cache=self.cache,
-            jitter_amplitude=self.jitter,
-            jitter_seed=self.seed,
-        )
 
 
 def parse_defense(name: str) -> DefenseMode:
@@ -187,16 +173,19 @@ def config_from_mapping(
     core = _sub_config(CoreConfig, mapping.get("core", {}), "core")
     cache = _sub_config(CacheConfig, mapping.get("cache", {}), "cache")
     try:
+        machine = MachineConfig(
+            core=core,
+            cache=cache,
+            jitter_amplitude=int(mapping.get("jitter", 0)),
+            jitter_seed=int(mapping.get("seed", 0)),
+        )
         return ExperimentConfig(
             scenarios=scenarios,
             out_dir=Path(out),
             defenses=defenses,
             mitigation_sets=mitigation_sets,
             n_trials=int(mapping.get("trials", 100)),
-            seed=int(mapping.get("seed", 0)),
-            jitter=int(mapping.get("jitter", 0)),
-            core=core,
-            cache=cache,
+            machine=machine,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

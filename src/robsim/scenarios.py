@@ -60,14 +60,6 @@ from .defenses import (
 )
 from .isa import Program, REP_OPCODES, parse_program
 
-SCENARIO_NAMES = (
-    "fsi_v1_loop",
-    "fsi_v1_rep",
-    "fsi_v1_straight",
-    "fsi_v2_order",
-    "bsi_mshr",
-)
-
 SECRET_ADDR = 8
 WINDOW_ADDR = 16
 PROBE_ADDR = 40
@@ -169,25 +161,14 @@ def _window_prologue(window_value: int = 0) -> list[str]:
     return lines
 
 
-def build_fsi_v1(variant: str, machine: MachineConfig | None = None) -> Scenario:
-    """Forward-interference attack: v1 timing receiver, three gadget shapes."""
-    machine = machine or MachineConfig()
-    _check_v1_config(machine)
-    if variant == "loop":
-        return _build_v1_loop(machine)
-    if variant == "rep":
-        return _build_v1_rep(machine)
-    if variant == "straight":
-        return _build_v1_straight(machine)
-    raise ScenarioError(f"unknown fsi_v1 variant {variant!r}")
-
-
 def _latency_receiver(cache: CacheConfig) -> Receiver:
     threshold = (cache.hit_cycles + cache.miss_cycles) / 2
     return Receiver(ObservationKind.PROBE_LATENCY, threshold=threshold)
 
 
 def _build_v1_loop(machine: MachineConfig) -> Scenario:
+    """Forward interference, v1 timing receiver: a secret-gated loop jams the ROB."""
+    _check_v1_config(machine)
     trips = machine.core.rob_size
     lines = _setup((PROBE_ADDR, WINDOW_ADDR), ("window", "gate")) + _window_prologue()
     lines += [
@@ -211,6 +192,8 @@ def _build_v1_loop(machine: MachineConfig) -> Scenario:
 
 
 def _build_v1_rep(machine: MachineConfig) -> Scenario:
+    """Forward interference, v1 timing receiver: a secret-sized REP fills the ROB."""
+    _check_v1_config(machine)
     lines = _setup((PROBE_ADDR, WINDOW_ADDR), ("window",)) + _window_prologue()
     lines += [
         "window: branch r2, target",
@@ -232,6 +215,8 @@ STRAIGHT_SHORT_UOPS = 3
 
 
 def _build_v1_straight(machine: MachineConfig) -> Scenario:
+    """Forward interference, v1 timing receiver: secret-selected straight-line paths."""
+    _check_v1_config(machine)
     # the window value is nonzero: the window branch is correctly predicted
     # not taken, so the probe commits in place; with_secret trains the gate
     lines = _setup((PROBE_ADDR, WINDOW_ADDR), ("window",)) + _window_prologue(1)
@@ -268,9 +253,8 @@ def _build_v1_straight(machine: MachineConfig) -> Scenario:
     )
 
 
-def build_fsi_v2(machine: MachineConfig | None = None) -> Scenario:
+def _build_fsi_v2(machine: MachineConfig) -> Scenario:
     """Replacement-state receiver: fill order of a conflicting pair."""
-    machine = machine or MachineConfig()
     cache = machine.cache
     if cache.ways != 1:
         raise ScenarioError("fsi_v2_order needs a direct-mapped cache (ways=1)")
@@ -306,9 +290,8 @@ def build_fsi_v2(machine: MachineConfig | None = None) -> Scenario:
     )
 
 
-def build_bsi_mshr(machine: MachineConfig | None = None) -> Scenario:
+def _build_bsi_mshr(machine: MachineConfig) -> Scenario:
     """Backward interference: speculative misses stall an older load."""
-    machine = machine or MachineConfig()
     entries = machine.cache.mshr_entries
     if entries is not None and entries < 2:
         raise ScenarioError("bsi_mshr needs at least two miss-table entries")
@@ -344,12 +327,14 @@ def build_bsi_mshr(machine: MachineConfig | None = None) -> Scenario:
 
 
 _BUILDERS = {
-    "fsi_v1_loop": lambda m: build_fsi_v1("loop", m),
-    "fsi_v1_rep": lambda m: build_fsi_v1("rep", m),
-    "fsi_v1_straight": lambda m: build_fsi_v1("straight", m),
-    "fsi_v2_order": build_fsi_v2,
-    "bsi_mshr": build_bsi_mshr,
+    "fsi_v1_loop": _build_v1_loop,
+    "fsi_v1_rep": _build_v1_rep,
+    "fsi_v1_straight": _build_v1_straight,
+    "fsi_v2_order": _build_fsi_v2,
+    "bsi_mshr": _build_bsi_mshr,
 }
+
+SCENARIO_NAMES = tuple(_BUILDERS)
 
 
 def build_scenario(
@@ -361,7 +346,7 @@ def build_scenario(
         raise ScenarioError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         ) from None
-    return with_secret(builder(machine), secret)
+    return with_secret(builder(machine or MachineConfig()), secret)
 
 
 def with_secret(scenario: Scenario, secret: int) -> Scenario:
@@ -556,9 +541,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "ScenarioReport",
-    "build_bsi_mshr",
-    "build_fsi_v1",
-    "build_fsi_v2",
     "build_scenario",
     "infer_secret",
     "prepare",

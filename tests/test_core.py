@@ -31,6 +31,7 @@ from robsim.isa import (
     Program,
     UopKind,
     parse_program,
+    print_program,
 )
 from robsim.scenarios import (
     SCENARIO_NAMES,
@@ -256,6 +257,14 @@ def check_shadows(sim: Simulator) -> list[int | None]:
     return shadows
 
 
+def check_producer_map(sim: Simulator) -> None:
+    """Assert that `_prod_map` maps each register to the youngest in-flight
+    entry (ROB, then decode queue) that writes it, by identity."""
+    youngest = {e.dest: e for e in [*sim.rob, *sim._queue] if e.dest is not None}
+    assert sim._prod_map.keys() == youngest.keys()
+    assert all(sim._prod_map[r] is e for r, e in youngest.items())
+
+
 def test_shadows_match_recomputation_every_cycle():
     text = """
     .data 8 1
@@ -275,11 +284,25 @@ def test_shadows_match_recomputation_every_cycle():
     while not sim.halted:
         sim.step()
         shadows = check_shadows(sim)
+        check_producer_map(sim)
         if any(s is not None and s > sim.rob[0].rob_seq for s in shadows):
             saw_reassignment = True
     # the oldest branch resolves first, so survivors fall to the next oldest
     assert saw_reassignment
     assert sim.stats.squashes == 0
+
+
+def test_producer_map_matches_recomputation_on_the_reference_grid():
+    cells = cycles = 0
+    for scenario, policy in prepared_cells(MachineConfig(jitter_amplitude=2), [frozenset()]):
+        sim = scenario_sim(scenario, policy)
+        while not sim.halted:
+            sim.step()
+            check_producer_map(sim)
+        cells += 1
+        cycles += len(sim._occupancy)
+    assert cells == 30
+    assert cycles > 3000
 
 
 def _check_lifecycle(trace) -> collections.Counter:
@@ -672,6 +695,30 @@ def test_predicted_rep_mismatch_squashes_and_reexpands():
     assert all(not e.predicted for e in trace.committed_for(1))
 
 
+def test_rep_refetched_after_a_squash_reads_its_committed_counter():
+    # the counter's producer commits while the branch waits on its miss, so
+    # the REP refetched at the branch target expands from the register file
+    # and the mitigation adds no verification squash
+    text = """
+    .data 16 0
+    .flush 16
+    alu r1, r0, 3
+    load r2, [16]
+    branch r2, L
+    nop
+    nop
+    L: rep_movs r1
+    nop
+    """
+    policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
+    trace = simulate(text, policy=policy)
+    wrong_path, refetched = trace.rep_expansions
+    assert wrong_path.predicted and wrong_path.verified is None
+    assert not refetched.predicted and refetched.requested == 6
+    assert [s.kind for s in trace.stats.squash_log] == ["branch"]
+    assert trace.stats.cycles == simulate(text).stats.cycles == 68
+
+
 def test_untainted_rep_ignores_fill_prediction():
     policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
     text = """
@@ -921,16 +968,33 @@ def test_cycle_limit_inside_an_idle_stretch(max_cycles):
     assert errors[0][0] == max_cycles
 
 
+def seed_rep_counters(program: Program) -> Program:
+    """The program with `alu rC, 4` just before each REP on rC, unlabeled so
+    that a branch to the REP skips it. A predicted rep_movs (2 x 4 micro-ops)
+    then verifies clean, and a REP at a squash target may find the seed
+    committed."""
+    lines = []
+    # a drawn program has no directives: one printed line per instruction
+    for instr, line in zip(program.instructions, print_program(program).splitlines(), strict=True):
+        if instr.opcode in REP_OPCODES:
+            lines.append(f"alu {instr.operands[0]}, 4")
+        lines.append(line)
+    return parse_program("\n".join(lines))
+
+
 @st.composite
 def machine_runs(draw):
     """A random program with warm lines and forced predictions, a policy
-    and a machine."""
+    and a machine. Half the programs with a REP seed its counter."""
     program = draw(st.one_of(dag_programs(), cyclic_programs()))
+    has_rep = any(i.opcode in REP_OPCODES for i in program.instructions)
+    if has_rep and draw(st.booleans()):
+        program = seed_rep_counters(program)
     branches = [i.label for i in program.instructions if i.opcode is Opcode.BRANCH]
     predict = draw(st.dictionaries(st.sampled_from(branches), st.booleans())) if branches else {}
     mode = draw(st.sampled_from(list(DefenseMode)))
     mitigations = frozenset()
-    if any(i.opcode in REP_OPCODES for i in program.instructions) and draw(st.booleans()):
+    if has_rep and draw(st.booleans()):
         mitigations = frozenset({Mitigation.OPERAND_INDEPENDENT_FILL})
     safe_sets = None
     if mode is DefenseMode.DOM_PLUS_INVARSPEC:
@@ -980,6 +1044,7 @@ def test_shadows_match_recomputation_on_random_programs(run_args):
     while not sim.halted and sim.cycle < machine.core.max_cycles:
         sim.step()
         check_shadows(sim)
+        check_producer_map(sim)
 
 
 @pytest.mark.parametrize(

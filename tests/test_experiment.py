@@ -8,6 +8,7 @@ import pytest
 
 from robsim import experiment
 from robsim.cli import main
+from robsim.core import MachineConfig
 from robsim.defenses import DefenseMode, Mitigation
 from robsim.experiment import (
     EXIT_OK,
@@ -54,7 +55,7 @@ def test_config_defaults(tmp_path):
     assert config.defenses == tuple(DefenseMode)
     assert config.mitigation_sets == (frozenset(),)
     assert config.n_trials == 100
-    assert config.jitter == 0
+    assert config.machine == MachineConfig()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -111,6 +112,16 @@ def test_core_overrides_reach_machine(tmp_path):
     assert config.machine.core.rob_size == 32
     assert config.machine.jitter_seed == 7
     assert config.machine.jitter_amplitude == 2
+
+
+def test_negative_jitter_is_refused_by_the_machine(tmp_path, capsys):
+    with pytest.raises(ValueError, match="jitter amplitude cannot be negative"):
+        MachineConfig(jitter_amplitude=-2)
+    with pytest.raises(ConfigError, match="jitter amplitude cannot be negative"):
+        config_from_mapping({"scenarios": ["bsi_mshr"], "jitter": -2}, tmp_path)
+    code = run_cli("run", "--scenario", "bsi_mshr", "--jitter", "-2", "--out", str(tmp_path))
+    assert code == 1
+    assert "jitter amplitude cannot be negative" in capsys.readouterr().err
 
 
 def test_mitigation_set_parsing():

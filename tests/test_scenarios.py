@@ -22,9 +22,7 @@ from robsim.scenarios import (
     Receiver,
     Scenario,
     ScenarioError,
-    build_bsi_mshr,
-    build_fsi_v1,
-    build_fsi_v2,
+    _BUILDERS,
     build_scenario,
     infer_secret,
     prepare,
@@ -62,11 +60,6 @@ def test_scenario_names_cover_builders():
 def test_unknown_scenario_rejected():
     with pytest.raises(ScenarioError, match="unknown scenario"):
         build_scenario("fsi_v3", 0)
-
-
-def test_unknown_v1_variant_rejected():
-    with pytest.raises(ScenarioError, match="variant"):
-        build_fsi_v1("spiral")
 
 
 def test_secret_must_be_a_bit():
@@ -116,7 +109,7 @@ def test_secret_overlay_changes_only_the_secret(rob):
 
 
 def test_run_needs_a_secret():
-    scenario = build_fsi_v1("loop")
+    scenario = _BUILDERS["fsi_v1_loop"](MachineConfig())
     assert scenario.ground_truth_secret is None
     assert SECRET_ADDR not in scenario.program.data_init
     _, policy = prepare(scenario, UNPROT)
@@ -159,27 +152,28 @@ def test_printed_program_replays_trial_zero(rob):
 
 def test_v1_rejects_rob_larger_than_expansion_cap():
     machine = MachineConfig(core=CoreConfig(rob_size=128, expansion_cap=100))
-    with pytest.raises(ScenarioError, match="expansion cap"):
-        build_fsi_v1("rep", machine)
+    for name in ("fsi_v1_loop", "fsi_v1_rep", "fsi_v1_straight"):
+        with pytest.raises(ScenarioError, match="expansion cap"):
+            build_scenario(name, 0, machine)
 
 
 def test_v2_requires_direct_mapped_cache():
     machine = MachineConfig(cache=CacheConfig(ways=2))
     with pytest.raises(ScenarioError, match="direct-mapped"):
-        build_fsi_v2(machine)
+        build_scenario("fsi_v2_order", 0, machine)
 
 
 def test_v2_rejects_non_conflicting_pair():
     # the pair 12/76 shares a set of 64, not of 128 (`cache: {num_sets: 128}`)
     machine = MachineConfig(cache=CacheConfig(num_sets=128))
     with pytest.raises(ScenarioError, match="same set of a 128-set cache"):
-        build_fsi_v2(machine)
+        build_scenario("fsi_v2_order", 0, machine)
 
 
 def test_bsi_needs_two_mshr_entries():
     machine = MachineConfig(cache=CacheConfig(mshr_entries=1))
     with pytest.raises(ScenarioError, match="miss-table"):
-        build_bsi_mshr(machine)
+        build_scenario("bsi_mshr", 0, machine)
 
 
 # --- unprotected dichotomies ------------------------------------------------
