@@ -9,6 +9,18 @@ pinned too, at a size the sweeps never reach: the safe-set and path-profile
 records of every scenario's program at ROB 64 and ROB 768, and their
 conservative_filter widening.
 
+The core is also pinned on a fixed corpus of generated programs, because
+the scenarios have no store, no fence, no ALU latency 4 and no second port,
+and the skip-vs-stepper tests cannot catch a change to `step()` itself (it
+is their oracle). Each corpus program (`random.Random(k)`, k < 150) mixes
+alu, setshift, load, store, forward and backward branches with `.predict`,
+jump, fence and rep opcodes, plus `.warm` and `.flush` lines. It runs under
+every defense mode, with and without operand_independent_fill, at jitter 0
+and 3, on a machine shape drawn from the option lists of
+`test_core.machine_runs`. One sha256 covers `run_state` of every run, or
+its `SimulationLimitError` snapshot. A load does not yet see an older
+store's value (ROADMAP item 1); the fix re-baselines this digest on purpose.
+
 A change that alters any of these bytes on purpose re-baselines here:
 `PYTHONPATH=src python tests/test_golden.py` prints the current digests
 in the literal form used below.
@@ -17,8 +29,11 @@ in the literal form used below.
 from __future__ import annotations
 
 import hashlib
+import random
 import tempfile
 from pathlib import Path
+
+from test_core import run_state
 
 from robsim.analysis import (
     AnalysisError,
@@ -28,14 +43,16 @@ from robsim.analysis import (
     conservative_filter,
     dump_analysis,
 )
-from robsim.core import CoreConfig, MachineConfig
-from robsim.defenses import DefenseMode
+from robsim.cache import CacheConfig
+from robsim.core import CoreConfig, MachineConfig, SimulationLimitError, Simulator
+from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
 from robsim.experiment import (
     config_from_mapping,
     mitigation_label,
     parse_mitigation_set,
     run_experiment,
 )
+from robsim.isa import Program, parse_program
 from robsim.scenarios import SCENARIO_NAMES, ScenarioError, build_scenario, prepare, run_single
 
 MITIGATION_SPECS = (
@@ -69,6 +86,11 @@ SWEEPS = {
 TRACE_JITTER = 2
 
 ANALYSIS_ROB_SIZES = (64, 768)
+
+CORPUS_SIZE = 150
+CORPUS_JITTERS = (0, 3)
+CORPUS_KINDS = ("alu", "alu", "setshift", "load", "load", "store", "branch",
+                "branch", "jump", "fence", "rep_movs", "rep_lods")
 
 
 def _sha(data: str | bytes) -> str:
@@ -140,6 +162,88 @@ def analysis_digests() -> dict[str, str]:
                     _records(dump_analysis(filtered, {}))
                 )
     return out
+
+
+def _address(rng: random.Random, reg: str) -> str:
+    offset = rng.randrange(16)
+    return f"[{offset}]" if rng.random() < 0.5 else f"[{reg}+{offset}]"
+
+
+def corpus_program(k: int) -> Program:
+    """Corpus program k: 3 to 24 labeled instructions over r0-r5 and lines
+    0-15. A backward branch tests a register decremented just before it,
+    so most loops end once it passes 0; half the rep opcodes follow an
+    unlabeled write of 4 to their counter."""
+    rng = random.Random(k)
+    n = rng.randint(3, 24)
+    lines = [f".warm {a}" for a in rng.sample(range(16), rng.randint(0, 4))]
+    lines += [f".flush {a}" for a in rng.sample(range(16), rng.randint(0, 2))]
+    body = []
+    for i in range(n):
+        kind = rng.choice(CORPUS_KINDS)
+        reg, reg2 = f"r{rng.randrange(6)}", f"r{rng.randrange(6)}"
+        if kind == "branch":
+            target = rng.randrange(n)
+            if target <= i:
+                body.append(f"    alu {reg}, {reg}, -1")
+            text = f"branch {reg}, l{target}"
+            if rng.random() < 0.5:
+                lines.append(f".predict l{i} {rng.choice(('taken', 'not_taken'))}")
+        elif kind == "jump":
+            text = f"jump l{rng.randint(i + 1, n - 1)}" if i < n - 1 else "nop"
+        elif kind == "alu":
+            text = f"alu {reg}, {reg2}, {rng.randrange(10)}"
+        elif kind == "setshift":
+            text = f"setshift {reg}, {reg2}, {rng.randrange(3)}"
+        elif kind in ("load", "store"):
+            text = f"{kind} {reg}, {_address(rng, reg2)}"
+        elif kind == "fence":
+            text = "fence"
+        else:
+            if rng.random() < 0.5:  # a counter of 4: a predicted rep_movs verifies clean
+                body.append(f"    alu {reg}, 4")
+            text = f"{kind} {reg}"
+        body.append(f"l{i}: {text}")
+    return parse_program("\n".join(lines + body) + "\n")
+
+
+def _corpus_machine(rng: random.Random, jitter: int, seed: int) -> MachineConfig:
+    return MachineConfig(
+        core=CoreConfig(
+            rob_size=rng.choice((4, 8, 64)),
+            decode_width=rng.choice((1, 4)),
+            commit_width=rng.choice((1, 4)),
+            load_ports=rng.choice((1, 2)),
+            alu_ports=rng.choice((1, 2)),
+            alu_latency=rng.choice((1, 4)),
+            max_cycles=rng.choice((2_000, rng.randint(20, 400))),
+        ),
+        cache=CacheConfig(mshr_entries=rng.choice((1, 2))),
+        jitter_amplitude=jitter,
+        jitter_seed=seed,
+    )
+
+
+def corpus_digest() -> str:
+    """sha256 over every corpus run's run_state, or its limit snapshot."""
+    digest = hashlib.sha256()
+    for k in range(CORPUS_SIZE):
+        program = corpus_program(k)
+        rng = random.Random(-1 - k)  # machine shapes, apart from the program's draws
+        safe_sets = compute_safe_sets(program)
+        for mode in DefenseMode:
+            for mitigations in (frozenset(), frozenset({Mitigation.OPERAND_INDEPENDENT_FILL})):
+                policy = DefensePolicy(
+                    mode, mitigations, safe_sets if mode is DefenseMode.DOM_PLUS_INVARSPEC else None
+                )
+                for jitter in CORPUS_JITTERS:
+                    sim = Simulator(program, _corpus_machine(rng, jitter, k), policy)
+                    try:
+                        state = run_state(sim.run())
+                    except SimulationLimitError as exc:
+                        state = (exc.cycle, exc.occupancy, exc.snapshot)
+                    digest.update(repr(state).encode())
+    return digest.hexdigest()
 
 
 EXPECTED_ARTIFACTS: dict[str, dict[str, str]] = {
@@ -349,6 +453,9 @@ EXPECTED_ANALYSIS: dict[str, str] = {
 }
 
 
+EXPECTED_CORPUS = "60ae4b771e39dd83ff28ebd71e2f57c73d8cff2d1f96ab6a854e06f487df7074"
+
+
 def _check(got: dict[str, str], want: dict[str, str]) -> None:
     assert sorted(got) == sorted(want), "artifact set changed"
     changed = sorted(name for name in want if got[name] != want[name])
@@ -378,6 +485,10 @@ def test_analysis_records():
     _check(analysis_digests(), EXPECTED_ANALYSIS)
 
 
+def test_generated_program_corpus():
+    assert corpus_digest() == EXPECTED_CORPUS
+
+
 if __name__ == "__main__":
     print("EXPECTED_ARTIFACTS: dict[str, dict[str, str]] = {")
     for sweep in SWEEPS:
@@ -396,3 +507,5 @@ if __name__ == "__main__":
     for key, digest in analysis_digests().items():
         print(f'    "{key}": "{digest}",')
     print("}")
+    print()
+    print(f'EXPECTED_CORPUS = "{corpus_digest()}"')
