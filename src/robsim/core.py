@@ -44,6 +44,16 @@ leave the issue queues), so every later cycle repeats it until the next
 completion or fill. `run()` records those cycles in one go: the same
 occupancy and the same dispatch and decode stalls each, never past
 max_cycles.
+
+`step()` enters a phase only when it has work: fills only when the
+earliest MSHR fill is due; complete only when a completion is due this
+cycle or a predicted REP awaits verification; fetch only when a redirect
+is pending, an expansion is active or the pc is inside the program; commit,
+issue and dispatch only when their queue is non-empty. What decode and
+issue read off an instruction (its micro-op, source and destination
+registers and ALU plan) is worked out once per instruction object, and the
+branch targets once per program object: so once per program, not once per
+micro-op or per run.
 """
 
 from __future__ import annotations
@@ -61,13 +71,11 @@ from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
-    Imm,
     MacroInstruction,
     Mem,
     MicroOp,
     Opcode,
     Program,
-    Reg,
     REP_OPCODES,
     UopKind,
     rep_expansion_count,
@@ -152,9 +160,10 @@ class RobEntry:
     uop: MicroOp
     macro: MacroInstruction
     instance: int
-    predicted_taken: bool | None = None
     src: tuple[tuple[int, "RobEntry | None"], ...] = ()
     dest: int | None = None
+    predicted: bool = False  # unverified predicted-REP micro-op
+    predicted_taken: bool | None = None
     rob_seq: int = -1
     dispatch_cycle: int | None = None
     ready_cycle: int | None = None
@@ -163,7 +172,6 @@ class RobEntry:
     commit_cycle: int | None = None
     squash_cycle: int | None = None
     shadow: int | None = None  # set at squash: oldest unresolved source ahead of it
-    predicted: bool = False  # unverified predicted-REP micro-op
     osp: bool = False
     esp_cycle: int | None = None
     address: int | None = None
@@ -396,6 +404,8 @@ class Simulator:
         self._mem_events: list[MemEvent] = []
         self._rep_log: list[RepExpansion] = []
         self._rng = random.Random(self.machine.jitter_seed)
+        self._never = self.config.max_cycles + 1  # an event past every cycle run
+        self._next_fill = self._never  # earliest fill cycle of the MSHRs
 
     # ------------------------------------------------------------------
     # public surface
@@ -410,23 +420,27 @@ class Simulator:
         )
 
     def step(self) -> bool:
-        """Advance one cycle through the five phases; a phase with nothing
-        queued is not entered. True when any phase acted."""
-        self.cycle += 1
-        if self.cache.mshrs:
-            for addr in self.cache.process_fills(self.cycle):
-                self._mem_events.append(MemEvent(self.cycle, None, None, addr, "fill"))
+        """Advance one cycle through the five phases; a phase with no work
+        is not entered. True when any phase acted."""
+        self.cycle = cycle = self.cycle + 1
+        if self._next_fill <= cycle:
+            cache = self.cache
+            for addr in cache.process_fills(cycle):
+                self._mem_events.append(MemEvent(cycle, None, None, addr, "fill"))
+            self._next_fill = min((m.fill_cycle for m in cache.mshrs), default=self._never)
         acted = False
         if self.rob:
-            acted |= self._commit()
+            acted = self._commit()
         if self._alu_queue:
             acted |= self._issue_alu()
         if self._mem_queue:
             acted |= self._issue_mem()
-        acted |= self._complete()
+        if cycle in self._completions or self._live_reps:
+            acted |= self._complete()
         if self._queue:
             acted |= self._dispatch()
-        acted |= self._fetch_decode()
+        if self._redirect_stall or self._expansion is not None or self.pc < self._n_instr:
+            acted |= self._fetch_decode()
         occ = len(self.rob)
         self._occupancy.append(occ)
         if occ > self.stats.peak_occupancy:
@@ -438,8 +452,10 @@ class Simulator:
         """Step to halt, repeating idle cycles in one go (see the module
         docstring)."""
         stats = self.stats
-        while not self.halted:
-            if self.cycle >= self.config.max_cycles:
+        max_cycles = self.config.max_cycles
+        n_instr, queue, rob = self._n_instr, self._queue, self.rob
+        while self.pc < n_instr or self._expansion is not None or queue or rob:
+            if self.cycle >= max_cycles:
                 snapshot = [
                     (e.rob_seq, e.instr, e.opcode.value, e.dispatch_cycle,
                      e.exec_start_cycle, e.complete_cycle)
@@ -466,9 +482,7 @@ class Simulator:
         """Repeat the idle cycle just stepped, with its dispatch and decode
         stalls, up to just before the next completion or fill; never past
         max_cycles."""
-        event = min(self._completions, default=self.config.max_cycles + 1)
-        for mshr in self.cache.mshrs:
-            event = min(event, mshr.fill_cycle)
+        event = min(min(self._completions, default=self._never), self._next_fill)
         repeats = min(event - 1, self.config.max_cycles) - self.cycle
         self.cycle += repeats
         self._occupancy.extend(repeat(len(self.rob), repeats))
@@ -479,43 +493,49 @@ class Simulator:
     # commit
 
     def _commit(self) -> bool:
+        rob, cycle, width = self.rob, self.cycle, self.config.commit_width
+        regs, prod_map = self.regs, self._prod_map
         committed = 0
-        while committed < self.config.commit_width and self.rob:
-            entry = self.rob[0]
-            if entry.complete_cycle is None or entry.complete_cycle >= self.cycle:
+        while committed < width and rob:
+            entry = rob[0]
+            done = entry.complete_cycle
+            if done is None or done >= cycle:
                 break
             if entry.predicted:
                 break  # predicted REP fill may still be squashed by verification
             assert not self._unresolved or self._unresolved[0] >= entry.rob_seq
-            entry.commit_cycle = self.cycle
-            if entry.dest is not None and entry.result is not None:
-                self.regs[entry.dest] = entry.result
-                if self._prod_map.get(entry.dest) is entry:
-                    del self._prod_map[entry.dest]
+            entry.commit_cycle = cycle
+            dest = entry.dest
+            if dest is not None and entry.result is not None:
+                regs[dest] = entry.result
+                if prod_map.get(dest) is entry:
+                    del prod_map[dest]
             if entry.uop.kind is UopKind.MEM_WRITE and entry.address is not None:
                 self.mem_values[entry.address] = entry.result or 0
             if entry.outcome == "deferred_hit":
                 assert entry.address is not None and entry.mem_event is not None
                 self.cache.touch(entry.address)
                 entry.mem_event.applied = True
-            self.rob.popleft()
-            self.stats.committed_uops += 1
+            rob.popleft()
             committed += 1
+        self.stats.committed_uops += committed
         return committed > 0
 
     # ------------------------------------------------------------------
     # issue
 
     def _issue_alu(self) -> bool:
+        queue, cycle, ports = self._alu_queue, self.cycle, self.config.alu_ports
+        done = cycle + self.config.alu_latency - 1  # not before this cycle: latency >= 1
+        completions = self._completions
         issued = 0
-        queue = self._alu_queue
-        while issued < self.config.alu_ports and queue:
+        while issued < ports and queue:
             entry = queue.pop(0)
-            if entry.squashed:
+            if entry.squash_cycle is not None:
                 continue
-            entry.exec_start_cycle = self.cycle
+            entry.exec_start_cycle = cycle
             entry.result = self._alu_result(entry)
-            self._schedule_completion(entry, self.cycle + self.config.alu_latency - 1)
+            completions.setdefault(done, []).append(entry)
             issued += 1
         return issued > 0
 
@@ -526,7 +546,7 @@ class Simulator:
         oldest = self._unresolved[0] if self._unresolved else None
         while issued < self.config.load_ports and i < len(queue):
             entry = queue[i]
-            if entry.squashed:
+            if entry.squash_cycle is not None:
                 queue.pop(i)
                 continue
             if entry.address is None:
@@ -551,6 +571,8 @@ class Simulator:
                 issued += 1  # the rejected attempt still occupied the port
                 i += 1
                 continue
+            if result.fill_cycle is not None and result.fill_cycle < self._next_fill:
+                self._next_fill = result.fill_cycle
             queue.pop(i)
             self._start_access(entry, result, deferred)
             issued += 1
@@ -596,20 +618,10 @@ class Simulator:
         return False
 
     def _alu_result(self, entry: RobEntry) -> int:
-        macro = entry.macro
-        if macro.opcode is Opcode.ALU:
-            total = 0
-            for op in macro.operands[1:]:
-                if isinstance(op, Reg):
-                    total += entry.value_of(op.index, self.regs)
-                elif isinstance(op, Imm):
-                    total += op.value
-            return total
-        if macro.opcode is Opcode.SETSHIFT:
-            src = entry.value_of(macro.operands[1].index, self.regs)
-            shift = macro.operands[2].value
-            return src << shift
-        raise AssertionError(f"non-alu opcode {macro.opcode} on alu port")
+        regs, total, shift = entry.macro.alu_plan
+        for reg in regs:
+            total += entry.value_of(reg, self.regs)
+        return total << shift
 
     def _effective_address(self, entry: RobEntry) -> int:
         mem = entry.macro.operands[1]
@@ -627,14 +639,17 @@ class Simulator:
         self._completions.setdefault(when, []).append(entry)
 
     def _complete(self) -> bool:
-        due = self._completions.pop(self.cycle, None)
+        cycle = self.cycle
+        due = self._completions.pop(cycle, None)
         if due is not None:
-            due.sort(key=lambda e: e.rob_seq)
+            if len(due) > 1:
+                due.sort(key=lambda e: e.rob_seq)
             for entry in due:
-                if entry.squashed:
+                if entry.squash_cycle is not None:
                     continue
-                entry.complete_cycle = self.cycle
-                self._wake_dependents(entry)
+                entry.complete_cycle = cycle
+                if entry.dependents:
+                    self._wake_dependents(entry)
                 if entry.uop.kind is UopKind.BRANCH_RESOLVE:
                     self._resolve_branch(entry)
         acted = due is not None
@@ -643,13 +658,14 @@ class Simulator:
         return acted
 
     def _wake_dependents(self, producer: RobEntry) -> None:
+        ready, enqueue = self.cycle + 1, self._enqueue_ready
         for dep in producer.dependents:
-            if dep.squashed:
+            if dep.squash_cycle is not None:
                 continue
             dep.pending -= 1
             if dep.pending == 0:
-                dep.ready_cycle = self.cycle + 1
-                self._enqueue_ready(dep)
+                dep.ready_cycle = ready
+                enqueue(dep)
 
     def _resolve_branch(self, entry: RobEntry) -> None:
         cond = entry.value_of(entry.macro.operands[0].index, self.regs)
@@ -734,51 +750,67 @@ class Simulator:
     # dispatch
 
     def _dispatch(self) -> bool:
-        first = self._next_seq
-        while self._queue and len(self.rob) < self.config.rob_size:
-            entry = self._queue.popleft()
-            entry.rob_seq = self._next_seq
-            self._next_seq += 1
-            entry.dispatch_cycle = self.cycle
-            self.rob.append(entry)
-            if _is_speculation_source(entry):
-                self._unresolved.append(entry.rob_seq)
+        queue, rob, rob_size = self._queue, self.rob, self.config.rob_size
+        cycle, unresolved, lifts = self.cycle, self._unresolved, self._lifts
+        first = seq = self._next_seq
+        while queue and len(rob) < rob_size:
+            entry = queue.popleft()
+            entry.rob_seq = seq
+            entry.dispatch_cycle = cycle
+            rob.append(entry)
+            uop = entry.uop
+            kind = uop.kind
+            # a speculation source: a branch (unresolved until it completes,
+            # never at dispatch) or the first micro-op of a predicted REP
+            if kind is UopKind.BRANCH_RESOLVE or (entry.predicted and uop.seq == 0):
+                unresolved.append(seq)
+            seq += 1
             pending = 0
-            latest = entry.dispatch_cycle
+            latest = cycle
             for _, producer in entry.src:
                 if producer is None:
                     continue
-                if producer.complete_cycle is not None:
-                    latest = max(latest, producer.complete_cycle + 1)
-                else:
+                done = producer.complete_cycle
+                if done is None:
                     producer.dependents.append(entry)
                     pending += 1
-            entry.pending = pending
-            if pending == 0:
+                elif done >= latest:
+                    latest = done + 1
+            if pending:
+                entry.pending = pending
+            else:
                 entry.ready_cycle = latest
                 self._enqueue_ready(entry)
-            if self._lifts and entry.uop.kind in (UopKind.MEM_READ, UopKind.MEM_WRITE):
+            if lifts and (kind is UopKind.MEM_READ or kind is UopKind.MEM_WRITE):
                 # stamps esp at dispatch for empty safe sets
-                self._lifted(entry, self._unresolved[0] if self._unresolved else None)
-        if self._queue and len(self.rob) >= self.config.rob_size:
-            self.stats.dispatch_stalls += 1
-        return self._next_seq > first
+                self._lifted(entry, unresolved[0] if unresolved else None)
+        self._next_seq = seq
+        if queue:
+            self.stats.dispatch_stalls += 1  # the ROB is full
+        return seq > first
 
     def _enqueue_ready(self, entry: RobEntry) -> None:
         """Queue an entry whose operands exist, ready this cycle or the next,
-        so it may issue in the next issue phase."""
+        so it may issue in the next issue phase. Queues stay in rob_seq
+        order; an entry younger than every queued one is appended."""
         ready = entry.ready_cycle
         assert ready is not None and entry.dispatch_cycle <= ready <= self.cycle + 1
         kind = entry.uop.kind
-        if kind in (UopKind.MEM_READ, UopKind.MEM_WRITE):
-            insort(self._mem_queue, entry, key=lambda e: e.rob_seq)
-        elif kind is UopKind.ALU:
-            insort(self._alu_queue, entry, key=lambda e: e.rob_seq)
+        if kind is UopKind.ALU:
+            queue = self._alu_queue
+        elif kind is UopKind.MEM_READ or kind is UopKind.MEM_WRITE:
+            queue = self._mem_queue
         elif kind is UopKind.BRANCH_RESOLVE:
             entry.exec_start_cycle = ready
             self._schedule_completion(entry, ready + 1)
+            return
         else:  # NOP-class: jump, fence, pad, rep filler
             entry.complete_cycle = entry.dispatch_cycle
+            return
+        if not queue or queue[-1].rob_seq < entry.rob_seq:
+            queue.append(entry)
+        else:
+            insort(queue, entry, key=lambda e: e.rob_seq)
 
     # ------------------------------------------------------------------
     # fetch / decode
@@ -787,61 +819,70 @@ class Simulator:
         if self._redirect_stall:
             self._redirect_stall = False
             return True
-        pc = self.pc
-        slots = self.config.decode_width
-        while slots > 0 and len(self._queue) < 2 * self.config.decode_width:
-            if self._expansion is not None:
-                self._emit_rep_uop(self._expansion)
+        start = pc = self.pc
+        width = self.config.decode_width
+        queue, instructions, push = self._queue, self.program.instructions, self._push_uop
+        slots = width
+        while slots and len(queue) < 2 * width:
+            rep = self._expansion
+            if rep is not None:
+                uop = MicroOp(rep.instr, rep.emitted, UopKind.NOP)
+                entry = push(instructions[rep.instr], uop, rep.predicted)
+                rep.emitted += 1
+                if rep.predicted:
+                    rep.entries.append(entry)
+                if rep.emitted >= rep.target:
+                    self._expansion = None
                 slots -= 1
                 continue
-            if self.pc >= self._n_instr:
+            if pc >= self._n_instr:
                 break
-            macro = self.program.instructions[self.pc]
-            if macro.opcode is Opcode.FENCE and (self.rob or self._queue):
+            macro = instructions[pc]
+            opcode = macro.opcode
+            if opcode is Opcode.FENCE and (self.rob or queue):
                 self.stats.decode_stalls += 1  # a fence decodes once drained
                 break
-            if macro.opcode in REP_OPCODES:
+            if opcode in REP_OPCODES:
                 if not self._begin_rep(macro):
                     self.stats.decode_stalls += 1
                     break
+                pc += 1
                 continue  # zero-count expansion advances pc without a slot
-            self._decode_simple(macro)
+            entry = push(macro, macro.decoded.uop, False)
+            if opcode is Opcode.BRANCH:
+                predicted = self.predictor.predict(pc)
+                entry.predicted_taken = predicted
+                pc = self._targets[pc] if predicted else pc + 1
+            elif opcode is Opcode.JUMP:
+                pc = self._targets[pc]
+            else:
+                pc += 1
             slots -= 1
-        return slots < self.config.decode_width or self.pc != pc
+        self.pc = pc
+        return slots < width or pc != start
 
-    def _decode_simple(self, macro: MacroInstruction) -> None:
-        entry = self._push_uop(macro, macro.decoded.uop)
-        target = self._targets[macro.id]
-        if macro.opcode is Opcode.BRANCH:
-            predicted = self.predictor.predict(macro.id)
-            entry.predicted_taken = predicted
-            self.pc = target if predicted else macro.id + 1
-        elif macro.opcode is Opcode.JUMP:
-            self.pc = target
-        else:
-            self.pc = macro.id + 1
-
-    def _push_uop(
-        self, macro: MacroInstruction, uop: MicroOp, predicted: bool = False
-    ) -> RobEntry:
+    def _push_uop(self, macro: MacroInstruction, uop: MicroOp, predicted: bool) -> RobEntry:
+        """Queue one decoded micro-op and record it; it becomes the youngest
+        producer of its destination register."""
         _, src_regs, dest = macro.decoded
-        prod_map = self._prod_map
+        prod_map, records = self._prod_map, self._records
         entry = RobEntry(
-            uop=uop,
-            macro=macro,
-            instance=len(self._records),
-            src=tuple([(r, prod_map.get(r)) for r in src_regs]) if src_regs else (),
-            dest=dest,
-            predicted=predicted,
+            uop,
+            macro,
+            len(records),
+            tuple([(r, prod_map.get(r)) for r in src_regs]) if src_regs else (),
+            dest,
+            predicted,
         )
         if dest is not None:
             prod_map[dest] = entry
         self._queue.append(entry)
-        self._records.append(entry)
+        records.append(entry)
         return entry
 
     def _begin_rep(self, macro: MacroInstruction) -> bool:
-        """Start expanding a REP macro. False means decode stalls: its
+        """Start expanding a REP macro; the caller moves the pc past it and
+        fetch streams its micro-ops. False means decode stalls: its
         in-flight counter must be bypassed first (no re-expansion override,
         no predicted fill)."""
         counter_reg = macro.operands[0].index
@@ -880,21 +921,9 @@ class Simulator:
                 capped=requested > target,
             )
         self._rep_log.append(rep)
-        self.pc = macro.id + 1
         if rep.target:
             self._expansion = rep
         return True
-
-    def _emit_rep_uop(self, rep: RepExpansion) -> None:
-        """Emit the next micro-op of the active expansion, ending it at target."""
-        macro = self.program.instructions[rep.instr]
-        uop = MicroOp(rep.instr, rep.emitted, UopKind.NOP)
-        entry = self._push_uop(macro, uop, predicted=rep.predicted)
-        rep.emitted += 1
-        if rep.predicted:
-            rep.entries.append(entry)
-        if rep.emitted >= rep.target:
-            self._expansion = None
 
 
 def run(

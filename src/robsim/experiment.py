@@ -142,11 +142,26 @@ _TOP_KEYS = {
 }
 
 
-def _sub_config(cls, mapping: Mapping, label: str):
+def _integer(value, key: str) -> int:
+    """`value` when it is an int. YAML reads 2.7, true and "3" as a float, a
+    bool and a str, and none of them is a count or a cycle number."""
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _sub_config(cls, mapping: Mapping, label: str, nullable: tuple[str, ...] = ()):
+    """`cls` built from `mapping`, whose every value is an integer, or None
+    for a key in `nullable`."""
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{label} must be a mapping of keys to integers, got {mapping!r}")
     known = {f.name for f in fields(cls)}
     unknown = set(mapping) - known
     if unknown:
         raise ConfigError(f"unknown {label} keys: {', '.join(sorted(unknown))}")
+    for key, value in mapping.items():
+        if value is not None or key not in nullable:
+            _integer(value, f"{label}.{key}")
     try:
         return cls(**mapping)
     except (TypeError, ValueError) as exc:
@@ -171,20 +186,20 @@ def config_from_mapping(
     if out is None:
         raise ConfigError("output directory is required (out: or --out)")
     core = _sub_config(CoreConfig, mapping.get("core", {}), "core")
-    cache = _sub_config(CacheConfig, mapping.get("cache", {}), "cache")
+    cache = _sub_config(CacheConfig, mapping.get("cache", {}), "cache", ("mshr_entries",))
     try:
         machine = MachineConfig(
             core=core,
             cache=cache,
-            jitter_amplitude=int(mapping.get("jitter", 0)),
-            jitter_seed=int(mapping.get("seed", 0)),
+            jitter_amplitude=_integer(mapping.get("jitter", 0), "jitter"),
+            jitter_seed=_integer(mapping.get("seed", 0), "seed"),
         )
         return ExperimentConfig(
             scenarios=scenarios,
             out_dir=Path(out),
             defenses=defenses,
             mitigation_sets=mitigation_sets,
-            n_trials=int(mapping.get("trials", 100)),
+            n_trials=_integer(mapping.get("trials", 100), "trials"),
             machine=machine,
         )
     except ValueError as exc:

@@ -143,6 +143,21 @@ class MacroInstruction:
             None if dest is None else dest.index,
         )
 
+    @cached_property
+    def alu_plan(self) -> tuple[tuple[int, ...], int, int]:
+        """(source registers, summed immediate, shift) of an alu or
+        setshift, worked out once per instruction object: the result is
+        (sum of the registers' values + immediate) << shift. A register
+        named twice is summed twice."""
+        if self.opcode is Opcode.SETSHIFT:
+            return (self.operands[1].index,), 0, self.operands[2].value  # type: ignore[union-attr]
+        sources = self.operands[1:]
+        return (
+            tuple(op.index for op in sources if isinstance(op, Reg)),
+            sum(op.value for op in sources if isinstance(op, Imm)),
+            0,
+        )
+
     def dest_reg(self) -> Reg | None:
         if self.opcode in (Opcode.LOAD, Opcode.ALU, Opcode.SETSHIFT):
             return self.operands[0]  # type: ignore[return-value]

@@ -105,6 +105,13 @@ def test_single_alu_timing():
     assert trace.stats.cycles == 4
 
 
+def test_alu_sums_every_source_operand_and_setshift_shifts():
+    # a register named twice counts twice; immediates alone sum too
+    sim = make_sim("alu r2, r0, 3\nalu r1, r2, r2\nsetshift r3, r1, 2\nalu r4, 1, 2")
+    sim.run()
+    assert sim.regs == {2: 3, 1: 6, 3: 24, 4: 3}
+
+
 def test_alu_latency_config_shifts_completion():
     core = CoreConfig(alu_latency=3)
     trace = simulate("alu r1, r1, 5", core=core)
@@ -576,6 +583,19 @@ def test_store_writes_memory_at_commit():
     trace = sim.run()
     assert sim.mem_values[32] == 9
     assert trace.stats.squashes == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: no store-to-load forwarding")
+@pytest.mark.parametrize("mode", [DefenseMode.UNPROTECTED, DefenseMode.DOM])
+def test_load_reads_an_older_stores_value(mode):
+    text = """
+    alu r1, r0, 5
+    store r1, [16]
+    load r2, [16]
+    """
+    sim = make_sim(text, policy=DefensePolicy(mode=mode))
+    sim.run()
+    assert sim.regs[2] == 5
 
 
 def test_fence_drains_before_younger_work():

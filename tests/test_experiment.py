@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 
 import pytest
 
@@ -122,6 +123,45 @@ def test_negative_jitter_is_refused_by_the_machine(tmp_path, capsys):
     code = run_cli("run", "--scenario", "bsi_mshr", "--jitter", "-2", "--out", str(tmp_path))
     assert code == 1
     assert "jitter amplitude cannot be negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, key, got",
+    [
+        ({"jitter": 2.7}, "jitter", "2.7"),
+        ({"seed": True}, "seed", "True"),
+        ({"trials": "3"}, "trials", "'3'"),
+        ({"core": {"rob_size": 64.5}}, "core.rob_size", "64.5"),
+        ({"core": {"max_cycles": "100"}}, "core.max_cycles", "'100'"),
+        ({"core": {"alu_latency": None}}, "core.alu_latency", "None"),
+        ({"cache": {"ways": True}}, "cache.ways", "True"),
+        ({"cache": {"mshr_entries": 2.0}}, "cache.mshr_entries", "2.0"),
+    ],
+    ids=["float_jitter", "bool_seed", "str_trials", "float_rob_size", "str_max_cycles",
+         "null_alu_latency", "bool_ways", "float_mshr_entries"],
+)
+def test_config_refuses_a_non_integer_value(tmp_path, overrides, key, got):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be an integer, got {got}")):
+        make_config(tmp_path, **overrides)
+
+
+@pytest.mark.parametrize("section", ["core", "cache"])
+def test_config_refuses_a_section_that_is_not_a_mapping(tmp_path, section):
+    with pytest.raises(ConfigError, match=f"{section} must be a mapping of keys to integers, got 5"):
+        make_config(tmp_path, **{section: 5})
+
+
+def test_config_allows_unbounded_mshrs(tmp_path):
+    config = make_config(tmp_path, cache={"mshr_entries": None})
+    assert config.machine.cache.mshr_entries is None
+
+
+def test_cli_refuses_a_non_integer_config_value(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text("scenarios: [fsi_v2_order]\ncore: {rob_size: 64.5}\n")
+    code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert "core.rob_size must be an integer, got 64.5" in capsys.readouterr().err
 
 
 def test_mitigation_set_parsing():
