@@ -58,16 +58,12 @@ SUMMARY_FIELDS = [
     "mean_s1",
     "min_s1",
     "max_s1",
-    "windowed_s0",
-    "windowed_s1",
     "accuracy",
     "leak",
     "expected_clean",
     "violation",
     "note",
 ]
-
-SUMMARY_WINDOW = 100
 
 
 class ConfigError(ValueError):
@@ -93,6 +89,8 @@ class ExperimentConfig:
                 )
         if not self.defenses:
             raise ConfigError("defense list is empty")
+        if not self.mitigation_sets:
+            raise ConfigError("mitigation list is empty")
         if self.n_trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.n_trials}")
 
@@ -105,20 +103,22 @@ def parse_defense(name: str) -> DefenseMode:
         raise ConfigError(f"unknown defense {name!r}; expected one of {valid}") from None
 
 
-def parse_mitigation_set(spec: str | Iterable[str]) -> frozenset[Mitigation]:
-    """'none' or '+'-joined mitigation names; a list of names also works."""
-    if isinstance(spec, str):
-        parts = [p for p in spec.split("+") if p and p != "none"]
-    else:
-        parts = [p for p in spec if p != "none"]
+def parse_mitigation_set(spec: str | list[str]) -> frozenset[Mitigation]:
+    """'none' or '+'-joined mitigation names; a list of names also works.
+    A name that is not a string is refused."""
+    names = spec.split("+") if isinstance(spec, str) else spec
     out = set()
-    for part in parts:
+    for name in names if isinstance(names, list) else [names]:
+        if not isinstance(name, str):
+            raise ConfigError(f"mitigation name must be a string, got {name!r}")
+        if name in ("", "none"):
+            continue
         try:
-            out.add(Mitigation(part))
+            out.add(Mitigation(name))
         except ValueError:
             valid = ", ".join(m.value for m in Mitigation)
             raise ConfigError(
-                f"unknown mitigation {part!r}; expected one of {valid}"
+                f"unknown mitigation {name!r}; expected one of {valid}"
             ) from None
     return frozenset(out)
 
@@ -168,19 +168,27 @@ def _sub_config(cls, mapping: Mapping, label: str, nullable: tuple[str, ...] = (
         raise ConfigError(f"bad {label} config: {exc}") from None
 
 
+def _name_list(mapping: Mapping, key: str, default: list[str]) -> list:
+    """The `key` list of the sweep: `default` when the key is missing, and a
+    bare string is a one-entry list."""
+    value = mapping.get(key, default)
+    if isinstance(value, str):
+        return [value]
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list of names or one name, got {value!r}")
+    return value
+
+
 def config_from_mapping(
     mapping: Mapping, out_dir: Path | None = None
 ) -> ExperimentConfig:
     unknown = set(mapping) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    scenarios = tuple(mapping.get("scenarios", ()))
-    defenses = tuple(parse_defense(d) for d in mapping.get("defenses", ()))
-    if not defenses:
-        defenses = tuple(DefenseMode)
-    specs = mapping.get("mitigations", ["none"])
-    if isinstance(specs, str):
-        specs = [specs]
+    scenarios = tuple(_name_list(mapping, "scenarios", []))
+    defaults = [m.value for m in DefenseMode]
+    defenses = tuple(parse_defense(d) for d in _name_list(mapping, "defenses", defaults))
+    specs = _name_list(mapping, "mitigations", ["none"])
     mitigation_sets = tuple(parse_mitigation_set(s) for s in specs)
     out = out_dir or mapping.get("out")
     if out is None:
@@ -284,15 +292,8 @@ def run_cell(
             try:
                 trace, report = run_single(run, policy, trial)
             except SimulationLimitError as exc:
-                return CellResult(
-                    name,
-                    defense,
-                    mitigations,
-                    "fault",
-                    reports=cell.reports,
-                    expected_clean=cell.expected_clean,
-                    note=f"cycle limit: {exc}",
-                )
+                cell.status, cell.note = "fault", f"cycle limit: {exc}"
+                return cell
             if trial == 0:
                 cell.occupancy[secret] = trace.occupancy
             cell.reports.append(report)
@@ -339,30 +340,16 @@ class SecretSummary:
     mean: float | None
     minimum: float | None
     maximum: float | None
-    windowed: tuple[float, ...]
 
 
-def _windowed_means(values: list[float], window: int) -> tuple[float, ...]:
-    return tuple(
-        sum(chunk) / len(chunk)
-        for chunk in (values[i : i + window] for i in range(0, len(values), window))
-    )
-
-
-def summarize(
-    reports: Iterable[ScenarioReport], window: int = SUMMARY_WINDOW
-) -> list[SecretSummary]:
-    """Per-secret stats of one cell's reports: mean/min/max and windowed
-    means.
+def summarize(reports: Iterable[ScenarioReport]) -> list[SecretSummary]:
+    """Per-secret mean/min/max of one cell's reports.
 
     Numeric stats cover timing observations; set-order snapshots carry none.
-    Windowed means average consecutive runs of `window` trials.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("summarize needs at least one report")
-    if window < 1:
-        raise ValueError("window must be positive")
     groups: dict[int, list[ScenarioReport]] = {}
     for r in reports:
         groups.setdefault(r.ground_truth, []).append(r)
@@ -381,7 +368,6 @@ def summarize(
                 mean=sum(numeric) / len(numeric) if have_numbers else None,
                 minimum=min(numeric) if have_numbers else None,
                 maximum=max(numeric) if have_numbers else None,
-                windowed=_windowed_means(numeric, window) if have_numbers else (),
             )
         )
     return out
@@ -392,26 +378,23 @@ def _num(x: float | None) -> str:
 
 
 def summary_csv(cells: list[CellResult]) -> str:
+    """One row per cell (schema: docs/csv_schemas.md); a stat with no
+    reports behind it is left empty."""
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(SUMMARY_FIELDS)
+    writer = csv.DictWriter(out, SUMMARY_FIELDS, restval="")
+    writer.writeheader()
     for cell in cells:
-        label = mitigation_label(cell.mitigations)
         row = {
             "scenario": cell.scenario,
             "defense": cell.defense.value,
-            "mitigations": label,
+            "mitigations": mitigation_label(cell.mitigations),
             "status": cell.status,
             "trials": len(cell.reports),
             "leak": "" if cell.leak is None else int(cell.leak),
             "expected_clean": int(cell.expected_clean),
             "violation": int(cell.violation),
             "note": cell.note,
-            "accuracy": "",
         }
-        for s in (0, 1):
-            for k in ("mean", "min", "max", "windowed"):
-                row[f"{k}_s{s}"] = ""
         if cell.reports:
             matches = sum(r.inferred_secret == r.ground_truth for r in cell.reports)
             row["accuracy"] = f"{matches / len(cell.reports):.4f}"
@@ -419,8 +402,7 @@ def summary_csv(cells: list[CellResult]) -> str:
                 row[f"mean_s{s.secret}"] = _num(s.mean)
                 row[f"min_s{s.secret}"] = _num(s.minimum)
                 row[f"max_s{s.secret}"] = _num(s.maximum)
-                row[f"windowed_s{s.secret}"] = "|".join(_num(w) for w in s.windowed)
-        writer.writerow([row[fieldname] for fieldname in SUMMARY_FIELDS])
+        writer.writerow(row)
     return out.getvalue()
 
 

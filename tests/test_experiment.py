@@ -9,7 +9,7 @@ import pytest
 
 from robsim import experiment
 from robsim.cli import main
-from robsim.core import MachineConfig
+from robsim.core import MachineConfig, SimulationLimitError
 from robsim.defenses import DefenseMode, Mitigation
 from robsim.experiment import (
     EXIT_OK,
@@ -156,6 +156,51 @@ def test_config_allows_unbounded_mshrs(tmp_path):
     assert config.machine.cache.mshr_entries is None
 
 
+BOTH_SETS = frozenset({Mitigation.CONSERVATIVE_INVARIANCE, Mitigation.PATH_BALANCING})
+
+
+@pytest.mark.parametrize(
+    "key, value, outcome",
+    [
+        ("scenarios", "bsi_mshr", ("bsi_mshr",)),
+        ("defenses", "dom", (DefenseMode.DOM,)),
+        ("mitigations", "path_balancing", (frozenset({Mitigation.PATH_BALANCING}),)),
+        # `robsim run --mitigation a --mitigation b` passes one list of names
+        ("mitigations", [["conservative_invariance", "path_balancing"]], (BOTH_SETS,)),
+        ("scenarios", [], "scenario list is empty"),
+        ("defenses", [], "defense list is empty"),
+        ("mitigations", [], "mitigation list is empty"),
+        ("scenarios", 5, "scenarios must be a list of names or one name, got 5"),
+        ("defenses", 5, "defenses must be a list of names or one name, got 5"),
+        ("mitigations", 5, "mitigations must be a list of names or one name, got 5"),
+        ("mitigations", [5], "mitigation name must be a string, got 5"),
+    ],
+    ids=["bare_scenario", "bare_defense", "bare_mitigation", "cli_mitigation_list",
+         "empty_scenarios", "empty_defenses", "empty_mitigations", "int_scenarios",
+         "int_defenses", "int_mitigations", "int_mitigation_name"],
+)
+def test_config_reads_each_name_list_one_way(tmp_path, key, value, outcome):
+    """A bare name is a one-entry list; an empty list, or a value that is
+    neither, is refused naming what is wrong."""
+    if isinstance(outcome, str):
+        with pytest.raises(ConfigError, match=re.escape(outcome)):
+            make_config(tmp_path, **{key: value})
+    else:
+        config = make_config(tmp_path, **{key: value})
+        field = "mitigation_sets" if key == "mitigations" else key
+        assert getattr(config, field) == outcome
+
+
+def test_cli_refuses_a_name_list_that_is_not_a_list(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text("scenarios: 5\n")
+    code = run_cli("run", "--config", str(config), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "robsim: error: scenarios must be a list of names or one name, got 5" in err
+    assert "Traceback" not in err
+
+
 def test_cli_refuses_a_non_integer_config_value(tmp_path, capsys):
     config = tmp_path / "exp.yaml"
     config.write_text("scenarios: [fsi_v2_order]\ncore: {rob_size: 64.5}\n")
@@ -253,6 +298,26 @@ def test_cycle_limit_becomes_fault_exit(tmp_path):
     assert (row["status"], row["expected_clean"]) == ("fault", "1")
 
 
+def test_fault_cell_keeps_the_secrets_that_finished(tmp_path, monkeypatch):
+    real = experiment.run_single
+
+    def limited(scenario, policy, trial):
+        if scenario.ground_truth_secret == 1:
+            raise SimulationLimitError(30, 64, [])
+        return real(scenario, policy, trial)
+
+    monkeypatch.setattr(experiment, "run_single", limited)
+    result = run_experiment(make_config(tmp_path))
+    (cell,) = result.cells
+    assert (cell.status, cell.leak) == ("fault", None)
+    assert cell.note == "cycle limit: no forward progress after 30 cycles (rob occupancy 64)"
+    assert [(r.ground_truth, r.trial) for r in cell.reports] == [(0, 0), (0, 1), (0, 2)]
+    assert set(cell.occupancy) == {0}
+    occ = sorted(p.name for p in (result.config.out_dir / "occupancy").iterdir())
+    assert occ == ["fsi_v1_loop__unprotected__none__s0.csv"]
+    assert result.exit_code == EXIT_SIM_FAULT
+
+
 def test_broken_promise_exits_security(tmp_path, monkeypatch):
     real = experiment.run_cell
 
@@ -344,22 +409,11 @@ def test_summarize_rejects_empty():
         summarize([])
 
 
-def test_summarize_rejects_bad_window():
-    with pytest.raises(ValueError, match="window"):
-        summarize([report()], window=0)
-
-
 def test_summarize_identical_reports():
     rows = summarize([report(obs=60) for _ in range(5)])
     assert len(rows) == 1
     row = rows[0]
     assert row.mean == row.minimum == row.maximum == 60
-
-
-def test_summarize_windowed_means():
-    reports = [report(obs=i, trial=i) for i in range(20)]
-    rows = summarize(reports, window=5)
-    assert rows[0].windowed == (2.0, 7.0, 12.0, 17.0)
 
 
 def test_summarize_splits_secrets():
@@ -372,7 +426,6 @@ def test_summarize_splits_secrets():
 def test_summarize_set_order_reports():
     rows = summarize([report(obs=(76,), inferred=1, truth=1)])
     assert rows[0].mean is None
-    assert rows[0].windowed == ()
 
 
 def test_cell_violation_property():

@@ -249,7 +249,7 @@ def corpus_digest() -> str:
 EXPECTED_ARTIFACTS: dict[str, dict[str, str]] = {
     "ref_jitter0": {
         "reports.csv": "cf9876974118607a34f4b38941701f31374edc07b54cc2e4eaf702446ae850db",
-        "summary.csv": "66da8af65c3b92dd945a32c483f55fdcc13c1f8325d0c3f7d3e831f889f6df11",
+        "summary.csv": "fbd10d9333076ace7a6d628ad83efe3d07ba37c51617637faaa0b96a577b66a2",
         "occupancy/fsi_v1_loop__unprotected__none__s0.csv": "5623770e2df97a3446ad35fc8a76aef63cc92324442553e9a0cebcd59ed1ba14",
         "occupancy/fsi_v1_loop__unprotected__none__s1.csv": "8d00aefdfdc237664dbd0612acdb99cfee0d05f798491fb271f7f3f9ee91c8b0",
         "occupancy/fsi_v1_loop__dom__none__s0.csv": "9cf87a125ad02393d6743f8f5ce0b7ca37af6ee4e0cdd59fe54c1395c312eb43",
@@ -283,7 +283,7 @@ EXPECTED_ARTIFACTS: dict[str, dict[str, str]] = {
     },
     "ref_jitter2": {
         "reports.csv": "e7c6eea2023d625b1e351ad5635fc7be818740ba0c7780879154e9acd18c1933",
-        "summary.csv": "babf4580393e376b66743bdbc57b2507936f09a8f56755e273b7f441276bc897",
+        "summary.csv": "8caaaad829e693c40ae44c75087cb9f698ed312381b57360c4fbc9c94c100087",
         "occupancy/fsi_v1_loop__unprotected__none__s0.csv": "3eda6a4086b6ee5efbafaa325b803d0da61f9d38200d4786cd1ea5794e4b8118",
         "occupancy/fsi_v1_loop__unprotected__none__s1.csv": "f342c4a2dacae4aedad88aed777332210aa1855de80412d6403d2fdb7834f4e3",
         "occupancy/fsi_v1_loop__dom__none__s0.csv": "90b3bed3f79b9f03dfe7564bffc10a5f5cd9edbc297efd04f70b358a536c8161",
@@ -317,7 +317,7 @@ EXPECTED_ARTIFACTS: dict[str, dict[str, str]] = {
     },
     "invarspec_mitigations": {
         "reports.csv": "df7e69fad42d1f87e04e904b50dc1d35760ba8ac231241b2947ec032c3da3015",
-        "summary.csv": "47ac696e1b874fa312d45990c7a23cee6dcfe1a802ea8bd45966302db9b88023",
+        "summary.csv": "2b3c8cbaa56815ae48bc5d12affefab32b3932066f4e1dd910d7ff7f84740083",
         "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s0.csv": "3eda6a4086b6ee5efbafaa325b803d0da61f9d38200d4786cd1ea5794e4b8118",
         "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s1.csv": "f342c4a2dacae4aedad88aed777332210aa1855de80412d6403d2fdb7834f4e3",
         "occupancy/fsi_v1_loop__dom_plus_invarspec__conservative_invariance__s0.csv": "90b3bed3f79b9f03dfe7564bffc10a5f5cd9edbc297efd04f70b358a536c8161",

@@ -1,4 +1,5 @@
-"""The README's library example runs as written, and its commands parse."""
+"""The README's library example runs as written, its commands parse and its
+config loads; the CSV schema doc lists the columns the code writes."""
 
 from __future__ import annotations
 
@@ -7,10 +8,16 @@ import shlex
 from pathlib import Path
 
 import pytest
+import yaml
 
 from robsim.cli import build_parser
+from robsim.core import CSV_FIELDS
+from robsim.experiment import SUMMARY_FIELDS, config_from_mapping, occupancy_csv
+from robsim.scenarios import REPORT_FIELDS
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SCHEMAS = ROOT / "docs" / "csv_schemas.md"
 
 
 def test_readme_python_example_runs(capsys):
@@ -46,3 +53,40 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except Exception as exc:  # the parser raises on a usage error
             pytest.fail(f"README: robsim {shlex.join(argv)}: {exc}")
+
+
+def test_readme_config_loads(tmp_path):
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    config = config_from_mapping(yaml.safe_load(blocks[0]), tmp_path)
+    assert config.n_trials == 1000
+    assert len(config.mitigation_sets) == 2
+
+
+def schema_sections() -> dict[str, str]:
+    """Body of each `## ` section of the schema doc, keyed by its title."""
+    sections = re.split(r"^## ", SCHEMAS.read_text(), flags=re.MULTILINE)[1:]
+    return dict(section.split("\n", 1) for section in sections)
+
+
+def table_columns(section: str) -> list[str]:
+    """The backticked names in the first cell of each table row, in order;
+    a row such as `mean_s0`, `min_s0`, `max_s0` names several columns."""
+    names = []
+    for line in section.splitlines():
+        if line.startswith("|") and not line.startswith(("| column", "|--")):
+            names += re.findall(r"`([^`]+)`", line.split("|")[1])
+    return names
+
+
+@pytest.mark.parametrize(
+    "title, fields",
+    [("Trace CSV", CSV_FIELDS), ("reports.csv", REPORT_FIELDS), ("summary.csv", SUMMARY_FIELDS)],
+)
+def test_schema_doc_lists_the_columns_in_order(title, fields):
+    assert table_columns(schema_sections()[title]) == fields
+
+
+def test_schema_doc_shows_the_occupancy_header():
+    (block,) = re.findall(r"```\n(.*?)```", schema_sections()["Occupancy CSV"], re.DOTALL)
+    assert block.splitlines()[0] == occupancy_csv([]).strip()
