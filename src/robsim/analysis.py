@@ -30,9 +30,7 @@ costs for an n-instruction program:
     makes the count run-time dependent. Over the region the branch reaches
     before reconverging (R nodes, E edges): the shortest count by one
     Dijkstra, O(E log R); the longest, when the region is acyclic, by one
-    sweep in topological order, O(R + E); in a cyclic region, one more
-    Dijkstra inside its component per node on a cycle, O(C * E log R) for
-    C such nodes.
+    sweep in topological order, O(R + E).
 
 Two hardening passes operate on these results: `conservative_filter` grows
 safe sets behind unbalanced branches, and `balance_paths` rewrites the
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import inf
 
 from .isa import (
@@ -344,16 +342,11 @@ def _profile(
     is a back edge. Otherwise it covers the region the branch reaches
     before its reconvergence point (the branch itself is in the region only
     if a cycle returns to it). A path starts at a successor of the branch,
-    counts each node it enters and ends at the reconvergence point or on
-    reaching a node it already holds (the branch counts as held and weighs
-    nothing).
+    counts each node it enters and ends at the reconvergence point.
 
-    min_uops is the smaller of the shortest complete path and, over every
-    node x on a cycle, the shortest count reaching x plus the cheapest
-    cycle back to x without x's own weight. A cycle or a rep opcode makes
-    the profile variable with max_uops = cap; otherwise max_uops is the
-    longest path, saturating at `cap`, found by one sweep in topological
-    order.
+    min_uops is the shortest such path. A cycle or a rep opcode makes the
+    profile variable with max_uops = cap; otherwise max_uops is the longest
+    path, saturating at `cap`, found by one sweep in topological order.
     """
     if is_back_edge_branch(program, branch):
         return PathProfile(None, 0, cap, True)
@@ -378,7 +371,7 @@ def _profile(
     # shortest count through each node, its own weight included (Dijkstra)
     dist = [inf] * len(region)
     if branch in local:
-        dist[local[branch]] = 0  # held from the start, never entered
+        dist[local[branch]] = 0  # a path through it again is never shorter
     shortest = 0 if direct else inf
     heap = [(weights[x], x) for x in starts]
     while heap:
@@ -393,16 +386,7 @@ def _profile(
                 heappush(heap, (d + weights[t], t))
 
     components = _components(edges)
-    cyclic = [c for c in components if len(c) > 1 or c[0] in edges[c[0]]]
-    if cyclic:
-        component_of = [0] * len(region)
-        for c, members in enumerate(components):
-            for x in members:
-                component_of[x] = c
-        for members in cyclic:
-            for x in members:
-                cycle = _cheapest_cycle(x, edges, weights, component_of)
-                shortest = min(shortest, dist[x] + cycle)
+    cyclic = any(len(c) > 1 or c[0] in edges[c[0]] for c in components)
     if cyclic or any(instructions[v].opcode in REP_OPCODES for v in region):
         return PathProfile(reconv, shortest, cap, True)
 
@@ -419,32 +403,6 @@ def _profile(
         if exits[x]:
             best = max(best, out)
     return PathProfile(reconv, shortest, best, False)
-
-
-def _cheapest_cycle(
-    x: int,
-    edges: list[list[int]],
-    weights: list[int],
-    component_of: list[int],
-) -> int:
-    """Least min-weight of a cycle from x back to x, x's own weight left
-    out (a self-loop costs 0); Dijkstra inside x's component, which holds
-    every such cycle."""
-    c = component_of[x]
-    heap = [(0 if t == x else weights[t], t) for t in edges[x] if component_of[t] == c]
-    heapify(heap)
-    done: set[int] = set()
-    while heap:
-        d, v = heappop(heap)
-        if v == x:
-            return d
-        if v in done:
-            continue
-        done.add(v)
-        for t in edges[v]:
-            if component_of[t] == c and t not in done:
-                heappush(heap, (d + (0 if t == x else weights[t]), t))
-    raise AssertionError(f"node {x} is on no cycle")
 
 
 def analyze_all_branches(program: Program, cap: int = DEFAULT_EXPANSION_CAP) -> dict[int, PathProfile]:
@@ -601,7 +559,7 @@ def _members(bits: int) -> list[int]:
 def dump_analysis(safe_sets: dict[int, int], profiles: dict[int, PathProfile]) -> str:
     """Text report: header, one `ss` line per instruction listing its safe
     set's members in ascending order, one `profile` per branch."""
-    lines = ["# robsim analysis v3"]
+    lines = ["# robsim analysis v4"]
     for i in sorted(safe_sets):
         members = " ".join(map(str, _members(safe_sets[i])))
         lines.append(f"ss {i} {members}".rstrip())

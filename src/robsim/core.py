@@ -782,7 +782,9 @@ class Simulator:
                 entry.ready_cycle = latest
                 self._enqueue_ready(entry)
             if lifts and (kind is UopKind.MEM_READ or kind is UopKind.MEM_WRITE):
-                # stamps esp at dispatch for empty safe sets
+                # the full ESP check on every memory micro-op: stamps esp at
+                # dispatch when its safe set is empty or every older in-flight
+                # instance of a member is at OSP (none in flight: settled)
                 self._lifted(entry, unresolved[0] if unresolved else None)
         self._next_seq = seq
         if queue:

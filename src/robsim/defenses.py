@@ -107,8 +107,9 @@ class DefensePolicy:
 class RobEntryView(Protocol):
     """What the gates need to know about an in-flight entry.
 
-    Callers pass the live ROB as a list ordered oldest-first; rob_seq is
-    the global dispatch sequence number that order follows.
+    Callers pass the live ROB as an iterable ordered oldest-first (the
+    core passes its deque); rob_seq is the global dispatch sequence number
+    that order follows.
     """
 
     instr: int

@@ -91,6 +91,15 @@ class ExperimentConfig:
             raise ConfigError("defense list is empty")
         if not self.mitigation_sets:
             raise ConfigError("mitigation list is empty")
+        # a repeated entry would run its cells again and overwrite their files
+        for kind, names in (
+            ("scenario", self.scenarios),
+            ("defense", [d.value for d in self.defenses]),
+            ("mitigation set", [mitigation_label(m) for m in self.mitigation_sets]),
+        ):
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise ConfigError(f"{kind} {repeated[0]!r} is listed more than once")
         if self.n_trials < 1:
             raise ConfigError(f"trials must be at least 1, got {self.n_trials}")
 

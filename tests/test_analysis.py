@@ -16,6 +16,7 @@ from robsim.analysis import (
     build_dependence_graph,
     compute_safe_sets,
     conservative_filter,
+    dump_analysis,
     immediate_postdominators,
     is_back_edge_branch,
     successors,
@@ -58,9 +59,10 @@ def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
 
     Depth first, first successor first; a path ends at the reconvergence
     point, at the exit, or on reaching a node it already holds (the branch
-    is held from the start), which makes the profile variable with that
-    path's maximum at the cap. A rep opcode adds its expansion at count 0
-    to the minimum and the cap to the maximum, and makes it variable.
+    is held from the start). Such a path adds nothing to the minimum and
+    makes the profile variable with its maximum at the cap. A rep opcode
+    adds its expansion at count 0 to the minimum and the cap to the
+    maximum, and makes it variable.
     Exponential in the number of sequential diamonds.
     """
     if is_back_edge_branch(program, branch):
@@ -79,7 +81,6 @@ def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
             continue
         if node in on_path:
             variable = True
-            mins.append(acc_min)
             maxs.append(cap)
             continue
         instr = program.instructions[node]
@@ -360,6 +361,28 @@ def test_path_profile_rep_is_variable():
     assert profile.variable
     assert profile.min_uops == 0
     assert profile.max_uops == DEFAULT_EXPANSION_CAP
+
+
+LOOP_THEN_FIVE_VS_SEVEN = """\
+    branch r1, other
+top: alu r2, r2, -1
+    branch r2, top
+""" + "    alu r3, r3, 1\n" * 5 + """\
+    jump join
+other:
+""" + "    alu r4, r4, 1\n" * 7 + """\
+join: nop
+"""
+
+
+def test_path_profile_min_counts_only_paths_that_reconverge():
+    # the fallthrough takes at least 1 + 1 + 5 + 1 = 8 micro-ops and the
+    # taken side 7; a path that stops on re-entering the loop is no path
+    prog = parse_program(LOOP_THEN_FIVE_VS_SEVEN)
+    profile = analyze_paths(prog, 0)
+    assert profile == PathProfile(16, 7, DEFAULT_EXPANSION_CAP, True)
+    report = dump_analysis(compute_safe_sets(prog), analyze_all_branches(prog))
+    assert "\nprofile 0 16 7 4096 1\n" in report
 
 
 def test_conservative_filter_grows_and_is_idempotent():

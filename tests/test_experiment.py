@@ -174,10 +174,18 @@ BOTH_SETS = frozenset({Mitigation.CONSERVATIVE_INVARIANCE, Mitigation.PATH_BALAN
         ("defenses", 5, "defenses must be a list of names or one name, got 5"),
         ("mitigations", 5, "mitigations must be a list of names or one name, got 5"),
         ("mitigations", [5], "mitigation name must be a string, got 5"),
+        ("scenarios", ["bsi_mshr", "fsi_v1_loop", "bsi_mshr"],
+         "scenario 'bsi_mshr' is listed more than once"),
+        ("defenses", ["dom", "dom"], "defense 'dom' is listed more than once"),
+        ("mitigations", ["none", ""], "mitigation set 'none' is listed more than once"),
+        ("mitigations", ["conservative_invariance+path_balancing",
+                         "path_balancing+conservative_invariance"],
+         "mitigation set 'conservative_invariance+path_balancing' is listed more than once"),
     ],
     ids=["bare_scenario", "bare_defense", "bare_mitigation", "cli_mitigation_list",
          "empty_scenarios", "empty_defenses", "empty_mitigations", "int_scenarios",
-         "int_defenses", "int_mitigations", "int_mitigation_name"],
+         "int_defenses", "int_mitigations", "int_mitigation_name", "repeated_scenario",
+         "repeated_defense", "repeated_empty_set", "repeated_reordered_set"],
 )
 def test_config_reads_each_name_list_one_way(tmp_path, key, value, outcome):
     """A bare name is a one-entry list; an empty list, or a value that is
@@ -199,6 +207,15 @@ def test_cli_refuses_a_name_list_that_is_not_a_list(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "robsim: error: scenarios must be a list of names or one name, got 5" in err
     assert "Traceback" not in err
+
+
+def test_cli_refuses_a_repeated_scenario(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("run", "--scenario", "bsi_mshr", "--scenario", "bsi_mshr", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "robsim: error: scenario 'bsi_mshr' is listed more than once" in err
+    assert not out.exists()
 
 
 def test_cli_refuses_a_non_integer_config_value(tmp_path, capsys):
@@ -566,7 +583,7 @@ def test_cli_analyze_round_trip(tmp_path, capsys):
     assert run_cli("analyze", str(program)) == 0
     assert capsys.readouterr().out == report.read_text()
     assert report.read_text().splitlines() == [
-        "# robsim analysis v3",
+        "# robsim analysis v4",
         "ss 0",
         "ss 1 0",
         "ss 2 0 1",

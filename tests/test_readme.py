@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from robsim.analysis import dump_analysis
 from robsim.cli import build_parser
 from robsim.core import CSV_FIELDS
 from robsim.experiment import SUMMARY_FIELDS, config_from_mapping, occupancy_csv
@@ -18,6 +19,7 @@ from robsim.scenarios import REPORT_FIELDS
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 SCHEMAS = ROOT / "docs" / "csv_schemas.md"
+ANALYSIS_REPORT = ROOT / "docs" / "analysis_report.md"
 
 
 def test_readme_python_example_runs(capsys):
@@ -90,3 +92,8 @@ def test_schema_doc_lists_the_columns_in_order(title, fields):
 def test_schema_doc_shows_the_occupancy_header():
     (block,) = re.findall(r"```\n(.*?)```", schema_sections()["Occupancy CSV"], re.DOTALL)
     assert block.splitlines()[0] == occupancy_csv([]).strip()
+
+
+def test_analysis_doc_shows_the_report_header():
+    block = re.findall(r"```\n(.*?)```", ANALYSIS_REPORT.read_text(), re.DOTALL)[0]
+    assert block.splitlines()[0] == dump_analysis({}, {}).strip()
