@@ -5,10 +5,12 @@ instruction once everything in its *safe set* is outcome-final. This module
 computes those sets from program text alone, with these algorithms and
 costs for an n-instruction program:
 
-  * post-dominator tree: Cooper, Harvey and Kennedy's iterative dominator
-    algorithm on the reverse CFG, rooted at the virtual exit; near-linear,
-    once per program. A program with an instruction that cannot reach the
-    exit is refused;
+  * CFG and post-dominator tree (`control_flow`): Cooper, Harvey and
+    Kennedy's iterative dominator algorithm on the reverse CFG, rooted at
+    the virtual exit; near-linear. Built once per program and shared: the
+    dependence graph, every path profile and `balance_paths` take it as
+    `flow`, and `robsim.scenarios.ProgramAnalysis` holds one per program. A
+    program with an instruction that cannot reach the exit is refused;
   * dependence graph: one data edge per register def-use (reaching
     definitions, a FIFO worklist to the fixed point that revisits a node
     only when a predecessor's output changed), memory dependences
@@ -29,8 +31,9 @@ costs for an n-instruction program:
     reconvergence point, flagged variable when a rep opcode or a cycle
     makes the count run-time dependent. Over the region the branch reaches
     before reconverging (R nodes, E edges): the shortest count by one
-    Dijkstra, O(E log R); the longest, when the region is acyclic, by one
-    sweep in topological order, O(R + E).
+    Dijkstra, O(E log R). Kahn's topological sort of the region, O(R + E),
+    finds whether it has a cycle (a node it leaves unordered) and, when it
+    has none, the order of the one sweep that finds the longest count.
 
 Two hardening passes operate on these results: `conservative_filter` grows
 safe sets behind unbalanced branches, and `balance_paths` rewrites the
@@ -45,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from math import inf
+from typing import NamedTuple
 
 from .isa import (
     DEFAULT_EXPANSION_CAP,
@@ -82,18 +86,30 @@ class DependenceGraph:
         return self.data.get(instr, set()) | self.control.get(instr, set())
 
 
+class ControlFlow(NamedTuple):
+    """A program's CFG and post-dominator tree; n = len(program) is the
+    virtual exit node."""
+
+    succ: list[list[int]]  # successor ids of 0..n-1
+    preds: list[list[int]]  # predecessor ids of 0..n
+    ipdom: list[int]  # immediate post-dominator of 0..n; ipdom[n] = n
+
+
+def control_flow(program: Program) -> ControlFlow:
+    """The CFG and post-dominator tree of `program`, built once so that its
+    dependence graph and every path profile can share them."""
+    succ, preds = _cfg(program)
+    return ControlFlow(succ, preds, _postdominator_tree(succ, preds))
+
+
 def successors(program: Program, idx: int) -> list[int]:
     """CFG successor ids; len(program) is the virtual exit node."""
-    n = len(program)
-    instr = program.instructions[idx]
-    if instr.opcode == Opcode.JUMP:
-        return [program.target_of(instr)]  # type: ignore[list-item]
-    if instr.opcode == Opcode.BRANCH:
-        fall = idx + 1 if idx + 1 <= n else n
-        target = program.target_of(instr)
-        assert target is not None
-        return [fall, target] if target != fall else [fall]
-    return [idx + 1]
+    target = program.targets[idx]
+    if target is None:
+        return [idx + 1]
+    if program.instructions[idx].opcode is Opcode.JUMP:
+        return [target]
+    return [idx + 1, target] if target != idx + 1 else [target]
 
 
 def _cfg(program: Program) -> tuple[list[list[int]], list[list[int]]]:
@@ -115,7 +131,7 @@ def immediate_postdominators(program: Program) -> list[int]:
     An instruction that cannot reach the exit has no post-dominators, so
     the program is refused naming the first such instruction.
     """
-    return _postdominator_tree(*_cfg(program))
+    return control_flow(program).ipdom
 
 
 def _postdominator_tree(succ: list[list[int]], preds: list[list[int]]) -> list[int]:
@@ -176,11 +192,15 @@ def is_back_edge_branch(program: Program, branch: int) -> bool:
     return target is not None and target <= branch
 
 
-def build_dependence_graph(program: Program) -> DependenceGraph:
+def build_dependence_graph(
+    program: Program, flow: ControlFlow | None = None
+) -> DependenceGraph:
+    """Data and control dependences of `program`; `flow`, when given, is
+    its control_flow."""
     n = len(program)
     graph = DependenceGraph({i: set() for i in range(n)}, {i: set() for i in range(n)})
     instructions = program.instructions
-    succ, preds = _cfg(program)
+    succ, preds, ipdom = control_flow(program) if flow is None else flow
     dest = [None if (reg := instr.dest_reg()) is None else reg.index for instr in instructions]
 
     # reaching register definitions over the CFG: FIFO worklist to the fixed
@@ -221,7 +241,6 @@ def build_dependence_graph(program: Program) -> DependenceGraph:
     # branch b iff i post-dominates a successor of b but not b itself, i.e.
     # i lies on the post-dominator tree path from that successor up to, and
     # excluding, ipdom(b)
-    ipdom = _postdominator_tree(succ, preds)
     for b, instr in enumerate(instructions):
         if instr.opcode != Opcode.BRANCH:
             continue
@@ -282,17 +301,20 @@ def _components(edges: list[list[int]]) -> list[list[int]]:
 
 
 def compute_safe_sets(
-    program: Program, graph: DependenceGraph | None = None
+    program: Program,
+    graph: DependenceGraph | None = None,
+    flow: ControlFlow | None = None,
 ) -> dict[int, int]:
     """Safe set of each instruction id as a bitmask of its transitive
     dependence sources: bit m is set when m is a member.
 
     Closed one strongly connected component at a time, sources first: a
     component's mask ORs each outside source's bit and mask, plus its own
-    members' bits when it is cyclic.
+    members' bits when it is cyclic. Without `graph`, the dependence graph
+    is built from `flow`, the program's control_flow, when given.
     """
     if graph is None:
-        graph = build_dependence_graph(program)
+        graph = build_dependence_graph(program, flow)
     n = len(program)
     edges = [list(graph.sources(i)) for i in range(n)]
     component_of = [-1] * n
@@ -325,14 +347,16 @@ def analyze_paths(
     program: Program,
     branch: int,
     cap: int = DEFAULT_EXPANSION_CAP,
+    flow: ControlFlow | None = None,
 ) -> PathProfile:
     """Micro-op counts along each direction of `branch` to its reconvergence.
 
     variable=True when a rep opcode sits on either path or when control flow
     cycles (back edges), in which case max_uops saturates at the cap.
+    `flow`, when given, is the program's control_flow.
     """
-    succ, preds = _cfg(program)
-    return _profile(program, succ, _postdominator_tree(succ, preds), branch, cap)
+    succ, _, ipdom = control_flow(program) if flow is None else flow
+    return _profile(program, succ, ipdom, branch, cap)
 
 
 def _profile(
@@ -346,7 +370,9 @@ def _profile(
 
     min_uops is the shortest such path. A cycle or a rep opcode makes the
     profile variable with max_uops = cap; otherwise max_uops is the longest
-    path, saturating at `cap`, found by one sweep in topological order.
+    path, saturating at `cap`, found by one sweep in the topological order
+    of Kahn's algorithm, which leaves a node unordered exactly when the
+    region has a cycle. Any topological order gives the same longest path.
     """
     if is_back_edge_branch(program, branch):
         return PathProfile(None, 0, cap, True)
@@ -385,9 +411,19 @@ def _profile(
             if dist[t] == inf:
                 heappush(heap, (d + weights[t], t))
 
-    components = _components(edges)
-    cyclic = any(len(c) > 1 or c[0] in edges[c[0]] for c in components)
-    if cyclic or any(instructions[v].opcode in REP_OPCODES for v in region):
+    # Kahn's algorithm: `order` grows while it is walked, and a node on or
+    # behind a cycle never reaches indegree 0
+    indegree = [0] * len(region)
+    for out in edges:
+        for t in out:
+            indegree[t] += 1
+    order = [x for x, d in enumerate(indegree) if d == 0]
+    for x in order:
+        for t in edges[x]:
+            indegree[t] -= 1
+            if not indegree[t]:
+                order.append(t)
+    if len(order) < len(region) or any(instructions[v].opcode in REP_OPCODES for v in region):
         return PathProfile(reconv, shortest, cap, True)
 
     # acyclic and one micro-op per node: longest count by one sweep in
@@ -396,7 +432,7 @@ def _profile(
     for x in starts:
         longest[x] = 0
     best = 0 if direct else -1
-    for (x,) in reversed(components):
+    for x in order:
         out = min(longest[x] + 1, cap)
         for t in edges[x]:
             longest[t] = max(longest[t], out)
@@ -405,9 +441,12 @@ def _profile(
     return PathProfile(reconv, shortest, best, False)
 
 
-def analyze_all_branches(program: Program, cap: int = DEFAULT_EXPANSION_CAP) -> dict[int, PathProfile]:
-    succ, preds = _cfg(program)
-    ipdom = _postdominator_tree(succ, preds)
+def analyze_all_branches(
+    program: Program, cap: int = DEFAULT_EXPANSION_CAP, flow: ControlFlow | None = None
+) -> dict[int, PathProfile]:
+    """Path profile of every branch; `flow`, when given, is the program's
+    control_flow."""
+    succ, _, ipdom = control_flow(program) if flow is None else flow
     return {
         i: _profile(program, succ, ipdom, i, cap)
         for i, instr in enumerate(program.instructions)
@@ -468,19 +507,26 @@ def _rebuild(program: Program, instructions: list[MacroInstruction]) -> Program:
             labels[instr.label] = i
         renumbered.append(replace(instr, id=i))
     prog = replace(program, instructions=renumbered, labels=labels)
-    prog.validate()
+    prog.targets  # validates the new program once, for every later use
     return prog
 
 
-def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CAP) -> Program:
+def balance_paths(
+    program: Program,
+    branch: int,
+    cap: int = DEFAULT_EXPANSION_CAP,
+    flow: ControlFlow | None = None,
+) -> Program:
     """Pad the shorter direction of `branch` with nops until both match.
 
     Refuses variable-length paths (rep expansion or loops) with a diagnostic:
     no static pad count can equalize those; so is a path whose count
-    reaches `cap`, where it saturates. The returned program is re-id'd and
-    revalidated; callers must rerun analysis on it.
+    reaches `cap`, where it saturates. `flow`, when given, is the program's
+    control_flow. The returned program is re-id'd and validated but not
+    profiled again: `certify_balanced` checks that its directions match,
+    and callers must rerun analysis on it.
     """
-    profile = analyze_paths(program, branch, cap)
+    profile = analyze_paths(program, branch, cap, flow)
     if profile.variable:
         raise BalanceError(
             f"branch {branch}: paths are variable-length (rep expansion or loop); "
@@ -507,7 +553,7 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
         insert_at = sides[shorter][-1] + 1
         pads = [MacroInstruction(0, Opcode.NOP, ()) for _ in range(pad_count)]
         instructions[insert_at:insert_at] = pads
-        balanced = _rebuild(program, instructions)
+        return _rebuild(program, instructions)
     else:
         # empty side: materialize a pad block just before the reconvergence
         # point and steer the empty edge through it; the other side needs an
@@ -533,14 +579,7 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
         br = instructions[branch]
         new_ops = (br.operands[0], Label(pad_label))
         instructions[branch] = replace(br, operands=new_ops)
-        balanced = _rebuild(program, instructions)
-
-    check = analyze_paths(balanced, branch, cap)
-    if check.min_uops != check.max_uops:
-        raise BalanceError(
-            f"branch {branch}: balancing failed ({check.min_uops} != {check.max_uops})"
-        )
-    return balanced
+        return _rebuild(program, instructions)
 
 
 # --- analysis report -------------------------------------------------------

@@ -46,10 +46,14 @@ occupancy and the same dispatch and decode stalls each, never past
 max_cycles.
 
 `step()` enters a phase only when it has work: fills only when the
-earliest MSHR fill is due; complete only when a completion is due this
-cycle or a predicted REP awaits verification; fetch only when a redirect
-is pending, an expansion is active or the pc is inside the program; commit,
-issue and dispatch only when their queue is non-empty. What decode and
+earliest MSHR fill is due; commit only when the ROB head completed before
+this cycle; complete only when a completion is due this cycle or a
+predicted REP awaits verification; fetch only when a redirect is pending,
+or when the decode queue has room and an expansion is active or the pc is
+inside the program; issue and dispatch only when their queue is non-empty.
+A producer clears its list of waiting consumers once it has woken them
+or is squashed, so a finished run holds no reference cycle and is freed by
+reference counting alone. What decode and
 issue read off an instruction (its micro-op, source and destination
 registers and ALU plan) is worked out once per instruction object, and the
 branch targets once per program object: so once per program, not once per
@@ -179,6 +183,8 @@ class RobEntry:
     outcome: str | None = None
     latency: int | None = None
     pending: int = 0
+    # consumers waiting on this result; cleared once woken or squashed, so a
+    # finished run holds no reference cycle
     dependents: list["RobEntry"] = field(default_factory=list)
     mem_event: MemEvent | None = None
 
@@ -388,7 +394,8 @@ class Simulator:
         self.rob: deque[RobEntry] = deque()
         self.stats = SimStats()
 
-        self._queue: deque[RobEntry] = deque()
+        self._queue: deque[RobEntry] = deque()  # decoded, waiting for dispatch
+        self._queue_size = 2 * self.config.decode_width
         self._prod_map: dict[int, RobEntry] = {}
         self._unresolved: list[int] = []
         self._completions: dict[int, list[RobEntry]] = {}
@@ -429,7 +436,8 @@ class Simulator:
                 self._mem_events.append(MemEvent(cycle, None, None, addr, "fill"))
             self._next_fill = min((m.fill_cycle for m in cache.mshrs), default=self._never)
         acted = False
-        if self.rob:
+        rob = self.rob
+        if rob and (done := rob[0].complete_cycle) is not None and done < cycle:
             acted = self._commit()
         if self._alu_queue:
             acted |= self._issue_alu()
@@ -437,11 +445,15 @@ class Simulator:
             acted |= self._issue_mem()
         if cycle in self._completions or self._live_reps:
             acted |= self._complete()
-        if self._queue:
+        queue = self._queue
+        if queue:
             acted |= self._dispatch()
-        if self._redirect_stall or self._expansion is not None or self.pc < self._n_instr:
+        if self._redirect_stall or (
+            len(queue) < self._queue_size
+            and (self._expansion is not None or self.pc < self._n_instr)
+        ):
             acted |= self._fetch_decode()
-        occ = len(self.rob)
+        occ = len(rob)
         self._occupancy.append(occ)
         if occ > self.stats.peak_occupancy:
             self.stats.peak_occupancy = occ
@@ -666,6 +678,7 @@ class Simulator:
             if dep.pending == 0:
                 dep.ready_cycle = ready
                 enqueue(dep)
+        producer.dependents.clear()
 
     def _resolve_branch(self, entry: RobEntry) -> None:
         cond = entry.value_of(entry.macro.operands[0].index, self.regs)
@@ -728,6 +741,7 @@ class Simulator:
         while self.rob and self.rob[-1].rob_seq > boundary_seq:
             entry = self.rob.pop()
             entry.squash_cycle = self.cycle
+            entry.dependents.clear()
             if oldest is not None and oldest < entry.rob_seq:
                 entry.shadow = oldest
             removed += 1
@@ -825,7 +839,7 @@ class Simulator:
         width = self.config.decode_width
         queue, instructions, push = self._queue, self.program.instructions, self._push_uop
         slots = width
-        while slots and len(queue) < 2 * width:
+        while slots and len(queue) < self._queue_size:
             rep = self._expansion
             if rep is not None:
                 uop = MicroOp(rep.instr, rep.emitted, UopKind.NOP)

@@ -19,9 +19,9 @@ the count formula; timing lives in the core.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 ADDRESS_SPACE = 1 << 20  # valid data addresses are [0, ADDRESS_SPACE)
 DEFAULT_EXPANSION_CAP = 4096  # max micro-ops emitted per rep instruction
@@ -229,9 +229,29 @@ class Program:
         """Resolved branch or jump target of each instruction id, None for
         other opcodes. Resolved once per program object, after validate()
         passes, so derive an edited program with dataclasses.replace, never
-        in place."""
+        in place. An `overlay` shares this program's instruction list and
+        labels, so it keeps these targets rather than resolving and
+        validating again; it checks only the entries it adds."""
         self.validate()
         return tuple(self.target_of(instr) for instr in self.instructions)
+
+    def overlay(self, *, data_init: Mapping[int, int], predict: Mapping[str, bool]) -> Program:
+        """This program with `data_init` and `predict` entries added or
+        replaced. It shares the instruction list, labels and resolved
+        targets; only the added entries are checked."""
+        for addr in data_init:
+            if not 0 <= addr < ADDRESS_SPACE:
+                raise ValueError(f"data address {addr:#x} outside address space")
+        for name in predict:
+            if problem := self.predict_problem(name):
+                raise ValueError(problem)
+        program = replace(
+            self,
+            data_init={**self.data_init, **data_init},
+            predict={**self.predict, **predict},
+        )
+        program.__dict__["targets"] = self.targets  # as `targets` itself caches
+        return program
 
     def validate(self) -> None:
         for i, instr in enumerate(self.instructions):
@@ -355,6 +375,9 @@ def parse_program(text: str) -> Program:
     predict_lines: dict[str, int] = {}  # source line of each .predict
     pending_label: str | None = None
     pending_line = 0
+    # operand text -> its (frozen) operands: repeated text parses once and
+    # shares one tuple
+    parsed_operands: dict[str, tuple[Operand, ...]] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -406,11 +429,14 @@ def parse_program(text: str) -> Program:
         except ValueError:
             raise ParseError(line_no, f"unknown opcode {mnemonic!r}") from None
         operand_txt = fields[1] if len(fields) > 1 else ""
-        operands = tuple(
-            _parse_operand(piece, line_no)
-            for piece in operand_txt.split(",")
-            if piece.strip()
-        ) if operand_txt.strip() else ()
+        operands = parsed_operands.get(operand_txt)
+        if operands is None:
+            operands = tuple(
+                _parse_operand(piece, line_no)
+                for piece in operand_txt.split(",")
+                if piece.strip()
+            ) if operand_txt.strip() else ()
+            parsed_operands[operand_txt] = operands
         _check_operands(opcode, operands, line_no)
         idx = len(instructions)
         if label is not None:
@@ -431,7 +457,8 @@ def parse_program(text: str) -> Program:
     for name, line_no in predict_lines.items():
         if problem := program.predict_problem(name):
             raise ParseError(line_no, problem)
-    program.validate()
+    # every check validate() makes is made above with a line number, so it
+    # runs once, when `targets` is first resolved
     return program
 
 

@@ -44,11 +44,13 @@ from enum import Enum
 from functools import cached_property
 
 from .analysis import (
+    ControlFlow,
     PathProfile,
     analyze_all_branches,
     balance_paths,
     compute_safe_sets,
     conservative_filter,
+    control_flow,
 )
 from .cache import CacheConfig
 from .core import MachineConfig, RobEntry, Simulator, Trace
@@ -350,38 +352,39 @@ def build_scenario(
 
 
 def with_secret(scenario: Scenario, secret: int) -> Scenario:
-    """The scenario run with `secret`. Its program shares every instruction
-    and label; only the initial value at SECRET_ADDR and the trained gate's
-    `.predict` direction, if the scenario has one, follow the secret."""
+    """The scenario run with `secret`. Its program is an overlay that shares
+    every instruction and label, and so the resolved branch targets; only
+    the initial value at SECRET_ADDR and the trained gate's `.predict`
+    direction, if the scenario has one, follow the secret."""
     _check_secret(secret)
-    program = scenario.program
-    predict = program.predict
-    if scenario.trained_gate is not None:
-        predict = {**predict, scenario.trained_gate: secret == 0}
-    program = replace(
-        program, data_init={**program.data_init, SECRET_ADDR: secret}, predict=predict
-    )
+    predict = {} if scenario.trained_gate is None else {scenario.trained_gate: secret == 0}
+    program = scenario.program.overlay(data_init={SECRET_ADDR: secret}, predict=predict)
     return replace(scenario, program=program, ground_truth_secret=secret)
 
 
 @dataclass(eq=False)
 class ProgramAnalysis:
-    """Safe sets and path profiles of one program as written.
+    """Control flow, safe sets and path profiles of one program as written.
 
     Each is computed on first use and then kept, so every cell of a sweep
-    that runs the program shares one analysis.
+    that runs the program shares one analysis, and the safe sets and the
+    profiles share one CFG and post-dominator tree.
     """
 
     program: Program
     cap: int
 
     @cached_property
+    def flow(self) -> ControlFlow:
+        return control_flow(self.program)
+
+    @cached_property
     def safe_sets(self) -> dict[int, int]:
-        return compute_safe_sets(self.program)
+        return compute_safe_sets(self.program, flow=self.flow)
 
     @cached_property
     def profiles(self) -> dict[int, PathProfile]:
-        return analyze_all_branches(self.program, self.cap)
+        return analyze_all_branches(self.program, self.cap, flow=self.flow)
 
 
 def prepare(
@@ -439,6 +442,9 @@ def prepare_program(
             f"{name}: operand_independent_fill does not apply; "
             "the program contains no rep expansion"
         )
+    if analysis is None:
+        analysis = ProgramAnalysis(program, cap)
+    assert analysis.program is program and analysis.cap == cap
     certificate = None
     if Mitigation.PATH_BALANCING in mitigations:
         if balance_branch is None:
@@ -446,12 +452,9 @@ def prepare_program(
                 f"{name}: path balancing does not apply; the secret "
                 "does not select between fixed-length paths"
             )
-        program = balance_paths(program, balance_branch, cap)
-        certificate = certify_balanced(program, balance_branch, cap)
-        analysis = None  # it describes the program as written
-    if analysis is None:
-        analysis = ProgramAnalysis(program, cap)
-    assert analysis.program is program and analysis.cap == cap
+        program = balance_paths(program, balance_branch, cap, analysis.flow)
+        analysis = ProgramAnalysis(program, cap)  # of the rewritten program
+        certificate = certify_balanced(program, balance_branch, cap, analysis.flow)
     safe_sets = None
     if mode is DefenseMode.DOM_PLUS_INVARSPEC:
         safe_sets = analysis.safe_sets

@@ -22,6 +22,7 @@ from robsim.core import (
     run,
 )
 from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
+from robsim.experiment import config_from_mapping, run_experiment
 from robsim.isa import (
     ADDRESS_SPACE,
     REP_OPCODES,
@@ -42,6 +43,18 @@ from robsim.scenarios import (
     run_single,
     with_secret,
 )
+
+# the benchmark's invarspec_rob768 sweep, one trial per secret
+INVARSPEC_ROB768_SWEEP = {
+    "scenarios": list(SCENARIO_NAMES),
+    "defenses": ["dom_plus_invarspec"],
+    "mitigations": [
+        "none", "conservative_invariance", "path_balancing", "operand_independent_fill",
+    ],
+    "trials": 1,
+    "jitter": 2,
+    "core": {"rob_size": 768},
+}
 
 
 def make_sim(text, *, core=None, cache=None, policy=None, jitter=0, seed=0):
@@ -1100,4 +1113,18 @@ def test_program_is_validated_once_for_many_simulators(monkeypatch):
     for _ in range(3):
         Simulator(program).run()
     assert len(calls) == 1
+
+
+def test_program_is_validated_once_per_sweep(monkeypatch, tmp_path):
+    # each distinct instruction list once: every scenario's, and the one
+    # path_balancing rewrites; not once per (cell, secret)
+    validated = []
+    validate = Program.validate
+    monkeypatch.setattr(
+        Program, "validate", lambda self: validated.append(self.instructions) or validate(self)
+    )
+    result = run_experiment(config_from_mapping(INVARSPEC_ROB768_SWEEP, tmp_path))
+    assert result.exit_code == 0
+    assert len({id(instructions) for instructions in validated}) == len(validated)
+    assert len(validated) == len(SCENARIO_NAMES) + 1
 

@@ -6,8 +6,9 @@ import csv
 import re
 
 import pytest
+from test_core import INVARSPEC_ROB768_SWEEP
 
-from robsim import experiment
+from robsim import analysis, experiment
 from robsim.cli import main
 from robsim.core import MachineConfig, SimulationLimitError
 from robsim.defenses import DefenseMode, Mitigation
@@ -25,7 +26,13 @@ from robsim.experiment import (
     summarize,
 )
 from robsim.isa import print_program
-from robsim.scenarios import ScenarioReport, build_scenario, prepare, run_single
+from robsim.scenarios import (
+    SCENARIO_NAMES,
+    ScenarioReport,
+    build_scenario,
+    prepare,
+    run_single,
+)
 
 
 def make_config(tmp_path, **overrides):
@@ -347,6 +354,22 @@ def test_broken_promise_exits_security(tmp_path, monkeypatch):
     result = run_experiment(make_config(tmp_path, defenses=["dom"]))
     assert result.cells[0].violation
     assert result.exit_code == EXIT_SECURITY
+
+
+def test_sweep_builds_one_postdominator_tree_per_program(tmp_path, monkeypatch):
+    # every scenario's program, and the one path_balancing rewrites: the
+    # safe sets, the profiles, balancing and the certificate share each tree
+    config = config_from_mapping(INVARSPEC_ROB768_SWEEP, tmp_path)
+    lengths = [len(build_scenario(name, 0, config.machine).program) for name in SCENARIO_NAMES]
+    balanced, _ = prepare(build_scenario("fsi_v1_straight", 0, config.machine),
+                          DefenseMode.DOM_PLUS_INVARSPEC, {Mitigation.PATH_BALANCING})
+    lengths.append(len(balanced.program))
+    built = []
+    tree = analysis._postdominator_tree
+    monkeypatch.setattr(analysis, "_postdominator_tree",
+                        lambda succ, preds: built.append(len(succ)) or tree(succ, preds))
+    assert run_experiment(config).exit_code == EXIT_OK
+    assert sorted(built) == sorted(lengths)
 
 
 def test_artifacts_byte_identical_across_runs(tmp_path):

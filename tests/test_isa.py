@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robsim.isa import (
+    ADDRESS_SPACE,
     Imm,
     Mem,
     Opcode,
@@ -82,6 +83,26 @@ def test_parse_data_directive_and_operand_shapes():
     assert prog.instructions[2].operands == (Reg(5), Mem(Reg(2), -4))
     assert prog.instructions[3].operands == (Reg(6), Reg(1), Imm(10))
     assert prog.target_of(prog.instructions[4]) == 0
+
+
+def test_repeated_operand_text_parses_once():
+    prog = parse_program("alu r3, r3, 1\nalu r3, r3, 1\nalu r3,r3,1\nalu r3, r3, 2")
+    first, again, respaced, other = (i.operands for i in prog.instructions)
+    assert again is first
+    assert respaced == first and other != first
+
+
+def test_overlay_shares_the_program_and_checks_what_it_adds():
+    prog = parse_program("gate: branch r1, gate\nnop: nop\n.data 8 0")
+    over = prog.overlay(data_init={8: 1, 9: 2}, predict={"gate": True})
+    assert over.instructions is prog.instructions and over.labels is prog.labels
+    assert over.targets is prog.targets
+    assert (over.data_init, over.predict) == ({8: 1, 9: 2}, {"gate": True})
+    assert (prog.data_init, prog.predict) == ({8: 0}, {})
+    with pytest.raises(ValueError, match="outside address space"):
+        prog.overlay(data_init={ADDRESS_SPACE: 1}, predict={})
+    with pytest.raises(ValueError, match="names a nop, not a branch"):
+        prog.overlay(data_init={}, predict={"nop": True})
 
 
 @pytest.mark.parametrize(

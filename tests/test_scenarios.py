@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from dataclasses import replace
+
 import pytest
 from test_analysis import members
 from test_core import ALL_MITIGATION_SETS, prepared_cells
@@ -87,6 +90,7 @@ def test_secret_overlay_changes_only_the_secret(rob):
         s0, s1 = (with_secret(base, s) for s in (0, 1))
         assert s0.program.instructions is s1.program.instructions is base.program.instructions
         assert s0.program.labels is s1.program.labels is base.program.labels
+        assert s0.program.targets is s1.program.targets is base.program.targets
         assert _differing_keys(s0.program.data_init, s1.program.data_init) == {SECRET_ADDR}
         assert s0.program.warm == s1.program.warm == base.program.warm
         assert s0.program.flush == s1.program.flush == base.program.flush
@@ -106,6 +110,33 @@ def test_secret_overlay_changes_only_the_secret(rob):
         for bad in (-1, 2):
             with pytest.raises(ScenarioError, match="secret"):
                 with_secret(base, bad)
+
+
+def test_secret_overlay_refuses_a_trained_gate_that_is_not_a_branch():
+    # the overlay keeps the shared targets but still checks the .predict it adds
+    scenario = replace(build_scenario("fsi_v1_straight", 0), trained_gate="target")
+    for secret in (0, 1):
+        with pytest.raises(ValueError, match="'target' names a load, not a branch"):
+            with_secret(scenario, secret)
+
+
+@pytest.mark.parametrize("rob", [64, 768])
+def test_a_finished_run_leaves_no_cyclic_garbage(rob):
+    # producers drop their dependents once woken or squashed, so every run
+    # frees by reference counting alone
+    machine = MachineConfig(core=CoreConfig(rob_size=rob), jitter_amplitude=2)
+    gc.collect()
+    gc.disable()
+    try:
+        for name in SCENARIO_NAMES:
+            for mode in DefenseMode:
+                for secret in (0, 1):
+                    scenario, policy = prepare(build_scenario(name, secret, machine), mode)
+                    run_single(scenario, policy)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_run_needs_a_secret():
@@ -325,16 +356,16 @@ def test_balancing_closes_straight_variant():
 
 
 def test_path_balancing_profiles_at_the_machine_cap(monkeypatch):
-    # balance_paths profiles before and after padding, the certificate once
+    # balance_paths profiles before padding, the certificate after it
     caps = {"balance": [], "certify": []}
     profile, certify_profiles = analysis.analyze_paths, defenses.analyze_all_branches
-    monkeypatch.setattr(analysis, "analyze_paths", lambda program, branch, cap: (
-        caps["balance"].append(cap) or profile(program, branch, cap)))
-    monkeypatch.setattr(defenses, "analyze_all_branches", lambda program, cap: (
-        caps["certify"].append(cap) or certify_profiles(program, cap)))
+    monkeypatch.setattr(analysis, "analyze_paths", lambda program, branch, cap, flow: (
+        caps["balance"].append(cap) or profile(program, branch, cap, flow)))
+    monkeypatch.setattr(defenses, "analyze_all_branches", lambda program, cap, flow: (
+        caps["certify"].append(cap) or certify_profiles(program, cap, flow)))
     machine = MachineConfig(core=CoreConfig(expansion_cap=512))
     prepare(build_scenario("fsi_v1_straight", 0, machine), INVAR, {Mitigation.PATH_BALANCING})
-    assert caps == {"balance": [512, 512], "certify": [512]}
+    assert caps == {"balance": [512], "certify": [512]}
 
 
 def test_balancing_equalizes_probe_dispatch():
