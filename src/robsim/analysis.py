@@ -7,10 +7,10 @@ costs for an n-instruction program:
 
   * CFG and post-dominator tree (`control_flow`): Cooper, Harvey and
     Kennedy's iterative dominator algorithm on the reverse CFG, rooted at
-    the virtual exit; near-linear. Built once per program and shared: the
-    dependence graph, every path profile and `balance_paths` take it as
-    `flow`, and `robsim.scenarios.ProgramAnalysis` holds one per program. A
-    program with an instruction that cannot reach the exit is refused;
+    the virtual exit; near-linear. Built once per program object and kept
+    on it, as its resolved `targets` are, so the dependence graph, every
+    path profile, `balance_paths` and the balance certificate share them.
+    A program with an instruction that cannot reach the exit is refused;
   * dependence graph: one data edge per register def-use (reaching
     definitions, a FIFO worklist to the fixed point that revisits a node
     only when a predecessor's output changed), memory dependences
@@ -96,10 +96,16 @@ class ControlFlow(NamedTuple):
 
 
 def control_flow(program: Program) -> ControlFlow:
-    """The CFG and post-dominator tree of `program`, built once so that its
-    dependence graph and every path profile can share them."""
-    succ, preds = _cfg(program)
-    return ControlFlow(succ, preds, _postdominator_tree(succ, preds))
+    """The CFG and post-dominator tree of `program`. Built on first use and
+    kept in the program object's __dict__, the way the cached property
+    `targets` is, so every analysis of the program shares them; an edited
+    program is derived with dataclasses.replace and gets its own."""
+    flow = program.__dict__.get("_control_flow")
+    if flow is None:
+        succ, preds = _cfg(program)
+        flow = ControlFlow(succ, preds, _postdominator_tree(succ, preds))
+        program.__dict__["_control_flow"] = flow
+    return flow
 
 
 def successors(program: Program, idx: int) -> list[int]:
@@ -131,7 +137,7 @@ def immediate_postdominators(program: Program) -> list[int]:
     An instruction that cannot reach the exit has no post-dominators, so
     the program is refused naming the first such instruction.
     """
-    return control_flow(program).ipdom
+    return list(control_flow(program).ipdom)  # a copy: the tree is shared
 
 
 def _postdominator_tree(succ: list[list[int]], preds: list[list[int]]) -> list[int]:
@@ -192,15 +198,11 @@ def is_back_edge_branch(program: Program, branch: int) -> bool:
     return target is not None and target <= branch
 
 
-def build_dependence_graph(
-    program: Program, flow: ControlFlow | None = None
-) -> DependenceGraph:
-    """Data and control dependences of `program`; `flow`, when given, is
-    its control_flow."""
+def build_dependence_graph(program: Program) -> DependenceGraph:
     n = len(program)
     graph = DependenceGraph({i: set() for i in range(n)}, {i: set() for i in range(n)})
     instructions = program.instructions
-    succ, preds, ipdom = control_flow(program) if flow is None else flow
+    succ, preds, ipdom = control_flow(program)
     dest = [None if (reg := instr.dest_reg()) is None else reg.index for instr in instructions]
 
     # reaching register definitions over the CFG: FIFO worklist to the fixed
@@ -301,20 +303,17 @@ def _components(edges: list[list[int]]) -> list[list[int]]:
 
 
 def compute_safe_sets(
-    program: Program,
-    graph: DependenceGraph | None = None,
-    flow: ControlFlow | None = None,
+    program: Program, graph: DependenceGraph | None = None
 ) -> dict[int, int]:
     """Safe set of each instruction id as a bitmask of its transitive
     dependence sources: bit m is set when m is a member.
 
     Closed one strongly connected component at a time, sources first: a
     component's mask ORs each outside source's bit and mask, plus its own
-    members' bits when it is cyclic. Without `graph`, the dependence graph
-    is built from `flow`, the program's control_flow, when given.
+    members' bits when it is cyclic.
     """
     if graph is None:
-        graph = build_dependence_graph(program, flow)
+        graph = build_dependence_graph(program)
     n = len(program)
     edges = [list(graph.sources(i)) for i in range(n)]
     component_of = [-1] * n
@@ -347,15 +346,13 @@ def analyze_paths(
     program: Program,
     branch: int,
     cap: int = DEFAULT_EXPANSION_CAP,
-    flow: ControlFlow | None = None,
 ) -> PathProfile:
     """Micro-op counts along each direction of `branch` to its reconvergence.
 
     variable=True when a rep opcode sits on either path or when control flow
     cycles (back edges), in which case max_uops saturates at the cap.
-    `flow`, when given, is the program's control_flow.
     """
-    succ, _, ipdom = control_flow(program) if flow is None else flow
+    succ, _, ipdom = control_flow(program)
     return _profile(program, succ, ipdom, branch, cap)
 
 
@@ -441,12 +438,8 @@ def _profile(
     return PathProfile(reconv, shortest, best, False)
 
 
-def analyze_all_branches(
-    program: Program, cap: int = DEFAULT_EXPANSION_CAP, flow: ControlFlow | None = None
-) -> dict[int, PathProfile]:
-    """Path profile of every branch; `flow`, when given, is the program's
-    control_flow."""
-    succ, _, ipdom = control_flow(program) if flow is None else flow
+def analyze_all_branches(program: Program, cap: int = DEFAULT_EXPANSION_CAP) -> dict[int, PathProfile]:
+    succ, _, ipdom = control_flow(program)
     return {
         i: _profile(program, succ, ipdom, i, cap)
         for i, instr in enumerate(program.instructions)
@@ -511,22 +504,17 @@ def _rebuild(program: Program, instructions: list[MacroInstruction]) -> Program:
     return prog
 
 
-def balance_paths(
-    program: Program,
-    branch: int,
-    cap: int = DEFAULT_EXPANSION_CAP,
-    flow: ControlFlow | None = None,
-) -> Program:
+def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CAP) -> Program:
     """Pad the shorter direction of `branch` with nops until both match.
 
-    Refuses variable-length paths (rep expansion or loops) with a diagnostic:
-    no static pad count can equalize those; so is a path whose count
-    reaches `cap`, where it saturates. `flow`, when given, is the program's
-    control_flow. The returned program is re-id'd and validated but not
-    profiled again: `certify_balanced` checks that its directions match,
-    and callers must rerun analysis on it.
+    The pads go at the end of the shorter side, ahead of a jump that closes
+    it. Refuses variable-length paths (rep expansion or loops) with a
+    diagnostic: no static pad count can equalize those; so is a path whose
+    count reaches `cap`, where it saturates, and a layout whose padded
+    directions still differ. The returned program is re-id'd and
+    revalidated; callers must rerun analysis on it.
     """
-    profile = analyze_paths(program, branch, cap, flow)
+    profile = analyze_paths(program, branch, cap)
     if profile.variable:
         raise BalanceError(
             f"branch {branch}: paths are variable-length (rep expansion or loop); "
@@ -550,10 +538,16 @@ def balance_paths(
 
     instructions = list(program.instructions)
     if sides[shorter]:
-        insert_at = sides[shorter][-1] + 1
+        at = sides[shorter][-1] + 1
         pads = [MacroInstruction(0, Opcode.NOP, ()) for _ in range(pad_count)]
-        instructions[insert_at:insert_at] = pads
-        return _rebuild(program, instructions)
+        last = instructions[at - 1]
+        if last.opcode is Opcode.JUMP:
+            # pads after the jump would be skipped: put them ahead of it,
+            # with any label it carries on the first pad
+            at -= 1
+            pads[0] = replace(pads[0], label=last.label)
+            instructions[at] = replace(last, label=None)
+        instructions[at:at] = pads
     else:
         # empty side: materialize a pad block just before the reconvergence
         # point and steer the empty edge through it; the other side needs an
@@ -579,7 +573,14 @@ def balance_paths(
         br = instructions[branch]
         new_ops = (br.operands[0], Label(pad_label))
         instructions[branch] = replace(br, operands=new_ops)
-        return _rebuild(program, instructions)
+    balanced = _rebuild(program, instructions)
+
+    check = analyze_paths(balanced, branch, cap)
+    if check.min_uops != check.max_uops:
+        raise BalanceError(
+            f"branch {branch}: balancing failed ({check.min_uops} != {check.max_uops})"
+        )
+    return balanced
 
 
 # --- analysis report -------------------------------------------------------

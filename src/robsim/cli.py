@@ -17,7 +17,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .analysis import dump_analysis
+from .analysis import analyze_all_branches, compute_safe_sets, dump_analysis
 from .core import MachineConfig, SimulationLimitError, Simulator
 from .defenses import Mitigation
 from .experiment import (
@@ -32,8 +32,8 @@ from .experiment import (
     parse_mitigation_set,
     run_experiment,
 )
-from .isa import DEFAULT_EXPANSION_CAP, parse_program
-from .scenarios import ProgramAnalysis, prepare_program
+from .isa import parse_program
+from .scenarios import prepare_program
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,8 +162,10 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    analysis = ProgramAnalysis(_load_program(args.program), DEFAULT_EXPANSION_CAP)
-    text = dump_analysis(analysis.safe_sets, analysis.profiles)
+    program = _load_program(args.program)
+    safe_sets = compute_safe_sets(program)
+    profiles = analyze_all_branches(program)
+    text = dump_analysis(safe_sets, profiles)
     if args.out:
         Path(args.out).write_text(text)
     else:

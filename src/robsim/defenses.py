@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Protocol
 
-from .analysis import BalanceError, ControlFlow, analyze_all_branches
+from .analysis import BalanceError, analyze_all_branches
 from .isa import DEFAULT_EXPANSION_CAP, Program
 
 
@@ -54,16 +54,12 @@ class BalanceCertificate:
 
 
 def certify_balanced(
-    program: Program,
-    branch: int,
-    cap: int = DEFAULT_EXPANSION_CAP,
-    flow: ControlFlow | None = None,
+    program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CAP
 ) -> BalanceCertificate:
     """Certify that both directions of `branch` carry the same fixed
     micro-op count below the expansion cap `cap` (the secret-selected
-    branch after a balance_paths rewrite); raise otherwise. `flow`, when
-    given, is the program's control_flow."""
-    profile = analyze_all_branches(program, cap, flow)[branch]
+    branch after a balance_paths rewrite); raise otherwise."""
+    profile = analyze_all_branches(program, cap)[branch]
     if profile.min_uops != profile.max_uops or profile.max_uops >= cap:
         raise BalanceError(
             f"branch {branch}: paths are {profile.min_uops}/{profile.max_uops} uops"

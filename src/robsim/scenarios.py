@@ -44,13 +44,11 @@ from enum import Enum
 from functools import cached_property
 
 from .analysis import (
-    ControlFlow,
     PathProfile,
     analyze_all_branches,
     balance_paths,
     compute_safe_sets,
     conservative_filter,
-    control_flow,
 )
 from .cache import CacheConfig
 from .core import MachineConfig, RobEntry, Simulator, Trace
@@ -364,27 +362,23 @@ def with_secret(scenario: Scenario, secret: int) -> Scenario:
 
 @dataclass(eq=False)
 class ProgramAnalysis:
-    """Control flow, safe sets and path profiles of one program as written.
+    """Safe sets and path profiles of one program as written.
 
     Each is computed on first use and then kept, so every cell of a sweep
-    that runs the program shares one analysis, and the safe sets and the
-    profiles share one CFG and post-dominator tree.
+    that runs the program shares one analysis; both use the CFG and
+    post-dominator tree that robsim.analysis keeps on the program.
     """
 
     program: Program
     cap: int
 
     @cached_property
-    def flow(self) -> ControlFlow:
-        return control_flow(self.program)
-
-    @cached_property
     def safe_sets(self) -> dict[int, int]:
-        return compute_safe_sets(self.program, flow=self.flow)
+        return compute_safe_sets(self.program)
 
     @cached_property
     def profiles(self) -> dict[int, PathProfile]:
-        return analyze_all_branches(self.program, self.cap, flow=self.flow)
+        return analyze_all_branches(self.program, self.cap)
 
 
 def prepare(
@@ -442,9 +436,6 @@ def prepare_program(
             f"{name}: operand_independent_fill does not apply; "
             "the program contains no rep expansion"
         )
-    if analysis is None:
-        analysis = ProgramAnalysis(program, cap)
-    assert analysis.program is program and analysis.cap == cap
     certificate = None
     if Mitigation.PATH_BALANCING in mitigations:
         if balance_branch is None:
@@ -452,9 +443,12 @@ def prepare_program(
                 f"{name}: path balancing does not apply; the secret "
                 "does not select between fixed-length paths"
             )
-        program = balance_paths(program, balance_branch, cap, analysis.flow)
-        analysis = ProgramAnalysis(program, cap)  # of the rewritten program
-        certificate = certify_balanced(program, balance_branch, cap, analysis.flow)
+        program = balance_paths(program, balance_branch, cap)
+        certificate = certify_balanced(program, balance_branch, cap)
+        analysis = None  # it describes the program as written
+    if analysis is None:
+        analysis = ProgramAnalysis(program, cap)
+    assert analysis.program is program and analysis.cap == cap
     safe_sets = None
     if mode is DefenseMode.DOM_PLUS_INVARSPEC:
         safe_sets = analysis.safe_sets

@@ -453,6 +453,65 @@ def test_balance_paths_empty_side_gets_pad_block():
     assert balanced.instructions[reparsed_targets].opcode == Opcode.NOP
 
 
+def test_balance_paths_pads_ahead_of_a_closing_jump():
+    # the shorter side ends in a jump: pads after it would never run
+    fall_shorter = parse_program(
+        """
+        branch r1, long
+        alu r2, r2, 1
+        jump join
+        long: alu r3, r3, 1
+        alu r3, r3, 1
+        alu r3, r3, 1
+        alu r3, r3, 1
+        alu r3, r3, 1
+        join: nop
+        """
+    )
+    balanced = balance_paths(fall_shorter, 0)
+    profile = analyze_paths(balanced, 0)
+    assert profile.min_uops == profile.max_uops == 5
+    assert [i.opcode for i in balanced.instructions[1:6]] == [Opcode.ALU] + [Opcode.NOP] * 3 + [
+        Opcode.JUMP
+    ]
+    # a side that is only a jump: the branch's label moves to the first pad
+    jump_only = parse_program(
+        """
+        branch r1, short
+        alu r3, r3, 1
+        alu r3, r3, 1
+        jump join
+        short: jump join
+        join: nop
+        """
+    )
+    balanced = balance_paths(jump_only, 0)
+    profile = analyze_paths(balanced, 0)
+    assert profile.min_uops == profile.max_uops == 3
+    short = balanced.labels["short"]
+    assert [i.opcode for i in balanced.instructions[short:short + 3]] == [Opcode.NOP] * 2 + [
+        Opcode.JUMP
+    ]
+
+
+def test_balance_paths_refuses_a_rewrite_that_stays_unequal():
+    # the empty side gets a pad block and a hop over it that the longer
+    # side, which jumps to the join, never takes: the check of the rewrite
+    # refuses the 3/4 result rather than return it
+    prog = parse_program(
+        """
+        branch r1, join
+        alu r2, r2, 1
+        alu r2, r2, 1
+        jump join
+        other: nop
+        join: nop
+        """
+    )
+    with pytest.raises(BalanceError, match=r"balancing failed \(3 != 4\)"):
+        balance_paths(prog, 0)
+
+
 def test_balance_paths_refuses_variable_and_nested():
     rep_prog = parse_program(
         """

@@ -356,16 +356,16 @@ def test_balancing_closes_straight_variant():
 
 
 def test_path_balancing_profiles_at_the_machine_cap(monkeypatch):
-    # balance_paths profiles before padding, the certificate after it
+    # balance_paths profiles before and after padding, the certificate once
     caps = {"balance": [], "certify": []}
     profile, certify_profiles = analysis.analyze_paths, defenses.analyze_all_branches
-    monkeypatch.setattr(analysis, "analyze_paths", lambda program, branch, cap, flow: (
-        caps["balance"].append(cap) or profile(program, branch, cap, flow)))
-    monkeypatch.setattr(defenses, "analyze_all_branches", lambda program, cap, flow: (
-        caps["certify"].append(cap) or certify_profiles(program, cap, flow)))
+    monkeypatch.setattr(analysis, "analyze_paths", lambda program, branch, cap: (
+        caps["balance"].append(cap) or profile(program, branch, cap)))
+    monkeypatch.setattr(defenses, "analyze_all_branches", lambda program, cap: (
+        caps["certify"].append(cap) or certify_profiles(program, cap)))
     machine = MachineConfig(core=CoreConfig(expansion_cap=512))
     prepare(build_scenario("fsi_v1_straight", 0, machine), INVAR, {Mitigation.PATH_BALANCING})
-    assert caps == {"balance": [512], "certify": [512]}
+    assert caps == {"balance": [512, 512], "certify": [512]}
 
 
 def test_balancing_equalizes_probe_dispatch():
