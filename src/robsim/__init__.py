@@ -35,7 +35,6 @@ from .core import (
     SimulationLimitError,
     Simulator,
     Trace,
-    run,
 )
 from .defenses import (
     BalanceCertificate,
@@ -134,7 +133,6 @@ __all__ = [
     "prepare",
     "print_program",
     "rep_expansion_count",
-    "run",
     "run_experiment",
     "run_single",
     "run_trials",

@@ -35,6 +35,11 @@ costs for an n-instruction program:
     finds whether it has a cycle (a node it leaves unordered) and, when it
     has none, the order of the one sweep that finds the longest count.
 
+Each fact is read one way. `control_flow(program)` is the accessor of a
+program's successor and predecessor lists and its post-dominator tree
+(`succ`, `preds`, `ipdom`), and `Program.targets` of its resolved branch
+and jump targets; every pass here reads them through these two.
+
 Two hardening passes operate on these results: `conservative_filter` grows
 safe sets behind unbalanced branches, and `balance_paths` rewrites the
 program so both directions of a branch carry the same micro-op count.
@@ -108,20 +113,18 @@ def control_flow(program: Program) -> ControlFlow:
     return flow
 
 
-def successors(program: Program, idx: int) -> list[int]:
-    """CFG successor ids; len(program) is the virtual exit node."""
-    target = program.targets[idx]
-    if target is None:
-        return [idx + 1]
-    if program.instructions[idx].opcode is Opcode.JUMP:
-        return [target]
-    return [idx + 1, target] if target != idx + 1 else [target]
-
-
 def _cfg(program: Program) -> tuple[list[list[int]], list[list[int]]]:
-    """Successor lists of 0..n-1 and predecessor lists of 0..n (n = exit)."""
+    """Successor lists of 0..n-1, fallthrough first, and predecessor lists
+    of 0..n (n = exit)."""
     n = len(program)
-    succ = [successors(program, i) for i in range(n)]
+    succ: list[list[int]] = []
+    for i, (instr, target) in enumerate(zip(program.instructions, program.targets)):
+        if target is None:
+            succ.append([i + 1])
+        elif instr.opcode is Opcode.JUMP or target == i + 1:
+            succ.append([target])
+        else:
+            succ.append([i + 1, target])
     preds: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(n):
         for s in succ[i]:
@@ -129,19 +132,15 @@ def _cfg(program: Program) -> tuple[list[list[int]], list[list[int]]]:
     return succ, preds
 
 
-def immediate_postdominators(program: Program) -> list[int]:
-    """ipdom[i] for every node 0..n; the virtual exit n is the root, ipdom[n] = n.
+def _postdominator_tree(succ: list[list[int]], preds: list[list[int]]) -> list[int]:
+    """ipdom[i] for every node 0..n of the lists `_cfg` builds; the virtual
+    exit n is the root, ipdom[n] = n.
 
     Cooper, Harvey and Kennedy's iterative dominator algorithm ("A Simple,
     Fast Dominance Algorithm", 2001) run on the reverse CFG from the exit.
     An instruction that cannot reach the exit has no post-dominators, so
     the program is refused naming the first such instruction.
     """
-    return list(control_flow(program).ipdom)  # a copy: the tree is shared
-
-
-def _postdominator_tree(succ: list[list[int]], preds: list[list[int]]) -> list[int]:
-    """immediate_postdominators from the lists `_cfg` builds."""
     n = len(succ)
 
     # postorder of the reverse CFG, depth first from the exit
@@ -191,10 +190,9 @@ def _postdominator_tree(succ: list[list[int]], preds: list[list[int]]) -> list[i
 
 
 def is_back_edge_branch(program: Program, branch: int) -> bool:
-    instr = program.instructions[branch]
-    if instr.opcode != Opcode.BRANCH:
+    if program.instructions[branch].opcode != Opcode.BRANCH:
         raise AnalysisError(f"instruction {branch} is not a branch")
-    target = program.target_of(instr)
+    target = program.targets[branch]
     return target is not None and target <= branch
 
 
@@ -302,9 +300,7 @@ def _components(edges: list[list[int]]) -> list[list[int]]:
     return components
 
 
-def compute_safe_sets(
-    program: Program, graph: DependenceGraph | None = None
-) -> dict[int, int]:
+def compute_safe_sets(program: Program) -> dict[int, int]:
     """Safe set of each instruction id as a bitmask of its transitive
     dependence sources: bit m is set when m is a member.
 
@@ -312,8 +308,7 @@ def compute_safe_sets(
     component's mask ORs each outside source's bit and mask, plus its own
     members' bits when it is cyclic.
     """
-    if graph is None:
-        graph = build_dependence_graph(program)
+    graph = build_dependence_graph(program)
     n = len(program)
     edges = [list(graph.sources(i)) for i in range(n)]
     component_of = [-1] * n
@@ -471,6 +466,7 @@ def conservative_filter(
 
 def _straight_line_block(program: Program, start: int, stop: int) -> list[int]:
     """Ids from start to stop via fallthrough/jump only; refuse forks."""
+    succ = control_flow(program).succ
     ids: list[int] = []
     node = start
     seen: set[int] = set()
@@ -486,7 +482,7 @@ def _straight_line_block(program: Program, start: int, stop: int) -> list[int]:
                 f"nested branch {node} on path: balancing supports simple diamonds only"
             )
         ids.append(node)
-        node = successors(program, node)[0]
+        node = succ[node][0]
     return ids
 
 
@@ -529,7 +525,7 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
     if profile.min_uops == profile.max_uops:
         return program
     reconv = profile.reconv
-    fall, target = successors(program, branch)
+    fall, target = control_flow(program).succ[branch]
     sides = {}
     for name, entry in (("fall", fall), ("target", target)):
         sides[name] = [] if entry == reconv else _straight_line_block(program, entry, reconv)
@@ -550,8 +546,10 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
         instructions[at:at] = pads
     else:
         # empty side: materialize a pad block just before the reconvergence
-        # point and steer the empty edge through it; the other side needs an
-        # explicit jump to hop over the pads, which costs one micro-op.
+        # point and steer the empty edge through it; whatever falls into the
+        # join needs an explicit jump to hop over the pads. The hop costs the
+        # longer side one micro-op, so one more pad, only when that side
+        # falls into the join rather than jumping to it.
         if reconv >= len(program):
             raise BalanceError(
                 f"branch {branch}: cannot pad an empty path joining at program exit"
@@ -567,8 +565,10 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
         while pad_label in program.labels:
             pad_label += "_"
         jump = MacroInstruction(0, Opcode.JUMP, (Label(reconv_label),))
+        if program.instructions[sides["fall"][-1]].opcode is not Opcode.JUMP:
+            pad_count += 1
         pads = [MacroInstruction(0, Opcode.NOP, (), pad_label if i == 0 else None)
-                for i in range(pad_count + 1)]
+                for i in range(pad_count)]
         instructions[reconv:reconv] = [jump] + pads
         br = instructions[branch]
         new_ops = (br.operands[0], Label(pad_label))

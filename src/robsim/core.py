@@ -404,7 +404,7 @@ class Simulator:
         self._next_seq = 0
         self._redirect_stall = False
         self._expansion: RepExpansion | None = None
-        self._rep_override: tuple[int, int] | None = None
+        self._counted_rep: int | None = None  # REP refetched after its prediction failed
         self._live_reps: list[RepExpansion] = []
         self._records: list[RobEntry] = []
         self._occupancy: list[int] = []
@@ -722,7 +722,7 @@ class Simulator:
                 self._unresolved.remove(first.rob_seq)
             else:
                 rep.verified = False
-                self._rep_override = (rep.instr, value)
+                self._counted_rep = rep.instr
                 self._squash_after(first.rob_seq - 1, rep.instr, "rep_verify", rep.instr)
                 break  # every later expansion is younger, so squashed with it
         self._live_reps = [r for r in self._live_reps if r.verified is None]
@@ -899,17 +899,16 @@ class Simulator:
     def _begin_rep(self, macro: MacroInstruction) -> bool:
         """Start expanding a REP macro; the caller moves the pc past it and
         fetch streams its micro-ops. False means decode stalls: its
-        in-flight counter must be bypassed first (no re-expansion override,
-        no predicted fill)."""
+        in-flight counter must be bypassed first (not a re-expansion, no
+        predicted fill)."""
         counter_reg = macro.operands[0].index
         producer = self._prod_map.get(counter_reg)
-        override: int | None = None
-        if self._rep_override is not None and self._rep_override[0] == macro.id:
-            override = self._rep_override[1]
-            self._rep_override = None
+        counted = self._counted_rep == macro.id
+        if counted:
+            self._counted_rep = None
         elif not self._predicted_fill and producer is not None and not producer.complete:
             return False
-        if override is None and producer is not None and self._predicted_fill:
+        if not counted and producer is not None and self._predicted_fill:
             rep = RepExpansion(
                 instr=macro.id,
                 opcode=macro.opcode,
@@ -920,9 +919,9 @@ class Simulator:
             )
             self._live_reps.append(rep)
         else:
-            if override is not None:
-                value = override
-            elif producer is not None:
+            # a re-expansion reads what its check read: the squash kept the
+            # counter's producer, in flight or committed to the register file
+            if producer is not None:
                 value = producer.result or 0
             else:
                 value = self.regs.get(counter_reg, 0)
@@ -942,15 +941,6 @@ class Simulator:
         return True
 
 
-def run(
-    program: Program,
-    machine: MachineConfig | None = None,
-    policy: DefensePolicy | None = None,
-) -> Trace:
-    """Run a program to halt and return its trace."""
-    return Simulator(program, machine, policy).run()
-
-
 __all__ = [
     "BranchPredictor",
     "CoreConfig",
@@ -964,5 +954,4 @@ __all__ = [
     "SquashRecord",
     "Trace",
     "compute_shadows",
-    "run",
 ]

@@ -10,7 +10,10 @@ distinct exit status so CI can gate on it.
 
 Artifacts are deterministic byte-for-byte given the same config: a raw
 report CSV, a per-cell summary CSV, and one occupancy time series per
-(cell, secret) for the representative first trial.
+(cell, secret) for the representative first trial. This module owns both
+CSV schemas: `REPORT_FIELDS` with `reports_csv`, the one writer of
+reports.csv, and `SUMMARY_FIELDS` with `summary_csv`, the one writer of
+summary.csv (both documented in docs/csv_schemas.md).
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ from .cache import CacheConfig
 from .core import CoreConfig, MachineConfig, SimulationLimitError
 from .defenses import DefenseMode, Mitigation
 from .scenarios import (
-    REPORT_FIELDS,
     SCENARIO_NAMES,
     ProgramAnalysis,
     Scenario,
     ScenarioError,
     ScenarioReport,
     build_scenario,
-    format_observation,
     prepare,
     run_single,
     with_secret,
@@ -45,6 +46,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SIM_FAULT = 2
 EXIT_SECURITY = 3
+
+REPORT_FIELDS = [
+    "trial",
+    "scenario",
+    "defense",
+    "mitigations",
+    "observation",
+    "inferred",
+    "truth",
+    "occupancy_peak",
+]
 
 SUMMARY_FIELDS = [
     "scenario",
@@ -251,8 +263,17 @@ class CellResult:
     reports: list[ScenarioReport] = field(default_factory=list)
     occupancy: dict[int, list[int]] = field(default_factory=dict)
     leak: bool | None = None
-    expected_clean: bool = False
     note: str = ""
+
+    @property
+    def expected_clean(self) -> bool:
+        """Whether the cell promises secret-independent observations: dom
+        gates every shadowed access, and a mitigation that survived the
+        applicability check claims to close its channel under any mode. A
+        fault cell keeps its configuration's promise."""
+        return self.status != "not_applicable" and (
+            self.defense is DefenseMode.DOM or bool(self.mitigations)
+        )
 
     @property
     def violation(self) -> bool:
@@ -265,15 +286,6 @@ class ExperimentResult:
     cells: list[CellResult]
     exit_code: int
     artifacts: list[Path] = field(default_factory=list)
-
-
-def _expects_clean(defense: DefenseMode, mitigations: frozenset[Mitigation]) -> bool:
-    """Cells that promise secret-independent observations.
-
-    dom gates every shadowed access, and a mitigation that survived the
-    applicability check claims to close its channel under any mode.
-    """
-    return defense is DefenseMode.DOM or bool(mitigations)
 
 
 def run_cell(
@@ -294,7 +306,6 @@ def run_cell(
     except (ScenarioError, AnalysisError) as exc:
         return CellResult(name, defense, mitigations, "not_applicable", note=str(exc))
     cell = CellResult(name, defense, mitigations, "ok")
-    cell.expected_clean = _expects_clean(defense, mitigations)
     for secret in (0, 1):
         run = with_secret(scenario, secret)
         for trial in range(n_trials):
@@ -415,6 +426,13 @@ def summary_csv(cells: list[CellResult]) -> str:
     return out.getvalue()
 
 
+def format_observation(observation) -> str:
+    """One reports.csv observation: a set-order snapshot's tags joined by pipes."""
+    if isinstance(observation, tuple):
+        return "|".join(str(tag) for tag in observation)
+    return str(observation)
+
+
 def reports_csv(cells: list[CellResult]) -> str:
     """One row per trial of every cell (schema: docs/csv_schemas.md)."""
     out = io.StringIO()
@@ -478,9 +496,11 @@ __all__ = [
     "EXIT_USAGE",
     "ExperimentConfig",
     "ExperimentResult",
+    "REPORT_FIELDS",
     "SecretSummary",
     "SUMMARY_FIELDS",
     "config_from_mapping",
+    "format_observation",
     "load_config_file",
     "mitigation_label",
     "occupancy_csv",

@@ -220,20 +220,19 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def target_of(self, instr: MacroInstruction) -> int | None:
-        name = instr.target_label()
-        return None if name is None else self.labels[name]
-
     @cached_property
     def targets(self) -> tuple[int | None, ...]:
         """Resolved branch or jump target of each instruction id, None for
-        other opcodes. Resolved once per program object, after validate()
-        passes, so derive an edited program with dataclasses.replace, never
-        in place. An `overlay` shares this program's instruction list and
-        labels, so it keeps these targets rather than resolving and
-        validating again; it checks only the entries it adds."""
+        other opcodes: the one place a target label is looked up, read by
+        the core and by robsim.analysis alike. Resolved once per program
+        object, after validate() passes, so derive an edited program with
+        dataclasses.replace, never in place. An `overlay` shares this
+        program's instruction list and labels, so it keeps these targets
+        rather than resolving and validating again; it checks only the
+        entries it adds."""
         self.validate()
-        return tuple(self.target_of(instr) for instr in self.instructions)
+        names = (instr.target_label() for instr in self.instructions)
+        return tuple(None if name is None else self.labels[name] for name in names)
 
     def overlay(self, *, data_init: Mapping[int, int], predict: Mapping[str, bool]) -> Program:
         """This program with `data_init` and `predict` entries added or

@@ -26,12 +26,15 @@ line, ``.flush`` the probe and window lines, ``.predict`` the branches
 labeled ``window:`` (and ``gate:``) not taken. ``Simulator`` applies it, so
 a prepared scenario's printed program replays its trial 0 under ``robsim sim``.
 
-The secret is an input of a run, not of the program. Both secrets run the
-same instructions: a builder makes the program once per (name, machine)
-without it, and ``with_secret`` overlays the bit as the initial value at
-``SECRET_ADDR`` (and, for ``fsi_v1_straight``, as the ``.predict``
-direction of its trained gate) without parsing again. So one ``prepare``,
-and one static analysis of the program, serves both secrets of every cell.
+The secret is an input of a run, not of the program's instructions. Both
+secrets run the same instructions: a builder makes the program once per
+(name, machine) without it, and ``with_secret`` overlays the bit as the
+initial value at ``SECRET_ADDR`` (and, for ``fsi_v1_straight``, as the
+``.predict`` direction of its trained gate) without parsing again. So one
+``prepare``, and one static analysis of the program, serves both secrets of
+every cell. The secret lives only in the program's data: ``run_single``
+reads the ground truth back from ``SECRET_ADDR`` and refuses a program
+that has none there.
 
 Receivers are deliberately blind: ``infer_secret`` sees the observation
 and the receiver configuration, never the ground truth.
@@ -101,7 +104,6 @@ class Scenario:
     probe_label: str = "target"
     balance_branch: int | None = None  # secret-selected branch, if its paths pad
     trained_gate: str | None = None  # label predicted in its real direction: taken iff secret == 0
-    ground_truth_secret: int | None = None  # set by with_secret; None until then
 
     @property
     def probe_instr(self) -> int:
@@ -118,18 +120,6 @@ class ScenarioReport:
     inferred_secret: int
     ground_truth: int
     occupancy_peak: int
-
-
-REPORT_FIELDS = [
-    "trial",
-    "scenario",
-    "defense",
-    "mitigations",
-    "observation",
-    "inferred",
-    "truth",
-    "occupancy_peak",
-]
 
 
 def _check_secret(secret: int) -> None:
@@ -357,7 +347,7 @@ def with_secret(scenario: Scenario, secret: int) -> Scenario:
     _check_secret(secret)
     predict = {} if scenario.trained_gate is None else {scenario.trained_gate: secret == 0}
     program = scenario.program.overlay(data_init={SECRET_ADDR: secret}, predict=predict)
-    return replace(scenario, program=program, ground_truth_secret=secret)
+    return replace(scenario, program=program)
 
 
 @dataclass(eq=False)
@@ -467,7 +457,8 @@ def run_single(
     scenario: Scenario, policy: DefensePolicy, trial: int = 0
 ) -> tuple[Trace, ScenarioReport]:
     """One independent run: fresh core and cache, then the blind receiver."""
-    if scenario.ground_truth_secret is None:
+    secret = scenario.program.data_init.get(SECRET_ADDR)
+    if secret is None:
         raise ScenarioError(f"{scenario.name}: no secret to run with; apply with_secret")
     machine = scenario.machine
     if machine.jitter_amplitude:
@@ -478,7 +469,7 @@ def run_single(
         trial=trial,
         observation=observation,
         inferred_secret=infer_secret(observation, scenario.receiver),
-        ground_truth=scenario.ground_truth_secret,
+        ground_truth=secret,
         occupancy_peak=trace.stats.peak_occupancy,
     )
     return trace, report
@@ -523,17 +514,10 @@ def infer_secret(observation, receiver: Receiver) -> int:
     return 1 if observation > receiver.threshold else 0
 
 
-def format_observation(observation) -> str:
-    if isinstance(observation, tuple):
-        return "|".join(str(tag) for tag in observation)
-    return str(observation)
-
-
 __all__ = [
     "ObservationKind",
     "ProgramAnalysis",
     "Receiver",
-    "REPORT_FIELDS",
     "SCENARIO_NAMES",
     "Scenario",
     "ScenarioError",

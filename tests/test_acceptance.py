@@ -246,7 +246,7 @@ def test_criterion_9d_safe_sets_match_brute_force():
                 if not extra <= reach[i]:
                     reach[i] |= extra
                     changed = True
-        sets = compute_safe_sets(program, graph)
+        sets = compute_safe_sets(program)
         for i in range(n):
             assert members(sets[i]) == frozenset(reach[i])
 

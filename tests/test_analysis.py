@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robsim import analysis
 from robsim.analysis import (
     AnalysisError,
     BalanceError,
@@ -16,12 +18,12 @@ from robsim.analysis import (
     build_dependence_graph,
     compute_safe_sets,
     conservative_filter,
+    control_flow,
     dump_analysis,
-    immediate_postdominators,
     is_back_edge_branch,
-    successors,
 )
 from robsim.cli import main
+from robsim.defenses import certify_balanced
 from robsim.isa import (
     DEFAULT_EXPANSION_CAP,
     REP_OPCODES,
@@ -67,12 +69,13 @@ def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
     """
     if is_back_edge_branch(program, branch):
         return PathProfile(None, 0, cap, True)
-    reconv = immediate_postdominators(program)[branch]
+    succ, _, ipdom = control_flow(program)
+    reconv = ipdom[branch]
     n = len(program)
     mins, maxs = [], []
     variable = False
     start = frozenset({branch})
-    stack = [(s, 0, 0, start) for s in reversed(successors(program, branch))]
+    stack = [(s, 0, 0, start) for s in reversed(succ[branch])]
     while stack:
         node, acc_min, acc_max, on_path = stack.pop()
         if node == reconv or node >= n:
@@ -92,7 +95,7 @@ def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
         path = on_path | {node}
         acc_min, acc_max = acc_min + w_min, min(acc_max + w_max, cap)
         stack.extend(
-            (s, acc_min, acc_max, path) for s in reversed(successors(program, node))
+            (s, acc_min, acc_max, path) for s in reversed(succ[node])
         )
     return PathProfile(reconv, min(mins), cap if variable else max(maxs), variable)
 
@@ -100,6 +103,7 @@ def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
 def brute_force_postdominators(program):
     """Oracle: enumerate every acyclic path to exit; m pdoms i iff m is on all."""
     n = len(program)
+    succ = control_flow(program).succ
     paths_from: dict[int, list[list[int]]] = {}
 
     def paths(node, on_path):
@@ -108,7 +112,7 @@ def brute_force_postdominators(program):
         if node in on_path:
             return []  # cycle: drop (oracle used on DAG programs only)
         out = []
-        for s in successors(program, node):
+        for s in succ[node]:
             for tail in paths(s, on_path | {node}):
                 out.append([node] + tail)
         return out
@@ -130,7 +134,7 @@ def fixpoint_postdominators(program):
     len(program) post-dominates everything and seeds the iteration.
     """
     n = len(program)
-    succ = [successors(program, i) for i in range(n)]
+    succ = control_flow(program).succ
     everything = set(range(n + 1))
     pdom = [set(everything) for _ in range(n)] + [{n}]
     changed = True
@@ -173,6 +177,7 @@ def oracle_dependence_graph(program):
     """
     n = len(program)
     instrs = program.instructions
+    succ = control_flow(program).succ
     data = {i: set() for i in range(n)}
     control = {i: set() for i in range(n)}
     for d, instr in enumerate(instrs):
@@ -180,7 +185,7 @@ def oracle_dependence_graph(program):
         if reg is None:
             continue
         seen = set()
-        frontier = [s for s in successors(program, d) if s < n]
+        frontier = [s for s in succ[d] if s < n]
         while frontier:
             x = frontier.pop()
             if x in seen:
@@ -189,7 +194,7 @@ def oracle_dependence_graph(program):
             if reg in instrs[x].source_regs():
                 data[x].add(d)
             if instrs[x].dest_reg() != reg:
-                frontier.extend(s for s in successors(program, x) if s < n)
+                frontier.extend(s for s in succ[x] if s < n)
     for i, instr in enumerate(instrs):
         if instr.opcode == Opcode.LOAD:
             data[i] |= {
@@ -203,7 +208,7 @@ def oracle_dependence_graph(program):
             continue
         for i in range(n):
             if i != b and i not in pdom[b] and any(
-                i in pdom[s] for s in successors(program, b)
+                i in pdom[s] for s in succ[b]
             ):
                 control[i].add(b)
     return data, control
@@ -251,7 +256,7 @@ def test_guarded_load_dependences_and_safe_sets():
     assert graph.control[2] == {0}
     # the join itself post-dominates the branch: no control edge
     assert graph.control[3] == set()
-    sets = compute_safe_sets(prog, graph)
+    sets = compute_safe_sets(prog)
     assert members(sets[3]) == frozenset({0, 2})
     assert members(sets[4]) == frozenset()
 
@@ -281,12 +286,12 @@ def test_reconvergence_if_without_else():
         join: load r3, [8]
         """
     )
-    assert immediate_postdominators(prog)[0] == 3
+    assert control_flow(prog).ipdom[0] == 3
 
 
 def test_reconvergence_diamond_and_exit_join():
     prog = parse_program(DIAMOND_3_10)
-    assert immediate_postdominators(prog)[0] == 15
+    assert control_flow(prog).ipdom[0] == 15
     assert analyze_paths(prog, 0).reconv == 15
     tails = parse_program(
         """
@@ -297,7 +302,7 @@ def test_reconvergence_diamond_and_exit_join():
         done: nop
         """
     )
-    assert immediate_postdominators(tails)[0] == 4
+    assert control_flow(tails).ipdom[0] == 4
     never_joins = parse_program(
         """
         branch r1, right
@@ -449,8 +454,7 @@ def test_balance_paths_empty_side_gets_pad_block():
     balanced = balance_paths(prog, 0)
     profile = analyze_paths(balanced, 0)
     assert profile.min_uops == profile.max_uops
-    reparsed_targets = balanced.target_of(balanced.instructions[0])
-    assert balanced.instructions[reparsed_targets].opcode == Opcode.NOP
+    assert balanced.instructions[balanced.targets[0]].opcode == Opcode.NOP
 
 
 def test_balance_paths_pads_ahead_of_a_closing_jump():
@@ -494,22 +498,40 @@ def test_balance_paths_pads_ahead_of_a_closing_jump():
     ]
 
 
-def test_balance_paths_refuses_a_rewrite_that_stays_unequal():
-    # the empty side gets a pad block and a hop over it that the longer
-    # side, which jumps to the join, never takes: the check of the rewrite
-    # refuses the 3/4 result rather than return it
-    prog = parse_program(
-        """
-        branch r1, join
-        alu r2, r2, 1
-        alu r2, r2, 1
-        jump join
-        other: nop
-        join: nop
-        """
-    )
-    with pytest.raises(BalanceError, match=r"balancing failed \(3 != 4\)"):
-        balance_paths(prog, 0)
+def test_balance_paths_pads_an_empty_side_when_the_longer_side_jumps_to_the_join():
+    # the hop over the pad block lies on the longer side only when that side
+    # falls into the join; here it jumps there, so the hop adds no pad
+    for dead_code in ("other: nop\n", ""):
+        prog = parse_program(
+            f"""
+            branch r1, join
+            alu r2, r2, 1
+            alu r2, r2, 1
+            jump join
+            {dead_code}join: nop
+            """
+        )
+        balanced = balance_paths(prog, 0)
+        profile = analyze_paths(balanced, 0)
+        assert profile.min_uops == profile.max_uops == 3
+        assert certify_balanced(balanced, 0).uops == 3
+
+
+def test_balance_paths_refuses_a_rewrite_that_stays_unequal(monkeypatch):
+    # one pad too many leaves the rewrite unequal: the check of the rewrite
+    # refuses the 11/12 result rather than return it
+    real = analysis.analyze_paths
+    calls = []
+
+    def overcounted(program, branch, cap):
+        profile = real(program, branch, cap)
+        calls.append(profile)
+        return replace(profile, max_uops=profile.max_uops + 1) if len(calls) == 1 else profile
+
+    monkeypatch.setattr(analysis, "analyze_paths", overcounted)
+    with pytest.raises(BalanceError, match=r"balancing failed \(11 != 12\)"):
+        balance_paths(parse_program(DIAMOND_3_10), 0)
+    assert len(calls) == 2
 
 
 def test_balance_paths_refuses_variable_and_nested():
@@ -631,12 +653,12 @@ def cyclic_programs(draw):
 def check_against_oracles(prog):
     n = len(prog)
     pdom = fixpoint_postdominators(prog)
-    ipdom = immediate_postdominators(prog)
+    ipdom = control_flow(prog).ipdom
     assert ipdom == [deepest_strict_postdominator(pdom, i) for i in range(n)] + [n]
     assert postdominator_sets(ipdom) == pdom
     graph = build_dependence_graph(prog)
     assert (graph.data, graph.control) == oracle_dependence_graph(prog)
-    sets = compute_safe_sets(prog, graph)
+    sets = compute_safe_sets(prog)
     assert {i: members(bits) for i, bits in sets.items()} == dfs_closure(graph, n)
     branches = [b for b, instr in enumerate(prog.instructions) if instr.opcode == Opcode.BRANCH]
     for cap in (DEFAULT_EXPANSION_CAP, 7, 3):
@@ -683,9 +705,9 @@ def test_instruction_that_cannot_reach_exit_is_refused():
         done: nop
         """
     )
-    for analysis in (immediate_postdominators, build_dependence_graph, analyze_all_branches):
+    for analyze in (control_flow, build_dependence_graph, analyze_all_branches):
         with pytest.raises(AnalysisError, match="instruction 3 cannot reach the program exit"):
-            analysis(prog)
+            analyze(prog)
 
 
 @settings(max_examples=60, deadline=None)
@@ -693,7 +715,7 @@ def test_instruction_that_cannot_reach_exit_is_refused():
 def test_postdominators_match_path_enumeration_oracle(prog):
     expected = brute_force_postdominators(prog)
     assert fixpoint_postdominators(prog) == expected
-    assert postdominator_sets(immediate_postdominators(prog)) == expected
+    assert postdominator_sets(control_flow(prog).ipdom) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -701,7 +723,7 @@ def test_postdominators_match_path_enumeration_oracle(prog):
 def test_safe_sets_match_brute_force_closure(prog):
     graph = build_dependence_graph(prog)
     oracle = brute_force_closure(graph, len(prog))
-    sets = compute_safe_sets(prog, graph)
+    sets = compute_safe_sets(prog)
     for i in range(len(prog)):
         assert members(sets[i]) == frozenset(oracle[i])
 
@@ -710,7 +732,7 @@ def test_safe_sets_match_brute_force_closure(prog):
 @given(dag_programs())
 def test_ipdom_is_minimal_strict_postdominator(prog):
     pdom = fixpoint_postdominators(prog)
-    ipdom = immediate_postdominators(prog)
+    ipdom = control_flow(prog).ipdom
     for b, instr in enumerate(prog.instructions):
         if instr.opcode != Opcode.BRANCH:
             continue

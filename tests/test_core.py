@@ -19,7 +19,6 @@ from robsim.core import (
     Simulator,
     _is_speculation_source,
     compute_shadows,
-    run,
 )
 from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
 from robsim.experiment import config_from_mapping, run_experiment
@@ -726,6 +725,27 @@ def test_predicted_rep_mismatch_squashes_and_reexpands():
     assert trace.stats.squash_log[0].kind == "rep_verify"
     assert len(trace.committed_for(1)) == 27
     assert all(not e.predicted for e in trace.committed_for(1))
+    # the counter committed before the refetch: the count is the register's
+    assert only(trace.committed_for(0)).commit_cycle <= trace.stats.squash_log[0].cycle
+
+
+def test_predicted_rep_reexpands_from_a_counter_still_in_flight():
+    # an older miss holds the counter's producer uncommitted past the
+    # refetch, so the re-expansion reads the count off the producer
+    policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
+    text = """
+    load r5, [64]
+    alu r1, r1, 3
+    rep_lods r1
+    """
+    trace = simulate(text, policy=policy)
+    predicted, reissued = trace.rep_expansions
+    assert predicted.verified is False
+    assert not reissued.predicted and reissued.requested == 27
+    assert [s.kind for s in trace.stats.squash_log] == ["rep_verify"]
+    refetched = trace.committed_for(2)
+    assert len(refetched) == 27
+    assert only(trace.committed_for(1)).commit_cycle > refetched[0].dispatch_cycle
 
 
 def test_rep_refetched_after_a_squash_reads_its_committed_counter():
@@ -809,12 +829,6 @@ def test_zero_jitter_is_exact():
 
 def test_compute_shadows_no_sources():
     assert compute_shadows([]) == []
-
-
-def test_run_convenience_matches_simulator():
-    program = parse_program("alu r1, r1, 1")
-    trace = run(program)
-    assert trace.stats.committed_uops == 1
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from robsim.experiment import (
 from robsim.isa import print_program
 from robsim.scenarios import (
     SCENARIO_NAMES,
+    SECRET_ADDR,
     ScenarioReport,
     build_scenario,
     prepare,
@@ -326,7 +327,7 @@ def test_fault_cell_keeps_the_secrets_that_finished(tmp_path, monkeypatch):
     real = experiment.run_single
 
     def limited(scenario, policy, trial):
-        if scenario.ground_truth_secret == 1:
+        if scenario.program.data_init[SECRET_ADDR] == 1:
             raise SimulationLimitError(30, 64, [])
         return real(scenario, policy, trial)
 
@@ -469,12 +470,21 @@ def test_summarize_set_order_reports():
 
 
 def test_cell_violation_property():
-    cell = CellResult("x", DefenseMode.DOM, frozenset(), "ok")
-    cell.leak = True
-    cell.expected_clean = True
-    assert cell.violation
-    cell.expected_clean = False
-    assert not cell.violation
+    conservative = frozenset({Mitigation.CONSERVATIVE_INVARIANCE})
+    promised = [
+        CellResult("x", DefenseMode.DOM, frozenset(), "ok", leak=True),
+        CellResult("x", DefenseMode.UNPROTECTED, conservative, "fault", leak=True),
+    ]
+    unpromised = [
+        CellResult("x", DefenseMode.UNPROTECTED, frozenset(), "ok", leak=True),
+        CellResult("x", DefenseMode.DOM, frozenset(), "not_applicable"),
+    ]
+    for cell in promised:
+        assert cell.expected_clean and cell.violation
+        cell.leak = False
+        assert not cell.violation
+    for cell in unpromised:
+        assert not cell.expected_clean and not cell.violation
 
 
 # --- command line -----------------------------------------------------------

@@ -37,7 +37,7 @@ def test_parse_guarded_load_program():
         Opcode.LOAD,
     ]
     assert prog.labels == {"then": 2, "after": 3}
-    assert prog.target_of(prog.instructions[0]) == 2
+    assert prog.targets[0] == 2
     assert prog.instructions[3].operands == (Reg(3), Mem(Reg(2), 0))
 
 
@@ -82,7 +82,7 @@ def test_parse_data_directive_and_operand_shapes():
     assert prog.instructions[1].operands == (Reg(1), Mem(Reg(2), 8))
     assert prog.instructions[2].operands == (Reg(5), Mem(Reg(2), -4))
     assert prog.instructions[3].operands == (Reg(6), Reg(1), Imm(10))
-    assert prog.target_of(prog.instructions[4]) == 0
+    assert prog.targets[4] == 0
 
 
 def test_repeated_operand_text_parses_once():

@@ -13,8 +13,7 @@ import yaml
 from robsim.analysis import dump_analysis
 from robsim.cli import build_parser
 from robsim.core import CSV_FIELDS
-from robsim.experiment import SUMMARY_FIELDS, config_from_mapping, occupancy_csv
-from robsim.scenarios import REPORT_FIELDS
+from robsim.experiment import REPORT_FIELDS, SUMMARY_FIELDS, config_from_mapping, occupancy_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"

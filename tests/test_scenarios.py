@@ -14,10 +14,9 @@ from robsim.analysis import BalanceError
 from robsim.cache import CacheConfig
 from robsim.core import CoreConfig, MachineConfig, Simulator
 from robsim.defenses import REP_PREDICTED_COUNT, DefenseMode, Mitigation
-from robsim.experiment import CellResult, reports_csv
+from robsim.experiment import REPORT_FIELDS, CellResult, format_observation, reports_csv
 from robsim.isa import Opcode, parse_program, print_program
 from robsim.scenarios import (
-    REPORT_FIELDS,
     SCENARIO_NAMES,
     SECRET_ADDR,
     WINDOW_CHAIN,
@@ -103,7 +102,7 @@ def test_secret_overlay_changes_only_the_secret(rob):
             assert (s0.program.predict["gate"], s1.program.predict["gate"]) == (True, False)
         else:
             assert gates == set()
-        assert (s0.ground_truth_secret, s1.ground_truth_secret) == (0, 1)
+        assert (s0.program.data_init[SECRET_ADDR], s1.program.data_init[SECRET_ADDR]) == (0, 1)
         # the overlay gives what building with the secret gives
         built = build_scenario(name, 1, machine)
         assert built.program == s1.program
@@ -141,7 +140,6 @@ def test_a_finished_run_leaves_no_cyclic_garbage(rob):
 
 def test_run_needs_a_secret():
     scenario = _BUILDERS["fsi_v1_loop"](MachineConfig())
-    assert scenario.ground_truth_secret is None
     assert SECRET_ADDR not in scenario.program.data_init
     _, policy = prepare(scenario, UNPROT)
     with pytest.raises(ScenarioError, match="no secret"):
@@ -508,7 +506,5 @@ def test_reports_serialize_to_csv():
 
 
 def test_set_snapshots_join_with_pipes():
-    from robsim.scenarios import format_observation
-
     assert format_observation((76, 12)) == "76|12"
     assert format_observation(60) == "60"
