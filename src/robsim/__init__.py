@@ -10,8 +10,8 @@ scenario x defense x mitigation grids and reports which cells leak.
 Typical entry points:
 
 * :func:`parse_program` / :class:`Simulator` for running a program directly,
-* :func:`build_scenario` / :func:`prepare` / :func:`run_trials` for the
-  builtin contention scenarios,
+* :func:`build_scenario` / :func:`prepare` / :func:`judge` for the
+  builtin contention scenarios (``judge`` runs both secrets),
 * :func:`run_experiment` with an :class:`ExperimentConfig` for full sweeps,
 * ``robsim`` (see :mod:`robsim.cli`) for the command line.
 """
@@ -51,9 +51,9 @@ from .experiment import (
     CellResult,
     ConfigError,
     ExperimentConfig,
+    judge,
     load_config_file,
     run_experiment,
-    summarize,
     write_artifacts,
 )
 from .isa import (
@@ -77,7 +77,6 @@ from .scenarios import (
     infer_secret,
     prepare,
     run_single,
-    run_trials,
     with_secret,
 )
 
@@ -128,6 +127,7 @@ __all__ = [
     "conservative_filter",
     "dump_analysis",
     "infer_secret",
+    "judge",
     "load_config_file",
     "parse_program",
     "prepare",
@@ -135,8 +135,6 @@ __all__ = [
     "rep_expansion_count",
     "run_experiment",
     "run_single",
-    "run_trials",
-    "summarize",
     "with_secret",
     "write_artifacts",
 ]

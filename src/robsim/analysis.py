@@ -547,9 +547,10 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
     else:
         # empty side: materialize a pad block just before the reconvergence
         # point and steer the empty edge through it; whatever falls into the
-        # join needs an explicit jump to hop over the pads. The hop costs the
-        # longer side one micro-op, so one more pad, only when that side
-        # falls into the join rather than jumping to it.
+        # join needs an explicit jump to hop over the pads, so the hop goes
+        # in only when the instruction ahead of the join is not a jump. It
+        # costs the longer side one micro-op, so one more pad, only when
+        # that side falls into the join rather than jumping to it.
         if reconv >= len(program):
             raise BalanceError(
                 f"branch {branch}: cannot pad an empty path joining at program exit"
@@ -564,12 +565,13 @@ def balance_paths(program: Program, branch: int, cap: int = DEFAULT_EXPANSION_CA
         pad_label = f"__pad{branch}"
         while pad_label in program.labels:
             pad_label += "_"
-        jump = MacroInstruction(0, Opcode.JUMP, (Label(reconv_label),))
         if program.instructions[sides["fall"][-1]].opcode is not Opcode.JUMP:
             pad_count += 1
         pads = [MacroInstruction(0, Opcode.NOP, (), pad_label if i == 0 else None)
                 for i in range(pad_count)]
-        instructions[reconv:reconv] = [jump] + pads
+        instructions[reconv:reconv] = pads
+        if program.instructions[reconv - 1].opcode is not Opcode.JUMP:
+            instructions.insert(reconv, MacroInstruction(0, Opcode.JUMP, (Label(reconv_label),)))
         br = instructions[branch]
         new_ops = (br.operands[0], Label(pad_label))
         instructions[branch] = replace(br, operands=new_ops)

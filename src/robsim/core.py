@@ -69,7 +69,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
@@ -220,27 +220,6 @@ class RobEntry:
                     return producer.result
                 return regfile.get(reg, 0)
         return regfile.get(reg, 0)
-
-
-def _is_speculation_source(entry: RobEntry) -> bool:
-    if entry.uop.kind is UopKind.BRANCH_RESOLVE and not entry.complete:
-        return True
-    return entry.predicted and entry.uop.seq == 0
-
-
-def compute_shadows(entries: Iterable[RobEntry]) -> list[int | None]:
-    """Shadow of each entry: rob_seq of the oldest unresolved speculation
-    source ahead of it (unresolved branch or unverified predicted REP),
-    or None. Pure; the simulator reads the same answer off its oldest
-    unresolved source and tests compare the two.
-    """
-    shadows: list[int | None] = []
-    oldest: int | None = None
-    for entry in entries:
-        shadows.append(oldest)
-        if oldest is None and _is_speculation_source(entry):
-            oldest = entry.rob_seq
-    return shadows
 
 
 @dataclass
@@ -953,5 +932,4 @@ __all__ = [
     "Simulator",
     "SquashRecord",
     "Trace",
-    "compute_shadows",
 ]

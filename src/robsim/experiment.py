@@ -2,11 +2,12 @@
 
 A run is a sweep over (scenario, defense, mitigation-set) cells. Each
 scenario is built, and its program analyzed, once per sweep; each cell
-prepares it once and executes both secret values for n trials, the blind
-receiver recovers the bit, and the cell is judged against its security
-promise: dom mode and any applicable active mitigation promise
-secret-independent observations, and a broken promise is reported as a
-distinct exit status so CI can gate on it.
+prepares it once and `judge`, the one loop that runs a prepared scenario
+under both secret values, executes n trials of each while the blind
+receiver recovers the bit. The cell is then held to its security promise:
+dom mode and any applicable active mitigation promise secret-independent
+observations, and a broken promise is reported as a distinct exit status
+so CI can gate on it.
 
 Artifacts are deterministic byte-for-byte given the same config: a raw
 report CSV, a per-cell summary CSV, and one occupancy time series per
@@ -22,14 +23,14 @@ import csv
 import io
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping
 
 import yaml
 
 from .analysis import AnalysisError
 from .cache import CacheConfig
-from .core import CoreConfig, MachineConfig, SimulationLimitError
-from .defenses import DefenseMode, Mitigation
+from .core import CoreConfig, MachineConfig, SimulationLimitError, Trace
+from .defenses import DefenseMode, DefensePolicy, Mitigation
 from .scenarios import (
     SCENARIO_NAMES,
     ProgramAnalysis,
@@ -288,6 +289,22 @@ class ExperimentResult:
     artifacts: list[Path] = field(default_factory=list)
 
 
+def judge(
+    scenario: Scenario, policy: DefensePolicy, n_trials: int
+) -> Iterator[tuple[Trace, ScenarioReport]]:
+    """Run the prepared `scenario` under `policy` for n trials of each secret.
+
+    Yields (trace, report) pairs lazily: secret 0's trials 0..n-1, then
+    secret 1's, so a fault ends the stream after the trials that finished
+    and no trace outlives its use. A count below one is refused here, not
+    when the stream is read, since no trials would read as no leak.
+    """
+    if n_trials < 1:
+        raise ScenarioError(f"n_trials must be at least 1, got {n_trials}")
+    runs = [with_secret(scenario, secret) for secret in (0, 1)]
+    return (run_single(run, policy, trial) for run in runs for trial in range(n_trials))
+
+
 def run_cell(
     scenario: Scenario,
     analysis: ProgramAnalysis,
@@ -295,7 +312,7 @@ def run_cell(
     mitigations: frozenset[Mitigation],
     n_trials: int,
 ) -> CellResult:
-    """Prepare `scenario` once for the cell, then run both secrets on it.
+    """Prepare `scenario` once for the cell, then `judge` it.
 
     `analysis` is of `scenario.program` and shared with the scenario's
     other cells.
@@ -306,19 +323,16 @@ def run_cell(
     except (ScenarioError, AnalysisError) as exc:
         return CellResult(name, defense, mitigations, "not_applicable", note=str(exc))
     cell = CellResult(name, defense, mitigations, "ok")
-    for secret in (0, 1):
-        run = with_secret(scenario, secret)
-        for trial in range(n_trials):
-            try:
-                trace, report = run_single(run, policy, trial)
-            except SimulationLimitError as exc:
-                cell.status, cell.note = "fault", f"cycle limit: {exc}"
-                return cell
-            if trial == 0:
-                cell.occupancy[secret] = trace.occupancy
+    try:
+        for trace, report in judge(scenario, policy, n_trials):
+            if report.trial == 0:
+                cell.occupancy[report.ground_truth] = trace.occupancy
             cell.reports.append(report)
-    s0, s1 = ([r.observation for r in cell.reports if r.ground_truth == s] for s in (0, 1))
-    cell.leak = s0 != s1
+    except SimulationLimitError as exc:
+        cell.status, cell.note = "fault", f"cycle limit: {exc}"
+        return cell
+    observations = [r.observation for r in cell.reports]
+    cell.leak = observations[:n_trials] != observations[n_trials:]
     return cell
 
 
@@ -350,56 +364,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-# --- summaries --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SecretSummary:
-    secret: int
-    trials: int
-    mean: float | None
-    minimum: float | None
-    maximum: float | None
-
-
-def summarize(reports: Iterable[ScenarioReport]) -> list[SecretSummary]:
-    """Per-secret mean/min/max of one cell's reports.
-
-    Numeric stats cover timing observations; set-order snapshots carry none.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("summarize needs at least one report")
-    groups: dict[int, list[ScenarioReport]] = {}
-    for r in reports:
-        groups.setdefault(r.ground_truth, []).append(r)
-    out = []
-    for secret, rows in groups.items():
-        numeric = [
-            float(r.observation)
-            for r in rows
-            if isinstance(r.observation, (int, float)) and not isinstance(r.observation, bool)
-        ]
-        have_numbers = len(numeric) == len(rows)
-        out.append(
-            SecretSummary(
-                secret=secret,
-                trials=len(rows),
-                mean=sum(numeric) / len(numeric) if have_numbers else None,
-                minimum=min(numeric) if have_numbers else None,
-                maximum=max(numeric) if have_numbers else None,
-            )
-        )
-    return out
-
-
-def _num(x: float | None) -> str:
-    return "" if x is None else f"{x:.6g}"
+# --- artifacts --------------------------------------------------------------
 
 
 def summary_csv(cells: list[CellResult]) -> str:
     """One row per cell (schema: docs/csv_schemas.md); a stat with no
-    reports behind it is left empty."""
+    numeric observations behind it is left empty."""
     out = io.StringIO()
     writer = csv.DictWriter(out, SUMMARY_FIELDS, restval="")
     writer.writeheader()
@@ -418,10 +388,17 @@ def summary_csv(cells: list[CellResult]) -> str:
         if cell.reports:
             matches = sum(r.inferred_secret == r.ground_truth for r in cell.reports)
             row["accuracy"] = f"{matches / len(cell.reports):.4f}"
-            for s in summarize(cell.reports):
-                row[f"mean_s{s.secret}"] = _num(s.mean)
-                row[f"min_s{s.secret}"] = _num(s.minimum)
-                row[f"max_s{s.secret}"] = _num(s.maximum)
+        for secret in (0, 1):
+            # a set-order snapshot is not a number
+            values = [
+                float(r.observation)
+                for r in cell.reports
+                if r.ground_truth == secret and not isinstance(r.observation, tuple)
+            ]
+            if values:
+                row[f"mean_s{secret}"] = f"{sum(values) / len(values):.6g}"
+                row[f"min_s{secret}"] = f"{min(values):.6g}"
+                row[f"max_s{secret}"] = f"{max(values):.6g}"
         writer.writerow(row)
     return out.getvalue()
 
@@ -497,10 +474,10 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "REPORT_FIELDS",
-    "SecretSummary",
     "SUMMARY_FIELDS",
     "config_from_mapping",
     "format_observation",
+    "judge",
     "load_config_file",
     "mitigation_label",
     "occupancy_csv",
@@ -509,6 +486,5 @@ __all__ = [
     "reports_csv",
     "run_cell",
     "run_experiment",
-    "summarize",
     "summary_csv",
 ]

@@ -1,4 +1,4 @@
-"""Attack program builders, receivers, and the secret-recovery loop.
+"""Attack program builders, receivers, and one run of the secret recovery.
 
 Every scenario shares one skeleton: a long-latency "window" load whose
 dependent branch stays unresolved for tens of cycles, a secret fetched
@@ -32,9 +32,9 @@ secrets run the same instructions: a builder makes the program once per
 initial value at ``SECRET_ADDR`` (and, for ``fsi_v1_straight``, as the
 ``.predict`` direction of its trained gate) without parsing again. So one
 ``prepare``, and one static analysis of the program, serves both secrets of
-every cell. The secret lives only in the program's data: ``run_single``
-reads the ground truth back from ``SECRET_ADDR`` and refuses a program
-that has none there.
+every cell, and ``robsim.experiment.judge`` runs the two. The secret lives
+only in the program's data: ``run_single`` reads the ground truth back from
+``SECRET_ADDR`` and refuses a program that has none there.
 
 Receivers are deliberately blind: ``infer_secret`` sees the observation
 and the receiver configuration, never the ground truth.
@@ -475,14 +475,6 @@ def run_single(
     return trace, report
 
 
-def run_trials(
-    scenario: Scenario, policy: DefensePolicy, n_trials: int
-) -> list[ScenarioReport]:
-    if n_trials < 1:
-        raise ScenarioError(f"n_trials must be at least 1, got {n_trials}")
-    return [run_single(scenario, policy, t)[1] for t in range(n_trials)]
-
-
 def _committed_probe(scenario: Scenario, trace: Trace) -> RobEntry:
     entries = trace.committed_for(scenario.probe_instr)
     if not entries:
@@ -527,6 +519,5 @@ __all__ = [
     "prepare",
     "prepare_program",
     "run_single",
-    "run_trials",
     "with_secret",
 ]

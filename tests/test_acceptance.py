@@ -22,13 +22,13 @@ from robsim.analysis import (
 from robsim.cache import CacheConfig
 from robsim.core import MachineConfig, Simulator
 from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
+from robsim.experiment import judge
 from robsim.isa import Opcode, parse_program, rep_expansion_count
 from robsim.scenarios import (
     SCENARIO_NAMES,
     build_scenario,
     prepare,
     run_single,
-    run_trials,
 )
 
 UNPROT = DefenseMode.UNPROTECTED
@@ -40,77 +40,83 @@ MISS = CacheConfig().miss_cycles
 ROB = MachineConfig().core.rob_size
 
 
-def run_cell(name, secret, mode, mitigations=frozenset(), trials=1, machine=None):
-    scenario, policy = prepare(build_scenario(name, secret, machine), mode, mitigations)
-    return run_trials(scenario, policy, trials)
+def by_secret(scenario, policy, trials):
+    """Secret 0's and secret 1's reports of one prepared cell; `judge`
+    yields secret 0's trials first."""
+    reports = [report for _, report in judge(scenario, policy, trials)]
+    return reports[:trials], reports[trials:]
+
+
+def run_cell(name, mode, mitigations=frozenset(), trials=1):
+    scenario, policy = prepare(build_scenario(name, 0), mode, mitigations)
+    return by_secret(scenario, policy, trials)
+
+
+def first_trials(name, mode, mitigations=frozenset(), machine=None):
+    """The prepared scenario, and trial 0's trace under each secret."""
+    scenario, policy = prepare(build_scenario(name, 0, machine), mode, mitigations)
+    return scenario, [trace for trace, _ in judge(scenario, policy, 1)]
+
+
+def observations_of(streams):
+    return [[r.observation for r in reports] for reports in streams]
 
 
 def observation_streams(name, mode, mitigations=frozenset(), trials=25):
-    return [
-        [r.observation for r in run_cell(name, s, mode, mitigations, trials)]
-        for s in (0, 1)
-    ]
+    return observations_of(run_cell(name, mode, mitigations, trials))
+
+
+def assert_recovered(streams, expected):
+    """Every trial of each secret observes that secret's expected value and
+    decodes back to the secret."""
+    for secret, reports in enumerate(streams):
+        assert {r.observation for r in reports} == {expected[secret]}
+        assert all(r.inferred_secret == secret for r in reports)
 
 
 def test_criterion_1_loop_latency_dichotomy_and_recovery():
     start = time.perf_counter()
-    for secret, expected in ((0, HIT), (1, MISS)):
-        reports = run_cell("fsi_v1_loop", secret, UNPROT, trials=1000)
-        assert {r.observation for r in reports} == {expected}
-        assert all(r.inferred_secret == secret for r in reports)
+    assert_recovered(run_cell("fsi_v1_loop", UNPROT, trials=1000), (HIT, MISS))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"2x1000 trials took {elapsed:.1f}s"
 
 
 def test_criterion_2_rep_breaks_lifted_defense():
-    scenario, policy = prepare(build_scenario("fsi_v1_rep", 1), INVAR)
+    scenario, policy = prepare(build_scenario("fsi_v1_rep", 0), INVAR)
     assert members(policy.safe_sets[scenario.probe_instr]) == frozenset()
-    for secret, expected in ((0, HIT), (1, MISS)):
-        reports = run_cell("fsi_v1_rep", secret, INVAR, trials=1000)
-        assert {r.observation for r in reports} == {expected}
-        assert all(r.inferred_secret == secret for r in reports)
-    trace, report = run_single(scenario, policy)
+    assert_recovered(by_secret(scenario, policy, 1000), (HIT, MISS))
+    _, (trace, report) = judge(scenario, policy, 1)  # secret 1's trial 0
     assert report.occupancy_peak == ROB
     assert trace.rep_expansions[0].requested == 2 * (1 << 10)
 
 
 def test_criterion_3_conflict_set_order_exact():
-    for secret, expected in ((0, (12,)), (1, (76,))):
-        reports = run_cell("fsi_v2_order", secret, UNPROT, trials=100)
-        assert {r.observation for r in reports} == {expected}
-        assert all(r.inferred_secret == secret for r in reports)
+    assert_recovered(run_cell("fsi_v2_order", UNPROT, trials=100), ((12,), (76,)))
 
 
 def test_criterion_4_dom_baseline_blocks_v1():
     for name in ("fsi_v1_loop", "fsi_v1_rep"):
-        streams = []
-        for secret in (0, 1):
-            scenario, _ = prepare(build_scenario(name, secret), DOM)
-            branch = scenario.program.labels["window"]
-            policy = DefensePolicy(
-                mode=DOM,
-                safe_sets={scenario.probe_instr: 1 << branch},
-            )
-            streams.append(
-                [r.observation for r in run_trials(scenario, policy, 50)]
-            )
+        scenario, _ = prepare(build_scenario(name, 0), DOM)
+        branch = scenario.program.labels["window"]
+        policy = DefensePolicy(
+            mode=DOM,
+            safe_sets={scenario.probe_instr: 1 << branch},
+        )
+        streams = observations_of(by_secret(scenario, policy, 50))
         assert streams[0] == streams[1], name
 
 
 def test_criterion_5_mshr_contention_and_negative_control():
-    completions = {}
-    for secret in (0, 1):
-        scenario, policy = prepare(build_scenario("bsi_mshr", secret), UNPROT)
-        trace, report = run_single(scenario, policy)
-        completions[secret] = trace.committed_for(scenario.probe_instr)[-1].complete_cycle
-    assert completions[1] >= completions[0] + 1
     unbounded = MachineConfig(cache=CacheConfig(mshr_entries=None))
-    cycles = []
-    for secret in (0, 1):
-        scenario, policy = prepare(build_scenario("bsi_mshr", secret, unbounded), UNPROT)
-        trace, _ = run_single(scenario, policy)
-        cycles.append(trace.committed_for(scenario.probe_instr)[-1].complete_cycle)
-    assert cycles[0] == cycles[1]
+    completions = []
+    for machine in (None, unbounded):
+        scenario, traces = first_trials("bsi_mshr", UNPROT, machine=machine)
+        completions.append(
+            [t.committed_for(scenario.probe_instr)[-1].complete_cycle for t in traces]
+        )
+    (s0, s1), (unbounded_s0, unbounded_s1) = completions
+    assert s1 >= s0 + 1
+    assert unbounded_s0 == unbounded_s1
 
 
 def test_criterion_6_conservative_filter_restores_protection():
@@ -126,18 +132,17 @@ def test_criterion_6_conservative_filter_restores_protection():
 def test_criterion_7_path_balancing_on_straight_variant():
     unbalanced = observation_streams("fsi_v1_straight", UNPROT)
     assert unbalanced[0] != unbalanced[1]
-    dispatches = []
-    streams = []
-    for secret in (0, 1):
-        scenario, policy = prepare(
-            build_scenario("fsi_v1_straight", secret),
-            UNPROT,
-            {Mitigation.PATH_BALANCING},
-        )
-        trace, report = run_single(scenario, policy)
-        dispatches.append(trace.committed_for(scenario.probe_instr)[-1].dispatch_cycle)
-        streams.append([r.observation for r in run_trials(scenario, policy, 25)])
+    scenario, policy = prepare(
+        build_scenario("fsi_v1_straight", 0),
+        UNPROT,
+        {Mitigation.PATH_BALANCING},
+    )
+    dispatches = [
+        trace.committed_for(scenario.probe_instr)[-1].dispatch_cycle
+        for trace, _ in judge(scenario, policy, 1)
+    ]
     assert dispatches[0] == dispatches[1]
+    streams = observations_of(by_secret(scenario, policy, 25))
     assert streams[0] == streams[1]
 
     loop = build_scenario("fsi_v1_loop", 0)
@@ -150,16 +155,8 @@ def test_criterion_7_path_balancing_on_straight_variant():
 
 
 def test_criterion_8_operand_independent_fill():
-    series = []
-    for secret in (0, 1):
-        scenario, policy = prepare(
-            build_scenario("fsi_v1_rep", secret),
-            INVAR,
-            {Mitigation.OPERAND_INDEPENDENT_FILL},
-        )
-        trace, _ = run_single(scenario, policy)
-        series.append(trace.occupancy)
-    assert series[0] == series[1]
+    _, traces = first_trials("fsi_v1_rep", INVAR, {Mitigation.OPERAND_INDEPENDENT_FILL})
+    assert traces[0].occupancy == traces[1].occupancy
 
     policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
     mismatched = parse_program(".data 8 3\nload r1, [8]\nrep_movs r1\n")
@@ -189,18 +186,14 @@ def test_criterion_9a_determinism():
 def test_criterion_9b_rob_occupancy_bound():
     for name in SCENARIO_NAMES:
         for mode in (UNPROT, DOM, INVAR):
-            for secret in (0, 1):
-                scenario, policy = prepare(build_scenario(name, secret), mode)
-                trace, _ = run_single(scenario, policy)
+            for trace in first_trials(name, mode)[1]:
                 assert max(trace.occupancy) <= ROB, (name, mode)
 
 
 def test_criterion_9c_squash_completeness():
     seen_squashes = 0
     for name in SCENARIO_NAMES:
-        for secret in (0, 1):
-            scenario, policy = prepare(build_scenario(name, secret), UNPROT)
-            trace, _ = run_single(scenario, policy)
+        for trace in first_trials(name, UNPROT)[1]:
             seen_squashes += len(trace.stats.squash_log)
             for record in trace.records:
                 if record.squashed:

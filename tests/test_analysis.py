@@ -29,6 +29,7 @@ from robsim.isa import (
     REP_OPCODES,
     Opcode,
     parse_program,
+    print_program,
     rep_expansion_count,
 )
 
@@ -500,7 +501,9 @@ def test_balance_paths_pads_ahead_of_a_closing_jump():
 
 def test_balance_paths_pads_an_empty_side_when_the_longer_side_jumps_to_the_join():
     # the hop over the pad block lies on the longer side only when that side
-    # falls into the join; here it jumps there, so the hop adds no pad
+    # falls into the join; here it jumps there, so the hop adds no pad. The
+    # hop goes in only when something falls into the join: the dead code
+    # does, and a jump does not
     for dead_code in ("other: nop\n", ""):
         prog = parse_program(
             f"""
@@ -515,6 +518,7 @@ def test_balance_paths_pads_an_empty_side_when_the_longer_side_jumps_to_the_join
         profile = analyze_paths(balanced, 0)
         assert profile.min_uops == profile.max_uops == 3
         assert certify_balanced(balanced, 0).uops == 3
+        assert print_program(balanced).count("jump join") == (2 if dead_code else 1)
 
 
 def test_balance_paths_refuses_a_rewrite_that_stays_unequal(monkeypatch):

@@ -15,10 +15,9 @@ from robsim.cache import CacheConfig
 from robsim.core import (
     CoreConfig,
     MachineConfig,
+    RobEntry,
     SimulationLimitError,
     Simulator,
-    _is_speculation_source,
-    compute_shadows,
 )
 from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
 from robsim.experiment import config_from_mapping, run_experiment
@@ -261,6 +260,26 @@ def test_full_rob_back_pressures_dispatch():
 def test_occupancy_sampled_every_cycle():
     trace = simulate("alu r1, r1, 1\nalu r2, r2, 1")
     assert len(trace.occupancy) == trace.stats.cycles
+
+
+def _is_speculation_source(entry: RobEntry) -> bool:
+    if entry.uop.kind is UopKind.BRANCH_RESOLVE and not entry.complete:
+        return True
+    return entry.predicted and entry.uop.seq == 0
+
+
+def compute_shadows(entries: list[RobEntry]) -> list[int | None]:
+    """Shadow of each entry, recomputed from scratch: rob_seq of the oldest
+    unresolved speculation source ahead of it (unresolved branch or
+    unverified predicted REP), or None. The reference the simulator's
+    `_unresolved` is checked against."""
+    shadows: list[int | None] = []
+    oldest: int | None = None
+    for entry in entries:
+        shadows.append(oldest)
+        if oldest is None and _is_speculation_source(entry):
+            oldest = entry.rob_seq
+    return shadows
 
 
 def check_shadows(sim: Simulator) -> list[int | None]:

@@ -20,16 +20,15 @@ from robsim.experiment import (
     ConfigError,
     ExperimentConfig,
     config_from_mapping,
+    judge,
     mitigation_label,
     parse_mitigation_set,
     run_experiment,
-    summarize,
 )
 from robsim.isa import print_program
 from robsim.scenarios import (
     SCENARIO_NAMES,
     SECRET_ADDR,
-    ScenarioReport,
     build_scenario,
     prepare,
     run_single,
@@ -44,16 +43,6 @@ def make_config(tmp_path, **overrides):
     }
     mapping.update(overrides)
     return config_from_mapping(mapping, tmp_path / "out")
-
-
-def report(obs=60, inferred=1, truth=1, trial=0):
-    return ScenarioReport(
-        trial=trial,
-        observation=obs,
-        inferred_secret=inferred,
-        ground_truth=truth,
-        occupancy_peak=64,
-    )
 
 
 # --- configuration ----------------------------------------------------------
@@ -340,7 +329,28 @@ def test_fault_cell_keeps_the_secrets_that_finished(tmp_path, monkeypatch):
     assert set(cell.occupancy) == {0}
     occ = sorted(p.name for p in (result.config.out_dir / "occupancy").iterdir())
     assert occ == ["fsi_v1_loop__unprotected__none__s0.csv"]
+    with open(result.config.out_dir / "summary.csv", newline="") as f:
+        row = next(csv.DictReader(f))
+    # secret 0's stats cover its three trials; secret 1 has no reports
+    assert (row["trials"], row["mean_s0"], row["min_s0"], row["max_s0"]) == ("3", "3", "3", "3")
+    assert [row[f"{stat}_s1"] for stat in ("mean", "min", "max")] == ["", "", ""]
     assert result.exit_code == EXIT_SIM_FAULT
+
+
+def test_judge_runs_each_trial_of_both_secrets_through_run_single(monkeypatch):
+    scenario, policy = prepare(build_scenario("fsi_v1_loop", 0), DefenseMode.UNPROTECTED)
+    real = experiment.run_single
+    calls = []
+
+    def counted(scenario, policy, trial):
+        calls.append((scenario.program.data_init[SECRET_ADDR], trial))
+        return real(scenario, policy, trial)
+
+    monkeypatch.setattr(experiment, "run_single", counted)
+    pairs = judge(scenario, policy, 3)
+    assert calls == []  # nothing runs until the pairs are read
+    assert len(list(pairs)) == 6
+    assert calls == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
 
 def test_broken_promise_exits_security(tmp_path, monkeypatch):
@@ -440,33 +450,6 @@ def test_occupancy_series_written_per_secret(tmp_path):
     rows = list(csv.DictReader((config.out_dir / "occupancy" / occ[1]).open()))
     assert rows[0]["cycle"] == "1"
     assert max(int(r["occupancy"]) for r in rows) == 64
-
-
-# --- summarize --------------------------------------------------------------
-
-
-def test_summarize_rejects_empty():
-    with pytest.raises(ValueError, match="at least one"):
-        summarize([])
-
-
-def test_summarize_identical_reports():
-    rows = summarize([report(obs=60) for _ in range(5)])
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.mean == row.minimum == row.maximum == 60
-
-
-def test_summarize_splits_secrets():
-    reports = [report(obs=3, inferred=0, truth=0), report(obs=60, inferred=1, truth=1)]
-    rows = summarize(reports)
-    assert {r.secret for r in rows} == {0, 1}
-    assert all(r.trials == 1 for r in rows)
-
-
-def test_summarize_set_order_reports():
-    rows = summarize([report(obs=(76,), inferred=1, truth=1)])
-    assert rows[0].mean is None
 
 
 def test_cell_violation_property():

@@ -27,10 +27,11 @@ def test_readme_python_example_runs(capsys):
     namespace: dict = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     reports = namespace["reports"]
-    assert len(reports) == 100
-    assert all(r.inferred_secret == 1 for r in reports)
-    observation, inferred = capsys.readouterr().out.split()
-    assert (observation, inferred) == (str(reports[0].observation), "1")
+    assert len(reports) == 200
+    assert [r.ground_truth for r in reports] == [0] * 100 + [1] * 100
+    assert all(r.inferred_secret == r.ground_truth for r in reports)
+    printed = capsys.readouterr().out.split()
+    assert printed == [str(reports[0].observation), str(reports[-1].observation)]
 
 
 def readme_commands() -> list[list[str]]:

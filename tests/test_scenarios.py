@@ -14,7 +14,7 @@ from robsim.analysis import BalanceError
 from robsim.cache import CacheConfig
 from robsim.core import CoreConfig, MachineConfig, Simulator
 from robsim.defenses import REP_PREDICTED_COUNT, DefenseMode, Mitigation
-from robsim.experiment import REPORT_FIELDS, CellResult, format_observation, reports_csv
+from robsim.experiment import REPORT_FIELDS, CellResult, format_observation, judge, reports_csv
 from robsim.isa import Opcode, parse_program, print_program
 from robsim.scenarios import (
     SCENARIO_NAMES,
@@ -29,7 +29,6 @@ from robsim.scenarios import (
     infer_secret,
     prepare,
     run_single,
-    run_trials,
     with_secret,
 )
 
@@ -44,10 +43,14 @@ def observe(name, secret, mode=UNPROT, mitigations=frozenset(), machine=None):
     return trace, report
 
 
+def first_reports(name, mode=UNPROT, mitigations=frozenset(), machine=None):
+    """Trial 0's report under secret 0 and under secret 1, from one prepared cell."""
+    scenario, policy = prepare(build_scenario(name, 0, machine), mode, mitigations)
+    return [report for _, report in judge(scenario, policy, 1)]
+
+
 def observations(name, mode=UNPROT, mitigations=frozenset(), machine=None):
-    return [
-        observe(name, s, mode, mitigations, machine)[1].observation for s in (0, 1)
-    ]
+    return [r.observation for r in first_reports(name, mode, mitigations, machine)]
 
 
 # --- builders ---------------------------------------------------------------
@@ -270,8 +273,7 @@ def test_idle_gate_lets_probe_run_ahead_of_resolution():
 
 def test_unprotected_recovery_is_exact():
     for name in SCENARIO_NAMES:
-        for secret in (0, 1):
-            _, report = observe(name, secret)
+        for secret, report in enumerate(first_reports(name)):
             assert report.inferred_secret == secret, name
 
 
@@ -297,8 +299,7 @@ def test_invarspec_keeps_bsi_closed():
 
 def test_invarspec_recovery_is_exact_for_fsi():
     for name in ("fsi_v1_loop", "fsi_v1_rep", "fsi_v2_order"):
-        for secret in (0, 1):
-            _, report = observe(name, secret, mode=INVAR)
+        for secret, report in enumerate(first_reports(name, mode=INVAR)):
             assert report.inferred_secret == secret, name
 
 
@@ -433,23 +434,26 @@ def test_predicted_fill_emits_fixed_count():
 # --- trials and receivers ---------------------------------------------------
 
 
-def test_run_trials_rejects_zero():
+def test_judge_refuses_zero_trials_before_it_is_iterated():
+    # refused at the call: a cell that ran no trials would read as no leak
     scenario, policy = prepare(build_scenario("fsi_v1_loop", 0), UNPROT)
     with pytest.raises(ScenarioError, match="n_trials"):
-        run_trials(scenario, policy, 0)
+        judge(scenario, policy, 0)
 
 
 def test_trials_are_deterministic_without_jitter():
-    scenario, policy = prepare(build_scenario("fsi_v1_loop", 1), UNPROT)
-    reports = run_trials(scenario, policy, 4)
-    assert len({r.observation for r in reports}) == 1
-    assert [r.trial for r in reports] == [0, 1, 2, 3]
+    scenario, policy = prepare(build_scenario("fsi_v1_loop", 0), UNPROT)
+    reports = [report for _, report in judge(scenario, policy, 4)]
+    # secret 0's trials, then secret 1's, each observing one value
+    order = [(secret, trial) for secret in (0, 1) for trial in range(4)]
+    assert [(r.ground_truth, r.trial) for r in reports] == order
+    assert {(r.ground_truth, r.observation) for r in reports} == {(0, 3), (1, 60)}
 
 
 def test_jitter_spreads_observations_across_trials():
     machine = MachineConfig(jitter_amplitude=4)
-    scenario, policy = prepare(build_scenario("fsi_v1_loop", 1, machine), UNPROT)
-    reports = run_trials(scenario, policy, 12)
+    scenario, policy = prepare(build_scenario("fsi_v1_loop", 0, machine), UNPROT)
+    reports = [report for _, report in judge(scenario, policy, 12)][12:]  # secret 1's
     values = {r.observation for r in reports}
     assert len(values) > 1
     assert all(56 <= v <= 64 for v in values)
@@ -483,14 +487,14 @@ def test_report_inference_matches_blind_decoder():
 def test_reports_serialize_to_csv():
     cells = []
     for mitigations in ({Mitigation.CONSERVATIVE_INVARIANCE}, set()):
-        scenario, policy = prepare(build_scenario("fsi_v2_order", 1), INVAR, mitigations)
+        scenario, policy = prepare(build_scenario("fsi_v2_order", 0), INVAR, mitigations)
         cells.append(
             CellResult(
                 "fsi_v2_order",
                 INVAR,
                 frozenset(mitigations),
                 "ok",
-                reports=run_trials(scenario, policy, 2),
+                reports=[report for _, report in judge(scenario, policy, 1)],
             )
         )
     lines = reports_csv(cells).strip().splitlines()
