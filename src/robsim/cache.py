@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,7 @@ class AccessOutcome(enum.Enum):
     MSHR_STALL = "mshr_stall"
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     outcome: AccessOutcome
     latency: int
     fill_cycle: int | None = None

@@ -51,13 +51,18 @@ this cycle; complete only when a completion is due this cycle or a
 predicted REP awaits verification; fetch only when a redirect is pending,
 or when the decode queue has room and an expansion is active or the pc is
 inside the program; issue and dispatch only when their queue is non-empty.
-A producer clears its list of waiting consumers once it has woken them
-or is squashed, so a finished run holds no reference cycle and is freed by
-reference counting alone. What decode and
-issue read off an instruction (its micro-op, source and destination
-registers and ALU plan) is worked out once per instruction object, and the
-branch targets once per program object: so once per program, not once per
-micro-op or per run.
+A NOP-class micro-op (jump, fence, pad, REP filler) reads no register and
+never issues: dispatch stamps it ready and complete in its own cycle.
+
+A producer's list of waiting consumers is made when the first of them
+dispatches and set to None once it has woken them or is squashed, so a
+finished run holds no reference cycle and is freed by reference counting
+alone. What decode and issue read off an instruction (its micro-op, source
+and destination registers and ALU plan) is worked out once per instruction
+object, and the branch targets once per program object: so once per
+program, not per run. Per micro-op, decode builds one RobEntry (a REP
+filler also its numbered MicroOp) naming the in-flight producer of each
+source register, and the later phases stamp that entry in place.
 """
 
 from __future__ import annotations
@@ -84,6 +89,13 @@ from .isa import (
     UopKind,
     rep_expansion_count,
 )
+
+
+# Enum members bound to module names: a class attribute read of one costs
+# about 0.1 us on CPython 3.11, and every micro-op takes several.
+_MEM_READ, _MEM_WRITE, _ALU = UopKind.MEM_READ, UopKind.MEM_WRITE, UopKind.ALU
+_BRANCH_RESOLVE, _NOP = UopKind.BRANCH_RESOLVE, UopKind.NOP
+_BRANCH, _JUMP, _FENCE = Opcode.BRANCH, Opcode.JUMP, Opcode.FENCE
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,7 @@ class BranchPredictor:
         self.counters[instr] = min(3, state + 1) if taken else max(0, state - 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class MemEvent:
     cycle: int
     instr: int | None  # None for fills
@@ -183,9 +195,9 @@ class RobEntry:
     outcome: str | None = None
     latency: int | None = None
     pending: int = 0
-    # consumers waiting on this result; cleared once woken or squashed, so a
-    # finished run holds no reference cycle
-    dependents: list["RobEntry"] = field(default_factory=list)
+    # consumers waiting on this result: a list from the first waiter on,
+    # None again once woken or squashed
+    dependents: list["RobEntry"] | None = None
     mem_event: MemEvent | None = None
 
     @property
@@ -214,11 +226,9 @@ class RobEntry:
 
     def value_of(self, reg: int, regfile: dict[int, int]) -> int:
         for r, producer in self.src:
-            if r == reg:
-                if producer is not None:
-                    assert producer.result is not None
-                    return producer.result
-                return regfile.get(reg, 0)
+            if r == reg and producer is not None:
+                assert producer.result is not None
+                return producer.result
         return regfile.get(reg, 0)
 
 
@@ -389,7 +399,8 @@ class Simulator:
         self._occupancy: list[int] = []
         self._mem_events: list[MemEvent] = []
         self._rep_log: list[RepExpansion] = []
-        self._rng = random.Random(self.machine.jitter_seed)
+        jitter = self.machine.jitter_amplitude  # no generator when nothing draws
+        self._rng = random.Random(self.machine.jitter_seed) if jitter else None
         self._never = self.config.max_cycles + 1  # an event past every cycle run
         self._next_fill = self._never  # earliest fill cycle of the MSHRs
 
@@ -501,7 +512,7 @@ class Simulator:
                 regs[dest] = entry.result
                 if prod_map.get(dest) is entry:
                     del prod_map[dest]
-            if entry.uop.kind is UopKind.MEM_WRITE and entry.address is not None:
+            if entry.uop.kind is _MEM_WRITE and entry.address is not None:
                 self.mem_values[entry.address] = entry.result or 0
             if entry.outcome == "deferred_hit":
                 assert entry.address is not None and entry.mem_event is not None
@@ -518,14 +529,17 @@ class Simulator:
     def _issue_alu(self) -> bool:
         queue, cycle, ports = self._alu_queue, self.cycle, self.config.alu_ports
         done = cycle + self.config.alu_latency - 1  # not before this cycle: latency >= 1
-        completions = self._completions
+        completions, regs = self._completions, self.regs
         issued = 0
         while issued < ports and queue:
             entry = queue.pop(0)
             if entry.squash_cycle is not None:
                 continue
             entry.exec_start_cycle = cycle
-            entry.result = self._alu_result(entry)
+            weights, total, shift = entry.macro.alu_plan
+            for (reg, producer), weight in zip(entry.src, weights):
+                total += weight * (regs.get(reg, 0) if producer is None else producer.result)
+            entry.result = total << shift
             completions.setdefault(done, []).append(entry)
             issued += 1
         return issued > 0
@@ -544,7 +558,7 @@ class Simulator:
                 entry.address = self._effective_address(entry)
             deferred = False  # a gated load runs only on a hit, effects deferred
             if self._gates_loads and oldest is not None and oldest < entry.rob_seq:
-                if entry.uop.kind is UopKind.MEM_WRITE:
+                if entry.uop.kind is _MEM_WRITE:
                     i += 1  # shadowed stores always wait for the shadow
                     continue
                 deferred = not self._lifted(entry, oldest)
@@ -581,7 +595,7 @@ class Simulator:
         entry.exec_start_cycle = self.cycle
         entry.latency = result.latency
         entry.outcome = outcome
-        if entry.uop.kind is UopKind.MEM_READ:
+        if entry.uop.kind is _MEM_READ:
             entry.result = self.mem_values.get(entry.address, 0)
         else:
             entry.result = entry.value_of(entry.macro.operands[0].index, self.regs)
@@ -596,7 +610,8 @@ class Simulator:
         )
         entry.mem_event = event
         self._mem_events.append(event)
-        self._schedule_completion(entry, self.cycle + result.latency - 1)
+        # latency >= 1, so due no earlier than this cycle's complete phase
+        self._completions.setdefault(self.cycle + result.latency - 1, []).append(entry)
 
     def _lifted(self, entry: RobEntry, oldest: int | None) -> bool:
         if not self._lifts:
@@ -607,12 +622,6 @@ class Simulator:
             entry.esp_cycle = self.cycle
             return True
         return False
-
-    def _alu_result(self, entry: RobEntry) -> int:
-        regs, total, shift = entry.macro.alu_plan
-        for reg in regs:
-            total += entry.value_of(reg, self.regs)
-        return total << shift
 
     def _effective_address(self, entry: RobEntry) -> int:
         mem = entry.macro.operands[1]
@@ -625,10 +634,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # complete / resolve / verify
 
-    def _schedule_completion(self, entry: RobEntry, when: int) -> None:
-        assert when >= self.cycle  # due this cycle: the complete phase is still to run
-        self._completions.setdefault(when, []).append(entry)
-
     def _complete(self) -> bool:
         cycle = self.cycle
         due = self._completions.pop(cycle, None)
@@ -639,25 +644,21 @@ class Simulator:
                 if entry.squash_cycle is not None:
                     continue
                 entry.complete_cycle = cycle
-                if entry.dependents:
-                    self._wake_dependents(entry)
-                if entry.uop.kind is UopKind.BRANCH_RESOLVE:
+                waiting = entry.dependents
+                if waiting is not None:
+                    entry.dependents = None
+                    for dep in waiting:
+                        if dep.squash_cycle is None:
+                            dep.pending -= 1
+                            if not dep.pending:
+                                dep.ready_cycle = cycle + 1
+                                self._enqueue_ready(dep)
+                if entry.uop.kind is _BRANCH_RESOLVE:
                     self._resolve_branch(entry)
         acted = due is not None
         if self._live_reps:
             acted |= self._verify_predicted_reps()
         return acted
-
-    def _wake_dependents(self, producer: RobEntry) -> None:
-        ready, enqueue = self.cycle + 1, self._enqueue_ready
-        for dep in producer.dependents:
-            if dep.squash_cycle is not None:
-                continue
-            dep.pending -= 1
-            if dep.pending == 0:
-                dep.ready_cycle = ready
-                enqueue(dep)
-        producer.dependents.clear()
 
     def _resolve_branch(self, entry: RobEntry) -> None:
         cond = entry.value_of(entry.macro.operands[0].index, self.regs)
@@ -720,7 +721,7 @@ class Simulator:
         while self.rob and self.rob[-1].rob_seq > boundary_seq:
             entry = self.rob.pop()
             entry.squash_cycle = self.cycle
-            entry.dependents.clear()
+            entry.dependents = None
             if oldest is not None and oldest < entry.rob_seq:
                 entry.shadow = oldest
             removed += 1
@@ -755,9 +756,12 @@ class Simulator:
             kind = uop.kind
             # a speculation source: a branch (unresolved until it completes,
             # never at dispatch) or the first micro-op of a predicted REP
-            if kind is UopKind.BRANCH_RESOLVE or (entry.predicted and uop.seq == 0):
+            if kind is _BRANCH_RESOLVE or (entry.predicted and uop.seq == 0):
                 unresolved.append(seq)
             seq += 1
+            if kind is _NOP:  # jump, fence, pad, rep filler: no sources
+                entry.ready_cycle = entry.complete_cycle = cycle
+                continue
             pending = 0
             latest = cycle
             for _, producer in entry.src:
@@ -765,7 +769,10 @@ class Simulator:
                     continue
                 done = producer.complete_cycle
                 if done is None:
-                    producer.dependents.append(entry)
+                    if producer.dependents is None:
+                        producer.dependents = [entry]
+                    else:
+                        producer.dependents.append(entry)
                     pending += 1
                 elif done >= latest:
                     latest = done + 1
@@ -774,7 +781,7 @@ class Simulator:
             else:
                 entry.ready_cycle = latest
                 self._enqueue_ready(entry)
-            if lifts and (kind is UopKind.MEM_READ or kind is UopKind.MEM_WRITE):
+            if lifts and (kind is _MEM_READ or kind is _MEM_WRITE):
                 # the full ESP check on every memory micro-op: stamps esp at
                 # dispatch when its safe set is empty or every older in-flight
                 # instance of a member is at OSP (none in flight: settled)
@@ -791,17 +798,11 @@ class Simulator:
         ready = entry.ready_cycle
         assert ready is not None and entry.dispatch_cycle <= ready <= self.cycle + 1
         kind = entry.uop.kind
-        if kind is UopKind.ALU:
-            queue = self._alu_queue
-        elif kind is UopKind.MEM_READ or kind is UopKind.MEM_WRITE:
-            queue = self._mem_queue
-        elif kind is UopKind.BRANCH_RESOLVE:
+        if kind is _BRANCH_RESOLVE:
             entry.exec_start_cycle = ready
-            self._schedule_completion(entry, ready + 1)
+            self._completions.setdefault(ready + 1, []).append(entry)
             return
-        else:  # NOP-class: jump, fence, pad, rep filler
-            entry.complete_cycle = entry.dispatch_cycle
-            return
+        queue = self._alu_queue if kind is _ALU else self._mem_queue
         if not queue or queue[-1].rob_seq < entry.rob_seq:
             queue.append(entry)
         else:
@@ -816,13 +817,18 @@ class Simulator:
             return True
         start = pc = self.pc
         width = self.config.decode_width
-        queue, instructions, push = self._queue, self.program.instructions, self._push_uop
+        queue, instructions = self._queue, self.program.instructions
+        records, prod_map = self._records, self._prod_map
         slots = width
         while slots and len(queue) < self._queue_size:
             rep = self._expansion
             if rep is not None:
-                uop = MicroOp(rep.instr, rep.emitted, UopKind.NOP)
-                entry = push(instructions[rep.instr], uop, rep.predicted)
+                entry = RobEntry(  # a filler reads and writes no register
+                    MicroOp(rep.instr, rep.emitted, _NOP), instructions[rep.instr],
+                    len(records), (), None, rep.predicted,
+                )
+                queue.append(entry)
+                records.append(entry)
                 rep.emitted += 1
                 if rep.predicted:
                     rep.entries.append(entry)
@@ -834,7 +840,7 @@ class Simulator:
                 break
             macro = instructions[pc]
             opcode = macro.opcode
-            if opcode is Opcode.FENCE and (self.rob or queue):
+            if opcode is _FENCE and (self.rob or queue):
                 self.stats.decode_stalls += 1  # a fence decodes once drained
                 break
             if opcode in REP_OPCODES:
@@ -843,37 +849,24 @@ class Simulator:
                     break
                 pc += 1
                 continue  # zero-count expansion advances pc without a slot
-            entry = push(macro, macro.decoded.uop, False)
-            if opcode is Opcode.BRANCH:
+            uop, src_regs, dest = macro.decoded
+            src = tuple([(r, prod_map.get(r)) for r in src_regs]) if src_regs else ()
+            entry = RobEntry(uop, macro, len(records), src, dest)
+            if dest is not None:
+                prod_map[dest] = entry  # the youngest producer of its register
+            queue.append(entry)
+            records.append(entry)
+            if opcode is _BRANCH:
                 predicted = self.predictor.predict(pc)
                 entry.predicted_taken = predicted
                 pc = self._targets[pc] if predicted else pc + 1
-            elif opcode is Opcode.JUMP:
+            elif opcode is _JUMP:
                 pc = self._targets[pc]
             else:
                 pc += 1
             slots -= 1
         self.pc = pc
         return slots < width or pc != start
-
-    def _push_uop(self, macro: MacroInstruction, uop: MicroOp, predicted: bool) -> RobEntry:
-        """Queue one decoded micro-op and record it; it becomes the youngest
-        producer of its destination register."""
-        _, src_regs, dest = macro.decoded
-        prod_map, records = self._prod_map, self._records
-        entry = RobEntry(
-            uop,
-            macro,
-            len(records),
-            tuple([(r, prod_map.get(r)) for r in src_regs]) if src_regs else (),
-            dest,
-            predicted,
-        )
-        if dest is not None:
-            prod_map[dest] = entry
-        self._queue.append(entry)
-        records.append(entry)
-        return entry
 
     def _begin_rep(self, macro: MacroInstruction) -> bool:
         """Start expanding a REP macro; the caller moves the pc past it and

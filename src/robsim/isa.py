@@ -145,15 +145,16 @@ class MacroInstruction:
 
     @cached_property
     def alu_plan(self) -> tuple[tuple[int, ...], int, int]:
-        """(source registers, summed immediate, shift) of an alu or
-        setshift, worked out once per instruction object: the result is
-        (sum of the registers' values + immediate) << shift. A register
-        named twice is summed twice."""
+        """(weight of each register in `decoded.src`, summed immediate,
+        shift) of an alu or setshift, worked out once per instruction
+        object: the result is (sum of weight * register value + immediate)
+        << shift. A register named twice weighs 2."""
         if self.opcode is Opcode.SETSHIFT:
-            return (self.operands[1].index,), 0, self.operands[2].value  # type: ignore[union-attr]
+            return (1,), 0, self.operands[2].value  # type: ignore[union-attr]
         sources = self.operands[1:]
+        named = [op.index for op in sources if isinstance(op, Reg)]
         return (
-            tuple(op.index for op in sources if isinstance(op, Reg)),
+            tuple(named.count(reg) for reg in self.decoded.src),
             sum(op.value for op in sources if isinstance(op, Imm)),
             0,
         )
@@ -195,8 +196,7 @@ class MacroInstruction:
         return None
 
 
-@dataclass(frozen=True)
-class MicroOp:
+class MicroOp(NamedTuple):
     parent: int  # id of the owning macro instruction
     seq: int  # position within the expansion
     kind: UopKind
@@ -277,6 +277,8 @@ class Program:
             return f".predict label {name!r} names a {opcode.value}, not a branch"
         return None
 
+
+_OPCODE_BY_MNEMONIC = {op.value: op for op in Opcode}
 
 #: operand types of every fixed-arity opcode (alu takes 2 or 3, checked apart)
 _OPERAND_SHAPES: dict[Opcode, tuple[type, ...]] = {
@@ -375,8 +377,9 @@ def parse_program(text: str) -> Program:
     pending_label: str | None = None
     pending_line = 0
     # operand text -> its (frozen) operands: repeated text parses once and
-    # shares one tuple
+    # shares one tuple, and each (opcode, operand text) is checked once
     parsed_operands: dict[str, tuple[Operand, ...]] = {}
+    checked: set[tuple[Opcode, str]] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -423,10 +426,9 @@ def parse_program(text: str) -> Program:
             pending_label = None
         fields = line.split(None, 1)
         mnemonic = fields[0].lower()
-        try:
-            opcode = Opcode(mnemonic)
-        except ValueError:
-            raise ParseError(line_no, f"unknown opcode {mnemonic!r}") from None
+        opcode = _OPCODE_BY_MNEMONIC.get(mnemonic)
+        if opcode is None:
+            raise ParseError(line_no, f"unknown opcode {mnemonic!r}")
         operand_txt = fields[1] if len(fields) > 1 else ""
         operands = parsed_operands.get(operand_txt)
         if operands is None:
@@ -436,7 +438,9 @@ def parse_program(text: str) -> Program:
                 if piece.strip()
             ) if operand_txt.strip() else ()
             parsed_operands[operand_txt] = operands
-        _check_operands(opcode, operands, line_no)
+        if (opcode, operand_txt) not in checked:
+            _check_operands(opcode, operands, line_no)
+            checked.add((opcode, operand_txt))
         idx = len(instructions)
         if label is not None:
             labels[label] = idx

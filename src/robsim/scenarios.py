@@ -476,10 +476,12 @@ def run_single(
 
 
 def _committed_probe(scenario: Scenario, trace: Trace) -> RobEntry:
-    entries = trace.committed_for(scenario.probe_instr)
-    if not entries:
-        raise ScenarioError(f"{scenario.name}: probe instruction never committed")
-    return entries[-1]
+    """The probe instruction's last committed instance."""
+    probe = scenario.probe_instr
+    for entry in reversed(trace.records):
+        if entry.commit_cycle is not None and entry.macro.id == probe:
+            return entry
+    raise ScenarioError(f"{scenario.name}: probe instruction never committed")
 
 
 def _observe(scenario: Scenario, trace: Trace):

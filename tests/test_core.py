@@ -931,6 +931,40 @@ def test_skipping_matches_stepper_on_every_scenario_cell(rob_size, jitter):
     assert cells == 52
 
 
+@pytest.mark.parametrize("rob_size", [64, 768])
+@pytest.mark.parametrize("jitter", [0, 2])
+def test_nop_class_micro_ops_complete_at_dispatch_on_every_scenario_cell(rob_size, jitter):
+    # jump, fence, pad and rep filler never issue; one left in the decode
+    # queue by a squash has neither stamp
+    machine = MachineConfig(core=CoreConfig(rob_size=rob_size), jitter_amplitude=jitter)
+    cells = nops = 0
+    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
+        trace, _ = run_single(scenario, policy)
+        for e in trace.records:
+            if e.uop.kind is UopKind.NOP:
+                assert e.complete_cycle == e.dispatch_cycle, (scenario.name, e)
+                nops += e.dispatch_cycle is not None
+        cells += 1
+    assert cells == 52 and nops > 0
+
+
+def test_jitter_seed_moves_a_trace_only_under_jitter():
+    # at jitter 0 the core draws nothing, so no seed reaches the trace
+    for jitter in (0, 2):
+        csvs = {0: [], 7: []}
+        for scenario, policy in prepared_cells(MachineConfig(), [frozenset()]):
+            for seed in csvs:
+                machine = dataclasses.replace(
+                    scenario.machine, jitter_amplitude=jitter, jitter_seed=seed
+                )
+                csvs[seed].append(Simulator(scenario.program, machine, policy).run().to_csv())
+        assert len(csvs[0]) == 30
+        if jitter:
+            assert csvs[0] != csvs[7]
+        else:
+            assert csvs[0] == csvs[7]
+
+
 def test_reference_grid_steps_fewer_than_sixty_percent_of_cycles(monkeypatch):
     steps = counting_steps(monkeypatch)
     cycles = 0

@@ -124,8 +124,8 @@ def test_secret_overlay_refuses_a_trained_gate_that_is_not_a_branch():
 
 @pytest.mark.parametrize("rob", [64, 768])
 def test_a_finished_run_leaves_no_cyclic_garbage(rob):
-    # producers drop their dependents once woken or squashed, so every run
-    # frees by reference counting alone
+    # producers drop their consumer lists once woken or squashed, so every
+    # run frees by reference counting alone
     machine = MachineConfig(core=CoreConfig(rob_size=rob), jitter_amplitude=2)
     gc.collect()
     gc.disable()
@@ -134,7 +134,8 @@ def test_a_finished_run_leaves_no_cyclic_garbage(rob):
             for mode in DefenseMode:
                 for secret in (0, 1):
                     scenario, policy = prepare(build_scenario(name, secret, machine), mode)
-                    run_single(scenario, policy)
+                    trace, _ = run_single(scenario, policy)
+                    assert all(e.dependents is None for e in trace.records)
         found = gc.collect()
     finally:
         gc.enable()
