@@ -67,7 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--trials", type=int, help="trials per cell and secret")
     run.add_argument("--seed", type=int, help="jitter seed base")
-    run.add_argument("--jitter", type=int, help="+/- cycles on miss latency")
+    run.add_argument(
+        "--jitter",
+        type=int,
+        help="+/- cycles on a fresh miss's latency; 0 up to miss_cycles - hit_cycles - 1",
+    )
     run.add_argument("--out", help="output directory")
 
     sim = sub.add_parser("sim", help="run one assembly program, dump the trace")

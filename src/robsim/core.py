@@ -36,33 +36,43 @@ the unresolved speculation sources in age order: it is, exactly when the
 oldest of them is older than the entry. The `shadow` column records that
 source for a squashed entry, stamped once at the squash.
 
-`Simulator.step()` advances exactly one cycle and returns whether any
-phase acted; it is the oracle the event-skipping `run()` is tested against.
-A cycle in which no phase acted changes nothing a later cycle reads (fills
-land before the phases; a load's address is memoised and squashed entries
-leave the issue queues), so every later cycle repeats it until the next
-completion or fill. `run()` records those cycles in one go: the same
-occupancy and the same dispatch and decode stalls each, never past
-max_cycles.
+One private per-cycle body, `Simulator._advance`, runs every cycle of
+`step()` and of `run()`, with the core's queues, maps and config loaded
+into local names once. Commit, ALU issue, completion with consumer
+wake-up, dispatch and fetch/decode are inline in it; the rare paths stay
+methods: `_issue_mem`, `_resolve_branch`, `_verify_predicted_reps`,
+`_squash_after`, `_begin_rep`, `_lifted` (the ESP check) and
+`_enqueue_ready` (a woken consumer). Each container it holds is changed
+only in place, so a squash leaves it no stale copy. `step()` runs the
+body for exactly one cycle and returns whether any phase acted. `run()`
+runs it to halt, handing each cycle in which no phase acted to
+`_repeat_idle`. Such a cycle changes nothing a later cycle reads (fills
+land before the phases; a load's address is memoised and squashed
+entries leave the issue queues), so every later cycle repeats it until
+the next completion or fill; `_repeat_idle` records them in one go, the
+same occupancy and dispatch and decode stalls each, never past
+max_cycles. That skip is all that tells `run()` from repeated `step()`.
 
-`step()` enters a phase only when it has work: fills only when the
+The body enters a phase only when it has work: fills only when the
 earliest MSHR fill is due; commit only when the ROB head completed before
 this cycle; complete only when a completion is due this cycle or a
 predicted REP awaits verification; fetch only when a redirect is pending,
 or when the decode queue has room and an expansion is active or the pc is
 inside the program; issue and dispatch only when their queue is non-empty.
 A NOP-class micro-op (jump, fence, pad, REP filler) reads no register and
-never issues: dispatch stamps it ready and complete in its own cycle.
+never issues: dispatch stamps it ready and complete in its own cycle, and
+appends any other ready entry to its issue queue (it is the youngest).
 
 A producer's list of waiting consumers is made when the first of them
 dispatches and set to None once it has woken them or is squashed, so a
 finished run holds no reference cycle and is freed by reference counting
 alone. What decode and issue read off an instruction (its micro-op, source
-and destination registers and ALU plan) is worked out once per instruction
-object, and the branch targets once per program object: so once per
-program, not per run. Per micro-op, decode builds one RobEntry (a REP
-filler also its numbered MicroOp) naming the in-flight producer of each
-source register, and the later phases stamp that entry in place.
+and destination registers, ALU and memory plans) is worked out once per
+instruction object, and the branch targets once per program object: so
+once per program, not per run. Per micro-op, decode builds one RobEntry
+(a REP filler also its numbered MicroOp) whose `src` holds the in-flight
+producer of each register of `decoded.src`, in that order (None: the
+register file's value), and the later phases stamp that entry in place.
 """
 
 from __future__ import annotations
@@ -74,14 +84,14 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import attrgetter
 from typing import Mapping
 
-from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
+from .cache import AccessOutcome, CacheConfig, CacheState
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
     MacroInstruction,
-    Mem,
     MicroOp,
     Opcode,
     Program,
@@ -96,6 +106,7 @@ from .isa import (
 _MEM_READ, _MEM_WRITE, _ALU = UopKind.MEM_READ, UopKind.MEM_WRITE, UopKind.ALU
 _BRANCH_RESOLVE, _NOP = UopKind.BRANCH_RESOLVE, UopKind.NOP
 _BRANCH, _JUMP, _FENCE = Opcode.BRANCH, Opcode.JUMP, Opcode.FENCE
+_rob_seq = attrgetter("rob_seq")
 
 
 @dataclass(frozen=True)
@@ -128,12 +139,21 @@ class CoreConfig:
 class MachineConfig:
     core: CoreConfig = field(default_factory=CoreConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    jitter_amplitude: int = 0  # +/- cycles added to fresh miss latency
+    # +/- cycles added to fresh miss latency; below miss_cycles - hit_cycles,
+    # so that a jittered miss is still slower than a hit
+    jitter_amplitude: int = 0
     jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.jitter_amplitude < 0:
             raise ValueError("jitter amplitude cannot be negative")
+        gap = self.cache.miss_cycles - self.cache.hit_cycles
+        if self.jitter_amplitude >= gap:
+            raise ValueError(
+                f"jitter amplitude {self.jitter_amplitude} must be below "
+                f"miss_cycles - hit_cycles = {gap}, or a jittered miss can be "
+                "as fast as a hit"
+            )
 
 
 class BranchPredictor:
@@ -176,7 +196,9 @@ class RobEntry:
     uop: MicroOp
     macro: MacroInstruction
     instance: int
-    src: tuple[tuple[int, "RobEntry | None"], ...] = ()
+    # the in-flight producer of each register in macro.decoded.src, in
+    # that order; None where the register file holds the value
+    src: tuple["RobEntry | None", ...] = ()
     dest: int | None = None
     predicted: bool = False  # unverified predicted-REP micro-op
     predicted_taken: bool | None = None
@@ -220,16 +242,14 @@ class RobEntry:
     def squashed(self) -> bool:
         return self.squash_cycle is not None
 
-    @property
-    def producers(self) -> tuple["RobEntry", ...]:
-        return tuple(p for _, p in self.src if p is not None)
-
-    def value_of(self, reg: int, regfile: dict[int, int]) -> int:
-        for r, producer in self.src:
-            if r == reg and producer is not None:
-                assert producer.result is not None
-                return producer.result
-        return regfile.get(reg, 0)
+    def value_of(self, slot: int, regfile: dict[int, int]) -> int:
+        """The value of source register `slot` of macro.decoded.src: its
+        producer's result, else the register file's."""
+        producer = self.src[slot]
+        if producer is None:
+            return regfile.get(self.macro.decoded.src[slot], 0)
+        assert producer.result is not None
+        return producer.result
 
 
 @dataclass
@@ -417,59 +437,15 @@ class Simulator:
         )
 
     def step(self) -> bool:
-        """Advance one cycle through the five phases; a phase with no work
-        is not entered. True when any phase acted."""
-        self.cycle = cycle = self.cycle + 1
-        if self._next_fill <= cycle:
-            cache = self.cache
-            for addr in cache.process_fills(cycle):
-                self._mem_events.append(MemEvent(cycle, None, None, addr, "fill"))
-            self._next_fill = min((m.fill_cycle for m in cache.mshrs), default=self._never)
-        acted = False
-        rob = self.rob
-        if rob and (done := rob[0].complete_cycle) is not None and done < cycle:
-            acted = self._commit()
-        if self._alu_queue:
-            acted |= self._issue_alu()
-        if self._mem_queue:
-            acted |= self._issue_mem()
-        if cycle in self._completions or self._live_reps:
-            acted |= self._complete()
-        queue = self._queue
-        if queue:
-            acted |= self._dispatch()
-        if self._redirect_stall or (
-            len(queue) < self._queue_size
-            and (self._expansion is not None or self.pc < self._n_instr)
-        ):
-            acted |= self._fetch_decode()
-        occ = len(rob)
-        self._occupancy.append(occ)
-        if occ > self.stats.peak_occupancy:
-            self.stats.peak_occupancy = occ
-        assert occ <= self.config.rob_size
-        return acted
+        """Advance exactly one cycle, with no idle-cycle skipping; True when
+        any phase acted."""
+        return self._advance(to_halt=False)
 
     def run(self) -> Trace:
-        """Step to halt, repeating idle cycles in one go (see the module
+        """Advance to halt, repeating idle cycles in one go (see the module
         docstring)."""
+        self._advance(to_halt=True)
         stats = self.stats
-        max_cycles = self.config.max_cycles
-        n_instr, queue, rob = self._n_instr, self._queue, self.rob
-        while self.pc < n_instr or self._expansion is not None or queue or rob:
-            if self.cycle >= max_cycles:
-                snapshot = [
-                    (e.rob_seq, e.instr, e.opcode.value, e.dispatch_cycle,
-                     e.exec_start_cycle, e.complete_cycle)
-                    for e in self.rob
-                ]
-                raise SimulationLimitError(self.cycle, len(self.rob), snapshot)
-            dispatch_stalls, decode_stalls = stats.dispatch_stalls, stats.decode_stalls
-            if not self.step():
-                self._repeat_idle(
-                    stats.dispatch_stalls - dispatch_stalls,
-                    stats.decode_stalls - decode_stalls,
-                )
         stats.cycles = self.cycle
         return Trace(
             records=self._records,
@@ -481,7 +457,7 @@ class Simulator:
         )
 
     def _repeat_idle(self, dispatch_stalls: int, decode_stalls: int) -> None:
-        """Repeat the idle cycle just stepped, with its dispatch and decode
+        """Repeat the idle cycle just run, with its dispatch and decode
         stalls, up to just before the next completion or fill; never past
         max_cycles."""
         event = min(min(self._completions, default=self._never), self._next_fill)
@@ -492,86 +468,287 @@ class Simulator:
         self.stats.decode_stalls += decode_stalls * repeats
 
     # ------------------------------------------------------------------
-    # commit
+    # the per-cycle body
 
-    def _commit(self) -> bool:
-        rob, cycle, width = self.rob, self.cycle, self.config.commit_width
-        regs, prod_map = self.regs, self._prod_map
-        committed = 0
-        while committed < width and rob:
-            entry = rob[0]
-            done = entry.complete_cycle
-            if done is None or done >= cycle:
-                break
-            if entry.predicted:
-                break  # predicted REP fill may still be squashed by verification
-            assert not self._unresolved or self._unresolved[0] >= entry.rob_seq
-            entry.commit_cycle = cycle
-            dest = entry.dest
-            if dest is not None and entry.result is not None:
-                regs[dest] = entry.result
-                if prod_map.get(dest) is entry:
-                    del prod_map[dest]
-            if entry.uop.kind is _MEM_WRITE and entry.address is not None:
-                self.mem_values[entry.address] = entry.result or 0
-            if entry.outcome == "deferred_hit":
-                assert entry.address is not None and entry.mem_event is not None
-                self.cache.touch(entry.address)
-                entry.mem_event.applied = True
-            rob.popleft()
-            committed += 1
-        self.stats.committed_uops += committed
-        return committed > 0
+    def _advance(self, to_halt: bool) -> bool:
+        """The per-cycle body behind step() and run() (see the module
+        docstring). With to_halt, cycles until the program halts, handing
+        each idle cycle to _repeat_idle; without, exactly one cycle.
+        Returns whether the last cycle's phases acted. A plain loop, not a
+        generator: a suspended frame would keep the simulator alive."""
+        config, stats = self.config, self.stats
+        commit_width, alu_ports = config.commit_width, config.alu_ports
+        alu_latency, rob_size = config.alu_latency, config.rob_size
+        decode_width, max_cycles = config.decode_width, config.max_cycles
+        rob, queue, queue_size = self.rob, self._queue, self._queue_size
+        prod_map, unresolved, live_reps = self._prod_map, self._unresolved, self._live_reps
+        completions, alu_queue, mem_queue = self._completions, self._alu_queue, self._mem_queue
+        records, occupancy, regs = self._records, self._occupancy, self.regs
+        cache, mem_events, never = self.cache, self._mem_events, self._never
+        instructions, targets, n_instr = self.program.instructions, self._targets, self._n_instr
+        predict, enqueue_ready, lifts = self.predictor.predict, self._enqueue_ready, self._lifts
+        cycle = self.cycle
+        while True:
+            if to_halt:
+                if self.pc >= n_instr and self._expansion is None and not queue and not rob:
+                    return False
+                if cycle >= max_cycles:
+                    snapshot = [
+                        (e.rob_seq, e.instr, e.opcode.value, e.dispatch_cycle,
+                         e.exec_start_cycle, e.complete_cycle)
+                        for e in rob
+                    ]
+                    raise SimulationLimitError(cycle, len(rob), snapshot)
+            self.cycle = cycle = cycle + 1
+            acted = dispatch_stalled = decode_stalled = False
+
+            if self._next_fill <= cycle:
+                for addr in cache.process_fills(cycle):
+                    mem_events.append(MemEvent(cycle, None, None, addr, "fill"))
+                self._next_fill = min((m.fill_cycle for m in cache.mshrs), default=never)
+
+            # commit: in order, from the head, once complete before this cycle
+            committed = 0
+            while rob and committed < commit_width:
+                entry = rob[0]
+                done = entry.complete_cycle
+                if done is None or done >= cycle or entry.predicted:
+                    break  # a predicted REP fill may still be squashed by verification
+                assert not unresolved or unresolved[0] >= entry.rob_seq
+                entry.commit_cycle = cycle
+                dest = entry.dest
+                if dest is not None and entry.result is not None:
+                    regs[dest] = entry.result
+                    if prod_map.get(dest) is entry:
+                        del prod_map[dest]
+                if entry.uop.kind is _MEM_WRITE and entry.address is not None:
+                    self.mem_values[entry.address] = entry.result or 0
+                if entry.outcome == "deferred_hit":
+                    assert entry.address is not None and entry.mem_event is not None
+                    cache.touch(entry.address)
+                    entry.mem_event.applied = True
+                rob.popleft()
+                committed += 1
+            if committed:
+                stats.committed_uops += committed
+                acted = True
+
+            # issue: ALU inline, memory through _issue_mem
+            if alu_queue:
+                done = cycle + alu_latency - 1  # not before this cycle: latency >= 1
+                issued = 0
+                while issued < alu_ports and alu_queue:
+                    entry = alu_queue.pop(0)
+                    if entry.squash_cycle is not None:
+                        continue
+                    entry.exec_start_cycle = cycle
+                    plan, total, shift = entry.macro.alu_plan
+                    for producer, (reg, weight) in zip(entry.src, plan):
+                        value = regs.get(reg, 0) if producer is None else producer.result
+                        total += weight * value
+                    entry.result = total << shift
+                    completions.setdefault(done, []).append(entry)
+                    issued += 1
+                if issued:
+                    acted = True
+            if mem_queue and self._issue_mem():
+                acted = True
+
+            # complete / resolve / verify
+            due = completions.pop(cycle, None)
+            if due is not None:
+                acted = True
+                if len(due) > 1:
+                    due.sort(key=_rob_seq)
+                for entry in due:
+                    if entry.squash_cycle is not None:
+                        continue
+                    entry.complete_cycle = cycle
+                    waiting = entry.dependents
+                    if waiting is not None:
+                        entry.dependents = None
+                        for dep in waiting:
+                            if dep.squash_cycle is None:
+                                dep.pending -= 1
+                                if not dep.pending:
+                                    dep.ready_cycle = cycle + 1
+                                    enqueue_ready(dep)
+                    if entry.uop.kind is _BRANCH_RESOLVE:
+                        self._resolve_branch(entry)
+            if live_reps and self._verify_predicted_reps():
+                acted = True
+
+            # dispatch: in order into the ROB while it has room
+            if queue:
+                first = seq = self._next_seq
+                room = rob_size - len(rob)
+                stop = first + (room if room < len(queue) else len(queue))
+                while seq < stop:
+                    entry = queue.popleft()
+                    entry.rob_seq = seq
+                    entry.dispatch_cycle = cycle
+                    rob.append(entry)
+                    uop = entry.uop
+                    kind = uop.kind
+                    # a speculation source: a branch (unresolved until it
+                    # completes, never at dispatch) or the first micro-op of
+                    # a predicted REP
+                    if kind is _BRANCH_RESOLVE or (entry.predicted and uop.seq == 0):
+                        unresolved.append(seq)
+                    seq += 1
+                    if kind is _NOP:  # jump, fence, pad, rep filler: no sources
+                        entry.ready_cycle = entry.complete_cycle = cycle
+                        continue
+                    pending = 0
+                    latest = cycle
+                    for producer in entry.src:
+                        if producer is None:
+                            continue
+                        done = producer.complete_cycle
+                        if done is None:
+                            if producer.dependents is None:
+                                producer.dependents = [entry]
+                            else:
+                                producer.dependents.append(entry)
+                            pending += 1
+                        elif done >= latest:
+                            latest = done + 1
+                    if pending:
+                        entry.pending = pending
+                    else:
+                        # younger than every queued entry, so appended
+                        entry.ready_cycle = latest
+                        if kind is _BRANCH_RESOLVE:
+                            entry.exec_start_cycle = latest
+                            completions.setdefault(latest + 1, []).append(entry)
+                        elif kind is _ALU:
+                            alu_queue.append(entry)
+                        else:
+                            mem_queue.append(entry)
+                    if lifts and (kind is _MEM_READ or kind is _MEM_WRITE):
+                        # the full ESP check on every memory micro-op: stamps
+                        # esp at dispatch when its safe set is empty or every
+                        # older in-flight instance of a member is at OSP (none
+                        # in flight: settled)
+                        self._lifted(entry, unresolved[0] if unresolved else None)
+                self._next_seq = seq
+                if seq > first:
+                    acted = True
+                if queue:
+                    stats.dispatch_stalls += 1  # the ROB is full
+                    dispatch_stalled = True
+
+            # fetch / decode: a redirect costs this cycle, then up to
+            # decode_width micro-ops into the decode queue
+            if self._redirect_stall:
+                self._redirect_stall = False
+                acted = True
+            elif (room := queue_size - len(queue)) > 0 and (
+                self._expansion is not None or self.pc < n_instr
+            ):
+                start = pc = self.pc
+                rep = self._expansion
+                # decode adds to the queue and nothing else takes from it
+                free = slots = room if room < decode_width else decode_width
+                while slots:
+                    if rep is not None:
+                        entry = RobEntry(  # a filler reads and writes no register
+                            MicroOp(rep.instr, rep.emitted, _NOP), instructions[rep.instr],
+                            len(records), (), None, rep.predicted,
+                        )
+                        queue.append(entry)
+                        records.append(entry)
+                        rep.emitted += 1
+                        if rep.predicted:
+                            rep.entries.append(entry)
+                        if rep.emitted >= rep.target:
+                            self._expansion = rep = None
+                        slots -= 1
+                        continue
+                    if pc >= n_instr:
+                        break
+                    macro = instructions[pc]
+                    opcode = macro.opcode
+                    if opcode is _FENCE and (rob or queue):
+                        stats.decode_stalls += 1  # a fence decodes once drained
+                        decode_stalled = True
+                        break
+                    if opcode in REP_OPCODES:
+                        if not self._begin_rep(macro):
+                            stats.decode_stalls += 1
+                            decode_stalled = True
+                            break
+                        rep = self._expansion
+                        pc += 1
+                        continue  # zero-count expansion advances pc without a slot
+                    uop, src_regs, dest = macro.decoded
+                    if len(src_regs) == 1:  # most micro-ops; a 1-tuple builds fastest
+                        src = (prod_map.get(src_regs[0]),)
+                    else:
+                        src = tuple(map(prod_map.get, src_regs))
+                    entry = RobEntry(uop, macro, len(records), src, dest)
+                    if dest is not None:
+                        prod_map[dest] = entry  # the youngest producer of its register
+                    queue.append(entry)
+                    records.append(entry)
+                    if opcode is _BRANCH:
+                        predicted = predict(pc)
+                        entry.predicted_taken = predicted
+                        pc = targets[pc] if predicted else pc + 1
+                    elif opcode is _JUMP:
+                        pc = targets[pc]
+                    else:
+                        pc += 1
+                    slots -= 1
+                self.pc = pc
+                if slots < free or pc != start:
+                    acted = True
+
+            occ = len(rob)
+            occupancy.append(occ)
+            if occ > stats.peak_occupancy:
+                stats.peak_occupancy = occ
+            assert occ <= rob_size
+            if not to_halt:
+                return acted
+            if not acted:
+                self._repeat_idle(dispatch_stalled, decode_stalled)
+                cycle = self.cycle
 
     # ------------------------------------------------------------------
-    # issue
-
-    def _issue_alu(self) -> bool:
-        queue, cycle, ports = self._alu_queue, self.cycle, self.config.alu_ports
-        done = cycle + self.config.alu_latency - 1  # not before this cycle: latency >= 1
-        completions, regs = self._completions, self.regs
-        issued = 0
-        while issued < ports and queue:
-            entry = queue.pop(0)
-            if entry.squash_cycle is not None:
-                continue
-            entry.exec_start_cycle = cycle
-            weights, total, shift = entry.macro.alu_plan
-            for (reg, producer), weight in zip(entry.src, weights):
-                total += weight * (regs.get(reg, 0) if producer is None else producer.result)
-            entry.result = total << shift
-            completions.setdefault(done, []).append(entry)
-            issued += 1
-        return issued > 0
+    # the phases' rare paths: memory issue, branch resolution, REP
+    # verification and squash, REP decode, ESP, wake-up
 
     def _issue_mem(self) -> bool:
-        issued = 0
-        i = 0
-        queue = self._mem_queue
+        """Issue up to load_ports memory micro-ops, oldest first; stamp each
+        accepted access, log its event and schedule its completion. A
+        deferred hit's event stays unapplied until commit touches the line."""
+        queue, cycle, cache, regs = self._mem_queue, self.cycle, self.cache, self.regs
         oldest = self._unresolved[0] if self._unresolved else None
+        amp = self.machine.jitter_amplitude
+        issued = i = 0
         while issued < self.config.load_ports and i < len(queue):
             entry = queue[i]
             if entry.squash_cycle is not None:
                 queue.pop(i)
                 continue
-            if entry.address is None:
-                entry.address = self._effective_address(entry)
+            address = entry.address
+            if address is None:  # memoised: a held access keeps its address
+                slot, address = entry.macro.mem_plan
+                if slot is not None:
+                    address += entry.value_of(slot, regs)
+                entry.address = address
             deferred = False  # a gated load runs only on a hit, effects deferred
             if self._gates_loads and oldest is not None and oldest < entry.rob_seq:
                 if entry.uop.kind is _MEM_WRITE:
                     i += 1  # shadowed stores always wait for the shadow
                     continue
                 deferred = not self._lifted(entry, oldest)
-                if deferred and not self.cache.resident(entry.address):
+                if deferred and not cache.resident(address):
                     i += 1
                     continue
-            extra = 0
-            if self.machine.jitter_amplitude and not deferred:
-                amp = self.machine.jitter_amplitude
-                extra = self._rng.randint(-amp, amp)
-            result = self.cache.access(
-                entry.address, self.cycle, deferred_effects=deferred, extra_latency=extra
-            )
+            extra = self._rng.randrange(-amp, amp + 1) if amp and not deferred else 0
+            result = cache.access(address, cycle, deferred_effects=deferred, extra_latency=extra)
             if result.outcome is AccessOutcome.MSHR_STALL:
                 issued += 1  # the rejected attempt still occupied the port
                 i += 1
@@ -579,39 +756,27 @@ class Simulator:
             if result.fill_cycle is not None and result.fill_cycle < self._next_fill:
                 self._next_fill = result.fill_cycle
             queue.pop(i)
-            self._start_access(entry, result, deferred)
+            if deferred:
+                assert result.outcome is AccessOutcome.HIT
+                outcome = "deferred_hit"
+            else:
+                outcome = "coalesced" if result.coalesced else result.outcome.value
+            entry.exec_start_cycle = cycle
+            entry.latency = result.latency
+            entry.outcome = outcome
+            if entry.uop.kind is _MEM_READ:
+                entry.result = self.mem_values.get(address, 0)
+            else:  # a store's value register comes first in its sources
+                entry.result = entry.value_of(0, regs)
+            entry.mem_event = event = MemEvent(
+                cycle, entry.instr, entry.rob_seq, address, outcome,
+                deferred=deferred, applied=not deferred,
+            )
+            self._mem_events.append(event)
+            # latency >= 1, so due no earlier than this cycle's complete phase
+            self._completions.setdefault(cycle + result.latency - 1, []).append(entry)
             issued += 1
         return issued > 0
-
-    def _start_access(self, entry: RobEntry, result: AccessResult, deferred: bool) -> None:
-        """Stamp an accepted access, log its event and schedule completion;
-        a deferred hit's event stays unapplied until commit touches the line."""
-        assert entry.address is not None
-        if deferred:
-            assert result.outcome is AccessOutcome.HIT
-            outcome = "deferred_hit"
-        else:
-            outcome = "coalesced" if result.coalesced else result.outcome.value
-        entry.exec_start_cycle = self.cycle
-        entry.latency = result.latency
-        entry.outcome = outcome
-        if entry.uop.kind is _MEM_READ:
-            entry.result = self.mem_values.get(entry.address, 0)
-        else:
-            entry.result = entry.value_of(entry.macro.operands[0].index, self.regs)
-        event = MemEvent(
-            self.cycle,
-            entry.instr,
-            entry.rob_seq,
-            entry.address,
-            outcome,
-            deferred=deferred,
-            applied=not deferred,
-        )
-        entry.mem_event = event
-        self._mem_events.append(event)
-        # latency >= 1, so due no earlier than this cycle's complete phase
-        self._completions.setdefault(self.cycle + result.latency - 1, []).append(entry)
 
     def _lifted(self, entry: RobEntry, oldest: int | None) -> bool:
         if not self._lifts:
@@ -623,46 +788,9 @@ class Simulator:
             return True
         return False
 
-    def _effective_address(self, entry: RobEntry) -> int:
-        mem = entry.macro.operands[1]
-        assert isinstance(mem, Mem)
-        base = 0
-        if mem.base is not None:
-            base = entry.value_of(mem.base.index, self.regs)
-        return base + mem.offset
-
-    # ------------------------------------------------------------------
-    # complete / resolve / verify
-
-    def _complete(self) -> bool:
-        cycle = self.cycle
-        due = self._completions.pop(cycle, None)
-        if due is not None:
-            if len(due) > 1:
-                due.sort(key=lambda e: e.rob_seq)
-            for entry in due:
-                if entry.squash_cycle is not None:
-                    continue
-                entry.complete_cycle = cycle
-                waiting = entry.dependents
-                if waiting is not None:
-                    entry.dependents = None
-                    for dep in waiting:
-                        if dep.squash_cycle is None:
-                            dep.pending -= 1
-                            if not dep.pending:
-                                dep.ready_cycle = cycle + 1
-                                self._enqueue_ready(dep)
-                if entry.uop.kind is _BRANCH_RESOLVE:
-                    self._resolve_branch(entry)
-        acted = due is not None
-        if self._live_reps:
-            acted |= self._verify_predicted_reps()
-        return acted
-
     def _resolve_branch(self, entry: RobEntry) -> None:
-        cond = entry.value_of(entry.macro.operands[0].index, self.regs)
-        taken = cond == 0  # branch-if-zero
+        # a branch's one source is its condition; it branches if zero
+        taken = entry.value_of(0, self.regs) == 0
         entry.result = int(taken)
         self.predictor.update(entry.instr, taken)
         self._unresolved.remove(entry.rob_seq)
@@ -686,7 +814,8 @@ class Simulator:
 
     def _verify_predicted_reps(self) -> bool:
         checked = False
-        for rep in self._live_reps:
+        live_reps = self._live_reps
+        for rep in live_reps:
             if not self._verifiable(rep):
                 continue
             checked = True
@@ -705,19 +834,22 @@ class Simulator:
                 self._counted_rep = rep.instr
                 self._squash_after(first.rob_seq - 1, rep.instr, "rep_verify", rep.instr)
                 break  # every later expansion is younger, so squashed with it
-        self._live_reps = [r for r in self._live_reps if r.verified is None]
+        live_reps[:] = [r for r in live_reps if r.verified is None]
         return checked
 
     def _squash_after(
         self, boundary_seq: int, new_pc: int, kind: str, source_instr: int
     ) -> None:
+        """Squash every entry younger than boundary_seq and redirect fetch
+        to new_pc; every container is changed in place."""
         removed = 0
         for queued in self._queue:
             queued.squash_cycle = self.cycle
             removed += 1
         self._queue.clear()
         self._expansion = None
-        oldest = self._unresolved[0] if self._unresolved else None
+        unresolved = self._unresolved
+        oldest = unresolved[0] if unresolved else None
         while self.rob and self.rob[-1].rob_seq > boundary_seq:
             entry = self.rob.pop()
             entry.squash_cycle = self.cycle
@@ -725,14 +857,16 @@ class Simulator:
             if oldest is not None and oldest < entry.rob_seq:
                 entry.shadow = oldest
             removed += 1
-        self._unresolved = [s for s in self._unresolved if s <= boundary_seq]
+        unresolved[:] = [s for s in unresolved if s <= boundary_seq]
         # the squash ends the expansion being decoded: one that emitted
         # nothing never will
-        self._live_reps = [
+        self._live_reps[:] = [
             r for r in self._live_reps if r.entries and not r.entries[0].squashed
         ]
         # every survivor has dispatched; the youngest writer of each register wins
-        self._prod_map = {e.dest: e for e in self.rob if e.dest is not None}
+        prod_map = self._prod_map
+        prod_map.clear()
+        prod_map.update((e.dest, e) for e in self.rob if e.dest is not None)
         self.pc = new_pc
         self._redirect_stall = True
         self.stats.squashes += 1
@@ -740,59 +874,8 @@ class Simulator:
             SquashRecord(self.cycle, source_instr, kind, removed)
         )
 
-    # ------------------------------------------------------------------
-    # dispatch
-
-    def _dispatch(self) -> bool:
-        queue, rob, rob_size = self._queue, self.rob, self.config.rob_size
-        cycle, unresolved, lifts = self.cycle, self._unresolved, self._lifts
-        first = seq = self._next_seq
-        while queue and len(rob) < rob_size:
-            entry = queue.popleft()
-            entry.rob_seq = seq
-            entry.dispatch_cycle = cycle
-            rob.append(entry)
-            uop = entry.uop
-            kind = uop.kind
-            # a speculation source: a branch (unresolved until it completes,
-            # never at dispatch) or the first micro-op of a predicted REP
-            if kind is _BRANCH_RESOLVE or (entry.predicted and uop.seq == 0):
-                unresolved.append(seq)
-            seq += 1
-            if kind is _NOP:  # jump, fence, pad, rep filler: no sources
-                entry.ready_cycle = entry.complete_cycle = cycle
-                continue
-            pending = 0
-            latest = cycle
-            for _, producer in entry.src:
-                if producer is None:
-                    continue
-                done = producer.complete_cycle
-                if done is None:
-                    if producer.dependents is None:
-                        producer.dependents = [entry]
-                    else:
-                        producer.dependents.append(entry)
-                    pending += 1
-                elif done >= latest:
-                    latest = done + 1
-            if pending:
-                entry.pending = pending
-            else:
-                entry.ready_cycle = latest
-                self._enqueue_ready(entry)
-            if lifts and (kind is _MEM_READ or kind is _MEM_WRITE):
-                # the full ESP check on every memory micro-op: stamps esp at
-                # dispatch when its safe set is empty or every older in-flight
-                # instance of a member is at OSP (none in flight: settled)
-                self._lifted(entry, unresolved[0] if unresolved else None)
-        self._next_seq = seq
-        if queue:
-            self.stats.dispatch_stalls += 1  # the ROB is full
-        return seq > first
-
     def _enqueue_ready(self, entry: RobEntry) -> None:
-        """Queue an entry whose operands exist, ready this cycle or the next,
+        """Queue an entry woken by its last producer, ready the next cycle,
         so it may issue in the next issue phase. Queues stay in rob_seq
         order; an entry younger than every queued one is appended."""
         ready = entry.ready_cycle
@@ -806,67 +889,7 @@ class Simulator:
         if not queue or queue[-1].rob_seq < entry.rob_seq:
             queue.append(entry)
         else:
-            insort(queue, entry, key=lambda e: e.rob_seq)
-
-    # ------------------------------------------------------------------
-    # fetch / decode
-
-    def _fetch_decode(self) -> bool:
-        if self._redirect_stall:
-            self._redirect_stall = False
-            return True
-        start = pc = self.pc
-        width = self.config.decode_width
-        queue, instructions = self._queue, self.program.instructions
-        records, prod_map = self._records, self._prod_map
-        slots = width
-        while slots and len(queue) < self._queue_size:
-            rep = self._expansion
-            if rep is not None:
-                entry = RobEntry(  # a filler reads and writes no register
-                    MicroOp(rep.instr, rep.emitted, _NOP), instructions[rep.instr],
-                    len(records), (), None, rep.predicted,
-                )
-                queue.append(entry)
-                records.append(entry)
-                rep.emitted += 1
-                if rep.predicted:
-                    rep.entries.append(entry)
-                if rep.emitted >= rep.target:
-                    self._expansion = None
-                slots -= 1
-                continue
-            if pc >= self._n_instr:
-                break
-            macro = instructions[pc]
-            opcode = macro.opcode
-            if opcode is _FENCE and (self.rob or queue):
-                self.stats.decode_stalls += 1  # a fence decodes once drained
-                break
-            if opcode in REP_OPCODES:
-                if not self._begin_rep(macro):
-                    self.stats.decode_stalls += 1
-                    break
-                pc += 1
-                continue  # zero-count expansion advances pc without a slot
-            uop, src_regs, dest = macro.decoded
-            src = tuple([(r, prod_map.get(r)) for r in src_regs]) if src_regs else ()
-            entry = RobEntry(uop, macro, len(records), src, dest)
-            if dest is not None:
-                prod_map[dest] = entry  # the youngest producer of its register
-            queue.append(entry)
-            records.append(entry)
-            if opcode is _BRANCH:
-                predicted = self.predictor.predict(pc)
-                entry.predicted_taken = predicted
-                pc = self._targets[pc] if predicted else pc + 1
-            elif opcode is _JUMP:
-                pc = self._targets[pc]
-            else:
-                pc += 1
-            slots -= 1
-        self.pc = pc
-        return slots < width or pc != start
+            insort(queue, entry, key=_rob_seq)
 
     def _begin_rep(self, macro: MacroInstruction) -> bool:
         """Start expanding a REP macro; the caller moves the pc past it and

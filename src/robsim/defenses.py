@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Protocol
 
 from .analysis import BalanceError, analyze_all_branches
-from .isa import DEFAULT_EXPANSION_CAP, Program
+from .isa import DEFAULT_EXPANSION_CAP, MacroInstruction, Program
 
 
 REP_PREDICTED_COUNT = 8  # micro-ops an operand_independent_fill REP emits
@@ -105,18 +105,18 @@ class DefensePolicy:
 
 
 class RobEntryView(Protocol):
-    """What the gates need to know about an in-flight entry.
+    """The fields of an in-flight entry the gates read.
 
     Callers pass the live ROB as an iterable ordered oldest-first (the
     core passes its deque); rob_seq is the global dispatch sequence number
-    that order follows.
+    that order follows. Of `macro` only the instruction id is read.
     """
 
-    instr: int
+    macro: MacroInstruction
     rob_seq: int
-    complete: bool
+    complete_cycle: int | None
     osp: bool
-    producers: tuple["RobEntryView", ...]
+    src: tuple["RobEntryView | None", ...]  # value producers; None: register file
 
 
 def osp_reached(
@@ -136,15 +136,15 @@ def osp_reached(
     """
     if entry.osp:
         return True
-    if not entry.complete:
+    if entry.complete_cycle is None:
         return False
     if oldest is None or entry.rob_seq <= oldest:
         entry.osp = True
         return True
     if not esp_check(entry, safe_sets, rob, oldest):
         return False
-    for producer in entry.producers:
-        if not osp_reached(producer, rob, safe_sets, oldest):
+    for producer in entry.src:
+        if producer is not None and not osp_reached(producer, rob, safe_sets, oldest):
             return False
     entry.osp = True
     return True
@@ -167,13 +167,14 @@ def esp_check(
     enables for bound-to-commit instructions is the lever the whole
     contention channel rests on.
     """
-    members = None if safe_sets is None else safe_sets.get(entry.instr)
+    members = None if safe_sets is None else safe_sets.get(entry.macro.id)
     if not members:
         return True
+    seq = entry.rob_seq
     for other in rob:
-        if other.rob_seq >= entry.rob_seq:
+        if other.rob_seq >= seq:
             break
-        if members >> other.instr & 1 and not osp_reached(other, rob, safe_sets, oldest):
+        if members >> other.macro.id & 1 and not osp_reached(other, rob, safe_sets, oldest):
             return False
     return True
 

@@ -144,20 +144,31 @@ class MacroInstruction:
         )
 
     @cached_property
-    def alu_plan(self) -> tuple[tuple[int, ...], int, int]:
-        """(weight of each register in `decoded.src`, summed immediate,
-        shift) of an alu or setshift, worked out once per instruction
-        object: the result is (sum of weight * register value + immediate)
-        << shift. A register named twice weighs 2."""
+    def alu_plan(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
+        """((register, weight) of each register in `decoded.src`, summed
+        immediate, shift) of an alu or setshift, worked out once per
+        instruction object: the result is (sum of weight * register value +
+        immediate) << shift. A register named twice weighs 2."""
+        src = self.decoded.src
         if self.opcode is Opcode.SETSHIFT:
-            return (1,), 0, self.operands[2].value  # type: ignore[union-attr]
+            return ((src[0], 1),), 0, self.operands[2].value  # type: ignore[union-attr]
         sources = self.operands[1:]
         named = [op.index for op in sources if isinstance(op, Reg)]
         return (
-            tuple(named.count(reg) for reg in self.decoded.src),
+            tuple((reg, named.count(reg)) for reg in src),
             sum(op.value for op in sources if isinstance(op, Imm)),
             0,
         )
+
+    @cached_property
+    def mem_plan(self) -> tuple[int | None, int]:
+        """(position of the base register in `decoded.src`, None without
+        one; offset) of a load or store, whose address is their sum."""
+        mem = self.operands[1]
+        assert isinstance(mem, Mem)
+        if mem.base is None:
+            return None, mem.offset
+        return self.decoded.src.index(mem.base.index), mem.offset
 
     def dest_reg(self) -> Reg | None:
         if self.opcode in (Opcode.LOAD, Opcode.ALU, Opcode.SETSHIFT):

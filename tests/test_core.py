@@ -841,6 +841,16 @@ def test_jitter_perturbs_miss_latency():
     assert len(latencies) > 1
 
 
+def test_a_fresh_miss_stays_slower_than_a_hit_at_the_largest_jitter():
+    # 56 is the largest amplitude the default 60/3-cycle cache accepts
+    latencies = {
+        only(simulate("load r1, [8]", jitter=56, seed=seed).records).latency
+        for seed in range(200)
+    }
+    assert CacheConfig().hit_cycles < 60 - 56 <= min(latencies)
+    assert max(latencies) <= 60 + 56 and len(latencies) > 50
+
+
 def test_zero_jitter_is_exact():
     entry = only(simulate("load r1, [8]").records)
     assert entry.latency == 60
@@ -855,9 +865,27 @@ def test_compute_shadows_no_sources():
 
 
 def stepped_run(sim: Simulator):
-    """run() with one step() per cycle: the oracle for idle-cycle skipping."""
+    """run() with idle-cycle skipping off, so every cycle is a pass of the
+    per-cycle body: the oracle for skipping."""
     sim._repeat_idle = lambda dispatch_stalls, decode_stalls: None
     return sim.run()
+
+
+def public_stepped_run(sim: Simulator):
+    """The public step() until the program halts or reaches max_cycles,
+    then run(), which at either point advances no cycle: it returns the
+    trace, or raises the limit error that run() alone would raise."""
+    while not sim.halted and sim.cycle < sim.config.max_cycles:
+        sim.step()
+    return sim.run()
+
+
+def run_outcome(go, sim: Simulator):
+    """run_state of `go(sim)`, or the fields of the limit error it raises."""
+    try:
+        return run_state(go(sim))
+    except SimulationLimitError as exc:
+        return (exc.cycle, exc.occupancy, exc.snapshot)
 
 
 def run_state(trace) -> dict:
@@ -884,16 +912,20 @@ def assert_skipping_matches_stepper(make):
     assert run_state(fast.run()) == run_state(stepped_run(slow))
 
 
-def counting_steps(monkeypatch) -> list[int]:
-    calls = [0]
-    step = Simulator.step
+def counting_steps(monkeypatch):
+    """Count the cycles run() steps one at a time: every simulated cycle
+    but those `_repeat_idle` covers. Returns `stepped(cycles)`, the cycles
+    stepped among `cycles` simulated by runs since this call."""
+    skipped = [0]
+    repeat_idle = Simulator._repeat_idle
 
-    def counted(self):
-        calls[0] += 1
-        return step(self)
+    def counted(self, dispatch_stalls, decode_stalls):
+        before = self.cycle
+        repeat_idle(self, dispatch_stalls, decode_stalls)
+        skipped[0] += self.cycle - before
 
-    monkeypatch.setattr(Simulator, "step", counted)
-    return calls
+    monkeypatch.setattr(Simulator, "_repeat_idle", counted)
+    return lambda cycles: cycles - skipped[0]
 
 
 def scenario_sim(scenario, policy) -> Simulator:
@@ -927,6 +959,19 @@ def test_skipping_matches_stepper_on_every_scenario_cell(rob_size, jitter):
     cells = 0
     for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
         assert_skipping_matches_stepper(lambda: scenario_sim(scenario, policy))
+        cells += 1
+    assert cells == 52
+
+
+@pytest.mark.parametrize("rob_size", [64, 768])
+@pytest.mark.parametrize("jitter", [0, 5])
+def test_public_stepper_matches_run_on_every_scenario_cell(rob_size, jitter):
+    # run() drives the per-cycle body itself, so step() is checked on its own
+    machine = MachineConfig(core=CoreConfig(rob_size=rob_size), jitter_amplitude=jitter)
+    cells = 0
+    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
+        fast, slow = scenario_sim(scenario, policy), scenario_sim(scenario, policy)
+        assert run_state(fast.run()) == run_state(public_stepped_run(slow))
         cells += 1
     assert cells == 52
 
@@ -973,7 +1018,7 @@ def test_reference_grid_steps_fewer_than_sixty_percent_of_cycles(monkeypatch):
             MachineConfig(jitter_amplitude=jitter), [frozenset()]
         ):
             cycles += run_single(scenario, policy, 0)[0].stats.cycles
-    assert steps[0] < 0.6 * cycles
+    assert steps(cycles) < 0.6 * cycles
 
 
 def test_jammed_rob_stalls_dispatch_across_the_miss(monkeypatch):
@@ -983,7 +1028,7 @@ def test_jammed_rob_stalls_dispatch_across_the_miss(monkeypatch):
     steps = counting_steps(monkeypatch)
     trace = make().run()
     assert trace.stats.dispatch_stalls >= 55  # a full ROB behind the 60-cycle miss
-    assert steps[0] < trace.stats.cycles - 50
+    assert steps(trace.stats.cycles) < trace.stats.cycles - 50
 
 
 @pytest.mark.parametrize(
@@ -999,7 +1044,7 @@ def test_blocked_decode_counts_each_skipped_cycle(text, monkeypatch):
     steps = counting_steps(monkeypatch)
     trace = simulate(text)
     assert trace.stats.decode_stalls >= 55
-    assert steps[0] < trace.stats.cycles - 50
+    assert steps(trace.stats.cycles) < trace.stats.cycles - 50
 
 
 def test_mshr_retries_are_stepped_and_draw_jitter(monkeypatch):
@@ -1011,7 +1056,7 @@ def test_mshr_retries_are_stepped_and_draw_jitter(monkeypatch):
     trace = sim.run()
     retries = sim.cache.mshr_stalls
     assert retries > 100  # each load waits out the fill before it
-    assert steps[0] > retries
+    assert steps(trace.stats.cycles) > retries
     latencies = [e.latency for e in trace.records]
     assert len(set(latencies)) > 1 and all(55 <= lat <= 65 for lat in latencies)
 
@@ -1028,7 +1073,7 @@ def test_predicted_rep_verifies_under_a_jammed_rob(monkeypatch):
     rep = trace.rep_expansions[0]
     assert rep.predicted and rep.verified is False
     assert trace.stats.squash_log[0].cycle == 4
-    assert steps[0] < trace.stats.cycles - 50
+    assert steps(trace.stats.cycles) < trace.stats.cycles - 50
 
 
 def test_clean_rep_verification_alone_in_its_cycle_is_stepped():
@@ -1126,13 +1171,20 @@ def machine_runs(draw):
 @given(machine_runs())
 def test_skipping_matches_stepper_on_random_programs(run_args):
     program, policy, machine = run_args
-    outcomes = []
-    for go in (Simulator.run, stepped_run):
-        sim = Simulator(program, machine, policy)
-        try:
-            outcomes.append(run_state(go(sim)))
-        except SimulationLimitError as exc:
-            outcomes.append((exc.cycle, exc.occupancy, exc.snapshot))
+    outcomes = [
+        run_outcome(go, Simulator(program, machine, policy)) for go in (Simulator.run, stepped_run)
+    ]
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine_runs())
+def test_public_stepper_matches_run_on_random_programs(run_args):
+    program, policy, machine = run_args
+    outcomes = [
+        run_outcome(go, Simulator(program, machine, policy))
+        for go in (Simulator.run, public_stepped_run)
+    ]
     assert outcomes[0] == outcomes[1]
 
 

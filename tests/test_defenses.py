@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 
@@ -13,16 +13,23 @@ from robsim.defenses import (
     esp_check,
     osp_reached,
 )
-from robsim.isa import parse_program
+from robsim.isa import MacroInstruction, Opcode, parse_program
 
 
 @dataclass
 class Entry:
-    instr: int
+    """Exactly the fields of an in-flight entry the gates read."""
+
+    macro: MacroInstruction
     rob_seq: int
-    complete: bool = False
+    complete_cycle: int | None = None
     osp: bool = False
-    producers: tuple = field(default=())
+    src: tuple = ()
+
+
+def make_entry(instr: int, rob_seq: int, complete: bool = False, src: tuple = ()) -> Entry:
+    macro = MacroInstruction(instr, Opcode.NOP, ())
+    return Entry(macro, rob_seq, 0 if complete else None, src=src)
 
 
 def sets_of(*pairs: tuple[int, set[int]]) -> dict[int, int]:
@@ -73,7 +80,7 @@ def test_policy_requires_balance_certificate():
 
 
 def test_osp_base_case_unshadowed_complete():
-    e = Entry(instr=0, rob_seq=0, complete=True)
+    e = make_entry(instr=0, rob_seq=0, complete=True)
     assert osp_reached(e, [e], None, None)
     assert e.osp  # sticky
 
@@ -81,57 +88,58 @@ def test_osp_base_case_unshadowed_complete():
 def test_osp_requires_a_produced_result():
     # Operands may be fully determined; until the value exists the entry
     # is only OSP-eligible. A branch is never OSP before resolving.
-    e = Entry(instr=0, rob_seq=0, complete=False)
+    e = make_entry(instr=0, rob_seq=0, complete=False)
     assert not osp_reached(e, [e], None, None)
 
 
 def test_osp_base_case_covers_the_oldest_source_itself():
     # a complete predicted-REP micro-op that is the oldest unresolved source
     # is not in its own shadow, so its in-flight counter does not hold it
-    counter = Entry(instr=0, rob_seq=2, complete=False)
-    source = Entry(instr=1, rob_seq=3, complete=True, producers=(counter,))
+    counter = make_entry(instr=0, rob_seq=2, complete=False)
+    source = make_entry(instr=1, rob_seq=3, complete=True, src=(counter,))
     assert osp_reached(source, [counter, source], sets_of(), 3)
 
 
 def test_osp_blocked_by_incomplete_producer():
     # the unresolved source at rob_seq 0 shadows both
-    producer = Entry(instr=0, rob_seq=1, complete=False)
-    consumer = Entry(instr=1, rob_seq=2, complete=True, producers=(producer,))
+    producer = make_entry(instr=0, rob_seq=1, complete=False)
+    consumer = make_entry(instr=1, rob_seq=2, complete=True, src=(producer,))
     assert not osp_reached(consumer, [producer, consumer], sets_of(), 0)
 
 
 def test_osp_shadowed_complete_with_settled_sources():
     # the producer is older than the unresolved source at rob_seq 1
-    producer = Entry(instr=0, rob_seq=0, complete=True)
-    consumer = Entry(instr=1, rob_seq=2, complete=True, producers=(producer,))
+    producer = make_entry(instr=0, rob_seq=0, complete=True)
+    # a None source reads the register file: nothing to wait for
+    consumer = make_entry(instr=1, rob_seq=2, complete=True, src=(None, producer))
     ss = sets_of((1, frozenset({0})))
     assert osp_reached(consumer, [producer, consumer], ss, 1)
     assert consumer.osp and producer.osp
 
 
 def test_osp_member_without_instance_is_settled():
-    consumer = Entry(instr=4, rob_seq=9, complete=True)
+    consumer = make_entry(instr=4, rob_seq=9, complete=True)
     ss = sets_of((4, frozenset({1})))  # instr 1 already committed and gone
     assert osp_reached(consumer, [consumer], ss, 2)
 
 
 def test_esp_empty_safe_set_reached_at_dispatch():
-    e = Entry(instr=7, rob_seq=3, complete=False)
+    e = make_entry(instr=7, rob_seq=3, complete=False)
     assert esp_check(e, sets_of((7, frozenset())), [e], 1) is True
     assert esp_check(e, None, [e], 1) is True  # no analysis: nothing to wait for
 
 
 def test_esp_waits_for_member_osp():
-    branch = Entry(instr=2, rob_seq=2, complete=False)
-    target = Entry(instr=5, rob_seq=5, complete=False)
+    branch = make_entry(instr=2, rob_seq=2, complete=False)
+    target = make_entry(instr=5, rob_seq=5, complete=False)
     ss = sets_of((5, frozenset({2})))
     assert esp_check(target, ss, [branch, target], 2) is False
-    branch.complete = True  # resolution: no source is left unresolved
+    branch.complete_cycle = 4  # resolution: no source is left unresolved
     assert esp_check(target, ss, [branch, target], None) is True
 
 
 def test_esp_absent_member_is_settled():
-    target = Entry(instr=5, rob_seq=5, complete=False)
+    target = make_entry(instr=5, rob_seq=5, complete=False)
     assert esp_check(target, sets_of((5, frozenset({1}))), [target], 2) is True
 
 

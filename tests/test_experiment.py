@@ -10,6 +10,7 @@ from test_core import INVARSPEC_ROB768_SWEEP
 
 from robsim import analysis, experiment
 from robsim.cli import main
+from robsim.cache import CacheConfig
 from robsim.core import MachineConfig, SimulationLimitError
 from robsim.defenses import DefenseMode, Mitigation
 from robsim.experiment import (
@@ -120,6 +121,30 @@ def test_negative_jitter_is_refused_by_the_machine(tmp_path, capsys):
     code = run_cli("run", "--scenario", "bsi_mshr", "--jitter", "-2", "--out", str(tmp_path))
     assert code == 1
     assert "jitter amplitude cannot be negative" in capsys.readouterr().err
+
+
+def test_jitter_below_the_miss_hit_gap_is_accepted():
+    # default cache: 60-cycle miss, 3-cycle hit, so a 4-cycle miss at worst
+    assert MachineConfig(jitter_amplitude=56).jitter_amplitude == 56
+    cache = CacheConfig(hit_cycles=5, miss_cycles=9)
+    assert MachineConfig(cache=cache, jitter_amplitude=3).jitter_amplitude == 3
+
+
+def test_jitter_at_the_miss_hit_gap_is_refused(tmp_path, capsys):
+    message = r"jitter amplitude 57 must be below miss_cycles - hit_cycles = 57"
+    with pytest.raises(ValueError, match=message):
+        MachineConfig(jitter_amplitude=57)
+    with pytest.raises(ValueError, match="= 4"):
+        MachineConfig(cache=CacheConfig(hit_cycles=5, miss_cycles=9), jitter_amplitude=4)
+    with pytest.raises(ConfigError, match=message):
+        config_from_mapping({"scenarios": ["bsi_mshr"], "jitter": 57}, tmp_path)
+    with pytest.raises(ConfigError, match="= 7"):
+        config_from_mapping(
+            {"scenarios": ["bsi_mshr"], "jitter": 8, "cache": {"miss_cycles": 10}}, tmp_path
+        )
+    code = run_cli("run", "--scenario", "bsi_mshr", "--jitter", "57", "--out", str(tmp_path))
+    assert code == 1
+    assert "jitter amplitude 57 must be below" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
