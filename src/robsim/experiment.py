@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Mapping
 
-import yaml
-
 from .analysis import AnalysisError
 from .cache import CacheConfig
 from .core import CoreConfig, MachineConfig, SimulationLimitError, Trace
@@ -237,6 +235,10 @@ def config_from_mapping(
 
 
 def load_config_file(path: str | Path) -> dict:
+    # Imported by its one reader, so a process that reads no config file
+    # does not pay PyYAML's import time and memory.
+    import yaml
+
     try:
         raw = Path(path).read_text()
     except OSError as exc:

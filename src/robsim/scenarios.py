@@ -24,7 +24,11 @@ timing or cache footprint a blind receiver converts back into the bit.
 The attacker's priming is part of each program: ``.warm`` the secret
 line, ``.flush`` the probe and window lines, ``.predict`` the branches
 labeled ``window:`` (and ``gate:``) not taken. ``Simulator`` applies it, so
-a prepared scenario's printed program replays its trial 0 under ``robsim sim``.
+a prepared scenario's printed program replays its trial 0 under ``robsim sim``,
+but only when it was built for the default ``MachineConfig`` at jitter 0.
+``sim`` always runs the default machine, so a program built for another
+does not replay: ``fsi_v1_loop`` built at ROB 768 with secret 1 peaks at
+306 entries in ``run_single`` and at 64 under ``sim``.
 
 The secret is an input of a run, not of the program's instructions. Both
 secrets run the same instructions: a builder makes the program once per

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_core import INVARSPEC_ROB768_SWEEP
@@ -22,6 +26,7 @@ from robsim.experiment import (
     ExperimentConfig,
     config_from_mapping,
     judge,
+    load_config_file,
     mitigation_label,
     parse_mitigation_set,
     run_experiment,
@@ -248,6 +253,52 @@ def test_cli_refuses_a_non_integer_config_value(tmp_path, capsys):
     assert "core.rob_size must be an integer, got 64.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("scenarios: [bsi_mshr]\ntrials: 2\n", {"scenarios": ["bsi_mshr"], "trials": 2}),
+        ("", {}),
+        ("scenarios: [bsi_mshr\n", "malformed config"),
+        ("- a\n", "must be a mapping"),
+    ],
+    ids=["mapping", "empty", "malformed", "list"],
+)
+def test_load_config_file(tmp_path, text, outcome):
+    """An empty file is an empty mapping; malformed YAML, or a document that
+    is not a mapping, is a ConfigError."""
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    if isinstance(outcome, str):
+        with pytest.raises(ConfigError, match=outcome):
+            load_config_file(path)
+    else:
+        assert load_config_file(path) == outcome
+
+
+# Run in a fresh interpreter: the test process has imported yaml already.
+_NO_YAML_UNTIL_A_CONFIG_FILE = """
+import sys
+import robsim, robsim.cli
+from robsim.experiment import config_from_mapping, load_config_file, run_experiment
+run_experiment(config_from_mapping(
+    {"scenarios": ["bsi_mshr"], "defenses": ["dom"], "trials": 1}, sys.argv[1]))
+assert "yaml" not in sys.modules, "yaml loaded without a config file"
+assert load_config_file(sys.argv[2]) == {"trials": 2}
+"""
+
+
+def test_yaml_is_loaded_only_to_read_a_config_file(tmp_path):
+    config = tmp_path / "exp.yaml"
+    config.write_text("trials: 2\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(experiment.__file__).parents[1])}
+    subprocess.run(
+        [sys.executable, "-c", _NO_YAML_UNTIL_A_CONFIG_FILE, str(tmp_path / "out"), str(config)],
+        env=env,
+        check=True,
+        timeout=60,
+    )
+
+
 def test_mitigation_set_parsing():
     assert parse_mitigation_set("none") == frozenset()
     assert parse_mitigation_set("") == frozenset()
@@ -426,7 +477,7 @@ def test_artifacts_byte_identical_across_runs(tmp_path):
 def test_reports_csv_has_all_trials(tmp_path):
     config = make_config(tmp_path, scenarios=["bsi_mshr"], trials=4)
     result = run_experiment(config)
-    rows = list(csv.DictReader((config.out_dir / "reports.csv").open()))
+    rows = list(csv.DictReader((config.out_dir / "reports.csv").read_text().splitlines()))
     assert len(rows) == 4 * 2
     assert {r["truth"] for r in rows} == {"0", "1"}
 
@@ -436,8 +487,8 @@ def test_summary_accuracy_matches_raw_recomputation(tmp_path):
         tmp_path, scenarios=["fsi_v1_loop", "bsi_mshr"], defenses=["unprotected"], trials=5
     )
     result = run_experiment(config)
-    raw = list(csv.DictReader((config.out_dir / "reports.csv").open()))
-    summary = list(csv.DictReader((config.out_dir / "summary.csv").open()))
+    raw = list(csv.DictReader((config.out_dir / "reports.csv").read_text().splitlines()))
+    summary = list(csv.DictReader((config.out_dir / "summary.csv").read_text().splitlines()))
     for row in summary:
         mine = [r for r in raw if r["scenario"] == row["scenario"]]
         acc = sum(r["inferred"] == r["truth"] for r in mine) / len(mine)
@@ -447,7 +498,7 @@ def test_summary_accuracy_matches_raw_recomputation(tmp_path):
 def test_summary_row_per_cell_with_two_means(tmp_path):
     config = make_config(tmp_path, trials=2)
     result = run_experiment(config)
-    rows = list(csv.DictReader((config.out_dir / "summary.csv").open()))
+    rows = list(csv.DictReader((config.out_dir / "summary.csv").read_text().splitlines()))
     assert len(rows) == 1
     row = rows[0]
     assert row["mean_s0"] == "3"
@@ -459,7 +510,7 @@ def test_summary_row_per_cell_with_two_means(tmp_path):
 def test_set_order_cells_skip_numeric_stats(tmp_path):
     config = make_config(tmp_path, scenarios=["fsi_v2_order"], trials=2)
     result = run_experiment(config)
-    row = list(csv.DictReader((config.out_dir / "summary.csv").open()))[0]
+    row = list(csv.DictReader((config.out_dir / "summary.csv").read_text().splitlines()))[0]
     assert row["mean_s0"] == ""
     assert row["accuracy"] == "1.0000"
 
@@ -472,7 +523,7 @@ def test_occupancy_series_written_per_secret(tmp_path):
         "fsi_v1_loop__unprotected__none__s0.csv",
         "fsi_v1_loop__unprotected__none__s1.csv",
     ]
-    rows = list(csv.DictReader((config.out_dir / "occupancy" / occ[1]).open()))
+    rows = list(csv.DictReader((config.out_dir / "occupancy" / occ[1]).read_text().splitlines()))
     assert rows[0]["cycle"] == "1"
     assert max(int(r["occupancy"]) for r in rows) == 64
 
@@ -537,7 +588,7 @@ def test_cli_flags_override_config(tmp_path):
         str(tmp_path / "out"),
     )
     assert code == EXIT_OK
-    rows = list(csv.DictReader((tmp_path / "out" / "reports.csv").open()))
+    rows = list(csv.DictReader((tmp_path / "out" / "reports.csv").read_text().splitlines()))
     assert {r["scenario"] for r in rows} == {"bsi_mshr"}
     assert len(rows) == 2
 
@@ -551,6 +602,15 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 def test_cli_missing_config_file(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "nope.yaml"), "--out", "x") == 1
+
+
+def test_cli_refuses_a_malformed_config_file(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text("scenarios: [bsi_mshr\n")
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"robsim: error: malformed config {config}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_fault_exit(tmp_path):
