@@ -5,9 +5,10 @@ reference grid (5 scenarios x 3 defenses, 10 trials per secret, jitter 0
 and jitter 2) and for the dom_plus_invarspec x mitigation grid (5 trials,
 jitter 2), plus trial 0's uop lifecycle CSV for both secrets of every
 applicable scenario x mode x mitigation cell. The static analysis is
-pinned too, at a size the sweeps never reach: the safe-set and path-profile
-records of every scenario's program at ROB 64 and ROB 768, and their
-conservative_filter widening.
+pinned too, at sizes the sweeps never reach: the safe-set and path-profile
+records of every scenario's program at ROB 64, ROB 768 and ROB 1024 (the
+benchmark's largest scaling-probe size), and their conservative_filter
+widening.
 
 The core is also pinned on a fixed corpus of generated programs, because
 the scenarios have no store, no fence, no ALU latency 4 and no second port,
@@ -85,7 +86,7 @@ SWEEPS = {
 
 TRACE_JITTER = 2
 
-ANALYSIS_ROB_SIZES = (64, 768)
+ANALYSIS_ROB_SIZES = (64, 768, 1024)
 
 CORPUS_SIZE = 150
 CORPUS_JITTERS = (0, 3)
@@ -450,6 +451,30 @@ EXPECTED_ANALYSIS: dict[str, str] = {
     "fsi_v1_straight/balanced/rob768/s0/conservative": "cc003a0eac3e74c7596a9889c4927bf84847467cbe94a036064905fcf58c25a2",
     "fsi_v1_straight/balanced/rob768/s1": "1447d5744f450a673d15661c448664202c1a0ecb3edf40a03a51a42ae3db069c",
     "fsi_v1_straight/balanced/rob768/s1/conservative": "cc003a0eac3e74c7596a9889c4927bf84847467cbe94a036064905fcf58c25a2",
+    "fsi_v1_loop/rob1024/s0": "a558ff9f63c94fce22ee347c4dedf1889f035463b67a85c759494ae40b75fd41",
+    "fsi_v1_loop/rob1024/s0/conservative": "8204c8e716ff4b798f53d2851e8538f78900947316a2e415ef510d036a156800",
+    "fsi_v1_loop/rob1024/s1": "a558ff9f63c94fce22ee347c4dedf1889f035463b67a85c759494ae40b75fd41",
+    "fsi_v1_loop/rob1024/s1/conservative": "8204c8e716ff4b798f53d2851e8538f78900947316a2e415ef510d036a156800",
+    "fsi_v1_rep/rob1024/s0": "fc350e4034c6787700d12bbf2d63a426698774abfd30db7e94c601db50d8aa0b",
+    "fsi_v1_rep/rob1024/s0/conservative": "c26457d73151aa8da5e1fa8ddd371175b6423d09164a5e93e43ca7302c1b2dca",
+    "fsi_v1_rep/rob1024/s1": "fc350e4034c6787700d12bbf2d63a426698774abfd30db7e94c601db50d8aa0b",
+    "fsi_v1_rep/rob1024/s1/conservative": "c26457d73151aa8da5e1fa8ddd371175b6423d09164a5e93e43ca7302c1b2dca",
+    "fsi_v1_straight/rob1024/s0": "a5a7cf42f9b51fce3705692c2e30bdb82045e0109f4f3f4643a4432ee09aa322",
+    "fsi_v1_straight/rob1024/s0/conservative": "0d43d593c842139e172a3253a8c9d0a81bf8f44b7e60da3e7742a18cd7ac6dee",
+    "fsi_v1_straight/rob1024/s1": "a5a7cf42f9b51fce3705692c2e30bdb82045e0109f4f3f4643a4432ee09aa322",
+    "fsi_v1_straight/rob1024/s1/conservative": "0d43d593c842139e172a3253a8c9d0a81bf8f44b7e60da3e7742a18cd7ac6dee",
+    "fsi_v2_order/rob1024/s0": "4e59d3c24d9949c0ea8fc99b01e337f53119bcc981ea4f341f625a98a16cbb15",
+    "fsi_v2_order/rob1024/s0/conservative": "e3374888c0f9a1643ae67d886683594055652e7726fcd475e9c13ba2980cd863",
+    "fsi_v2_order/rob1024/s1": "4e59d3c24d9949c0ea8fc99b01e337f53119bcc981ea4f341f625a98a16cbb15",
+    "fsi_v2_order/rob1024/s1/conservative": "e3374888c0f9a1643ae67d886683594055652e7726fcd475e9c13ba2980cd863",
+    "bsi_mshr/rob1024/s0": "23afe8712f58f6b49e8af4084d8b41b6278035d3737f827b0ce1a093a46cafec",
+    "bsi_mshr/rob1024/s0/conservative": "c47574460c68e69db93d203d42eca5399a4c3da112f20bbbfbde1c7554764777",
+    "bsi_mshr/rob1024/s1": "23afe8712f58f6b49e8af4084d8b41b6278035d3737f827b0ce1a093a46cafec",
+    "bsi_mshr/rob1024/s1/conservative": "c47574460c68e69db93d203d42eca5399a4c3da112f20bbbfbde1c7554764777",
+    "fsi_v1_straight/balanced/rob1024/s0": "1447d5744f450a673d15661c448664202c1a0ecb3edf40a03a51a42ae3db069c",
+    "fsi_v1_straight/balanced/rob1024/s0/conservative": "cc003a0eac3e74c7596a9889c4927bf84847467cbe94a036064905fcf58c25a2",
+    "fsi_v1_straight/balanced/rob1024/s1": "1447d5744f450a673d15661c448664202c1a0ecb3edf40a03a51a42ae3db069c",
+    "fsi_v1_straight/balanced/rob1024/s1/conservative": "cc003a0eac3e74c7596a9889c4927bf84847467cbe94a036064905fcf58c25a2",
 }
 
 
