@@ -2,43 +2,58 @@
 
 The runtime invariance machinery in robsim.defenses lifts protection from an
 instruction once everything in its *safe set* is outcome-final. This module
-computes those sets from program text alone, with these algorithms and
-costs for an n-instruction program:
+computes those sets from program text alone. The control-flow passes run
+over basic blocks, so a long straight-line run (the forward-interference
+gadget is hundreds of identical alus) costs them one node; the dependence
+edges and safe sets are per instruction. For an n-instruction program of
+m basic blocks:
 
-  * CFG and post-dominator tree (`control_flow`): Cooper, Harvey and
-    Kennedy's iterative dominator algorithm on the reverse CFG, rooted at
-    the virtual exit; near-linear. Built once per program object and kept
-    on it, as its resolved `targets` are, so the dependence graph, every
-    path profile, `balance_paths` and the balance certificate share them.
-    A program with an instruction that cannot reach the exit is refused;
-  * dependence graph: one data edge per register def-use (reaching
-    definitions, a FIFO worklist to the fixed point that revisits a node
-    only when a predecessor's output changed), memory dependences
-    approximated by syntactic address-expression equality (one dict lookup
-    per load), one control edge per guarding branch (Ferrante, Ottenstein
-    and Warren: walk the post-dominator tree from each successor of a
-    branch up to the branch's immediate post-dominator, one step per edge
-    added);
+  * basic blocks, their CFG and post-dominator tree (`control_flow`): one
+    walk over the resolved targets finds the leaders (instruction 0, every
+    branch or jump target, every instruction after a branch or jump; a
+    label alone starts no block), then Cooper, Harvey and Kennedy's
+    iterative dominator algorithm runs on the reverse block CFG, rooted at
+    the virtual exit block; near-linear in m. Each block's fewest micro-ops
+    and whether it holds a rep opcode are kept beside the tree. Built once
+    per program object and kept on it, as its resolved `targets` are, so
+    the dependence graph, every path profile, `balance_paths` and the
+    balance certificate share them. A program with an instruction that
+    cannot reach the exit is refused;
+  * dependence graph, per instruction: one data edge per register def-use
+    and one control edge per guarding branch. Reaching definitions reach
+    their fixed point over blocks (a FIFO worklist that revisits a block
+    only when a predecessor's output changed, each block summarised by the
+    last definition of each register it writes), then one linear walk per
+    block gives each instruction the definitions its sources read. Memory
+    dependences are approximated by syntactic address-expression equality
+    (one dict lookup per load). Control dependence (Ferrante, Ottenstein
+    and Warren) walks the block post-dominator tree from each successor of
+    a branch's block up to the block's immediate post-dominator, one step
+    per block; every instruction of a block on that walk depends on the
+    branch, except the branch itself;
   * safe set of i: the transitive closure of i's dependence sources, kept
     as an int bitmask (bit m set when m is a member), closed per strongly
-    connected component (Tarjan) in reverse topological order with one
-    integer OR per dependence edge; O(E * n / w) for E edges and w-bit
-    machine words. An empty safe set (0) means i is invariant the moment
-    it dispatches, which is exactly the property the contention attacks
-    exploit;
-  * reconvergence: immediate post-dominator of a branch, read off the tree;
+    connected component (Tarjan) of the instruction dependence graph in
+    reverse topological order with one integer OR per dependence edge;
+    O(E * n / w) for E edges and w-bit machine words. An empty safe set
+    (0) means i is invariant the moment it dispatches, which is exactly
+    the property the contention attacks exploit;
+  * reconvergence: immediate post-dominator of a branch, the first
+    instruction of its block's immediate post-dominator block;
   * path profiles: per-direction micro-op counts between a branch and its
     reconvergence point, flagged variable when a rep opcode or a cycle
-    makes the count run-time dependent. Over the region the branch reaches
-    before reconverging (R nodes, E edges): the shortest count by one
-    Dijkstra, O(E log R). Kahn's topological sort of the region, O(R + E),
-    finds whether it has a cycle (a node it leaves unordered) and, when it
-    has none, the order of the one sweep that finds the longest count.
+    makes the count run-time dependent. Over the R blocks the branch
+    reaches before reconverging (E block edges), each weighing its fewest
+    micro-ops: the shortest count by one Dijkstra, O(E log R). Kahn's
+    topological sort of the region, O(R + E), finds whether it has a cycle
+    (a block it leaves unordered) and, when it has none, the order of the
+    one sweep that finds the longest count.
 
 Each fact is read one way. `control_flow(program)` is the accessor of a
-program's successor and predecessor lists and its post-dominator tree
-(`succ`, `preds`, `ipdom`), and `Program.targets` of its resolved branch
-and jump targets; every pass here reads them through these two.
+program's blocks, their CFG and post-dominator tree, and of the
+instruction-level successor lists and post-dominator tree derived from
+them (`succ`, `ipdom`); `Program.targets` holds the resolved branch and
+jump targets. Every pass here reads them through these two.
 
 Two hardening passes operate on these results: `conservative_filter` grows
 safe sets behind unbalanced branches, and `balance_paths` rewrites the
@@ -49,11 +64,12 @@ program so both directions of a branch carry the same micro-op count.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from heapq import heappop, heappush
 from math import inf
-from typing import NamedTuple
 
 from .isa import (
     DEFAULT_EXPANSION_CAP,
@@ -91,55 +107,109 @@ class DependenceGraph:
         return self.data.get(instr, set()) | self.control.get(instr, set())
 
 
-class ControlFlow(NamedTuple):
-    """A program's CFG and post-dominator tree; n = len(program) is the
-    virtual exit node."""
+@dataclass(frozen=True, eq=False)
+class ControlFlow:
+    """A program's basic blocks, their CFG and post-dominator tree.
 
-    succ: list[list[int]]  # successor ids of 0..n-1
-    preds: list[list[int]]  # predecessor ids of 0..n
-    ipdom: list[int]  # immediate post-dominator of 0..n; ipdom[n] = n
+    Block k holds instructions start[k] to start[k + 1] - 1. With m blocks,
+    block m is the virtual exit and start[m] = n = len(program), the exit's
+    instruction id. The instruction-level `succ` and `ipdom` are derived
+    from the blocks on first use: inside a block, an instruction's only
+    successor and immediate post-dominator is the next instruction.
+    """
+
+    start: list[int]  # first instruction of blocks 0..m
+    block_succ: list[list[int]]  # successor blocks of 0..m-1, fallthrough first
+    block_preds: list[list[int]]  # predecessor blocks of 0..m
+    block_ipdom: list[int]  # immediate post-dominator of blocks 0..m; m's is m
+    block_uops: list[int]  # fewest micro-ops of blocks 0..m-1 (rep opcodes at count 0)
+    block_rep: list[bool]  # whether each of blocks 0..m-1 holds a rep opcode
+
+    @cached_property
+    def succ(self) -> list[list[int]]:
+        """Successor ids of instructions 0..n-1, fallthrough first."""
+        start = self.start
+        succ = [[i + 1] for i in range(start[-1])]
+        for k, out in enumerate(self.block_succ):
+            succ[start[k + 1] - 1] = [start[s] for s in out]
+        return succ
+
+    @cached_property
+    def ipdom(self) -> list[int]:
+        """Immediate post-dominator of instructions 0..n; ipdom[n] = n."""
+        start = self.start
+        n = start[-1]
+        ipdom = list(range(1, n + 2))
+        for k, up in enumerate(self.block_ipdom[:-1]):
+            ipdom[start[k + 1] - 1] = start[up]
+        ipdom[n] = n
+        return ipdom
 
 
 def control_flow(program: Program) -> ControlFlow:
-    """The CFG and post-dominator tree of `program`. Built on first use and
-    kept in the program object's __dict__, the way the cached property
-    `targets` is, so every analysis of the program shares them; an edited
-    program is derived with dataclasses.replace and gets its own."""
+    """The basic blocks, CFG and post-dominator tree of `program`. Built on
+    first use and kept in the program object's __dict__, the way the cached
+    property `targets` is, so every analysis of the program shares them; an
+    edited program is derived with dataclasses.replace and gets its own."""
     flow = program.__dict__.get("_control_flow")
     if flow is None:
-        succ, preds = _cfg(program)
-        flow = ControlFlow(succ, preds, _postdominator_tree(succ, preds))
+        flow = _control_flow(program)
         program.__dict__["_control_flow"] = flow
     return flow
 
 
-def _cfg(program: Program) -> tuple[list[list[int]], list[list[int]]]:
-    """Successor lists of 0..n-1, fallthrough first, and predecessor lists
-    of 0..n (n = exit)."""
+def _control_flow(program: Program) -> ControlFlow:
     n = len(program)
+    instructions = program.instructions
+    targets = program.targets
+    leaders = {0, n}
+    reps = []
+    for i, target in enumerate(targets):
+        if target is not None:
+            leaders.add(target)
+            leaders.add(i + 1)
+        elif instructions[i].opcode in REP_OPCODES:
+            reps.append(i)
+    start = sorted(leaders)
+    block_of = {s: k for k, s in enumerate(start)}
+    m = len(start) - 1
+
     succ: list[list[int]] = []
-    for i, (instr, target) in enumerate(zip(program.instructions, program.targets)):
+    for k in range(m):
+        last = start[k + 1] - 1
+        target = targets[last]
         if target is None:
-            succ.append([i + 1])
-        elif instr.opcode is Opcode.JUMP or target == i + 1:
-            succ.append([target])
+            succ.append([k + 1])
+        elif instructions[last].opcode is Opcode.JUMP or target == last + 1:
+            succ.append([block_of[target]])
         else:
-            succ.append([i + 1, target])
-    preds: list[list[int]] = [[] for _ in range(n + 1)]
-    for i in range(n):
-        for s in succ[i]:
-            preds[s].append(i)
-    return succ, preds
+            succ.append([k + 1, block_of[target]])
+    preds: list[list[int]] = [[] for _ in range(m + 1)]
+    for k, out in enumerate(succ):
+        for s in out:
+            preds[s].append(k)
+    ipdom = _postdominator_tree(succ, preds)
+    if -1 in ipdom:
+        first = start[ipdom.index(-1)]
+        raise AnalysisError(f"instruction {first} cannot reach the program exit")
+
+    uops = [start[k + 1] - start[k] for k in range(m)]
+    rep = [False] * m
+    for i in reps:
+        k = bisect_right(start, i) - 1
+        uops[k] += rep_expansion_count(instructions[i].opcode, 0) - 1
+        rep[k] = True
+    return ControlFlow(start, succ, preds, ipdom, uops, rep)
 
 
 def _postdominator_tree(succ: list[list[int]], preds: list[list[int]]) -> list[int]:
-    """ipdom[i] for every node 0..n of the lists `_cfg` builds; the virtual
-    exit n is the root, ipdom[n] = n.
+    """ipdom[k] for every node 0..m of a CFG with successor lists of
+    0..m-1 and predecessor lists of 0..m; the virtual exit m is the root,
+    ipdom[m] = m, and a node that cannot reach it, having no
+    post-dominators, gets -1.
 
     Cooper, Harvey and Kennedy's iterative dominator algorithm ("A Simple,
     Fast Dominance Algorithm", 2001) run on the reverse CFG from the exit.
-    An instruction that cannot reach the exit has no post-dominators, so
-    the program is refused naming the first such instruction.
     """
     n = len(succ)
 
@@ -159,9 +229,6 @@ def _postdominator_tree(succ: list[list[int]], preds: list[list[int]]) -> list[i
             stack.pop()
             order[node] = len(postorder)
             postorder.append(node)
-    if len(postorder) != n + 1:
-        first = next(i for i in range(n) if order[i] < 0)
-        raise AnalysisError(f"instruction {first} cannot reach the program exit")
 
     ipdom = [-1] * (n + 1)
     ipdom[n] = n
@@ -197,59 +264,95 @@ def is_back_edge_branch(program: Program, branch: int) -> bool:
 
 
 def build_dependence_graph(program: Program) -> DependenceGraph:
-    n = len(program)
-    graph = DependenceGraph({i: set() for i in range(n)}, {i: set() for i in range(n)})
     instructions = program.instructions
-    succ, preds, ipdom = control_flow(program)
-    dest = [None if (reg := instr.dest_reg()) is None else reg.index for instr in instructions]
+    flow = control_flow(program)
+    start, succ, preds, ipdom = flow.start, flow.block_succ, flow.block_preds, flow.block_ipdom
+    m = len(succ)
+    # instructions parsed from the same operand text share one operand
+    # tuple, so the registers of each (opcode, operand tuple) are read once
+    known: dict[tuple[Opcode, int], tuple[tuple[int, ...], int | None]] = {}
+    regs = []
+    for instr in instructions:
+        key = (instr.opcode, id(instr.operands))
+        found = known.get(key)
+        if found is None:
+            found = known[key] = _registers(instr)
+        regs.append(found)
 
-    # reaching register definitions over the CFG: FIFO worklist to the fixed
-    # point, each node queued at most once at a time
-    reach_in: list[dict[int, set[int]]] = [dict() for _ in range(n)]
-    worklist = deque(range(n))
-    queued = [True] * n
+    # reaching register definitions over the block CFG: FIFO worklist to
+    # the fixed point, each block queued at most once at a time; a block
+    # passes on what reaches it but for the registers it writes, whose last
+    # write in it reaches out instead
+    last_def = [
+        {reg: i for i in range(start[k], start[k + 1]) if (reg := regs[i][1]) is not None}
+        for k in range(m)
+    ]
+    reach_in: list[dict[int, set[int]]] = [dict() for _ in range(m)]
+    worklist = deque(range(m))
+    queued = [True] * m
     while worklist:
-        i = worklist.popleft()
-        queued[i] = False
+        k = worklist.popleft()
+        queued[k] = False
         merged: dict[int, set[int]] = {}
-        for p in preds[i]:
-            d = dest[p]
+        for p in preds[k]:
+            defs = last_def[p]
             for reg, ids in reach_in[p].items():
-                if reg != d:
+                if reg not in defs:
                     merged.setdefault(reg, set()).update(ids)
-            if d is not None:
-                merged.setdefault(d, set()).add(p)
-        if merged != reach_in[i]:
-            reach_in[i] = merged
-            for s in succ[i]:
-                if s < n and not queued[s]:
+            for reg, i in defs.items():
+                merged.setdefault(reg, set()).add(i)
+        if merged != reach_in[k]:
+            reach_in[k] = merged
+            for s in succ[k]:
+                if s < m and not queued[s]:
                     queued[s] = True
                     worklist.append(s)
-
-    # memory dependence: a load depends on every earlier store whose address
-    # expression is syntactically equal
-    stores: dict[object, list[int]] = {}
-    for i, instr in enumerate(instructions):
-        for reg in instr.source_regs():
-            graph.data[i] |= reach_in[i].get(reg.index, set())
-        if instr.opcode == Opcode.LOAD:
-            graph.data[i].update(stores.get(instr.operands[1], ()))
-        elif instr.opcode == Opcode.STORE:
-            stores.setdefault(instr.operands[1], []).append(i)
 
     # control dependence (Ferrante, Ottenstein and Warren): i depends on
     # branch b iff i post-dominates a successor of b but not b itself, i.e.
     # i lies on the post-dominator tree path from that successor up to, and
-    # excluding, ipdom(b)
-    for b, instr in enumerate(instructions):
-        if instr.opcode != Opcode.BRANCH:
+    # excluding, ipdom(b). b ends its block, so that path is whole blocks:
+    # from each successor block up to, and excluding, the block's ipdom
+    guards: list[list[int]] = [[] for _ in range(m)]
+    for k in range(m):
+        b = start[k + 1] - 1
+        if instructions[b].opcode is not Opcode.BRANCH:
             continue
-        for node in succ[b]:
-            while node != ipdom[b]:
-                if node != b:
-                    graph.control[node].add(b)
+        for node in succ[k]:
+            while node != ipdom[k]:
+                guards[node].append(b)
                 node = ipdom[node]
-    return graph
+
+    # one walk per block: a source reads the definitions live at it; a
+    # load also depends on every earlier store whose address expression is
+    # syntactically equal
+    data: dict[int, set[int]] = {}
+    control: dict[int, set[int]] = {}
+    stores: dict[object, list[int]] = {}
+    for k in range(m):
+        live: dict[int, set[int] | tuple[int]] = dict(reach_in[k])
+        for i in range(start[k], start[k + 1]):
+            sources, dest = regs[i]
+            deps: set[int] = set()
+            for reg in sources:
+                deps.update(live.get(reg, ()))
+            instr = instructions[i]
+            if instr.opcode is Opcode.LOAD:
+                deps.update(stores.get(instr.operands[1], ()))
+            elif instr.opcode is Opcode.STORE:
+                stores.setdefault(instr.operands[1], []).append(i)
+            data[i] = deps
+            control[i] = set(guards[k])
+            if dest is not None:
+                live[dest] = (i,)
+        control[start[k + 1] - 1].discard(start[k + 1] - 1)  # a branch guards not itself
+    return DependenceGraph(data, control)
+
+
+def _registers(instr: MacroInstruction) -> tuple[tuple[int, ...], int | None]:
+    """(registers read, register written) of an instruction."""
+    dest = instr.dest_reg()
+    return tuple(reg.index for reg in instr.source_regs()), None if dest is None else dest.index
 
 
 def _components(edges: list[list[int]]) -> list[list[int]]:
@@ -310,7 +413,8 @@ def compute_safe_sets(program: Program) -> dict[int, int]:
     """
     graph = build_dependence_graph(program)
     n = len(program)
-    edges = [list(graph.sources(i)) for i in range(n)]
+    data, control = graph.data, graph.control
+    edges = [list(data[i] | control[i]) for i in range(n)]
     component_of = [-1] * n
     closures: list[int] = []
     for c, members in enumerate(_components(edges)):
@@ -329,14 +433,6 @@ def compute_safe_sets(program: Program) -> dict[int, int]:
     return {i: closures[component_of[i]] for i in range(n)}
 
 
-def _min_uops(instr: MacroInstruction) -> int:
-    """Fewest micro-ops one macro instruction contributes; a rep opcode's
-    count is run-time dependent, up to the expansion cap."""
-    if instr.opcode in REP_OPCODES:
-        return rep_expansion_count(instr.opcode, 0)
-    return 1
-
-
 def analyze_paths(
     program: Program,
     branch: int,
@@ -347,49 +443,51 @@ def analyze_paths(
     variable=True when a rep opcode sits on either path or when control flow
     cycles (back edges), in which case max_uops saturates at the cap.
     """
-    succ, _, ipdom = control_flow(program)
-    return _profile(program, succ, ipdom, branch, cap)
+    return _profile(program, control_flow(program), branch, cap)
 
 
-def _profile(
-    program: Program, succ: list[list[int]], ipdom: list[int], branch: int, cap: int
-) -> PathProfile:
+def _profile(program: Program, flow: ControlFlow, branch: int, cap: int) -> PathProfile:
     """Path profile of `branch`, which has no finite reconvergence when it
-    is a back edge. Otherwise it covers the region the branch reaches
-    before its reconvergence point (the branch itself is in the region only
-    if a cycle returns to it). A path starts at a successor of the branch,
-    counts each node it enters and ends at the reconvergence point.
+    is a back edge. Otherwise it covers the region of
+    blocks the branch reaches before its reconvergence block (the branch's
+    own block is in the region only if a cycle returns to it). A path starts
+    at a successor block of the branch, counts the micro-ops of each block
+    it enters and ends at the reconvergence block.
 
     min_uops is the shortest such path. A cycle or a rep opcode makes the
     profile variable with max_uops = cap; otherwise max_uops is the longest
     path, saturating at `cap`, found by one sweep in the topological order
-    of Kahn's algorithm, which leaves a node unordered exactly when the
+    of Kahn's algorithm, which leaves a block unordered exactly when the
     region has a cycle. Any topological order gives the same longest path.
     """
     if is_back_edge_branch(program, branch):
         return PathProfile(None, 0, cap, True)
-    instructions = program.instructions
-    n = len(instructions)
-    reconv = ipdom[branch]
+    start = flow.start
+    block = bisect_right(start, branch) - 1  # a branch ends its block
+    succ = flow.block_succ
+    reconv = flow.block_ipdom[block]
+    # every path from the region to the exit passes reconv, so the exit
+    # block is never in it
     local: dict[int, int] = {}
     region: list[int] = []
-    stack = list(succ[branch])
+    stack = list(succ[block])
     while stack:
         node = stack.pop()
-        if node != reconv and node < n and node not in local:
+        if node != reconv and node not in local:
             local[node] = len(region)
             region.append(node)
             stack.extend(succ[node])
     edges = [[local[s] for s in succ[v] if s in local] for v in region]
     exits = [len(edges[x]) < len(succ[v]) for x, v in enumerate(region)]
-    weights = [_min_uops(instructions[v]) for v in region]
-    starts = [local[s] for s in succ[branch] if s in local]
-    direct = len(starts) < len(succ[branch])  # an edge straight to reconv
+    block_uops = flow.block_uops
+    weights = [block_uops[v] for v in region]
+    starts = [local[s] for s in succ[block] if s in local]
+    direct = len(starts) < len(succ[block])  # an edge straight to reconv
 
-    # shortest count through each node, its own weight included (Dijkstra)
+    # shortest count through each block, its own weight included (Dijkstra)
     dist = [inf] * len(region)
-    if branch in local:
-        dist[local[branch]] = 0  # a path through it again is never shorter
+    if block in local:
+        dist[local[block]] = 0  # a path through it again is never shorter
     shortest = 0 if direct else inf
     heap = [(weights[x], x) for x in starts]
     while heap:
@@ -403,7 +501,7 @@ def _profile(
             if dist[t] == inf:
                 heappush(heap, (d + weights[t], t))
 
-    # Kahn's algorithm: `order` grows while it is walked, and a node on or
+    # Kahn's algorithm: `order` grows while it is walked, and a block on or
     # behind a cycle never reaches indegree 0
     indegree = [0] * len(region)
     for out in edges:
@@ -415,30 +513,31 @@ def _profile(
             indegree[t] -= 1
             if not indegree[t]:
                 order.append(t)
-    if len(order) < len(region) or any(instructions[v].opcode in REP_OPCODES for v in region):
-        return PathProfile(reconv, shortest, cap, True)
+    block_rep = flow.block_rep
+    if len(order) < len(region) or any(block_rep[v] for v in region):
+        return PathProfile(start[reconv], shortest, cap, True)
 
-    # acyclic and one micro-op per node: longest count by one sweep in
-    # topological order, saturating at the cap
-    longest = [-1] * len(region)  # count on entering each node
+    # acyclic and no rep opcode, so a block's weight is its length: longest
+    # count by one sweep in topological order, saturating at the cap
+    longest = [-1] * len(region)  # count on entering each block
     for x in starts:
         longest[x] = 0
     best = 0 if direct else -1
     for x in order:
-        out = min(longest[x] + 1, cap)
+        out = min(longest[x] + weights[x], cap)
         for t in edges[x]:
             longest[t] = max(longest[t], out)
         if exits[x]:
             best = max(best, out)
-    return PathProfile(reconv, shortest, best, False)
+    return PathProfile(start[reconv], shortest, best, False)
 
 
 def analyze_all_branches(program: Program, cap: int = DEFAULT_EXPANSION_CAP) -> dict[int, PathProfile]:
-    succ, _, ipdom = control_flow(program)
+    flow = control_flow(program)
+    instructions = program.instructions
+    ends = (stop - 1 for stop in flow.start[1:])
     return {
-        i: _profile(program, succ, ipdom, i, cap)
-        for i, instr in enumerate(program.instructions)
-        if instr.opcode == Opcode.BRANCH
+        b: _profile(program, flow, b, cap) for b in ends if instructions[b].opcode is Opcode.BRANCH
     }
 
 

@@ -13,9 +13,13 @@ conventions the traces rely on:
 
 Fetch runs ahead of a full reorder buffer into a small decode queue, so
 back-pressure from a jammed ROB is visible as dispatch stalls rather
-than fetch stalls. REP opcodes expand at decode, reading the counter
-from the youngest in-flight producer (bypass) and stalling decode until
-that value exists; under the operand-independent fill mitigation a
+than fetch stalls. Dispatch has no width of its own: each cycle it moves,
+in order, every queued micro-op that fits into the ROB. The queue holds
+2 * decode_width micro-ops, so up to that many dispatch in one cycle,
+more than decode_width when commit frees several ROB entries behind a
+stall. REP opcodes expand at decode, reading the counter from the
+youngest in-flight producer (bypass) and stalling decode until that
+value exists; under the operand-independent fill mitigation a
 tainted counter instead yields a fixed predicted expansion that is
 verified, and on mismatch squashed and re-expanded, once the true count
 is known.

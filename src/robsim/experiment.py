@@ -436,12 +436,10 @@ def reports_csv(cells: list[CellResult]) -> str:
 
 
 def occupancy_csv(series: list[int]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["cycle", "occupancy"])
-    for cycle, occ in enumerate(series, start=1):
-        writer.writerow([cycle, occ])
-    return out.getvalue()
+    """One `cycle,occupancy` row per cycle, from cycle 1, as csv.writer
+    writes two ints (no quoting, CRLF line ends)."""
+    rows = [f"{cycle},{occ}\r\n" for cycle, occ in enumerate(series, start=1)]
+    return "cycle,occupancy\r\n" + "".join(rows)
 
 
 def write_artifacts(result: ExperimentResult) -> list[Path]:

@@ -237,10 +237,11 @@ class Program:
         other opcodes: the one place a target label is looked up, read by
         the core and by robsim.analysis alike. Resolved once per program
         object, after validate() passes, so derive an edited program with
-        dataclasses.replace, never in place. An `overlay` shares this
-        program's instruction list and labels, so it keeps these targets
-        rather than resolving and validating again; it checks only the
-        entries it adds."""
+        dataclasses.replace, never in place. `parse_program` stores the
+        targets it resolves while checking labels, and an `overlay` shares
+        this program's instruction list and labels, so it keeps these
+        targets; neither resolves and validates again, and an overlay
+        checks only the entries it adds."""
         self.validate()
         names = (instr.target_label() for instr in self.instructions)
         return tuple(None if name is None else self.labels[name] for name in names)
@@ -462,17 +463,23 @@ def parse_program(text: str) -> Program:
         raise ParseError(pending_line, f"label {pending_label!r} has no instruction")
 
     program = Program(instructions, labels, data_init, tuple(warm), tuple(flush), predict)
+    targets: list[int | None] = []
     for instr, line_no in zip(instructions, instr_lines):
         name = instr.target_label()
-        if name is not None and name not in labels:
+        if name is None:
+            targets.append(None)
+        elif (target := labels.get(name)) is None:
             raise ParseError(
                 line_no, f"unresolved label {name!r} in instruction {instr.id}"
             )
+        else:
+            targets.append(target)
     for name, line_no in predict_lines.items():
         if problem := program.predict_problem(name):
             raise ParseError(line_no, problem)
-    # every check validate() makes is made above with a line number, so it
-    # runs once, when `targets` is first resolved
+    # every check validate() makes is made above with a line number, so the
+    # targets resolved here are stored as `targets` itself caches them
+    program.__dict__["targets"] = tuple(targets)
     return program
 
 

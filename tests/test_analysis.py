@@ -57,6 +57,27 @@ def members(bits):
     return frozenset(m for m in range(bits.bit_length()) if bits >> m & 1)
 
 
+def instruction_successors(program):
+    """Oracle CFG: successor ids of each instruction, fallthrough first. A
+    jump, or a branch to the next instruction, has one; n is the exit."""
+    succ = []
+    for i, (instr, target) in enumerate(zip(program.instructions, program.targets)):
+        if target is None:
+            succ.append([i + 1])
+        elif instr.opcode is Opcode.JUMP or target == i + 1:
+            succ.append([target])
+        else:
+            succ.append([i + 1, target])
+    return succ
+
+
+def block_leaders(program):
+    """Oracle: instruction 0, every target and every instruction after a
+    branch or jump start a block; the exit, id n, closes the last one."""
+    jumps = [(i, target) for i, target in enumerate(program.targets) if target is not None]
+    return sorted({0, len(program)} | {t for _, t in jumps} | {i + 1 for i, _ in jumps})
+
+
 def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
     """Oracle: walk every path from `branch` to its reconvergence point.
 
@@ -70,8 +91,8 @@ def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
     """
     if is_back_edge_branch(program, branch):
         return PathProfile(None, 0, cap, True)
-    succ, _, ipdom = control_flow(program)
-    reconv = ipdom[branch]
+    succ = instruction_successors(program)
+    reconv = control_flow(program).ipdom[branch]
     n = len(program)
     mins, maxs = [], []
     variable = False
@@ -104,7 +125,7 @@ def enumerated_profile(program, branch, cap=DEFAULT_EXPANSION_CAP):
 def brute_force_postdominators(program):
     """Oracle: enumerate every acyclic path to exit; m pdoms i iff m is on all."""
     n = len(program)
-    succ = control_flow(program).succ
+    succ = instruction_successors(program)
     paths_from: dict[int, list[list[int]]] = {}
 
     def paths(node, on_path):
@@ -135,7 +156,7 @@ def fixpoint_postdominators(program):
     len(program) post-dominates everything and seeds the iteration.
     """
     n = len(program)
-    succ = control_flow(program).succ
+    succ = instruction_successors(program)
     everything = set(range(n + 1))
     pdom = [set(everything) for _ in range(n)] + [{n}]
     changed = True
@@ -178,7 +199,7 @@ def oracle_dependence_graph(program):
     """
     n = len(program)
     instrs = program.instructions
-    succ = control_flow(program).succ
+    succ = instruction_successors(program)
     data = {i: set() for i in range(n)}
     control = {i: set() for i in range(n)}
     for d, instr in enumerate(instrs):
@@ -654,10 +675,65 @@ def cyclic_programs(draw):
     return parse_program("\n".join(lines) + "\n")
 
 
+RUN_KINDS = ["alu", "alu", "load", "store", "nop"]
+
+
+@st.composite
+def block_programs(draw):
+    """Random programs of up to 4 straight-line runs of 1 to 30
+    instructions, each closed by a branch or a jump, then a final nop. A
+    run holds a rep opcode one time in three. Only targets are sure to carry
+    a label, and a few other instructions carry one too, so blocks are long
+    and a label alone must start none. A branch targets itself, the next
+    instruction, an earlier one (a back edge) or a later one, often inside
+    a run; a jump goes forward only and a branch falls through, so every
+    instruction still reaches the exit."""
+    body: list[str] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        run = []
+        for _ in range(draw(st.integers(min_value=1, max_value=30))):
+            kind = draw(st.sampled_from(RUN_KINDS))
+            reg = f"r{draw(st.integers(min_value=0, max_value=5))}"
+            reg2 = f"r{draw(st.integers(min_value=0, max_value=5))}"
+            if kind == "alu":
+                run.append(f"alu {reg}, {reg2}, {draw(st.integers(min_value=0, max_value=9))}")
+            elif kind in ("load", "store"):
+                run.append(f"{kind} {reg}, {draw(addresses(reg2))}")
+            else:
+                run.append("nop")
+        if draw(st.integers(min_value=0, max_value=2)) == 0:
+            rep = draw(st.sampled_from(["rep_movs", "rep_lods"]))
+            at = draw(st.integers(min_value=0, max_value=len(run)))
+            run.insert(at, f"{rep} r{draw(st.integers(min_value=0, max_value=5))}")
+        body += run
+        body.append(draw(st.sampled_from(["branch", "branch", "jump"])))
+    body.append("nop")
+    n = len(body)
+    labels = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=4))
+    for i, text in enumerate(body):
+        if text == "branch":
+            forward = st.integers(min_value=i + 1, max_value=n - 1)
+            target = draw(st.one_of(
+                st.just(i), st.just(i + 1), st.integers(min_value=0, max_value=i), forward, forward
+            ))
+            body[i] = f"branch r{draw(st.integers(min_value=0, max_value=5))}, l{target}"
+        elif text == "jump":
+            target = draw(st.integers(min_value=i + 1, max_value=n - 1))
+            body[i] = f"jump l{target}"
+        else:
+            continue
+        labels.add(target)
+    lines = [f"l{i}: {text}" if i in labels else f"    {text}" for i, text in enumerate(body)]
+    return parse_program("\n".join(lines) + "\n")
+
+
 def check_against_oracles(prog):
     n = len(prog)
+    flow = control_flow(prog)
+    assert flow.start == block_leaders(prog)
+    assert flow.succ == instruction_successors(prog)
     pdom = fixpoint_postdominators(prog)
-    ipdom = control_flow(prog).ipdom
+    ipdom = flow.ipdom
     assert ipdom == [deepest_strict_postdominator(pdom, i) for i in range(n)] + [n]
     assert postdominator_sets(ipdom) == pdom
     graph = build_dependence_graph(prog)
@@ -680,6 +756,12 @@ def test_analysis_matches_oracles_on_forward_programs(prog):
 @settings(max_examples=150, deadline=None)
 @given(cyclic_programs())
 def test_analysis_matches_oracles_on_cyclic_programs(prog):
+    check_against_oracles(prog)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_programs())
+def test_analysis_matches_oracles_on_programs_of_long_blocks(prog):
     check_against_oracles(prog)
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_analysis import cyclic_programs, dag_programs, members
 
+from robsim import scenarios
 from robsim.analysis import AnalysisError, compute_safe_sets
 from robsim.cache import CacheConfig
 from robsim.core import (
@@ -255,6 +256,16 @@ def test_full_rob_back_pressures_dispatch():
     assert max(trace.occupancy) == 4
     assert trace.stats.dispatch_stalls > 0
     assert trace.stats.committed_uops == 9
+
+
+def test_dispatch_moves_every_queued_entry_that_fits():
+    # dispatch has no width: when the miss commits, the ROB frees two
+    # entries and both queued alus (2 * decode_width) dispatch in one cycle
+    text = ".flush 16\nload r1, [16]\n" + "alu r2, r2, 1\n" * 5
+    core = CoreConfig(rob_size=2, decode_width=1, commit_width=4)
+    trace = simulate(text, core=core)
+    per_cycle = collections.Counter(e.dispatch_cycle for e in trace.records)
+    assert per_cycle[63] == 2 == max(per_cycle.values())
 
 
 def test_occupancy_sampled_every_cycle():
@@ -1235,15 +1246,23 @@ def test_program_is_validated_once_for_many_simulators(monkeypatch):
 
 
 def test_program_is_validated_once_per_sweep(monkeypatch, tmp_path):
-    # each distinct instruction list once: every scenario's, and the one
-    # path_balancing rewrites; not once per (cell, secret)
-    validated = []
-    validate = Program.validate
+    # each distinct instruction list once, not once per (cell, secret):
+    # every scenario's by parse_program, which keeps the targets it
+    # resolves, and the one path_balancing rewrites by validate()
+    checked = []
+    validate, parse = Program.validate, scenarios.parse_program
+
+    def parsed(text):
+        program = parse(text)
+        checked.append(program.instructions)
+        return program
+
     monkeypatch.setattr(
-        Program, "validate", lambda self: validated.append(self.instructions) or validate(self)
+        Program, "validate", lambda self: checked.append(self.instructions) or validate(self)
     )
+    monkeypatch.setattr(scenarios, "parse_program", parsed)
     result = run_experiment(config_from_mapping(INVARSPEC_ROB768_SWEEP, tmp_path))
     assert result.exit_code == 0
-    assert len({id(instructions) for instructions in validated}) == len(validated)
-    assert len(validated) == len(SCENARIO_NAMES) + 1
+    assert len({id(instructions) for instructions in checked}) == len(checked)
+    assert len(checked) == len(SCENARIO_NAMES) + 1
 

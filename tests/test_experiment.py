@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 import re
 import subprocess
@@ -28,6 +29,7 @@ from robsim.experiment import (
     judge,
     load_config_file,
     mitigation_label,
+    occupancy_csv,
     parse_mitigation_set,
     run_experiment,
 )
@@ -445,18 +447,31 @@ def test_broken_promise_exits_security(tmp_path, monkeypatch):
 
 def test_sweep_builds_one_postdominator_tree_per_program(tmp_path, monkeypatch):
     # every scenario's program, and the one path_balancing rewrites: the
-    # safe sets, the profiles, balancing and the certificate share each tree
+    # safe sets, the profiles, balancing and the certificate share each tree,
+    # which is built over the program's basic blocks
     config = config_from_mapping(INVARSPEC_ROB768_SWEEP, tmp_path)
-    lengths = [len(build_scenario(name, 0, config.machine).program) for name in SCENARIO_NAMES]
+    programs = [build_scenario(name, 0, config.machine).program for name in SCENARIO_NAMES]
     balanced, _ = prepare(build_scenario("fsi_v1_straight", 0, config.machine),
                           DefenseMode.DOM_PLUS_INVARSPEC, {Mitigation.PATH_BALANCING})
-    lengths.append(len(balanced.program))
+    programs.append(balanced.program)
+    blocks = [len(analysis.control_flow(program).block_succ) for program in programs]
     built = []
     tree = analysis._postdominator_tree
     monkeypatch.setattr(analysis, "_postdominator_tree",
                         lambda succ, preds: built.append(len(succ)) or tree(succ, preds))
     assert run_experiment(config).exit_code == EXIT_OK
-    assert sorted(built) == sorted(lengths)
+    assert len(built) == len(programs)  # one tree per program
+    assert sorted(built) == sorted(blocks)
+
+
+def test_occupancy_csv_is_what_csv_writer_writes():
+    series = [0, 3, 12, 7, 7]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["cycle", "occupancy"])
+    writer.writerows(enumerate(series, start=1))
+    assert occupancy_csv(series) == out.getvalue()
+    assert occupancy_csv([]) == "cycle,occupancy\r\n"
 
 
 def test_artifacts_byte_identical_across_runs(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,6 +85,13 @@ def test_parse_data_directive_and_operand_shapes():
     assert prog.instructions[2].operands == (Reg(5), Mem(Reg(2), -4))
     assert prog.instructions[3].operands == (Reg(6), Reg(1), Imm(10))
     assert prog.targets[4] == 0
+
+
+def test_parse_stores_the_targets_it_resolves():
+    prog = parse_program(GUARDED_LOAD)
+    # stored with the parse, so the first use neither validates nor resolves
+    assert prog.__dict__["targets"] == (2, 3, None, None, None)
+    assert replace(prog).targets == prog.targets  # validating and resolving agree
 
 
 def test_repeated_operand_text_parses_once():
