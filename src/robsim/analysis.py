@@ -6,14 +6,14 @@ computes those sets from program text alone. The control-flow passes run
 over basic blocks, so a long straight-line run (the forward-interference
 gadget is hundreds of identical alus) costs them one node; the dependence
 edges and safe sets are per instruction. For an n-instruction program of
-m basic blocks:
+B basic blocks:
 
   * basic blocks, their CFG and post-dominator tree (`control_flow`): one
     walk over the resolved targets finds the leaders (instruction 0, every
     branch or jump target, every instruction after a branch or jump; a
     label alone starts no block), then Cooper, Harvey and Kennedy's
     iterative dominator algorithm runs on the reverse block CFG, rooted at
-    the virtual exit block; near-linear in m. Each block's fewest micro-ops
+    the virtual exit block; near-linear in B. Each block's fewest micro-ops
     and whether it holds a rep opcode are kept beside the tree. Built once
     per program object and kept on it, as its resolved `targets` are, so
     the dependence graph, every path profile, `balance_paths` and the
@@ -24,13 +24,15 @@ m basic blocks:
     their fixed point over blocks (a FIFO worklist that revisits a block
     only when a predecessor's output changed, each block summarised by the
     last definition of each register it writes), then one linear walk per
-    block gives each instruction the definitions its sources read. Memory
-    dependences are approximated by syntactic address-expression equality
-    (one dict lookup per load). Control dependence (Ferrante, Ottenstein
-    and Warren) walks the block post-dominator tree from each successor of
-    a branch's block up to the block's immediate post-dominator, one step
-    per block; every instruction of a block on that walk depends on the
-    branch, except the branch itself;
+    block gives each instruction the definitions its sources read, O(n);
+    the registers are read off each distinct (opcode, operand tuple) once,
+    and parsing shares one tuple between instructions of the same text.
+    Memory dependences are approximated by syntactic address-expression
+    equality (one dict lookup per load). Control dependence (Ferrante,
+    Ottenstein and Warren) walks the block post-dominator tree from each
+    successor of a branch's block up to the block's immediate
+    post-dominator, one step per block; every instruction of a block on
+    that walk depends on the branch, except the branch itself;
   * safe set of i: the transitive closure of i's dependence sources, kept
     as an int bitmask (bit m set when m is a member), closed per strongly
     connected component (Tarjan) of the instruction dependence graph in
@@ -107,7 +109,6 @@ class DependenceGraph:
         return self.data.get(instr, set()) | self.control.get(instr, set())
 
 
-@dataclass(frozen=True, eq=False)
 class ControlFlow:
     """A program's basic blocks, their CFG and post-dominator tree.
 
@@ -118,12 +119,21 @@ class ControlFlow:
     successor and immediate post-dominator is the next instruction.
     """
 
-    start: list[int]  # first instruction of blocks 0..m
-    block_succ: list[list[int]]  # successor blocks of 0..m-1, fallthrough first
-    block_preds: list[list[int]]  # predecessor blocks of 0..m
-    block_ipdom: list[int]  # immediate post-dominator of blocks 0..m; m's is m
-    block_uops: list[int]  # fewest micro-ops of blocks 0..m-1 (rep opcodes at count 0)
-    block_rep: list[bool]  # whether each of blocks 0..m-1 holds a rep opcode
+    def __init__(
+        self,
+        start: list[int],
+        block_succ: list[list[int]],
+        block_preds: list[list[int]],
+        block_ipdom: list[int],
+        block_uops: list[int],
+        block_rep: list[bool],
+    ):
+        self.start = start  # first instruction of blocks 0..m
+        self.block_succ = block_succ  # successor blocks of 0..m-1, fallthrough first
+        self.block_preds = block_preds  # predecessor blocks of 0..m
+        self.block_ipdom = block_ipdom  # immediate post-dominator of blocks 0..m; m's is m
+        self.block_uops = block_uops  # fewest micro-ops of blocks 0..m-1 (rep opcodes at 0)
+        self.block_rep = block_rep  # whether each of blocks 0..m-1 holds a rep opcode
 
     @cached_property
     def succ(self) -> list[list[int]]:
