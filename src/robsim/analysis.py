@@ -26,7 +26,8 @@ B basic blocks:
     last definition of each register it writes), then one linear walk per
     block gives each instruction the definitions its sources read, O(n);
     the registers are read off each distinct (opcode, operand tuple) once,
-    and parsing shares one tuple between instructions of the same text.
+    and parsing shares one tuple between instructions of the same statement
+    text (the text after any label).
     Memory dependences are approximated by syntactic address-expression
     equality (one dict lookup per load). Control dependence (Ferrante,
     Ottenstein and Warren) walks the block post-dominator tree from each
@@ -278,7 +279,7 @@ def build_dependence_graph(program: Program) -> DependenceGraph:
     flow = control_flow(program)
     start, succ, preds, ipdom = flow.start, flow.block_succ, flow.block_preds, flow.block_ipdom
     m = len(succ)
-    # instructions parsed from the same operand text share one operand
+    # instructions parsed from the same statement text share one operand
     # tuple, so the registers of each (opcode, operand tuple) are read once
     known: dict[tuple[Opcode, int], tuple[tuple[int, ...], int | None]] = {}
     regs = []
@@ -286,7 +287,7 @@ def build_dependence_graph(program: Program) -> DependenceGraph:
         key = (instr.opcode, id(instr.operands))
         found = known.get(key)
         if found is None:
-            found = known[key] = _registers(instr)
+            found = known[key] = instr.registers()
         regs.append(found)
 
     # reaching register definitions over the block CFG: FIFO worklist to
@@ -357,12 +358,6 @@ def build_dependence_graph(program: Program) -> DependenceGraph:
                 live[dest] = (i,)
         control[start[k + 1] - 1].discard(start[k + 1] - 1)  # a branch guards not itself
     return DependenceGraph(data, control)
-
-
-def _registers(instr: MacroInstruction) -> tuple[tuple[int, ...], int | None]:
-    """(registers read, register written) of an instruction."""
-    dest = instr.dest_reg()
-    return tuple(reg.index for reg in instr.source_regs()), None if dest is None else dest.index
 
 
 def _components(edges: list[list[int]]) -> list[list[int]]:

@@ -16,6 +16,15 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
+def require_integers(config: object, names: tuple[str, ...]) -> None:
+    """Refuse a config whose field of any of `names` is not an int: a float
+    width or latency runs the machine on fractions, and a bool is no count."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     num_sets: int = 64
@@ -25,6 +34,9 @@ class CacheConfig:
     mshr_entries: int | None = 10  # None means unbounded
 
     def __post_init__(self) -> None:
+        require_integers(self, ("num_sets", "ways", "hit_cycles", "miss_cycles"))
+        if self.mshr_entries is not None:
+            require_integers(self, ("mshr_entries",))
         if self.num_sets < 1 or self.ways < 1:
             raise ValueError("cache geometry must be positive")
         if self.hit_cycles < 1 or self.miss_cycles <= self.hit_cycles:

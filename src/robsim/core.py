@@ -86,12 +86,12 @@ import io
 import random
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from operator import attrgetter
 from typing import Mapping
 
-from .cache import AccessOutcome, CacheConfig, CacheState
+from .cache import AccessOutcome, CacheConfig, CacheState, require_integers
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
@@ -125,16 +125,9 @@ class CoreConfig:
     max_cycles: int = 200_000
 
     def __post_init__(self) -> None:
-        for name in (
-            "rob_size",
-            "decode_width",
-            "commit_width",
-            "load_ports",
-            "alu_ports",
-            "alu_latency",
-            "expansion_cap",
-            "max_cycles",
-        ):
+        names = tuple(f.name for f in fields(self))
+        require_integers(self, names)
+        for name in names:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
@@ -149,6 +142,7 @@ class MachineConfig:
     jitter_seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integers(self, ("jitter_amplitude", "jitter_seed"))
         if self.jitter_amplitude < 0:
             raise ValueError("jitter amplitude cannot be negative")
         gap = self.cache.miss_cycles - self.cache.hit_cycles
@@ -900,7 +894,7 @@ class Simulator:
         fetch streams its micro-ops. False means decode stalls: its
         in-flight counter must be bypassed first (not a re-expansion, no
         predicted fill)."""
-        counter_reg = macro.operands[0].index
+        counter_reg = macro.decoded.src[0]
         producer = self._prod_map.get(counter_reg)
         counted = self._counted_rep == macro.id
         if counted:

@@ -170,21 +170,20 @@ def _integer(value, key: str) -> int:
     return value
 
 
-def _sub_config(cls, mapping: Mapping, label: str, nullable: tuple[str, ...] = ()):
-    """`cls` built from `mapping`, whose every value is an integer, or None
-    for a key in `nullable`."""
+def _sub_config(cls, mapping: Mapping, label: str):
+    """`cls` built from `mapping`. The class refuses a value that is not an
+    integer with a TypeError that starts with the key."""
     if not isinstance(mapping, Mapping):
         raise ConfigError(f"{label} must be a mapping of keys to integers, got {mapping!r}")
     known = {f.name for f in fields(cls)}
     unknown = set(mapping) - known
     if unknown:
         raise ConfigError(f"unknown {label} keys: {', '.join(sorted(unknown))}")
-    for key, value in mapping.items():
-        if value is not None or key not in nullable:
-            _integer(value, f"{label}.{key}")
     try:
         return cls(**mapping)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
+        raise ConfigError(f"{label}.{exc}") from None
+    except ValueError as exc:
         raise ConfigError(f"bad {label} config: {exc}") from None
 
 
@@ -214,7 +213,7 @@ def config_from_mapping(
     if out is None:
         raise ConfigError("output directory is required (out: or --out)")
     core = _sub_config(CoreConfig, mapping.get("core", {}), "core")
-    cache = _sub_config(CacheConfig, mapping.get("cache", {}), "cache", ("mshr_entries",))
+    cache = _sub_config(CacheConfig, mapping.get("cache", {}), "cache")
     try:
         machine = MachineConfig(
             core=core,

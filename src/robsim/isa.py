@@ -4,16 +4,16 @@ A program is a flat list of macro instructions plus a label table, an
 initial-memory map and its run setup: the cache lines made resident
 (`.warm`) and then evicted (`.flush`) before cycle 0, and the branches
 whose direction is forced (`.predict`, keyed by label). Macro instructions
-decode into micro-ops; every opcode expands to exactly one micro-op of kind
-`KIND_BY_OPCODE[opcode]` except the string-repeat opcodes, whose expansion
-count is a function of the runtime counter value:
+decode into micro-ops; every opcode expands to exactly one micro-op of its
+`Opcode.kind` except the string-repeat opcodes, whose expansion count is a
+function of the runtime counter value:
 
     rep_movs  -> 2*n micro-ops
     rep_lods  -> 5*n + 12 micro-ops
 
 Expansion happens at decode time in robsim.core, so the counter value may
-be a speculative (bypassed) one. This module only supplies the tables and
-the count formula; timing lives in the core.
+be a speculative (bypassed) one. This module only supplies the opcode table
+and the count formula; timing lives in the core.
 """
 
 from __future__ import annotations
@@ -27,40 +27,12 @@ ADDRESS_SPACE = 1 << 20  # valid data addresses are [0, ADDRESS_SPACE)
 DEFAULT_EXPANSION_CAP = 4096  # max micro-ops emitted per rep instruction
 
 
-class Opcode(enum.Enum):
-    LOAD = "load"
-    STORE = "store"
-    ALU = "alu"
-    SETSHIFT = "setshift"
-    BRANCH = "branch"
-    JUMP = "jump"
-    REP_MOVS = "rep_movs"
-    REP_LODS = "rep_lods"
-    FENCE = "fence"
-    NOP = "nop"
-
-
 class UopKind(enum.Enum):
     MEM_READ = "mem_read"
     MEM_WRITE = "mem_write"
     ALU = "alu"
     BRANCH_RESOLVE = "branch_resolve"
     NOP = "nop"
-
-
-#: micro-op kind of every single-uop opcode; rep opcodes expand to NOPs
-KIND_BY_OPCODE = {
-    Opcode.LOAD: UopKind.MEM_READ,
-    Opcode.STORE: UopKind.MEM_WRITE,
-    Opcode.ALU: UopKind.ALU,
-    Opcode.SETSHIFT: UopKind.ALU,
-    Opcode.BRANCH: UopKind.BRANCH_RESOLVE,
-    Opcode.JUMP: UopKind.NOP,
-    Opcode.FENCE: UopKind.NOP,
-    Opcode.NOP: UopKind.NOP,
-}
-
-REP_OPCODES = (Opcode.REP_MOVS, Opcode.REP_LODS)
 
 
 class ParseError(ValueError):
@@ -116,6 +88,50 @@ class Label:
 
 
 Operand = Reg | Imm | Mem | Label
+_SOURCE = (Reg, Imm)  # an alu source operand
+
+
+class Opcode(enum.Enum):
+    """The opcode table: every per-opcode fact, stated once. Each member's
+    row gives its mnemonic (its value) and
+
+      * `kind`: the kind of micro-op it decodes to; a rep opcode's are NOPs;
+      * `shapes`: the operand types it accepts, one tuple per arity;
+      * `writes`: whether operand 0 is the register it writes;
+      * `target`: which operand names its branch target, None if none does.
+
+    The registers it reads follow from these (`MacroInstruction.registers`).
+    The facts are member attributes, so reading one hashes no enum member.
+    """
+
+    kind: UopKind
+    shapes: tuple[tuple[type | tuple[type, ...], ...], ...]
+    writes: bool
+    target: int | None
+
+    # mnemonic, kind, shapes, writes, target
+    LOAD = "load", UopKind.MEM_READ, ((Reg, Mem),), True, None
+    STORE = "store", UopKind.MEM_WRITE, ((Reg, Mem),), False, None
+    ALU = "alu", UopKind.ALU, ((Reg, _SOURCE), (Reg, _SOURCE, _SOURCE)), True, None
+    SETSHIFT = "setshift", UopKind.ALU, ((Reg, Reg, Imm),), True, None
+    BRANCH = "branch", UopKind.BRANCH_RESOLVE, ((Reg, Label),), False, 1
+    JUMP = "jump", UopKind.NOP, ((Label,),), False, 0
+    REP_MOVS = "rep_movs", UopKind.NOP, ((Reg,),), False, None
+    REP_LODS = "rep_lods", UopKind.NOP, ((Reg,),), False, None
+    FENCE = "fence", UopKind.NOP, ((),), False, None
+    NOP = "nop", UopKind.NOP, ((),), False, None
+
+    def __new__(cls, mnemonic, kind, shapes, writes, target):
+        member = object.__new__(cls)
+        member._value_ = mnemonic
+        member.kind = kind
+        member.shapes = shapes
+        member.writes = writes
+        member.target = target
+        return member
+
+
+REP_OPCODES = (Opcode.REP_MOVS, Opcode.REP_LODS)
 
 
 @dataclass(frozen=True)
@@ -128,20 +144,11 @@ class MacroInstruction:
     @cached_property
     def decoded(self) -> DecodedInstruction:
         """What the core reads off this instruction at every decode, worked
-        out once per (immutable) instruction object.
-
-        Source registers are deduplicated in operand order. A rep opcode
-        lists none: its counter is read at decode, and its micro-ops wait
-        on nothing at dispatch.
-        """
-        dest = self.dest_reg()
-        return DecodedInstruction(
-            MicroOp(self.id, 0, KIND_BY_OPCODE.get(self.opcode, UopKind.NOP)),
-            ()
-            if self.opcode in REP_OPCODES
-            else tuple(dict.fromkeys(r.index for r in self.source_regs())),
-            None if dest is None else dest.index,
-        )
+        out once per (immutable) instruction object. A rep opcode's source
+        is its counter, read at decode; its micro-ops wait on nothing at
+        dispatch."""
+        reads, write = self.registers()
+        return DecodedInstruction(MicroOp(self.id, 0, self.opcode.kind), reads, write)
 
     @cached_property
     def alu_plan(self) -> tuple[tuple[tuple[int, int], ...], int, int]:
@@ -170,41 +177,24 @@ class MacroInstruction:
             return None, mem.offset
         return self.decoded.src.index(mem.base.index), mem.offset
 
-    def dest_reg(self) -> Reg | None:
-        if self.opcode in (Opcode.LOAD, Opcode.ALU, Opcode.SETSHIFT):
-            return self.operands[0]  # type: ignore[return-value]
-        return None
-
-    def source_regs(self) -> tuple[Reg, ...]:
-        """Registers read by this instruction, in operand order."""
-        out: list[Reg] = []
-        if self.opcode == Opcode.LOAD:
-            mem = self.operands[1]
-            if isinstance(mem, Mem) and mem.base is not None:
-                out.append(mem.base)
-        elif self.opcode == Opcode.STORE:
-            out.append(self.operands[0])  # type: ignore[arg-type]
-            mem = self.operands[1]
-            if isinstance(mem, Mem) and mem.base is not None:
-                out.append(mem.base)
-        elif self.opcode == Opcode.ALU:
-            for op in self.operands[1:]:
-                if isinstance(op, Reg):
-                    out.append(op)
-        elif self.opcode == Opcode.SETSHIFT:
-            out.append(self.operands[1])  # type: ignore[arg-type]
-        elif self.opcode == Opcode.BRANCH:
-            out.append(self.operands[0])  # type: ignore[arg-type]
-        elif self.opcode in REP_OPCODES:
-            out.append(self.operands[0])  # type: ignore[arg-type]
-        return tuple(out)
+    def registers(self) -> tuple[tuple[int, ...], int | None]:
+        """(registers read, register written): operand 0 when the opcode
+        writes it; every other register operand and every address base is
+        read, deduplicated in operand order."""
+        operands = self.operands
+        writes = self.opcode.writes
+        reads = []
+        for op in operands[1:] if writes else operands:
+            if isinstance(op, Reg):
+                reads.append(op.index)
+            elif isinstance(op, Mem) and op.base is not None:
+                reads.append(op.base.index)
+        write = operands[0].index if writes else None  # type: ignore[union-attr]
+        return tuple(dict.fromkeys(reads)), write
 
     def target_label(self) -> str | None:
-        if self.opcode == Opcode.BRANCH:
-            return self.operands[1].name  # type: ignore[union-attr]
-        if self.opcode == Opcode.JUMP:
-            return self.operands[0].name  # type: ignore[union-attr]
-        return None
+        at = self.opcode.target
+        return None if at is None else self.operands[at].name  # type: ignore[union-attr]
 
 
 class MicroOp(NamedTuple):
@@ -292,20 +282,6 @@ class Program:
 
 _OPCODE_BY_MNEMONIC = {op.value: op for op in Opcode}
 
-#: operand types of every fixed-arity opcode (alu takes 2 or 3, checked apart)
-_OPERAND_SHAPES: dict[Opcode, tuple[type, ...]] = {
-    Opcode.LOAD: (Reg, Mem),
-    Opcode.STORE: (Reg, Mem),
-    Opcode.SETSHIFT: (Reg, Reg, Imm),
-    Opcode.BRANCH: (Reg, Label),
-    Opcode.JUMP: (Label,),
-    Opcode.REP_MOVS: (Reg,),
-    Opcode.REP_LODS: (Reg,),
-    Opcode.FENCE: (),
-    Opcode.NOP: (),
-}
-
-
 def _parse_int(text: str, line_no: int) -> int:
     try:
         return int(text, 0)
@@ -352,20 +328,16 @@ def _parse_operand(text: str, line_no: int) -> Operand:
 
 
 def _check_operands(op: Opcode, operands: tuple[Operand, ...], line_no: int) -> None:
-    if op == Opcode.ALU:
-        if len(operands) not in (2, 3):
-            raise ParseError(line_no, "alu takes 2 or 3 operands")
-        if not isinstance(operands[0], Reg):
-            raise ParseError(line_no, "alu destination must be a register")
-        for src in operands[1:]:
-            if not isinstance(src, (Reg, Imm)):
-                raise ParseError(line_no, "alu sources must be registers or immediates")
-        return
-    shape = _OPERAND_SHAPES[op]
-    if len(operands) != len(shape):
-        raise ParseError(line_no, f"{op.value} takes {len(shape)} operand(s)")
-    for got, want in zip(operands, shape):
+    for shape in op.shapes:
+        if len(shape) == len(operands):
+            break
+    else:
+        counts = " or ".join(str(len(shape)) for shape in op.shapes)
+        raise ParseError(line_no, f"{op.value} takes {counts} operand(s)")
+    for at, (got, want) in enumerate(zip(operands, shape)):
         if not isinstance(got, want):
+            if at == 0 and op.writes:
+                raise ParseError(line_no, f"{op.value} destination must be a register")
             raise ParseError(line_no, f"bad operand {got} for {op.value}")
 
 
@@ -388,10 +360,9 @@ def parse_program(text: str) -> Program:
     predict_lines: dict[str, int] = {}  # source line of each .predict
     pending_label: str | None = None
     pending_line = 0
-    # operand text -> its (frozen) operands: repeated text parses once and
-    # shares one tuple, and each (opcode, operand text) is checked once
-    parsed_operands: dict[str, tuple[Operand, ...]] = {}
-    checked: set[tuple[Opcode, str]] = set()
+    # statement text after any label -> its opcode and (frozen) operands:
+    # repeated text parses and is checked once, and shares one tuple
+    statements: dict[str, tuple[Opcode, tuple[Operand, ...]]] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -436,23 +407,22 @@ def parse_program(text: str) -> Program:
         if pending_label is not None:
             label = pending_label
             pending_label = None
-        fields = line.split(None, 1)
-        mnemonic = fields[0].lower()
-        opcode = _OPCODE_BY_MNEMONIC.get(mnemonic)
-        if opcode is None:
-            raise ParseError(line_no, f"unknown opcode {mnemonic!r}")
-        operand_txt = fields[1] if len(fields) > 1 else ""
-        operands = parsed_operands.get(operand_txt)
-        if operands is None:
+        statement = statements.get(line)
+        if statement is None:
+            fields = line.split(None, 1)
+            mnemonic = fields[0].lower()
+            opcode = _OPCODE_BY_MNEMONIC.get(mnemonic)
+            if opcode is None:
+                raise ParseError(line_no, f"unknown opcode {mnemonic!r}")
+            operand_txt = fields[1] if len(fields) > 1 else ""
             operands = tuple(
                 _parse_operand(piece, line_no)
                 for piece in operand_txt.split(",")
                 if piece.strip()
             ) if operand_txt.strip() else ()
-            parsed_operands[operand_txt] = operands
-        if (opcode, operand_txt) not in checked:
             _check_operands(opcode, operands, line_no)
-            checked.add((opcode, operand_txt))
+            statement = statements[line] = opcode, operands
+        opcode, operands = statement
         idx = len(instructions)
         if label is not None:
             labels[label] = idx

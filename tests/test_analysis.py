@@ -28,6 +28,7 @@ from robsim.isa import (
     DEFAULT_EXPANSION_CAP,
     REP_OPCODES,
     Opcode,
+    Reg,
     parse_program,
     print_program,
     rep_expansion_count,
@@ -191,6 +192,30 @@ def postdominator_sets(ipdom):
     return out
 
 
+def _base(mem):
+    return set() if mem.base is None else {mem.base.index}
+
+
+#: oracle (registers read, register written) of each opcode, written from
+#: the semantics in docs/program_format.md, apart from the opcode table
+ORACLE_REGISTERS = {
+    Opcode.LOAD: lambda ops: (_base(ops[1]), ops[0].index),  # rD <- [addr]
+    Opcode.STORE: lambda ops: ({ops[0].index} | _base(ops[1]), None),  # rS -> [addr]
+    Opcode.ALU: lambda ops: ({op.index for op in ops[1:] if isinstance(op, Reg)}, ops[0].index),
+    Opcode.SETSHIFT: lambda ops: ({ops[1].index}, ops[0].index),  # rD <- rS << imm
+    Opcode.BRANCH: lambda ops: ({ops[0].index}, None),  # tests rC
+    Opcode.JUMP: lambda ops: (set(), None),
+    Opcode.REP_MOVS: lambda ops: ({ops[0].index}, None),  # counter rC
+    Opcode.REP_LODS: lambda ops: ({ops[0].index}, None),
+    Opcode.FENCE: lambda ops: (set(), None),
+    Opcode.NOP: lambda ops: (set(), None),
+}
+
+
+def oracle_registers(instr):
+    return ORACLE_REGISTERS[instr.opcode](instr.operands)
+
+
 def oracle_dependence_graph(program):
     """Oracle edges. Data: d reaches a use of its register at i along some
     CFG path with no other definition of it in between; a load also depends
@@ -199,11 +224,12 @@ def oracle_dependence_graph(program):
     """
     n = len(program)
     instrs = program.instructions
+    regs = [oracle_registers(instr) for instr in instrs]
     succ = instruction_successors(program)
     data = {i: set() for i in range(n)}
     control = {i: set() for i in range(n)}
-    for d, instr in enumerate(instrs):
-        reg = instr.dest_reg()
+    for d in range(n):
+        reg = regs[d][1]
         if reg is None:
             continue
         seen = set()
@@ -213,9 +239,9 @@ def oracle_dependence_graph(program):
             if x in seen:
                 continue
             seen.add(x)
-            if reg in instrs[x].source_regs():
+            if reg in regs[x][0]:
                 data[x].add(d)
-            if instrs[x].dest_reg() != reg:
+            if regs[x][1] != reg:
                 frontier.extend(s for s in succ[x] if s < n)
     for i, instr in enumerate(instrs):
         if instr.opcode == Opcode.LOAD:
@@ -388,6 +414,57 @@ def test_path_profile_rep_is_variable():
     assert profile.variable
     assert profile.min_uops == 0
     assert profile.max_uops == DEFAULT_EXPANSION_CAP
+
+
+REP_DIAMOND = """\
+    branch r1, right
+    rep_lods r2
+    jump join
+right: rep_movs r3
+    alu r4, r4, 1
+join: nop
+"""
+
+
+def test_path_profile_weighs_a_rep_on_each_side_at_count_zero():
+    # every path crosses a rep opcode: the fallthrough weighs 12 + 1 (rep_lods
+    # at count 0, the jump), the taken side 0 + 1 (rep_movs at count 0, the alu)
+    prog = parse_program(REP_DIAMOND)
+    assert analyze_paths(prog, 0) == PathProfile(5, 1, DEFAULT_EXPANSION_CAP, True)
+    assert control_flow(prog).block_uops == [1, 13, 1, 1]
+    check_against_oracles(prog)
+
+
+@pytest.mark.parametrize(
+    "text, registers",
+    [
+        ("load r1, [r2+8]", ((2,), 1)),
+        ("load r1, [8]", ((), 1)),
+        ("load r1, [r1]", ((1,), 1)),
+        ("store r1, [r1+4]", ((1,), None)),
+        ("store r3, [r2-4]", ((3, 2), None)),
+        ("alu r2, r2, r2", ((2,), 2)),
+        ("alu r2, r3, 5", ((3,), 2)),
+        ("alu r2, 7", ((), 2)),
+        ("setshift r3, r4, 2", ((4,), 3)),
+        ("x: branch r6, x", ((6,), None)),
+        ("x: jump x", ((), None)),
+        ("rep_movs r5", ((5,), None)),
+        ("rep_lods r7", ((7,), None)),
+        ("fence", ((), None)),
+        ("nop", ((), None)),
+    ],
+)
+def test_registers_of_each_opcode(text, registers):
+    (instr,) = parse_program(text).instructions
+    assert instr.registers() == registers
+    reads, write = oracle_registers(instr)
+    assert (set(registers[0]), registers[1]) == (reads, write)
+    assert instr.decoded.src == registers[0] and instr.decoded.dest == registers[1]
+
+
+def test_the_oracle_register_table_covers_every_opcode():
+    assert set(ORACLE_REGISTERS) == set(Opcode)
 
 
 LOOP_THEN_FIVE_VS_SEVEN = """\

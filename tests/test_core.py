@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,28 @@ def test_single_uop_opcodes_decode_to_their_kind():
     for e in trace.records:
         assert e.uop.kind is kinds[e.opcode]
         assert (e.uop.parent, e.uop.seq) == (e.instr, 0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # a fractional decode width never counts its slots down to 0, so decode never ends
+        (lambda: CoreConfig(decode_width=2.5), "decode_width must be an integer, got 2.5"),
+        (lambda: CoreConfig(commit_width=1.5), "commit_width must be an integer, got 1.5"),
+        (lambda: CoreConfig(rob_size=True), "rob_size must be an integer, got True"),
+        (lambda: CacheConfig(num_sets=8.0), "num_sets must be an integer, got 8.0"),
+        (lambda: CacheConfig(ways=True), "ways must be an integer, got True"),
+        (lambda: CacheConfig(mshr_entries=2.0), "mshr_entries must be an integer, got 2.0"),
+        (lambda: MachineConfig(jitter_amplitude=1.5),
+         "jitter_amplitude must be an integer, got 1.5"),
+        (lambda: MachineConfig(jitter_seed="3"), "jitter_seed must be an integer, got '3'"),
+    ],
+    ids=["float_decode_width", "float_commit_width", "bool_rob_size", "float_num_sets",
+         "bool_ways", "float_mshr_entries", "float_jitter", "str_seed"],
+)
+def test_machine_configs_refuse_a_value_that_is_not_an_integer(make, message):
+    with pytest.raises(TypeError, match=re.escape(message)):
+        make()
 
 
 def test_single_alu_timing():
@@ -648,10 +671,11 @@ def test_fence_drains_before_younger_work():
     alu r2, r2, 1
     """
     trace = simulate(text)
-    load = only([e for e in trace.records if e.instr == 0])
-    alu = only([e for e in trace.records if e.instr == 2])
+    load, fence, alu = (only([e for e in trace.records if e.instr == i]) for i in range(3))
     assert alu.dispatch_cycle > load.commit_cycle
     assert trace.stats.decode_stalls > 0
+    # the fence waits for older work only: younger work dispatches with it
+    assert alu.dispatch_cycle == fence.dispatch_cycle < fence.commit_cycle
 
 
 def test_rep_movs_expands_to_twice_the_counter():

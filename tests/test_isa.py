@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from robsim.isa import (
     ADDRESS_SPACE,
     Imm,
+    Label,
     Mem,
     Opcode,
     ParseError,
     Reg,
+    UopKind,
     parse_program,
     print_program,
     rep_expansion_count,
@@ -95,10 +98,37 @@ def test_parse_stores_the_targets_it_resolves():
 
 
 def test_repeated_operand_text_parses_once():
-    prog = parse_program("alu r3, r3, 1\nalu r3, r3, 1\nalu r3,r3,1\nalu r3, r3, 2")
-    first, again, respaced, other = (i.operands for i in prog.instructions)
-    assert again is first
+    prog = parse_program(
+        "alu r3, r3, 1\nalu r3, r3, 1\nalu r3,r3,1\nalu r3, r3, 2\nx: alu r3, r3, 1"
+    )
+    first, again, respaced, other, labeled = (i.operands for i in prog.instructions)
+    assert again is first and labeled is first
     assert respaced == first and other != first
+
+
+def ebnf_arities():
+    """Mnemonic -> accepted operand counts of each alternative of the
+    `instruction` rule in docs/program_format.md; `[ ... ]` is optional."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "program_format.md").read_text()
+    rule = doc.split("instruction = ", 1)[1].split(" ;", 1)[0]
+    arities = {}
+    for alternative in rule.split("|"):
+        mnemonic, *body = alternative.split()
+        required = body[: body.index("[")] if "[" in body else body
+        count = lambda words: sum(w not in ('","', "[", "]") for w in words)
+        arities[mnemonic.strip('"')] = {count(required), count(body)}
+    return arities
+
+
+def test_every_opcode_has_a_table_row_and_an_ebnf_rule():
+    arities = ebnf_arities()
+    assert set(arities) == {op.value for op in Opcode}
+    for op in Opcode:
+        assert isinstance(op.kind, UopKind)
+        assert {len(shape) for shape in op.shapes} == arities[op.value]
+        assert not op.writes or all(shape[0] is Reg for shape in op.shapes)
+        assert op.target is None or all(shape[op.target] is Label for shape in op.shapes)
+        assert Opcode(op.value) is op
 
 
 def test_overlay_shares_the_program_and_checks_what_it_adds():
@@ -122,7 +152,10 @@ def test_overlay_shares_the_program_and_checks_what_it_adds():
         ("nop\nbranch r1, nowhere", "line 2: unresolved label"),
         ("x: nop\nx: nop", "duplicate label"),
         ("load r1", "2 operand"),
+        ("alu r1", "alu takes 2 or 3 operand(s)"),
         ("alu 4, r1", "destination must be a register"),
+        ("load r1, [8]\nnop\nload 4, [8]", "line 3: load destination must be a register"),
+        ("nop\nstore r1, r2\nstore r1, r2", "line 2: bad operand r2 for store"),
         ("dangling:", "no instruction"),
         (".data 1", ".data takes"),
         (".datafoo 8 1", "unknown directive '.datafoo'"),
