@@ -8,6 +8,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from audit import audit
 from hypothesis import strategies as st
 from test_analysis import cyclic_programs, dag_programs, members
 
@@ -915,6 +916,13 @@ def public_stepped_run(sim: Simulator):
     return sim.run()
 
 
+def audited_run(sim: Simulator):
+    """`sim.run()`, its trace checked by the memory audit."""
+    trace = sim.run()
+    audit(trace, sim.machine)
+    return trace
+
+
 def run_outcome(go, sim: Simulator):
     """run_state of `go(sim)`, or the fields of the limit error it raises."""
     try:
@@ -1027,6 +1035,27 @@ def test_nop_class_micro_ops_complete_at_dispatch_on_every_scenario_cell(rob_siz
         cells += 1
     assert cells == 52 and nops > 0
 
+
+@pytest.mark.parametrize("rob_size", [64, 768])
+@pytest.mark.parametrize("jitter", [0, 2])
+def test_memory_rules_hold_on_every_scenario_cell(rob_size, jitter):
+    machine = MachineConfig(core=CoreConfig(rob_size=rob_size), jitter_amplitude=jitter)
+    cells = 0
+    kinds: collections.Counter = collections.Counter()
+    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
+        kinds += audit(scenario_sim(scenario, policy).run(), scenario.machine)
+        cells += 1
+    assert cells == 52
+    assert {"hit", "deferred_hit", "miss", "fill"} <= kinds.keys(), kinds  # no scenario coalesces
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memory_rules_hold_on_coalesced_misses_under_jitter(seed):
+    # the second load joins the first one's MSHR a cycle later; the third
+    # computes its address first, so joins later still
+    text = "load r1, [8]\nload r2, [8]\nalu r3, 0\nalu r3, r3, 0\nload r4, [r3+8]"
+    kinds = audit(simulate(text, jitter=2, seed=seed), make_sim(text, jitter=2, seed=seed).machine)
+    assert kinds == {"miss": 1, "coalesced": 2, "fill": 1}
 
 def test_jitter_seed_moves_a_trace_only_under_jitter():
     # at jitter 0 the core draws nothing, so no seed reaches the trace
@@ -1207,7 +1236,7 @@ def machine_runs(draw):
 def test_skipping_matches_stepper_on_random_programs(run_args):
     program, policy, machine = run_args
     outcomes = [
-        run_outcome(go, Simulator(program, machine, policy)) for go in (Simulator.run, stepped_run)
+        run_outcome(go, Simulator(program, machine, policy)) for go in (audited_run, stepped_run)
     ]
     assert outcomes[0] == outcomes[1]
 
