@@ -26,7 +26,7 @@ from .analysis import (
     conservative_filter,
     dump_analysis,
 )
-from .cache import AccessOutcome, AccessResult, CacheConfig, CacheState
+from .cache import CacheConfig, CacheState
 from .core import (
     BranchPredictor,
     CoreConfig,
@@ -83,8 +83,6 @@ from .scenarios import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessOutcome",
-    "AccessResult",
     "AnalysisError",
     "BalanceCertificate",
     "BalanceError",

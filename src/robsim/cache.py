@@ -7,13 +7,26 @@ fill completes, so a line that was resident at issue time still hits while a
 conflicting fill is in flight. Replacement updates can be suppressed at access
 time and applied later via `touch`, which is how the core defers the cache
 side effects of speculative hits until commit.
+
+The miss table `mshrs` maps each line in flight to its fill cycle, in
+allocation order; `next_fill` is its earliest fill cycle (`NO_FILL` when it
+is empty), kept up to date by `access` and `process_fills`. `access` names
+its outcome with the trace's own word:
+
+* `hit`: the line is resident and moves to MRU;
+* `deferred_hit`: a hit whose replacement update is left to `touch`;
+* `miss`: a fresh MSHR allocation, its fill scheduled;
+* `coalesced`: the line is in flight; the access waits for that fill;
+* `mshr_stall`: every MSHR is busy; the access is refused and the caller
+  retries it, so no trace holds this word.
 """
 
 from __future__ import annotations
 
-import enum
+import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
+
+NO_FILL = sys.maxsize  # next_fill of an empty miss table: past every cycle
 
 
 def require_integers(config: object, names: tuple[str, ...]) -> None:
@@ -45,30 +58,12 @@ class CacheConfig:
             raise ValueError("mshr_entries must be positive or None")
 
 
-class AccessOutcome(enum.Enum):
-    HIT = "hit"
-    MISS = "miss"
-    MSHR_STALL = "mshr_stall"
-
-
-class AccessResult(NamedTuple):
-    outcome: AccessOutcome
-    latency: int
-    fill_cycle: int | None = None
-    coalesced: bool = False
-
-
-@dataclass
-class _Mshr:
-    addr: int
-    fill_cycle: int
-
-
 @dataclass
 class CacheState:
     config: CacheConfig
     sets: list[list[int]] = field(init=False)
-    mshrs: list[_Mshr] = field(init=False, default_factory=list)
+    mshrs: dict[int, int] = field(init=False, default_factory=dict)  # line -> fill cycle
+    next_fill: int = field(init=False, default=NO_FILL)
     hits: int = 0
     misses: int = 0
     mshr_stalls: int = 0
@@ -83,67 +78,52 @@ class CacheState:
     def resident(self, addr: int) -> bool:
         return addr in self.sets[self.set_index(addr)]
 
-    def in_flight(self, addr: int) -> _Mshr | None:
-        for entry in self.mshrs:
-            if entry.addr == addr:
-                return entry
-        return None
-
     def access(
         self,
         addr: int,
         cycle: int,
         deferred_effects: bool = False,
         extra_latency: int = 0,
-    ) -> AccessResult:
-        """One load/store port transaction at `cycle`.
-
-        Hits return hit_cycles and move the line to MRU. With
-        deferred_effects=True the replacement update is suppressed; the
-        caller applies it later via touch() (or never, if squashed).
-        Misses allocate an MSHR and schedule a fill; a second miss to an
-        in-flight line coalesces onto the existing MSHR with the remaining
-        latency. With all MSHRs busy the access is rejected (MSHR_STALL)
-        and the caller retries on a later cycle. extra_latency perturbs a
-        fresh miss only (seeded jitter lives in the caller); the effective
-        miss latency never drops below 1.
-        """
+    ) -> tuple[str, int]:
+        """One load/store port transaction at `cycle`: (outcome, latency),
+        in the words of the module docstring. With deferred_effects a hit
+        leaves its replacement update to touch() (or to nobody, if
+        squashed). An mshr_stall takes 0 cycles; the caller retries later.
+        extra_latency perturbs a fresh miss only (seeded jitter lives in the
+        caller); the miss latency never drops below 1."""
         way_list = self.sets[self.set_index(addr)]
         if addr in way_list:
             self.hits += 1
-            if not deferred_effects:
-                way_list.remove(addr)
-                way_list.insert(0, addr)
-            return AccessResult(AccessOutcome.HIT, self.config.hit_cycles)
-        pending = self.in_flight(addr)
-        if pending is not None:
+            if deferred_effects:
+                return "deferred_hit", self.config.hit_cycles
+            way_list.remove(addr)
+            way_list.insert(0, addr)
+            return "hit", self.config.hit_cycles
+        fill_cycle = self.mshrs.get(addr)
+        if fill_cycle is not None:
             self.coalesced_misses += 1
-            remaining = max(pending.fill_cycle - cycle, 1)
-            return AccessResult(
-                AccessOutcome.MISS, remaining, pending.fill_cycle, coalesced=True
-            )
+            return "coalesced", max(fill_cycle - cycle, 1)
         capacity = self.config.mshr_entries
         if capacity is not None and len(self.mshrs) >= capacity:
             self.mshr_stalls += 1
-            return AccessResult(AccessOutcome.MSHR_STALL, 0)
+            return "mshr_stall", 0
         self.misses += 1
         latency = max(self.config.miss_cycles + extra_latency, 1)
-        fill_cycle = cycle + latency
-        self.mshrs.append(_Mshr(addr, fill_cycle))
-        return AccessResult(AccessOutcome.MISS, latency, fill_cycle)
+        fill_cycle = self.mshrs[addr] = cycle + latency
+        if fill_cycle < self.next_fill:
+            self.next_fill = fill_cycle
+        return "miss", latency
 
     def process_fills(self, cycle: int) -> list[int]:
-        """Complete fills due at or before `cycle`; returns filled addresses."""
-        due = [m for m in self.mshrs if m.fill_cycle <= cycle]
-        if not due:
-            return []
-        due.sort(key=lambda m: m.fill_cycle)  # stable: ties fill in allocation order
-        filled = []
-        for entry in due:
-            self.mshrs.remove(entry)
-            self._insert(entry.addr)
-            filled.append(entry.addr)
-        return filled
+        """Complete the fills due at or before `cycle`, by fill cycle and
+        then in allocation order; returns the filled lines."""
+        mshrs = self.mshrs
+        due = sorted((line for line, fill in mshrs.items() if fill <= cycle), key=mshrs.get)
+        for line in due:
+            del mshrs[line]
+            self._insert(line)
+        self.next_fill = min(mshrs.values(), default=NO_FILL)
+        return due
 
     def _insert(self, addr: int) -> None:
         way_list = self.sets[self.set_index(addr)]

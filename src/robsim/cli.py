@@ -31,6 +31,7 @@ from .experiment import (
     parse_defense,
     parse_mitigation_set,
     run_experiment,
+    write_output,
 )
 from .isa import parse_program
 from .scenarios import prepare_program
@@ -154,9 +155,9 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     sim = Simulator(program, machine, policy)
     trace = sim.run()
     if args.trace:
-        Path(args.trace).write_text(trace.to_csv())
+        write_output(args.trace, trace.to_csv())
     if args.occupancy:
-        Path(args.occupancy).write_text(occupancy_csv(trace.occupancy))
+        write_output(args.occupancy, occupancy_csv(trace.occupancy))
     stats = trace.stats
     print(
         f"{len(trace.occupancy)} cycles, {stats.committed_uops} uops committed, "
@@ -171,7 +172,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     profiles = analyze_all_branches(program)
     text = dump_analysis(safe_sets, profiles)
     if args.out:
-        Path(args.out).write_text(text)
+        write_output(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

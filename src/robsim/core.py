@@ -57,12 +57,13 @@ the next completion or fill; `_repeat_idle` records them in one go, the
 same occupancy and dispatch and decode stalls each, never past
 max_cycles. That skip is all that tells `run()` from repeated `step()`.
 
-The body enters a phase only when it has work: fills only when the
-earliest MSHR fill is due; commit only when the ROB head completed before
-this cycle; complete only when a completion is due this cycle or a
-predicted REP awaits verification; fetch only when a redirect is pending,
-or when the decode queue has room and an expansion is active or the pc is
-inside the program; issue and dispatch only when their queue is non-empty.
+The body enters a phase only when it has work: fills only when
+`cache.next_fill`, the earliest MSHR fill the cache keeps, is due; commit
+only when the ROB head completed before this cycle; complete only when a
+completion is due this cycle or a predicted REP awaits verification; fetch
+only when a redirect is pending, or when the decode queue has room and an
+expansion is active or the pc is inside the program; issue and dispatch
+only when their queue is non-empty.
 A NOP-class micro-op (jump, fence, pad, REP filler) reads no register and
 never issues: dispatch stamps it ready and complete in its own cycle, and
 appends any other ready entry to its issue queue (it is the youngest).
@@ -91,7 +92,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Mapping
 
-from .cache import AccessOutcome, CacheConfig, CacheState, require_integers
+from .cache import CacheConfig, CacheState, require_integers
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
@@ -419,8 +420,6 @@ class Simulator:
         self._rep_log: list[RepExpansion] = []
         jitter = self.machine.jitter_amplitude  # no generator when nothing draws
         self._rng = random.Random(self.machine.jitter_seed) if jitter else None
-        self._never = self.config.max_cycles + 1  # an event past every cycle run
-        self._next_fill = self._never  # earliest fill cycle of the MSHRs
 
     # ------------------------------------------------------------------
     # public surface
@@ -458,7 +457,7 @@ class Simulator:
         """Repeat the idle cycle just run, with its dispatch and decode
         stalls, up to just before the next completion or fill; never past
         max_cycles."""
-        event = min(min(self._completions, default=self._never), self._next_fill)
+        event = min((self.cache.next_fill, *self._completions))
         repeats = min(event - 1, self.config.max_cycles) - self.cycle
         self.cycle += repeats
         self._occupancy.extend(repeat(len(self.rob), repeats))
@@ -482,7 +481,7 @@ class Simulator:
         prod_map, unresolved, live_reps = self._prod_map, self._unresolved, self._live_reps
         completions, alu_queue, mem_queue = self._completions, self._alu_queue, self._mem_queue
         records, occupancy, regs = self._records, self._occupancy, self.regs
-        cache, mem_events, never = self.cache, self._mem_events, self._never
+        cache, mem_events = self.cache, self._mem_events
         instructions, targets, n_instr = self.program.instructions, self._targets, self._n_instr
         predict, enqueue_ready, lifts = self.predictor.predict, self._enqueue_ready, self._lifts
         cycle = self.cycle
@@ -500,10 +499,9 @@ class Simulator:
             self.cycle = cycle = cycle + 1
             acted = dispatch_stalled = decode_stalled = False
 
-            if self._next_fill <= cycle:
+            if cache.next_fill <= cycle:
                 for addr in cache.process_fills(cycle):
                     mem_events.append(MemEvent(cycle, None, None, addr, "fill"))
-                self._next_fill = min((m.fill_cycle for m in cache.mshrs), default=never)
 
             # commit: in order, from the head, once complete before this cycle
             committed = 0
@@ -746,21 +744,14 @@ class Simulator:
                     i += 1
                     continue
             extra = self._rng.randrange(-amp, amp + 1) if amp and not deferred else 0
-            result = cache.access(address, cycle, deferred_effects=deferred, extra_latency=extra)
-            if result.outcome is AccessOutcome.MSHR_STALL:
+            outcome, latency = cache.access(address, cycle, deferred, extra)
+            if outcome == "mshr_stall":
                 issued += 1  # the rejected attempt still occupied the port
                 i += 1
                 continue
-            if result.fill_cycle is not None and result.fill_cycle < self._next_fill:
-                self._next_fill = result.fill_cycle
             queue.pop(i)
-            if deferred:
-                assert result.outcome is AccessOutcome.HIT
-                outcome = "deferred_hit"
-            else:
-                outcome = "coalesced" if result.coalesced else result.outcome.value
             entry.exec_start_cycle = cycle
-            entry.latency = result.latency
+            entry.latency = latency
             entry.outcome = outcome
             if entry.uop.kind is _MEM_READ:
                 entry.result = self.mem_values.get(address, 0)
@@ -772,7 +763,7 @@ class Simulator:
             )
             self._mem_events.append(event)
             # latency >= 1, so due no earlier than this cycle's complete phase
-            self._completions.setdefault(cycle + result.latency - 1, []).append(entry)
+            self._completions.setdefault(cycle + latency - 1, []).append(entry)
             issued += 1
         return issued > 0
 

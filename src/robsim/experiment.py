@@ -212,6 +212,8 @@ def config_from_mapping(
     out = out_dir or mapping.get("out")
     if out is None:
         raise ConfigError("output directory is required (out: or --out)")
+    if not isinstance(out, (str, Path)):
+        raise ConfigError(f"out must be a directory path, got {out!r}")
     core = _sub_config(CoreConfig, mapping.get("core", {}), "core")
     cache = _sub_config(CacheConfig, mapping.get("cache", {}), "cache")
     try:
@@ -338,6 +340,7 @@ def run_cell(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    make_out_dir(config.out_dir)  # before the sweep: a bad path costs no run
     machine = config.machine
     grid = [(d, m) for d in config.defenses for m in config.mitigation_sets]
     cells = []
@@ -441,24 +444,39 @@ def occupancy_csv(series: list[int]) -> str:
     return "cycle,occupancy\r\n" + "".join(rows)
 
 
+def make_out_dir(path: Path) -> None:
+    """Create an output directory; a failure is a ConfigError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write one output file; a failure is a ConfigError naming the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def write_artifacts(result: ExperimentResult) -> list[Path]:
     out_dir = result.config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    occ_dir = out_dir / "occupancy"
+    make_out_dir(occ_dir)
     written = []
     reports_path = out_dir / "reports.csv"
-    reports_path.write_text(reports_csv(result.cells))
+    write_output(reports_path, reports_csv(result.cells))
     written.append(reports_path)
     summary_path = out_dir / "summary.csv"
-    summary_path.write_text(summary_csv(result.cells))
+    write_output(summary_path, summary_csv(result.cells))
     written.append(summary_path)
-    occ_dir = out_dir / "occupancy"
-    occ_dir.mkdir(exist_ok=True)
     for cell in result.cells:
         label = mitigation_label(cell.mitigations)
         for secret, series in sorted(cell.occupancy.items()):
             name = f"{cell.scenario}__{cell.defense.value}__{label}__s{secret}.csv"
             path = occ_dir / name
-            path.write_text(occupancy_csv(series))
+            write_output(path, occupancy_csv(series))
             written.append(path)
     return written
 

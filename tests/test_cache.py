@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from robsim.cache import AccessOutcome, CacheConfig, CacheState
+from robsim.cache import NO_FILL, CacheConfig, CacheState
 
 
 def make_cache(**kw) -> CacheState:
@@ -14,50 +14,43 @@ def test_hit_latency_and_mru_update():
     cache.warm(5)
     cache.warm(69)  # same set as 5 under 64 sets
     assert cache.snapshot_set(5) == [69, 5]
-    res = cache.access(5, cycle=10)
-    assert res.outcome == AccessOutcome.HIT
-    assert res.latency == 3
+    assert cache.access(5, cycle=10) == ("hit", 3)
     assert cache.snapshot_set(5) == [5, 69]
 
 
 def test_cold_miss_schedules_fill():
     cache = make_cache()
-    res = cache.access(7, cycle=100)
-    assert res.outcome == AccessOutcome.MISS
-    assert res.latency == 60
-    assert res.fill_cycle == 160
+    assert cache.access(7, cycle=100) == ("miss", 60)
+    assert cache.mshrs == {7: 160} and cache.next_fill == 160
     assert not cache.resident(7)
     assert cache.process_fills(159) == []
     assert cache.process_fills(160) == [7]
     assert cache.resident(7)
+    assert cache.mshrs == {} and cache.next_fill == NO_FILL
 
 
 def test_mshr_capacity_rejects_eleventh_miss():
     cache = make_cache(mshr_entries=10)
     for i in range(10):
-        assert cache.access(i, cycle=0).outcome == AccessOutcome.MISS
-    res = cache.access(10, cycle=0)
-    assert res.outcome == AccessOutcome.MSHR_STALL
-    assert cache.mshr_stalls == 1
+        assert cache.access(i, cycle=0) == ("miss", 60)
+    assert cache.access(10, cycle=0) == ("mshr_stall", 0)
+    assert cache.mshr_stalls == 1 and len(cache.mshrs) == 10
     cache.process_fills(60)
-    assert cache.access(10, cycle=61).outcome == AccessOutcome.MISS
+    assert cache.access(10, cycle=61) == ("miss", 60)
 
 
 def test_unbounded_mshrs():
     cache = make_cache(mshr_entries=None)
     for i in range(500):
-        assert cache.access(i, cycle=0).outcome == AccessOutcome.MISS
+        assert cache.access(i, cycle=0) == ("miss", 60)
 
 
 def test_coalesce_with_in_flight_line():
     cache = make_cache()
-    first = cache.access(9, cycle=0)
-    again = cache.access(9, cycle=20)
-    assert again.outcome == AccessOutcome.MISS
-    assert again.coalesced
-    assert again.fill_cycle == first.fill_cycle == 60
-    assert again.latency == 40
-    assert len(cache.mshrs) == 1
+    assert cache.access(9, cycle=0) == ("miss", 60)
+    assert cache.access(9, cycle=20) == ("coalesced", 40)
+    assert cache.mshrs == {9: 60}
+    assert cache.coalesced_misses == 1 and cache.misses == 1
 
 
 def test_direct_mapped_conflict_fill_evicts():
@@ -76,8 +69,7 @@ def test_hit_under_conflicting_fill_in_flight():
     cache = make_cache(ways=1)
     cache.warm(76)
     cache.access(12, cycle=0)  # miss, fill at 60 will evict 76
-    res = cache.access(76, cycle=5)
-    assert res.outcome == AccessOutcome.HIT
+    assert cache.access(76, cycle=5) == ("hit", 3)
     cache.process_fills(60)
     assert cache.snapshot_set(12) == [12]
 
@@ -101,8 +93,7 @@ def test_suppressed_replacement_then_deferred_touch():
     cache.warm(a)
     cache.warm(b)  # order now [b, a]
     before = cache.snapshot_set(4)
-    res = cache.access(a, cycle=2, deferred_effects=True)
-    assert res.outcome == AccessOutcome.HIT
+    assert cache.access(a, cycle=2, deferred_effects=True) == ("deferred_hit", 3)
     assert cache.snapshot_set(4) == before  # invisible until commit
     cache.touch(a)
     assert cache.snapshot_set(4) == [a, b]
@@ -131,11 +122,21 @@ def test_config_validation():
 
 def test_extra_latency_shifts_fresh_miss_only():
     cache = make_cache()
-    res = cache.access(100, cycle=10, extra_latency=5)
-    assert res.latency == 65 and res.fill_cycle == 75
+    assert cache.access(100, cycle=10, extra_latency=5) == ("miss", 65)
+    assert cache.mshrs == {100: 75}
     # coalescing ignores the perturbation of the second access
-    res2 = cache.access(100, cycle=20, extra_latency=-3)
-    assert res2.coalesced and res2.latency == 55
+    assert cache.access(100, cycle=20, extra_latency=-3) == ("coalesced", 55)
     cache.warm(7)
-    hit = cache.access(7, cycle=30, extra_latency=9)
-    assert hit.outcome == AccessOutcome.HIT and hit.latency == 3
+    assert cache.access(7, cycle=30, extra_latency=9) == ("hit", 3)
+
+
+def test_fills_land_by_fill_cycle_then_allocation_order():
+    cache = make_cache(mshr_entries=None)
+    cache.access(1, cycle=0, extra_latency=5)  # fills at 65
+    cache.access(2, cycle=3)  # 63
+    cache.access(3, cycle=5, extra_latency=-2)  # 63, allocated after 2
+    cache.access(4, cycle=10)  # 70
+    assert cache.mshrs == {1: 65, 2: 63, 3: 63, 4: 70} and cache.next_fill == 63
+    assert cache.process_fills(62) == [] and cache.next_fill == 63
+    assert cache.process_fills(66) == [2, 3, 1]
+    assert cache.mshrs == {4: 70} and cache.next_fill == 70

@@ -944,7 +944,7 @@ def run_state(trace) -> dict:
              r.emitted, r.verified, [e.instance for e in r.entries])
             for r in trace.rep_expansions
         ],
-        "cache": (cache.sets, [(m.addr, m.fill_cycle) for m in cache.mshrs],
+        "cache": (cache.sets, list(cache.mshrs.items()),
                   cache.hits, cache.misses, cache.coalesced_misses, cache.mshr_stalls),
     }
 

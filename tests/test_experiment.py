@@ -638,6 +638,36 @@ def test_cli_fault_exit(tmp_path):
     assert code == EXIT_SIM_FAULT
 
 
+def test_cli_refuses_a_config_out_that_is_not_a_path(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text("scenarios: [bsi_mshr]\nout: 5\n")
+    assert run_cli("run", "--config", str(config)) == 1
+    assert capsys.readouterr().err == "robsim: error: out must be a directory path, got 5\n"
+
+
+def test_cli_run_refuses_an_out_that_is_a_file_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_cell(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(experiment, "run_cell", no_cell)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run_cli("run", "--scenario", "bsi_mshr", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith(f"robsim: error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("sim", "--trace"), ("sim", "--occupancy"), ("analyze", "--out")],
+)
+def test_cli_reports_an_unwritable_output_path(command, flag, tmp_path, capsys):
+    program = tmp_path / "p.asm"
+    program.write_text("load r1, [8]\n")
+    path = tmp_path / "missing" / "out.csv"
+    assert run_cli(command, str(program), flag, str(path)) == 1
+    assert capsys.readouterr().err.startswith(f"robsim: error: cannot write {path}: ")
+
+
 def test_cli_sim_writes_trace(tmp_path, capsys):
     program = tmp_path / "p.asm"
     program.write_text(".data 8 1\nload r1, [8]\nalu r2, r1, 2\n")
