@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 NO_FILL = sys.maxsize  # next_fill of an empty miss table: past every cycle
 
 
-def require_integers(config: object, names: tuple[str, ...]) -> None:
-    """Refuse a config whose field of any of `names` is not an int: a float
-    width or latency runs the machine on fractions, and a bool is no count."""
-    for name in names:
-        value = getattr(config, name)
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+def require_integer(value: object, name: str) -> int:
+    """`value` when it is an int, else a TypeError naming `name`: a float
+    width or latency runs the machine on fractions, a bool is no count, and
+    YAML reads 2.7, true and "3" as a float, a bool and a str."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,10 @@ class CacheConfig:
     mshr_entries: int | None = 10  # None means unbounded
 
     def __post_init__(self) -> None:
-        require_integers(self, ("num_sets", "ways", "hit_cycles", "miss_cycles"))
+        for name in ("num_sets", "ways", "hit_cycles", "miss_cycles"):
+            require_integer(getattr(self, name), name)
         if self.mshr_entries is not None:
-            require_integers(self, ("mshr_entries",))
+            require_integer(self.mshr_entries, "mshr_entries")
         if self.num_sets < 1 or self.ways < 1:
             raise ValueError("cache geometry must be positive")
         if self.hit_cycles < 1 or self.miss_cycles <= self.hit_cycles:

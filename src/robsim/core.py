@@ -92,7 +92,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Mapping
 
-from .cache import CacheConfig, CacheState, require_integers
+from .cache import CacheConfig, CacheState, require_integer
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
 from .isa import (
     DEFAULT_EXPANSION_CAP,
@@ -126,10 +126,11 @@ class CoreConfig:
     max_cycles: int = 200_000
 
     def __post_init__(self) -> None:
-        names = tuple(f.name for f in fields(self))
-        require_integers(self, names)
-        for name in names:
-            if getattr(self, name) < 1:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in values.items():
+            require_integer(value, name)
+        for name, value in values.items():
+            if value < 1:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -143,7 +144,8 @@ class MachineConfig:
     jitter_seed: int = 0
 
     def __post_init__(self) -> None:
-        require_integers(self, ("jitter_amplitude", "jitter_seed"))
+        require_integer(self.jitter_amplitude, "jitter_amplitude")
+        require_integer(self.jitter_seed, "jitter_seed")
         if self.jitter_amplitude < 0:
             raise ValueError("jitter amplitude cannot be negative")
         gap = self.cache.miss_cycles - self.cache.hit_cycles
@@ -220,26 +222,6 @@ class RobEntry:
     # None again once woken or squashed
     dependents: list["RobEntry"] | None = None
     mem_event: MemEvent | None = None
-
-    @property
-    def instr(self) -> int:
-        return self.macro.id
-
-    @property
-    def opcode(self) -> Opcode:
-        return self.macro.opcode
-
-    @property
-    def seq(self) -> int:
-        return self.uop.seq
-
-    @property
-    def complete(self) -> bool:
-        return self.complete_cycle is not None
-
-    @property
-    def squashed(self) -> bool:
-        return self.squash_cycle is not None
 
     def value_of(self, slot: int, regfile: dict[int, int]) -> int:
         """The value of source register `slot` of macro.decoded.src: its
@@ -320,7 +302,7 @@ class Trace:
         return [e for e in self.records if e.commit_cycle is not None]
 
     def committed_for(self, instr: int) -> list[RobEntry]:
-        return [e for e in self.committed() if e.instr == instr]
+        return [e for e in self.committed() if e.macro.id == instr]
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -330,9 +312,9 @@ class Trace:
             writer.writerow(
                 [
                     e.instance,
-                    e.instr,
-                    e.opcode.value,
-                    e.seq,
+                    e.macro.id,
+                    e.macro.opcode.value,
+                    e.uop.seq,
                     e.rob_seq if e.rob_seq >= 0 else "",
                     _cell(e.dispatch_cycle),
                     _cell(e.ready_cycle),
@@ -340,7 +322,7 @@ class Trace:
                     _cell(e.complete_cycle),
                     _cell(e.commit_cycle),
                     _cell(e.shadow),
-                    int(e.squashed),
+                    int(e.squash_cycle is not None),
                     int(e.predicted),
                     _cell(e.esp_cycle),
                     _cell(e.address),
@@ -491,7 +473,7 @@ class Simulator:
                     return False
                 if cycle >= max_cycles:
                     snapshot = [
-                        (e.rob_seq, e.instr, e.opcode.value, e.dispatch_cycle,
+                        (e.rob_seq, e.macro.id, e.macro.opcode.value, e.dispatch_cycle,
                          e.exec_start_cycle, e.complete_cycle)
                         for e in rob
                     ]
@@ -758,7 +740,7 @@ class Simulator:
             else:  # a store's value register comes first in its sources
                 entry.result = entry.value_of(0, regs)
             entry.mem_event = event = MemEvent(
-                cycle, entry.instr, entry.rob_seq, address, outcome,
+                cycle, entry.macro.id, entry.rob_seq, address, outcome,
                 deferred=deferred, applied=not deferred,
             )
             self._mem_events.append(event)
@@ -781,13 +763,14 @@ class Simulator:
         # a branch's one source is its condition; it branches if zero
         taken = entry.value_of(0, self.regs) == 0
         entry.result = int(taken)
-        self.predictor.update(entry.instr, taken)
+        instr = entry.macro.id
+        self.predictor.update(instr, taken)
         self._unresolved.remove(entry.rob_seq)
         if taken == entry.predicted_taken:
             return
-        target = self._targets[entry.instr] if taken else entry.instr + 1
+        target = self._targets[instr] if taken else instr + 1
         assert target is not None
-        self._squash_after(entry.rob_seq, target, "branch", entry.instr)
+        self._squash_after(entry.rob_seq, target, "branch", instr)
 
     def _verifiable(self, rep: RepExpansion) -> bool:
         """A predicted expansion is checked once it has streamed in full, its
@@ -850,7 +833,7 @@ class Simulator:
         # the squash ends the expansion being decoded: one that emitted
         # nothing never will
         self._live_reps[:] = [
-            r for r in self._live_reps if r.entries and not r.entries[0].squashed
+            r for r in self._live_reps if r.entries and r.entries[0].squash_cycle is None
         ]
         # every survivor has dispatched; the youngest writer of each register wins
         prod_map = self._prod_map
@@ -890,7 +873,7 @@ class Simulator:
         counted = self._counted_rep == macro.id
         if counted:
             self._counted_rep = None
-        elif not self._predicted_fill and producer is not None and not producer.complete:
+        elif not self._predicted_fill and producer is not None and producer.complete_cycle is None:
             return False
         if not counted and producer is not None and self._predicted_fill:
             rep = RepExpansion(

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .analysis import AnalysisError
-from .cache import CacheConfig
+from .cache import CacheConfig, require_integer
 from .core import CoreConfig, MachineConfig, SimulationLimitError, Trace
 from .defenses import DefenseMode, DefensePolicy, Mitigation
 from .scenarios import (
@@ -162,14 +162,6 @@ _TOP_KEYS = {
 }
 
 
-def _integer(value, key: str) -> int:
-    """`value` when it is an int. YAML reads 2.7, true and "3" as a float, a
-    bool and a str, and none of them is a count or a cycle number."""
-    if type(value) is not int:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def _sub_config(cls, mapping: Mapping, label: str):
     """`cls` built from `mapping`. The class refuses a value that is not an
     integer with a TypeError that starts with the key."""
@@ -220,18 +212,18 @@ def config_from_mapping(
         machine = MachineConfig(
             core=core,
             cache=cache,
-            jitter_amplitude=_integer(mapping.get("jitter", 0), "jitter"),
-            jitter_seed=_integer(mapping.get("seed", 0), "seed"),
+            jitter_amplitude=require_integer(mapping.get("jitter", 0), "jitter"),
+            jitter_seed=require_integer(mapping.get("seed", 0), "seed"),
         )
         return ExperimentConfig(
             scenarios=scenarios,
             out_dir=Path(out),
             defenses=defenses,
             mitigation_sets=mitigation_sets,
-            n_trials=_integer(mapping.get("trials", 100), "trials"),
+            n_trials=require_integer(mapping.get("trials", 100), "trials"),
             machine=machine,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a TypeError names a key that is no integer
         raise ConfigError(str(exc)) from None
 
 

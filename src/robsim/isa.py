@@ -261,6 +261,11 @@ class Program:
             name = instr.target_label()
             if name is not None and name not in self.labels:
                 raise ValueError(f"unresolved label {name!r} in instruction {i}")
+            for op in instr.operands:
+                if isinstance(op, Mem) and op.base is None and not 0 <= op.offset < ADDRESS_SPACE:
+                    raise ValueError(
+                        f"address {op.offset:#x} outside address space in instruction {i}"
+                    )
         for kind, addrs in (("data", self.data_init), ("warm", self.warm), ("flush", self.flush)):
             for addr in addrs:
                 if not 0 <= addr < ADDRESS_SPACE:
@@ -319,7 +324,7 @@ def _parse_operand(text: str, line_no: int) -> Operand:
                 return Mem(base, off if sign == "+" else -off)
         if inner.lower().startswith("r") and inner[1:].isdigit():
             return Mem(_parse_reg(inner, line_no), 0)
-        return Mem(None, _parse_int(inner, line_no))
+        return Mem(None, _parse_address(inner, line_no))
     if t.lower().startswith("r") and t[1:].isdigit():
         return Reg(int(t[1:]))
     if t[0].isdigit() or t[0] in "+-":

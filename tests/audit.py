@@ -1,19 +1,100 @@
 """Rules audited off a finished run's trace, not off the simulator.
 
-`audit` re-derives the cache's rules from `trace.records`,
-`trace.mem_events` and the machine config alone; it never reads the run's
-`CacheState`, so a cache that breaks its own table shows here. The tests
-in `test_core.py` run it over random programs and every scenario cell.
+`audit` re-derives the core's pipeline rules and the cache's rules from
+`trace.records`, `trace.occupancy`, `trace.mem_events` and the machine
+config alone; it never reads the run's `Simulator` or `CacheState`, so a
+core or cache that breaks its own bookkeeping shows here. The tests in
+`test_core.py` run it over random programs and every scenario cell.
 """
 
 from __future__ import annotations
 
 import collections
+from itertools import accumulate
 
-from robsim.core import MachineConfig
+from robsim.core import CoreConfig, MachineConfig
+from robsim.isa import UopKind
 
 
 def audit(trace, machine: MachineConfig) -> collections.Counter:
+    """Check the pipeline and memory rules of a finished run on `machine`;
+    returns the number of memory events of each kind."""
+    audit_pipeline(trace, machine.core)
+    return audit_memory(trace, machine)
+
+
+def audit_pipeline(trace, core: CoreConfig) -> None:
+    """Check the timing rules the `robsim.core` docstring states:
+
+    - each record's stamps are in order, dispatch <= ready <= exec_start <=
+      complete < commit, each present only with those before it; a
+      NOP-class entry never issues, so is ready and complete at dispatch;
+    - each record leaves once: it commits or is squashed, never both, and
+      one never dispatched was squashed in the decode queue;
+    - a consumer is ready, and so starts, only after each producer in its
+      `src` completes;
+    - commit is in rob_seq order, at most commit_width per cycle;
+    - at most 2 * decode_width dispatch per cycle (the decode queue's size);
+    - trace.occupancy[c - 1], sampled at the end of cycle c, equals the
+      entries dispatched by c that neither commit nor are squashed by c, and
+      never exceeds rob_size.
+    """
+    cycles = len(trace.occupancy)
+    live = [0] * (cycles + 2)  # +1 at dispatch, -1 when the entry leaves
+    dispatched: collections.Counter = collections.Counter()
+    committed = []
+    for e in trace.records:
+        dispatch, commit, squash = e.dispatch_cycle, e.commit_cycle, e.squash_cycle
+        assert (commit is None) != (squash is None), f"{show(e)} must commit or be squashed"
+        if e.uop.kind is UopKind.NOP:
+            assert e.exec_start_cycle is None, show(e)
+            assert e.ready_cycle == e.complete_cycle == dispatch, show(e)
+            stamps = [dispatch, e.ready_cycle, e.complete_cycle, commit]
+        else:
+            stamps = [dispatch, e.ready_cycle, e.exec_start_cycle, e.complete_cycle, commit]
+        present = [s for s in stamps if s is not None]
+        assert present == stamps[: len(present)] and present == sorted(present), show(e)
+        if commit is not None:
+            assert commit > e.complete_cycle, show(e)
+            committed.append(e)
+        if e.ready_cycle is not None:
+            for producer in e.src:
+                done = None if producer is None else producer.complete_cycle
+                assert producer is None or (done is not None and done < e.ready_cycle), (
+                    f"{show(e)}: its producer completes at {done}")
+        if dispatch is not None:
+            dispatched[dispatch] += 1
+            live[dispatch] += 1
+            live[commit if commit is not None else squash] -= 1
+    committed.sort(key=lambda e: e.rob_seq)
+    commits = [e.commit_cycle for e in committed]
+    assert commits == sorted(commits), "commit out of rob_seq order"
+    for counts, bound, what in (
+        (collections.Counter(commits), core.commit_width, "commits"),
+        (dispatched, 2 * core.decode_width, "dispatches"),
+    ):
+        over = {cycle: n for cycle, n in counts.items() if n > bound}
+        assert not over, f"more than {bound} {what} in a cycle: {over}"
+    recount = list(accumulate(live))[1 : cycles + 1]
+    if recount != trace.occupancy:
+        cycle = next(c for c, (a, b) in enumerate(zip(recount, trace.occupancy), 1) if a != b)
+        raise AssertionError(
+            f"occupancy at cycle {cycle}: sampled {trace.occupancy[cycle - 1]}, "
+            f"recounted {recount[cycle - 1]}"
+        )
+    assert max(trace.occupancy, default=0) <= core.rob_size
+
+
+def show(e) -> str:
+    """A record's identity and stamps, for a failure message."""
+    return (
+        f"rob_seq {e.rob_seq} (instr {e.macro.id}.{e.uop.seq}): dispatch {e.dispatch_cycle}, "
+        f"ready {e.ready_cycle}, exec_start {e.exec_start_cycle}, complete "
+        f"{e.complete_cycle}, commit {e.commit_cycle}, squash {e.squash_cycle}"
+    )
+
+
+def audit_memory(trace, machine: MachineConfig) -> collections.Counter:
     """Check the memory rules of a finished run on `machine`; returns the
     number of memory events of each kind.
 
@@ -42,7 +123,7 @@ def audit(trace, machine: MachineConfig) -> collections.Counter:
         entry = accesses.pop(event.rob_seq, None)
         assert entry is not None, f"{event} has no record, or a second event"
         assert (entry.address, entry.exec_start_cycle, entry.outcome) == (line, cycle, kind), (
-            event, entry)
+            event, show(entry))
         latency = entry.latency
         if kind == "hit" or kind == "deferred_hit":
             assert latency == cache.hit_cycles, (event, latency)

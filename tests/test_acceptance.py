@@ -196,7 +196,7 @@ def test_criterion_9c_squash_completeness():
         for trace in first_trials(name, UNPROT)[1]:
             seen_squashes += len(trace.stats.squash_log)
             for record in trace.records:
-                if record.squashed:
+                if record.squash_cycle is not None:
                     assert record.commit_cycle is None
                 if record.commit_cycle is not None:
                     assert record.squash_cycle is None

@@ -29,8 +29,10 @@ from robsim.isa import (
     REP_OPCODES,
     Label,
     MacroInstruction,
+    Mem,
     Opcode,
     Program,
+    Reg,
     UopKind,
     parse_program,
     print_program,
@@ -101,10 +103,10 @@ def test_single_uop_opcodes_decode_to_their_kind():
     }
     assert set(kinds) == set(Opcode) - set(REP_OPCODES)
     trace = simulate(text)
-    assert {e.opcode for e in trace.records} == set(kinds)
+    assert {e.macro.opcode for e in trace.records} == set(kinds)
     for e in trace.records:
-        assert e.uop.kind is kinds[e.opcode]
-        assert (e.uop.parent, e.uop.seq) == (e.instr, 0)
+        assert e.uop.kind is kinds[e.macro.opcode]
+        assert (e.uop.parent, e.uop.seq) == (e.macro.id, 0)
 
 
 @pytest.mark.parametrize(
@@ -204,7 +206,7 @@ def test_mispredicted_branch_squashes_wrong_path():
     assert trace.committed_for(2) == []
     refetched = only(trace.committed_for(3))
     assert refetched.dispatch_cycle == record.cycle + 2
-    wrong_path = [e for e in trace.records if e.instr == 3 and e.squashed]
+    wrong_path = [e for e in trace.records if e.macro.id == 3 and e.squash_cycle is not None]
     assert len(wrong_path) == 1
 
 
@@ -237,7 +239,7 @@ def test_taken_branch_redirects_fetch_at_decode():
     trace = simulate(text)
     # predicted taken and actually taken: instruction 2 is never fetched
     assert trace.stats.squashes == 0
-    assert [e.instr for e in trace.records] == [0, 1, 3]
+    assert [e.macro.id for e in trace.records] == [0, 1, 3]
 
 
 def test_branch_counter_training():
@@ -298,7 +300,7 @@ def test_occupancy_sampled_every_cycle():
 
 
 def _is_speculation_source(entry: RobEntry) -> bool:
-    if entry.uop.kind is UopKind.BRANCH_RESOLVE and not entry.complete:
+    if entry.uop.kind is UopKind.BRANCH_RESOLVE and entry.complete_cycle is None:
         return True
     return entry.predicted and entry.uop.seq == 0
 
@@ -414,7 +416,7 @@ def test_squashed_entries_never_commit():
     out: nop
     """
     trace = simulate(text)
-    assert any(e.squashed for e in trace.records)
+    assert any(e.squash_cycle is not None for e in trace.records)
     _check_lifecycle(trace)
     # a shadowed hit on the correct path: its deferred update lands at commit
     committed_hit = """
@@ -455,8 +457,8 @@ def test_squash_preserves_cache_fills():
     """
     sim = make_sim(text)
     trace = sim.run()
-    wrong_path = only([e for e in trace.records if e.instr == 2])
-    assert wrong_path.squashed
+    wrong_path = only([e for e in trace.records if e.macro.id == 2])
+    assert wrong_path.squash_cycle is not None
     assert wrong_path.outcome == "miss"
     assert sim.cache.resident(64)
     assert any(e.kind == "fill" and e.address == 64 for e in trace.mem_events)
@@ -526,14 +528,14 @@ def test_delay_policy_holds_shadowed_cold_load():
     end: nop
     """
     baseline = simulate(text)
-    open_load = only([e for e in baseline.records if e.instr == 2])
-    branch = only([e for e in baseline.records if e.instr == 1])
+    open_load = only([e for e in baseline.records if e.macro.id == 2])
+    branch = only([e for e in baseline.records if e.macro.id == 1])
     assert open_load.exec_start_cycle < branch.complete_cycle
 
     policy = DefensePolicy(mode=DefenseMode.DOM)
     guarded = simulate(text, policy=policy)
-    held_load = only([e for e in guarded.records if e.instr == 2])
-    branch = only([e for e in guarded.records if e.instr == 1])
+    held_load = only([e for e in guarded.records if e.macro.id == 2])
+    branch = only([e for e in guarded.records if e.macro.id == 1])
     assert held_load.exec_start_cycle > branch.complete_cycle
     assert held_load.outcome == "miss"
 
@@ -556,14 +558,14 @@ def test_invariant_load_lifts_at_dispatch_and_stamps_the_cycle():
 
     policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=analyzed)
     held = simulate(SHADOWED_COLD_LOAD, policy=policy)
-    load = only([e for e in held.records if e.instr == 2])
+    load = only([e for e in held.records if e.macro.id == 2])
     assert load.esp_cycle is None and load.exec_start_cycle is None
 
     empty = {i: 0 for i in range(len(program))}
     policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=empty)
     lifted = simulate(SHADOWED_COLD_LOAD, policy=policy)
-    load = only([e for e in lifted.records if e.instr == 2])
-    branch = only([e for e in lifted.records if e.instr == 1])
+    load = only([e for e in lifted.records if e.macro.id == 2])
+    branch = only([e for e in lifted.records if e.macro.id == 1])
     assert load.esp_cycle == load.dispatch_cycle < branch.complete_cycle
     assert load.outcome == "miss" and load.exec_start_cycle < branch.complete_cycle
 
@@ -585,7 +587,7 @@ def test_lifting_follows_osp_through_a_complete_but_shadowed_member():
     alu = only([e for e in trace.records if e.rob_seq == 2])
     wrong = only([e for e in trace.records if e.rob_seq == 3])
     assert alu.complete_cycle < branch.complete_cycle == wrong.squash_cycle
-    assert wrong.instr == 3 and wrong.squashed
+    assert wrong.macro.id == 3 and wrong.squash_cycle is not None
     assert wrong.esp_cycle is None and wrong.exec_start_cycle is None
 
 
@@ -607,7 +609,7 @@ def test_shadowed_hit_defers_replacement_update_to_commit():
     while not sim.halted:
         sim.step()
         if shadowed is None:
-            done = [e for e in sim._records if e.instr == 2 and e.complete]
+            done = [e for e in sim._records if e.macro.id == 2 and e.complete_cycle is not None]
             if done:
                 shadowed = done[0]
                 assert shadowed.outcome == "deferred_hit"
@@ -632,8 +634,8 @@ def test_shadowed_store_waits_for_resolution():
     """
     policy = DefensePolicy(mode=DefenseMode.DOM)
     trace = simulate(text, policy=policy)
-    store = only([e for e in trace.records if e.instr == 2])
-    branch = only([e for e in trace.records if e.instr == 1])
+    store = only([e for e in trace.records if e.macro.id == 2])
+    branch = only([e for e in trace.records if e.macro.id == 1])
     assert store.exec_start_cycle > branch.complete_cycle
 
 
@@ -672,7 +674,7 @@ def test_fence_drains_before_younger_work():
     alu r2, r2, 1
     """
     trace = simulate(text)
-    load, fence, alu = (only([e for e in trace.records if e.instr == i]) for i in range(3))
+    load, fence, alu = (only([e for e in trace.records if e.macro.id == i]) for i in range(3))
     assert alu.dispatch_cycle > load.commit_cycle
     assert trace.stats.decode_stalls > 0
     # the fence waits for older work only: younger work dispatches with it
@@ -689,8 +691,8 @@ def test_rep_movs_expands_to_twice_the_counter():
     assert rep.requested == 4
     assert rep.emitted == 4
     assert not rep.capped
-    uops = [e for e in trace.records if e.instr == 1]
-    assert [u.seq for u in uops] == [0, 1, 2, 3]
+    uops = [e for e in trace.records if e.macro.id == 1]
+    assert [u.uop.seq for u in uops] == [0, 1, 2, 3]
     assert all(u.uop.kind is UopKind.NOP and u.uop.parent == 1 for u in uops)
     assert trace.stats.committed_uops == 5
 
@@ -917,7 +919,7 @@ def public_stepped_run(sim: Simulator):
 
 
 def audited_run(sim: Simulator):
-    """`sim.run()`, its trace checked by the memory audit."""
+    """`sim.run()`, its trace checked by the audit."""
     trace = sim.run()
     audit(trace, sim.machine)
     return trace
@@ -1057,6 +1059,43 @@ def test_memory_rules_hold_on_coalesced_misses_under_jitter(seed):
     kinds = audit(simulate(text, jitter=2, seed=seed), make_sim(text, jitter=2, seed=seed).machine)
     assert kinds == {"miss": 1, "coalesced": 2, "fill": 1}
 
+
+@pytest.mark.parametrize(
+    "tamper, core, message",
+    [
+        (lambda load, alu, nop: setattr(nop, "exec_start_cycle", nop.dispatch_cycle),
+         CoreConfig(), r"rob_seq 2 \(instr 2.0\)"),
+        (lambda load, alu, nop: setattr(alu, "ready_cycle", load.complete_cycle),
+         CoreConfig(), "its producer completes at 62"),
+        (lambda load, alu, nop: setattr(load, "squash_cycle", load.commit_cycle),
+         CoreConfig(), "must commit or be squashed"),
+        (lambda load, alu, nop: setattr(nop, "commit_cycle", alu.commit_cycle - 1),
+         CoreConfig(), "commit out of rob_seq order"),
+        (lambda load, alu, nop: None, CoreConfig(commit_width=1),
+         "more than 1 commits in a cycle"),
+        (lambda load, alu, nop: None, CoreConfig(decode_width=1),
+         "more than 2 dispatches in a cycle"),
+    ],
+    ids=["nop_issued", "ready_at_producer_completion", "committed_and_squashed",
+         "commit_out_of_order", "commit_past_width", "dispatch_past_queue"],
+)
+def test_audit_refuses_a_trace_that_breaks_a_pipeline_rule(tamper, core, message):
+    # the alu waits on the load; the alu and the nop commit in one cycle,
+    # and all three dispatch in one cycle
+    trace = simulate("load r1, [8]\nalu r2, r1, 1\nnop")
+    audit(trace, MachineConfig())
+    tamper(*trace.records)
+    with pytest.raises(AssertionError, match=message):
+        audit(trace, MachineConfig(core=core))
+
+
+def test_audit_recounts_occupancy_from_the_stamps():
+    trace = simulate("load r1, [8]\nalu r2, r1, 1\nnop")
+    trace.occupancy[5] += 1
+    with pytest.raises(AssertionError, match="occupancy at cycle 6: sampled 4, recounted 3"):
+        audit(trace, MachineConfig())
+
+
 def test_jitter_seed_moves_a_trace_only_under_jitter():
     # at jitter 0 the core draws nothing, so no seed reaches the trace
     for jitter in (0, 2):
@@ -1191,11 +1230,55 @@ def seed_rep_counters(program: Program) -> Program:
     return parse_program("\n".join(lines))
 
 
+SHADOW_WARM = (24, 25, 26, 27)  # lines a shadow program warms; no other draw warms them
+
+
+def seed_registers(program: Program) -> Program:
+    """The program behind `alu rK, K + 1` for each register r0-r5 that a
+    drawn program uses: a backward branch then falls through unless the
+    loop writes zero to its register, so most loops end."""
+    prologue = "".join(f"alu r{k}, {k + 1}\n" for k in range(6))
+    return parse_program(prologue + print_program(program))
+
+
+@st.composite
+def shadow_programs(draw):
+    """A load that misses, a second load to its line that coalesces with
+    it, and a branch on the first load's value, so that what follows runs
+    in the branch's shadow: on the fall-through path and past the target,
+    loads to warm lines (under dom, shadowed hits whose effects wait for
+    commit), loads to cold lines and alus."""
+    cold = st.integers(min_value=16, max_value=19)
+    line = draw(cold)
+    lines = [f".warm {w}" for w in SHADOW_WARM]
+    lines += [f".data {line} {draw(st.integers(min_value=0, max_value=1))}"]
+    lines += [f"load r1, [{line}]", f"load r2, [{line}]", "gate: branch r1, join"]
+    for part in ("", "join: "):
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            kind = draw(st.sampled_from(["warm", "warm", "cold", "alu"]))
+            reg = f"r{draw(st.integers(min_value=3, max_value=5))}"
+            if kind == "warm":
+                body = f"load {reg}, [{draw(st.sampled_from(SHADOW_WARM))}]"
+            elif kind == "cold":
+                body = f"load {reg}, [{draw(cold)}]"
+            else:
+                body = f"alu {reg}, r2, 1"
+            lines.append(part + body)
+            part = ""
+    return parse_program("\n".join(lines) + "\n")
+
+
 @st.composite
 def machine_runs(draw):
     """A random program with warm lines and forced predictions, a policy
-    and a machine. Half the programs with a REP seed its counter."""
-    program = draw(st.one_of(dag_programs(), cyclic_programs()))
+    and a machine. A program with a loop starts with nonzero registers,
+    and half the programs with a REP seed its counter. About one machine
+    in ten stops at a cycle limit of 20-400, so that the limit error stays
+    covered; the others allow 2000 cycles, which every program that does
+    not loop forever finishes in."""
+    program = draw(st.one_of(dag_programs(), cyclic_programs(), shadow_programs()))
+    if any(t is not None and t <= i for i, t in enumerate(program.targets)):
+        program = seed_registers(program)
     has_rep = any(i.opcode in REP_OPCODES for i in program.instructions)
     if has_rep and draw(st.booleans()):
         program = seed_rep_counters(program)
@@ -1219,13 +1302,13 @@ def machine_runs(draw):
             load_ports=draw(st.sampled_from([1, 2])),
             alu_ports=draw(st.sampled_from([1, 2])),
             alu_latency=draw(st.sampled_from([1, 4])),
-            max_cycles=draw(st.one_of(st.just(2_000), st.integers(20, 400))),
+            max_cycles=draw(st.integers(20, 400)) if draw(st.integers(0, 9)) == 5 else 2_000,
         ),
         cache=CacheConfig(mshr_entries=draw(st.integers(min_value=1, max_value=2))),
         jitter_amplitude=draw(st.sampled_from([0, 3])),
         jitter_seed=draw(st.integers(min_value=0, max_value=3)),
     )
-    warm = tuple(draw(st.sets(st.integers(min_value=0, max_value=15))))
+    warm = program.warm + tuple(draw(st.sets(st.integers(min_value=0, max_value=15))))
     program = dataclasses.replace(program, warm=warm, predict=predict)
     policy = DefensePolicy(mode=mode, mitigations=mitigations, safe_sets=safe_sets)
     return program, policy, machine
@@ -1274,6 +1357,11 @@ def test_shadows_match_recomputation_on_random_programs(run_args):
          "warm address 0x100000 outside address space"),
         (Program([MacroInstruction(0, Opcode.NOP, ())], flush=(-1,)),
          "flush address -0x1 outside address space"),
+        (Program([MacroInstruction(0, Opcode.NOP, ()),
+                  MacroInstruction(1, Opcode.LOAD, (Reg(1), Mem(None, -16)))]),
+         "address -0x10 outside address space in instruction 1"),
+        (Program([MacroInstruction(0, Opcode.STORE, (Reg(1), Mem(None, ADDRESS_SPACE)))]),
+         "address 0x100000 outside address space in instruction 0"),
         (Program([MacroInstruction(0, Opcode.NOP, ())], predict={"nowhere": True}),
          "unresolved label 'nowhere' in .predict"),
         (Program([MacroInstruction(0, Opcode.NOP, (), "x")], {"x": 0}, predict={"x": False}),
@@ -1281,6 +1369,7 @@ def test_shadows_match_recomputation_on_random_programs(run_args):
     ],
     ids=["non_dense_ids", "unresolved_label", "data_outside_address_space",
          "warm_outside_address_space", "flush_outside_address_space",
+         "load_outside_address_space", "store_outside_address_space",
          "predict_unknown_label", "predict_non_branch"],
 )
 def test_simulator_rejects_an_invalid_program(program, message):

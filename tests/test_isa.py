@@ -162,6 +162,9 @@ def test_overlay_shares_the_program_and_checks_what_it_adds():
         ("nop\n.data 2000000 1", "line 2: address 0x1e8480 outside address space"),
         (".warm 2000000", "outside address space"),
         (".flush -1", "outside address space"),
+        ("load r1, [-16]", "line 1: address -0x10 outside address space"),
+        ("nop\nload r2, [2000000]", "line 2: address 0x1e8480 outside address space"),
+        ("nop\nstore r1, [0x100000]", "line 2: address 0x100000 outside address space"),
         (".warm", ".warm takes an address"),
         (".predict b sideways\nb: branch r1, b", ".predict takes a label and taken or not_taken"),
         ("nop\n.predict nowhere taken", "line 2: unresolved label 'nowhere' in .predict"),

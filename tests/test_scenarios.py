@@ -266,7 +266,7 @@ def test_idle_gate_lets_probe_run_ahead_of_resolution():
     speculative = [
         r
         for r in trace.records
-        if r.instr == scenario.probe_instr and r.squashed and r.complete_cycle
+        if r.macro.id == scenario.probe_instr and r.squash_cycle is not None and r.complete_cycle
     ]
     assert speculative
     assert speculative[0].complete_cycle < window.complete_cycle
