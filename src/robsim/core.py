@@ -9,7 +9,10 @@ conventions the traces rely on:
 * a result completing at cycle c wakes consumers for issue at c+1 and
   commits no earlier than c+1;
 * a branch resolves one cycle after its operand is ready, and on a
-  mispredict the squash lands that cycle with fetch redirected the next.
+  mispredict the squash lands that cycle with fetch redirected the next;
+* a squash is final: consumers wake after the cycle's squashes, so no
+  stamp of a squashed entry is later than its squash cycle, and a
+  consumer squashed in the cycle its last producer completes has no ready.
 
 Fetch runs ahead of a full reorder buffer into a small decode queue, so
 back-pressure from a jammed ROB is visible as dispatch stalls rather
@@ -46,12 +49,12 @@ into local names once. Commit, ALU issue, completion with consumer
 wake-up, dispatch and fetch/decode are inline in it; the rare paths stay
 methods: `_issue_mem`, `_resolve_branch`, `_verify_predicted_reps`,
 `_squash_after`, `_begin_rep`, `_lifted` (the ESP check) and
-`_enqueue_ready` (a woken consumer). Each container it holds is changed
-only in place, so a squash leaves it no stale copy. `step()` runs the
-body for exactly one cycle and returns whether any phase acted. `run()`
-runs it to halt, handing each cycle in which no phase acted to
-`_repeat_idle`. Such a cycle changes nothing a later cycle reads (fills
-land before the phases; a load's address is memoised and squashed
+`_enqueue_ready` (the one route of a source-ready entry). Each container
+it holds is changed only in place, so a squash leaves it no stale copy.
+`step()` runs the body for exactly one cycle and returns whether any phase
+acted. `run()` runs it to halt, handing each cycle in which no phase
+acted to `_repeat_idle`. Such a cycle changes nothing a later cycle reads
+(fills land before the phases; a load's address is memoised and squashed
 entries leave the issue queues), so every later cycle repeats it until
 the next completion or fill; `_repeat_idle` records them in one go, the
 same occupancy and dispatch and decode stalls each, never past
@@ -532,29 +535,29 @@ class Simulator:
             if mem_queue and self._issue_mem():
                 acted = True
 
-            # complete / resolve / verify
+            # complete / resolve / verify, then wake consumers once the
+            # cycle's squashes are done, so no squashed entry is woken
             due = completions.pop(cycle, None)
             if due is not None:
                 acted = True
                 if len(due) > 1:
                     due.sort(key=_rob_seq)
                 for entry in due:
-                    if entry.squash_cycle is not None:
-                        continue
-                    entry.complete_cycle = cycle
-                    waiting = entry.dependents
-                    if waiting is not None:
-                        entry.dependents = None
-                        for dep in waiting:
-                            if dep.squash_cycle is None:
-                                dep.pending -= 1
-                                if not dep.pending:
-                                    dep.ready_cycle = cycle + 1
-                                    enqueue_ready(dep)
-                    if entry.uop.kind is _BRANCH_RESOLVE:
-                        self._resolve_branch(entry)
+                    if entry.squash_cycle is None:
+                        entry.complete_cycle = cycle
+                        if entry.uop.kind is _BRANCH_RESOLVE:
+                            self._resolve_branch(entry)
             if live_reps and self._verify_predicted_reps():
                 acted = True
+            if due is not None:
+                for entry in due:
+                    if (waiting := entry.dependents) is not None:
+                        entry.dependents = None
+                        for dep in waiting:
+                            dep.pending -= 1
+                            if not dep.pending and dep.squash_cycle is None:
+                                dep.ready_cycle = cycle + 1
+                                enqueue_ready(dep)
 
             # dispatch: in order into the ROB while it has room
             if queue:
@@ -594,15 +597,8 @@ class Simulator:
                     if pending:
                         entry.pending = pending
                     else:
-                        # younger than every queued entry, so appended
                         entry.ready_cycle = latest
-                        if kind is _BRANCH_RESOLVE:
-                            entry.exec_start_cycle = latest
-                            completions.setdefault(latest + 1, []).append(entry)
-                        elif kind is _ALU:
-                            alu_queue.append(entry)
-                        else:
-                            mem_queue.append(entry)
+                        enqueue_ready(entry)
                     if lifts and (kind is _MEM_READ or kind is _MEM_WRITE):
                         # the full ESP check on every memory micro-op: stamps
                         # esp at dispatch when its safe set is empty or every
@@ -847,9 +843,9 @@ class Simulator:
         )
 
     def _enqueue_ready(self, entry: RobEntry) -> None:
-        """Queue an entry woken by its last producer, ready the next cycle,
-        so it may issue in the next issue phase. Queues stay in rob_seq
-        order; an entry younger than every queued one is appended."""
+        """The one route of a source-ready entry, at dispatch or woken by
+        its last producer: a branch resolves the cycle after it is ready,
+        the rest join their issue queue, kept in rob_seq order."""
         ready = entry.ready_cycle
         assert ready is not None and entry.dispatch_cycle <= ready <= self.cycle + 1
         kind = entry.uop.kind

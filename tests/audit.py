@@ -31,6 +31,9 @@ def audit_pipeline(trace, core: CoreConfig) -> None:
       NOP-class entry never issues, so is ready and complete at dispatch;
     - each record leaves once: it commits or is squashed, never both, and
       one never dispatched was squashed in the decode queue;
+    - a squash is final: no stamp of a squashed record is later than its
+      squash cycle, so a consumer squashed in the cycle its last producer
+      completes has no ready;
     - a consumer is ready, and so starts, only after each producer in its
       `src` completes;
     - commit is in rob_seq order, at most commit_width per cycle;
@@ -54,6 +57,7 @@ def audit_pipeline(trace, core: CoreConfig) -> None:
             stamps = [dispatch, e.ready_cycle, e.exec_start_cycle, e.complete_cycle, commit]
         present = [s for s in stamps if s is not None]
         assert present == stamps[: len(present)] and present == sorted(present), show(e)
+        assert squash is None or all(s <= squash for s in present), show(e)
         if commit is not None:
             assert commit > e.complete_cycle, show(e)
             committed.append(e)

@@ -858,6 +858,46 @@ def test_cyclic_component_is_in_its_own_safe_set():
     assert members(sets[3]) == frozenset({0, 1, 2})
 
 
+# ROADMAP item 9's probes: a load of address 16 and a store that may write
+# it, through a register base, over a back edge, or on one side of a join;
+# each case names the load and the members its safe set must hold
+ALIASED_STORE_PROBES = [
+    pytest.param("""
+        alu r5, r0, 16
+        store r1, [r5+0]
+        load r3, [16]
+        """, 2, {0, 1}, id="straight"),
+    pytest.param("""
+        alu r1, r0, 3
+        top: load r3, [16]
+        alu r3, r3, 1
+        store r3, [16]
+        alu r1, r1, 1
+        branch r1, top
+        """, 1, {3}, id="loop"),
+    pytest.param("""
+        alu r5, r0, 16
+        branch r2, other
+        store r1, [r5+0]
+        jump join
+        other: nop
+        nop
+        join: load r3, [16]
+        load r4, [r3+64]
+        """, 6, {1, 2}, id="joined"),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: a load depends only on earlier stores with an equal address text",
+)
+@pytest.mark.parametrize("text, load, held", ALIASED_STORE_PROBES)
+def test_a_load_depends_on_every_store_that_may_write_its_address(text, load, held):
+    sets = compute_safe_sets(parse_program(text))
+    assert held <= members(sets[load])
+
+
 def test_instruction_that_cannot_reach_exit_is_refused():
     prog = parse_program(
         """

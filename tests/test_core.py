@@ -210,6 +210,41 @@ def test_mispredicted_branch_squashes_wrong_path():
     assert len(wrong_path) == 1
 
 
+@pytest.mark.parametrize(
+    "text, mitigations, kind, producer, consumer",
+    [
+        # the producer completes in the cycle the older mispredicted branch
+        # resolves, and the branch squashes its consumer on the wrong path
+        ("""
+        .predict br not_taken
+        alu r3, r0, 0
+        br: branch r0, skip
+        alu r4, r3, 1
+        skip: nop
+        """, frozenset(), "branch", 0, 2),
+        # the counter completes, and the failed check of the predicted REP
+        # in that cycle squashes the counter's consumer past the REP
+        ("""
+        load r5, [64]
+        alu r1, r5, 3
+        rep_lods r1
+        alu r4, r1, 1
+        """, frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}), "rep_verify", 1, 3),
+    ],
+    ids=["branch", "rep_verify"],
+)
+def test_a_consumer_squashed_in_its_wake_cycle_is_never_ready(
+    text, mitigations, kind, producer, consumer
+):
+    trace = audited_run(make_sim(text, policy=DefensePolicy(mitigations=mitigations)))
+    squash = only(trace.stats.squash_log)
+    assert squash.kind == kind
+    woken = next(e for e in trace.records if e.macro.id == consumer)  # the wrong-path copy
+    assert only(trace.committed_for(producer)).complete_cycle == squash.cycle
+    assert woken.squash_cycle == squash.cycle
+    assert woken.dispatch_cycle is not None and woken.ready_cycle is None
+
+
 def test_correctly_predicted_branch_does_not_squash():
     text = """
     .data 8 7

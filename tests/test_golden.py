@@ -478,7 +478,7 @@ EXPECTED_ANALYSIS: dict[str, str] = {
 }
 
 
-EXPECTED_CORPUS = "60ae4b771e39dd83ff28ebd71e2f57c73d8cff2d1f96ab6a854e06f487df7074"
+EXPECTED_CORPUS = "4f77dc487a9630a278b4b48a3e9168f9426c13e431dce79f79ca2a6fc7edc154"
 
 
 def _check(got: dict[str, str], want: dict[str, str]) -> None:
