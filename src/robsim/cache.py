@@ -19,6 +19,13 @@ its outcome with the trace's own word:
 * `coalesced`: the line is in flight; the access waits for that fill;
 * `mshr_stall`: every MSHR is busy; the access is refused and the caller
   retries it, so no trace holds this word.
+
+Miss jitter is decided only where a miss allocates its MSHR: at amplitude
+a > 0 a fresh miss of `line` takes `max(miss_cycles + miss_offset(
+jitter_seed, line, a), 1)` cycles, `miss_offset` being the SplitMix64
+finalizer z of `(jitter_seed * 2**20 + line) mod 2**64` folded as
+`z % (2a + 1) - a`: a pure function of seed and line, which no earlier
+hit, coalesced access or refused retry moves.
 """
 
 from __future__ import annotations
@@ -27,6 +34,16 @@ import sys
 from dataclasses import dataclass, field
 
 NO_FILL = sys.maxsize  # next_fill of an empty miss table: past every cycle
+_MASK64 = (1 << 64) - 1
+
+
+def miss_offset(seed: int, line: int, amplitude: int) -> int:
+    """The jitter of a fresh miss of `line` under `seed`, in [-amplitude,
+    amplitude] (see the module docstring)."""
+    z = (seed * 2**20 + line) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) % (2 * amplitude + 1) - amplitude
 
 
 def require_integer(value: object, name: str) -> int:
@@ -69,6 +86,8 @@ class CacheState:
     misses: int = 0
     mshr_stalls: int = 0
     coalesced_misses: int = 0
+    jitter_amplitude: int = 0  # 0: every miss takes miss_cycles exactly
+    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         self.sets = [[] for _ in range(self.config.num_sets)]
@@ -79,19 +98,13 @@ class CacheState:
     def resident(self, addr: int) -> bool:
         return addr in self.sets[self.set_index(addr)]
 
-    def access(
-        self,
-        addr: int,
-        cycle: int,
-        deferred_effects: bool = False,
-        extra_latency: int = 0,
-    ) -> tuple[str, int]:
+    def access(self, addr: int, cycle: int, deferred_effects: bool = False) -> tuple[str, int]:
         """One load/store port transaction at `cycle`: (outcome, latency),
         in the words of the module docstring. With deferred_effects a hit
         leaves its replacement update to touch() (or to nobody, if
         squashed). An mshr_stall takes 0 cycles; the caller retries later.
-        extra_latency perturbs a fresh miss only (seeded jitter lives in the
-        caller); the miss latency never drops below 1."""
+        Only a fresh miss is jittered, by miss_offset(jitter_seed, addr,
+        jitter_amplitude), and never drops below 1 cycle."""
         way_list = self.sets[self.set_index(addr)]
         if addr in way_list:
             self.hits += 1
@@ -109,7 +122,9 @@ class CacheState:
             self.mshr_stalls += 1
             return "mshr_stall", 0
         self.misses += 1
-        latency = max(self.config.miss_cycles + extra_latency, 1)
+        latency = self.config.miss_cycles
+        if self.jitter_amplitude:
+            latency = max(latency + miss_offset(self.jitter_seed, addr, self.jitter_amplitude), 1)
         fill_cycle = self.mshrs[addr] = cycle + latency
         if fill_cycle < self.next_fill:
             self.next_fill = fill_cycle

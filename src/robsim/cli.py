@@ -71,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jitter",
         type=int,
-        help="+/- cycles on a fresh miss's latency; 0 up to miss_cycles - hit_cycles - 1",
+        help="amplitude a of a fresh miss's jitter, an offset in [-a, a] fixed by the "
+        "trial's seed and the line (docs/csv_schemas.md); 0 up to miss_cycles - hit_cycles - 1",
     )
     run.add_argument("--out", help="output directory")
 

@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import csv
 import io
-import random
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -98,6 +97,7 @@ from typing import Mapping
 from .cache import CacheConfig, CacheState, require_integer
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
 from .isa import (
+    ADDRESS_SPACE,
     DEFAULT_EXPANSION_CAP,
     MacroInstruction,
     MicroOp,
@@ -141,8 +141,9 @@ class CoreConfig:
 class MachineConfig:
     core: CoreConfig = field(default_factory=CoreConfig)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    # +/- cycles added to fresh miss latency; below miss_cycles - hit_cycles,
-    # so that a jittered miss is still slower than a hit
+    # a fresh miss of a line takes miss_cycles + cache.miss_offset(jitter_seed,
+    # line, jitter_amplitude) cycles, the offset in [-amplitude, amplitude];
+    # amplitude < miss_cycles - hit_cycles keeps a jittered miss slower than a hit
     jitter_amplitude: int = 0
     jitter_seed: int = 0
 
@@ -366,7 +367,7 @@ class Simulator:
         self.program = program
         self._targets = program.targets  # validates the program on first use
         self._n_instr = len(program)
-        self.machine = machine or MachineConfig()
+        self.machine = machine = machine or MachineConfig()
         self.config = self.machine.core
         self.policy = policy or DefensePolicy()
         self._gates_loads = self.policy.gates_loads
@@ -375,7 +376,9 @@ class Simulator:
         self.predictor = BranchPredictor(
             {program.labels[name]: taken for name, taken in program.predict.items()}
         )
-        self.cache = CacheState(self.machine.cache)
+        self.cache = CacheState(
+            machine.cache, jitter_amplitude=machine.jitter_amplitude, jitter_seed=machine.jitter_seed
+        )
         for addr in program.warm:
             self.cache.warm(addr)
         for addr in program.flush:
@@ -403,8 +406,6 @@ class Simulator:
         self._occupancy: list[int] = []
         self._mem_events: list[MemEvent] = []
         self._rep_log: list[RepExpansion] = []
-        jitter = self.machine.jitter_amplitude  # no generator when nothing draws
-        self._rng = random.Random(self.machine.jitter_seed) if jitter else None
 
     # ------------------------------------------------------------------
     # public surface
@@ -699,7 +700,6 @@ class Simulator:
         deferred hit's event stays unapplied until commit touches the line."""
         queue, cycle, cache, regs = self._mem_queue, self.cycle, self.cache, self.regs
         oldest = self._unresolved[0] if self._unresolved else None
-        amp = self.machine.jitter_amplitude
         issued = i = 0
         while issued < self.config.load_ports and i < len(queue):
             entry = queue[i]
@@ -709,8 +709,8 @@ class Simulator:
             address = entry.address
             if address is None:  # memoised: a held access keeps its address
                 slot, address = entry.macro.mem_plan
-                if slot is not None:
-                    address += entry.value_of(slot, regs)
+                if slot is not None:  # a run-time address wraps into the address space
+                    address = (address + entry.value_of(slot, regs)) % ADDRESS_SPACE
                 entry.address = address
             deferred = False  # a gated load runs only on a hit, effects deferred
             if self._gates_loads and oldest is not None and oldest < entry.rob_seq:
@@ -721,8 +721,7 @@ class Simulator:
                 if deferred and not cache.resident(address):
                     i += 1
                     continue
-            extra = self._rng.randrange(-amp, amp + 1) if amp and not deferred else 0
-            outcome, latency = cache.access(address, cycle, deferred, extra)
+            outcome, latency = cache.access(address, cycle, deferred)
             if outcome == "mshr_stall":
                 issued += 1  # the rejected attempt still occupied the port
                 i += 1

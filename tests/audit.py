@@ -13,7 +13,24 @@ import collections
 from itertools import accumulate
 
 from robsim.core import CoreConfig, MachineConfig
-from robsim.isa import UopKind
+from robsim.isa import ADDRESS_SPACE, UopKind
+
+_WORD = 2**64
+
+
+def splitmix64_mix(x: int) -> int:
+    """SplitMix64's output function on a 64-bit word (Steele, Lea and
+    Flood, "Fast Splittable Pseudorandom Number Generators", OOPSLA 2014)."""
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x = ((x ^ (x >> shift)) * multiplier) % _WORD
+    return x ^ (x >> 31)
+
+
+def reference_offset(seed: int, line: int, amplitude: int) -> int:
+    """The jitter a fresh miss of `line` must get under `seed`, written apart
+    from robsim.cache: the mix of the key seed * 2^20 + line (mod 2^64),
+    folded onto [-amplitude, amplitude]."""
+    return splitmix64_mix((seed * ADDRESS_SPACE + line) % _WORD) % (2 * amplitude + 1) - amplitude
 
 
 def audit(trace, machine: MachineConfig) -> collections.Counter:
@@ -104,15 +121,16 @@ def audit_memory(trace, machine: MachineConfig) -> collections.Counter:
 
     - each access event matches its record by rob_seq: address, issue
       cycle and outcome, and each record with an outcome has one event;
+    - every accessed line is inside the address space;
     - a hit or deferred hit takes hit_cycles;
-    - a miss takes miss_cycles within the jitter amplitude (never under 1
-      cycle), and its line fills at issue + latency if the run lasts so long;
+    - a miss of a line takes exactly max(miss_cycles + reference_offset(
+      jitter_seed, line, jitter_amplitude), 1), and the line fills at issue +
+      latency if the run lasts so long;
     - a coalesced access takes the cycles left until its line's pending fill;
     - every fill matches exactly one earlier miss;
     - live misses never exceed mshr_entries.
     """
-    cache, amp = machine.cache, machine.jitter_amplitude
-    lowest, highest = max(cache.miss_cycles - amp, 1), cache.miss_cycles + amp
+    cache, amp, seed = machine.cache, machine.jitter_amplitude, machine.jitter_seed
     accesses = {e.rob_seq: e for e in trace.records if e.outcome is not None}
     # the run halts in the cycle its last micro-op commits
     end = max((e.commit_cycle for e in trace.records if e.commit_cycle is not None), default=0)
@@ -128,12 +146,14 @@ def audit_memory(trace, machine: MachineConfig) -> collections.Counter:
         assert entry is not None, f"{event} has no record, or a second event"
         assert (entry.address, entry.exec_start_cycle, entry.outcome) == (line, cycle, kind), (
             event, show(entry))
+        assert 0 <= line < ADDRESS_SPACE, f"{event}: outside the address space"
         latency = entry.latency
         if kind == "hit" or kind == "deferred_hit":
             assert latency == cache.hit_cycles, (event, latency)
         elif kind == "miss":
             assert line not in live, f"{event}: a second miss to a line in flight"
-            assert lowest <= latency <= highest, (event, latency)
+            want = max(cache.miss_cycles + reference_offset(seed, line, amp), 1)
+            assert latency == want, f"{event}: latency {latency}, the line's jitter gives {want}"
             live[line] = cycle + latency
             assert cache.mshr_entries is None or len(live) <= cache.mshr_entries, (event, live)
         elif kind == "coalesced":

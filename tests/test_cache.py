@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from robsim.cache import NO_FILL, CacheConfig, CacheState
+from audit import reference_offset, splitmix64_mix
+
+from robsim.cache import NO_FILL, CacheConfig, CacheState, miss_offset
 
 
 def make_cache(**kw) -> CacheState:
@@ -120,21 +122,57 @@ def test_config_validation():
         CacheConfig(mshr_entries=0)
 
 
-def test_extra_latency_shifts_fresh_miss_only():
-    cache = make_cache()
-    assert cache.access(100, cycle=10, extra_latency=5) == ("miss", 65)
-    assert cache.mshrs == {100: 75}
-    # coalescing ignores the perturbation of the second access
-    assert cache.access(100, cycle=20, extra_latency=-3) == ("coalesced", 55)
-    cache.warm(7)
-    assert cache.access(7, cycle=30, extra_latency=9) == ("hit", 3)
+def jittered_cache(seed: int, amplitude: int = 5, **kw) -> CacheState:
+    return CacheState(CacheConfig(**kw), jitter_amplitude=amplitude, jitter_seed=seed)
+
+
+def test_miss_offset_is_splitmix64_of_seed_and_line():
+    # SplitMix64's first output from state 0 mixes the golden gamma; split
+    # as seed * 2^20 + line, an amplitude past 2^63 shows the raw word
+    gamma = 0x9E3779B97F4A7C15
+    seed, line = divmod(gamma, 2**20)
+    assert splitmix64_mix(gamma) == 0xE220A8397B1DCDAF
+    assert miss_offset(seed, line, 2**64) == 0xE220A8397B1DCDAF - 2**64
+    for seed in (0, 1, 7, -3, 2**50):
+        for line in (0, 8, 72, 2**20 - 16):
+            for amplitude in (0, 1, 2, 56):
+                want = reference_offset(seed, line, amplitude)
+                assert miss_offset(seed, line, amplitude) == want
+
+
+def test_miss_jitter_depends_on_seed_and_line_alone():
+    # the same line gets the same offset whatever the cache did before
+    quiet, busy = jittered_cache(3), jittered_cache(3, mshr_entries=1)
+    busy.warm(7)
+    assert busy.access(7, cycle=0) == ("hit", 3)
+    assert busy.access(9, cycle=0) == ("miss", 60 + miss_offset(3, 9, 5))
+    assert busy.access(9, cycle=1)[0] == "coalesced"
+    assert busy.access(100, cycle=2) == ("mshr_stall", 0)
+    busy.process_fills(70)
+    assert busy.access(100, cycle=70) == quiet.access(100, cycle=70)
+    # hits, coalesced accesses and refused retries carry no offset
+    fill = busy.mshrs[100]
+    assert busy.access(100, cycle=71) == ("coalesced", fill - 71)
+    assert busy.access(101, cycle=71) == ("mshr_stall", 0)
+    busy.warm(5)
+    assert busy.access(5, cycle=72) == ("hit", 3)
+    assert busy.access(5, cycle=72, deferred_effects=True) == ("deferred_hit", 3)
+    # no jitter: every miss takes miss_cycles
+    assert make_cache().access(100, cycle=70) == ("miss", 60)
+    # over seeds, a line's offsets cover most of [-a, a]
+    for amplitude in (2, 20, 56):
+        offsets = {miss_offset(seed, 100, amplitude) for seed in range(200)}
+        assert offsets <= set(range(-amplitude, amplitude + 1))
+        assert len(offsets) >= 0.8 * (2 * amplitude + 1), (amplitude, len(offsets))
 
 
 def test_fills_land_by_fill_cycle_then_allocation_order():
-    cache = make_cache(mshr_entries=None)
-    cache.access(1, cycle=0, extra_latency=5)  # fills at 65
+    seed = 1584  # offsets 5, 0, -2 and 0 for lines 1 to 4
+    assert [miss_offset(seed, line, 5) for line in (1, 2, 3, 4)] == [5, 0, -2, 0]
+    cache = jittered_cache(seed, mshr_entries=None)
+    cache.access(1, cycle=0)  # fills at 65
     cache.access(2, cycle=3)  # 63
-    cache.access(3, cycle=5, extra_latency=-2)  # 63, allocated after 2
+    cache.access(3, cycle=5)  # 63, allocated after 2
     cache.access(4, cycle=10)  # 70
     assert cache.mshrs == {1: 65, 2: 63, 3: 63, 4: 70} and cache.next_fill == 63
     assert cache.process_fills(62) == [] and cache.next_fill == 63

@@ -8,7 +8,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from audit import audit
+from audit import audit, reference_offset
 from hypothesis import strategies as st
 from test_analysis import cyclic_programs, dag_programs, members
 
@@ -688,6 +688,24 @@ def test_store_writes_memory_at_commit():
     assert trace.stats.squashes == 0
 
 
+def test_a_run_time_address_wraps_into_the_address_space():
+    # r2 = 0, so [r2-16] is 2^20 - 16 for the cache, the trace and memory;
+    # its line's miss is jittered like any other
+    text = """
+    .data 0xffff0 7
+    load r1, [r2-16]
+    alu r3, 5
+    store r3, [r2-16]
+    """
+    sim = make_sim(text, jitter=2, seed=1)
+    trace = audited_run(sim)
+    top = ADDRESS_SPACE - 16
+    assert [e.address for e in trace.records if e.address is not None] == [top, top]
+    assert trace.records[0].result == 7
+    assert sim.mem_values == {top: 5}
+    assert sim.cache.resident(top)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: no store-to-load forwarding")
 @pytest.mark.parametrize("mode", [DefenseMode.UNPROTECTED, DefenseMode.DOM])
 def test_load_reads_an_older_stores_value(mode):
@@ -1132,7 +1150,7 @@ def test_audit_recounts_occupancy_from_the_stamps():
 
 
 def test_jitter_seed_moves_a_trace_only_under_jitter():
-    # at jitter 0 the core draws nothing, so no seed reaches the trace
+    # at jitter 0 no miss offset is computed, so no seed reaches the trace
     for jitter in (0, 2):
         csvs = {0: [], 7: []}
         for scenario, policy in prepared_cells(MachineConfig(), [frozenset()]):
@@ -1185,7 +1203,8 @@ def test_blocked_decode_counts_each_skipped_cycle(text, monkeypatch):
     assert steps(trace.stats.cycles) < trace.stats.cycles - 50
 
 
-def test_mshr_retries_are_stepped_and_draw_jitter(monkeypatch):
+def test_mshr_retries_are_stepped_and_each_miss_keeps_its_lines_jitter(monkeypatch):
+    # a refused retry moves no offset: each miss takes the offset of its line
     text = "load r1, [8]\nload r2, [72]\nload r3, [136]"
     make = lambda: make_sim(text, cache=CacheConfig(mshr_entries=1), jitter=5, seed=3)
     assert_skipping_matches_stepper(make)
@@ -1196,7 +1215,8 @@ def test_mshr_retries_are_stepped_and_draw_jitter(monkeypatch):
     assert retries > 100  # each load waits out the fill before it
     assert steps(trace.stats.cycles) > retries
     latencies = [e.latency for e in trace.records]
-    assert len(set(latencies)) > 1 and all(55 <= lat <= 65 for lat in latencies)
+    assert latencies == [60 + reference_offset(3, line, 5) for line in (8, 72, 136)]
+    assert len(set(latencies)) > 1
 
 
 def test_predicted_rep_verifies_under_a_jammed_rob(monkeypatch):

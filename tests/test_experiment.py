@@ -31,12 +31,14 @@ from robsim.experiment import (
     mitigation_label,
     occupancy_csv,
     parse_mitigation_set,
+    run_cell,
     run_experiment,
 )
 from robsim.isa import print_program
 from robsim.scenarios import (
     SCENARIO_NAMES,
     SECRET_ADDR,
+    ProgramAnalysis,
     build_scenario,
     prepare,
     run_single,
@@ -351,6 +353,26 @@ def test_dom_cells_promise_and_deliver(tmp_path):
     assert cell.expected_clean
     assert cell.leak is False
     assert result.exit_code == EXIT_OK
+
+
+@pytest.mark.parametrize("jitter", [2, 20, 56])
+def test_every_expected_clean_cell_stays_clean_under_jitter(jitter):
+    # 56 is the largest amplitude the default cache accepts; trials 0-2 run
+    # at jitter seeds 0-2
+    machine = MachineConfig(jitter_amplitude=jitter)
+    mitigation_sets = [frozenset()] + [frozenset({m}) for m in Mitigation]
+    promised = 0
+    for name in SCENARIO_NAMES:
+        scenario = build_scenario(name, 0, machine)
+        analysis = ProgramAnalysis(scenario.program, machine.core.expansion_cap)
+        for defense in DefenseMode:
+            for mitigations in mitigation_sets:
+                cell = run_cell(scenario, analysis, defense, mitigations, 3)
+                if cell.expected_clean:
+                    promised += 1
+                    assert cell.status == "ok" and cell.leak is False, (
+                        name, defense.value, mitigation_label(mitigations))
+    assert promised == 16
 
 
 def test_inapplicable_mitigation_yields_na_row(tmp_path):

@@ -283,122 +283,122 @@ EXPECTED_ARTIFACTS: dict[str, dict[str, str]] = {
         "occupancy/bsi_mshr__dom_plus_invarspec__none__s1.csv": "b3aef177006b42743b6bfa20bc78f9b59e0100acbbe8acccaaec389d2020366a",
     },
     "ref_jitter2": {
-        "reports.csv": "e7c6eea2023d625b1e351ad5635fc7be818740ba0c7780879154e9acd18c1933",
-        "summary.csv": "8caaaad829e693c40ae44c75087cb9f698ed312381b57360c4fbc9c94c100087",
-        "occupancy/fsi_v1_loop__unprotected__none__s0.csv": "3eda6a4086b6ee5efbafaa325b803d0da61f9d38200d4786cd1ea5794e4b8118",
-        "occupancy/fsi_v1_loop__unprotected__none__s1.csv": "f342c4a2dacae4aedad88aed777332210aa1855de80412d6403d2fdb7834f4e3",
-        "occupancy/fsi_v1_loop__dom__none__s0.csv": "90b3bed3f79b9f03dfe7564bffc10a5f5cd9edbc297efd04f70b358a536c8161",
-        "occupancy/fsi_v1_loop__dom__none__s1.csv": "f342c4a2dacae4aedad88aed777332210aa1855de80412d6403d2fdb7834f4e3",
-        "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s0.csv": "3eda6a4086b6ee5efbafaa325b803d0da61f9d38200d4786cd1ea5794e4b8118",
-        "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s1.csv": "f342c4a2dacae4aedad88aed777332210aa1855de80412d6403d2fdb7834f4e3",
-        "occupancy/fsi_v1_rep__unprotected__none__s0.csv": "e23d8003a1fe5b8835616036720360aa8fc1fb449517c94303ecc104277226d5",
-        "occupancy/fsi_v1_rep__unprotected__none__s1.csv": "34e94789534b6b3d3afe007c6e7a0b174eca391a8f6d9283d5172c689df35808",
-        "occupancy/fsi_v1_rep__dom__none__s0.csv": "8d5b52cf3aed94b9394bca82ae38ec43cc9132820c0567a617f8df3d1e28b52c",
-        "occupancy/fsi_v1_rep__dom__none__s1.csv": "34e94789534b6b3d3afe007c6e7a0b174eca391a8f6d9283d5172c689df35808",
-        "occupancy/fsi_v1_rep__dom_plus_invarspec__none__s0.csv": "e23d8003a1fe5b8835616036720360aa8fc1fb449517c94303ecc104277226d5",
-        "occupancy/fsi_v1_rep__dom_plus_invarspec__none__s1.csv": "34e94789534b6b3d3afe007c6e7a0b174eca391a8f6d9283d5172c689df35808",
-        "occupancy/fsi_v1_straight__unprotected__none__s0.csv": "0711c86d9a2acc3e170e4775dfb4735630a294a29443abe355fc62c4a0054350",
-        "occupancy/fsi_v1_straight__unprotected__none__s1.csv": "61a18a21d6cf07775d38eb9e0fb1ea39bf6af15cc24d6e90a27ef5fdf58b3792",
-        "occupancy/fsi_v1_straight__dom__none__s0.csv": "b997b6c3a283e49509c5975155926c7eac8df760f8fd0c81f2bc4141a65b16e8",
-        "occupancy/fsi_v1_straight__dom__none__s1.csv": "d4a5d3ed6f07e222d484027fdb060a1dda978e6db621c7cb4f8f39726abd36b5",
-        "occupancy/fsi_v1_straight__dom_plus_invarspec__none__s0.csv": "0711c86d9a2acc3e170e4775dfb4735630a294a29443abe355fc62c4a0054350",
-        "occupancy/fsi_v1_straight__dom_plus_invarspec__none__s1.csv": "61a18a21d6cf07775d38eb9e0fb1ea39bf6af15cc24d6e90a27ef5fdf58b3792",
-        "occupancy/fsi_v2_order__unprotected__none__s0.csv": "642950fe817e22c8786a07b98631433f83cf033604f9642064dc42a2abd6facc",
-        "occupancy/fsi_v2_order__unprotected__none__s1.csv": "cd07dab39aa2534c53b9436ed467ce5efa997ffa87557e606f570f9e798c9c29",
-        "occupancy/fsi_v2_order__dom__none__s0.csv": "ee52d014853a5649eed65baf3348ed26558c14c4d78509b26bea5196110cebfb",
-        "occupancy/fsi_v2_order__dom__none__s1.csv": "cd07dab39aa2534c53b9436ed467ce5efa997ffa87557e606f570f9e798c9c29",
-        "occupancy/fsi_v2_order__dom_plus_invarspec__none__s0.csv": "642950fe817e22c8786a07b98631433f83cf033604f9642064dc42a2abd6facc",
-        "occupancy/fsi_v2_order__dom_plus_invarspec__none__s1.csv": "cd07dab39aa2534c53b9436ed467ce5efa997ffa87557e606f570f9e798c9c29",
-        "occupancy/bsi_mshr__unprotected__none__s0.csv": "46b3ce40a86463e9a6f162957e239615a1a2cc90153207b2e7dcb762baa6e317",
-        "occupancy/bsi_mshr__unprotected__none__s1.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
-        "occupancy/bsi_mshr__dom__none__s0.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
-        "occupancy/bsi_mshr__dom__none__s1.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
-        "occupancy/bsi_mshr__dom_plus_invarspec__none__s0.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
-        "occupancy/bsi_mshr__dom_plus_invarspec__none__s1.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
+        "reports.csv": "09495ec41f60d026e83d021929c0b6edff503a06518945afaf375b2e16f7e277",
+        "summary.csv": "856b578118fb2fa023db8c66a054025689fdbf8d12ca0a7c65577356e949943d",
+        "occupancy/fsi_v1_loop__unprotected__none__s0.csv": "416ed3f3d16e8b112c17577d133e6429e775d8590a8c553efdd2b25499832e74",
+        "occupancy/fsi_v1_loop__unprotected__none__s1.csv": "5dc9a2d09c3433e8e7f53f005e70e6e7436e557a4bc0adf1325b444cae42fc45",
+        "occupancy/fsi_v1_loop__dom__none__s0.csv": "4f691f2527f5e379f58e50a3a79b49053a1ae77a49421444561b9a59ce96d978",
+        "occupancy/fsi_v1_loop__dom__none__s1.csv": "5dc9a2d09c3433e8e7f53f005e70e6e7436e557a4bc0adf1325b444cae42fc45",
+        "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s0.csv": "416ed3f3d16e8b112c17577d133e6429e775d8590a8c553efdd2b25499832e74",
+        "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s1.csv": "5dc9a2d09c3433e8e7f53f005e70e6e7436e557a4bc0adf1325b444cae42fc45",
+        "occupancy/fsi_v1_rep__unprotected__none__s0.csv": "4eab49a0a388bfd87ca6ffe1022dc339a8ce6e8d7efebe5cb62f245b3d0e7610",
+        "occupancy/fsi_v1_rep__unprotected__none__s1.csv": "22634123c24c2e07bcae03dccd53958bd73a914f0478b4f65fe4f715536dcc67",
+        "occupancy/fsi_v1_rep__dom__none__s0.csv": "ced3a9fe64e8b1ad4c85de40733aa74b9b880c2e4cc71e07384304a0441b98ba",
+        "occupancy/fsi_v1_rep__dom__none__s1.csv": "22634123c24c2e07bcae03dccd53958bd73a914f0478b4f65fe4f715536dcc67",
+        "occupancy/fsi_v1_rep__dom_plus_invarspec__none__s0.csv": "4eab49a0a388bfd87ca6ffe1022dc339a8ce6e8d7efebe5cb62f245b3d0e7610",
+        "occupancy/fsi_v1_rep__dom_plus_invarspec__none__s1.csv": "22634123c24c2e07bcae03dccd53958bd73a914f0478b4f65fe4f715536dcc67",
+        "occupancy/fsi_v1_straight__unprotected__none__s0.csv": "c119c1f8f219e3702eaa073bc89267576359fa56b9eb425c790ed0709b26efb0",
+        "occupancy/fsi_v1_straight__unprotected__none__s1.csv": "eed2702cef6df49b0aae630a073e9c27dc13c8386a71900537f695a8ab075222",
+        "occupancy/fsi_v1_straight__dom__none__s0.csv": "4dcc7f27e18681ab0d0949001f6f69843af72ea92db1d56462d3a6ba45934062",
+        "occupancy/fsi_v1_straight__dom__none__s1.csv": "6c0f5ff2873077e84a2ec46673d308396ecf5668513e89a62afbea5589278346",
+        "occupancy/fsi_v1_straight__dom_plus_invarspec__none__s0.csv": "c119c1f8f219e3702eaa073bc89267576359fa56b9eb425c790ed0709b26efb0",
+        "occupancy/fsi_v1_straight__dom_plus_invarspec__none__s1.csv": "eed2702cef6df49b0aae630a073e9c27dc13c8386a71900537f695a8ab075222",
+        "occupancy/fsi_v2_order__unprotected__none__s0.csv": "995602a1b02beac3c1bad1be1424b464fd2b34466030366d0ecbcd6a1a08e129",
+        "occupancy/fsi_v2_order__unprotected__none__s1.csv": "c58b583f70eb39a0bab8429b8f78a4dab5de6d53d462359cdbe5de3952ecef88",
+        "occupancy/fsi_v2_order__dom__none__s0.csv": "dab504d31db3007229a5d7d6877c554d509ff8889d5658343ca7fc7090a14d6c",
+        "occupancy/fsi_v2_order__dom__none__s1.csv": "c58b583f70eb39a0bab8429b8f78a4dab5de6d53d462359cdbe5de3952ecef88",
+        "occupancy/fsi_v2_order__dom_plus_invarspec__none__s0.csv": "995602a1b02beac3c1bad1be1424b464fd2b34466030366d0ecbcd6a1a08e129",
+        "occupancy/fsi_v2_order__dom_plus_invarspec__none__s1.csv": "c58b583f70eb39a0bab8429b8f78a4dab5de6d53d462359cdbe5de3952ecef88",
+        "occupancy/bsi_mshr__unprotected__none__s0.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
+        "occupancy/bsi_mshr__unprotected__none__s1.csv": "105befc972439cf917f008efc59284cf07ade5b2f5b44d34961c30b05fd98558",
+        "occupancy/bsi_mshr__dom__none__s0.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
+        "occupancy/bsi_mshr__dom__none__s1.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
+        "occupancy/bsi_mshr__dom_plus_invarspec__none__s0.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
+        "occupancy/bsi_mshr__dom_plus_invarspec__none__s1.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
     },
     "invarspec_mitigations": {
-        "reports.csv": "df7e69fad42d1f87e04e904b50dc1d35760ba8ac231241b2947ec032c3da3015",
-        "summary.csv": "2b3c8cbaa56815ae48bc5d12affefab32b3932066f4e1dd910d7ff7f84740083",
-        "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s0.csv": "3eda6a4086b6ee5efbafaa325b803d0da61f9d38200d4786cd1ea5794e4b8118",
-        "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s1.csv": "f342c4a2dacae4aedad88aed777332210aa1855de80412d6403d2fdb7834f4e3",
-        "occupancy/fsi_v1_loop__dom_plus_invarspec__conservative_invariance__s0.csv": "90b3bed3f79b9f03dfe7564bffc10a5f5cd9edbc297efd04f70b358a536c8161",
-        "occupancy/fsi_v1_loop__dom_plus_invarspec__conservative_invariance__s1.csv": "f342c4a2dacae4aedad88aed777332210aa1855de80412d6403d2fdb7834f4e3",
-        "occupancy/fsi_v1_rep__dom_plus_invarspec__none__s0.csv": "e23d8003a1fe5b8835616036720360aa8fc1fb449517c94303ecc104277226d5",
-        "occupancy/fsi_v1_rep__dom_plus_invarspec__none__s1.csv": "34e94789534b6b3d3afe007c6e7a0b174eca391a8f6d9283d5172c689df35808",
-        "occupancy/fsi_v1_rep__dom_plus_invarspec__conservative_invariance__s0.csv": "8d5b52cf3aed94b9394bca82ae38ec43cc9132820c0567a617f8df3d1e28b52c",
-        "occupancy/fsi_v1_rep__dom_plus_invarspec__conservative_invariance__s1.csv": "34e94789534b6b3d3afe007c6e7a0b174eca391a8f6d9283d5172c689df35808",
-        "occupancy/fsi_v1_rep__dom_plus_invarspec__operand_independent_fill__s0.csv": "944342cb931454c6b401d06490d0a61645f3e4ce629a853948e9b155ef8587cf",
-        "occupancy/fsi_v1_rep__dom_plus_invarspec__operand_independent_fill__s1.csv": "944342cb931454c6b401d06490d0a61645f3e4ce629a853948e9b155ef8587cf",
-        "occupancy/fsi_v1_straight__dom_plus_invarspec__none__s0.csv": "0711c86d9a2acc3e170e4775dfb4735630a294a29443abe355fc62c4a0054350",
-        "occupancy/fsi_v1_straight__dom_plus_invarspec__none__s1.csv": "61a18a21d6cf07775d38eb9e0fb1ea39bf6af15cc24d6e90a27ef5fdf58b3792",
-        "occupancy/fsi_v1_straight__dom_plus_invarspec__conservative_invariance__s0.csv": "b997b6c3a283e49509c5975155926c7eac8df760f8fd0c81f2bc4141a65b16e8",
-        "occupancy/fsi_v1_straight__dom_plus_invarspec__conservative_invariance__s1.csv": "d4a5d3ed6f07e222d484027fdb060a1dda978e6db621c7cb4f8f39726abd36b5",
-        "occupancy/fsi_v1_straight__dom_plus_invarspec__path_balancing__s0.csv": "61a18a21d6cf07775d38eb9e0fb1ea39bf6af15cc24d6e90a27ef5fdf58b3792",
-        "occupancy/fsi_v1_straight__dom_plus_invarspec__path_balancing__s1.csv": "61a18a21d6cf07775d38eb9e0fb1ea39bf6af15cc24d6e90a27ef5fdf58b3792",
-        "occupancy/fsi_v2_order__dom_plus_invarspec__none__s0.csv": "642950fe817e22c8786a07b98631433f83cf033604f9642064dc42a2abd6facc",
-        "occupancy/fsi_v2_order__dom_plus_invarspec__none__s1.csv": "cd07dab39aa2534c53b9436ed467ce5efa997ffa87557e606f570f9e798c9c29",
-        "occupancy/fsi_v2_order__dom_plus_invarspec__conservative_invariance__s0.csv": "ee52d014853a5649eed65baf3348ed26558c14c4d78509b26bea5196110cebfb",
-        "occupancy/fsi_v2_order__dom_plus_invarspec__conservative_invariance__s1.csv": "cd07dab39aa2534c53b9436ed467ce5efa997ffa87557e606f570f9e798c9c29",
-        "occupancy/bsi_mshr__dom_plus_invarspec__none__s0.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
-        "occupancy/bsi_mshr__dom_plus_invarspec__none__s1.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
-        "occupancy/bsi_mshr__dom_plus_invarspec__conservative_invariance__s0.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
-        "occupancy/bsi_mshr__dom_plus_invarspec__conservative_invariance__s1.csv": "1786b207a5087ec9d328644b0f5c31672e7b76c0481cf87c9b55e9c2292b5b91",
+        "reports.csv": "170865377159f3acee2ad9d7fb61d2e43436924a5903d088651a8e801c50450e",
+        "summary.csv": "9a37f1625cf88f2c627098517e2e67d65a5de2ce0f04f9f25317ca3bfc425c58",
+        "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s0.csv": "416ed3f3d16e8b112c17577d133e6429e775d8590a8c553efdd2b25499832e74",
+        "occupancy/fsi_v1_loop__dom_plus_invarspec__none__s1.csv": "5dc9a2d09c3433e8e7f53f005e70e6e7436e557a4bc0adf1325b444cae42fc45",
+        "occupancy/fsi_v1_loop__dom_plus_invarspec__conservative_invariance__s0.csv": "4f691f2527f5e379f58e50a3a79b49053a1ae77a49421444561b9a59ce96d978",
+        "occupancy/fsi_v1_loop__dom_plus_invarspec__conservative_invariance__s1.csv": "5dc9a2d09c3433e8e7f53f005e70e6e7436e557a4bc0adf1325b444cae42fc45",
+        "occupancy/fsi_v1_rep__dom_plus_invarspec__none__s0.csv": "4eab49a0a388bfd87ca6ffe1022dc339a8ce6e8d7efebe5cb62f245b3d0e7610",
+        "occupancy/fsi_v1_rep__dom_plus_invarspec__none__s1.csv": "22634123c24c2e07bcae03dccd53958bd73a914f0478b4f65fe4f715536dcc67",
+        "occupancy/fsi_v1_rep__dom_plus_invarspec__conservative_invariance__s0.csv": "ced3a9fe64e8b1ad4c85de40733aa74b9b880c2e4cc71e07384304a0441b98ba",
+        "occupancy/fsi_v1_rep__dom_plus_invarspec__conservative_invariance__s1.csv": "22634123c24c2e07bcae03dccd53958bd73a914f0478b4f65fe4f715536dcc67",
+        "occupancy/fsi_v1_rep__dom_plus_invarspec__operand_independent_fill__s0.csv": "bd37589f9635ace80eb6246e07b96fb948db28e57e93b1da82c10666a864fa25",
+        "occupancy/fsi_v1_rep__dom_plus_invarspec__operand_independent_fill__s1.csv": "bd37589f9635ace80eb6246e07b96fb948db28e57e93b1da82c10666a864fa25",
+        "occupancy/fsi_v1_straight__dom_plus_invarspec__none__s0.csv": "c119c1f8f219e3702eaa073bc89267576359fa56b9eb425c790ed0709b26efb0",
+        "occupancy/fsi_v1_straight__dom_plus_invarspec__none__s1.csv": "eed2702cef6df49b0aae630a073e9c27dc13c8386a71900537f695a8ab075222",
+        "occupancy/fsi_v1_straight__dom_plus_invarspec__conservative_invariance__s0.csv": "4dcc7f27e18681ab0d0949001f6f69843af72ea92db1d56462d3a6ba45934062",
+        "occupancy/fsi_v1_straight__dom_plus_invarspec__conservative_invariance__s1.csv": "6c0f5ff2873077e84a2ec46673d308396ecf5668513e89a62afbea5589278346",
+        "occupancy/fsi_v1_straight__dom_plus_invarspec__path_balancing__s0.csv": "eed2702cef6df49b0aae630a073e9c27dc13c8386a71900537f695a8ab075222",
+        "occupancy/fsi_v1_straight__dom_plus_invarspec__path_balancing__s1.csv": "eed2702cef6df49b0aae630a073e9c27dc13c8386a71900537f695a8ab075222",
+        "occupancy/fsi_v2_order__dom_plus_invarspec__none__s0.csv": "995602a1b02beac3c1bad1be1424b464fd2b34466030366d0ecbcd6a1a08e129",
+        "occupancy/fsi_v2_order__dom_plus_invarspec__none__s1.csv": "c58b583f70eb39a0bab8429b8f78a4dab5de6d53d462359cdbe5de3952ecef88",
+        "occupancy/fsi_v2_order__dom_plus_invarspec__conservative_invariance__s0.csv": "dab504d31db3007229a5d7d6877c554d509ff8889d5658343ca7fc7090a14d6c",
+        "occupancy/fsi_v2_order__dom_plus_invarspec__conservative_invariance__s1.csv": "c58b583f70eb39a0bab8429b8f78a4dab5de6d53d462359cdbe5de3952ecef88",
+        "occupancy/bsi_mshr__dom_plus_invarspec__none__s0.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
+        "occupancy/bsi_mshr__dom_plus_invarspec__none__s1.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
+        "occupancy/bsi_mshr__dom_plus_invarspec__conservative_invariance__s0.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
+        "occupancy/bsi_mshr__dom_plus_invarspec__conservative_invariance__s1.csv": "23b9a998a00849df43948a22fe5a10b71507d95b88a6ec931f1678ffeb548532",
     },
 }
 
 EXPECTED_TRACES: dict[str, str] = {
-    "fsi_v1_loop/unprotected/none/s0": "bb399b4aa0cd848f2fd306b7b0ff24ff09e0655838e44ee09df9527162ef0c38",
-    "fsi_v1_loop/unprotected/none/s1": "e037e667772d90ae0920aa5a11a7c70b459141b65678047a4fa7019ae687833c",
-    "fsi_v1_loop/dom/none/s0": "4948148e3e80b7f933c277e7a6a702313cdb86fbb35fd2b5d7efbda26f7109ae",
-    "fsi_v1_loop/dom/none/s1": "e037e667772d90ae0920aa5a11a7c70b459141b65678047a4fa7019ae687833c",
-    "fsi_v1_loop/dom_plus_invarspec/none/s0": "f69d525e171e7091e3ef17abca8a70f583ef5defc0a461fd8f86d773bb7cfedb",
-    "fsi_v1_loop/dom_plus_invarspec/none/s1": "e8963fab98c616b70150f92964db8033166a8eed32577c7b6eccdb310ab1ee78",
-    "fsi_v1_loop/dom_plus_invarspec/conservative_invariance/s0": "e80883a4ed7229e55baad529887850b5de7a90c4eeb8aa6389046848cf797494",
-    "fsi_v1_loop/dom_plus_invarspec/conservative_invariance/s1": "e8963fab98c616b70150f92964db8033166a8eed32577c7b6eccdb310ab1ee78",
-    "fsi_v1_rep/unprotected/none/s0": "e9983a951c5eff2b30b42158736c9fff9d7b9ed063112d2bdcdf3c25db0e3029",
-    "fsi_v1_rep/unprotected/none/s1": "b0765284053aa644318a168a531177a53f8b2a2375e1d7c8dd5e55a05405bd7a",
-    "fsi_v1_rep/unprotected/operand_independent_fill/s0": "3ea4021213fa53e2008d9979b5fc94466b704c54995ad4d5ff82190c3e885dfd",
-    "fsi_v1_rep/unprotected/operand_independent_fill/s1": "8671164a4906fd96432a18a9899c2b48e01a89b88ed0dd708a54aa6f7399f97d",
-    "fsi_v1_rep/dom/none/s0": "4c6353ee2e1c6f5051ddc6091f9c3d1dc0f7b7eda6b3d511023398439126b012",
-    "fsi_v1_rep/dom/none/s1": "b0765284053aa644318a168a531177a53f8b2a2375e1d7c8dd5e55a05405bd7a",
-    "fsi_v1_rep/dom/operand_independent_fill/s0": "d183d95e385919fb7ee1eb379d875d856ac2e801f5d450085a14a1459bf052ef",
-    "fsi_v1_rep/dom/operand_independent_fill/s1": "3bb87a8bec25d6a003851128eca377975feb847661e557e310c61aa169c592f6",
-    "fsi_v1_rep/dom_plus_invarspec/none/s0": "4df2c973ac61613a3487cf5bcafd16b400b47e123193ba5b16a0ccd2950e3b22",
-    "fsi_v1_rep/dom_plus_invarspec/none/s1": "627d875712b566420a7aa26fc1718ab7098a77fc289914faffa9bfa7721526df",
-    "fsi_v1_rep/dom_plus_invarspec/conservative_invariance/s0": "59d6daa8d77389d753dde5c0a047afab450577516f73c97918abb51848faee84",
-    "fsi_v1_rep/dom_plus_invarspec/conservative_invariance/s1": "627d875712b566420a7aa26fc1718ab7098a77fc289914faffa9bfa7721526df",
-    "fsi_v1_rep/dom_plus_invarspec/operand_independent_fill/s0": "1c04d7902489a66ef8e36e154f063358f8e21818557cf0ec3953e51f1e63c75a",
-    "fsi_v1_rep/dom_plus_invarspec/operand_independent_fill/s1": "900e6504690581a8f494d16018074814c0a37bdb3211e445ee829dd56d2ab102",
-    "fsi_v1_straight/unprotected/none/s0": "ca0b5d2c3bff128fe06e8f145757e34b01a6067a45a6e4836c22c027b50c3dcc",
-    "fsi_v1_straight/unprotected/none/s1": "230ccd689761c292ad9c46a55a602ede171d2d7c7d2fe6f13abf4d733d17885e",
-    "fsi_v1_straight/unprotected/path_balancing/s0": "dacf6ef832ff2d5790df46129efb9f8912a38191d50547e2e2d6bb831ec9d049",
-    "fsi_v1_straight/unprotected/path_balancing/s1": "d1e69e9bf7b3b1676bfa4a2192b011546c8091d5f247aba9fb33e620bfc9548b",
-    "fsi_v1_straight/dom/none/s0": "33bbbef530cb01266324908fb977d308d71d9e70c59a1f33dcf4d5d8361d767b",
-    "fsi_v1_straight/dom/none/s1": "5e63d83a612ba63ef89c7665cf8f1ebec51ba91238966d22a8a5c6b2a77fa32f",
-    "fsi_v1_straight/dom/path_balancing/s0": "b60b575007abed8daccac2bb29303bb49fb8e09c1b5ea33a014596428b6f5ce2",
-    "fsi_v1_straight/dom/path_balancing/s1": "f54feda876f8bed00eb4b9758266f174fb2ce12701f57cf667ccfaca47b3f854",
-    "fsi_v1_straight/dom_plus_invarspec/none/s0": "e06b5274a3e9a931b856b247ec3511c0147602e236c901162d222723c09f5231",
-    "fsi_v1_straight/dom_plus_invarspec/none/s1": "cc942f018cfbfc501a5408cf96714d8d1f49e5edd4c0a31590f511c6359e5bea",
-    "fsi_v1_straight/dom_plus_invarspec/conservative_invariance/s0": "48d29ef3d04396521eef791a74b368f0a1f4aa2225bb064676b1c32ed9760fed",
-    "fsi_v1_straight/dom_plus_invarspec/conservative_invariance/s1": "2dead90bd8733d6a7707d28064a12fe6cb6ece6764cbf9cde29a2cd9fec36815",
-    "fsi_v1_straight/dom_plus_invarspec/path_balancing/s0": "6e9de8c4c7eaec16128edc9c34e443882c9ea2cdd2217ecf517c34eb5934b49f",
-    "fsi_v1_straight/dom_plus_invarspec/path_balancing/s1": "709061c2a1674f51a644d36041cb3ce9ace42a01a9ea18202ba889c23e260338",
-    "fsi_v2_order/unprotected/none/s0": "deb42bf8fa82e8f0207276cdca35f6fd4c404d5587340c4c349feb5db404afd5",
-    "fsi_v2_order/unprotected/none/s1": "410baa7544ed42a404f6d5659329f89e30cd51abeb84712033db26ae7d957250",
-    "fsi_v2_order/dom/none/s0": "8aa11a8755912c8e2d7a43d2f205d7fcdbc9488f2779f7e31d83d341a5d251ea",
-    "fsi_v2_order/dom/none/s1": "410baa7544ed42a404f6d5659329f89e30cd51abeb84712033db26ae7d957250",
-    "fsi_v2_order/dom_plus_invarspec/none/s0": "3bb6f180331a65a379480642712d0f5d4ba92942c3bd820bfd4be5021f9a5bdc",
-    "fsi_v2_order/dom_plus_invarspec/none/s1": "087d36bc71778ae525f55af2c7147c7f41cf7bbeab8da39f96eac155030d22ac",
-    "fsi_v2_order/dom_plus_invarspec/conservative_invariance/s0": "a6b7218c1670f04d4a391bbbce75177e5175a970d06309fba9b62f4671d2cff4",
-    "fsi_v2_order/dom_plus_invarspec/conservative_invariance/s1": "087d36bc71778ae525f55af2c7147c7f41cf7bbeab8da39f96eac155030d22ac",
-    "bsi_mshr/unprotected/none/s0": "95492782772e6781072a1f7a105e8929c4e365a4503126ddd54a7d6acc1cddab",
-    "bsi_mshr/unprotected/none/s1": "4909d68773c5fee7080a6c938e277a861e3fd084de3808f0a8aa55f5308433dd",
-    "bsi_mshr/dom/none/s0": "f92a1dfcaff7de6c6aba4ffd5ec88d3f9a903a9c7b2f275a36035eecf9fb4105",
-    "bsi_mshr/dom/none/s1": "b4418a3b58e69f6056bf1b25dca33c3e9bc9806250e06dc4a826c5c062694d94",
-    "bsi_mshr/dom_plus_invarspec/none/s0": "d8d03fc56cd98468719aab3c343a880add8126c383452326f52bb862fbd9576f",
-    "bsi_mshr/dom_plus_invarspec/none/s1": "333478ac0e19bf0a198e45d9160c2471136f92ae74aebf6bbc479d11beb3caa1",
-    "bsi_mshr/dom_plus_invarspec/conservative_invariance/s0": "d8d03fc56cd98468719aab3c343a880add8126c383452326f52bb862fbd9576f",
-    "bsi_mshr/dom_plus_invarspec/conservative_invariance/s1": "333478ac0e19bf0a198e45d9160c2471136f92ae74aebf6bbc479d11beb3caa1",
+    "fsi_v1_loop/unprotected/none/s0": "fa43f0b97edb701a7d1547930dfabdcdd5ed3a6c912aff43c1507a53353dfffc",
+    "fsi_v1_loop/unprotected/none/s1": "46a83ac6f1aa65327dce5f76a5419b8f13e61f18642213dc68fd187ef51a16d6",
+    "fsi_v1_loop/dom/none/s0": "f13fe9292cd036de724fc07b22a0215534beb2b6cae607bb7d882286586bedfe",
+    "fsi_v1_loop/dom/none/s1": "46a83ac6f1aa65327dce5f76a5419b8f13e61f18642213dc68fd187ef51a16d6",
+    "fsi_v1_loop/dom_plus_invarspec/none/s0": "c4d6a2b4af93b608393d43f0e15a580fd35281e1562c5d2d26f5a4fb21872547",
+    "fsi_v1_loop/dom_plus_invarspec/none/s1": "1c4956d9c27fc29726f309b0f6c4b9f3af352269423c20ccce53815461f5afde",
+    "fsi_v1_loop/dom_plus_invarspec/conservative_invariance/s0": "4b45f633f15b9c13614edd925aa415abec4e650b5ccda763fd8869989ccdb7b0",
+    "fsi_v1_loop/dom_plus_invarspec/conservative_invariance/s1": "1c4956d9c27fc29726f309b0f6c4b9f3af352269423c20ccce53815461f5afde",
+    "fsi_v1_rep/unprotected/none/s0": "b74daee1fb9e988c4a2ed9fb8c61b21eafc2d45c4f205d09a0651a18cbb72ba4",
+    "fsi_v1_rep/unprotected/none/s1": "0bc969fe74d8ba7f3cfeb4b379c5e48be774575fccc18e6ff6285558bbe726c2",
+    "fsi_v1_rep/unprotected/operand_independent_fill/s0": "5362d55ea484f30f856b35f443a918558e8af692b47005fb24cd4f15d93c08fd",
+    "fsi_v1_rep/unprotected/operand_independent_fill/s1": "6b2008c6397f1aa508bd77b7e86060b9d24a33d5decadd0177622dbc62d5df94",
+    "fsi_v1_rep/dom/none/s0": "bc10d53e4600cf14600edd1079dba36a5970f7acdc016c903079e18f0e396f6a",
+    "fsi_v1_rep/dom/none/s1": "0bc969fe74d8ba7f3cfeb4b379c5e48be774575fccc18e6ff6285558bbe726c2",
+    "fsi_v1_rep/dom/operand_independent_fill/s0": "c9c275dec8d7c4a1f33867779c74e35f8b6aa39026c7fbdb22c94cb4c1331f02",
+    "fsi_v1_rep/dom/operand_independent_fill/s1": "0559b44c829cc537e205a11437bb389c28a5ea77592463ed18cc2905293d621f",
+    "fsi_v1_rep/dom_plus_invarspec/none/s0": "5c5578263715e4c5094dd23a95ddc3eb6cc049fbd4af0ee391553eccb94b23cc",
+    "fsi_v1_rep/dom_plus_invarspec/none/s1": "c7a8424204d9a4fc79e4b189a2377c8897164282e47c4c40ce558625795a5efa",
+    "fsi_v1_rep/dom_plus_invarspec/conservative_invariance/s0": "51a35988665dd2ac8e17a2f24679f3531e0443f2d8786e500fb6b99934746608",
+    "fsi_v1_rep/dom_plus_invarspec/conservative_invariance/s1": "c7a8424204d9a4fc79e4b189a2377c8897164282e47c4c40ce558625795a5efa",
+    "fsi_v1_rep/dom_plus_invarspec/operand_independent_fill/s0": "3b58cda7c67f398bd78371654071069fd4612df4b17ccde01ba49f625a6a378c",
+    "fsi_v1_rep/dom_plus_invarspec/operand_independent_fill/s1": "2f3cb35cc1891fe96c3132a66d03c211083c7ee0a77ad0b414b740303b9b6d82",
+    "fsi_v1_straight/unprotected/none/s0": "72cdf8bd7d3d3bc36749d284342f73b28afc3f218ddf7c9965eecb41d368002b",
+    "fsi_v1_straight/unprotected/none/s1": "5a00102407df20f05d8c14a49138111e5fac0e6829a6039b5e90299793285be8",
+    "fsi_v1_straight/unprotected/path_balancing/s0": "01f207054c507d183f4185e13f0dbb077b231e9372ebd5929ba7243d98c77ce0",
+    "fsi_v1_straight/unprotected/path_balancing/s1": "8bc368a3206614fcaa743aace5794bb0c7eae99eaa4f045437c633f32c5d47b7",
+    "fsi_v1_straight/dom/none/s0": "3c2ddc36fb70ae8aa48b11721fffb4f2e29d9a34541be1ac9bd80be252acb7a0",
+    "fsi_v1_straight/dom/none/s1": "c6c0df8d5f8d001507a62b623ee1f1f8ff82674524ab1c768a4f97d40451651f",
+    "fsi_v1_straight/dom/path_balancing/s0": "c7e37c0352c5bd6c7ff32e24b2185183ac3c1e080c073f70e5fb61920116c4e9",
+    "fsi_v1_straight/dom/path_balancing/s1": "b7ace7c6193a4fbb8810d51489ab967650fa34dc5d812606818ef6e86e9516a0",
+    "fsi_v1_straight/dom_plus_invarspec/none/s0": "954fa0f91b2445ca0f680b9cfeb4df74a5bfc36fed04bf691c8b63965cbcb517",
+    "fsi_v1_straight/dom_plus_invarspec/none/s1": "10c19bb1c6a7d88fad17db71d92bbfef4461e56da583f6b086f0d18587b3b179",
+    "fsi_v1_straight/dom_plus_invarspec/conservative_invariance/s0": "52c4a81d180e88b771bf15196b597eaf7589d8f4c8c2b15a669d86d62c1bc816",
+    "fsi_v1_straight/dom_plus_invarspec/conservative_invariance/s1": "27cd9ee2623a81f1477b607fe72fbad7d331af0d776e22fbd84dd81b29b2e1f9",
+    "fsi_v1_straight/dom_plus_invarspec/path_balancing/s0": "77ea38d1db7388119748b0ee9e3ccbff23f8db9bdde0f8ab8757b9510f36088b",
+    "fsi_v1_straight/dom_plus_invarspec/path_balancing/s1": "7e6d7ae6f74709674f38a0cb69c58489c5b8377068c39140decac78874c12348",
+    "fsi_v2_order/unprotected/none/s0": "8a5247a36187ae4429dddc28330593da52d5bc1b5417e000c573b604685752d4",
+    "fsi_v2_order/unprotected/none/s1": "c3a94a395c562a0fbcaef12c2341e76cc74c5d6d5c0d8b5c5e755f5e9035ca31",
+    "fsi_v2_order/dom/none/s0": "782303d422773e923cfe2261fe03e19573d435fd87f69da79e239f52c594f807",
+    "fsi_v2_order/dom/none/s1": "c3a94a395c562a0fbcaef12c2341e76cc74c5d6d5c0d8b5c5e755f5e9035ca31",
+    "fsi_v2_order/dom_plus_invarspec/none/s0": "c9086b516a367ea880fb117b60d63b8580a7ed11b2a5bb6dfe6b614894eb2624",
+    "fsi_v2_order/dom_plus_invarspec/none/s1": "bd6e3b448a39d0b435c8a869801f69b32b9f470a4a073e82a6e888f78537e514",
+    "fsi_v2_order/dom_plus_invarspec/conservative_invariance/s0": "9f4b85f0619a38639f119fde188649f52ea87b41944299b264b3e3bb88200a2e",
+    "fsi_v2_order/dom_plus_invarspec/conservative_invariance/s1": "bd6e3b448a39d0b435c8a869801f69b32b9f470a4a073e82a6e888f78537e514",
+    "bsi_mshr/unprotected/none/s0": "84c2847c4a34c64c1ef7a33046ad074ae3b0acee7c217eda78fd5bc39e830d56",
+    "bsi_mshr/unprotected/none/s1": "26881e697c3187f1dbbc8780522ecea6fbb814785f244e8dd0faf143051020fb",
+    "bsi_mshr/dom/none/s0": "dfbc976199395c6d7a031ec7016efa22f6a441877fec1f25037d7c551accfb3e",
+    "bsi_mshr/dom/none/s1": "4c346f6ac6b4432594ae691b444054d3f55ef88858c74aee68242ae02624c557",
+    "bsi_mshr/dom_plus_invarspec/none/s0": "d72a96f221cb62a47d1e6df9e6e281a88a1761bd882ee485aa2e180f8a1b29a5",
+    "bsi_mshr/dom_plus_invarspec/none/s1": "afc330835d07e8f9f920bb854b7937ff855248844a7abe7af6f702920955c12a",
+    "bsi_mshr/dom_plus_invarspec/conservative_invariance/s0": "d72a96f221cb62a47d1e6df9e6e281a88a1761bd882ee485aa2e180f8a1b29a5",
+    "bsi_mshr/dom_plus_invarspec/conservative_invariance/s1": "afc330835d07e8f9f920bb854b7937ff855248844a7abe7af6f702920955c12a",
 }
 
 
@@ -478,7 +478,7 @@ EXPECTED_ANALYSIS: dict[str, str] = {
 }
 
 
-EXPECTED_CORPUS = "4f77dc487a9630a278b4b48a3e9168f9426c13e431dce79f79ca2a6fc7edc154"
+EXPECTED_CORPUS = "be467c45f44d2d59c28dc661ce5953289c59967c64121264fff1cf64310a4ea8"
 
 
 def _check(got: dict[str, str], want: dict[str, str]) -> None:
