@@ -55,6 +55,13 @@ def require_integer(value: object, name: str) -> int:
     return value
 
 
+def refuse_unknown_keys(mapping, known, label: str) -> None:
+    """A ValueError naming every key of `mapping` not in `known`."""
+    unknown = set(mapping).difference(known)
+    if unknown:
+        raise ValueError(f"unknown {label} keys: {', '.join(sorted(map(str, unknown)))}")
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     num_sets: int = 64

@@ -13,7 +13,6 @@ secret-independent observations leaked).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         action="append",
         default=None,
-        help="scenario name (repeatable; overrides config)",
+        help="scenario name (repeatable; overrides config; default every scenario)",
     )
     run.add_argument("--defense", help="defense mode (overrides config)")
     run.add_argument(
@@ -104,18 +103,15 @@ def _load_program(path: str):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     mapping = load_config_file(args.config) if args.config else {}
-    if args.scenario:
-        mapping["scenarios"] = args.scenario
-    if args.defense:
-        mapping["defenses"] = [args.defense]
-    if args.mitigation is not None:
-        mapping["mitigations"] = [args.mitigation]
-    if args.trials is not None:
-        mapping["trials"] = args.trials
-    if args.seed is not None:
-        mapping["seed"] = args.seed
-    if args.jitter is not None:
-        mapping["jitter"] = args.jitter
+    flags = {  # each flag given overrides its config key
+        "scenarios": args.scenario,
+        "defenses": [args.defense] if args.defense else None,
+        "mitigations": None if args.mitigation is None else [args.mitigation],
+        "trials": args.trials,
+        "seed": args.seed,
+        "jitter": args.jitter,
+    }
+    mapping.update((key, value) for key, value in flags.items() if value is not None)
     config = config_from_mapping(mapping, Path(args.out) if args.out else None)
     result = run_experiment(config)
     for cell in result.cells:
@@ -141,11 +137,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
             "sim runs programs as written; balance one with robsim.balance_paths "
             "or study balanced scenarios through run"
         )
-    machine = MachineConfig()
-    if args.max_cycles is not None:
-        machine = dataclasses.replace(
-            machine, core=dataclasses.replace(machine.core, max_cycles=args.max_cycles)
-        )
+    core = {} if args.max_cycles is None else {"max_cycles": args.max_cycles}
+    machine = MachineConfig.from_mapping({"core": core})
     _, policy = prepare_program(
         program,
         mode,

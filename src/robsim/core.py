@@ -94,7 +94,7 @@ from itertools import repeat
 from operator import attrgetter
 from typing import Mapping
 
-from .cache import CacheConfig, CacheState, require_integer
+from .cache import CacheConfig, CacheState, refuse_unknown_keys, require_integer
 from .defenses import REP_PREDICTED_COUNT, DefensePolicy, esp_check
 from .isa import (
     ADDRESS_SPACE,
@@ -159,6 +159,37 @@ class MachineConfig:
                 f"miss_cycles - hit_cycles = {gap}, or a jittered miss can be "
                 "as fast as a hit"
             )
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping) -> MachineConfig:
+        """The machine that a config's `core`, `cache`, `jitter` and `seed`
+        keys describe, a missing key at its default. Each refusal is a
+        ValueError naming the key (`core.rob_size must be an integer, got
+        64.5`, `bad core config: max_cycles must be positive`)."""
+        refuse_unknown_keys(mapping, MACHINE_KEYS, "machine")
+        values = {}
+        for key, section_class in (("core", CoreConfig), ("cache", CacheConfig)):
+            section = mapping.get(key, {})
+            if not isinstance(section, Mapping):
+                raise ValueError(f"{key} must be a mapping of keys to integers, got {section!r}")
+            refuse_unknown_keys(section, {f.name for f in fields(section_class)}, key)
+            try:
+                values[key] = section_class(**section)
+            except TypeError as exc:  # it names the field that is no integer
+                raise ValueError(f"{key}.{exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"bad {key} config: {exc}") from None
+        try:
+            for key, name in (("jitter", "jitter_amplitude"), ("seed", "jitter_seed")):
+                if key in mapping:
+                    values[name] = require_integer(mapping[key], key)
+        except TypeError as exc:
+            raise ValueError(str(exc)) from None
+        return cls(**values)
+
+
+# the keys of a config mapping that MachineConfig.from_mapping reads
+MACHINE_KEYS = ("core", "cache", "jitter", "seed")
 
 
 class BranchPredictor:

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from .analysis import AnalysisError
-from .cache import CacheConfig, require_integer
-from .core import CoreConfig, MachineConfig, SimulationLimitError, Trace
+from .cache import refuse_unknown_keys, require_integer
+from .core import MACHINE_KEYS, MachineConfig, SimulationLimitError, Trace
 from .defenses import DefenseMode, DefensePolicy, Mitigation
 from .scenarios import (
     SCENARIO_NAMES,
@@ -83,8 +83,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scenarios: tuple[str, ...]
     out_dir: Path
+    scenarios: tuple[str, ...] = SCENARIO_NAMES
     defenses: tuple[DefenseMode, ...] = tuple(DefenseMode)
     mitigation_sets: tuple[frozenset[Mitigation], ...] = (frozenset(),)
     n_trials: int = 100
@@ -149,40 +149,12 @@ def mitigation_label(mitigations: frozenset[Mitigation]) -> str:
     return "+".join(sorted(m.value for m in mitigations))
 
 
-_TOP_KEYS = {
-    "scenarios",
-    "defenses",
-    "mitigations",
-    "trials",
-    "seed",
-    "jitter",
-    "out",
-    "core",
-    "cache",
-}
+_SWEEP_KEYS = ("scenarios", "defenses", "mitigations", "trials", "out")
 
 
-def _sub_config(cls, mapping: Mapping, label: str):
-    """`cls` built from `mapping`. The class refuses a value that is not an
-    integer with a TypeError that starts with the key."""
-    if not isinstance(mapping, Mapping):
-        raise ConfigError(f"{label} must be a mapping of keys to integers, got {mapping!r}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(mapping) - known
-    if unknown:
-        raise ConfigError(f"unknown {label} keys: {', '.join(sorted(unknown))}")
-    try:
-        return cls(**mapping)
-    except TypeError as exc:
-        raise ConfigError(f"{label}.{exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"bad {label} config: {exc}") from None
-
-
-def _name_list(mapping: Mapping, key: str, default: list[str]) -> list:
-    """The `key` list of the sweep: `default` when the key is missing, and a
-    bare string is a one-entry list."""
-    value = mapping.get(key, default)
+def _name_list(mapping: Mapping, key: str) -> list:
+    """The `key` list of the sweep; a bare string is a one-entry list."""
+    value = mapping[key]
     if isinstance(value, str):
         return [value]
     if not isinstance(value, list):
@@ -193,37 +165,30 @@ def _name_list(mapping: Mapping, key: str, default: list[str]) -> list:
 def config_from_mapping(
     mapping: Mapping, out_dir: Path | None = None
 ) -> ExperimentConfig:
-    unknown = set(mapping) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    scenarios = tuple(_name_list(mapping, "scenarios", []))
-    defaults = [m.value for m in DefenseMode]
-    defenses = tuple(parse_defense(d) for d in _name_list(mapping, "defenses", defaults))
-    specs = _name_list(mapping, "mitigations", ["none"])
-    mitigation_sets = tuple(parse_mitigation_set(s) for s in specs)
-    out = out_dir or mapping.get("out")
-    if out is None:
-        raise ConfigError("output directory is required (out: or --out)")
-    if not isinstance(out, (str, Path)):
-        raise ConfigError(f"out must be a directory path, got {out!r}")
-    core = _sub_config(CoreConfig, mapping.get("core", {}), "core")
-    cache = _sub_config(CacheConfig, mapping.get("cache", {}), "cache")
+    """The sweep that `mapping` describes, `out_dir` in place of its `out`
+    key. A key it lacks keeps `ExperimentConfig`'s default, and the
+    machine's keys are read by `MachineConfig.from_mapping`."""
     try:
-        machine = MachineConfig(
-            core=core,
-            cache=cache,
-            jitter_amplitude=require_integer(mapping.get("jitter", 0), "jitter"),
-            jitter_seed=require_integer(mapping.get("seed", 0), "seed"),
-        )
-        return ExperimentConfig(
-            scenarios=scenarios,
-            out_dir=Path(out),
-            defenses=defenses,
-            mitigation_sets=mitigation_sets,
-            n_trials=require_integer(mapping.get("trials", 100), "trials"),
-            machine=machine,
-        )
-    except (TypeError, ValueError) as exc:  # a TypeError names a key that is no integer
+        refuse_unknown_keys(mapping, _SWEEP_KEYS + MACHINE_KEYS, "config")
+        values = {}
+        if "scenarios" in mapping:
+            values["scenarios"] = tuple(_name_list(mapping, "scenarios"))
+        if "defenses" in mapping:
+            values["defenses"] = tuple(map(parse_defense, _name_list(mapping, "defenses")))
+        if "mitigations" in mapping:
+            specs = _name_list(mapping, "mitigations")
+            values["mitigation_sets"] = tuple(map(parse_mitigation_set, specs))
+        out = out_dir or mapping.get("out")
+        if out is None:
+            raise ConfigError("output directory is required (out: or --out)")
+        if not isinstance(out, (str, Path)):
+            raise ConfigError(f"out must be a directory path, got {out!r}")
+        machine = {key: mapping[key] for key in MACHINE_KEYS if key in mapping}
+        values["machine"] = MachineConfig.from_mapping(machine)
+        if "trials" in mapping:
+            values["n_trials"] = require_integer(mapping["trials"], "trials")
+        return ExperimentConfig(Path(out), **values)
+    except (TypeError, ValueError) as exc:  # each names the key it refuses
         raise ConfigError(str(exc)) from None
 
 

@@ -131,6 +131,45 @@ def test_machine_configs_refuse_a_value_that_is_not_an_integer(make, message):
         make()
 
 
+def test_machine_from_an_empty_mapping_is_the_default_machine():
+    assert MachineConfig.from_mapping({}) == MachineConfig()
+    machine = MachineConfig.from_mapping(
+        {"core": {"rob_size": 768}, "cache": {"ways": 2}, "jitter": 2, "seed": 7}
+    )
+    assert machine == MachineConfig(
+        core=CoreConfig(rob_size=768), cache=CacheConfig(ways=2), jitter_amplitude=2, jitter_seed=7
+    )
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ({"colour": 3, "rob_size": 64}, "unknown machine keys: colour, rob_size"),
+        ({"core": {"robsize": 32}}, "unknown core keys: robsize"),
+        ({"cache": {1: 2}}, "unknown cache keys: 1"),
+        ({"core": 5}, "core must be a mapping of keys to integers, got 5"),
+        ({"cache": [1]}, "cache must be a mapping of keys to integers, got [1]"),
+        ({"core": {"max_cycles": "100"}}, "core.max_cycles must be an integer, got '100'"),
+        ({"cache": {"ways": True}}, "cache.ways must be an integer, got True"),
+        ({"core": {"max_cycles": 0}}, "bad core config: max_cycles must be positive"),
+        ({"cache": {"ways": 0}}, "bad cache config: cache geometry must be positive"),
+        ({"jitter": 2.5}, "jitter must be an integer, got 2.5"),
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"jitter": -2}, "jitter amplitude cannot be negative"),
+        ({"jitter": 8, "cache": {"miss_cycles": 10}},
+         "jitter amplitude 8 must be below miss_cycles - hit_cycles = 7"),
+    ],
+    ids=["unknown_key", "unknown_core_key", "int_cache_key", "int_core", "list_cache",
+         "str_max_cycles", "bool_ways", "zero_max_cycles", "zero_ways", "float_jitter",
+         "null_seed", "negative_jitter", "jitter_at_gap"],
+)
+def test_machine_from_a_mapping_refuses_with_a_value_error(mapping, message):
+    # only ValueError, so every command line path reports it and exits 1
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        MachineConfig.from_mapping(mapping)
+    assert type(caught.value) is ValueError
+
+
 def test_single_alu_timing():
     trace = simulate("alu r1, r1, 5")
     entry = only(trace.records)

@@ -66,6 +66,19 @@ def test_config_defaults(tmp_path):
     assert config.machine == MachineConfig()
 
 
+def test_config_without_a_scenario_key_sweeps_every_scenario(tmp_path, capsys):
+    # a key left out keeps ExperimentConfig's default; an empty list is refused
+    assert config_from_mapping({}, tmp_path).scenarios == SCENARIO_NAMES
+    out = tmp_path / "out"
+    assert run_cli("run", "--trials", "1", "--out", str(out)) == EXIT_OK
+    with open(out / "summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 15
+    assert sorted({(r["scenario"], r["defense"]) for r in rows}) == sorted(
+        (name, d.value) for name in SCENARIO_NAMES for d in DefenseMode
+    )
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="unknown config keys: colour"):
         config_from_mapping({"scenarios": ["bsi_mshr"], "colour": 3}, tmp_path)
@@ -240,6 +253,18 @@ def test_cli_refuses_a_name_list_that_is_not_a_list(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("1: 2\n", "unknown config keys: 1"), ("core: {1: 2}\n", "unknown core keys: 1")],
+    ids=["top_level", "core"],
+)
+def test_cli_refuses_a_key_that_is_not_a_string(tmp_path, capsys, text, message):
+    config = tmp_path / "exp.yaml"
+    config.write_text(text)
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"robsim: error: {message}\n"
+
+
 def test_cli_refuses_a_repeated_scenario(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("run", "--scenario", "bsi_mshr", "--scenario", "bsi_mshr", "--out", str(out))
@@ -353,6 +378,22 @@ def test_dom_cells_promise_and_deliver(tmp_path):
     assert cell.expected_clean
     assert cell.leak is False
     assert result.exit_code == EXIT_OK
+
+
+@pytest.mark.parametrize("jitter", [0, 2, 20, 40])
+def test_every_reference_unprotected_cell_leaks_under_jitter(jitter):
+    """Each scenario's own receiver decodes its channel on the unprotected
+    machine, so a clean cell of the same scenario under a defense means the
+    defense closed it. Above about 40 the demonstrations start to fade: with
+    these seeds bsi_mshr's window miss outlasts its gadget misses at 48 and
+    56, and fsi_v2_order reads clean at 52, so a clean cell of theirs at
+    such noise proves nothing."""
+    machine = MachineConfig(jitter_amplitude=jitter)
+    for name in SCENARIO_NAMES:
+        scenario = build_scenario(name, 0, machine)
+        analysis = ProgramAnalysis(scenario.program, machine.core.expansion_cap)
+        cell = run_cell(scenario, analysis, DefenseMode.UNPROTECTED, frozenset(), 3)
+        assert cell.status == "ok" and cell.leak is True, name
 
 
 @pytest.mark.parametrize("jitter", [2, 20, 56])
@@ -631,7 +672,7 @@ def test_cli_flags_override_config(tmp_path):
 
 
 def test_cli_usage_errors(tmp_path, capsys):
-    assert run_cli("run", "--out", str(tmp_path)) == 1
+    assert run_cli("run", "--trials", "1") == 1  # no output directory
     assert run_cli("run", "--scenario", "nope", "--out", str(tmp_path)) == 1
     assert run_cli("frobnicate") == 1
     assert "error" in capsys.readouterr().err
@@ -733,6 +774,16 @@ def test_cli_sim_parse_error(tmp_path, capsys):
     program.write_text("frob r1, r2\n")
     assert run_cli("sim", str(program)) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_sim_reads_max_cycles_as_the_config_does(tmp_path, capsys):
+    program = tmp_path / "p.asm"
+    program.write_text("nop\n")
+    message = "bad core config: max_cycles must be positive"
+    with pytest.raises(ConfigError, match=message):
+        make_config(tmp_path, core={"max_cycles": 0})
+    assert run_cli("sim", str(program), "--max-cycles", "0") == 1
+    assert capsys.readouterr().err == f"robsim: error: {message}\n"
 
 
 def test_cli_sim_cycle_limit(tmp_path):
