@@ -36,6 +36,13 @@ redirects fetch, but never rolls back the cache: fills, evictions, and
 MSHR state persist, which is precisely the observation surface the attack
 scenarios probe.
 
+Each run fact is stored once. A memory access is read off its record
+(address, issue cycle as exec_start, outcome, latency); the trace's
+`mem_events` log holds only the fills, each a `MemEvent` of cycle and line.
+A deferred access is one whose outcome is `deferred_hit`: it leaves the
+replacement order alone at issue, and commit `touch`es its line, so its
+update was applied exactly when its record committed.
+
 An entry's stage is read off its cycle stamps (dispatch, exec_start,
 complete, then commit or squash), each written once; no status is kept.
 Whether an entry is shadowed is read off `_unresolved`, the rob_seqs of
@@ -78,7 +85,8 @@ alone. What decode and issue read off an instruction (its micro-op, source
 and destination registers, ALU and memory plans) is worked out once per
 instruction object, and the branch targets once per program object: so
 once per program, not per run. Per micro-op, decode builds one RobEntry
-(a REP filler also its numbered MicroOp) whose `src` holds the in-flight
+(a REP filler also its numbered MicroOp), whose position in the trace's
+records is its `instance` column, and whose `src` holds the in-flight
 producer of each register of `decoded.src`, in that order (None: the
 register file's value), and the later phases stamp that entry in place.
 """
@@ -218,20 +226,17 @@ class BranchPredictor:
 
 @dataclass(slots=True)
 class MemEvent:
+    """A line filling at `cycle`; an access is read off its record."""
+
     cycle: int
-    instr: int | None  # None for fills
-    rob_seq: int | None
     address: int
-    kind: str  # hit | miss | coalesced | deferred_hit | fill
-    deferred: bool = False
-    applied: bool = True  # deferred effects flip this at commit
+    kind: str = "fill"
 
 
 @dataclass(slots=True)
 class RobEntry:
     uop: MicroOp
     macro: MacroInstruction
-    instance: int
     # the in-flight producer of each register in macro.decoded.src, in
     # that order; None where the register file holds the value
     src: tuple["RobEntry | None", ...] = ()
@@ -256,7 +261,6 @@ class RobEntry:
     # consumers waiting on this result: a list from the first waiter on,
     # None again once woken or squashed
     dependents: list["RobEntry"] | None = None
-    mem_event: MemEvent | None = None
 
     def value_of(self, slot: int, regfile: dict[int, int]) -> int:
         """The value of source register `slot` of macro.decoded.src: its
@@ -271,11 +275,9 @@ class RobEntry:
 @dataclass
 class RepExpansion:
     instr: int
-    opcode: Opcode
     predicted: bool
     requested: int | None  # true 2n / 5n+12 count; set at verification if predicted
     target: int  # micro-ops this instance emits (predicted: REP_PREDICTED_COUNT)
-    capped: bool = False
     emitted: int = 0
     verified: bool | None = None
     # predicted only: the in-flight counter and the emitted micro-ops
@@ -326,11 +328,18 @@ CSV_FIELDS = [
 
 @dataclass
 class Trace:
+    """What a run leaves: each decoded micro-op's record, in decode order
+    (its position is its `instance`), holding every stamp and the outcome
+    of its memory access; the end-of-cycle occupancy; the fills, in the
+    order they landed, as `mem_events`; each REP expansion; the run's
+    counters, its program and its final cache."""
+
     records: list[RobEntry]
     occupancy: list[int]
     mem_events: list[MemEvent]
     rep_expansions: list[RepExpansion]
     stats: SimStats
+    program: Program
     cache: CacheState  # the run's final cache
 
     def committed(self) -> list[RobEntry]:
@@ -343,10 +352,10 @@ class Trace:
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(CSV_FIELDS)
-        for e in self.records:
+        for instance, e in enumerate(self.records):
             writer.writerow(
                 [
-                    e.instance,
+                    instance,
                     e.macro.id,
                     e.macro.opcode.value,
                     e.uop.seq,
@@ -467,6 +476,7 @@ class Simulator:
             mem_events=self._mem_events,
             rep_expansions=self._rep_log,
             stats=stats,
+            program=self.program,
             cache=self.cache,
         )
 
@@ -518,7 +528,7 @@ class Simulator:
 
             if cache.next_fill <= cycle:
                 for addr in cache.process_fills(cycle):
-                    mem_events.append(MemEvent(cycle, None, None, addr, "fill"))
+                    mem_events.append(MemEvent(cycle, addr))
 
             # commit: in order, from the head, once complete before this cycle
             committed = 0
@@ -537,9 +547,7 @@ class Simulator:
                 if entry.uop.kind is _MEM_WRITE and entry.address is not None:
                     self.mem_values[entry.address] = entry.result or 0
                 if entry.outcome == "deferred_hit":
-                    assert entry.address is not None and entry.mem_event is not None
                     cache.touch(entry.address)
-                    entry.mem_event.applied = True
                 rob.popleft()
                 committed += 1
             if committed:
@@ -660,7 +668,7 @@ class Simulator:
                     if rep is not None:
                         entry = RobEntry(  # a filler reads and writes no register
                             MicroOp(rep.instr, rep.emitted, _NOP), instructions[rep.instr],
-                            len(records), (), None, rep.predicted,
+                            (), None, rep.predicted,
                         )
                         queue.append(entry)
                         records.append(entry)
@@ -692,7 +700,7 @@ class Simulator:
                         src = (prod_map.get(src_regs[0]),)
                     else:
                         src = tuple(map(prod_map.get, src_regs))
-                    entry = RobEntry(uop, macro, len(records), src, dest)
+                    entry = RobEntry(uop, macro, src, dest)
                     if dest is not None:
                         prod_map[dest] = entry  # the youngest producer of its register
                     queue.append(entry)
@@ -727,8 +735,8 @@ class Simulator:
 
     def _issue_mem(self) -> bool:
         """Issue up to load_ports memory micro-ops, oldest first; stamp each
-        accepted access, log its event and schedule its completion. A
-        deferred hit's event stays unapplied until commit touches the line."""
+        accepted access on its entry and schedule its completion. A deferred
+        hit leaves the replacement order alone until commit touches the line."""
         queue, cycle, cache, regs = self._mem_queue, self.cycle, self.cache, self.regs
         oldest = self._unresolved[0] if self._unresolved else None
         issued = i = 0
@@ -765,11 +773,6 @@ class Simulator:
                 entry.result = self.mem_values.get(address, 0)
             else:  # a store's value register comes first in its sources
                 entry.result = entry.value_of(0, regs)
-            entry.mem_event = event = MemEvent(
-                cycle, entry.macro.id, entry.rob_seq, address, outcome,
-                deferred=deferred, applied=not deferred,
-            )
-            self._mem_events.append(event)
             # latency >= 1, so due no earlier than this cycle's complete phase
             self._completions.setdefault(cycle + latency - 1, []).append(entry)
             issued += 1
@@ -819,7 +822,7 @@ class Simulator:
             checked = True
             first = rep.entries[0]
             value = rep.counter_producer.result or 0
-            requested = rep_expansion_count(rep.opcode, value)
+            requested = rep_expansion_count(self.program.instructions[rep.instr].opcode, value)
             true_target = min(requested, self.config.expansion_cap)
             rep.requested = requested
             if true_target == rep.emitted:
@@ -904,7 +907,6 @@ class Simulator:
         if not counted and producer is not None and self._predicted_fill:
             rep = RepExpansion(
                 instr=macro.id,
-                opcode=macro.opcode,
                 predicted=True,
                 requested=None,
                 target=REP_PREDICTED_COUNT,
@@ -920,14 +922,7 @@ class Simulator:
                 value = self.regs.get(counter_reg, 0)
             requested = rep_expansion_count(macro.opcode, value)
             target = min(requested, self.config.expansion_cap)
-            rep = RepExpansion(
-                instr=macro.id,
-                opcode=macro.opcode,
-                predicted=False,
-                requested=requested,
-                target=target,
-                capped=requested > target,
-            )
+            rep = RepExpansion(instr=macro.id, predicted=False, requested=requested, target=target)
         self._rep_log.append(rep)
         if rep.target:
             self._expansion = rep

@@ -1,9 +1,11 @@
 """Rules audited off a finished run's trace, not off the simulator.
 
 `audit` re-derives the core's pipeline rules and the cache's rules from
-`trace.records`, `trace.occupancy`, `trace.mem_events` and the machine
-config alone; it never reads the run's `Simulator` or `CacheState`, so a
-core or cache that breaks its own bookkeeping shows here. The tests in
+`trace.records` (each access is read off its record), `trace.occupancy`,
+`trace.mem_events` (the fills, the only memory log), the `.warm` and
+`.flush` lines of `trace.program` and the machine config alone; it never
+reads the run's `Simulator` or `CacheState`, so a core or cache that
+breaks its own bookkeeping shows here. The tests in
 `test_core.py` run it over random programs and every scenario cell.
 """
 
@@ -35,7 +37,7 @@ def reference_offset(seed: int, line: int, amplitude: int) -> int:
 
 def audit(trace, machine: MachineConfig) -> collections.Counter:
     """Check the pipeline and memory rules of a finished run on `machine`;
-    returns the number of memory events of each kind."""
+    returns the number of fills and of accesses of each outcome."""
     audit_pipeline(trace, machine.core)
     return audit_memory(trace, machine)
 
@@ -117,50 +119,86 @@ def show(e) -> str:
 
 def audit_memory(trace, machine: MachineConfig) -> collections.Counter:
     """Check the memory rules of a finished run on `machine`; returns the
-    number of memory events of each kind.
+    number of fills and of accesses of each outcome.
 
-    - each access event matches its record by rob_seq: address, issue
-      cycle and outcome, and each record with an outcome has one event;
+    The audit walks the run in the core's own order: for each cycle, the
+    fills of `trace.mem_events` land, then each deferred hit whose record
+    commits that cycle, then the accesses (the records with an outcome) by
+    rob_seq. It keeps its own MRU-first sets, primed by the program's
+    `.warm` lines and then its `.flush` lines, and its own misses in flight.
+
     - every accessed line is inside the address space;
-    - a hit or deferred hit takes hit_cycles;
-    - a miss of a line takes exactly max(miss_cycles + reference_offset(
-      jitter_seed, line, jitter_amplitude), 1), and the line fills at issue +
-      latency if the run lasts so long;
-    - a coalesced access takes the cycles left until its line's pending fill;
-    - every fill matches exactly one earlier miss;
+    - a hit or deferred hit finds its line resident and takes hit_cycles; a
+      hit moves the line to MRU, a deferred hit only when its record
+      commits, and only if the line is still resident;
+    - a coalesced access finds its line in flight and takes the cycles left
+      until that fill;
+    - a miss finds its line neither resident nor in flight and takes exactly
+      max(miss_cycles + reference_offset(jitter_seed, line,
+      jitter_amplitude), 1); the line fills at issue + latency if the run
+      lasts so long, at MRU, evicting the LRU line past `ways`;
+    - every fill ends exactly one earlier miss;
     - live misses never exceed mshr_entries.
     """
     cache, amp, seed = machine.cache, machine.jitter_amplitude, machine.jitter_seed
-    accesses = {e.rob_seq: e for e in trace.records if e.outcome is not None}
+    sets: list[list[int]] = [[] for _ in range(cache.num_sets)]
+
+    def ways_of(line: int) -> list[int]:
+        return sets[line % cache.num_sets]
+
+    def to_mru(line: int) -> None:
+        ways = ways_of(line)
+        if line in ways:
+            ways.remove(line)
+        ways.insert(0, line)
+        del ways[cache.ways:]
+
+    for line in trace.program.warm:
+        to_mru(line)
+    for line in trace.program.flush:
+        if line in ways_of(line):
+            ways_of(line).remove(line)
+    fills = collections.defaultdict(list)
+    for event in trace.mem_events:
+        assert event.kind == "fill", f"{event}: the memory log holds fills only"
+        fills[event.cycle].append(event.address)
+    accesses, commits = collections.defaultdict(list), collections.defaultdict(list)
+    for e in sorted((e for e in trace.records if e.outcome is not None), key=lambda e: e.rob_seq):
+        assert e.exec_start_cycle is not None and e.address is not None, show(e)
+        accesses[e.exec_start_cycle].append(e)
+        if e.outcome == "deferred_hit" and e.commit_cycle is not None:
+            commits[e.commit_cycle].append(e)
     # the run halts in the cycle its last micro-op commits
     end = max((e.commit_cycle for e in trace.records if e.commit_cycle is not None), default=0)
     live: dict[int, int] = {}  # line -> fill cycle of its miss
     kinds: collections.Counter = collections.Counter()
-    for event in trace.mem_events:
-        cycle, line, kind = event.cycle, event.address, event.kind
-        kinds[kind] += 1
-        if kind == "fill":
+    for cycle in sorted(fills.keys() | accesses.keys() | commits.keys()):
+        for line in fills[cycle]:
+            kinds["fill"] += 1
             assert live.pop(line, None) == cycle, f"fill of {line} at {cycle} ends no miss"
-            continue
-        entry = accesses.pop(event.rob_seq, None)
-        assert entry is not None, f"{event} has no record, or a second event"
-        assert (entry.address, entry.exec_start_cycle, entry.outcome) == (line, cycle, kind), (
-            event, show(entry))
-        assert 0 <= line < ADDRESS_SPACE, f"{event}: outside the address space"
-        latency = entry.latency
-        if kind == "hit" or kind == "deferred_hit":
-            assert latency == cache.hit_cycles, (event, latency)
-        elif kind == "miss":
-            assert line not in live, f"{event}: a second miss to a line in flight"
-            want = max(cache.miss_cycles + reference_offset(seed, line, amp), 1)
-            assert latency == want, f"{event}: latency {latency}, the line's jitter gives {want}"
-            live[line] = cycle + latency
-            assert cache.mshr_entries is None or len(live) <= cache.mshr_entries, (event, live)
-        elif kind == "coalesced":
-            assert line in live and latency == live[line] - cycle, (event, latency, live)
-        else:
-            raise AssertionError(f"{event}: no such access outcome")
-    assert not accesses, f"accesses without an event: {sorted(accesses)}"
+            to_mru(line)
+        for e in commits[cycle]:
+            if e.address in ways_of(e.address):
+                to_mru(e.address)
+        for e in accesses[cycle]:
+            line, kind, latency = e.address, e.outcome, e.latency
+            kinds[kind] += 1
+            where = f"{show(e)}: {kind} of line {line}"
+            assert 0 <= line < ADDRESS_SPACE, f"{where}, outside the address space"
+            if line in ways_of(line):
+                assert kind == "hit" or kind == "deferred_hit", f"{where}, resident"
+                assert latency == cache.hit_cycles, f"{where}: latency {latency}"
+                if kind == "hit":
+                    to_mru(line)
+            elif line in live:
+                assert kind == "coalesced", f"{where}, in flight"
+                assert latency == live[line] - cycle, f"{where}: latency {latency}, {live}"
+            else:
+                assert kind == "miss", f"{where}, neither resident nor in flight"
+                want = max(cache.miss_cycles + reference_offset(seed, line, amp), 1)
+                assert latency == want, f"{where}: latency {latency}, its jitter gives {want}"
+                live[line] = cycle + latency
+                assert cache.mshr_entries is None or len(live) <= cache.mshr_entries, (where, live)
     overdue = {line: fill for line, fill in live.items() if fill <= end}
     assert not overdue, f"misses never filled by cycle {end}: {overdue}"
     return kinds

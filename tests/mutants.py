@@ -4,7 +4,7 @@
 `old` text, which must occur exactly once in its file (the tier-1 test
 `test_mutants.py` checks that, so a refactor that moves a site fails
 loudly instead of testing nothing), by `new`, and names the promise the
-change breaks.
+change breaks, and records in `killed_by` the checks that kill it today.
 
 Run as a script, it applies each mutant to a temporary copy of the tree
 and runs only the checks that know what is correct, never the golden
@@ -15,8 +15,11 @@ check failed:
     python tests/mutants.py            # every mutant, a few seconds each
     python tests/mutants.py M1 M12     # the named ones
 
-The unmutated tree runs first and must pass every check. Exit status 0
-when it does, 1 otherwise.
+The unmutated tree runs first and must pass every check. The matrix is a
+gate: the exit status is 1 when the unmutated tree fails a check or a
+mutant survives a check that its `killed_by` names, and 0 otherwise. A
+check that kills a mutant its row does not name is printed as a note, so
+that the row can be widened.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     promise: str  # what the change breaks
+    killed_by: frozenset[str]  # the checks that kill it today: a kill lost fails main
 
 
 _SHADOWED_STORE = """\
@@ -64,6 +68,7 @@ MUTANTS = (
         "self._gates_loads and oldest is not None and oldest + 1 < entry.rob_seq",
         "dom gates every memory access behind an unresolved speculation source "
         "(here the micro-op right behind the oldest one goes ungated)",
+        frozenset(),
     ),
     Mutant(
         "M2", "src/robsim/defenses.py",
@@ -71,12 +76,14 @@ MUTANTS = (
         "if oldest is None or entry.rob_seq <= oldest + 1:",
         "a complete entry reaches OSP unconditionally only when no source "
         "shadows it (here one entry past the shadow too)",
+        frozenset(),
     ),
     Mutant(
         "M3", "src/robsim/defenses.py",
         "for producer in entry.src:",
         "for producer in ():",
         "a shadowed entry reaches OSP only once its value producers have",
+        frozenset(),
     ),
     Mutant(
         "M4", "src/robsim/cache.py",
@@ -84,6 +91,7 @@ MUTANTS = (
         _HIT_UPDATED_AT_ISSUE,
         "a dom-gated hit leaves the replacement order alone until it commits "
         "(here it updates the LRU order at issue)",
+        frozenset({"audits"}),
     ),
     Mutant(
         "M5", "src/robsim/analysis.py",
@@ -91,18 +99,21 @@ MUTANTS = (
         "for i in range(start + 1, program_len):",
         "conservative_invariance puts the branch in the safe set of every "
         "instruction from the reconvergence point on (here not of that point)",
+        frozenset({"verdicts", "jitter_clean"}),
     ),
     Mutant(
         "M6", "src/robsim/analysis.py",
         "if not (profile.variable or profile.min_uops != profile.max_uops):",
         "if profile.variable or profile.min_uops == profile.max_uops:",
         "conservative_invariance widens behind a variable-length branch too",
+        frozenset({"verdicts", "jitter_clean"}),
     ),
     Mutant(
         "M7", "src/robsim/core.py",
         "if done is None or done >= cycle or entry.predicted:",
         "if done is None or done >= cycle:",
         "a predicted REP filler commits only once its expansion is verified",
+        frozenset({"audits"}),
     ),
     Mutant(
         "M8", "src/robsim/defenses.py",
@@ -110,36 +121,42 @@ MUTANTS = (
         "if members >> other.macro.id & 1 and (oldest is None or other.rob_seq <= oldest)"
         " and not osp_reached(other, rob, safe_sets, oldest):",
         "ESP waits for every older in-flight safe-set member, shadowed ones included",
+        frozenset(),
     ),
     Mutant(
         "M9", "src/robsim/core.py",
         "if first.dispatch_cycle is None or self._unresolved[0] < first.rob_seq:",
         "if first.dispatch_cycle is None:",
         "a predicted REP is verified only once no older source shadows it",
+        frozenset({"audits"}),
     ),
     Mutant(
         "M10", "src/robsim/analysis.py",
         "control[i] = set(guards[k])",
         "control[i] = set()",
         "a safe set holds the branches an instruction is control dependent on",
+        frozenset({"verdicts", "jitter_clean"}),
     ),
     Mutant(
         "M11", "src/robsim/core.py",
         _SHADOWED_STORE,
         _SHADOWED_STORE.replace("is _MEM_WRITE:", "is _MEM_WRITE and False:"),
         "a shadowed store waits for the shadow to clear under dom",
+        frozenset(),
     ),
     Mutant(
         "M12", "src/robsim/core.py",
         "if deferred and not cache.resident(address):",
         "if False and deferred and not cache.resident(address):",
         "dom lets a shadowed, unlifted access run only on a hit",
+        frozenset({"verdicts", "jitter_clean"}),
     ),
     Mutant(
         "M13", "src/robsim/core.py",
         "if esp_check(entry, self.policy.safe_sets, self.rob, oldest):",
         "if True:",
         "invarspec lifts an access only once it reaches ESP",
+        frozenset({"verdicts", "jitter_clean"}),
     ),
     Mutant(
         "M14", "src/robsim/cache.py",
@@ -148,11 +165,14 @@ MUTANTS = (
         " self.jitter_amplitude)",
         "a miss's jitter depends on the trial seed and the line only "
         "(here on draw order, a per-cache access counter, so on the secret)",
+        frozenset({"audits", "jitter_clean"}),
     ),
 )
 
 # Each check: tests that state what is correct, not what the code did
 # before (no golden digest, no benchmark count, no pinned unit example).
+# The audits check rules off a finished run's trace, or off the core's
+# state after each step.
 CHECKS = {
     "verdicts": (
         "tests/test_scenarios.py::test_unprotected_recovery_is_exact",
@@ -170,6 +190,9 @@ CHECKS = {
         "tests/test_core.py::test_memory_rules_hold_on_every_scenario_cell",
         "tests/test_core.py::test_memory_rules_hold_on_coalesced_misses_under_jitter",
         "tests/test_core.py::test_skipping_matches_stepper_on_random_programs",
+        "tests/test_core.py::test_memory_rules_hold_on_shadowed_hits_in_shared_sets",
+        "tests/test_core.py::test_predicted_rep_is_verified_only_once_no_older_source_shadows_it",
+        "tests/test_core.py::test_predicted_rep_commits_only_once_verified",
     ),
     "jitter_clean": (
         "tests/test_experiment.py::test_every_expected_clean_cell_stays_clean_under_jitter",
@@ -227,20 +250,29 @@ def main(argv: list[str]) -> int:
         if killing_checks(baseline):
             print("the unmutated tree fails a check; no matrix", file=sys.stderr)
             return 1
-        rows = []
+        rows, lost = [], []
         for mutant in chosen:
             tree = Path(scratch) / mutant.name
             copy_tree(tree)
             apply(mutant, tree)
-            rows.append((mutant.name, killing_checks(tree)))
+            killed = killing_checks(tree)
             shutil.rmtree(tree)
-            print(f"{mutant.name}: {', '.join(sorted(rows[-1][1])) or 'survives'}", flush=True)
+            rows.append((mutant.name, killed))
+            print(f"{mutant.name}: {', '.join(sorted(killed)) or 'survives'}", flush=True)
+            survived, gained = mutant.killed_by - killed, killed - mutant.killed_by
+            if survived:
+                lost.append(f"{mutant.name} survives {', '.join(sorted(survived))}")
+            if gained:
+                print(f"note: {mutant.name} is newly killed by {', '.join(sorted(gained))}; "
+                      "widen its killed_by")
     print("\n| mutant | " + " | ".join(CHECKS) + " |")
     print("|---|" + "---|" * len(CHECKS))
     for name, killed in rows:
         marks = " | ".join("X" if check in killed else "-" for check in CHECKS)
         print(f"| {name} | {marks} |")
-    return 0
+    for line in lost:
+        print(f"{line}, which its killed_by says kills it", file=sys.stderr)
+    return 1 if lost else 0
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ here, at one trial per secret of each benchmark workload, rather than only
 when the benchmark runs. The span call counts also pin that a sweep parses
 each scenario program once, prepares each cell once, and analyzes each
 distinct program at most once.
+
+``Trace.mem_events`` holds the fills only, and every access is read off
+its record. The tracer counts ``cache.fills`` off that log; its
+``defenses.deferred_applied`` looks there for applied deferred accesses,
+so it reads 0 until it counts them off the records (ROADMAP item 8).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
-from audit import audit, reference_offset
+from audit import audit, audit_memory, reference_offset
 from hypothesis import strategies as st
 from test_analysis import cyclic_programs, dag_programs, members
 
@@ -454,9 +454,11 @@ def test_producer_map_matches_recomputation_on_the_reference_grid():
     assert cycles > 3000
 
 
-def _check_lifecycle(trace) -> collections.Counter:
-    """Assert the stamp invariants an entry's derived stage rests on;
-    count deferred hits by whether their replacement update was applied."""
+def _check_lifecycle(trace, machine: MachineConfig) -> collections.Counter:
+    """Assert the stamp invariants an entry's derived stage rests on, and
+    audit the run's memory, which applies a deferred hit's replacement
+    update exactly when its record commits; count deferred hits by whether
+    their update was applied."""
     deferred = collections.Counter()
     for e in trace.records:
         stamps = [
@@ -470,12 +472,9 @@ def _check_lifecycle(trace) -> collections.Counter:
             assert e.complete_cycle is not None and e.complete_cycle < e.commit_cycle
             assert e.shadow is None
         if e.outcome == "deferred_hit":
-            event = e.mem_event
-            assert event is not None and event.kind == "deferred_hit" and event.deferred
-            assert event.applied == (e.commit_cycle is not None), e
-            deferred[event.applied] += 1
-    events = [ev for ev in trace.mem_events if ev.kind == "deferred_hit"]
-    assert len(events) == sum(deferred.values())
+            deferred[e.commit_cycle is not None] += 1
+    kinds = audit_memory(trace, machine)
+    assert kinds["deferred_hit"] == sum(deferred.values())
     return deferred
 
 
@@ -491,7 +490,7 @@ def test_squashed_entries_never_commit():
     """
     trace = simulate(text)
     assert any(e.squash_cycle is not None for e in trace.records)
-    _check_lifecycle(trace)
+    _check_lifecycle(trace, MachineConfig())
     # a shadowed hit on the correct path: its deferred update lands at commit
     committed_hit = """
     .data 16 1
@@ -502,7 +501,7 @@ def test_squashed_entries_never_commit():
     done: nop
     """
     dom = DefensePolicy(mode=DefenseMode.DOM)
-    deferred = _check_lifecycle(simulate(committed_hit, policy=dom))
+    deferred = _check_lifecycle(simulate(committed_hit, policy=dom), MachineConfig())
     # trial 0 of both secrets of every scenario x mode x mitigation that applies
     machine = MachineConfig(jitter_amplitude=2)
     for name in SCENARIO_NAMES:
@@ -515,7 +514,8 @@ def test_squashed_entries_never_commit():
                         )
                     except (ScenarioError, AnalysisError):
                         continue
-                    deferred += _check_lifecycle(run_single(scenario, policy, 0)[0])
+                    trace = run_single(scenario, policy, 0)[0]
+                    deferred += _check_lifecycle(trace, scenario.machine)
     # both fates of a deferred hit are covered: applied at commit, dropped by squash
     assert deferred[True] and deferred[False]
 
@@ -691,8 +691,8 @@ def test_shadowed_hit_defers_replacement_update_to_commit():
                 assert sim.cache.snapshot_set(0) == [8, 12]
     assert shadowed is not None
     assert sim.cache.snapshot_set(0) == [12, 8]
-    event = only([e for e in sim._mem_events if e.kind == "deferred_hit"])
-    assert event.applied
+    assert only([e for e in sim._records if e.outcome == "deferred_hit"]) is shadowed
+    assert shadowed.commit_cycle is not None
 
 
 def test_shadowed_store_waits_for_resolution():
@@ -782,7 +782,7 @@ def test_rep_movs_expands_to_twice_the_counter():
     rep = only(trace.rep_expansions)
     assert rep.requested == 4
     assert rep.emitted == 4
-    assert not rep.capped
+    assert rep.target == rep.requested  # not capped
     uops = [e for e in trace.records if e.macro.id == 1]
     assert [u.uop.seq for u in uops] == [0, 1, 2, 3]
     assert all(u.uop.kind is UopKind.NOP and u.uop.parent == 1 for u in uops)
@@ -830,7 +830,7 @@ def test_rep_expansion_cap_truncates_with_warning():
     rep = only(trace.rep_expansions)
     assert rep.requested == 200
     assert rep.emitted == 8
-    assert rep.capped
+    assert not rep.predicted and rep.requested > rep.target  # capped
 
 
 def test_rep_with_zero_counter_emits_nothing():
@@ -919,6 +919,48 @@ def test_rep_refetched_after_a_squash_reads_its_committed_counter():
     assert not refetched.predicted and refetched.requested == 6
     assert [s.kind for s in trace.stats.squash_log] == ["branch"]
     assert trace.stats.cycles == simulate(text).stats.cycles == 68
+
+
+def test_predicted_rep_is_verified_only_once_no_older_source_shadows_it():
+    # the branch waits on a miss while the REP's counter, decoded ahead of
+    # it, completes at once: the check must still wait for the branch
+    text = """
+    .data 16 1
+    load r2, [16]
+    alu r1, r1, 4
+    branch r2, end
+    rep_movs r1
+    end: nop
+    """
+    policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
+    sim = make_sim(text, policy=policy)
+    sim.step()  # decodes the load, the counter and the branch, and starts the expansion
+    counter, branch = sim._records[1], sim._records[2]
+    rep = only(sim._rep_log)
+    counter_done_in_shadow = False
+    while not sim.halted:
+        verified = rep.verified
+        sim.step()
+        if counter.complete_cycle is not None and branch.complete_cycle is None:
+            counter_done_in_shadow = True
+        if verified is None and rep.verified is not None:
+            first = rep.entries[0].rob_seq
+            assert not [s for s in sim._unresolved if s < first], (sim.cycle, sim._unresolved)
+    assert counter_done_in_shadow
+    assert only(sim._rep_log).verified is True
+
+
+def test_predicted_rep_commits_only_once_verified():
+    # at decode width 1 the first micro-ops complete before the last one is
+    # decoded, so only the pending check holds them back from commit
+    policy = DefensePolicy(mitigations=frozenset({Mitigation.OPERAND_INDEPENDENT_FILL}))
+    sim = make_sim("alu r1, r1, 4\nrep_movs r1", core=CoreConfig(decode_width=1), policy=policy)
+    while not sim.halted:
+        sim.step()
+        for rep in sim._rep_log:
+            if rep.verified is None:
+                assert all(e.commit_cycle is None for e in rep.entries), sim.cycle
+    assert only(sim._rep_log).verified is True
 
 
 def test_untainted_rep_ignores_fill_prediction():
@@ -1025,17 +1067,45 @@ def run_outcome(go, sim: Simulator):
         return (exc.cycle, exc.occupancy, exc.snapshot)
 
 
+def memory_log(trace) -> list[dict]:
+    """Every fill and access of a run as one log, in the core's own order:
+    for each cycle, its fills as they landed, then its accesses by rob_seq.
+    Each is a dict of cycle, instr, rob_seq, address, kind, deferred and
+    applied, rebuilt for an access from its record: a deferred hit is
+    applied exactly when its record commits."""
+    log = [
+        {"cycle": f.cycle, "instr": None, "rob_seq": None, "address": f.address,
+         "kind": f.kind, "deferred": False, "applied": True}
+        for f in trace.mem_events
+    ]
+    for e in trace.records:
+        if e.outcome is not None:
+            deferred = e.outcome == "deferred_hit"
+            log.append({
+                "cycle": e.exec_start_cycle, "instr": e.macro.id, "rob_seq": e.rob_seq,
+                "address": e.address, "kind": e.outcome, "deferred": deferred,
+                "applied": not deferred or e.commit_cycle is not None,
+            })
+    # stable: a cycle's fills keep the order they landed in
+    return sorted(log, key=lambda ev: (ev["cycle"], ev["rob_seq"] is not None, ev["rob_seq"] or 0))
+
+
 def run_state(trace) -> dict:
-    """Everything a run leaves behind that a reader of its trace can see."""
+    """Everything a run leaves behind that a reader of its trace can see, in
+    the shape the core once stored it: each access also as a memory event,
+    and each expansion with its opcode, whether it was capped, and the
+    instance (record position) of each predicted micro-op."""
     cache = trace.cache
+    instance = {id(e): i for i, e in enumerate(trace.records)}
     return {
         "csv": trace.to_csv(),
         "occupancy": trace.occupancy,
-        "mem_events": [dataclasses.asdict(e) for e in trace.mem_events],
+        "mem_events": memory_log(trace),
         "stats": dataclasses.asdict(trace.stats),
         "reps": [
-            (r.instr, r.opcode, r.predicted, r.requested, r.target, r.capped,
-             r.emitted, r.verified, [e.instance for e in r.entries])
+            (r.instr, trace.program.instructions[r.instr].opcode, r.predicted, r.requested,
+             r.target, not r.predicted and r.requested > r.target,
+             r.emitted, r.verified, [instance[id(e)] for e in r.entries])
             for r in trace.rep_expansions
         ],
         "cache": (cache.sets, list(cache.mshrs.items()),
@@ -1365,11 +1435,12 @@ def shadow_programs(draw):
 @st.composite
 def machine_runs(draw):
     """A random program with warm lines and forced predictions, a policy
-    and a machine. A program with a loop starts with nonzero registers,
-    and half the programs with a REP seed its counter. About one machine
-    in ten stops at a cycle limit of 20-400, so that the limit error stays
-    covered; the others allow 2000 cycles, which every program that does
-    not loop forever finishes in."""
+    and a machine whose cache has 2 or 64 sets of 1, 2 or 4 ways, so that
+    fills evict by replacement order. A program with a loop starts with
+    nonzero registers, and half the programs with a REP seed its counter.
+    About one machine in ten stops at a cycle limit of 20-400, so that the
+    limit error stays covered; the others allow 2000 cycles, which every
+    program that does not loop forever finishes in."""
     program = draw(st.one_of(dag_programs(), cyclic_programs(), shadow_programs()))
     if any(t is not None and t <= i for i, t in enumerate(program.targets)):
         program = seed_registers(program)
@@ -1398,7 +1469,11 @@ def machine_runs(draw):
             alu_latency=draw(st.sampled_from([1, 4])),
             max_cycles=draw(st.integers(20, 400)) if draw(st.integers(0, 9)) == 5 else 2_000,
         ),
-        cache=CacheConfig(mshr_entries=draw(st.integers(min_value=1, max_value=2))),
+        cache=CacheConfig(
+            num_sets=draw(st.sampled_from([2, 64])),
+            ways=draw(st.sampled_from([1, 2, 4])),
+            mshr_entries=draw(st.integers(min_value=1, max_value=2)),
+        ),
         jitter_amplitude=draw(st.sampled_from([0, 3])),
         jitter_seed=draw(st.integers(min_value=0, max_value=3)),
     )
@@ -1416,6 +1491,16 @@ def test_skipping_matches_stepper_on_random_programs(run_args):
         run_outcome(go, Simulator(program, machine, policy)) for go in (audited_run, stepped_run)
     ]
     assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shadow_programs(), st.sampled_from([1, 2, 4]))
+def test_memory_rules_hold_on_shadowed_hits_in_shared_sets(program, ways):
+    # in two sets each warm line shares its set with another and with two
+    # cold lines, so a fill evicts by the replacement order that a dom-gated
+    # hit must leave alone until it commits, and a later access shows it
+    machine = MachineConfig(cache=CacheConfig(num_sets=2, ways=ways))
+    audited_run(Simulator(program, machine, DefensePolicy(mode=DefenseMode.DOM)))
 
 
 @settings(max_examples=100, deadline=None)

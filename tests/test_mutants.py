@@ -19,6 +19,11 @@ def test_each_mutant_site_occurs_exactly_once(mutant):
     assert mutant.new != mutant.old
 
 
+def test_each_mutant_is_killed_by_named_checks():
+    for mutant in MUTANTS:
+        assert mutant.killed_by <= CHECKS.keys(), mutant.name
+
+
 def test_each_check_names_tests_that_exist():
     for tests in CHECKS.values():
         for node in tests:
