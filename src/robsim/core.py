@@ -409,10 +409,14 @@ class Simulator:
         self._n_instr = len(program)
         self.machine = machine = machine or MachineConfig()
         self.config = self.machine.core
-        self.policy = policy or DefensePolicy()
-        self._gates_loads = self.policy.gates_loads
-        self._lifts = self.policy.lifts_invariant
-        self._predicted_fill = self.policy.predicted_fill
+        self.policy = policy = policy or DefensePolicy()
+        self._gates_loads = policy.gates_loads
+        self._lifts = policy.lifts_invariant
+        if self._lifts:  # an overlay shares its program's instruction list
+            analyzed = policy.analysis.program.instructions
+            if analyzed is not program.instructions and analyzed != program.instructions:
+                raise ValueError("the policy's safe sets are of another program")
+        self._predicted_fill = policy.predicted_fill
         self.predictor = BranchPredictor(
             {program.labels[name]: taken for name, taken in program.predict.items()}
         )

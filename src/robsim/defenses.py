@@ -12,9 +12,16 @@ OSP-eligible, not OSP; a branch in particular reaches OSP no earlier than
 its resolution. Lifting keyed on anything weaker would reopen the leak
 that the conservative safe-set filter exists to close.
 
-Mitigations are orthogonal toggles. conservative_invariance and
-path_balancing act at analysis time (the policy only records them and,
-for balancing, demands a certificate). operand_independent_fill acts at
+Safe sets are never supplied: a lifting policy derives them from the
+`ProgramAnalysis` of the program it runs, which `Simulator` checks. A
+derived set holds each reaching definition of the instruction's sources
+and is transitively closed; conservative_filter only adds to it. So each
+in-flight register producer of an entry is an older instance of a member,
+which `esp_check` already holds at OSP, and OSP walks no producers.
+
+Mitigations are orthogonal toggles. conservative_invariance widens the
+derived safe sets; path_balancing rewrites the program before it is
+analyzed (the policy demands a certificate). operand_independent_fill acts at
 decode: a REP whose counter is still in flight expands to a fixed
 predicted count instead of stalling for the bypassed value, and a
 mismatch discovered at verification squashes and re-expands.
@@ -22,12 +29,15 @@ mismatch discovered at verification squashes and re-expands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Iterable, Mapping, Protocol
 
-from .analysis import BalanceError, analyze_all_branches
+from .analysis import BalanceError, analyze_all_branches, conservative_filter
 from .isa import DEFAULT_EXPANSION_CAP, MacroInstruction, Program
+
+if TYPE_CHECKING:
+    from .scenarios import ProgramAnalysis
 
 
 REP_PREDICTED_COUNT = 8  # micro-ops an operand_independent_fill REP emits
@@ -71,25 +81,27 @@ def certify_balanced(
 
 @dataclass(frozen=True)
 class DefensePolicy:
+    """How the core gates the program that `analysis` describes. Only a
+    lifting policy has safe sets (bit m of safe_sets[i]: m is in i's safe
+    set), derived from `analysis` when the policy is made."""
+
     mode: DefenseMode = DefenseMode.UNPROTECTED
     mitigations: frozenset[Mitigation] = frozenset()
-    safe_sets: Mapping[int, int] | None = None  # bit m of [i]: m in i's safe set
+    analysis: ProgramAnalysis | None = None
     balance_certificate: BalanceCertificate | None = None
+    safe_sets: Mapping[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode is DefenseMode.DOM_PLUS_INVARSPEC and self.safe_sets is None:
-            raise ValueError("dom_plus_invarspec requires safe_sets")
-        for instr, members in (self.safe_sets or {}).items():
-            if type(members) is not int or members < 0:
-                got = members if type(members) is int else type(members).__name__
-                raise ValueError(
-                    f"safe_sets[{instr}] must be a non-negative int bitmask, got {got}"
-                )
-        if (
-            Mitigation.PATH_BALANCING in self.mitigations
-            and self.balance_certificate is None
-        ):
+        if Mitigation.PATH_BALANCING in self.mitigations and self.balance_certificate is None:
             raise ValueError("path_balancing requires a balance certificate")
+        analysis, safe_sets = self.analysis, None
+        if self.lifts_invariant:
+            if analysis is None:
+                raise ValueError("dom_plus_invarspec requires the program's analysis")
+            safe_sets = analysis.safe_sets
+            if Mitigation.CONSERVATIVE_INVARIANCE in self.mitigations:
+                safe_sets = conservative_filter(safe_sets, analysis.profiles, len(analysis.program))
+        object.__setattr__(self, "safe_sets", safe_sets)
 
     @property
     def gates_loads(self) -> bool:
@@ -116,13 +128,12 @@ class RobEntryView(Protocol):
     rob_seq: int
     complete_cycle: int | None
     osp: bool
-    src: tuple["RobEntryView | None", ...]  # value producers; None: register file
 
 
 def osp_reached(
     entry: RobEntryView,
     rob: Iterable[RobEntryView],
-    safe_sets: Mapping[int, int] | None,
+    safe_sets: Mapping[int, int],
     oldest: int | None,
 ) -> bool:
     """True once the entry's result exists and can no longer change.
@@ -130,9 +141,9 @@ def osp_reached(
     `oldest` is the rob_seq of the oldest unresolved speculation source, or
     None; an entry is shadowed when that source is older than it. Complete
     and unshadowed is the base case. A shadowed complete entry qualifies
-    once it has reached ESP itself (`esp_check`) and every value producer
-    has reached OSP. The flag is sticky: squash removes the entry outright,
-    so it never reverts.
+    once it has reached ESP itself (`esp_check`), which covers its value
+    producers (see the module docstring). The flag is sticky: squash
+    removes the entry outright, so it never reverts.
     """
     if entry.osp:
         return True
@@ -141,18 +152,13 @@ def osp_reached(
     if oldest is None or entry.rob_seq <= oldest:
         entry.osp = True
         return True
-    if not esp_check(entry, safe_sets, rob, oldest):
-        return False
-    for producer in entry.src:
-        if producer is not None and not osp_reached(producer, rob, safe_sets, oldest):
-            return False
-    entry.osp = True
-    return True
+    entry.osp = esp_check(entry, safe_sets, rob, oldest)
+    return entry.osp
 
 
 def esp_check(
     entry: RobEntryView,
-    safe_sets: Mapping[int, int] | None,
+    safe_sets: Mapping[int, int],
     rob: Iterable[RobEntryView],
     oldest: int | None,
 ) -> bool:
@@ -167,7 +173,7 @@ def esp_check(
     enables for bound-to-commit instructions is the lever the whole
     contention channel rests on.
     """
-    members = None if safe_sets is None else safe_sets.get(entry.macro.id)
+    members = safe_sets[entry.macro.id]
     if not members:
         return True
     seq = entry.rob_seq

@@ -55,7 +55,6 @@ from .analysis import (
     analyze_all_branches,
     balance_paths,
     compute_safe_sets,
-    conservative_filter,
 )
 from .cache import CacheConfig
 from .core import MachineConfig, RobEntry, Simulator, Trace
@@ -354,7 +353,6 @@ def with_secret(scenario: Scenario, secret: int) -> Scenario:
     return replace(scenario, program=program)
 
 
-@dataclass(eq=False)
 class ProgramAnalysis:
     """Safe sets and path profiles of one program as written.
 
@@ -363,8 +361,9 @@ class ProgramAnalysis:
     post-dominator tree that robsim.analysis keeps on the program.
     """
 
-    program: Program
-    cap: int
+    def __init__(self, program: Program, cap: int):
+        self.program = program
+        self.cap = cap  # the expansion cap the path profiles count to
 
     @cached_property
     def safe_sets(self) -> dict[int, int]:
@@ -410,12 +409,12 @@ def prepare_program(
 ) -> tuple[Program, DefensePolicy]:
     """Check that each mitigation applies to `program`, then derive its policy.
 
-    Safe sets come from `analysis` (of the program as written) when given,
-    else from the program itself; conservative_invariance widens them
-    behind unequal branches. path_balancing pads `balance_branch` and
-    certifies the result, or refuses when there is no such branch or its
-    paths are variable-length; the rewritten program is analyzed afresh.
-    Returns the program the policy describes, rewritten if balanced.
+    The policy holds `analysis` (of the program as written) when given,
+    else an analysis of the program itself, and derives its safe sets from
+    it. path_balancing pads `balance_branch` and certifies the result, or
+    refuses when there is no such branch or its paths are variable-length;
+    the rewritten program is analyzed afresh. Returns the program the
+    policy describes, rewritten if balanced.
     """
     mitigations = frozenset(mitigations)
     if Mitigation.CONSERVATIVE_INVARIANCE in mitigations and mode is not DefenseMode.DOM_PLUS_INVARSPEC:
@@ -443,18 +442,7 @@ def prepare_program(
     if analysis is None:
         analysis = ProgramAnalysis(program, cap)
     assert analysis.program is program and analysis.cap == cap
-    safe_sets = None
-    if mode is DefenseMode.DOM_PLUS_INVARSPEC:
-        safe_sets = analysis.safe_sets
-        if Mitigation.CONSERVATIVE_INVARIANCE in mitigations:
-            safe_sets = conservative_filter(safe_sets, analysis.profiles, len(program))
-    policy = DefensePolicy(
-        mode=mode,
-        mitigations=mitigations,
-        safe_sets=safe_sets,
-        balance_certificate=certificate,
-    )
-    return program, policy
+    return program, DefensePolicy(mode, mitigations, analysis, certificate)
 
 
 def run_single(

@@ -75,15 +75,9 @@ MUTANTS = (
         "if oldest is None or entry.rob_seq <= oldest:",
         "if oldest is None or entry.rob_seq <= oldest + 1:",
         "a complete entry reaches OSP unconditionally only when no source "
-        "shadows it (here one entry past the shadow too)",
-        frozenset(),
-    ),
-    Mutant(
-        "M3", "src/robsim/defenses.py",
-        "for producer in entry.src:",
-        "for producer in ():",
-        "a shadowed entry reaches OSP only once its value producers have",
-        frozenset(),
+        "shadows it (here one entry past the shadow too, so a load whose "
+        "source conservative_invariance holds behind a branch lifts early)",
+        frozenset({"lifts"}),
     ),
     Mutant(
         "M4", "src/robsim/cache.py",
@@ -99,7 +93,7 @@ MUTANTS = (
         "for i in range(start + 1, program_len):",
         "conservative_invariance puts the branch in the safe set of every "
         "instruction from the reconvergence point on (here not of that point)",
-        frozenset({"verdicts", "jitter_clean"}),
+        frozenset({"verdicts", "jitter_clean", "lifts"}),
     ),
     Mutant(
         "M6", "src/robsim/analysis.py",
@@ -121,7 +115,7 @@ MUTANTS = (
         "if members >> other.macro.id & 1 and (oldest is None or other.rob_seq <= oldest)"
         " and not osp_reached(other, rob, safe_sets, oldest):",
         "ESP waits for every older in-flight safe-set member, shadowed ones included",
-        frozenset(),
+        frozenset({"lifts"}),
     ),
     Mutant(
         "M9", "src/robsim/core.py",
@@ -149,14 +143,14 @@ MUTANTS = (
         "if deferred and not cache.resident(address):",
         "if False and deferred and not cache.resident(address):",
         "dom lets a shadowed, unlifted access run only on a hit",
-        frozenset({"verdicts", "jitter_clean"}),
+        frozenset({"verdicts", "jitter_clean", "lifts"}),
     ),
     Mutant(
         "M13", "src/robsim/core.py",
         "if esp_check(entry, self.policy.safe_sets, self.rob, oldest):",
         "if True:",
         "invarspec lifts an access only once it reaches ESP",
-        frozenset({"verdicts", "jitter_clean"}),
+        frozenset({"verdicts", "jitter_clean", "lifts"}),
     ),
     Mutant(
         "M14", "src/robsim/cache.py",
@@ -172,7 +166,8 @@ MUTANTS = (
 # Each check: tests that state what is correct, not what the code did
 # before (no golden digest, no benchmark count, no pinned unit example).
 # The audits check rules off a finished run's trace, or off the core's
-# state after each step.
+# state after each step; lifts states when dom_plus_invarspec may lift an
+# access.
 CHECKS = {
     "verdicts": (
         "tests/test_scenarios.py::test_unprotected_recovery_is_exact",
@@ -196,6 +191,9 @@ CHECKS = {
     ),
     "jitter_clean": (
         "tests/test_experiment.py::test_every_expected_clean_cell_stays_clean_under_jitter",
+    ),
+    "lifts": (
+        "tests/test_core.py::test_conservative_filter_holds_a_load_fed_from_past_the_branch",
     ),
 }
 

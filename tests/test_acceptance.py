@@ -96,12 +96,7 @@ def test_criterion_3_conflict_set_order_exact():
 
 def test_criterion_4_dom_baseline_blocks_v1():
     for name in ("fsi_v1_loop", "fsi_v1_rep"):
-        scenario, _ = prepare(build_scenario(name, 0), DOM)
-        branch = scenario.program.labels["window"]
-        policy = DefensePolicy(
-            mode=DOM,
-            safe_sets={scenario.probe_instr: 1 << branch},
-        )
+        scenario, policy = prepare(build_scenario(name, 0), DOM)
         streams = observations_of(by_secret(scenario, policy, 50))
         assert streams[0] == streams[1], name
 

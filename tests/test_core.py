@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from audit import audit, audit_memory, reference_offset
 from hypothesis import strategies as st
 from test_analysis import cyclic_programs, dag_programs, members
 
-from robsim import scenarios
-from robsim.analysis import AnalysisError, compute_safe_sets
+from robsim import defenses, scenarios
+from robsim.analysis import AnalysisError
 from robsim.cache import CacheConfig
 from robsim.core import (
     CoreConfig,
@@ -625,44 +626,100 @@ done: nop
 """
 
 
-def test_invariant_load_lifts_at_dispatch_and_stamps_the_cycle():
-    program = parse_program(SHADOWED_COLD_LOAD)
-    analyzed = compute_safe_sets(program)
-    assert 1 in members(analyzed[2])  # the load is control dependent on branch 1
+def invarspec_policy(program, mitigations=frozenset()):
+    """The dom_plus_invarspec policy of `program`, its safe sets derived."""
+    analysis = ProgramAnalysis(program, CoreConfig().expansion_cap)
+    return DefensePolicy(DefenseMode.DOM_PLUS_INVARSPEC, frozenset(mitigations), analysis)
 
-    policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=analyzed)
-    held = simulate(SHADOWED_COLD_LOAD, policy=policy)
+
+def test_control_dependent_load_is_held_until_its_branch_resolves():
+    program = parse_program(SHADOWED_COLD_LOAD)
+    policy = invarspec_policy(program)
+    assert 1 in members(policy.safe_sets[2])  # the load is control dependent on branch 1
+    held = Simulator(program, None, policy).run()
     load = only([e for e in held.records if e.macro.id == 2])
     assert load.esp_cycle is None and load.exec_start_cycle is None
 
-    empty = {i: 0 for i in range(len(program))}
-    policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=empty)
-    lifted = simulate(SHADOWED_COLD_LOAD, policy=policy)
-    load = only([e for e in lifted.records if e.macro.id == 2])
+
+def test_invariant_load_lifts_at_dispatch_and_stamps_the_cycle():
+    # a load past the reconvergence point that reads no register: its
+    # derived safe set is empty, so its wrong-path instance lifts at once
+    program = parse_program(SHADOWED_COLD_LOAD + "load r4, [48]\n")
+    policy = invarspec_policy(program)
+    assert policy.safe_sets[5] == 0
+    lifted = Simulator(program, None, policy).run()
+    load = [e for e in lifted.records if e.macro.id == 5][0]
     branch = only([e for e in lifted.records if e.macro.id == 1])
-    assert load.esp_cycle == load.dispatch_cycle < branch.complete_cycle
+    assert load.esp_cycle == load.dispatch_cycle == 3 and branch.complete_cycle == 64
     assert load.outcome == "miss" and load.exec_start_cycle < branch.complete_cycle
 
 
 def test_lifting_follows_osp_through_a_complete_but_shadowed_member():
-    # the wrong-path load's only safe-set member is the ALU, which completes
-    # at once but stays shadowed by the branch, whose own member is the
-    # 60-cycle miss: nothing on the chain reaches OSP before the squash
+    # the wrong-path load reads the ALU's r2, so its safe set holds the ALU,
+    # which completes at once but stays shadowed by the branch, and (closed)
+    # the branch and its 60-cycle miss: nothing reaches OSP before the squash
     text = """
     load r1, [16]
     branch r1, skip
     alu r2, r2, 1
-    skip: load r3, [40]
+    skip: load r3, [r2+40]
     """
-    safe_sets = {0: 0, 1: 1 << 0, 2: 1 << 1, 3: 1 << 2}
-    policy = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=safe_sets)
-    trace = simulate(text, policy=policy)
+    program = parse_program(text)
+    policy = invarspec_policy(program)
+    assert members(policy.safe_sets[3]) == {0, 1, 2}
+    trace = Simulator(program, None, policy).run()
     branch = only([e for e in trace.records if e.rob_seq == 1])
     alu = only([e for e in trace.records if e.rob_seq == 2])
     wrong = only([e for e in trace.records if e.rob_seq == 3])
     assert alu.complete_cycle < branch.complete_cycle == wrong.squash_cycle
     assert wrong.macro.id == 3 and wrong.squash_cycle is not None
     assert wrong.esp_cycle is None and wrong.exec_start_cycle is None
+
+
+def test_conservative_filter_holds_a_load_fed_from_past_the_branch():
+    # branch b (1 micro-op one way, none the other) waits on a 60-cycle
+    # miss; the load at the top of the next trip reads r5 from past b's
+    # reconvergence point T. The filter puts b in T's safe set, not in the
+    # load's, so only T's OSP, reached through ESP, holds the load
+    text = """
+    .data 16 0
+    .predict b taken
+    load r2, [16]
+    alu r3, 3
+    top: branch r3, exit
+    alu r3, r3, -1
+    load r6, [r5+24]
+    b: branch r2, T
+    alu r7, r7, 1
+    T: alu r5, r5, 1
+    jump top
+    exit: nop
+    """
+    program = parse_program(text)
+    for mitigations, held in ((set(), False), ({Mitigation.CONSERVATIVE_INVARIANCE}, True)):
+        policy = invarspec_policy(program, mitigations)
+        assert 5 not in members(policy.safe_sets[4])
+        assert (5 in members(policy.safe_sets[7])) is held
+        trace = Simulator(program, None, policy).run()
+        branch = [e for e in trace.records if e.macro.id == 5][0]
+        shadowed = [e for e in trace.records if e.macro.id == 4 and e.rob_seq > branch.rob_seq]
+        assert shadowed[0].commit_cycle is not None
+        issued = [e.exec_start_cycle for e in shadowed if e.exec_start_cycle is not None]
+        # unfiltered, the next trip's load lifts and misses in b's shadow
+        assert (min(issued) > branch.complete_cycle) is held, mitigations
+
+
+def test_simulator_refuses_safe_sets_of_another_program():
+    program = parse_program(SHADOWED_COLD_LOAD)
+    policy = invarspec_policy(program)
+    other = parse_program(SHADOWED_COLD_LOAD.replace("[40]", "[44]"))
+    with pytest.raises(ValueError, match="another program"):
+        Simulator(other, None, policy)
+    # an overlay shares the instruction list; a second parse has an equal one
+    Simulator(program.overlay(data_init={16: 1}, predict={}), None, policy)
+    Simulator(parse_program(SHADOWED_COLD_LOAD), None, policy)
+    # a policy that never lifts reads no safe sets
+    Simulator(other, None, DefensePolicy(DefenseMode.DOM, analysis=policy.analysis))
 
 
 def test_shadowed_hit_defers_replacement_update_to_commit():
@@ -1408,25 +1465,32 @@ def seed_registers(program: Program) -> Program:
 @st.composite
 def shadow_programs(draw):
     """A load that misses, a second load to its line that coalesces with
-    it, and a branch on the first load's value, so that what follows runs
-    in the branch's shadow: on the fall-through path and past the target,
-    loads to warm lines (under dom, shadowed hits whose effects wait for
-    commit), loads to cold lines and alus."""
+    it, alus on r3-r5 that complete before the miss, and a branch on the
+    first load's value, so that what follows runs in the branch's shadow:
+    on the fall-through path and past the target, loads to warm lines
+    (under dom, shadowed hits whose effects wait for commit), loads to cold
+    lines, and alus and loads that read the loaded value or r3-r5 (past the
+    target, a chain that can reach OSP while the branch is unresolved)."""
     cold = st.integers(min_value=16, max_value=19)
     line = draw(cold)
     lines = [f".warm {w}" for w in SHADOW_WARM]
     lines += [f".data {line} {draw(st.integers(min_value=0, max_value=1))}"]
-    lines += [f"load r1, [{line}]", f"load r2, [{line}]", "gate: branch r1, join"]
+    lines += [f"load r1, [{line}]", f"load r2, [{line}]"]
+    lines += [f"alu r{k}, r{k}, 1" for k in range(3, 6) if draw(st.booleans())]
+    lines.append("gate: branch r1, join")
     for part in ("", "join: "):
         for _ in range(draw(st.integers(min_value=1, max_value=4))):
-            kind = draw(st.sampled_from(["warm", "warm", "cold", "alu"]))
+            kind = draw(st.sampled_from(["warm", "warm", "cold", "alu", "based"]))
             reg = f"r{draw(st.integers(min_value=3, max_value=5))}"
+            src = f"r{draw(st.integers(min_value=2, max_value=5))}"
             if kind == "warm":
                 body = f"load {reg}, [{draw(st.sampled_from(SHADOW_WARM))}]"
             elif kind == "cold":
                 body = f"load {reg}, [{draw(cold)}]"
+            elif kind == "based":
+                body = f"load {reg}, [{src}+{draw(st.sampled_from(SHADOW_WARM))}]"
             else:
-                body = f"alu {reg}, r2, 1"
+                body = f"alu {reg}, {src}, 1"
             lines.append(part + body)
             part = ""
     return parse_program("\n".join(lines) + "\n")
@@ -1435,9 +1499,11 @@ def shadow_programs(draw):
 @st.composite
 def machine_runs(draw):
     """A random program with warm lines and forced predictions, a policy
-    and a machine whose cache has 2 or 64 sets of 1, 2 or 4 ways, so that
-    fills evict by replacement order. A program with a loop starts with
-    nonzero registers, and half the programs with a REP seed its counter.
+    derived from the program's analysis (dom_plus_invarspec half the time
+    with conservative_invariance) and a machine whose cache has 2 or 64
+    sets of 1, 2 or 4 ways, so that fills evict by replacement order. A
+    program with a loop starts with nonzero registers, half the programs
+    with a REP seed its counter, and half end in an independent load.
     About one machine in ten stops at a cycle limit of 20-400, so that the
     limit error stays covered; the others allow 2000 cycles, which every
     program that does not loop forever finishes in."""
@@ -1447,18 +1513,19 @@ def machine_runs(draw):
     has_rep = any(i.opcode in REP_OPCODES for i in program.instructions)
     if has_rep and draw(st.booleans()):
         program = seed_rep_counters(program)
+    # a load past every reconvergence point, so with an empty safe set; the
+    # simpler draw has it
+    if draw(st.sampled_from((True, False))):
+        line = draw(st.integers(min_value=0, max_value=15))
+        program = parse_program(print_program(program) + f"load r1, [{line}]\n")
     branches = [i.label for i in program.instructions if i.opcode is Opcode.BRANCH]
     predict = draw(st.dictionaries(st.sampled_from(branches), st.booleans())) if branches else {}
     mode = draw(st.sampled_from(list(DefenseMode)))
     mitigations = frozenset()
     if has_rep and draw(st.booleans()):
         mitigations = frozenset({Mitigation.OPERAND_INDEPENDENT_FILL})
-    safe_sets = None
-    if mode is DefenseMode.DOM_PLUS_INVARSPEC:
-        safe_sets = draw(st.sampled_from([
-            compute_safe_sets(program),
-            {i: 0 for i in range(len(program))},
-        ]))
+    if mode is DefenseMode.DOM_PLUS_INVARSPEC and draw(st.booleans()):
+        mitigations |= {Mitigation.CONSERVATIVE_INVARIANCE}
     machine = MachineConfig(
         core=CoreConfig(
             rob_size=draw(st.sampled_from([4, 8, 64])),
@@ -1479,8 +1546,8 @@ def machine_runs(draw):
     )
     warm = program.warm + tuple(draw(st.sets(st.integers(min_value=0, max_value=15))))
     program = dataclasses.replace(program, warm=warm, predict=predict)
-    policy = DefensePolicy(mode=mode, mitigations=mitigations, safe_sets=safe_sets)
-    return program, policy, machine
+    analysis = ProgramAnalysis(program, machine.core.expansion_cap)
+    return program, DefensePolicy(mode, mitigations, analysis), machine
 
 
 @settings(max_examples=100, deadline=None)
@@ -1523,6 +1590,83 @@ def test_shadows_match_recomputation_on_random_programs(run_args):
         sim.step()
         check_shadows(sim)
         check_producer_map(sim)
+
+
+def osp_with_producer_walk(entry, rob, safe_sets, oldest):
+    """`robsim.defenses.osp_reached` with the walk over value producers it
+    once had: a shadowed complete entry at ESP is OSP only once each
+    in-flight producer in its `src` is. With derived safe sets that walk
+    cannot decide, since ESP already holds every producer at OSP."""
+    if entry.osp:
+        return True
+    if entry.complete_cycle is None:
+        return False
+    if oldest is None or entry.rob_seq <= oldest:
+        entry.osp = True
+        return True
+    if not defenses.esp_check(entry, safe_sets, rob, oldest):
+        return False
+    for producer in entry.src:
+        if producer is not None and not osp_with_producer_walk(producer, rob, safe_sets, oldest):
+            return False
+    entry.osp = True
+    return True
+
+
+def with_producer_walk(go):
+    """`go()` with esp_check reaching OSP through `osp_with_producer_walk`."""
+    with mock.patch.object(defenses, "osp_reached", osp_with_producer_walk):
+        return go()
+
+
+@settings(max_examples=100, deadline=None)
+@given(machine_runs())
+def test_osp_needs_no_producer_walk_on_random_programs(run_args):
+    program, policy, machine = run_args
+    go = lambda: run_outcome(Simulator.run, Simulator(program, machine, policy))
+    assert go() == with_producer_walk(go)
+
+
+def test_osp_needs_no_producer_walk_on_a_shadowed_chain():
+    # the load's safe set holds the join's ALU, complete but shadowed by the
+    # branch, whose producer is the ALU before the branch: the walk runs on
+    # that producer, in flight behind the miss, and agrees with ESP
+    text = """
+    load r1, [16]
+    alu r3, r3, 1
+    branch r1, join
+    alu r4, r4, 1
+    join: alu r5, r3, 1
+    load r6, [r5+24]
+    """
+    program = parse_program(text)
+    policy = invarspec_policy(program)
+    walked = []
+
+    def walk(entry, rob, safe_sets, oldest):
+        reached = osp_with_producer_walk(entry, rob, safe_sets, oldest)
+        if reached and oldest is not None and entry.rob_seq > oldest:  # shadowed
+            walked.append((entry.macro.id, [p.macro.id for p in entry.src if p is not None]))
+        return reached
+
+    go = lambda: run_state(Simulator(program, None, policy).run())
+    with mock.patch.object(defenses, "osp_reached", walk):
+        walked_state = go()
+    assert walked_state == go()
+    assert (4, [1]) in walked
+
+
+@pytest.mark.parametrize("jitter", [0, 2])
+def test_osp_needs_no_producer_walk_on_every_lifting_scenario_cell(jitter):
+    machine = MachineConfig(jitter_amplitude=jitter)
+    cells = 0
+    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
+        if policy.lifts_invariant:
+            for trial in range(3):
+                go = lambda: run_state(run_single(scenario, policy, trial)[0])
+                assert go() == with_producer_walk(go), (scenario.name, policy.mitigations)
+            cells += 1
+    assert cells == 24  # both secrets of 5 + 5 + 1 + 1 applicable mitigation sets
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from robsim.analysis import BalanceError
+from robsim.analysis import BalanceError, compute_safe_sets, conservative_filter
 from robsim.defenses import (
     DefenseMode,
     DefensePolicy,
@@ -14,6 +14,7 @@ from robsim.defenses import (
     osp_reached,
 )
 from robsim.isa import MacroInstruction, Opcode, parse_program
+from robsim.scenarios import ProgramAnalysis
 
 
 @dataclass
@@ -24,12 +25,11 @@ class Entry:
     rob_seq: int
     complete_cycle: int | None = None
     osp: bool = False
-    src: tuple = ()
 
 
-def make_entry(instr: int, rob_seq: int, complete: bool = False, src: tuple = ()) -> Entry:
+def make_entry(instr: int, rob_seq: int, complete: bool = False) -> Entry:
     macro = MacroInstruction(instr, Opcode.NOP, ())
-    return Entry(macro, rob_seq, 0 if complete else None, src=src)
+    return Entry(macro, rob_seq, 0 if complete else None)
 
 
 def sets_of(*pairs: tuple[int, set[int]]) -> dict[int, int]:
@@ -51,27 +51,27 @@ def test_mode_and_mitigation_names_match_cli_vocabulary():
 
 
 def test_policy_requires_safe_sets_for_lifting():
-    with pytest.raises(ValueError, match="safe_sets"):
+    with pytest.raises(ValueError, match="analysis"):
         DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC)
-    ok = DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=sets_of())
+    program = parse_program(LOPSIDED)
+    ok = DefensePolicy(DefenseMode.DOM_PLUS_INVARSPEC, analysis=ProgramAnalysis(program, 64))
     assert ok.lifts_invariant and ok.gates_loads
+    assert ok.safe_sets == compute_safe_sets(program)
 
 
-def test_policy_refuses_a_safe_set_that_is_a_bool():
-    message = r"safe_sets\[3\] must be a non-negative int bitmask, got bool"
-    with pytest.raises(ValueError, match=message):
-        DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets={3: True})
+def test_policy_takes_no_safe_sets():
+    with pytest.raises(TypeError, match="safe_sets"):
+        DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets=sets_of())
 
 
-def test_policy_refuses_a_safe_set_that_is_a_frozenset():
-    # a stale set-valued dict fails here, not deep inside esp_check
-    with pytest.raises(ValueError, match=r"safe_sets\[3\] .* got frozenset"):
-        DefensePolicy(mode=DefenseMode.DOM_PLUS_INVARSPEC, safe_sets={3: frozenset({0})})
-
-
-def test_policy_refuses_a_negative_safe_set():
-    with pytest.raises(ValueError, match=r"safe_sets\[0\] .* got -1"):
-        DefensePolicy(mode=DefenseMode.DOM, safe_sets={0: -1})
+def test_policy_filters_derived_safe_sets_under_conservative_invariance():
+    analysis = ProgramAnalysis(parse_program(LOPSIDED), 64)
+    conservative = frozenset({Mitigation.CONSERVATIVE_INVARIANCE})
+    policy = DefensePolicy(DefenseMode.DOM_PLUS_INVARSPEC, conservative, analysis)
+    filtered = conservative_filter(analysis.safe_sets, analysis.profiles, len(analysis.program))
+    assert policy.safe_sets == filtered != analysis.safe_sets
+    # a policy that never lifts has no safe sets, whatever it is given
+    assert DefensePolicy(DefenseMode.DOM, analysis=analysis).safe_sets is None
 
 
 def test_policy_requires_balance_certificate():
@@ -81,7 +81,7 @@ def test_policy_requires_balance_certificate():
 
 def test_osp_base_case_unshadowed_complete():
     e = make_entry(instr=0, rob_seq=0, complete=True)
-    assert osp_reached(e, [e], None, None)
+    assert osp_reached(e, [e], sets_of(), None)
     assert e.osp  # sticky
 
 
@@ -89,29 +89,29 @@ def test_osp_requires_a_produced_result():
     # Operands may be fully determined; until the value exists the entry
     # is only OSP-eligible. A branch is never OSP before resolving.
     e = make_entry(instr=0, rob_seq=0, complete=False)
-    assert not osp_reached(e, [e], None, None)
+    assert not osp_reached(e, [e], sets_of(), None)
 
 
 def test_osp_base_case_covers_the_oldest_source_itself():
     # a complete predicted-REP micro-op that is the oldest unresolved source
     # is not in its own shadow, so its in-flight counter does not hold it
     counter = make_entry(instr=0, rob_seq=2, complete=False)
-    source = make_entry(instr=1, rob_seq=3, complete=True, src=(counter,))
-    assert osp_reached(source, [counter, source], sets_of(), 3)
+    source = make_entry(instr=1, rob_seq=3, complete=True)
+    assert osp_reached(source, [counter, source], sets_of((1, {0})), 3)
 
 
 def test_osp_blocked_by_incomplete_producer():
-    # the unresolved source at rob_seq 0 shadows both
+    # the unresolved source at rob_seq 0 shadows both; the producer is in
+    # its consumer's safe set, as the analysis puts every reaching definition
     producer = make_entry(instr=0, rob_seq=1, complete=False)
-    consumer = make_entry(instr=1, rob_seq=2, complete=True, src=(producer,))
-    assert not osp_reached(consumer, [producer, consumer], sets_of(), 0)
+    consumer = make_entry(instr=1, rob_seq=2, complete=True)
+    assert not osp_reached(consumer, [producer, consumer], sets_of((1, {0})), 0)
 
 
 def test_osp_shadowed_complete_with_settled_sources():
     # the producer is older than the unresolved source at rob_seq 1
     producer = make_entry(instr=0, rob_seq=0, complete=True)
-    # a None source reads the register file: nothing to wait for
-    consumer = make_entry(instr=1, rob_seq=2, complete=True, src=(None, producer))
+    consumer = make_entry(instr=1, rob_seq=2, complete=True)
     ss = sets_of((1, frozenset({0})))
     assert osp_reached(consumer, [producer, consumer], ss, 1)
     assert consumer.osp and producer.osp
@@ -126,7 +126,6 @@ def test_osp_member_without_instance_is_settled():
 def test_esp_empty_safe_set_reached_at_dispatch():
     e = make_entry(instr=7, rob_seq=3, complete=False)
     assert esp_check(e, sets_of((7, frozenset())), [e], 1) is True
-    assert esp_check(e, None, [e], 1) is True  # no analysis: nothing to wait for
 
 
 def test_esp_waits_for_member_osp():

@@ -17,8 +17,9 @@ is their oracle). Each corpus program (`random.Random(k)`, k < 150) mixes
 alu, setshift, load, store, forward and backward branches with `.predict`,
 jump, fence and rep opcodes, plus `.warm` and `.flush` lines. It runs under
 every defense mode, with and without operand_independent_fill, at jitter 0
-and 3, on a machine shape drawn from the option lists of
-`test_core.machine_runs`. One sha256 covers `run_state` of every run, or
+and 3, on a core shape drawn from the core option lists of
+`test_core.machine_runs` with 1 or 2 miss-table entries; the cache is
+always the default 64 sets x 1 way. One sha256 covers `run_state` of every run, or
 its `SimulationLimitError` snapshot. A load does not yet see an older
 store's value (ROADMAP item 1); the fix re-baselines this digest on purpose.
 
@@ -53,8 +54,15 @@ from robsim.experiment import (
     parse_mitigation_set,
     run_experiment,
 )
-from robsim.isa import Program, parse_program
-from robsim.scenarios import SCENARIO_NAMES, ScenarioError, build_scenario, prepare, run_single
+from robsim.isa import DEFAULT_EXPANSION_CAP, Program, parse_program
+from robsim.scenarios import (
+    SCENARIO_NAMES,
+    ProgramAnalysis,
+    ScenarioError,
+    build_scenario,
+    prepare,
+    run_single,
+)
 
 MITIGATION_SPECS = (
     "none",
@@ -231,12 +239,10 @@ def corpus_digest() -> str:
     for k in range(CORPUS_SIZE):
         program = corpus_program(k)
         rng = random.Random(-1 - k)  # machine shapes, apart from the program's draws
-        safe_sets = compute_safe_sets(program)
+        analysis = ProgramAnalysis(program, DEFAULT_EXPANSION_CAP)
         for mode in DefenseMode:
             for mitigations in (frozenset(), frozenset({Mitigation.OPERAND_INDEPENDENT_FILL})):
-                policy = DefensePolicy(
-                    mode, mitigations, safe_sets if mode is DefenseMode.DOM_PLUS_INVARSPEC else None
-                )
+                policy = DefensePolicy(mode, mitigations, analysis)
                 for jitter in CORPUS_JITTERS:
                     sim = Simulator(program, _corpus_machine(rng, jitter, k), policy)
                     try:
