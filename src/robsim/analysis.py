@@ -15,10 +15,10 @@ B basic blocks:
     iterative dominator algorithm runs on the reverse block CFG, rooted at
     the virtual exit block; near-linear in B. Each block's fewest micro-ops
     and whether it holds a rep opcode are kept beside the tree. Built once
-    per program object and kept on it, as its resolved `targets` are, so
-    the dependence graph, every path profile, `balance_paths` and the
-    balance certificate share them. A program with an instruction that
-    cannot reach the exit is refused;
+    per program and kept on it (`Program.analyses`, which its overlays
+    share), so the dependence graph, every path profile, `balance_paths`
+    and the balance certificate share them. A program with an instruction
+    that cannot reach the exit is refused;
   * dependence graph, per instruction: one data edge per register def-use
     and one control edge per guarding branch. Reaching definitions reach
     their fixed point over blocks (a FIFO worklist that revisits a block
@@ -159,13 +159,13 @@ class ControlFlow:
 
 def control_flow(program: Program) -> ControlFlow:
     """The basic blocks, CFG and post-dominator tree of `program`. Built on
-    first use and kept in the program object's __dict__, the way the cached
-    property `targets` is, so every analysis of the program shares them; an
-    edited program is derived with dataclasses.replace and gets its own."""
-    flow = program.__dict__.get("_control_flow")
+    first use and kept in `program.analyses`, so every analysis of the
+    program and of its overlays shares them; an edited program is derived
+    with dataclasses.replace and gets its own."""
+    kept = program.analyses
+    flow = kept.get("control_flow")
     if flow is None:
-        flow = _control_flow(program)
-        program.__dict__["_control_flow"] = flow
+        flow = kept["control_flow"] = _control_flow(program)
     return flow
 
 

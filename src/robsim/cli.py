@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import analyze_all_branches, compute_safe_sets, dump_analysis
+from .analysis import dump_analysis
 from .core import MachineConfig, SimulationLimitError, Simulator
 from .defenses import Mitigation
 from .experiment import (
@@ -33,7 +33,7 @@ from .experiment import (
     write_output,
 )
 from .isa import parse_program
-from .scenarios import prepare_program
+from .scenarios import ProgramAnalysis, prepare_program
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,10 +161,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
-    safe_sets = compute_safe_sets(program)
-    profiles = analyze_all_branches(program)
-    text = dump_analysis(safe_sets, profiles)
+    analysis = ProgramAnalysis(_load_program(args.program), MachineConfig().core.expansion_cap)
+    text = dump_analysis(analysis.safe_sets, analysis.profiles)
     if args.out:
         write_output(args.out, text)
     else:

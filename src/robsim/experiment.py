@@ -31,7 +31,6 @@ from .core import MACHINE_KEYS, MachineConfig, SimulationLimitError, Trace
 from .defenses import DefenseMode, DefensePolicy, Mitigation
 from .scenarios import (
     SCENARIO_NAMES,
-    ProgramAnalysis,
     Scenario,
     ScenarioError,
     ScenarioReport,
@@ -267,19 +266,14 @@ def judge(
 
 def run_cell(
     scenario: Scenario,
-    analysis: ProgramAnalysis,
     defense: DefenseMode,
     mitigations: frozenset[Mitigation],
     n_trials: int,
 ) -> CellResult:
-    """Prepare `scenario` once for the cell, then `judge` it.
-
-    `analysis` is of `scenario.program` and shared with the scenario's
-    other cells.
-    """
+    """Prepare `scenario` once for the cell, then `judge` it."""
     name = scenario.name
     try:
-        scenario, policy = prepare(scenario, defense, mitigations, analysis)
+        scenario, policy = prepare(scenario, defense, mitigations)
     except (ScenarioError, AnalysisError) as exc:
         return CellResult(name, defense, mitigations, "not_applicable", note=str(exc))
     cell = CellResult(name, defense, mitigations, "ok")
@@ -308,8 +302,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except ScenarioError as exc:
             cells += [CellResult(name, d, m, "not_applicable", note=str(exc)) for d, m in grid]
             continue
-        analysis = ProgramAnalysis(scenario.program, machine.core.expansion_cap)
-        cells += [run_cell(scenario, analysis, d, m, config.n_trials) for d, m in grid]
+        cells += [run_cell(scenario, d, m, config.n_trials) for d, m in grid]
     if all(c.status == "not_applicable" for c in cells):
         raise ConfigError(
             "no runnable cells: " + "; ".join(c.note for c in cells if c.note)

@@ -236,10 +236,20 @@ class Program:
         names = (instr.target_label() for instr in self.instructions)
         return tuple(None if name is None else self.labels[name] for name in names)
 
+    @cached_property
+    def analyses(self) -> dict:
+        """What robsim.analysis and robsim.scenarios derive from the
+        instructions and labels alone (the CFG, safe sets and path
+        profiles), each kept under a key of its own on first use. Plain
+        data that never refers back to a program, so a finished run leaves
+        no reference cycle. An `overlay` shares this dict, as it shares
+        `targets`, so every overlay of a program shares one analysis."""
+        return {}
+
     def overlay(self, *, data_init: Mapping[int, int], predict: Mapping[str, bool]) -> Program:
         """This program with `data_init` and `predict` entries added or
-        replaced. It shares the instruction list, labels and resolved
-        targets; only the added entries are checked."""
+        replaced. It shares the instruction list, labels, resolved targets
+        and analyses; only the added entries are checked."""
         for addr in data_init:
             if not 0 <= addr < ADDRESS_SPACE:
                 raise ValueError(f"data address {addr:#x} outside address space")
@@ -251,7 +261,8 @@ class Program:
             data_init={**self.data_init, **data_init},
             predict={**self.predict, **predict},
         )
-        program.__dict__["targets"] = self.targets  # as `targets` itself caches
+        # as the cached properties themselves keep them
+        program.__dict__.update(targets=self.targets, analyses=self.analyses)
         return program
 
     def validate(self) -> None:

@@ -34,11 +34,13 @@ The secret is an input of a run, not of the program's instructions. Both
 secrets run the same instructions: a builder makes the program once per
 (name, machine) without it, and ``with_secret`` overlays the bit as the
 initial value at ``SECRET_ADDR`` (and, for ``fsi_v1_straight``, as the
-``.predict`` direction of its trained gate) without parsing again. So one
-``prepare``, and one static analysis of the program, serves both secrets of
-every cell, and ``robsim.experiment.judge`` runs the two. The secret lives
-only in the program's data: ``run_single`` reads the ground truth back from
-``SECRET_ADDR`` and refuses a program that has none there.
+``.predict`` direction of its trained gate) without parsing again. An
+overlay shares the static analysis kept on the program
+(``Program.analyses``), so the program is analyzed once however many cells
+prepare it and whichever secret they run; one ``prepare`` serves both
+secrets of a cell, and ``robsim.experiment.judge`` runs the two. The secret
+lives only in the program's data: ``run_single`` reads the ground truth
+back from ``SECRET_ADDR`` and refuses a program that has none there.
 
 Receivers are deliberately blind: ``infer_secret`` sees the observation
 and the receiver configuration, never the ground truth.
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 
 from .analysis import (
     PathProfile,
@@ -356,35 +357,37 @@ def with_secret(scenario: Scenario, secret: int) -> Scenario:
 class ProgramAnalysis:
     """Safe sets and path profiles of one program as written.
 
-    Each is computed on first use and then kept, so every cell of a sweep
-    that runs the program shares one analysis; both use the CFG and
-    post-dominator tree that robsim.analysis keeps on the program.
+    Each is computed on first use and kept in `program.analyses`, beside
+    the CFG and post-dominator tree that robsim.analysis keeps there, so
+    every policy made for the program or for an overlay of it shares one
+    analysis; the path profiles are kept per expansion cap.
     """
 
     def __init__(self, program: Program, cap: int):
         self.program = program
         self.cap = cap  # the expansion cap the path profiles count to
 
-    @cached_property
+    @property
     def safe_sets(self) -> dict[int, int]:
-        return compute_safe_sets(self.program)
+        kept = self.program.analyses
+        if "safe_sets" not in kept:
+            kept["safe_sets"] = compute_safe_sets(self.program)
+        return kept["safe_sets"]
 
-    @cached_property
+    @property
     def profiles(self) -> dict[int, PathProfile]:
-        return analyze_all_branches(self.program, self.cap)
+        kept, key = self.program.analyses, ("profiles", self.cap)
+        if key not in kept:
+            kept[key] = analyze_all_branches(self.program, self.cap)
+        return kept[key]
 
 
 def prepare(
     scenario: Scenario,
     mode: DefenseMode,
     mitigations: frozenset[Mitigation] | set[Mitigation] = frozenset(),
-    analysis: ProgramAnalysis | None = None,
 ) -> tuple[Scenario, DefensePolicy]:
-    """Derive the defense policy for a scenario, rewriting it if balancing.
-
-    `analysis`, when given, is of `scenario.program` and is shared with
-    other cells; without it the program is analyzed afresh.
-    """
+    """Derive the defense policy for a scenario, rewriting it if balancing."""
     program, policy = prepare_program(
         scenario.program,
         mode,
@@ -392,7 +395,6 @@ def prepare(
         name=scenario.name,
         cap=scenario.machine.core.expansion_cap,
         balance_branch=scenario.balance_branch,
-        analysis=analysis,
     )
     return replace(scenario, program=program), policy
 
@@ -405,16 +407,14 @@ def prepare_program(
     name: str,
     cap: int,
     balance_branch: int | None = None,
-    analysis: ProgramAnalysis | None = None,
 ) -> tuple[Program, DefensePolicy]:
     """Check that each mitigation applies to `program`, then derive its policy.
 
-    The policy holds `analysis` (of the program as written) when given,
-    else an analysis of the program itself, and derives its safe sets from
-    it. path_balancing pads `balance_branch` and certifies the result, or
+    The policy holds the `ProgramAnalysis` of the program it describes.
+    path_balancing pads `balance_branch` and certifies the result, or
     refuses when there is no such branch or its paths are variable-length;
-    the rewritten program is analyzed afresh. Returns the program the
-    policy describes, rewritten if balanced.
+    the rewritten program is a new one, with an analysis of its own.
+    Returns the program the policy describes, rewritten if balanced.
     """
     mitigations = frozenset(mitigations)
     if Mitigation.CONSERVATIVE_INVARIANCE in mitigations and mode is not DefenseMode.DOM_PLUS_INVARSPEC:
@@ -438,11 +438,7 @@ def prepare_program(
             )
         program = balance_paths(program, balance_branch, cap)
         certificate = certify_balanced(program, balance_branch, cap)
-        analysis = None  # it describes the program as written
-    if analysis is None:
-        analysis = ProgramAnalysis(program, cap)
-    assert analysis.program is program and analysis.cap == cap
-    return program, DefensePolicy(mode, mitigations, analysis, certificate)
+    return program, DefensePolicy(mode, mitigations, ProgramAnalysis(program, cap), certificate)
 
 
 def run_single(

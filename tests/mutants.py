@@ -6,9 +6,10 @@
 loudly instead of testing nothing), by `new`, and names the promise the
 change breaks, and records in `killed_by` the checks that kill it today.
 
-Run as a script, it applies each mutant to a temporary copy of the tree
-and runs only the checks that know what is correct, never the golden
-digests or the benchmark counts, which notice any change at all. It
+Run as a script, it collects each check's tests by their marker, applies
+each mutant to a temporary copy of the tree and runs only those tests,
+which know what is correct, never the golden digests or the benchmark
+counts, which notice any change at all. It
 prints a kill matrix, mutant by check, where `X` means some test of the
 check failed:
 
@@ -165,37 +166,47 @@ MUTANTS = (
 
 # Each check: tests that state what is correct, not what the code did
 # before (no golden digest, no benchmark count, no pinned unit example).
-# The audits check rules off a finished run's trace, or off the core's
-# state after each step; lifts states when dom_plus_invarspec may lift an
-# access.
+# A test joins a check by its marker, `@pytest.mark.check("<name>")`
+# (registered in pyproject.toml); `collect_checks` finds them.
 CHECKS = {
-    "verdicts": (
-        "tests/test_scenarios.py::test_unprotected_recovery_is_exact",
-        "tests/test_scenarios.py::test_dom_observations_identical_across_secrets",
-        "tests/test_scenarios.py::test_invarspec_lifting_reopens_fsi",
-        "tests/test_scenarios.py::test_invarspec_keeps_bsi_closed",
-        "tests/test_scenarios.py::test_conservative_filter_closes_every_scenario",
-        "tests/test_scenarios.py::test_balancing_closes_straight_variant",
-        "tests/test_scenarios.py::test_predicted_fill_closes_rep_channel",
-        "tests/test_acceptance.py::test_criterion_4_dom_baseline_blocks_v1",
-        "tests/test_acceptance.py::test_criterion_6_conservative_filter_restores_protection",
-        "tests/test_experiment.py::test_every_reference_unprotected_cell_leaks_under_jitter",
-    ),
-    "audits": (
-        "tests/test_core.py::test_memory_rules_hold_on_every_scenario_cell",
-        "tests/test_core.py::test_memory_rules_hold_on_coalesced_misses_under_jitter",
-        "tests/test_core.py::test_skipping_matches_stepper_on_random_programs",
-        "tests/test_core.py::test_memory_rules_hold_on_shadowed_hits_in_shared_sets",
-        "tests/test_core.py::test_predicted_rep_is_verified_only_once_no_older_source_shadows_it",
-        "tests/test_core.py::test_predicted_rep_commits_only_once_verified",
-    ),
-    "jitter_clean": (
-        "tests/test_experiment.py::test_every_expected_clean_cell_stays_clean_under_jitter",
-    ),
-    "lifts": (
-        "tests/test_core.py::test_conservative_filter_holds_a_load_fed_from_past_the_branch",
-    ),
+    "verdicts": "each scenario cell leaks or stays clean as its defense promises",
+    "audits": "the memory and verification rules, off a finished run's trace "
+              "or the core's state after each step",
+    "jitter_clean": "every expected-clean cell stays clean under miss jitter",
+    "lifts": "when dom_plus_invarspec may lift an access",
 }
+
+
+def pytest_collection_finish(session) -> None:
+    """Loaded as a plugin (`-p mutants`), print each marked test as
+    `check <name> <node id>`."""
+    for item in session.items:
+        for mark in item.iter_markers("check"):
+            print(f"check {mark.args[0]} {item.nodeid}")
+
+
+def _pytest(root: Path, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join((str(root / "src"), str(root / "tests")))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+        cwd=root, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def collect_checks(root: Path) -> dict[str, list[str]]:
+    """Each check's test node ids in the tree at `root`, by their markers;
+    a marker naming no check in CHECKS is refused."""
+    run = _pytest(root, "--collect-only", "-s", "-p", "mutants", "tests")
+    if run.returncode != 0:
+        raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
+    checks: dict[str, list[str]] = {check: [] for check in CHECKS}
+    for line in run.stdout.splitlines():
+        if line.startswith("check "):
+            _, check, node = line.split(" ", 2)
+            if check not in checks:
+                raise ValueError(f"{node}: marked with unknown check {check!r}")
+            checks[check].append(node)
+    return checks
 
 
 def apply(mutant: Mutant, root: Path) -> None:
@@ -208,25 +219,17 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def killing_checks(root: Path) -> set[str]:
+def killing_checks(root: Path, checks: dict[str, list[str]]) -> set[str]:
     """The checks with a failing test in the tree at `root`, in one pytest run."""
-    nodes = [node for tests in CHECKS.values() for node in tests]
-    run = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no",
-         "-rfE", "--hypothesis-seed=0", *nodes],
-        cwd=root, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
-    failed = [  # "FAILED <node id> - <message>"
+    nodes = [node for tests in checks.values() for node in tests]
+    run = _pytest(root, "--tb=no", "-rfE", "--hypothesis-seed=0", *nodes)
+    failed = {  # "FAILED <node id> - <message>"
         line.split(" ", 1)[1].split(" - ", 1)[0] for line in run.stdout.splitlines()
         if line.startswith(("FAILED ", "ERROR "))
-    ]
+    }
     if run.returncode not in (0, 1) or (run.returncode == 1 and not failed):
         raise RuntimeError(f"pytest exited {run.returncode}:\n{run.stdout}{run.stderr}")
-    return {
-        check for check, tests in CHECKS.items()
-        if any(node == test or node.startswith(test + "[") for node in failed for test in tests)
-    }
+    return {check for check, tests in checks.items() if failed.intersection(tests)}
 
 
 def copy_tree(dest: Path) -> None:
@@ -242,10 +245,12 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 1
+    # collected here: the copies below leave out benchmarks/, which a test imports
+    checks = collect_checks(ROOT)
     with tempfile.TemporaryDirectory(prefix="robsim-mutants-") as scratch:
         baseline = Path(scratch) / "none"
         copy_tree(baseline)
-        if killing_checks(baseline):
+        if killing_checks(baseline, checks):
             print("the unmutated tree fails a check; no matrix", file=sys.stderr)
             return 1
         rows, lost = [], []
@@ -253,7 +258,7 @@ def main(argv: list[str]) -> int:
             tree = Path(scratch) / mutant.name
             copy_tree(tree)
             apply(mutant, tree)
-            killed = killing_checks(tree)
+            killed = killing_checks(tree, checks)
             shutil.rmtree(tree)
             rows.append((mutant.name, killed))
             print(f"{mutant.name}: {', '.join(sorted(killed)) or 'survives'}", flush=True)

@@ -94,6 +94,7 @@ def test_criterion_3_conflict_set_order_exact():
     assert_recovered(run_cell("fsi_v2_order", UNPROT, trials=100), ((12,), (76,)))
 
 
+@pytest.mark.check("verdicts")
 def test_criterion_4_dom_baseline_blocks_v1():
     for name in ("fsi_v1_loop", "fsi_v1_rep"):
         scenario, policy = prepare(build_scenario(name, 0), DOM)
@@ -114,6 +115,7 @@ def test_criterion_5_mshr_contention_and_negative_control():
     assert unbounded_s0 == unbounded_s1
 
 
+@pytest.mark.check("verdicts")
 def test_criterion_6_conservative_filter_restores_protection():
     for name in ("fsi_v1_loop", "fsi_v1_rep"):
         leaky = observation_streams(name, INVAR)

@@ -676,6 +676,7 @@ def test_lifting_follows_osp_through_a_complete_but_shadowed_member():
     assert wrong.esp_cycle is None and wrong.exec_start_cycle is None
 
 
+@pytest.mark.check("lifts")
 def test_conservative_filter_holds_a_load_fed_from_past_the_branch():
     # branch b (1 micro-op one way, none the other) waits on a 60-cycle
     # miss; the load at the top of the next trip reads r5 from past b's
@@ -978,6 +979,7 @@ def test_rep_refetched_after_a_squash_reads_its_committed_counter():
     assert trace.stats.cycles == simulate(text).stats.cycles == 68
 
 
+@pytest.mark.check("audits")
 def test_predicted_rep_is_verified_only_once_no_older_source_shadows_it():
     # the branch waits on a miss while the REP's counter, decoded ahead of
     # it, completes at once: the check must still wait for the branch
@@ -1007,6 +1009,7 @@ def test_predicted_rep_is_verified_only_once_no_older_source_shadows_it():
     assert only(sim._rep_log).verified is True
 
 
+@pytest.mark.check("audits")
 def test_predicted_rep_commits_only_once_verified():
     # at decode width 1 the first micro-ops complete before the last one is
     # decoded, so only the pending check holds them back from commit
@@ -1202,11 +1205,10 @@ def prepared_cells(machine, mitigation_sets):
     mitigation set that applies, built and analyzed as a sweep does."""
     for name in SCENARIO_NAMES:
         base = build_scenario(name, 0, machine)
-        analysis = ProgramAnalysis(base.program, machine.core.expansion_cap)
         for mode in DefenseMode:
             for mitigations in mitigation_sets:
                 try:
-                    scenario, policy = prepare(base, mode, mitigations, analysis)
+                    scenario, policy = prepare(base, mode, mitigations)
                 except (ScenarioError, AnalysisError):
                     continue
                 for secret in (0, 1):
@@ -1257,6 +1259,7 @@ def test_nop_class_micro_ops_complete_at_dispatch_on_every_scenario_cell(rob_siz
     assert cells == 52 and nops > 0
 
 
+@pytest.mark.check("audits")
 @pytest.mark.parametrize("rob_size", [64, 768])
 @pytest.mark.parametrize("jitter", [0, 2])
 def test_memory_rules_hold_on_every_scenario_cell(rob_size, jitter):
@@ -1270,6 +1273,7 @@ def test_memory_rules_hold_on_every_scenario_cell(rob_size, jitter):
     assert {"hit", "deferred_hit", "miss", "fill"} <= kinds.keys(), kinds  # no scenario coalesces
 
 
+@pytest.mark.check("audits")
 @pytest.mark.parametrize("seed", range(4))
 def test_memory_rules_hold_on_coalesced_misses_under_jitter(seed):
     # the second load joins the first one's MSHR a cycle later; the third
@@ -1550,6 +1554,7 @@ def machine_runs(draw):
     return program, DefensePolicy(mode, mitigations, analysis), machine
 
 
+@pytest.mark.check("audits")
 @settings(max_examples=100, deadline=None)
 @given(machine_runs())
 def test_skipping_matches_stepper_on_random_programs(run_args):
@@ -1560,6 +1565,7 @@ def test_skipping_matches_stepper_on_random_programs(run_args):
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.check("audits")
 @settings(max_examples=100, deadline=None)
 @given(shadow_programs(), st.sampled_from([1, 2, 4]))
 def test_memory_rules_hold_on_shadowed_hits_in_shared_sets(program, ways):

@@ -38,7 +38,6 @@ from robsim.isa import print_program
 from robsim.scenarios import (
     SCENARIO_NAMES,
     SECRET_ADDR,
-    ProgramAnalysis,
     build_scenario,
     prepare,
     run_single,
@@ -380,6 +379,7 @@ def test_dom_cells_promise_and_deliver(tmp_path):
     assert result.exit_code == EXIT_OK
 
 
+@pytest.mark.check("verdicts")
 @pytest.mark.parametrize("jitter", [0, 2, 20, 40])
 def test_every_reference_unprotected_cell_leaks_under_jitter(jitter):
     """Each scenario's own receiver decodes its channel on the unprotected
@@ -391,11 +391,11 @@ def test_every_reference_unprotected_cell_leaks_under_jitter(jitter):
     machine = MachineConfig(jitter_amplitude=jitter)
     for name in SCENARIO_NAMES:
         scenario = build_scenario(name, 0, machine)
-        analysis = ProgramAnalysis(scenario.program, machine.core.expansion_cap)
-        cell = run_cell(scenario, analysis, DefenseMode.UNPROTECTED, frozenset(), 3)
+        cell = run_cell(scenario, DefenseMode.UNPROTECTED, frozenset(), 3)
         assert cell.status == "ok" and cell.leak is True, name
 
 
+@pytest.mark.check("jitter_clean")
 @pytest.mark.parametrize("jitter", [2, 20, 56])
 def test_every_expected_clean_cell_stays_clean_under_jitter(jitter):
     # 56 is the largest amplitude the default cache accepts; trials 0-2 run
@@ -405,10 +405,9 @@ def test_every_expected_clean_cell_stays_clean_under_jitter(jitter):
     promised = 0
     for name in SCENARIO_NAMES:
         scenario = build_scenario(name, 0, machine)
-        analysis = ProgramAnalysis(scenario.program, machine.core.expansion_cap)
         for defense in DefenseMode:
             for mitigations in mitigation_sets:
-                cell = run_cell(scenario, analysis, defense, mitigations, 3)
+                cell = run_cell(scenario, defense, mitigations, 3)
                 if cell.expected_clean:
                     promised += 1
                     assert cell.status == "ok" and cell.leak is False, (
@@ -497,8 +496,8 @@ def test_judge_runs_each_trial_of_both_secrets_through_run_single(monkeypatch):
 def test_broken_promise_exits_security(tmp_path, monkeypatch):
     real = experiment.run_cell
 
-    def sabotaged(scenario, analysis, defense, mitigations, n_trials):
-        cell = real(scenario, analysis, defense, mitigations, n_trials)
+    def sabotaged(scenario, defense, mitigations, n_trials):
+        cell = real(scenario, defense, mitigations, n_trials)
         cell.leak = True
         return cell
 

@@ -9,7 +9,7 @@ import pytest
 from test_analysis import members
 from test_core import ALL_MITIGATION_SETS, prepared_cells
 
-from robsim import analysis, defenses
+from robsim import analysis, defenses, scenarios
 from robsim.analysis import BalanceError
 from robsim.cache import CacheConfig
 from robsim.core import CoreConfig, MachineConfig, Simulator
@@ -93,6 +93,7 @@ def test_secret_overlay_changes_only_the_secret(rob):
         assert s0.program.instructions is s1.program.instructions is base.program.instructions
         assert s0.program.labels is s1.program.labels is base.program.labels
         assert s0.program.targets is s1.program.targets is base.program.targets
+        assert s0.program.analyses is s1.program.analyses is base.program.analyses
         assert _differing_keys(s0.program.data_init, s1.program.data_init) == {SECRET_ADDR}
         assert s0.program.warm == s1.program.warm == base.program.warm
         assert s0.program.flush == s1.program.flush == base.program.flush
@@ -140,6 +141,30 @@ def test_a_finished_run_leaves_no_cyclic_garbage(rob):
     finally:
         gc.enable()
     assert found == 0
+
+
+def test_a_program_and_its_overlays_share_one_analysis(monkeypatch):
+    # the analysis is kept on the program, so neither a second prepare nor a
+    # prepare of the other secret's overlay computes it again
+    calls = {"compute_safe_sets": 0, "analyze_all_branches": 0}
+
+    def counted(name):
+        real = getattr(scenarios, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(scenarios, name, wrapper)
+
+    counted("compute_safe_sets")
+    counted("analyze_all_branches")
+    conservative = {Mitigation.CONSERVATIVE_INVARIANCE}
+    scenario = build_scenario("fsi_v1_loop", 0)
+    _, filtered = prepare(scenario, INVAR, conservative)
+    _, plain = prepare(scenario, INVAR)
+    _, other = prepare(with_secret(scenario, 1), INVAR, conservative)
+    assert calls == {"compute_safe_sets": 1, "analyze_all_branches": 1}
+    assert other.safe_sets == filtered.safe_sets != plain.safe_sets
 
 
 def test_run_needs_a_secret():
@@ -272,6 +297,7 @@ def test_idle_gate_lets_probe_run_ahead_of_resolution():
     assert speculative[0].complete_cycle < window.complete_cycle
 
 
+@pytest.mark.check("verdicts")
 def test_unprotected_recovery_is_exact():
     for name in SCENARIO_NAMES:
         for secret, report in enumerate(first_reports(name)):
@@ -281,18 +307,21 @@ def test_unprotected_recovery_is_exact():
 # --- defense modes ----------------------------------------------------------
 
 
+@pytest.mark.check("verdicts")
 def test_dom_observations_identical_across_secrets():
     for name in SCENARIO_NAMES:
         obs = observations(name, mode=DOM)
         assert obs[0] == obs[1], name
 
 
+@pytest.mark.check("verdicts")
 def test_invarspec_lifting_reopens_fsi():
     for name in ("fsi_v1_loop", "fsi_v1_rep", "fsi_v1_straight", "fsi_v2_order"):
         obs = observations(name, mode=INVAR)
         assert obs[0] != obs[1], name
 
 
+@pytest.mark.check("verdicts")
 def test_invarspec_keeps_bsi_closed():
     obs = observations("bsi_mshr", mode=INVAR)
     assert obs[0] == obs[1]
@@ -323,6 +352,7 @@ def test_probe_safe_set_is_empty_without_filtering():
 # --- mitigations ------------------------------------------------------------
 
 
+@pytest.mark.check("verdicts")
 def test_conservative_filter_closes_every_scenario():
     for name in SCENARIO_NAMES:
         obs = observations(name, mode=INVAR, mitigations={Mitigation.CONSERVATIVE_INVARIANCE})
@@ -348,6 +378,7 @@ def test_conservative_filter_grows_probe_safe_set():
     assert scenario.program.labels["window"] in members(policy.safe_sets[scenario.probe_instr])
 
 
+@pytest.mark.check("verdicts")
 def test_balancing_closes_straight_variant():
     obs = observations(
         "fsi_v1_straight", mitigations={Mitigation.PATH_BALANCING}
@@ -402,6 +433,7 @@ def test_balancing_refuses_scenarios_without_balance_branch():
             prepare(build_scenario(name, 0), UNPROT, {Mitigation.PATH_BALANCING})
 
 
+@pytest.mark.check("verdicts")
 def test_predicted_fill_closes_rep_channel():
     obs = observations(
         "fsi_v1_rep", mode=INVAR, mitigations={Mitigation.OPERAND_INDEPENDENT_FILL}
