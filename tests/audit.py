@@ -50,6 +50,7 @@ def audit_pipeline(trace, core: CoreConfig) -> None:
       NOP-class entry never issues, so is ready and complete at dispatch;
     - each record leaves once: it commits or is squashed, never both, and
       one never dispatched was squashed in the decode queue;
+    - only a squash stamps a record's `shadow`, so a committed record has none;
     - a squash is final: no stamp of a squashed record is later than its
       squash cycle, so a consumer squashed in the cycle its last producer
       completes has no ready;
@@ -79,6 +80,7 @@ def audit_pipeline(trace, core: CoreConfig) -> None:
         assert squash is None or all(s <= squash for s in present), show(e)
         if commit is not None:
             assert commit > e.complete_cycle, show(e)
+            assert e.shadow is None, f"{show(e)} commits with shadow {e.shadow}"
             committed.append(e)
         if e.ready_cycle is not None:
             for producer in e.src:

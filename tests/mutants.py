@@ -69,7 +69,7 @@ MUTANTS = (
         "self._gates_loads and oldest is not None and oldest + 1 < entry.rob_seq",
         "dom gates every memory access behind an unresolved speculation source "
         "(here the micro-op right behind the oldest one goes ungated)",
-        frozenset(),
+        frozenset({"verdicts"}),
     ),
     Mutant(
         "M2", "src/robsim/defenses.py",

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
-from audit import audit, audit_memory, reference_offset
+from audit import audit, reference_offset
 from hypothesis import strategies as st
 from test_analysis import cyclic_programs, dag_programs, members
 
@@ -442,43 +443,6 @@ def test_shadows_match_recomputation_every_cycle():
     assert sim.stats.squashes == 0
 
 
-def test_producer_map_matches_recomputation_on_the_reference_grid():
-    cells = cycles = 0
-    for scenario, policy in prepared_cells(MachineConfig(jitter_amplitude=2), [frozenset()]):
-        sim = scenario_sim(scenario, policy)
-        while not sim.halted:
-            sim.step()
-            check_producer_map(sim)
-        cells += 1
-        cycles += len(sim._occupancy)
-    assert cells == 30
-    assert cycles > 3000
-
-
-def _check_lifecycle(trace, machine: MachineConfig) -> collections.Counter:
-    """Assert the stamp invariants an entry's derived stage rests on, and
-    audit the run's memory, which applies a deferred hit's replacement
-    update exactly when its record commits; count deferred hits by whether
-    their update was applied."""
-    deferred = collections.Counter()
-    for e in trace.records:
-        stamps = [
-            c
-            for c in (e.dispatch_cycle, e.exec_start_cycle, e.complete_cycle)
-            if c is not None
-        ]
-        assert stamps == sorted(stamps), e
-        assert (e.squash_cycle is None) == (e.commit_cycle is not None), e
-        if e.commit_cycle is not None:
-            assert e.complete_cycle is not None and e.complete_cycle < e.commit_cycle
-            assert e.shadow is None
-        if e.outcome == "deferred_hit":
-            deferred[e.commit_cycle is not None] += 1
-    kinds = audit_memory(trace, machine)
-    assert kinds["deferred_hit"] == sum(deferred.values())
-    return deferred
-
-
 def test_squashed_entries_never_commit():
     text = """
     .data 8 0
@@ -489,10 +453,10 @@ def test_squashed_entries_never_commit():
     alu r4, r4, 1
     out: nop
     """
-    trace = simulate(text)
+    trace = audited_run(make_sim(text))
     assert any(e.squash_cycle is not None for e in trace.records)
-    _check_lifecycle(trace, MachineConfig())
-    # a shadowed hit on the correct path: its deferred update lands at commit
+    # a shadowed hit on the correct path: its deferred update lands at commit,
+    # the one fate of a deferred hit that no scenario cell shows
     committed_hit = """
     .data 16 1
     .warm 8
@@ -501,24 +465,8 @@ def test_squashed_entries_never_commit():
     load r2, [8]
     done: nop
     """
-    dom = DefensePolicy(mode=DefenseMode.DOM)
-    deferred = _check_lifecycle(simulate(committed_hit, policy=dom), MachineConfig())
-    # trial 0 of both secrets of every scenario x mode x mitigation that applies
-    machine = MachineConfig(jitter_amplitude=2)
-    for name in SCENARIO_NAMES:
-        for mode in DefenseMode:
-            for mitigations in [frozenset()] + [frozenset({m}) for m in Mitigation]:
-                for secret in (0, 1):
-                    try:
-                        scenario, policy = prepare(
-                            build_scenario(name, secret, machine), mode, mitigations
-                        )
-                    except (ScenarioError, AnalysisError):
-                        continue
-                    trace = run_single(scenario, policy, 0)[0]
-                    deferred += _check_lifecycle(trace, scenario.machine)
-    # both fates of a deferred hit are covered: applied at commit, dropped by squash
-    assert deferred[True] and deferred[False]
+    trace = audited_run(make_sim(committed_hit, policy=DefensePolicy(mode=DefenseMode.DOM)))
+    assert only([e for e in trace.records if e.outcome == "deferred_hit"]).commit_cycle is not None
 
 
 def test_squash_preserves_cache_fills():
@@ -613,6 +561,39 @@ def test_delay_policy_holds_shadowed_cold_load():
     branch = only([e for e in guarded.records if e.macro.id == 1])
     assert held_load.exec_start_cycle > branch.complete_cycle
     assert held_load.outcome == "miss"
+
+
+# the load right behind the window's branch reads the secret's line
+SECRET_INDEXED_LOAD = """
+.warm 8
+.flush 16
+.data 16 0
+.predict window not_taken
+load r2, [16]
+load r1, [8]
+window: branch r2, done
+load r3, [r1+64]
+done: nop
+"""
+
+
+@pytest.mark.check("verdicts")
+def test_gating_hides_a_secret_indexed_load_right_behind_the_oldest_source():
+    # the attacker sees each committed record's timing and the final cache
+    def view(mode, secret):
+        program = parse_program(f".data 8 {secret}\n{SECRET_INDEXED_LOAD}")
+        analysis = ProgramAnalysis(program, CoreConfig().expansion_cap)
+        trace = Simulator(program, None, DefensePolicy(mode, frozenset(), analysis)).run()
+        timing = [
+            (e.macro.id, e.uop.seq, e.exec_start_cycle, e.ready_cycle, e.complete_cycle,
+             e.commit_cycle)
+            for e in trace.committed()
+        ]
+        return timing, trace.cache.sets
+
+    for mode in DefenseMode:
+        leaks = view(mode, 0) != view(mode, 1)
+        assert leaks is (mode is DefenseMode.UNPROTECTED), mode
 
 
 SHADOWED_COLD_LOAD = """
@@ -1096,20 +1077,45 @@ def test_compute_shadows_no_sources():
 # idle-cycle skipping: run() against the one-cycle stepper
 
 
-def stepped_run(sim: Simulator):
-    """run() with idle-cycle skipping off, so every cycle is a pass of the
-    per-cycle body: the oracle for skipping."""
-    sim._repeat_idle = lambda dispatch_stalls, decode_stalls: None
-    return sim.run()
-
-
 def public_stepped_run(sim: Simulator):
-    """The public step() until the program halts or reaches max_cycles,
-    then run(), which at either point advances no cycle: it returns the
-    trace, or raises the limit error that run() alone would raise."""
+    """The public step(), which runs run()'s per-cycle body without
+    skipping, until the program halts or reaches max_cycles, with the
+    shadows and the producer map rechecked after every step; then run(),
+    which at either point advances no cycle: it returns the trace, or
+    raises the limit error that run() alone would raise. The oracle for
+    skipping."""
     while not sim.halted and sim.cycle < sim.config.max_cycles:
         sim.step()
+        check_shadows(sim)
+        check_producer_map(sim)
     return sim.run()
+
+
+def osp_with_producer_walk(entry, rob, safe_sets, oldest):
+    """`robsim.defenses.osp_reached` with the walk over value producers it
+    once had: a shadowed complete entry at ESP is OSP only once each
+    in-flight producer in its `src` is. With derived safe sets that walk
+    cannot decide, since ESP already holds every producer at OSP."""
+    if entry.osp:
+        return True
+    if entry.complete_cycle is None:
+        return False
+    if oldest is None or entry.rob_seq <= oldest:
+        entry.osp = True
+        return True
+    if not defenses.esp_check(entry, safe_sets, rob, oldest):
+        return False
+    for producer in entry.src:
+        if producer is not None and not osp_with_producer_walk(producer, rob, safe_sets, oldest):
+            return False
+    entry.osp = True
+    return True
+
+
+def with_producer_walk(go):
+    """`go()` with esp_check reaching OSP through `osp_with_producer_walk`."""
+    with mock.patch.object(defenses, "osp_reached", osp_with_producer_walk):
+        return go()
 
 
 def audited_run(sim: Simulator):
@@ -1176,7 +1182,7 @@ def run_state(trace) -> dict:
 def assert_skipping_matches_stepper(make):
     """`make()` builds a fresh simulator; run it skipping and stepping."""
     fast, slow = make(), make()
-    assert run_state(fast.run()) == run_state(stepped_run(slow))
+    assert run_state(fast.run()) == run_state(public_stepped_run(slow))
 
 
 def counting_steps(monkeypatch):
@@ -1218,59 +1224,107 @@ def prepared_cells(machine, mitigation_sets):
 ALL_MITIGATION_SETS = [frozenset()] + [frozenset({m}) for m in Mitigation]
 
 
-@pytest.mark.parametrize("rob_size", [64, 768])
-@pytest.mark.parametrize("jitter", [0, 5])
-def test_skipping_matches_stepper_on_every_scenario_cell(rob_size, jitter):
+@dataclasses.dataclass
+class CellPass:
+    """What one pass over every scenario cell saw: the cells whose
+    public-stepped or producer-walk runs differ from run(), and counters
+    of what the pass covered."""
+
+    cells: int = 0
+    lifting: int = 0
+    nops: int = 0  # NOP-class entries dispatched
+    dropped: int = 0  # deferred hits dropped by their squash
+    stepped_cycles: int = 0
+    kinds: collections.Counter = dataclasses.field(default_factory=collections.Counter)
+    stepper_differs: list = dataclasses.field(default_factory=list)
+    walk_differs: list = dataclasses.field(default_factory=list)
+
+
+@functools.cache
+def scenario_cell_pass(rob_size: int, jitter: int) -> CellPass:
+    """Every scenario cell at this ROB size and jitter, simulated once for
+    every rule its trace must keep: trial 0 run() and audited off its trace
+    (the audit asserts), then run by the public stepper, which rechecks the
+    shadows and the producer map after every step (and asserts too); a
+    lifting cell's trials 0-2 also run reaching OSP through the producer
+    walk. Cached, so the tests below that read one pass share its runs."""
     machine = MachineConfig(core=CoreConfig(rob_size=rob_size), jitter_amplitude=jitter)
-    cells = 0
+    seen = CellPass()
     for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
-        assert_skipping_matches_stepper(lambda: scenario_sim(scenario, policy))
-        cells += 1
-    assert cells == 52
+        cell = (scenario.name, policy.mode, policy.mitigations)
+        trace = scenario_sim(scenario, policy).run()
+        seen.kinds += audit(trace, scenario.machine)
+        state = run_state(trace)
+        stepped = public_stepped_run(scenario_sim(scenario, policy))
+        if state != run_state(stepped):
+            seen.stepper_differs.append(cell)
+        seen.stepped_cycles += len(stepped.occupancy)
+        if policy.lifts_invariant:
+            for trial in range(3):
+                go = lambda: run_state(run_single(scenario, policy, trial)[0])
+                if with_producer_walk(go) != (go() if trial else state):
+                    seen.walk_differs.append((*cell, trial))
+            seen.lifting += 1
+        for e in trace.records:
+            seen.nops += e.uop.kind is UopKind.NOP and e.dispatch_cycle is not None
+            seen.dropped += e.outcome == "deferred_hit" and e.squash_cycle is not None
+        seen.cells += 1
+    return seen
+
+
+@pytest.mark.check("audits")
+@pytest.mark.parametrize("rob_size", [64, 768])
+@pytest.mark.parametrize("jitter", [0, 2, 5])
+def test_skipping_matches_stepper_on_every_scenario_cell(rob_size, jitter):
+    # the whole pass; the tests below each read one rule's part of it
+    seen = scenario_cell_pass(rob_size, jitter)
+    assert seen.cells == 52 and seen.nops > 0
+    assert seen.stepper_differs == [] and seen.walk_differs == []
+    assert seen.lifting == 24  # both secrets of 5 + 5 + 1 + 1 applicable mitigation sets
+    assert {"hit", "deferred_hit", "miss", "fill"} <= seen.kinds.keys(), seen.kinds
+    assert seen.dropped > 0
 
 
 @pytest.mark.parametrize("rob_size", [64, 768])
 @pytest.mark.parametrize("jitter", [0, 5])
 def test_public_stepper_matches_run_on_every_scenario_cell(rob_size, jitter):
-    # run() drives the per-cycle body itself, so step() is checked on its own
-    machine = MachineConfig(core=CoreConfig(rob_size=rob_size), jitter_amplitude=jitter)
-    cells = 0
-    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
-        fast, slow = scenario_sim(scenario, policy), scenario_sim(scenario, policy)
-        assert run_state(fast.run()) == run_state(public_stepped_run(slow))
-        cells += 1
-    assert cells == 52
+    # step(), run()'s per-cycle body without skipping, reproduces each
+    # cell's run()
+    seen = scenario_cell_pass(rob_size, jitter)
+    assert seen.cells == 52 and seen.stepper_differs == []
 
 
 @pytest.mark.parametrize("rob_size", [64, 768])
 @pytest.mark.parametrize("jitter", [0, 2])
 def test_nop_class_micro_ops_complete_at_dispatch_on_every_scenario_cell(rob_size, jitter):
-    # jump, fence, pad and rep filler never issue; one left in the decode
-    # queue by a squash has neither stamp
-    machine = MachineConfig(core=CoreConfig(rob_size=rob_size), jitter_amplitude=jitter)
-    cells = nops = 0
-    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
-        trace, _ = run_single(scenario, policy)
-        for e in trace.records:
-            if e.uop.kind is UopKind.NOP:
-                assert e.complete_cycle == e.dispatch_cycle, (scenario.name, e)
-                nops += e.dispatch_cycle is not None
-        cells += 1
-    assert cells == 52 and nops > 0
+    # jump, fence, pad and rep filler never issue: the audit holds each to
+    # ready and complete at dispatch; one left in the decode queue by a
+    # squash has neither stamp
+    assert scenario_cell_pass(rob_size, jitter).nops > 0
 
 
 @pytest.mark.check("audits")
 @pytest.mark.parametrize("rob_size", [64, 768])
 @pytest.mark.parametrize("jitter", [0, 2])
 def test_memory_rules_hold_on_every_scenario_cell(rob_size, jitter):
-    machine = MachineConfig(core=CoreConfig(rob_size=rob_size), jitter_amplitude=jitter)
-    cells = 0
-    kinds: collections.Counter = collections.Counter()
-    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
-        kinds += audit(scenario_sim(scenario, policy).run(), scenario.machine)
-        cells += 1
-    assert cells == 52
-    assert {"hit", "deferred_hit", "miss", "fill"} <= kinds.keys(), kinds  # no scenario coalesces
+    seen = scenario_cell_pass(rob_size, jitter)
+    # no scenario coalesces
+    assert {"hit", "deferred_hit", "miss", "fill"} <= seen.kinds.keys(), seen.kinds
+    # a deferred hit dropped by its squash; test_squashed_entries_never_commit
+    # has one applied at commit, which no cell has
+    assert seen.dropped > 0
+
+
+def test_producer_map_matches_recomputation_on_the_reference_grid():
+    # the pass's public stepper rechecks the producer map after every step
+    assert scenario_cell_pass(64, 2).stepped_cycles > 3000
+
+
+@pytest.mark.parametrize("jitter", [0, 2])
+def test_osp_needs_no_producer_walk_on_every_lifting_scenario_cell(jitter):
+    seen = scenario_cell_pass(64, jitter)
+    assert seen.walk_differs == []
+    assert seen.lifting == 24
 
 
 @pytest.mark.check("audits")
@@ -1298,9 +1352,12 @@ def test_memory_rules_hold_on_coalesced_misses_under_jitter(seed):
          "more than 1 commits in a cycle"),
         (lambda load, alu, nop: None, CoreConfig(decode_width=1),
          "more than 2 dispatches in a cycle"),
+        (lambda load, alu, nop: setattr(nop, "shadow", 0), CoreConfig(),
+         "commits with shadow 0"),
     ],
     ids=["nop_issued", "ready_at_producer_completion", "committed_and_squashed",
-         "commit_out_of_order", "commit_past_width", "dispatch_past_queue"],
+         "commit_out_of_order", "commit_past_width", "dispatch_past_queue",
+         "committed_with_shadow"],
 )
 def test_audit_refuses_a_trace_that_breaks_a_pipeline_rule(tamper, core, message):
     # the alu waits on the load; the alu and the nop commit in one cycle,
@@ -1433,7 +1490,7 @@ def test_cycle_limit_inside_an_idle_stretch(max_cycles):
     text = "load r1, [8]\nalu r2, r1, 1\nspin: jump spin"
     core = CoreConfig(max_cycles=max_cycles)
     errors = []
-    for go in (Simulator.run, stepped_run):
+    for go in (Simulator.run, public_stepped_run):
         with pytest.raises(SimulationLimitError) as info:
             go(make_sim(text, core=core))
         errors.append((info.value.cycle, info.value.occupancy, info.value.snapshot))
@@ -1558,11 +1615,20 @@ def machine_runs(draw):
 @settings(max_examples=100, deadline=None)
 @given(machine_runs())
 def test_skipping_matches_stepper_on_random_programs(run_args):
+    # run() audited off its trace and the public stepper, which rechecks
+    # the shadows and the producer map after every step, end alike
     program, policy, machine = run_args
-    outcomes = [
-        run_outcome(go, Simulator(program, machine, policy)) for go in (audited_run, stepped_run)
-    ]
-    assert outcomes[0] == outcomes[1]
+    outcome = lambda run: run_outcome(run, Simulator(program, machine, policy))
+    assert outcome(audited_run) == outcome(public_stepped_run)
+
+
+@pytest.mark.check("audits")
+@settings(max_examples=100, deadline=None)
+@given(machine_runs())
+def test_osp_needs_no_producer_walk_on_random_programs(run_args):
+    program, policy, machine = run_args
+    go = lambda: run_outcome(Simulator.run, Simulator(program, machine, policy))
+    assert go() == with_producer_walk(go)
 
 
 @pytest.mark.check("audits")
@@ -1574,63 +1640,6 @@ def test_memory_rules_hold_on_shadowed_hits_in_shared_sets(program, ways):
     # hit must leave alone until it commits, and a later access shows it
     machine = MachineConfig(cache=CacheConfig(num_sets=2, ways=ways))
     audited_run(Simulator(program, machine, DefensePolicy(mode=DefenseMode.DOM)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(machine_runs())
-def test_public_stepper_matches_run_on_random_programs(run_args):
-    program, policy, machine = run_args
-    outcomes = [
-        run_outcome(go, Simulator(program, machine, policy))
-        for go in (Simulator.run, public_stepped_run)
-    ]
-    assert outcomes[0] == outcomes[1]
-
-
-@settings(max_examples=100, deadline=None)
-@given(machine_runs())
-def test_shadows_match_recomputation_on_random_programs(run_args):
-    program, policy, machine = run_args
-    sim = Simulator(program, machine, policy)
-    while not sim.halted and sim.cycle < machine.core.max_cycles:
-        sim.step()
-        check_shadows(sim)
-        check_producer_map(sim)
-
-
-def osp_with_producer_walk(entry, rob, safe_sets, oldest):
-    """`robsim.defenses.osp_reached` with the walk over value producers it
-    once had: a shadowed complete entry at ESP is OSP only once each
-    in-flight producer in its `src` is. With derived safe sets that walk
-    cannot decide, since ESP already holds every producer at OSP."""
-    if entry.osp:
-        return True
-    if entry.complete_cycle is None:
-        return False
-    if oldest is None or entry.rob_seq <= oldest:
-        entry.osp = True
-        return True
-    if not defenses.esp_check(entry, safe_sets, rob, oldest):
-        return False
-    for producer in entry.src:
-        if producer is not None and not osp_with_producer_walk(producer, rob, safe_sets, oldest):
-            return False
-    entry.osp = True
-    return True
-
-
-def with_producer_walk(go):
-    """`go()` with esp_check reaching OSP through `osp_with_producer_walk`."""
-    with mock.patch.object(defenses, "osp_reached", osp_with_producer_walk):
-        return go()
-
-
-@settings(max_examples=100, deadline=None)
-@given(machine_runs())
-def test_osp_needs_no_producer_walk_on_random_programs(run_args):
-    program, policy, machine = run_args
-    go = lambda: run_outcome(Simulator.run, Simulator(program, machine, policy))
-    assert go() == with_producer_walk(go)
 
 
 def test_osp_needs_no_producer_walk_on_a_shadowed_chain():
@@ -1660,19 +1669,6 @@ def test_osp_needs_no_producer_walk_on_a_shadowed_chain():
         walked_state = go()
     assert walked_state == go()
     assert (4, [1]) in walked
-
-
-@pytest.mark.parametrize("jitter", [0, 2])
-def test_osp_needs_no_producer_walk_on_every_lifting_scenario_cell(jitter):
-    machine = MachineConfig(jitter_amplitude=jitter)
-    cells = 0
-    for scenario, policy in prepared_cells(machine, ALL_MITIGATION_SETS):
-        if policy.lifts_invariant:
-            for trial in range(3):
-                go = lambda: run_state(run_single(scenario, policy, trial)[0])
-                assert go() == with_producer_walk(go), (scenario.name, policy.mitigations)
-            cells += 1
-    assert cells == 24  # both secrets of 5 + 5 + 1 + 1 applicable mitigation sets
 
 
 @pytest.mark.parametrize(
