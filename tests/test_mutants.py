@@ -8,7 +8,7 @@ from mutants import CHECKS, MUTANTS, ROOT, collect_checks
 
 def test_mutant_names_are_unique():
     names = [m.name for m in MUTANTS]
-    assert len(set(names)) == len(names) == 13
+    assert len(set(names)) == len(names) == 14
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
